@@ -1,11 +1,12 @@
 """Host speed, tracked with a fixed canary, for steady timings on a shared host.
 
-On a shared virtual machine the speed of one vCPU drifts by up to 2x over
-seconds as neighbours come and go; float and int8 work slow down by the same
-factor. A canary, a fixed mix of float32 and int32 matrix products and a
-Python loop that no edgefit change can alter, runs between timed calls. A
-timed interval is then rescaled, piece by piece between canaries, to a host
-on which the canary takes REF_S. Canary time inside an interval is left out.
+On a shared virtual machine the speed of one vCPU changes many times a
+second, by up to 2x, as neighbours come and go, and the share of a run spent
+in fast spells changes from run to run. A canary, a fixed mix of float32 and
+int32 matrix products and a Python loop that no edgefit change can alter,
+runs between and inside timed calls. A timed interval is then rescaled,
+piece by piece between canaries, to a host on which the canary takes REF_S.
+Canary time inside an interval is left out.
 """
 
 from __future__ import annotations

@@ -3,10 +3,12 @@
     python3 perfbench/repeat.py --workloads train pipeline stream \
         --seeds 1-10 --out .perfbench/summary.json
 
-Each run is a fresh `run.py` process, one after another. For every metric
-the summary gives the median, the quartiles (statistics.quantiles, n=4) and
-the spread: the distance between the quartiles as a share of the median,
-next to the bound BENCHMARK.json allows.
+Each run is a fresh, untraced `run.py` process of BENCHMARK.json's
+run_seconds, one after another. For every end-to-end metric the summary
+gives the median, the quartiles (statistics.quantiles, n=4) and the spread:
+the distance between the quartiles as a share of the median, next to the
+bound BENCHMARK.json allows; and the same for the metrics before the canary
+rescaling (details.unscaled of each result file).
 """
 
 from __future__ import annotations
@@ -30,15 +32,21 @@ def seeds_from(text: str) -> list[int]:
     return out
 
 
-def run_once(workload: str, seed: int, seconds: int, trace: int) -> dict:
+def run_once(workload: str, seed: int, seconds: int) -> dict:
+    """One run; returns its result file: meta, result and details."""
     proc = subprocess.run(
         [sys.executable, str(HERE / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"{workload} seed {seed}: exit {proc.returncode}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    path = ROOT / ".perfbench" / f"result-{workload}-seed{seed}-trace0.json"
+    full = json.loads(path.read_text())
+    if full["result"] != result:
+        raise SystemExit(f"{workload} seed {seed}: {path} is not this run's")
+    return full
 
 
 def summarise(values: list[float]) -> dict:
@@ -51,38 +59,41 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--workloads", nargs="+", default=["train", "pipeline", "stream"])
     p.add_argument("--seeds", default="1-10")
-    p.add_argument("--seconds", type=int)
-    p.add_argument("--trace", type=int, default=0)
     p.add_argument("--out")
     args = p.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     bounds = {m["name"]: m.get("bound") for m in bench["end_to_end"]}
     summary = {}
     for workload in args.workloads:
         values: dict[str, list[float]] = {}
+        unscaled: dict[str, list[float]] = {}
         failed = 0
         for seed in seeds_from(args.seeds):
-            result = run_once(workload, seed, seconds, args.trace)
+            full = run_once(workload, seed, seconds)
+            result = full["result"]
             failed += result["failed"] + (not result["correct"])
             for name, m in result["metrics"].items():
                 values.setdefault(name, []).append(m["value"])
+            for name, v in full["details"]["unscaled"].items():
+                unscaled.setdefault(name, []).append(v)
             print(f"{workload} seed {seed}: failed {result['failed']}",
                   file=sys.stderr, flush=True)
-        last = ROOT / ".perfbench" / (
-            f"result-{workload}-seed{seed}-trace{args.trace}.json")
         summary[workload] = {
             "failed": failed,
-            "meta": json.loads(last.read_text())["meta"],
-            "metrics": {name: summarise(v) for name, v in values.items()}}
+            "meta": full["meta"],
+            "metrics": {name: summarise(v) for name, v in values.items()},
+            "unscaled": {name: summarise(v) for name, v in unscaled.items()}}
         print(f"\n{workload} (failed {failed})")
         for name, s in summary[workload]["metrics"].items():
             bound = bounds.get(name)
             flag = "" if bound is None else (
                 f"bound {bound:.2f} {'ok' if s['spread'] < bound / 3 else 'WIDE'}")
             print(f"  {name:32s} median {s['median']:12.5g}  q1 {s['q1']:12.5g}"
-                  f"  q3 {s['q3']:12.5g}  spread {s['spread']:.3f}  {flag}")
+                  f"  q3 {s['q3']:12.5g}  spread {s['spread']:.3f}"
+                  f"  unscaled {summary[workload]['unscaled'][name]['spread']:.3f}"
+                  f"  {flag}")
     if args.out:
         Path(args.out).write_text(json.dumps(summary, indent=1))
     return 0

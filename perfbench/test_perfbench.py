@@ -18,6 +18,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import pace  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
 from edgefit import model, quantize, training  # noqa: E402
@@ -26,7 +27,7 @@ TINY = workloads.Scale(
     synth_args=(("subjects", 3), ("sessions", 2), ("class_seconds", 8.0),
                 ("null_seconds", 1.5)),
     width=8, calib_windows=32, short_train_every=1, small_eval_windows=32,
-    min_stream_windows=100, setup_reps=2, probe_windows=4)
+    min_stream_windows=100, probe_windows=4)
 
 BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
 
@@ -82,11 +83,20 @@ def test_broken_quant_model_counts_as_failed_op(tmp_path, monkeypatch):
 
 
 def test_failed_check_does_not_raise():
-    run = workloads.Run(workloads.Pace())
+    run = workloads.Run(pace.Pace())
     assert run.op("x", workloads.check, False, "deliberate") is None
     assert (run.attempted, run.failed) == (1, 1)
     with pytest.raises(workloads.Aborted):
         run.need("x", workloads.check, False, "deliberate")
+
+
+def test_pace_rescales_to_reference_speed_without_canary_time():
+    p = pace.Pace()
+    slow = 2 * pace.REF_S
+    # a host at half the reference speed; one canary tick inside the interval
+    p.ticks = [(0.0, 0.1, slow), (1.0, 1.1, slow), (2.0, 2.1, slow)]
+    assert p.raw_s(0.1, 2.0) == pytest.approx(1.8)
+    assert p.work_s(0.1, 2.0) == pytest.approx(0.9)
 
 
 def test_tracer_patches_every_binding_and_restores_them():

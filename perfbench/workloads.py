@@ -8,18 +8,20 @@ are ops: a raised error or a failed correctness check counts the op as
 failed and the run goes on where it can.
 
 Intervals are timed in process CPU time and turned into metrics at the end
-of the run; those of the SCALED metrics are rescaled to reference host speed
-by pace.Pace.
+of the run, rescaled to reference host speed by pace.Pace (see end_to_end). Run as a script, this module performs one cold set-up (see
+set_up).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import glob
+import json
 import os
 import resource
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from edgefit import dataset, model, quantize, synth, training
+from edgefit import dataset, kernels, model, quantize, synth, training
 from pace import Pace, clock
 from tracer import Tracer, per_layer_units
 
@@ -50,17 +52,23 @@ END_TO_END = {
     "stream.int8.p99_ms": ("ms", "lower"),
 }
 
-# Metrics whose work is single windows or per-row Python, which the canary
-# tracks; batched GEMM work (train, eval) and set-up stay unscaled because
-# the canary's drift does not follow theirs (see README.md, Noise).
-SCALED = {"prepare.rows_per_s", "quantize_s", "stream.float", "stream.int8"}
+# Times the canary rescaling leaves alone: set-up runs in other processes,
+# which the canary does not see; float evaluation samples (0.05-0.4 s) are
+# short next to the canary's smoothing, and rescaling widened their spread
+# between runs (README.md, Noise).
+UNSCALED = {"setup_s", "eval_float.windows_per_s"}
 
+HELD_OUT = 1               # the subject held out: fold 1
 MAX_INT8_DROP = 0.04       # balanced-accuracy bound of acceptance criterion 6c
 WARM_UP_STEPS = 5          # steps before timing; the first ones run slower
+SETUP_REPS = 3             # cold set-ups, one process each
 FLOAT_EVAL_REPEATS = 3     # float evaluation is short: take the median of 3
-# A float call costs a fifth of an int8 call; three per window give its p99
-# 30 samples beyond it instead of 10 for 2.6 s more per 1,000 windows.
-FLOAT_CALLS_PER_WINDOW = 3
+# Quantize runs (and in train and stream, evaluations): each of these
+# metrics is a median of three samples.
+PASSES = 3
+# A float call costs a fifth of an int8 call; two per window give its p99
+# 20 samples beyond it instead of 10, for about 1.2 s more per 1,000 windows.
+FLOAT_CALLS_PER_WINDOW = 2
 
 
 @dataclass(frozen=True)
@@ -69,12 +77,10 @@ class Scale:
 
     synth_args: tuple = ()          # extra make_synthetic_dataset arguments
     width: int = 52
-    held_out: int = 1
     calib_windows: int = 512
     short_train_every: int = 8      # short training keeps every 8th window
-    small_eval_windows: int = 512   # two evaluate_quant batches
-    min_stream_windows: int = 1000   # each: 3 float calls, 1 int8 call
-    setup_reps: int = 3
+    small_eval_windows: int = 128   # one evaluate_quant batch
+    min_stream_windows: int = 1000  # each: 2 float calls, 1 int8 call
     probe_windows: int = 16         # round-trip and float-entry checks
 
 
@@ -107,11 +113,14 @@ class Run:
 
     @contextmanager
     def timed(self, metric: str, work: float | None = None):
-        """Time the block as one sample of metric, with canaries around it."""
+        """Time the block as one sample of metric, with canaries around it and,
+        at most every pace.MIN_GAP_S, after an im2col call inside it: every
+        conv of the float and int8 paths runs one."""
         self.pace.tick()
-        start = clock()
-        yield
-        end = clock()
+        with _tap(kernels, "im2col", self.pace.maybe_tick):
+            start = clock()
+            yield
+            end = clock()
         self.pace.tick()
         self.add(metric, start, end, work)
 
@@ -193,22 +202,42 @@ def warm_up(config: model.ModelConfig, seed: int) -> None:
     model.forward(params, x[0])
 
 
-def set_up(run: Run, scale: Scale, config: model.ModelConfig, seed: int,
-           work_dir: str) -> str:
-    """Generate the CSV dataset and warm up, setup_reps times from scratch.
+def cold_set_up(spec: dict) -> float:
+    """Generate the CSV dataset and warm up; returns the CPU seconds this
+    process has used since it started, imports of numpy and edgefit included."""
+    synth.make_synthetic_dataset(spec["data_dir"], seed=spec["seed"],
+                                 **spec["synth_args"])
+    warm_up(model.ModelConfig(width=spec["width"]), spec["seed"])
+    return clock()
 
-    Returns the last data directory; each repetition is a setup_s sample.
+
+def set_up(run: Run, scale: Scale, seed: int, work_dir: str) -> str:
+    """SETUP_REPS cold set-ups, each a setup_s sample; returns the data
+    directory of the first.
+
+    The first is this process's own: its CPU time up to the end of the
+    set-up, interpreter start and imports included. The others run this
+    module as a script in a fresh process each, so that every sample pays
+    the one-off costs: interpreter start, imports, the first BLAS calls and
+    allocations.
     """
-    data_dir = ""
-    for rep in range(scale.setup_reps):
-        if data_dir:
-            shutil.rmtree(data_dir)
-        data_dir = os.path.join(work_dir, f"csv{rep}")
-        with run.timed("setup_s"):
-            synth.make_synthetic_dataset(data_dir, seed=seed,
-                                         **dict(scale.synth_args))
-            warm_up(config, seed)
-    return data_dir
+    def spec(name: str) -> dict:
+        return {"data_dir": os.path.join(work_dir, name), "seed": seed,
+                "width": scale.width, "synth_args": dict(scale.synth_args)}
+
+    first = spec("csv")
+    run.add("setup_s", 0.0, cold_set_up(first))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(model.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for rep in range(1, SETUP_REPS):
+        other = spec(f"csv{rep}")
+        proc = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), json.dumps(other)],
+            env=env, capture_output=True, text=True, check=True, timeout=120)
+        run.add("setup_s", 0.0, float(proc.stdout.split()[-1]))
+        shutil.rmtree(other["data_dir"])
+    return first["data_dir"]
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +249,7 @@ def _stack(windows):
 
 
 def prepare(run: Run, env: Env) -> dataset.DatasetSplit:
-    """Ingest every CSV file, window and split fold `held_out`, then an EFW1
+    """Ingest every CSV file, window and split fold HELD_OUT, then an EFW1
     round trip. Files load one call each so that canaries run between them."""
     path = os.path.join(env.work_dir, "fold.efw")
     files = sorted(glob.glob(os.path.join(env.data_dir, "*.csv")))
@@ -230,8 +259,7 @@ def prepare(run: Run, env: Env) -> dataset.DatasetSplit:
     for f in files:
         recordings += dataset.load_recordings(f)
         run.pace.maybe_tick()
-    split = dataset.build_fold(recordings, env.scale.held_out,
-                               n_threads=env.threads)
+    split = dataset.build_fold(recordings, HELD_OUT, n_threads=env.threads)
     dataset.save_windows(path, split.train + split.test)
     loaded = dataset.load_windows(path)
     end = clock()
@@ -241,7 +269,7 @@ def prepare(run: Run, env: Env) -> dataset.DatasetSplit:
         return sum(dataset.window_count(len(r), dataset.WINDOW_SIZE,
                                         dataset.RATE_HZ)
                    for r in recordings
-                   if (r.subject == env.scale.held_out) == test)
+                   if (r.subject == HELD_OUT) == test)
 
     check(len(split.train) == expected(False), "train window count")
     check(len(split.test) == expected(True), "test window count")
@@ -257,7 +285,8 @@ def prepare(run: Run, env: Env) -> dataset.DatasetSplit:
 def train(run: Run, env: Env, split: dataset.DatasetSplit) -> model.ModelParams:
     """One epoch of train_fold at batch 64 with its validation pass. Each
     optimizer step is one train.windows_per_s sample: the time from the end
-    of one adam_step to the end of the next, for batch_size windows."""
+    of one adam_step to the end of the next, for batch_size windows, less
+    the canary that may run between them."""
     hp = training.Hyperparams(epochs=1, patience=0)
     last = []
 
@@ -265,7 +294,8 @@ def train(run: Run, env: Env, split: dataset.DatasetSplit) -> model.ModelParams:
         now = clock()
         if last:
             run.add("train.windows_per_s", last[-1], now, hp.batch_size)
-        last.append(now)
+        run.pace.maybe_tick()
+        last.append(clock())
 
     with _tap(training, "adam_step", step_done):
         params, history = training.train_fold(split, env.config, hp, env.seed)
@@ -298,8 +328,7 @@ def quantize_stage(run: Run, env: Env, params: model.ModelParams,
              for i in sorted(rng.choice(len(split.train), size, replace=False))]
     efm = os.path.join(env.work_dir, "model.efm")
     efq = os.path.join(env.work_dir, "model.efq")
-    with _tap(quantize, "forward_batch", run.pace.maybe_tick), \
-            run.timed("quantize_s"):
+    with run.timed("quantize_s"):
         model.save(params, efm)
         loaded_params = model.load(efm)
         folded = model.fold_batchnorm(loaded_params)
@@ -313,8 +342,9 @@ def quantize_stage(run: Run, env: Env, params: model.ModelParams,
 
 
 def evaluate(run: Run, env: Env, folded, qm, windows):
-    """Float and int8 evaluation; returns the batched logits they computed,
-    which the stream stage checks single-window results against."""
+    """FLOAT_EVAL_REPEATS float evaluations and one int8 evaluation; returns
+    the batched logits they computed, which the stream stage checks
+    single-window results against."""
     float_out: list[np.ndarray] = []
     int8_out: list[np.ndarray] = []
 
@@ -370,85 +400,73 @@ def stream(run: Run, folded, qm, windows, float_ref, int8_ref,
 
 
 # ---------------------------------------------------------------------------
-# workloads: `counts` fixes how often the repeated stage runs (a traced pass
-# replays the counts of the untraced one); otherwise it repeats until
-# `seconds` have passed. Each returns the counts it used.
+# workloads. Each returns the counts of the work it sized by time, which a
+# traced pass replays (`counts`); train and pipeline do fixed work.
 # ---------------------------------------------------------------------------
-
-def _repeat(count: int | None, seconds: float, fn) -> int:
-    done = 0
-    start = time.perf_counter()
-    while (done < count if count is not None
-           else done < 1 or time.perf_counter() - start < seconds):
-        fn()
-        done += 1
-    return done
-
 
 def _short(split: dataset.DatasetSplit, every: int) -> dataset.DatasetSplit:
     return dataclasses.replace(split, train=split.train[::every])
 
 
-def _eval_and_stream(run: Run, env: Env, folded, qm, windows, min_calls,
-                     seconds) -> int:
-    float_ref, int8_ref = run.need("eval", evaluate, run, env, folded, qm,
-                                   windows)
-    return stream(run, folded, qm, windows, float_ref, int8_ref, min_calls,
-                  seconds)
+def _quantize_eval(run: Run, env: Env, params, split, windows):
+    """Quantize, then evaluate `windows`; returns the float model, the int8
+    model and their batched float and int8 logits."""
+    folded, qm = run.need("quantize", quantize_stage, run, env, params, split)
+    return (folded, qm,
+            *run.need("eval", evaluate, run, env, folded, qm, windows))
 
 
 def run_train(run: Run, env: Env, seconds: float, counts: dict) -> dict:
-    """Full-fold epochs for the measured time; then quantize, evaluate 256
-    held-out windows and stream 1,000 of them."""
+    """Prepare; one full-fold epoch; three passes of quantize and evaluate
+    128 held-out windows; stream 1,000 of them. The epoch count is fixed,
+    not timed: one epoch takes about as long as the measured time (10-14 s
+    on the reference host), so a timed count would flip between one and two
+    with the host's speed."""
     split = run.need("prepare", prepare, run, env)
-    trained = []
-    epochs = _repeat(counts.get("epochs"), seconds, lambda: trained.append(
-        run.op("train", train, run, env, split)))
-    params = next((p for p in reversed(trained) if p is not None), None)
-    if params is None:
-        raise Aborted("train")
-    folded, qm = run.need("quantize", quantize_stage, run, env, params, split)
-    _eval_and_stream(run, env, folded, qm,
-                     split.test[:env.scale.small_eval_windows],
-                     env.scale.min_stream_windows, 0)
-    return {"epochs": epochs}
+    params = run.need("train", train, run, env, split)
+    windows = split.test[:env.scale.small_eval_windows]
+    for _ in range(PASSES):
+        folded, qm, float_ref, int8_ref = _quantize_eval(run, env, params,
+                                                         split, windows)
+    stream(run, folded, qm, windows, float_ref, int8_ref,
+           env.scale.min_stream_windows, 0)
+    return {}
 
 
 def run_pipeline(run: Run, env: Env, seconds: float, counts: dict) -> dict:
-    """A short training run; then prepare, quantize and evaluate all held-out
-    windows for the measured time; then stream 1,000 windows."""
+    """Prepare, a short training run, quantize three times and evaluate all
+    held-out windows; then stream 1,000 of them. The timed stages are fixed
+    work that takes longer than the measured time (about 17 s on the
+    reference host); a repeat until the time is up would flip between one
+    pass and two with the host's speed."""
     split = run.need("prepare", prepare, run, env)
     params = run.need("train", train, run, env,
                       _short(split, env.scale.short_train_every))
-    outputs = []
-
-    def iteration():
-        if outputs:
-            run.need("prepare", prepare, run, env)
+    for _ in range(PASSES):
         folded, qm = run.need("quantize", quantize_stage, run, env, params,
                               split)
-        refs = run.need("eval", evaluate, run, env, folded, qm, split.test)
-        outputs.append((folded, qm, refs))
-
-    iterations = _repeat(counts.get("iterations"), seconds, iteration)
-    folded, qm, (float_ref, int8_ref) = outputs[-1]
+    float_ref, int8_ref = run.need("eval", evaluate, run, env, folded, qm,
+                                   split.test)
     stream(run, folded, qm, split.test, float_ref, int8_ref,
            env.scale.min_stream_windows, 0)
-    return {"iterations": iterations}
+    return {}
 
 
 def run_stream(run: Run, env: Env, seconds: float, counts: dict) -> dict:
-    """A short training run, quantize and evaluate 256 held-out windows once;
-    then stream those windows for the measured time."""
+    """Prepare, a short training run, three passes of quantize and evaluate
+    128 held-out windows; then stream those windows for the measured
+    time."""
     split = run.need("prepare", prepare, run, env)
     params = run.need("train", train, run, env,
                       _short(split, env.scale.short_train_every))
-    folded, qm = run.need("quantize", quantize_stage, run, env, params, split)
+    windows = split.test[:env.scale.small_eval_windows]
+    for _ in range(PASSES):
+        folded, qm, float_ref, int8_ref = _quantize_eval(run, env, params,
+                                                         split, windows)
     replay = "windows" in counts
-    sent = _eval_and_stream(
-        run, env, folded, qm, split.test[:env.scale.small_eval_windows],
-        counts["windows"] if replay else env.scale.min_stream_windows,
-        0 if replay else seconds)
+    sent = stream(run, folded, qm, windows, float_ref, int8_ref,
+                  counts["windows"] if replay else env.scale.min_stream_windows,
+                  0 if replay else seconds)
     return {"windows": sent}
 
 
@@ -460,24 +478,25 @@ FOCUS = {"train": ("train",), "pipeline": ("prepare", "quantize", "eval"),
 
 def end_to_end(run: Run, scaled: bool = True) -> dict[str, float]:
     """Sample medians, stream percentiles and peak memory. With scaled, the
-    SCALED metrics are rescaled to reference host speed."""
+    times are rescaled to reference host speed, except the UNSCALED ones
+    and the stream p99s: the slowest calls run while the host is slow,
+    whatever its speed the rest of the run, and rescaling them by the
+    canary around them adds its noise to a steady figure (README.md,
+    Noise)."""
     out = {"peak_rss_mb":
            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
     for name in END_TO_END:
-        values = run.values(name, scaled and name in SCALED)
+        values = run.values(name, scaled and name not in UNSCALED)
         if values:
             out[name] = statistics.median(values)
     for path in ("float", "int8"):
         name = f"stream.{path}"
         if len(run.intervals.get(name, [])) < 100:
             continue
-        raw = run.values(name, scaled=False)
-        calls = run.values(name, scaled and name in SCALED)
+        calls = run.values(name, scaled)
         out[f"{name}.p50_ms"] = statistics.median(calls) * 1e3
-        # the tail is rescaled by the path's mean factor, not call by call,
-        # which would add the canary's own noise to it
-        out[f"{name}.p99_ms"] = (statistics.quantiles(raw, n=100)[98]
-                                 * sum(calls) / sum(raw) * 1e3)
+        out[f"{name}.p99_ms"] = statistics.quantiles(
+            run.values(name, scaled=False), n=100)[98] * 1e3
     return out
 
 
@@ -492,7 +511,7 @@ def execute(workload: str, seed: int, seconds: float, trace: bool,
     runs = [Run(pace)]
     counts = None
     try:
-        data_dir = set_up(runs[0], scale, config, seed, work_dir)
+        data_dir = set_up(runs[0], scale, seed, work_dir)
         env = Env(scale, config, seed, data_dir, work_dir, threads)
         start = time.perf_counter()
         try:
@@ -545,3 +564,8 @@ def execute(workload: str, seed: int, seconds: float, trace: bool,
                              "median": statistics.median(canary_ms),
                              "quartiles": statistics.quantiles(canary_ms, n=4)}}
     return result, details
+
+
+if __name__ == "__main__":
+    # one cold set-up for set_up; prints its CPU seconds
+    print(cold_set_up(json.loads(sys.argv[1])))
