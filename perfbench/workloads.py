@@ -52,23 +52,18 @@ END_TO_END = {
     "stream.int8.p99_ms": ("ms", "lower"),
 }
 
-# Times the canary rescaling leaves alone: set-up runs in other processes,
-# which the canary does not see; float evaluation samples (0.05-0.4 s) are
-# short next to the canary's smoothing, and rescaling widened their spread
-# between runs (README.md, Noise).
-UNSCALED = {"setup_s", "eval_float.windows_per_s"}
+# The one time the canary rescaling leaves alone: set-up runs in other
+# processes, which the canary does not see.
+UNSCALED = {"setup_s"}
 
 HELD_OUT = 1               # the subject held out: fold 1
 MAX_INT8_DROP = 0.04       # balanced-accuracy bound of acceptance criterion 6c
 WARM_UP_STEPS = 5          # steps before timing; the first ones run slower
 SETUP_REPS = 3             # cold set-ups, one process each
-FLOAT_EVAL_REPEATS = 3     # float evaluation is short: take the median of 3
+FLOAT_EVAL_REPEATS = 5     # float evaluation is short: take the median of 5
 # Quantize runs (and in train and stream, evaluations): each of these
 # metrics is a median of three samples.
 PASSES = 3
-# A float call costs a fifth of an int8 call; two per window give its p99
-# 20 samples beyond it instead of 10, for about 1.2 s more per 1,000 windows.
-FLOAT_CALLS_PER_WINDOW = 2
 
 
 @dataclass(frozen=True)
@@ -78,9 +73,9 @@ class Scale:
     synth_args: tuple = ()          # extra make_synthetic_dataset arguments
     width: int = 52
     calib_windows: int = 512
-    short_train_every: int = 8      # short training keeps every 8th window
+    short_train_every: int = 4      # short training keeps every 4th window
     small_eval_windows: int = 128   # one evaluate_quant batch
-    min_stream_windows: int = 1000  # each: 2 float calls, 1 int8 call
+    min_stream_windows: int = 1000  # each: 1 float call, 1 int8 call
     probe_windows: int = 16         # round-trip and float-entry checks
 
 
@@ -250,7 +245,8 @@ def _stack(windows):
 
 def prepare(run: Run, env: Env) -> dataset.DatasetSplit:
     """Ingest every CSV file, window and split fold HELD_OUT, then an EFW1
-    round trip. Files load one call each so that canaries run between them."""
+    round trip. Files load one call each so that canaries run between them;
+    while windows are cut, canaries run after window labels."""
     path = os.path.join(env.work_dir, "fold.efw")
     files = sorted(glob.glob(os.path.join(env.data_dir, "*.csv")))
     recordings: list[dataset.Recording] = []
@@ -259,7 +255,8 @@ def prepare(run: Run, env: Env) -> dataset.DatasetSplit:
     for f in files:
         recordings += dataset.load_recordings(f)
         run.pace.maybe_tick()
-    split = dataset.build_fold(recordings, HELD_OUT, n_threads=env.threads)
+    with _tap(dataset, "label_window", run.pace.maybe_tick):
+        split = dataset.build_fold(recordings, HELD_OUT, n_threads=env.threads)
     dataset.save_windows(path, split.train + split.test)
     loaded = dataset.load_windows(path)
     end = clock()
@@ -365,36 +362,36 @@ def evaluate(run: Run, env: Env, folded, qm, windows):
 
 def stream(run: Run, folded, qm, windows, float_ref, int8_ref,
            min_calls: int, seconds: float) -> int:
-    """One closed-loop caller: each window through the float path
-    FLOAT_CALLS_PER_WINDOW times, then the int8 path once, one window at a
-    time, cycling over `windows`. Returns the windows sent."""
+    """One closed-loop caller: each window through the float path, then the
+    int8 path, one window at a time, cycling over `windows`. The canary runs
+    before every call and after the last, so that each call is rescaled by
+    the host speed right around it. Returns the windows sent."""
     float_argmax = float_ref.argmax(axis=1)
 
     def one(k: int):
         x = windows[k].data
-        for _ in range(FLOAT_CALLS_PER_WINDOW):
-            t0 = clock()
-            float_logits = model.forward(folded, x)
-            t1 = clock()
-            check(int(float_logits.argmax()) == float_argmax[k],
-                  f"window {k}: float argmax differs from the batched one")
-            run.add("stream.float", t0, t1)
+        run.pace.tick()
+        t0 = clock()
+        float_logits = model.forward(folded, x)
         t1 = clock()
-        int8_logits = quantize.qforward(qm, x)
+        run.pace.tick()
         t2 = clock()
+        int8_logits = quantize.qforward(qm, x)
+        t3 = clock()
+        check(int(float_logits.argmax()) == float_argmax[k],
+              f"window {k}: float argmax differs from the batched one")
+        run.add("stream.float", t0, t1)
         check(np.array_equal(int8_logits, int8_ref[k]),
               f"window {k}: int8 logits differ from the batched ones")
-        run.add("stream.int8", t1, t2)
+        run.add("stream.int8", t2, t3)
         return True
 
     sent = 0
     with run.tracer.stage("stream") if run.tracer else nullcontext():
-        run.pace.tick()
         start = time.perf_counter()
         while sent < min_calls or time.perf_counter() - start < seconds:
             run.op(None, one, sent % len(windows))
             sent += 1
-            run.pace.maybe_tick()
         run.pace.tick()
     return sent
 
@@ -418,10 +415,10 @@ def _quantize_eval(run: Run, env: Env, params, split, windows):
 
 def run_train(run: Run, env: Env, seconds: float, counts: dict) -> dict:
     """Prepare; one full-fold epoch; three passes of quantize and evaluate
-    128 held-out windows; stream 1,000 of them. The epoch count is fixed,
-    not timed: one epoch takes about as long as the measured time (10-14 s
-    on the reference host), so a timed count would flip between one and two
-    with the host's speed."""
+    128 held-out windows; stream 1,000 windows, cycling over those. The
+    epoch count is fixed, not timed: one epoch takes about as long as the
+    measured time (10-14 s on the reference host), so a timed count would
+    flip between one and two with the host's speed."""
     split = run.need("prepare", prepare, run, env)
     params = run.need("train", train, run, env, split)
     windows = split.test[:env.scale.small_eval_windows]
@@ -478,11 +475,7 @@ FOCUS = {"train": ("train",), "pipeline": ("prepare", "quantize", "eval"),
 
 def end_to_end(run: Run, scaled: bool = True) -> dict[str, float]:
     """Sample medians, stream percentiles and peak memory. With scaled, the
-    times are rescaled to reference host speed, except the UNSCALED ones
-    and the stream p99s: the slowest calls run while the host is slow,
-    whatever its speed the rest of the run, and rescaling them by the
-    canary around them adds its noise to a steady figure (README.md,
-    Noise)."""
+    times are rescaled to reference host speed, except the UNSCALED ones."""
     out = {"peak_rss_mb":
            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
     for name in END_TO_END:
@@ -495,8 +488,7 @@ def end_to_end(run: Run, scaled: bool = True) -> dict[str, float]:
             continue
         calls = run.values(name, scaled)
         out[f"{name}.p50_ms"] = statistics.median(calls) * 1e3
-        out[f"{name}.p99_ms"] = statistics.quantiles(
-            run.values(name, scaled=False), n=100)[98] * 1e3
+        out[f"{name}.p99_ms"] = statistics.quantiles(calls, n=100)[98] * 1e3
     return out
 
 
