@@ -57,9 +57,14 @@ def _sniff_model(path: str):
 
 
 def cmd_prepare(args) -> int:
+    try:
+        folds = None if args.fold == "all" else [int(args.fold)]
+    except ValueError:
+        raise InvalidConfig(f"--fold must be a subject id or 'all', "
+                            f"got {args.fold!r}") from None
     recordings = dataset.load_recordings(args.dataset)
-    subjects = sorted({r.subject for r in recordings})
-    folds = subjects if args.fold == "all" else [int(args.fold)]
+    if folds is None:
+        folds = sorted({r.subject for r in recordings})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {"stride": args.stride, "window_size": dataset.WINDOW_SIZE,

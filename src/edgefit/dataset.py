@@ -9,6 +9,7 @@ canonical names. Labels may be integers 0..11 or canonical class names.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -20,6 +21,7 @@ from .errors import (
     CorruptFile,
     EmptyDataset,
     FewerThanTwoSubjects,
+    InvalidConfig,
     MalformedRow,
     MissingColumn,
     UnseenLabel,
@@ -267,7 +269,7 @@ def segment_windows(rec: Recording, stats: NormStats, size: int = WINDOW_SIZE,
     assign_weights runs with the training-fold class counts.
     """
     if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+        raise InvalidConfig(f"stride must be >= 1, got {stride}")
     n = window_count(len(rec), size, stride)
     if n == 0:
         return []
@@ -388,12 +390,17 @@ def load_windows(path: str | Path) -> list[Window]:
             f"window container has {len(blob)} bytes, expected {expected}")
     windows = []
     offset = 16
-    for _ in range(count):
+    for i in range(count):
         data = np.frombuffer(blob, dtype="<f4", count=size * channels,
                              offset=offset).reshape(size, channels)
         offset += size * channels * 4
         label, weight, subject, session = struct.unpack_from("<BfBB", blob, offset)
         offset += 7
+        if label >= NUM_CLASSES:
+            raise CorruptFile(f"window {i}: label {label} outside "
+                              f"[0, {NUM_CLASSES - 1}] in {path}")
+        if not math.isfinite(weight):
+            raise CorruptFile(f"window {i}: non-finite weight in {path}")
         windows.append(Window(
             data=np.ascontiguousarray(data.T),
             label=label, weight=weight, subject=subject, session=session,

@@ -342,7 +342,8 @@ def train_fold(split: DatasetSplit, config: ModelConfig, hp: Hyperparams,
     """Train on split.train with early stopping; restores best-epoch weights.
 
     The monitored quantity is the weighted validation loss; training stops
-    once `patience` consecutive epochs fail to improve it.
+    once `patience + 1` consecutive epochs fail to improve it (patience 0
+    stops at the first epoch that does not improve).
     """
     hp.validate()
     if not split.train:

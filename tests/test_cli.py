@@ -35,6 +35,12 @@ def pipeline(tmp_path_factory):
             "windows": windows, "model": model_path, "qmodel": q_path}
 
 
+def assert_one_error_line(err, error_type):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert error_type in lines[0]
+
+
 class TestPrepare:
     def test_manifest_and_container(self, pipeline):
         manifest = json.loads((pipeline["prep"] / "manifest.json").read_text())
@@ -58,6 +64,16 @@ class TestPrepare:
                                str(tmp_path / "o"))
         assert code == cli.EXIT_DATA
         assert "EmptyDataset" in err
+
+    @pytest.mark.parametrize("flag, value", [("--stride", "0"),
+                                             ("--fold", "x")])
+    def test_bad_argument_is_usage_error(self, capsys, pipeline, tmp_path,
+                                         flag, value):
+        code, _, err = run_cli(capsys, "prepare", "--dataset",
+                               str(pipeline["data"]), "--out",
+                               str(tmp_path / "o"), flag, value)
+        assert code == cli.EXIT_USAGE
+        assert_one_error_line(err, "InvalidConfig")
 
 
 class TestTrain:
@@ -115,6 +131,16 @@ class TestEval:
                                "--windows", str(pipeline["windows"]))
         assert code == cli.EXIT_DATA
         assert "CorruptFile" in err
+
+    def test_out_of_range_label_is_data_error(self, capsys, pipeline, tmp_path):
+        blob = bytearray(pipeline["windows"].read_bytes())
+        blob[16 + 40 * 7 * 4] = 200          # first window's label byte
+        bad = tmp_path / "bad.efw"
+        bad.write_bytes(bytes(blob))
+        code, _, err = run_cli(capsys, "eval", "--model",
+                               str(pipeline["qmodel"]), "--windows", str(bad))
+        assert code == cli.EXIT_DATA
+        assert_one_error_line(err, "CorruptFile")
 
 
 class TestBench:

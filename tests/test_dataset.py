@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -380,6 +382,20 @@ class TestWindowContainer:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorruptFile):
             load_windows(tmp_path / "absent.efw")
+
+    @pytest.mark.parametrize("fmt, value", [("<B", 12), ("<B", 200),
+                                            ("<f", float("nan")),
+                                            ("<f", float("inf"))])
+    def test_out_of_range_label_or_weight(self, tmp_path, rng, fmt, value):
+        path = tmp_path / "w.efw"
+        save_windows(path, self.sample_windows(rng))
+        blob = bytearray(path.read_bytes())
+        # second window's label byte, then its f32 weight
+        offset = 16 + (40 * 7 * 4 + 7) + 40 * 7 * 4 + (1 if fmt == "<f" else 0)
+        struct.pack_into(fmt, blob, offset, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptFile):
+            load_windows(path)
 
 
 def test_class_counts_uses_sample_labels(rng):

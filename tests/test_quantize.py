@@ -1,14 +1,18 @@
+import copy
+import struct
+
 import numpy as np
 import pytest
 
 from conftest import randomize_bn
-from edgefit import model, quantize, synth
+from edgefit import kernels, model, quantize, synth
 from edgefit.errors import (
     AccumulatorOverflow,
     CorruptFile,
     EmptyCalibrationSet,
     InvalidConfig,
     MissingCalibration,
+    NumericalContractError,
     RequantRangeError,
     VersionMismatch,
 )
@@ -328,6 +332,124 @@ class TestQForward:
         assert agree >= 0.90
 
 
+def int32_qconv_run(layer, x_q):
+    """The conv with its GEMM in int32, as the integer path ran it before
+    the GEMMs moved to float32/float64: the oracle for their exactness."""
+    batch, c_in, length = x_q.shape
+    c_out, _, k = layer.w_q.shape
+    pad = (k - 1) // 2
+    shifted = x_q.astype(np.int32) - layer.in_spec.zero_point
+    xp = np.pad(shifted, ((0, 0), (0, 0), (pad, pad)))
+    cols = kernels.im2col(xp, k, length)
+    flat = cols.transpose(1, 0, 2).reshape(c_in * k, batch * length)
+    acc = layer.w_q.reshape(c_out, -1).astype(np.int32) @ flat
+    acc = acc.reshape(c_out, batch, length).transpose(1, 0, 2)
+    acc = acc + layer.bias_q[None, :, None]
+    q = quantize._requantize_array(acc.astype(np.int64),
+                                   layer.m0.astype(np.int64)[None, :, None],
+                                   layer.shift.astype(np.int64)[None, :, None],
+                                   layer.out_spec.zero_point)
+    if layer.relu:
+        q = np.maximum(q, np.int8(layer.out_spec.zero_point))
+    return q
+
+
+def int32_qforward_batch(qm, x):
+    """qforward_batch with every GEMM (convs and head) in int32."""
+    q = quantize.quantize_input(qm.input_spec, x)
+    q = int32_qconv_run(qm.stem, q)
+    for block in qm.blocks:
+        q_in = q
+        for layer in block.convs:
+            q = int32_qconv_run(layer, q)
+        q = quantize._qadd_run(block.add, q_in, q, None)
+    flat = q.reshape(q.shape[0], -1)
+    shifted = flat.astype(np.int32) - qm.head.in_spec.zero_point
+    acc = shifted @ qm.head.w_q.astype(np.int32).T + qm.head.bias_q[None, :]
+    scale = qm.head.in_spec.scale * qm.head.w_scale.astype(np.float64)
+    return (acc.astype(np.float64) * scale[None, :]).astype(np.float32)
+
+
+def extreme_model(qm, rng):
+    """A copy of qm with every weight +-127 (two all-+127 output channels
+    per layer, whose sums reach fan_in * 127 * 255 on an input that sits
+    at one extreme) and zero points alternating between -128 and 127."""
+    qm = copy.deepcopy(qm)
+    zps = iter([-128, 127] * 100)
+
+    def spec(s):
+        return quantize.QuantSpec(scale=s.scale, zero_point=next(zps))
+
+    def weights(w):
+        w = np.where(rng.random(w.shape) < 0.5, 127, -127).astype(np.int8)
+        w[:2] = 127
+        return w
+
+    qm.input_spec = quantize.QuantSpec(scale=1e-3, zero_point=127)
+    for layer in qm.layers():
+        layer.w_q = weights(layer.w_q)
+        layer.in_spec, layer.out_spec = spec(layer.in_spec), spec(layer.out_spec)
+    for block in qm.blocks:
+        add = block.add
+        add.a_spec, add.h_spec = spec(add.a_spec), spec(add.h_spec)
+        add.out_spec = spec(add.out_spec)
+    qm.head.w_q = weights(qm.head.w_q)
+    qm.head.in_spec = spec(qm.head.in_spec)
+    return qm
+
+
+class TestExactFloatGemm:
+    """qforward_batch runs its GEMMs in float32/float64; the logits must be
+    bit-identical to the int32 GEMMs."""
+
+    @staticmethod
+    def check_against_oracle(qm, x):
+        trace = []
+        got = qforward_batch(qm, x, trace=trace)
+        np.testing.assert_array_equal(got, int32_qforward_batch(qm, x))
+        assert quantize.count_float_entries(trace) == 0
+        acc = [dtype for name, dtype in trace if name.endswith(".acc")]
+        cfg = qm.config
+        assert len(acc) == 2 + cfg.blocks * cfg.convs_per_block  # convs, head
+        assert all(dtype.startswith("int") for dtype in acc)
+
+    def test_width_52_random_windows(self):
+        _, qm = quantized_fixture(width=52, n_calib=64)
+        assert quantize._gemm_dtype(52 * 3) is np.float32
+        assert quantize._gemm_dtype(52 * 40) is np.float64
+        x = np.stack([w.data for w in synth.make_random_windows(256, seed=11)])
+        self.check_against_oracle(qm, x)
+
+    def test_partial_last_block(self):
+        # 2 full blocks and a partial one; each window equals its single call
+        _, qm = quantized_fixture(width=52, n_calib=64)
+        n = 2 * quantize.BLOCK_WINDOWS + 3
+        x = np.stack([w.data for w in synth.make_random_windows(n, seed=13)])
+        self.check_against_oracle(qm, x)
+        batched = qforward_batch(qm, x)
+        for i in range(n):
+            np.testing.assert_array_equal(qforward(qm, x[i]), batched[i])
+
+    def test_wide_conv_takes_float64(self):
+        # fan_in 176 * 3 = 528: 528 * 128 * 255 >= 2^24
+        _, qm = quantized_fixture(width=176, n_calib=16)
+        assert qm.blocks[0].convs[0].w_q.shape[1:] == (176, 3)
+        assert quantize._gemm_dtype(528) is np.float64
+        x = np.stack([w.data for w in synth.make_random_windows(24, seed=12)])
+        self.check_against_oracle(qm, x)
+
+    def test_extreme_operands(self, rng):
+        _, qm = quantized_fixture(width=52, n_calib=64)
+        qm = extreme_model(qm, rng)
+        x = np.where(rng.random((64, 7, 40)) < 0.5, -1.0, 1.0)
+        q_in = quantize_input(qm.input_spec, x)
+        assert set(np.unique(q_in)) == {-128, 127}
+        self.check_against_oracle(qm, x.astype(np.float32))
+        # all q = -128 against zero point 127: every stem product is
+        # 127 * -255 in the two all-+127 channels
+        self.check_against_oracle(qm, np.full((4, 7, 40), -1.0, np.float32))
+
+
 class TestQuantFile:
     def test_round_trip(self, tmp_path):
         _, qm = quantized_fixture(width=4)
@@ -363,3 +485,22 @@ class TestQuantFile:
     def test_missing(self, tmp_path):
         with pytest.raises(CorruptFile):
             quantize.load(tmp_path / "none.efq")
+
+    def test_corrupt_zero_point_rejected(self, tmp_path):
+        _, qm = quantized_fixture(width=4)
+        path = tmp_path / "q.efq"
+        quantize.save(qm, path)
+        blob = bytearray(path.read_bytes())
+        # input spec: <fi after magic, version and the <7Hf config
+        struct.pack_into("<i", blob, 5 + struct.calcsize("<7Hf") + 4, 300)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(NumericalContractError):
+            quantize.load(path)
+
+    def test_corrupt_m0_rejected(self, tmp_path):
+        _, qm = quantized_fixture(width=4)
+        qm.stem.m0[0] = 12345
+        path = tmp_path / "q.efq"
+        quantize.save(qm, path)
+        with pytest.raises(NumericalContractError):
+            quantize.load(path)

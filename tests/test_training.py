@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,26 @@ class TestTrainFold:
             assert len(history.val_loss) < 5
             # stopping epoch is the first one that failed to improve
             assert history.val_loss[-1] >= min(history.val_loss[:-1])
+
+    @pytest.mark.parametrize("patience, val_losses, epochs_run", [
+        (0, [3.0, 2.0, 2.5, 1.0, 0.5], 3),
+        (0, [3.0, 3.0, 1.0, 0.5, 0.4], 2),     # a tie does not improve
+        (1, [3.0, 2.0, 2.5, 2.6, 1.0], 4),
+        (1, [3.0, 2.0, 2.5, 1.0, 1.5], 5),
+    ])
+    def test_stops_after_patience_plus_one_non_improving_epochs(
+            self, monkeypatch, patience, val_losses, epochs_run):
+        scripted = iter(val_losses)
+        monkeypatch.setattr(
+            training, "_eval_arrays",
+            lambda *args: SimpleNamespace(loss=next(scripted),
+                                          balanced_accuracy=0.0))
+        hp = Hyperparams(epochs=len(val_losses), patience=patience,
+                         batch_size=32)
+        _, history = train_fold(separable_split(40), ModelConfig(width=2),
+                                hp, seed=0)
+        assert history.val_loss == val_losses[:epochs_run]
+        assert history.stopped_early == (epochs_run < len(val_losses))
 
     def test_seed_determinism(self):
         split = separable_split(80)
