@@ -17,7 +17,6 @@ import numpy as np
 
 from . import dataset, model, platform_model, quantize, synth, training
 from .errors import (
-    CorruptFile,
     DataError,
     EdgefitError,
     InvalidConfig,
@@ -45,26 +44,26 @@ def _threads() -> int:
 
 
 def _sniff_model(path: str):
+    """Load an int8 model file as one, any other file as a float model."""
     p = Path(path)
-    if not p.is_file():
-        raise CorruptFile(f"model file not found: {p}")
-    magic = p.open("rb").read(4)
-    if magic == b"EFM1":
-        return model.load(p)
-    if magic == b"EFQ1":
-        return quantize.load(p)
-    raise CorruptFile(f"unrecognized model magic {magic!r} in {p}")
+    if p.is_file():
+        with open(p, "rb") as f:
+            if f.read(4) == quantize.QUANT_MAGIC:
+                return quantize.load(p)
+    return model.load(p)
 
 
 def cmd_prepare(args) -> int:
     try:
-        folds = None if args.fold == "all" else [int(args.fold)]
+        fold = None if args.fold == "all" else int(args.fold)
     except ValueError:
         raise InvalidConfig(f"--fold must be a subject id or 'all', "
                             f"got {args.fold!r}") from None
     recordings = dataset.load_recordings(args.dataset)
-    if folds is None:
-        folds = sorted({r.subject for r in recordings})
+    subjects = sorted({r.subject for r in recordings})
+    if fold is not None and fold not in subjects:
+        raise InvalidConfig(f"no subject {fold} in {args.dataset}")
+    folds = subjects if fold is None else [fold]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {"stride": args.stride, "window_size": dataset.WINDOW_SIZE,
@@ -233,7 +232,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("eval", help="evaluate a float or quantized model")
-    p.add_argument("--model", required=True, help="EFM1 or EFQ1 file")
+    p.add_argument("--model", required=True, help="EFM2 or EFQ2 file")
     p.add_argument("--windows", required=True)
     p.add_argument("--fold", type=int, default=None,
                    help="evaluate only this subject's windows")

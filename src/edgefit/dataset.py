@@ -9,14 +9,13 @@ canonical names. Labels may be integers 0..11 or canonical class names.
 from __future__ import annotations
 
 import csv
-import math
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .errors import (
     CorruptFile,
     EmptyDataset,
@@ -25,7 +24,6 @@ from .errors import (
     MalformedRow,
     MissingColumn,
     UnseenLabel,
-    VersionMismatch,
 )
 
 CLASS_NAMES = (
@@ -44,7 +42,10 @@ SESSION_RANGE = (1, 5)
 
 STD_FLOOR = 1e-6
 
-_WINDOW_MAGIC = b"EFW1"
+WINDOW_MAGIC = b"EFW2"
+# The per-window fields of an EFW2 file besides data, with their dtypes.
+_WINDOW_FIELDS = (("label", "|u1"), ("weight", "<f4"), ("subject", "|u1"),
+                  ("session", "|u1"))
 
 _NAME_TO_LABEL = {name.lower(): i for i, name in enumerate(CLASS_NAMES)}
 
@@ -357,52 +358,34 @@ def build_fold(recordings: list[Recording], held_out_subject: int,
 
 
 def save_windows(path: str | Path, windows: list[Window]) -> None:
-    """Write the flat binary window container.
-
-    Layout: magic "EFW1", u32 count, u32 channels, u32 window size, then per
-    window 40x7 little-endian float32 (time-major), label u8, weight f32,
-    subject u8, session u8.
-    """
-    with open(path, "wb") as f:
-        f.write(_WINDOW_MAGIC)
-        f.write(struct.pack("<III", len(windows), NUM_CHANNELS, WINDOW_SIZE))
-        for w in windows:
-            f.write(np.ascontiguousarray(w.data.T, dtype="<f4").tobytes())
-            f.write(struct.pack("<BfBB", w.label, w.weight, w.subject, w.session))
+    """Write an EFW2 container (layout in edgefit.container): the window
+    count as metadata, data (N, 7, 40) and the _WINDOW_FIELDS as tensors.
+    sample_labels are not stored."""
+    n = len(windows)
+    data = np.array([w.data for w in windows], "<f4")
+    container.write(path, WINDOW_MAGIC, {"windows": n}, {
+        "data": data.reshape(n, NUM_CHANNELS, WINDOW_SIZE),
+        **{name: np.array([getattr(w, name) for w in windows], dtype)
+           for name, dtype in _WINDOW_FIELDS}})
 
 
 def load_windows(path: str | Path) -> list[Window]:
-    path = Path(path)
-    if not path.is_file():
-        raise CorruptFile(f"window container not found: {path}")
-    blob = path.read_bytes()
-    if len(blob) < 16:
-        raise CorruptFile(f"window container too short: {path}")
-    if blob[:4] != _WINDOW_MAGIC:
-        raise VersionMismatch(f"bad magic {blob[:4]!r}, expected {_WINDOW_MAGIC!r}")
-    count, channels, size = struct.unpack_from("<III", blob, 4)
-    if channels != NUM_CHANNELS or size != WINDOW_SIZE:
-        raise VersionMismatch(f"unsupported geometry {channels}x{size}")
-    record = size * channels * 4 + 1 + 4 + 1 + 1
-    expected = 16 + count * record
-    if len(blob) != expected:
+    """Read an EFW2 file. Every label must be a class id, every weight
+    finite and positive, and every subject and session within its range."""
+    contents = container.read(path, WINDOW_MAGIC)
+    n = contents.meta.get("windows")
+    data = contents.take("data", "<f4", (n, NUM_CHANNELS, WINDOW_SIZE))
+    label, weight, subject, session = (contents.take(name, dtype, (n,))
+                                       for name, dtype in _WINDOW_FIELDS)
+    contents.finish()
+    bad = ((label >= NUM_CLASSES) | ~(np.isfinite(weight) & (weight > 0))
+           | (subject < SUBJECT_RANGE[0]) | (subject > SUBJECT_RANGE[1])
+           | (session < SESSION_RANGE[0]) | (session > SESSION_RANGE[1]))
+    if bad.any():
+        i = int(bad.argmax())
         raise CorruptFile(
-            f"window container has {len(blob)} bytes, expected {expected}")
-    windows = []
-    offset = 16
-    for i in range(count):
-        data = np.frombuffer(blob, dtype="<f4", count=size * channels,
-                             offset=offset).reshape(size, channels)
-        offset += size * channels * 4
-        label, weight, subject, session = struct.unpack_from("<BfBB", blob, offset)
-        offset += 7
-        if label >= NUM_CLASSES:
-            raise CorruptFile(f"window {i}: label {label} outside "
-                              f"[0, {NUM_CLASSES - 1}] in {path}")
-        if not math.isfinite(weight):
-            raise CorruptFile(f"window {i}: non-finite weight in {path}")
-        windows.append(Window(
-            data=np.ascontiguousarray(data.T),
-            label=label, weight=weight, subject=subject, session=session,
-        ))
-    return windows
+            f"{contents.path}: window {i} out of range (label {label[i]}, "
+            f"weight {weight[i]}, subject {subject[i]}, session {session[i]})")
+    return [Window(d, *fields) for d, *fields in zip(
+        data, label.tolist(), weight.tolist(), subject.tolist(),
+        session.tolist())]

@@ -9,17 +9,15 @@ conv-BN, adds the unmodified block input, and applies a final ReLU.
 from __future__ import annotations
 
 import dataclasses
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import kernels
-from .errors import CorruptFile, InvalidConfig, ShapeMismatch, VersionMismatch
+from . import container, kernels
+from .errors import CorruptFile, InvalidConfig, ShapeMismatch
 
-_MODEL_MAGIC = b"EFM1"
-_MODEL_VERSION = 1
+MODEL_MAGIC = b"EFM2"
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,7 @@ class ModelConfig:
             raise InvalidConfig(f"non-positive dimension in {self}")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise InvalidConfig(f"kernel must be odd and positive, got {self.kernel}")
-        if self.bn_eps < 0:
+        if not self.bn_eps >= 0:
             raise InvalidConfig(f"bn_eps must be >= 0, got {self.bn_eps}")
 
 
@@ -307,86 +305,47 @@ def fold_batchnorm(m: ModelParams) -> ModelParams:
     return out
 
 
-def _pack_config(config: ModelConfig) -> bytes:
-    return struct.pack("<7Hf", config.in_channels, config.seq_len, config.classes,
-                       config.width, config.kernel, config.blocks,
-                       config.convs_per_block, config.bn_eps)
-
-
-def _unpack_config(blob: bytes, offset: int) -> tuple[ModelConfig, int]:
-    vals = struct.unpack_from("<7Hf", blob, offset)
-    cfg = ModelConfig(*[int(v) for v in vals[:7]], bn_eps=float(vals[7]))
-    return cfg, offset + struct.calcsize("<7Hf")
-
-
-def _pack_tensor(arr: np.ndarray) -> bytes:
-    head = struct.pack("<B", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head + np.ascontiguousarray(arr, dtype="<f4").tobytes()
-
-
-def _unpack_tensor(blob: bytes, offset: int) -> tuple[np.ndarray, int]:
+def config_from_meta(contents: container.Contents) -> ModelConfig:
+    """The ModelConfig in a model container's metadata. CorruptFile unless
+    it is valid, every dimension is an int and the file holds at least as
+    many tensor elements as the config has weights, which bounds what a
+    loader allocates for it."""
     try:
-        (ndim,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-    except struct.error:
-        raise CorruptFile("truncated tensor record") from None
-    count = int(np.prod(shape)) if ndim else 1
-    if offset + 4 * count > len(blob):
-        raise CorruptFile("truncated tensor data")
-    arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-    return arr.reshape(shape).copy(), offset + 4 * count
+        config = ModelConfig(**contents.meta["config"])
+        dims = dataclasses.astuple(config)[:-1]      # every field but bn_eps
+        if any(type(d) is not int for d in dims):
+            raise TypeError(f"non-integer dimension in {config}")
+        config.validate()
+    except (KeyError, TypeError, ValueError, InvalidConfig) as e:
+        raise CorruptFile(f"{contents.path}: bad model config ({e})") from None
+    c, k = config.width, config.kernel
+    weights = (c * k * (config.in_channels
+                        + c * config.blocks * config.convs_per_block)
+               + config.classes * config.seq_len * c)
+    if weights > sum(arr.size for arr in contents.tensors.values()):
+        raise CorruptFile(f"{contents.path}: bad model config ({config} "
+                          f"has more weights than the file holds)")
+    return config
 
 
 def save(m: ModelParams, path: str | Path) -> None:
-    """Write the model container: magic, version, flags, config, then every
-    tensor (including running BN stats) in declaration order."""
-    with open(path, "wb") as f:
-        f.write(_MODEL_MAGIC)
-        f.write(struct.pack("<BB", _MODEL_VERSION, 1 if m.bn_folded else 0))
-        f.write(_pack_config(m.config))
-        for _, arr in m.all_tensors():
-            f.write(_pack_tensor(arr))
+    """Write an EFM2 container (layout in edgefit.container): config and
+    bn_folded as metadata, and every tensor of all_tensors() by name."""
+    container.write(path, MODEL_MAGIC,
+                    {"config": dataclasses.asdict(m.config),
+                     "bn_folded": m.bn_folded},
+                    {name: arr.astype("<f4") for name, arr in m.all_tensors()})
 
 
 def load(path: str | Path) -> ModelParams:
-    path = Path(path)
-    if not path.is_file():
-        raise CorruptFile(f"model file not found: {path}")
-    blob = path.read_bytes()
-    if len(blob) < 6 + struct.calcsize("<7Hf"):
-        raise CorruptFile(f"model file too short: {path}")
-    if blob[:4] != _MODEL_MAGIC:
-        raise VersionMismatch(f"bad magic {blob[:4]!r}, expected {_MODEL_MAGIC!r}")
-    version, folded = struct.unpack_from("<BB", blob, 4)
-    if version != _MODEL_VERSION:
-        raise VersionMismatch(f"unsupported model version {version}")
-    config, offset = _unpack_config(blob, 6)
-    config.validate()
-
-    def take(offset):
-        nonlocal blob
-        return _unpack_tensor(blob, offset)
-
-    def read_layer(offset):
-        vals = []
-        for _ in range(6):
-            arr, offset = take(offset)
-            vals.append(arr)
-        return ConvLayer(*vals), offset
-
-    stem, offset = read_layer(offset)
-    blocks = []
-    for _ in range(config.blocks):
-        block = []
-        for _ in range(config.convs_per_block):
-            layer, offset = read_layer(offset)
-            block.append(layer)
-        blocks.append(block)
-    head_w, offset = take(offset)
-    head_b, offset = take(offset)
-    if offset != len(blob):
-        raise CorruptFile(f"{len(blob) - offset} trailing bytes in {path}")
-    return ModelParams(config, stem, blocks, head_w, head_b,
-                       bn_folded=bool(folded))
+    """Read an EFM2 file: every tensor must have the dtype and shape of the
+    one build gives for the file's config."""
+    contents = container.read(path, MODEL_MAGIC)
+    m = build(config_from_meta(contents), 0)
+    for name, arr in m.all_tensors():
+        arr[...] = contents.take(name, "<f4", arr.shape)
+    contents.finish()
+    m.bn_folded = contents.meta.get("bn_folded")
+    if not isinstance(m.bn_folded, bool):
+        raise CorruptFile(f"{contents.path}: bn_folded is {m.bn_folded!r}")
+    return m

@@ -32,31 +32,28 @@ call (20,000 page faults).
 
 from __future__ import annotations
 
+import dataclasses
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import kernels
+from . import container, kernels
 from .dataset import Window
 from .errors import (
     AccumulatorOverflow,
-    CorruptFile,
     EmptyCalibrationSet,
     InvalidConfig,
     MissingCalibration,
     RequantRangeError,
     ShapeMismatch,
-    VersionMismatch,
 )
 from .model import (
     ModelConfig,
     ModelParams,
-    _pack_config,
-    _unpack_config,
     calibration_sites,
+    config_from_meta,
     forward_batch,
 )
 
@@ -65,8 +62,11 @@ RANGE_FLOOR = 1e-3      # minimum activation range width
 WEIGHT_SCALE_FLOOR = 1e-12
 INT32_LIMIT = 2 ** 31
 
-_QUANT_MAGIC = b"EFQ1"
-_QUANT_VERSION = 1
+QUANT_MAGIC = b"EFQ2"
+
+# QConvLayer arrays with their EFQ2 dtypes; a QDense has the first three.
+_CONV_TENSORS = (("w_q", "|i1"), ("w_scale", "<f4"), ("bias_q", "<i4"),
+                 ("m0", "<i4"), ("shift", "<i4"))
 
 
 @dataclass(frozen=True)
@@ -309,6 +309,19 @@ class QuantModel:
             yield from block.convs
 
 
+def _spec_items(qm: QuantModel):
+    """Yield (name, QuantSpec) for every activation spec the model holds."""
+    yield "input", qm.input_spec
+    for layer in qm.layers():
+        yield f"{layer.name}.in", layer.in_spec
+        yield f"{layer.name}.out", layer.out_spec
+    for i, block in enumerate(qm.blocks):
+        yield f"b{i}.add.a", block.add.a_spec
+        yield f"b{i}.add.h", block.add.h_spec
+        yield f"b{i}.add.out", block.add.out_spec
+    yield "head.in", qm.head.in_spec
+
+
 def _quantize_conv(name: str, w: np.ndarray, b: np.ndarray,
                    in_spec: QuantSpec, out_spec: QuantSpec,
                    relu: bool) -> QConvLayer:
@@ -411,9 +424,6 @@ def _qconv_run(layer: QConvLayer, x_q: np.ndarray, trace) -> np.ndarray:
     """x_q: (B, C_in, L) int8 -> (B, C_out, L) int8."""
     batch, c_in, length = x_q.shape
     c_out, _, k = layer.w_q.shape
-    if c_in != layer.w_q.shape[1]:
-        raise ShapeMismatch(f"{layer.name}: input channels {c_in} != "
-                            f"{layer.w_q.shape[1]}")
     pad = (k - 1) // 2
     dtype = _gemm_dtype(c_in * k)
     # the zero-point shift writes straight into the padded GEMM operand;
@@ -525,169 +535,96 @@ def check_quant_invariants(qm: QuantModel) -> None:
     """Verify the fixed-point contract on every layer; raises on violation.
 
     Zero points must lie in the int8 range: the exact float GEMM bound
-    (see the module docstring) assumes |q - zero_point| <= 255."""
-    specs = [qm.input_spec, qm.head.in_spec]
-    for layer in qm.layers():
-        specs += [layer.in_spec, layer.out_spec]
-    for block in qm.blocks:
-        specs += [block.add.a_spec, block.add.h_spec, block.add.out_spec]
-    for spec in specs:
+    (see the module docstring) assumes |q - zero_point| <= 255. Every
+    scale, of a spec or a weight channel, must be finite and positive, and
+    every multiplier M0 * 2^-(31+n) must be one quantize_multiplier gives
+    for its scale ratio."""
+    for name, spec in _spec_items(qm):
         if not QMIN <= spec.zero_point <= QMAX:
-            raise AccumulatorOverflow(
-                f"zero point {spec.zero_point} outside [{QMIN}, {QMAX}]")
-    for layer in qm.layers():
-        ratios = (layer.in_spec.scale
-                  * layer.w_scale.astype(np.float64)) / layer.out_spec.scale
-        for m0, n, r in zip(layer.m0, layer.shift, ratios):
-            if not (1 << 30) <= int(m0) < (1 << 31):
-                raise RequantRangeError(f"{layer.name}: M0 {m0} out of range")
-            approx = int(m0) * 2.0 ** (-31 - int(n))
-            if abs(approx - r) / r > 2 ** -24:
-                raise RequantRangeError(
-                    f"{layer.name}: multiplier error {abs(approx - r) / r}")
-    for block in qm.blocks:
+            raise AccumulatorOverflow(f"{name}: zero point {spec.zero_point} "
+                                      f"outside [{QMIN}, {QMAX}]")
+        if not 0 < spec.scale < math.inf:
+            raise RequantRangeError(f"{name}: scale {spec.scale}")
+    if not np.all((qm.head.w_scale > 0) & np.isfinite(qm.head.w_scale)):
+        raise RequantRangeError("head: weight scales must be finite and "
+                                "positive")
+    # (name, M0s, shifts, the scale ratios they encode); a weight scale
+    # that is not finite and positive makes its ratio so
+    multipliers = [(layer.name, layer.m0, layer.shift,
+                    (layer.in_spec.scale * layer.w_scale.astype(np.float64))
+                    / layer.out_spec.scale) for layer in qm.layers()]
+    for i, block in enumerate(qm.blocks):
         add = block.add
-        for m0, n, r in ((add.a_m0, add.a_shift,
-                          add.a_spec.scale / add.out_spec.scale),
-                         (add.h_m0, add.h_shift,
-                          add.h_spec.scale / add.out_spec.scale)):
-            if not (1 << 30) <= m0 < (1 << 31):
-                raise RequantRangeError(f"residual add: M0 {m0} out of range")
-            approx = m0 * 2.0 ** (-31 - n)
-            if abs(approx - r) / r > 2 ** -24:
-                raise RequantRangeError("residual add: multiplier error")
+        multipliers.append((f"b{i}.add", [add.a_m0, add.h_m0],
+                            [add.a_shift, add.h_shift],
+                            [add.a_spec.scale / add.out_spec.scale,
+                             add.h_spec.scale / add.out_spec.scale]))
+    for name, m0s, shifts, ratios in multipliers:
+        for m0, n, r in zip(m0s, shifts, ratios):
+            if not 0 < r < math.inf:
+                raise RequantRangeError(f"{name}: scale ratio {r}")
+            if not (1 << 30) <= int(m0) < (1 << 31) or int(n) < -30:
+                raise RequantRangeError(f"{name}: M0 {m0} or shift {n} "
+                                        f"out of range")
+            error = abs(int(m0) * 2.0 ** (-31 - int(n)) - r) / r
+            if error > 2 ** -24:
+                raise RequantRangeError(f"{name}: multiplier error {error}")
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
-def _pack_arr(arr: np.ndarray, dtype: str) -> bytes:
-    head = struct.pack("<B", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head + np.ascontiguousarray(arr, dtype=dtype).tobytes()
-
-
-def _unpack_arr(blob: bytes, offset: int, dtype: str):
-    try:
-        (ndim,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-    except struct.error:
-        raise CorruptFile("truncated array record") from None
-    count = int(np.prod(shape))
-    itemsize = np.dtype(dtype).itemsize
-    if offset + count * itemsize > len(blob):
-        raise CorruptFile("truncated array data")
-    arr = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
-    return arr.reshape(shape).copy(), offset + count * itemsize
-
-
-def _pack_spec(spec: QuantSpec) -> bytes:
-    return struct.pack("<fi", spec.scale, spec.zero_point)
-
-
-def _unpack_spec(blob: bytes, offset: int):
-    try:
-        scale, zp = struct.unpack_from("<fi", blob, offset)
-    except struct.error:
-        raise CorruptFile("truncated quant spec") from None
-    return QuantSpec(scale=float(scale), zero_point=int(zp)), offset + 8
-
-
 def save(qm: QuantModel, path: str | Path) -> None:
-    with open(path, "wb") as f:
-        f.write(_QUANT_MAGIC)
-        f.write(struct.pack("<B", _QUANT_VERSION))
-        f.write(_pack_config(qm.config))
-        f.write(_pack_spec(qm.input_spec))
-
-        def write_layer(layer: QConvLayer):
-            f.write(_pack_arr(layer.w_q, "<i1"))
-            f.write(_pack_arr(layer.w_scale, "<f4"))
-            f.write(_pack_arr(layer.bias_q, "<i4"))
-            f.write(_pack_spec(layer.in_spec))
-            f.write(_pack_spec(layer.out_spec))
-            f.write(_pack_arr(layer.m0, "<i4"))
-            f.write(_pack_arr(layer.shift, "<i4"))
-            f.write(struct.pack("<B", 1 if layer.relu else 0))
-
-        write_layer(qm.stem)
-        for block in qm.blocks:
-            for layer in block.convs:
-                write_layer(layer)
-            add = block.add
-            f.write(_pack_spec(add.a_spec))
-            f.write(_pack_spec(add.h_spec))
-            f.write(_pack_spec(add.out_spec))
-            f.write(struct.pack("<4i", add.a_m0, add.a_shift,
-                                add.h_m0, add.h_shift))
-        f.write(_pack_arr(qm.head.w_q, "<i1"))
-        f.write(_pack_arr(qm.head.w_scale, "<f4"))
-        f.write(_pack_arr(qm.head.bias_q, "<i4"))
-        f.write(_pack_spec(qm.head.in_spec))
+    """Write an EFQ2 container (layout in edgefit.container) with the
+    config as metadata and every array, spec and multiplier as a named
+    tensor. Which convs fuse a ReLU follows from the architecture."""
+    tensors = {f"{layer.name}.{attr}": getattr(layer, attr).astype(dtype)
+               for layer in qm.layers() for attr, dtype in _CONV_TENSORS}
+    for i, block in enumerate(qm.blocks):
+        add = block.add
+        tensors[f"b{i}.add"] = np.array(
+            [add.a_m0, add.a_shift, add.h_m0, add.h_shift], "<i4")
+    for attr, dtype in _CONV_TENSORS[:3]:
+        tensors[f"head.{attr}"] = getattr(qm.head, attr).astype(dtype)
+    for name, spec in _spec_items(qm):
+        tensors[f"{name}.scale"] = np.array(spec.scale, "<f4")
+        tensors[f"{name}.zero_point"] = np.array(spec.zero_point, "<i4")
+    container.write(path, QUANT_MAGIC,
+                    {"config": dataclasses.asdict(qm.config)}, tensors)
 
 
 def load(path: str | Path) -> QuantModel:
-    """Read an EFQ1 file; the model must pass check_quant_invariants."""
-    path = Path(path)
-    if not path.is_file():
-        raise CorruptFile(f"quantized model not found: {path}")
-    blob = path.read_bytes()
-    if len(blob) < 5 + struct.calcsize("<7Hf"):
-        raise CorruptFile(f"quantized model too short: {path}")
-    if blob[:4] != _QUANT_MAGIC:
-        raise VersionMismatch(f"bad magic {blob[:4]!r}, expected {_QUANT_MAGIC!r}")
-    (version,) = struct.unpack_from("<B", blob, 4)
-    if version != _QUANT_VERSION:
-        raise VersionMismatch(f"unsupported quantized model version {version}")
-    config, offset = _unpack_config(blob, 5)
-    config.validate()
-    input_spec, offset = _unpack_spec(blob, offset)
+    """Read an EFQ2 file. Every tensor must have the shape the file's config
+    gives it, and the model must pass check_quant_invariants."""
+    contents = container.read(path, QUANT_MAGIC)
+    cfg = config_from_meta(contents)
+    take = contents.take
+    c = cfg.width
 
-    def read_layer(name, offset):
-        w_q, offset = _unpack_arr(blob, offset, "<i1")
-        w_scale, offset = _unpack_arr(blob, offset, "<f4")
-        bias_q, offset = _unpack_arr(blob, offset, "<i4")
-        in_spec, offset = _unpack_spec(blob, offset)
-        out_spec, offset = _unpack_spec(blob, offset)
-        m0, offset = _unpack_arr(blob, offset, "<i4")
-        shift, offset = _unpack_arr(blob, offset, "<i4")
-        try:
-            (relu,) = struct.unpack_from("<B", blob, offset)
-        except struct.error:
-            raise CorruptFile("truncated layer record") from None
-        layer = QConvLayer(name=name, w_q=w_q, w_scale=w_scale, bias_q=bias_q,
-                           in_spec=in_spec, out_spec=out_spec, m0=m0,
-                           shift=shift, relu=bool(relu))
-        return layer, offset + 1
+    def spec(name):
+        return QuantSpec(float(take(f"{name}.scale", "<f4", ())),
+                         int(take(f"{name}.zero_point", "<i4", ())))
 
-    stem, offset = read_layer("stem", offset)
+    def conv(name, c_in, relu):
+        w_q = take(f"{name}.w_q", "|i1", (c, c_in, cfg.kernel))
+        w_scale, bias_q, m0, shift = (take(f"{name}.{attr}", dtype, (c,))
+                                      for attr, dtype in _CONV_TENSORS[1:])
+        return QConvLayer(name, w_q, w_scale, bias_q, spec(f"{name}.in"),
+                          spec(f"{name}.out"), m0, shift, relu)
+
+    stem = conv("stem", cfg.in_channels, True)
     blocks = []
-    for i in range(config.blocks):
-        convs = []
-        for j in range(config.convs_per_block):
-            layer, offset = read_layer(f"b{i}.c{j}", offset)
-            convs.append(layer)
-        a_spec, offset = _unpack_spec(blob, offset)
-        h_spec, offset = _unpack_spec(blob, offset)
-        out_spec, offset = _unpack_spec(blob, offset)
-        try:
-            a_m0, a_shift, h_m0, h_shift = struct.unpack_from("<4i", blob, offset)
-        except struct.error:
-            raise CorruptFile("truncated residual add record") from None
-        offset += 16
-        blocks.append(QBlock(convs=convs, add=QAdd(
-            a_spec=a_spec, h_spec=h_spec, out_spec=out_spec,
-            a_m0=a_m0, a_shift=a_shift, h_m0=h_m0, h_shift=h_shift)))
-    w_q, offset = _unpack_arr(blob, offset, "<i1")
-    w_scale, offset = _unpack_arr(blob, offset, "<f4")
-    bias_q, offset = _unpack_arr(blob, offset, "<i4")
-    in_spec, offset = _unpack_spec(blob, offset)
-    if offset != len(blob):
-        raise CorruptFile(f"{len(blob) - offset} trailing bytes in {path}")
-    head = QDense(w_q=w_q, w_scale=w_scale, bias_q=bias_q, in_spec=in_spec)
-    qm = QuantModel(config=config, input_spec=input_spec, stem=stem,
-                    blocks=blocks, head=head)
+    for i in range(cfg.blocks):
+        convs = [conv(f"b{i}.c{j}", c, j < cfg.convs_per_block - 1)
+                 for j in range(cfg.convs_per_block)]
+        add = QAdd(spec(f"b{i}.add.a"), spec(f"b{i}.add.h"),
+                   spec(f"b{i}.add.out"), *take(f"b{i}.add", "<i4", (4,)).tolist())
+        blocks.append(QBlock(convs, add))
+    head = QDense(take("head.w_q", "|i1", (cfg.classes, cfg.seq_len * c)),
+                  take("head.w_scale", "<f4", (cfg.classes,)),
+                  take("head.bias_q", "<i4", (cfg.classes,)), spec("head.in"))
+    qm = QuantModel(cfg, spec("input"), stem, blocks, head)
+    contents.finish()
     check_quant_invariants(qm)
     return qm

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from edgefit import cli
+from edgefit import cli, container, dataset, model, quantize
 
 
 def run_cli(capsys, *argv):
@@ -35,6 +35,15 @@ def pipeline(tmp_path_factory):
             "windows": windows, "model": model_path, "qmodel": q_path}
 
 
+def cut_tensors(src, dst, magic, names):
+    """Copy the container src to dst with the named tensors one element
+    short; the copy's checksum is valid."""
+    contents = container.read(src, magic)
+    for name in names:
+        contents.tensors[name] = contents.tensors[name][:-1]
+    container.write(dst, magic, contents.meta, contents.tensors)
+
+
 def assert_one_error_line(err, error_type):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
@@ -64,6 +73,16 @@ class TestPrepare:
                                str(tmp_path / "o"))
         assert code == cli.EXIT_DATA
         assert "EmptyDataset" in err
+
+    def test_absent_fold_is_usage_error(self, capsys, synth_dataset_dir,
+                                        tmp_path):
+        out = tmp_path / "o"
+        code, _, err = run_cli(capsys, "prepare", "--dataset",
+                               str(synth_dataset_dir), "--out", str(out),
+                               "--fold", "99")
+        assert code == cli.EXIT_USAGE
+        assert_one_error_line(err, "InvalidConfig")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--stride", "0"),
                                              ("--fold", "x")])
@@ -108,6 +127,15 @@ class TestQuantize:
                          "--calib-size", "64", "--out", str(out2)]) == 0
         assert pipeline["qmodel"].read_bytes() == out2.read_bytes()
 
+    def test_short_bn_tensor_is_data_error(self, capsys, pipeline, tmp_path):
+        bad = tmp_path / "bad.efm"
+        cut_tensors(pipeline["model"], bad, model.MODEL_MAGIC, ["stem.gamma"])
+        code, _, err = run_cli(capsys, "quantize", "--model", str(bad),
+                               "--windows", str(pipeline["windows"]),
+                               "--out", str(tmp_path / "q.efq"))
+        assert code == cli.EXIT_DATA
+        assert_one_error_line(err, "CorruptFile")
+
 
 class TestEval:
     def test_float_model(self, capsys, pipeline):
@@ -133,14 +161,33 @@ class TestEval:
         assert "CorruptFile" in err
 
     def test_out_of_range_label_is_data_error(self, capsys, pipeline, tmp_path):
-        blob = bytearray(pipeline["windows"].read_bytes())
-        blob[16 + 40 * 7 * 4] = 200          # first window's label byte
+        windows = dataset.load_windows(pipeline["windows"])
+        windows[0].label = 200
         bad = tmp_path / "bad.efw"
-        bad.write_bytes(bytes(blob))
+        dataset.save_windows(bad, windows)
         code, _, err = run_cli(capsys, "eval", "--model",
                                str(pipeline["qmodel"]), "--windows", str(bad))
         assert code == cli.EXIT_DATA
         assert_one_error_line(err, "CorruptFile")
+        assert "window 0 out of range" in err
+
+    def test_short_multipliers_are_data_error(self, capsys, pipeline,
+                                              tmp_path):
+        bad = tmp_path / "bad.efq"
+        cut_tensors(pipeline["qmodel"], bad, quantize.QUANT_MAGIC,
+                    ["stem.m0", "stem.shift"])
+        code, _, err = run_cli(capsys, "eval", "--model", str(bad),
+                               "--windows", str(pipeline["windows"]))
+        assert code == cli.EXIT_DATA
+        assert_one_error_line(err, "CorruptFile")
+
+    def test_version_1_model_is_data_error(self, capsys, pipeline, tmp_path):
+        old = tmp_path / "old.efq"
+        old.write_bytes(b"EFQ1" + pipeline["qmodel"].read_bytes()[4:])
+        code, _, err = run_cli(capsys, "eval", "--model", str(old),
+                               "--windows", str(pipeline["windows"]))
+        assert code == cli.EXIT_DATA
+        assert_one_error_line(err, "VersionMismatch")
 
 
 class TestBench:

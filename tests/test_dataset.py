@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 
@@ -387,15 +385,31 @@ class TestWindowContainer:
                                             ("<f", float("nan")),
                                             ("<f", float("inf"))])
     def test_out_of_range_label_or_weight(self, tmp_path, rng, fmt, value):
+        # fmt names the field by its type: "<B" the label, "<f" the weight;
+        # the file's checksum is valid, so the range check must reject it
+        windows = self.sample_windows(rng)
+        setattr(windows[1], "label" if fmt == "<B" else "weight", value)
         path = tmp_path / "w.efw"
-        save_windows(path, self.sample_windows(rng))
-        blob = bytearray(path.read_bytes())
-        # second window's label byte, then its f32 weight
-        offset = 16 + (40 * 7 * 4 + 7) + 40 * 7 * 4 + (1 if fmt == "<f" else 0)
-        struct.pack_into(fmt, blob, offset, value)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(CorruptFile):
+        save_windows(path, windows)
+        with pytest.raises(CorruptFile, match="window 1 out of range"):
             load_windows(path)
+
+    @pytest.mark.parametrize("field, value", [("subject", 0), ("subject", 11),
+                                              ("session", 0), ("session", 6),
+                                              ("weight", 0.0)])
+    def test_out_of_range_subject_session_or_weight(self, tmp_path, rng,
+                                                    field, value):
+        windows = self.sample_windows(rng)
+        setattr(windows[4], field, value)
+        path = tmp_path / "w.efw"
+        save_windows(path, windows)
+        with pytest.raises(CorruptFile, match="window 4 out of range"):
+            load_windows(path)
+
+    def test_empty_round_trip(self, tmp_path):
+        path = tmp_path / "w.efw"
+        save_windows(path, [])
+        assert load_windows(path) == []
 
 
 def test_class_counts_uses_sample_labels(rng):

@@ -50,6 +50,8 @@ class TestBuild:
             build(ModelConfig(width=0), seed=0)
         with pytest.raises(InvalidConfig):
             build(ModelConfig(kernel=2), seed=0)
+        with pytest.raises(InvalidConfig):
+            build(ModelConfig(bn_eps=float("nan")), seed=0)
 
 
 class TestForward:

@@ -1,5 +1,4 @@
 import copy
-import struct
 
 import numpy as np
 import pytest
@@ -488,13 +487,25 @@ class TestQuantFile:
 
     def test_corrupt_zero_point_rejected(self, tmp_path):
         _, qm = quantized_fixture(width=4)
+        qm.input_spec = QuantSpec(scale=qm.input_spec.scale, zero_point=300)
         path = tmp_path / "q.efq"
         quantize.save(qm, path)
-        blob = bytearray(path.read_bytes())
-        # input spec: <fi after magic, version and the <7Hf config
-        struct.pack_into("<i", blob, 5 + struct.calcsize("<7Hf") + 4, 300)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(NumericalContractError):
+        with pytest.raises(NumericalContractError, match="input: zero point"):
+            quantize.load(path)
+
+    @pytest.mark.parametrize("where, value", [
+        ("w_scale", float("nan")), ("spec", float("nan")),
+        ("w_scale", float("inf")), ("spec", 0.0)])
+    def test_bad_scale_rejected(self, tmp_path, where, value):
+        _, qm = quantized_fixture(width=4)
+        if where == "w_scale":
+            qm.stem.w_scale[0] = value
+        else:
+            qm.stem.out_spec = QuantSpec(scale=value,
+                                         zero_point=qm.stem.out_spec.zero_point)
+        path = tmp_path / "q.efq"
+        quantize.save(qm, path)
+        with pytest.raises(RequantRangeError, match="stem"):
             quantize.load(path)
 
     def test_corrupt_m0_rejected(self, tmp_path):
