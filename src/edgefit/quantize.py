@@ -21,7 +21,11 @@ ever rounds. Each layer takes float32 when that bound is below 2^24
 (the head: fan_in 2080 gives 67.9 M). quantize_model rejects any layer
 whose worst case reaches 2^31, far below 2^53. The products are cast back
 to int64 before the int32 bias is added, so the accumulators equal those
-of an int32 GEMM bit for bit.
+of an int32 GEMM bit for bit. The convs lower through kernels.conv1d, the
+one conv lowering of the package: _qconv_run hands it the shifted
+activations as int16 and the weights in the layer's float type, and
+conv1d pads in np.result_type of the two, so its buffer is the float GEMM
+operand and its padding is 0, the shifted zero point.
 
 qforward_batch runs the network over blocks of BLOCK_WINDOWS windows and
 requantizes in place, so every temporary of a block stays small and in
@@ -89,53 +93,32 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return np.copysign(np.floor(np.abs(x) + 0.5), x).astype(np.int64)
 
 
-def quantize_tensor(x: np.ndarray, mode: str = "symmetric",
-                    channel_axis: int | None = None) -> QuantTensor:
-    """Quantize a float tensor to int8.
-
-    symmetric: scale = max|x| / 127 (per channel_axis when given), zero
-    point 0; an all-zero tensor gets the scale floor instead of an error.
-    affine: per-tensor scale (max-min)/255 over a range widened to include 0.
+def quantize_tensor(x: np.ndarray, channel_axis: int | None = None,
+                    floor: np.ndarray | float = 0.0) -> QuantTensor:
+    """Quantize a float tensor to symmetric int8: scale = max|x| / 127 (per
+    channel_axis when given), raised to floor (broadcast like the scale)
+    and to WEIGHT_SCALE_FLOOR, so an all-zero tensor or channel gets a
+    positive scale instead of an error; zero point 0.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise InvalidConfig("cannot quantize non-finite tensor")
-    if mode == "symmetric":
-        if channel_axis is None:
-            scale = np.array(np.abs(x).max(), dtype=np.float64)
-        else:
-            reduce_axes = tuple(a for a in range(x.ndim) if a != channel_axis)
-            scale = np.abs(x).max(axis=reduce_axes)
-        scale = np.maximum(scale / QMAX, WEIGHT_SCALE_FLOOR).astype(np.float32)
-        zp = np.zeros_like(scale, dtype=np.int32)
-        if channel_axis is None:
-            q = round_half_away(x / float(scale))
-        else:
-            shape = [1] * x.ndim
-            shape[channel_axis] = -1
-            q = round_half_away(x / scale.astype(np.float64).reshape(shape))
-    elif mode == "affine":
-        lo = min(float(x.min()), 0.0)
-        hi = max(float(x.max()), 0.0)
-        spec = activation_spec(lo, hi)
-        scale = np.array(spec.scale, dtype=np.float32)
-        zp = np.array(spec.zero_point, dtype=np.int32)
-        q = round_half_away(x / float(scale)) + int(zp)
+    if channel_axis is None:
+        scale = np.array(np.abs(x).max(), dtype=np.float64)
     else:
-        raise InvalidConfig(f"unknown quantization mode '{mode}'")
+        reduce_axes = tuple(a for a in range(x.ndim) if a != channel_axis)
+        scale = np.abs(x).max(axis=reduce_axes)
+    scale = np.maximum(np.maximum(scale / QMAX, floor),
+                       WEIGHT_SCALE_FLOOR).astype(np.float32)
+    zp = np.zeros_like(scale, dtype=np.int32)
+    if channel_axis is None:
+        q = round_half_away(x / float(scale))
+    else:
+        shape = [1] * x.ndim
+        shape[channel_axis] = -1
+        q = round_half_away(x / scale.astype(np.float64).reshape(shape))
     values = np.clip(q, QMIN, QMAX).astype(np.int8)
     return QuantTensor(values=values, scale=scale, zero_point=zp)
-
-
-def dequantize(qt: QuantTensor) -> np.ndarray:
-    scale = qt.scale.astype(np.float32)
-    zp = qt.zero_point.astype(np.float32)
-    if scale.ndim == 1 and qt.values.ndim > 1:
-        shape = [1] * qt.values.ndim
-        shape[0] = -1
-        scale = scale.reshape(shape)
-        zp = zp.reshape(shape)
-    return (qt.values.astype(np.float32) - zp) * scale
 
 
 def activation_spec(lo: float, hi: float) -> QuantSpec:
@@ -173,7 +156,9 @@ def calibrate(folded: ModelParams, calib: list[Window]) -> CalibStats:
     """Record per-site activation ranges of the folded float model.
 
     Windows run one at a time so the recorded ranges are independent of any
-    batching (GEMM accumulation order varies with batch shape)."""
+    batching. The conv outputs would be batch-invariant anyway (kernels.conv1d
+    runs one GEMM per window), but the head's GEMM takes the whole batch,
+    and its accumulation order varies with the batch shape."""
     if not folded.bn_folded:
         raise InvalidConfig("calibrate expects a BN-folded model")
     if not calib:
@@ -208,24 +193,6 @@ def quantize_multiplier(ratio: float) -> tuple[int, int]:
     if 31 + n < 1:
         raise RequantRangeError(f"scale ratio {ratio} too large to represent")
     return m0, n
-
-
-def requantize(acc: int, m0: int, n: int, zero_point_out: int) -> int:
-    """Rescale an int32 accumulator to int8: round-half-up of
-    acc*M0 / 2^(31+n), plus the output zero point, saturated to [-128, 127].
-    Exact 64-bit integer arithmetic throughout."""
-    if not (1 << 30) <= m0 < (1 << 31):
-        raise RequantRangeError(f"M0 {m0} outside [2^30, 2^31)")
-    if n < 0:
-        raise RequantRangeError(f"shift n must be >= 0, got {n}")
-    return _requantize_int(acc, m0, n, zero_point_out)
-
-
-def _requantize_int(acc: int, m0: int, n: int, zero_point_out: int) -> int:
-    shift = 31 + n
-    t = int(acc) * int(m0)
-    value = (t + (1 << (shift - 1))) >> shift
-    return max(QMIN, min(QMAX, value + zero_point_out))
 
 
 def _rescale_array(acc: np.ndarray, m0: np.ndarray, shift_n: np.ndarray,
@@ -322,17 +289,31 @@ def _spec_items(qm: QuantModel):
     yield "head.in", qm.head.in_spec
 
 
+def _bias_scale_floor(b: np.ndarray, s_in: float) -> np.ndarray:
+    """Least weight scale per output channel that keeps the quantized
+    bias b / (s_in * s_w) within 2^30."""
+    return np.abs(b.astype(np.float64)) / (s_in * 2.0 ** 30)
+
+
 def _quantize_conv(name: str, w: np.ndarray, b: np.ndarray,
                    in_spec: QuantSpec, out_spec: QuantSpec,
                    relu: bool) -> QConvLayer:
-    qt = quantize_tensor(w, "symmetric", channel_axis=0)
+    # the floor matters only for a channel whose weights are (nearly) all
+    # zero: it keeps the bias within int32 and the multiplier's scale
+    # ratio s_in * s_w / s_out at or above 2^-31, so its shift n <= 30
+    floor = np.maximum(_bias_scale_floor(b, in_spec.scale),
+                       out_spec.scale / (in_spec.scale * 2.0 ** 31))
+    qt = quantize_tensor(w, channel_axis=0, floor=floor)
     w_scale = qt.scale.astype(np.float32)
     bias_scale = in_spec.scale * w_scale.astype(np.float64)
     bias_real = b.astype(np.float64) / bias_scale
-    if not np.all(np.isfinite(bias_real)) or np.any(np.abs(bias_real) >= INT32_LIMIT):
-        raise AccumulatorOverflow(f"{name}: quantized bias exceeds int32")
-    bias_q = round_half_away(bias_real)
     ratios = bias_scale / out_spec.scale
+    # the floor fits every finite bias into int32, but once |b| reaches
+    # s_out * 2^60 the scale it takes needs a multiplier shift n < -30
+    if not np.all(np.isfinite(bias_real)) or np.any(ratios >= 2.0 ** 30):
+        raise AccumulatorOverflow(f"{name}: quantized bias exceeds int32 at "
+                                  f"every scale the multiplier can express")
+    bias_q = round_half_away(bias_real)
     pairs = [quantize_multiplier(float(r)) for r in ratios]
     m0 = np.array([p[0] for p in pairs], dtype=np.int32)
     shift = np.array([p[1] for p in pairs], dtype=np.int32)
@@ -383,7 +364,8 @@ def quantize_model(folded: ModelParams, stats: CalibStats) -> QuantModel:
             a_m0=a_m0, a_shift=a_shift, h_m0=h_m0, h_shift=h_shift)))
         current = out_spec
 
-    qt = quantize_tensor(folded.head_w, "symmetric", channel_axis=0)
+    qt = quantize_tensor(folded.head_w, channel_axis=0,
+                         floor=_bias_scale_floor(folded.head_b, current.scale))
     head_scale = current.scale * qt.scale.astype(np.float64)
     head_real = folded.head_b.astype(np.float64) / head_scale
     if not np.all(np.isfinite(head_real)) or np.any(np.abs(head_real) >= INT32_LIMIT):
@@ -422,17 +404,11 @@ def _gemm_dtype(fan_in: int) -> type:
 
 def _qconv_run(layer: QConvLayer, x_q: np.ndarray, trace) -> np.ndarray:
     """x_q: (B, C_in, L) int8 -> (B, C_out, L) int8."""
-    batch, c_in, length = x_q.shape
-    c_out, _, k = layer.w_q.shape
-    pad = (k - 1) // 2
-    dtype = _gemm_dtype(c_in * k)
-    # the zero-point shift writes straight into the padded GEMM operand;
-    # the padding is 0, the shifted zero point
-    xp = np.zeros((batch, c_in, length + 2 * pad), dtype=dtype)
-    np.subtract(x_q, layer.in_spec.zero_point,
-                out=xp[:, :, pad:pad + length], dtype=dtype)
-    cols = kernels.im2col(xp, k, length)
-    acc = np.matmul(layer.w_q.reshape(c_out, -1).astype(dtype), cols)
+    _, c_in, k = layer.w_q.shape
+    # q - zp lies in [-255, 255]; conv1d pads it with 0, the shifted zero
+    # point, and runs the GEMM in the weights' float type
+    shifted = np.subtract(x_q, layer.in_spec.zero_point, dtype=np.int16)
+    acc, _ = kernels.conv1d(shifted, layer.w_q.astype(_gemm_dtype(c_in * k)))
     acc = acc.astype(np.int64)
     acc += layer.bias_q[:, None]
     _note(trace, f"{layer.name}.acc", acc)
@@ -538,7 +514,8 @@ def check_quant_invariants(qm: QuantModel) -> None:
     (see the module docstring) assumes |q - zero_point| <= 255. Every
     scale, of a spec or a weight channel, must be finite and positive, and
     every multiplier M0 * 2^-(31+n) must be one quantize_multiplier gives
-    for its scale ratio."""
+    for its scale ratio, with n in [-30, 31]: _rescale_array shifts an
+    int64 by 31 + n bits."""
     for name, spec in _spec_items(qm):
         if not QMIN <= spec.zero_point <= QMAX:
             raise AccumulatorOverflow(f"{name}: zero point {spec.zero_point} "
@@ -563,7 +540,7 @@ def check_quant_invariants(qm: QuantModel) -> None:
         for m0, n, r in zip(m0s, shifts, ratios):
             if not 0 < r < math.inf:
                 raise RequantRangeError(f"{name}: scale ratio {r}")
-            if not (1 << 30) <= int(m0) < (1 << 31) or int(n) < -30:
+            if not ((1 << 30) <= int(m0) < (1 << 31) and -30 <= int(n) <= 31):
                 raise RequantRangeError(f"{name}: M0 {m0} or shift {n} "
                                         f"out of range")
             error = abs(int(m0) * 2.0 ** (-31 - int(n)) - r) / r

@@ -91,42 +91,9 @@ class TrainHistory:
                 f.write(f"{i},{tl:.8f},{vl:.8f},{vb:.8f}\n")
 
 
-def weighted_cross_entropy(probs: np.ndarray, target: int, weight: float) -> float:
-    """-weight * ln(probs[target]), probabilities clamped to >= 1e-12."""
-    return float(-weight * np.log(max(float(probs[target]), PROB_FLOOR)))
-
-
 # ---------------------------------------------------------------------------
 # training-mode forward/backward
 # ---------------------------------------------------------------------------
-
-def _conv_forward(x, w, b):
-    batch, c_in, length = x.shape
-    c_out, _, k = w.shape
-    pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    cols = kernels.im2col(xp, k, length)
-    flat = cols.transpose(1, 0, 2).reshape(c_in * k, batch * length)
-    y = (w.reshape(c_out, -1) @ flat).reshape(c_out, batch, length)
-    y = y.transpose(1, 0, 2) + b[None, :, None]
-    return y, (cols, x.shape)
-
-
-def _conv_backward(g, w, cache):
-    cols, x_shape = cache
-    batch, c_in, length = x_shape
-    c_out, _, k = w.shape
-    g2 = g.transpose(1, 0, 2).reshape(c_out, batch * length)
-    flat = cols.transpose(1, 0, 2).reshape(c_in * k, batch * length)
-    dw = (g2 @ flat.T).reshape(c_out, c_in, k)
-    db = g.sum(axis=(0, 2))
-    dcols = (w.reshape(c_out, -1).T @ g2).reshape(c_in, k, batch, length)
-    pad = (k - 1) // 2
-    dxp = np.zeros((batch, c_in, length + 2 * pad), dtype=g.dtype)
-    for kk in range(k):
-        dxp[:, :, kk:kk + length] += dcols[:, kk].transpose(1, 0, 2)
-    return dxp[:, :, pad:pad + length], dw, db
-
 
 def _bn_train_forward(x, gamma, beta, eps):
     mu = x.mean(axis=(0, 2))
@@ -166,7 +133,8 @@ def _forward_train(m: ModelParams, x: np.ndarray):
         if pos == 0:
             skip = a
             entry["skip"] = a
-        z, entry["conv"] = _conv_forward(a, layer.w, layer.b)
+        z, entry["patches"] = kernels.conv1d(a, layer.w)
+        z += layer.b[:, None]
         h, entry["bn"] = _bn_train_forward(z, layer.gamma, layer.beta, eps)
         if pos == last:
             h = h + skip
@@ -212,7 +180,7 @@ def _backward_train(m: ModelParams, x, targets, weights):
         if pos == last:
             pending_skip_grad = dh   # the add routes dh to the skip input too
         dz, dgamma, dbeta = _bn_train_backward(dh, layer.gamma, entry["bn"])
-        dx, dw, db = _conv_backward(dz, layer.w, entry["conv"])
+        dx, dw, db = kernels.conv1d_backward(dz, layer.w, entry["patches"])
         grads[f"{name}.w"] = dw
         grads[f"{name}.b"] = db
         grads[f"{name}.gamma"] = dgamma

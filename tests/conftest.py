@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from edgefit import model, synth
+from edgefit import kernels, model, synth
+from edgefit.errors import ShapeMismatch
 
 
 @pytest.fixture
@@ -24,6 +25,22 @@ def randomize_bn(m, seed=0):
         layer.mean = (0.2 * rng.standard_normal(n)).astype(np.float32)
         layer.var = rng.uniform(0.5, 2.0, n).astype(np.float32)
     return m
+
+
+def conv1d_same(x, w, b):
+    """Cross-correlation of a single window (C_in, L) -> (C_out, L)."""
+    if x.ndim != 2:
+        raise ShapeMismatch(f"conv input must be (C, L), got shape {x.shape}")
+    return kernels.conv1d_same_batch(x[None], w, b)[0]
+
+
+def dense(x, w, b):
+    """Affine map w @ x + b for x (N,), w (M, N), b (M,)."""
+    if x.ndim != 1 or w.ndim != 2 or w.shape[1] != x.shape[0]:
+        raise ShapeMismatch(f"weight {w.shape} incompatible with input {x.shape}")
+    if b.shape != (w.shape[0],):
+        raise ShapeMismatch(f"bias shape {b.shape} != ({w.shape[0]},)")
+    return w @ x + b
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from edgefit import kernels
+from conftest import conv1d_same, dense
+from edgefit import kernels, model, quantize, synth, training
 from edgefit.errors import NonFiniteInput, ShapeMismatch
 
 
@@ -23,11 +24,34 @@ def naive_conv1d_same(x, w, b):
     return y
 
 
+def naive_conv1d_same_grads(x, w, g):
+    """Direct-summation adjoint of naive_conv1d_same in float64: the
+    gradients (dx, dw, db) of sum(g * y) for an upstream gradient g
+    (C_out, L), each tap's product routed back to its input and weight."""
+    c_out, c_in, k = w.shape
+    length = x.shape[1]
+    pad = (k - 1) // 2
+    dx = np.zeros((c_in, length), dtype=np.float64)
+    dw = np.zeros((c_out, c_in, k), dtype=np.float64)
+    for o in range(c_out):
+        for t in range(length):
+            for c in range(c_in):
+                for kk in range(k):
+                    src = t + kk - pad
+                    if 0 <= src < length:
+                        dx[c, src] += w[o, c, kk] * g[o, t]
+                        dw[o, c, kk] += x[c, src] * g[o, t]
+    return dx, dw, g.sum(axis=1)
+
+
+CONV_CASES = [(1, 1, 5, 1), (3, 4, 12, 3), (8, 6, 16, 5), (5, 8, 9, 5)]
+
+
 class TestConv1dSame:
     def test_identity_kernel(self, rng):
         x = rng.standard_normal((3, 10)).astype(np.float32)
         w = np.eye(3, dtype=np.float32)[:, :, None]   # K=1 channel identity
-        y = kernels.conv1d_same(x, w, np.zeros(3, dtype=np.float32))
+        y = conv1d_same(x, w, np.zeros(3, dtype=np.float32))
         np.testing.assert_allclose(y, x, rtol=1e-6)
 
     def test_edge_detector_example(self):
@@ -38,25 +62,23 @@ class TestConv1dSame:
         expected = naive_conv1d_same(x.astype(np.float64),
                                      w.astype(np.float64), b.astype(np.float64))
         np.testing.assert_array_equal(expected, [[-2.0, -2.0, 2.0]])
-        np.testing.assert_allclose(kernels.conv1d_same(x, w, b), expected)
+        np.testing.assert_allclose(conv1d_same(x, w, b), expected)
 
     def test_zero_input_yields_bias(self, rng):
         x = np.zeros((2, 6), dtype=np.float32)
         w = rng.standard_normal((5, 2, 3)).astype(np.float32)
         b = rng.standard_normal(5).astype(np.float32)
-        y = kernels.conv1d_same(x, w, b)
+        y = conv1d_same(x, w, b)
         np.testing.assert_allclose(y, np.broadcast_to(b[:, None], (5, 6)))
 
-    @pytest.mark.parametrize("c_in,c_out,length,k", [
-        (1, 1, 5, 1), (3, 4, 12, 3), (8, 6, 16, 5), (5, 8, 9, 5),
-    ])
+    @pytest.mark.parametrize("c_in,c_out,length,k", CONV_CASES)
     def test_matches_naive_oracle(self, rng, c_in, c_out, length, k):
         x = rng.standard_normal((c_in, length)).astype(np.float32)
         w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
         b = rng.standard_normal(c_out).astype(np.float32)
         expected = naive_conv1d_same(x.astype(np.float64),
                                      w.astype(np.float64), b.astype(np.float64))
-        np.testing.assert_allclose(kernels.conv1d_same(x, w, b), expected,
+        np.testing.assert_allclose(conv1d_same(x, w, b), expected,
                                    atol=1e-5)
 
     def test_linearity_in_input(self, rng):
@@ -65,21 +87,21 @@ class TestConv1dSame:
         x1 = rng.standard_normal((3, 16)).astype(np.float32)
         x2 = rng.standard_normal((3, 16)).astype(np.float32)
         a = np.float32(2.5)
-        lhs = kernels.conv1d_same(a * x1 + x2, w, b)
-        rhs = a * kernels.conv1d_same(x1, w, b) + kernels.conv1d_same(x2, w, b)
+        lhs = conv1d_same(a * x1 + x2, w, b)
+        rhs = a * conv1d_same(x1, w, b) + conv1d_same(x2, w, b)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-4, atol=1e-5)
 
     def test_shape_mismatch(self, rng):
         x = rng.standard_normal((3, 10)).astype(np.float32)
         w = rng.standard_normal((4, 5, 3)).astype(np.float32)
         with pytest.raises(ShapeMismatch):
-            kernels.conv1d_same(x, w, np.zeros(4, dtype=np.float32))
+            conv1d_same(x, w, np.zeros(4, dtype=np.float32))
 
     def test_even_kernel_rejected(self, rng):
         x = rng.standard_normal((3, 10)).astype(np.float32)
         w = rng.standard_normal((4, 3, 2)).astype(np.float32)
         with pytest.raises(ShapeMismatch):
-            kernels.conv1d_same(x, w, np.zeros(4, dtype=np.float32))
+            conv1d_same(x, w, np.zeros(4, dtype=np.float32))
 
     def test_batched_matches_single(self, rng):
         x = rng.standard_normal((5, 3, 12)).astype(np.float32)
@@ -88,7 +110,56 @@ class TestConv1dSame:
         batched = kernels.conv1d_same_batch(x, w, b)
         for i in range(5):
             np.testing.assert_array_equal(batched[i],
-                                          kernels.conv1d_same(x[i], w, b))
+                                          conv1d_same(x[i], w, b))
+
+
+class TestConv1dBackward:
+    @pytest.mark.parametrize("c_in,c_out,length,k", CONV_CASES)
+    def test_matches_naive_adjoint(self, rng, c_in, c_out, length, k):
+        x = rng.standard_normal((2, c_in, length))
+        w = rng.standard_normal((c_out, c_in, k))
+        g = rng.standard_normal((2, c_out, length))
+        _, patches = kernels.conv1d(x, w)
+        dx, dw, db = kernels.conv1d_backward(g, w, patches)
+        grads = [naive_conv1d_same_grads(x[i], w, g[i]) for i in range(2)]
+        for i in range(2):
+            np.testing.assert_allclose(dx[i], grads[i][0], rtol=1e-12,
+                                       atol=1e-12)
+        np.testing.assert_allclose(dw, grads[0][1] + grads[1][1], rtol=1e-12,
+                                   atol=1e-12)
+        np.testing.assert_allclose(db, grads[0][2] + grads[1][2], rtol=1e-12,
+                                   atol=1e-12)
+
+
+def test_every_conv_lowers_through_im2col(monkeypatch):
+    """The float forward, a training step and the int8 forward call
+    kernels.im2col once per conv, and the training backward once more:
+    the benchmark taps and traces that one name."""
+    cfg = model.ModelConfig(width=4)
+    convs = 1 + cfg.blocks * cfg.convs_per_block
+    m = model.build(cfg, seed=0)
+    folded = model.fold_batchnorm(m)
+    qm = quantize.quantize_model(folded, quantize.calibrate(
+        folded, synth.make_random_windows(4, seed=0)))
+    x = np.stack([w.data for w in synth.make_random_windows(3, seed=1)])
+    calls = []
+    original = kernels.im2col
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kernels, "im2col", counted)
+
+    def count(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    assert count(lambda: model.forward_batch(m, x)) == convs
+    assert count(lambda: training.backward(
+        m, x, np.array([0, 1, 2]), np.ones(3))) == 2 * convs
+    assert count(lambda: quantize.qforward_batch(qm, x)) == convs
 
 
 class TestBatchnormInfer:
@@ -160,13 +231,13 @@ class TestAdd:
 class TestDense:
     def test_identity(self, rng):
         x = rng.standard_normal(5).astype(np.float32)
-        y = kernels.dense(x, np.eye(5, dtype=np.float32),
+        y = dense(x, np.eye(5, dtype=np.float32),
                           np.zeros(5, dtype=np.float32))
         np.testing.assert_allclose(y, x)
 
     def test_dot_product_example(self):
         # oracle: [1,2]·[1,1] + 3 = 6
-        y = kernels.dense(np.array([1.0, 1.0], np.float32),
+        y = dense(np.array([1.0, 1.0], np.float32),
                           np.array([[1.0, 2.0]], np.float32),
                           np.array([3.0], np.float32))
         np.testing.assert_allclose(y, [6.0])
@@ -175,11 +246,11 @@ class TestDense:
         w = rng.standard_normal((4, 6)).astype(np.float32)
         b = rng.standard_normal(4).astype(np.float32)
         np.testing.assert_array_equal(
-            kernels.dense(np.zeros(6, np.float32), w, b), b)
+            dense(np.zeros(6, np.float32), w, b), b)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            kernels.dense(np.zeros(3), np.zeros((2, 4)), np.zeros(2))
+            dense(np.zeros(3), np.zeros((2, 4)), np.zeros(2))
 
 
 class TestSoftmax:
@@ -212,8 +283,8 @@ def test_kernels_are_pure(rng):
     x = rng.standard_normal((3, 10)).astype(np.float32)
     w = rng.standard_normal((4, 3, 3)).astype(np.float32)
     b = rng.standard_normal(4).astype(np.float32)
-    first = kernels.conv1d_same(x, w, b)
-    second = kernels.conv1d_same(x.copy(), w.copy(), b.copy())
+    first = conv1d_same(x, w, b)
+    second = conv1d_same(x.copy(), w.copy(), b.copy())
     assert np.array_equal(first, second)
     np.testing.assert_array_equal(kernels.softmax(first[:, 0]),
                                   kernels.softmax(first[:, 0]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import randomize_bn
+from conftest import conv1d_same, dense, randomize_bn
 from edgefit import kernels, model
 from edgefit.errors import (
     CorruptFile,
@@ -85,14 +85,14 @@ class TestForward:
             return kernels.batchnorm_infer(t, layer.gamma, layer.beta,
                                            layer.mean, layer.var, cfg.bn_eps)
 
-        a = kernels.relu(bn(m.stem, kernels.conv1d_same(x, m.stem.w, m.stem.b)))
+        a = kernels.relu(bn(m.stem, conv1d_same(x, m.stem.w, m.stem.b)))
         for blk in m.blocks:
             skip = a
-            h = kernels.relu(bn(blk[0], kernels.conv1d_same(a, blk[0].w, blk[0].b)))
-            h = kernels.relu(bn(blk[1], kernels.conv1d_same(h, blk[1].w, blk[1].b)))
-            h = bn(blk[2], kernels.conv1d_same(h, blk[2].w, blk[2].b))
+            h = kernels.relu(bn(blk[0], conv1d_same(a, blk[0].w, blk[0].b)))
+            h = kernels.relu(bn(blk[1], conv1d_same(h, blk[1].w, blk[1].b)))
+            h = bn(blk[2], conv1d_same(h, blk[2].w, blk[2].b))
             a = kernels.relu(kernels.add(h, skip))
-        expected = kernels.dense(a.reshape(-1), m.head_w, m.head_b)
+        expected = dense(a.reshape(-1), m.head_w, m.head_b)
         np.testing.assert_allclose(forward(m, x), expected, atol=1e-6)
 
     def test_every_activation_keeps_input_length(self, rng):

@@ -20,16 +20,52 @@ from edgefit.quantize import (
     CalibStats,
     QuantSpec,
     calibrate,
+    QuantTensor,
+    activation_spec,
     check_quant_invariants,
-    dequantize,
     qforward,
     qforward_batch,
     quantize_input,
     quantize_model,
     quantize_multiplier,
     quantize_tensor,
-    requantize,
+    round_half_away,
 )
+
+
+def quantize_affine(x):
+    """Per-tensor affine int8 over a range widened to include 0:
+    scale (max - min) / 255 and a zero point, as activations get."""
+    x = np.asarray(x, dtype=np.float64)
+    spec = activation_spec(float(x.min()), float(x.max()))
+    q = round_half_away(x / spec.scale) + spec.zero_point
+    return QuantTensor(values=np.clip(q, -128, 127).astype(np.int8),
+                       scale=np.array(spec.scale, dtype=np.float32),
+                       zero_point=np.array(spec.zero_point, dtype=np.int32))
+
+
+def dequantize(qt):
+    scale = qt.scale.astype(np.float32)
+    zp = qt.zero_point.astype(np.float32)
+    if scale.ndim == 1 and qt.values.ndim > 1:
+        shape = [1] * qt.values.ndim
+        shape[0] = -1
+        scale = scale.reshape(shape)
+        zp = zp.reshape(shape)
+    return (qt.values.astype(np.float32) - zp) * scale
+
+
+def requantize(acc, m0, n, zero_point_out):
+    """Scalar oracle of quantize._requantize_array: round-half-up of
+    acc*M0 / 2^(31+n), plus the output zero point, saturated to
+    [-128, 127], in Python integers."""
+    if not (1 << 30) <= m0 < (1 << 31):
+        raise RequantRangeError(f"M0 {m0} outside [2^30, 2^31)")
+    if n < 0:
+        raise RequantRangeError(f"shift n must be >= 0, got {n}")
+    shift = 31 + n
+    value = (int(acc) * int(m0) + (1 << (shift - 1))) >> shift
+    return max(-128, min(127, value + zero_point_out))
 
 
 def quantized_fixture(width=8, model_seed=3, calib_seed=1, n_calib=256):
@@ -41,38 +77,38 @@ def quantized_fixture(width=8, model_seed=3, calib_seed=1, n_calib=256):
 
 class TestQuantizeTensor:
     def test_symmetric_example(self):
-        qt = quantize_tensor(np.array([-1.0, 0.0, 1.0]), "symmetric")
+        qt = quantize_tensor(np.array([-1.0, 0.0, 1.0]))
         assert float(qt.scale) == pytest.approx(1 / 127, rel=1e-6)
         np.testing.assert_array_equal(qt.values, [-127, 0, 127])
         assert int(qt.zero_point) == 0
 
     def test_affine_full_positive_range(self):
         s = 0.02
-        qt = quantize_tensor(np.array([0.0, 255 * s]), "affine")
+        qt = quantize_affine(np.array([0.0, 255 * s]))
         assert int(qt.zero_point) == -128
         np.testing.assert_array_equal(qt.values, [-128, 127])
 
     def test_dequantize_error_bound(self, rng):
         x = rng.uniform(-2, 2, size=100)
-        qt = quantize_tensor(x, "symmetric")
+        qt = quantize_tensor(x)
         err = np.abs(dequantize(qt) - x)
         assert np.all(err <= float(qt.scale) / 2 + 1e-9)
 
     def test_affine_dequantize_error_bound(self, rng):
         x = rng.uniform(-1, 3, size=100)
-        qt = quantize_tensor(x, "affine")
+        qt = quantize_affine(x)
         err = np.abs(dequantize(qt) - x)
         assert np.all(err <= float(qt.scale) / 2 + 1e-9)
 
     def test_all_zero_gets_scale_floor(self):
-        qt = quantize_tensor(np.zeros(5), "symmetric")
+        qt = quantize_tensor(np.zeros(5))
         assert float(qt.scale) > 0
         np.testing.assert_array_equal(qt.values, 0)
 
     def test_per_channel(self, rng):
         w = rng.standard_normal((4, 3, 3))
         w[2] *= 10
-        qt = quantize_tensor(w, "symmetric", channel_axis=0)
+        qt = quantize_tensor(w, channel_axis=0)
         assert qt.scale.shape == (4,)
         assert float(qt.scale[2]) == pytest.approx(np.abs(w[2]).max() / 127,
                                                    rel=1e-5)
@@ -80,7 +116,7 @@ class TestQuantizeTensor:
 
     def test_rounding_half_away_from_zero(self):
         # scale 1: 0.5 -> 1, -0.5 -> -1 (not banker's rounding)
-        qt = quantize_tensor(np.array([127.0, 0.5, -0.5, -127.0]), "symmetric")
+        qt = quantize_tensor(np.array([127.0, 0.5, -0.5, -127.0]))
         np.testing.assert_array_equal(qt.values, [127, 1, -1, -127])
 
 
@@ -449,6 +485,24 @@ class TestExactFloatGemm:
         self.check_against_oracle(qm, np.full((4, 7, 40), -1.0, np.float32))
 
 
+    @pytest.mark.parametrize("site", ["conv", "head"])
+    @pytest.mark.parametrize("bias", [0.05, 0.0])
+    def test_zero_weight_channel(self, site, bias):
+        """An all-zero weight channel gets a weight scale floored so its
+        bias fits int32 and its shift n stays <= 30."""
+        folded = fold_batchnorm(build(ModelConfig(width=8), seed=3))
+        w, b = ((folded.blocks[0][0].w, folded.blocks[0][0].b) if site == "conv"
+                else (folded.head_w, folded.head_b))
+        w[3] = 0
+        b[3] = bias
+        qm = quantize_model(folded, calibrate(
+            folded, synth.make_random_windows(64, seed=1)))
+        check_quant_invariants(qm)
+        assert np.all(qm.blocks[0].convs[0].shift <= 30)
+        x = np.stack([win.data for win in synth.make_random_windows(24, seed=4)])
+        self.check_against_oracle(qm, x)
+
+
 class TestQuantFile:
     def test_round_trip(self, tmp_path):
         _, qm = quantized_fixture(width=4)
@@ -506,6 +560,33 @@ class TestQuantFile:
         path = tmp_path / "q.efq"
         quantize.save(qm, path)
         with pytest.raises(RequantRangeError, match="stem"):
+            quantize.load(path)
+
+    @pytest.mark.parametrize("where", ["conv", "add"])
+    def test_shift_beyond_31_rejected(self, tmp_path, where):
+        # a multiplier consistent with its scale ratio 0.75 * 2^-40, so
+        # only the shift bound (n = 40 > 31) rejects it
+        _, qm = quantized_fixture(width=4)
+        if where == "conv":
+            stem = qm.stem
+            stem.w_scale[0] = 0.75 * 2.0 ** -40 * (stem.out_spec.scale
+                                                   / stem.in_spec.scale)
+            stem.m0[0], stem.shift[0] = quantize_multiplier(
+                stem.in_spec.scale * float(stem.w_scale[0])
+                / stem.out_spec.scale)
+            n, match = int(stem.shift[0]), "stem"
+        else:
+            add = qm.blocks[0].add
+            add.a_spec = QuantSpec(
+                scale=float(np.float32(0.75 * 2.0 ** -40 * add.out_spec.scale)),
+                zero_point=add.a_spec.zero_point)
+            add.a_m0, add.a_shift = quantize_multiplier(
+                add.a_spec.scale / add.out_spec.scale)
+            n, match = add.a_shift, "b0.add"
+        assert n == 40
+        path = tmp_path / "q.efq"
+        quantize.save(qm, path)
+        with pytest.raises(RequantRangeError, match=match):
             quantize.load(path)
 
     def test_corrupt_m0_rejected(self, tmp_path):

@@ -14,8 +14,13 @@ from edgefit.training import (
     evaluate,
     init_adam,
     train_fold,
-    weighted_cross_entropy,
 )
+
+
+def weighted_cross_entropy(probs, target, weight):
+    """-weight * ln(probs[target]), probabilities clamped to >= 1e-12:
+    the per-window loss the batched training loss averages."""
+    return float(-weight * np.log(max(float(probs[target]), training.PROB_FLOOR)))
 
 
 class TestWeightedCrossEntropy:
