@@ -108,6 +108,8 @@ def cmd_train(args) -> int:
     print(f"trained fold {args.fold}: {len(history.train_loss)} epochs, "
           f"best epoch {best} (val_loss {history.val_loss[best - 1]:.4f}, "
           f"val_bacc {history.val_balanced_accuracy[best - 1]:.4f})")
+    print(f"step time {np.mean(history.step_ms):.1f} ms "
+          f"(process CPU per optimizer step, mean over epochs)")
     print(f"model -> {args.out}")
     print(f"history -> {history_path}")
     return EXIT_OK

@@ -6,12 +6,16 @@ precision). Activations are laid out channels-first: (C, L) for a single
 window, (B, C, L) for the batched variants used by the trainer.
 
 conv1d is the only code that pads a convolution and lowers it to a GEMM:
-the float forward (conv1d_same_batch), the trainer's forward and backward
-(conv1d_backward) and the integer path (quantize._qconv_run) all call it,
-and it calls im2col through this module's namespace. It zero-fills its
-padded buffer in np.result_type(x, w), so float operands keep their dtype
-and integer activations against float weights become the float GEMM
-operand the integer path needs.
+the float forward (conv1d_same_batch), the trainer's forward and input
+gradient (through conv1d_backward) and the integer path
+(quantize._qconv_run) all call it, and it calls im2col through this
+module's namespace. It zero-fills its padded buffer in
+np.result_type(x, w), so float operands keep their dtype and integer
+activations against float weights become the float GEMM operand the
+integer path needs. conv1d_backward forms the weight gradient from the
+same padded input, one batched GEMM per tap. Both take optional output
+buffers in numpy's out= idiom, which only the trainer passes; without
+them every result is allocated, and the values are the same bits.
 """
 
 from __future__ import annotations
@@ -26,43 +30,93 @@ def _require(cond: bool, msg: str) -> None:
         raise ShapeMismatch(msg)
 
 
-def im2col(x_padded: np.ndarray, kernel: int, out_len: int) -> np.ndarray:
+def im2col(x_padded: np.ndarray, kernel: int, out_len: int,
+           out: np.ndarray | None = None) -> np.ndarray:
     """Unfold a padded batch (B, C, L+K-1) into patches (B, C*K, out_len).
 
     Patch index (c, k) flattens to c*K + k, matching w.reshape(C_out, C_in*K).
+    out, if given, is the (B, C*K, out_len) array the patches are written to.
     """
     b, c, _ = x_padded.shape
-    cols = np.stack([x_padded[:, :, k:k + out_len] for k in range(kernel)], axis=2)
-    return cols.reshape(b, c * kernel, out_len)
+    if out is None:
+        out = np.empty((b, c * kernel, out_len), dtype=x_padded.dtype)
+    for k in range(kernel):
+        out[:, k::kernel] = x_padded[:, :, k:k + out_len]
+    return out
 
 
-def conv1d(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _is_view(x: np.ndarray, of: np.ndarray) -> bool:
+    return (x.shape == of.shape and x.strides == of.strides
+            and x.__array_interface__["data"][0]
+            == of.__array_interface__["data"][0])
+
+
+def conv1d(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None, *,
+           padded: np.ndarray | None = None,
+           patches: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Cross-correlation with zero 'same' padding, stride 1, no bias.
 
     x: (B, C_in, L), w: (C_out, C_in, K) with K odd. Returns y (B, C_out, L)
-    and the patches (B, C_in*K, L) that conv1d_backward needs. Each window
-    is one GEMM of the (C_out, C_in*K) weights over its own patches, so a
-    window's result does not depend on the batch it runs in.
+    and the patches (B, C_in*K, L) it multiplied. Each window is one GEMM of
+    the (C_out, C_in*K) weights over its own patches, so a window's result
+    does not depend on the batch it runs in.
+
+    out, padded and patches are optional output buffers in numpy's out=
+    idiom, for a caller that runs many steps without allocating: out
+    receives y, patches the patches, and padded (B, C_in, L+K-1), whose
+    borders must be zero, the padded input. x may be padded's own interior
+    view, as when the layer before wrote its output there; it is then
+    read in place, not copied. Without them conv1d allocates each, the pad
+    buffer zero-filled in np.result_type(x, w).
     """
     batch, c_in, length = x.shape
     c_out, _, k = w.shape
     pad = (k - 1) // 2
-    xp = np.zeros((batch, c_in, length + 2 * pad), dtype=np.result_type(x, w))
-    xp[:, :, pad:pad + length] = x
-    patches = im2col(xp, k, length)
-    return np.matmul(w.reshape(c_out, c_in * k), patches), patches
+    if padded is None:
+        padded = np.zeros((batch, c_in, length + 2 * pad),
+                          dtype=np.result_type(x, w))
+    interior = padded[:, :, pad:pad + length]
+    if not np.may_share_memory(x, padded):
+        interior[...] = x
+    elif not _is_view(x, interior):
+        raise ShapeMismatch("conv input overlaps the pad buffer but is not "
+                            "its interior")
+    patches = im2col(padded, k, length, patches)
+    return np.matmul(w.reshape(c_out, c_in * k), patches, out=out), patches
 
 
-def conv1d_backward(g: np.ndarray, w: np.ndarray, patches: np.ndarray):
-    """Gradients of conv1d given dL/dy g (B, C_out, L) and conv1d's patches.
+def conv1d_backward(g: np.ndarray, w: np.ndarray, padded: np.ndarray, *,
+                    dx: np.ndarray | None = None,
+                    dw: np.ndarray | None = None,
+                    g_padded: np.ndarray | None = None,
+                    patches: np.ndarray | None = None,
+                    products: np.ndarray | None = None):
+    """Gradients of conv1d given dL/dy g (B, C_out, L) and the padded input
+    (B, C_in, L+K-1) conv1d multiplied.
 
     Returns (dx, dw, db). dx is conv1d of g with the flipped, transposed
-    kernel; db is the gradient of a per-channel bias added to y.
+    kernel; db is the gradient of a per-channel bias added to y. dw takes
+    one batched GEMM per tap of g against a strided view of the padded
+    input, summed over the batch, so neither operand is copied and no
+    patches need to be kept from the forward pass.
+
+    dx, dw, g_padded and patches are optional output buffers as in conv1d
+    (g may be g_padded's interior); products (B, C_out, C_in) holds one
+    tap's per-window products.
     """
+    batch, _, length = g.shape
     c_out, c_in, k = w.shape
-    dx, _ = conv1d(g, w.transpose(1, 0, 2)[:, :, ::-1])
-    dw = np.tensordot(g, patches, axes=([0, 2], [0, 2])).reshape(c_out, c_in, k)
-    return dx, dw, g.sum(axis=(0, 2))
+    dx, _ = conv1d(g, w.transpose(1, 0, 2)[:, :, ::-1], dx,
+                   padded=g_padded, patches=patches)
+    if dw is None:
+        dw = np.empty(w.shape, dtype=np.result_type(g, padded))
+    if products is None:
+        products = np.empty((batch, c_out, c_in), dtype=dw.dtype)
+    for t in range(k):
+        np.matmul(g, padded[:, :, t:t + length].transpose(0, 2, 1),
+                  out=products)
+        dw[:, :, t] = products.sum(axis=0)
+    return dx, dw, np.einsum("bcl->c", g)
 
 
 def conv1d_same_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

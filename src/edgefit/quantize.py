@@ -65,6 +65,7 @@ QMIN, QMAX = -128, 127
 RANGE_FLOOR = 1e-3      # minimum activation range width
 WEIGHT_SCALE_FLOOR = 1e-12
 INT32_LIMIT = 2 ** 31
+CALIB_BLOCK = 64        # windows per forward_batch call in calibrate
 
 QUANT_MAGIC = b"EFQ2"
 
@@ -155,18 +156,27 @@ class CalibStats:
 def calibrate(folded: ModelParams, calib: list[Window]) -> CalibStats:
     """Record per-site activation ranges of the folded float model.
 
-    Windows run one at a time so the recorded ranges are independent of any
-    batching. The conv outputs would be batch-invariant anyway (kernels.conv1d
-    runs one GEMM per window), but the head's GEMM takes the whole batch,
-    and its accumulation order varies with the batch shape."""
+    The windows run through forward_batch in blocks of CALIB_BLOCK. Every
+    site before the head is batch-invariant (kernels.conv1d runs one GEMM
+    per window and the other layers are elementwise). The head's GEMM is
+    not: it takes the whole block and sums in an order that varies with
+    the block's shape, so the logits are recomputed one window at a time.
+    Every range then equals a one-window-at-a-time run's bit for bit and
+    depends on the set of windows alone."""
     if not folded.bn_folded:
         raise InvalidConfig("calibrate expects a BN-folded model")
     if not calib:
         raise EmptyCalibrationSet("calibration set is empty")
+    head_input = f"b{folded.config.blocks - 1}.out"
     stats = CalibStats(ranges={})
-    for w in calib:
+    for i in range(0, len(calib), CALIB_BLOCK):
+        x = np.stack([w.data for w in calib[i:i + CALIB_BLOCK]])
         capture: dict[str, np.ndarray] = {}
-        forward_batch(folded, w.data.astype(np.float32)[None], capture=capture)
+        forward_batch(folded, x.astype(np.float32, copy=False), capture=capture)
+        flat = capture[head_input].reshape(len(x), 1, -1)
+        capture["logits"] = np.concatenate(
+            [kernels.dense_batch(row, folded.head_w, folded.head_b)
+             for row in flat])
         for name, arr in capture.items():
             stats.update(name, arr)
     return stats

@@ -5,10 +5,21 @@ dataset pipeline), batch-statistics BN with running-stat momentum 0.9, and
 early stopping on a validation loss monitored once per epoch. Validation
 holds out one session per training subject so the held-out test subject is
 never touched.
+
+A step runs in a Workspace: every activation, gradient and scratch array
+the step writes, allocated once and written with out=. train_fold builds
+one per epoch, sized for min(batch_size, n) windows; a shorter last batch
+uses its leading rows. It is dropped before the validation pass, so it
+never coexists with the evaluation's batch-512 temporaries. A step that
+allocates frees about 30 MB of temporaries at its end, which the allocator
+returns to the OS and the next step faults back in (about 10,000 page
+faults a step at width 52, batch 64). backward and _forward_train build a
+workspace per call and run the same code.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -80,39 +91,91 @@ class TrainHistory:
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     val_balanced_accuracy: list[float] = field(default_factory=list)
+    step_ms: list[float] = field(default_factory=list)  # process CPU per step
     best_epoch: int = 0            # 1-based
     stopped_early: bool = False
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w") as f:
-            f.write("epoch,train_loss,val_loss,val_bacc\n")
-            rows = zip(self.train_loss, self.val_loss, self.val_balanced_accuracy)
-            for i, (tl, vl, vb) in enumerate(rows, start=1):
-                f.write(f"{i},{tl:.8f},{vl:.8f},{vb:.8f}\n")
+            f.write("epoch,train_loss,val_loss,val_bacc,step_ms\n")
+            rows = zip(self.train_loss, self.val_loss,
+                       self.val_balanced_accuracy, self.step_ms)
+            for i, (tl, vl, vb, ms) in enumerate(rows, start=1):
+                f.write(f"{i},{tl:.8f},{vl:.8f},{vb:.8f},{ms:.3f}\n")
 
 
 # ---------------------------------------------------------------------------
 # training-mode forward/backward
 # ---------------------------------------------------------------------------
 
-def _bn_train_forward(x, gamma, beta, eps):
-    mu = x.mean(axis=(0, 2))
-    var = x.var(axis=(0, 2))      # population variance
+class Workspace:
+    """Every array a training step writes, for batches of up to `batch`
+    windows, in the parameters' dtype.
+
+    Per conv layer it holds the zero-padded input (batch, C_in, L+K-1),
+    whose interior the previous layer's ReLU writes into directly, and the
+    normalized activations x_hat; shared buffers take the im2col patches,
+    the BN output before the ReLU, the flowing gradients and each weight
+    gradient. A step writes everything with out=, and a shorter batch of b
+    windows uses the leading rows buf[:b], so a step allocates nothing of
+    the batch's size. train_fold keeps one workspace for an epoch's step
+    loop and drops it before the validation pass.
+    """
+
+    def __init__(self, m: ModelParams, batch: int):
+        cfg = m.config
+        dtype = m.stem.w.dtype
+        c, length, k = cfg.width, cfg.seq_len, cfg.kernel
+        widest = max(c, cfg.in_channels)
+
+        def act(channels=c):
+            return np.empty((batch, channels, length), dtype)
+
+        self.pad = (k - 1) // 2
+        self.padded = [np.zeros((batch, layer.w.shape[1], length + k - 1), dtype)
+                       for _, layer in m.conv_layers()]
+        self.xhat = [act() for _ in self.padded]
+        self.out = act()                   # last ReLU output, the head's input
+        self.h = act()                     # BN output before the ReLU
+        self.mask = np.empty((batch, c, length), bool)
+        self.patches = np.empty((batch, widest * k, length), dtype)
+        self.products = np.empty((batch, c, widest), dtype)
+        self.grad = (act(), act())
+        self.g_padded = np.zeros((batch, c, length + k - 1), dtype)
+        self.dx_in = act(cfg.in_channels)  # the stem's input gradient, unused
+        self.dw = {name: np.empty_like(layer.w) for name, layer in m.conv_layers()}
+        self.head_w = np.empty_like(m.head_w)
+
+    def interior(self, buf: np.ndarray, b: int) -> np.ndarray:
+        return buf[:b, :, self.pad:buf.shape[2] - self.pad]
+
+
+def _bn_normalize(z: np.ndarray, eps: float):
+    """Batch-statistics BN of z (B, C, L) in place, in one centred pass:
+    z becomes x_hat. Returns (mean, population variance, 1/sqrt(var+eps))."""
+    n = z.shape[0] * z.shape[2]
+    mu = np.einsum("bcl->c", z) / n
+    z -= mu[:, None]
+    var = np.einsum("bcl,bcl->c", z, z) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu[None, :, None]) * inv[None, :, None]
-    y = gamma[None, :, None] * xhat + beta[None, :, None]
-    return y, (xhat, inv, mu, var)
+    z *= inv[:, None]
+    return mu, var, inv
 
 
-def _bn_train_backward(g, gamma, cache):
-    xhat, inv, _, _ = cache
-    dgamma = (g * xhat).sum(axis=(0, 2))
-    dbeta = g.sum(axis=(0, 2))
-    g_mean = g.mean(axis=(0, 2))
-    gx_mean = (g * xhat).mean(axis=(0, 2))
-    dx = (gamma * inv)[None, :, None] * (
-        g - g_mean[None, :, None] - xhat * gx_mean[None, :, None])
-    return dx, dgamma, dbeta
+def _bn_backward(dh: np.ndarray, xhat: np.ndarray, gamma: np.ndarray,
+                 inv: np.ndarray, out: np.ndarray):
+    """dL/dz into out, given dh = dL/d(gamma*x_hat + beta); returns
+    (dgamma, dbeta). The two batch means the BN gradient needs are dbeta/n
+    and dgamma/n, so each reduction runs once. x_hat is overwritten, dh is
+    not."""
+    n = dh.shape[0] * dh.shape[2]
+    dgamma = np.einsum("bcl,bcl->c", dh, xhat)
+    dbeta = np.einsum("bcl->c", dh)
+    xhat *= (dgamma / n)[:, None]
+    xhat += (dbeta / n)[:, None]
+    np.subtract(dh, xhat, out=xhat)
+    np.multiply(xhat, (gamma * inv)[:, None], out=out)
+    return dgamma, dbeta
 
 
 def _conv_index(name: str) -> int | None:
@@ -120,31 +183,45 @@ def _conv_index(name: str) -> int | None:
     return None if name == "stem" else int(name.split(".c")[1])
 
 
-def _forward_train(m: ModelParams, x: np.ndarray):
-    """Forward pass with batch-statistics BN, returning a tape for backward."""
+def _forward(ws: Workspace, m: ModelParams, x: np.ndarray):
+    """Forward pass with batch-statistics BN through ws's leading len(x)
+    rows. Returns the logits and a tape of views into ws plus each layer's
+    batch statistics."""
+    b = x.shape[0]
     eps = m.config.bn_eps
     last = m.config.convs_per_block - 1
+    layers = list(m.conv_layers())
     tape = {"layers": []}
     a = x
     skip = None
-    for name, layer in m.conv_layers():
+    for i, (name, layer) in enumerate(layers):
         pos = _conv_index(name)
-        entry = {"name": name}
         if pos == 0:
             skip = a
-            entry["skip"] = a
-        z, entry["patches"] = kernels.conv1d(a, layer.w)
-        z += layer.b[:, None]
-        h, entry["bn"] = _bn_train_forward(z, layer.gamma, layer.beta, eps)
+        _, c_in, k = layer.w.shape
+        xhat = ws.xhat[i][:b]
+        kernels.conv1d(a, layer.w, xhat, padded=ws.padded[i][:b],
+                       patches=ws.patches[:b, :c_in * k])
+        # the conv bias only shifts the batch mean, which BN subtracts
+        mu, var, inv = _bn_normalize(xhat, eps)
+        h = ws.h[:b]
+        np.multiply(xhat, layer.gamma[:, None], out=h)
+        h += layer.beta[:, None]
         if pos == last:
-            h = h + skip
-        a = kernels.relu(h)
-        entry["post"] = a
-        tape["layers"].append(entry)
-    flat = a.reshape(a.shape[0], -1)
-    tape["flat"] = flat
-    logits = kernels.dense_batch(flat, m.head_w, m.head_b)
+            h += skip
+        a = (ws.interior(ws.padded[i + 1], b) if i + 1 < len(layers)
+             else ws.out[:b])
+        np.maximum(h, 0, out=a)
+        tape["layers"].append({"post": a, "mean": mu + layer.b, "var": var,
+                               "inv": inv})
+    tape["flat"] = a.reshape(b, -1)
+    logits = kernels.dense_batch(tape["flat"], m.head_w, m.head_b)
     return logits, tape
+
+
+def _forward_train(m: ModelParams, x: np.ndarray):
+    """Forward pass with batch-statistics BN, returning a tape for backward."""
+    return _forward(Workspace(m, x.shape[0]), m, x)
 
 
 def _loss_and_dlogits(logits, targets, weights):
@@ -158,38 +235,50 @@ def _loss_and_dlogits(logits, targets, weights):
     return float(losses.mean()), dlogits.astype(logits.dtype)
 
 
-def _backward_train(m: ModelParams, x, targets, weights):
-    """Gradients of the mean weighted CE loss plus the BN batch statistics."""
-    logits, tape = _forward_train(m, x)
+def _step(ws: Workspace, m: ModelParams, x, targets, weights):
+    """Gradients of the mean weighted CE loss plus the BN batch statistics,
+    for the len(x) windows of x, computed in ws. The weight gradients are
+    ws's own arrays, valid until the next step."""
+    b = x.shape[0]
+    logits, tape = _forward(ws, m, x)
     loss, dlogits = _loss_and_dlogits(logits, targets, weights)
 
     grads: dict[str, np.ndarray] = {}
-    grads["head.w"] = dlogits.T @ tape["flat"]
+    grads["head.w"] = np.matmul(dlogits.T, tape["flat"], out=ws.head_w)
     grads["head.b"] = dlogits.sum(axis=0)
-    da = (dlogits @ m.head_w).reshape(tape["layers"][-1]["post"].shape)
+    da, spare = ws.grad[0][:b], ws.grad[1][:b]
+    np.matmul(dlogits, m.head_w, out=da.reshape(b, -1))
 
     bn_stats = {}
     layers = list(m.conv_layers())
     last = m.config.convs_per_block - 1
-    pending_skip_grad = None
-    for idx in range(len(layers) - 1, -1, -1):
-        name, layer = layers[idx]
-        entry = tape["layers"][idx]
+    mask = ws.mask[:b]
+    dz = ws.interior(ws.g_padded, b)
+    skip_grad = None
+    for i in range(len(layers) - 1, -1, -1):
+        name, layer = layers[i]
+        entry = tape["layers"][i]
         pos = _conv_index(name)
-        dh = da * (entry["post"] > 0)
-        if pos == last:
-            pending_skip_grad = dh   # the add routes dh to the skip input too
-        dz, dgamma, dbeta = _bn_train_backward(dh, layer.gamma, entry["bn"])
-        dx, dw, db = kernels.conv1d_backward(dz, layer.w, entry["patches"])
+        np.greater(entry["post"], 0, out=mask)
+        da *= mask                          # da is now dL/dh
+        dgamma, dbeta = _bn_backward(da, ws.xhat[i][:b], layer.gamma,
+                                     entry["inv"], dz)
+        if pos == last:                     # the add routes dh to the skip too
+            skip_grad, da = da, spare
+        c_out, c_in, k = layer.w.shape
+        _, dw, db = kernels.conv1d_backward(
+            dz, layer.w, ws.padded[i][:b], dx=da if i else ws.dx_in[:b],
+            dw=ws.dw[name], g_padded=ws.g_padded[:b],
+            patches=ws.patches[:b, :c_out * k],
+            products=ws.products[:b, :, :c_in])
         grads[f"{name}.w"] = dw
         grads[f"{name}.b"] = db
         grads[f"{name}.gamma"] = dgamma
         grads[f"{name}.beta"] = dbeta
-        bn_stats[name] = (entry["bn"][2], entry["bn"][3])
-        if pos == 0 and pending_skip_grad is not None:
-            dx = dx + pending_skip_grad
-            pending_skip_grad = None
-        da = dx
+        bn_stats[name] = (entry["mean"], entry["var"])
+        if pos == 0:
+            da += skip_grad
+            spare = skip_grad
     return grads, loss, bn_stats
 
 
@@ -207,8 +296,8 @@ def backward(m: ModelParams, x: np.ndarray, targets: np.ndarray,
     if x.shape[0] != len(targets) or len(targets) != len(weights):
         raise ShapeMismatch("batch, targets, and weights lengths differ")
     dtype = m.stem.w.dtype
-    grads, loss, _ = _backward_train(
-        m, x.astype(dtype, copy=False),
+    grads, loss, _ = _step(
+        Workspace(m, x.shape[0]), m, x.astype(dtype, copy=False),
         np.asarray(targets), np.asarray(weights, dtype=dtype))
     return grads, loss
 
@@ -332,13 +421,18 @@ def train_fold(split: DatasetSplit, config: ModelConfig, hp: Hyperparams,
     for epoch in range(1, hp.epochs + 1):
         order = rng.permutation(n)
         loss_sum = 0.0
+        ws = Workspace(params, min(hp.batch_size, n))
+        start = time.process_time()
         for i in range(0, n, hp.batch_size):
             idx = order[i:i + hp.batch_size]
-            grads, loss, bn_stats = _backward_train(
-                params, x_train[idx], y_train[idx], w_train[idx])
+            grads, loss, bn_stats = _step(
+                ws, params, x_train[idx], y_train[idx], w_train[idx])
             adam_step(params, grads, state, hp)
             _update_running_stats(params, bn_stats)
             loss_sum += loss * len(idx)
+        steps = len(range(0, n, hp.batch_size))
+        history.step_ms.append(1000.0 * (time.process_time() - start) / steps)
+        del ws   # never alive next to the validation pass's temporaries
         train_loss = loss_sum / n
 
         if x_val is not None:

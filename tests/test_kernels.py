@@ -119,8 +119,9 @@ class TestConv1dBackward:
         x = rng.standard_normal((2, c_in, length))
         w = rng.standard_normal((c_out, c_in, k))
         g = rng.standard_normal((2, c_out, length))
-        _, patches = kernels.conv1d(x, w)
-        dx, dw, db = kernels.conv1d_backward(g, w, patches)
+        pad = (k - 1) // 2
+        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+        dx, dw, db = kernels.conv1d_backward(g, w, padded)
         grads = [naive_conv1d_same_grads(x[i], w, g[i]) for i in range(2)]
         for i in range(2):
             np.testing.assert_allclose(dx[i], grads[i][0], rtol=1e-12,
@@ -129,6 +130,62 @@ class TestConv1dBackward:
                                    atol=1e-12)
         np.testing.assert_allclose(db, grads[0][2] + grads[1][2], rtol=1e-12,
                                    atol=1e-12)
+
+
+class TestConvBuffers:
+    """conv1d and conv1d_backward write into caller-owned buffers with the
+    same bits as when they allocate, also through leading-row views."""
+
+    @pytest.mark.parametrize("c_in,c_out,length,k", CONV_CASES)
+    def test_buffers_match_allocating_call(self, rng, c_in, c_out, length, k):
+        batch, pad = 3, (k - 1) // 2
+        x = rng.standard_normal((batch, c_in, length)).astype(np.float32)
+        w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
+        g = rng.standard_normal((batch, c_out, length)).astype(np.float32)
+        y, patches = kernels.conv1d(x, w)
+        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+        dx, dw, db = kernels.conv1d_backward(g, w, padded)
+
+        rows = batch + 2          # buffers sized for a larger batch
+        wide = max(c_in, c_out)
+        pad_buf = np.zeros((rows, c_in, length + k - 1), np.float32)
+        g_pad_buf = np.zeros((rows, c_out, length + k - 1), np.float32)
+        patch_buf = np.empty((rows, wide * k, length), np.float32)
+        out = np.empty((rows, c_out, length), np.float32)
+        dx_buf = np.empty((rows, c_in, length), np.float32)
+        products = np.empty((rows, c_out, c_in), np.float32)
+        dw_buf = np.empty(w.shape, np.float32)
+
+        y2, patches2 = kernels.conv1d(x, w, out[:batch],
+                                      padded=pad_buf[:batch],
+                                      patches=patch_buf[:batch, :c_in * k])
+        np.testing.assert_array_equal(y2, y)
+        np.testing.assert_array_equal(patches2, patches)
+        np.testing.assert_array_equal(pad_buf[:batch], padded)
+        # x already in the pad buffer's interior is read in place
+        interior = pad_buf[:batch, :, pad:pad + length]
+        y3, _ = kernels.conv1d(interior, w, out[:batch],
+                               padded=pad_buf[:batch],
+                               patches=patch_buf[:batch, :c_in * k])
+        np.testing.assert_array_equal(y3, y)
+
+        g_interior = g_pad_buf[:batch, :, pad:pad + length]
+        g_interior[...] = g
+        dx2, dw2, db2 = kernels.conv1d_backward(
+            g_interior, w, pad_buf[:batch], dx=dx_buf[:batch], dw=dw_buf,
+            g_padded=g_pad_buf[:batch],
+            patches=patch_buf[:batch, :c_out * k],
+            products=products[:batch])
+        assert np.shares_memory(dx2, dx_buf) and dw2 is dw_buf
+        np.testing.assert_array_equal(dx2, dx)
+        np.testing.assert_array_equal(dw2, dw)
+        np.testing.assert_array_equal(db2, db)
+
+    def test_input_overlapping_pad_buffer_rejected(self, rng):
+        w = rng.standard_normal((4, 3, 3)).astype(np.float32)
+        padded = np.zeros((2, 3, 12), np.float32)
+        with pytest.raises(ShapeMismatch):
+            kernels.conv1d(padded[:, :, :10], w, padded=padded)
 
 
 def test_every_conv_lowers_through_im2col(monkeypatch):

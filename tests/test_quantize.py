@@ -216,6 +216,29 @@ class TestCalibrate:
         twice = calibrate(folded, w + w)
         assert once.ranges == twice.ranges
 
+    def test_blocks_match_one_window_at_a_time(self, tmp_path):
+        """Width 52, 512 windows (8 blocks): every site's range, logits
+        included, and the EFQ2 bytes equal those of running the windows
+        through forward_batch one at a time."""
+        folded = fold_batchnorm(randomize_bn(build(ModelConfig(width=52),
+                                                   seed=6)))
+        windows = synth.make_random_windows(512, seed=7)
+        single = CalibStats(ranges={})
+        for w in windows:
+            capture = {}
+            model.forward_batch(folded, w.data.astype(np.float32)[None],
+                                capture=capture)
+            for name, arr in capture.items():
+                single.update(name, arr)
+        batched = calibrate(folded, windows)
+        for site in model.calibration_sites(folded.config):
+            assert batched.ranges[site] == single.ranges[site], site
+        paths = []
+        for tag, stats in (("single", single), ("batched", batched)):
+            paths.append(tmp_path / f"{tag}.efq")
+            quantize.save(quantize_model(folded, stats), paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_empty(self):
         folded = fold_batchnorm(build(ModelConfig(width=4), seed=0))
         with pytest.raises(EmptyCalibrationSet):

@@ -1,9 +1,10 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from edgefit import dataset, model, synth, training
+from edgefit import dataset, kernels, model, synth, training
 from edgefit.errors import EmptyTestSet, EmptyTrainSet, InvalidConfig
 from edgefit.model import ModelConfig, build
 from edgefit.training import (
@@ -15,6 +16,95 @@ from edgefit.training import (
     init_adam,
     train_fold,
 )
+
+
+# ---------------------------------------------------------------------------
+# the allocating trainer, kept as the oracle of the workspace trainer
+# ---------------------------------------------------------------------------
+
+def oracle_bn_train_forward(x, gamma, beta, eps):
+    mu = x.mean(axis=(0, 2))
+    var = x.var(axis=(0, 2))      # population variance
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu[None, :, None]) * inv[None, :, None]
+    y = gamma[None, :, None] * xhat + beta[None, :, None]
+    return y, (xhat, inv, mu, var)
+
+
+def oracle_bn_train_backward(g, gamma, cache):
+    xhat, inv, _, _ = cache
+    dgamma = (g * xhat).sum(axis=(0, 2))
+    dbeta = g.sum(axis=(0, 2))
+    g_mean = g.mean(axis=(0, 2))
+    gx_mean = (g * xhat).mean(axis=(0, 2))
+    dx = (gamma * inv)[None, :, None] * (
+        g - g_mean[None, :, None] - xhat * gx_mean[None, :, None])
+    return dx, dgamma, dbeta
+
+
+def oracle_forward_train(m, x):
+    """Forward pass with batch-statistics BN, a fresh array per tensor,
+    returning a tape for oracle_backward_train."""
+    eps = m.config.bn_eps
+    last = m.config.convs_per_block - 1
+    tape = {"layers": []}
+    a = x
+    skip = None
+    for name, layer in m.conv_layers():
+        pos = training._conv_index(name)
+        entry = {"name": name}
+        if pos == 0:
+            skip = a
+        z, entry["patches"] = kernels.conv1d(a, layer.w)
+        z += layer.b[:, None]
+        h, entry["bn"] = oracle_bn_train_forward(z, layer.gamma, layer.beta, eps)
+        if pos == last:
+            h = h + skip
+        a = kernels.relu(h)
+        entry["post"] = a
+        tape["layers"].append(entry)
+    flat = a.reshape(a.shape[0], -1)
+    tape["flat"] = flat
+    logits = kernels.dense_batch(flat, m.head_w, m.head_b)
+    return logits, tape
+
+
+def oracle_backward_train(m, x, targets, weights):
+    """(grads, loss, bn_stats) as training._step returns them; dw is one
+    tensordot of g with the forward's patches over batch and length."""
+    logits, tape = oracle_forward_train(m, x)
+    loss, dlogits = training._loss_and_dlogits(logits, targets, weights)
+
+    grads = {}
+    grads["head.w"] = dlogits.T @ tape["flat"]
+    grads["head.b"] = dlogits.sum(axis=0)
+    da = (dlogits @ m.head_w).reshape(tape["layers"][-1]["post"].shape)
+
+    bn_stats = {}
+    layers = list(m.conv_layers())
+    last = m.config.convs_per_block - 1
+    pending_skip_grad = None
+    for idx in range(len(layers) - 1, -1, -1):
+        name, layer = layers[idx]
+        entry = tape["layers"][idx]
+        pos = training._conv_index(name)
+        dh = da * (entry["post"] > 0)
+        if pos == last:
+            pending_skip_grad = dh
+        dz, dgamma, dbeta = oracle_bn_train_backward(dh, layer.gamma, entry["bn"])
+        c_out, c_in, k = layer.w.shape
+        dx, _ = kernels.conv1d(dz, layer.w.transpose(1, 0, 2)[:, :, ::-1])
+        dw = np.tensordot(dz, entry["patches"], axes=([0, 2], [0, 2]))
+        grads[f"{name}.w"] = dw.reshape(c_out, c_in, k)
+        grads[f"{name}.b"] = dz.sum(axis=(0, 2))
+        grads[f"{name}.gamma"] = dgamma
+        grads[f"{name}.beta"] = dbeta
+        bn_stats[name] = (entry["bn"][2], entry["bn"][3])
+        if pos == 0 and pending_skip_grad is not None:
+            dx = dx + pending_skip_grad
+            pending_skip_grad = None
+        da = dx
+    return grads, loss, bn_stats
 
 
 def weighted_cross_entropy(probs, target, weight):
@@ -151,6 +241,79 @@ class TestBackward:
             backward(m, np.zeros((1, 7, 40)), np.array([0]), np.ones(1))
 
 
+def random_batch(rng, n, dtype):
+    return (rng.standard_normal((n, 7, 40)).astype(dtype),
+            rng.integers(12, size=n), rng.uniform(0.5, 2.0, n).astype(dtype))
+
+
+class TestWorkspaceTrainer:
+    @pytest.mark.parametrize("width, rows, b", [
+        (2, 6, 6), (2, 6, 4), (52, 16, 16), (52, 16, 11)])
+    def test_matches_allocating_oracle(self, rng, width, rows, b):
+        """Full and shorter-than-workspace batches, float64: gradients within
+        1e-12 of the allocating trainer's largest gradient (the conv-bias
+        gradients are zero up to rounding, so a per-tensor scale would be
+        noise), loss and BN statistics within 1e-12 relative."""
+        m = build(ModelConfig(width=width), seed=4).astype(np.float64)
+        x, y, w = random_batch(rng, b, np.float64)
+        grads, loss, stats = training._step(training.Workspace(m, rows),
+                                            m, x, y, w)
+        want, want_loss, want_stats = oracle_backward_train(m, x, y, w)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert grads.keys() == want.keys()
+        scale = max(np.abs(g).max() for g in want.values())
+        for name, g in want.items():
+            assert np.abs(grads[name] - g).max() <= 1e-12 * scale, name
+        for name, (mu, var) in want_stats.items():
+            np.testing.assert_allclose(stats[name][0], mu, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(stats[name][1], var, rtol=1e-12)
+
+    def test_leading_rows_bit_identical_to_sized_workspace(self, rng):
+        """A 5-window batch through the first rows of an 8-window workspace
+        (that an 8-window step has already filled) gives the bits a
+        5-window workspace gives."""
+        m = build(ModelConfig(width=8), seed=5)
+        big = training.Workspace(m, 8)
+        training._step(big, m, *random_batch(rng, 8, np.float32))
+        batch = random_batch(rng, 5, np.float32)
+        got, loss, stats = training._step(big, m, *batch)
+        want, want_loss, want_stats = training._step(
+            training.Workspace(m, 5), m, *batch)
+        assert loss == want_loss
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+        for name in want_stats:
+            for a, b in zip(stats[name], want_stats[name]):
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_steady_step_allocates_under_2mb(self, monkeypatch):
+        """The second optimizer step of an epoch at width 52, batch 64, Adam
+        included, peaks below 2 MB of fresh allocations (numpy reports its
+        buffers to tracemalloc); the allocating trainer peaked at 30 MB."""
+        split = separable_split(300)
+        peaks = []
+        original = training.adam_step
+
+        def tapped(*args):
+            out = original(*args)
+            current, peak = tracemalloc.get_traced_memory()
+            if len(peaks) < 3:
+                peaks.append((current, peak))
+            tracemalloc.reset_peak()
+            return out
+
+        monkeypatch.setattr(training, "adam_step", tapped)
+        tracemalloc.start()
+        try:
+            train_fold(split, ModelConfig(width=52),
+                       Hyperparams(epochs=1, patience=0, batch_size=64), seed=0)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 3
+        step_peak = peaks[1][1] - peaks[0][0]
+        assert step_peak < 2_000_000, step_peak
+
+
 class TestAdamStep:
     @staticmethod
     def setup_model(seed=0):
@@ -252,6 +415,18 @@ class TestTrainFold:
         assert metrics.balanced_accuracy == pytest.approx(1.0)
         assert history.train_loss[-1] < 0.2 * history.train_loss[0]
 
+    def test_partial_last_batch_model_bytes_repeat(self, tmp_path):
+        split = separable_split(90)
+        hp = Hyperparams(epochs=2, patience=2, batch_size=16)
+        train, _ = training._split_validation(split.train)
+        assert len(train) % hp.batch_size != 0
+        files = []
+        for tag in ("a", "b"):
+            params, _ = train_fold(split, ModelConfig(width=4), hp, seed=3)
+            files.append(tmp_path / f"{tag}.efm")
+            model.save(params, files[-1])
+        assert files[0].read_bytes() == files[1].read_bytes()
+
     def test_best_epoch_has_minimal_val_loss(self):
         split = separable_split(100)
         hp = Hyperparams(epochs=8, patience=8, batch_size=16)
@@ -270,8 +445,10 @@ class TestTrainFold:
         path = tmp_path / "h.csv"
         history.to_csv(path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,train_loss,val_loss,val_bacc"
+        assert lines[0] == "epoch,train_loss,val_loss,val_bacc,step_ms"
         assert len(lines) == 1 + len(history.train_loss)
+        assert len(history.step_ms) == len(history.train_loss)
+        assert all(float(line.split(",")[-1]) >= 0 for line in lines[1:])
 
 
 class TestEvaluate:
