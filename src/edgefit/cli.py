@@ -159,7 +159,7 @@ def cmd_bench(args) -> int:
         print(report.as_kv())
     else:
         kind = "integer" if isinstance(m, quantize.QuantModel) else "float"
-        print(f"{kind} path: median {result.median_ms:.3f} ms/inference "
+        print(f"{kind} path: median {result.median_ms:.3f} CPU ms/inference "
               f"(IQR {result.spread_ms:.3f} ms) over {result.n_runs} runs")
         print(f"host throughput: {result.throughput_mmacs:.1f} MMAC/s")
         print()
@@ -241,7 +241,8 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("text", "kv"), default="text")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="micro-benchmark inference on this host")
+    p = sub.add_parser("bench", help="micro-benchmark inference on this host "
+                                      "in process CPU time")
     p.add_argument("--model", required=True)
     p.add_argument("--runs", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)

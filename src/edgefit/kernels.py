@@ -7,15 +7,14 @@ window, (B, C, L) for the batched variants used by the trainer.
 
 conv1d is the only code that pads a convolution and lowers it to a GEMM:
 the float forward (conv1d_same_batch), the trainer's forward and input
-gradient (through conv1d_backward) and the integer path
-(quantize._qconv_run) all call it, and it calls im2col through this
-module's namespace. It zero-fills its padded buffer in
-np.result_type(x, w), so float operands keep their dtype and integer
-activations against float weights become the float GEMM operand the
-integer path needs. conv1d_backward forms the weight gradient from the
-same padded input, one batched GEMM per tap. Both take optional output
-buffers in numpy's out= idiom, which only the trainer passes; without
-them every result is allocated, and the values are the same bits.
+gradient (through conv1d_backward) and the integer path (the conv step of
+quantize.QuantPlan) all call it, and it calls im2col through this
+module's namespace. Without a pad buffer it zero-fills one in
+np.result_type(x, w), so float operands keep their dtype. conv1d_backward
+forms the weight gradient from the same padded input, one batched GEMM
+per tap. Both take optional output buffers in numpy's out= idiom, which
+the trainer and the integer plan pass; without them every result is
+allocated, and the values are the same bits.
 """
 
 from __future__ import annotations
@@ -46,9 +45,18 @@ def im2col(x_padded: np.ndarray, kernel: int, out_len: int,
 
 
 def _is_view(x: np.ndarray, of: np.ndarray) -> bool:
-    return (x.shape == of.shape and x.strides == of.strides
-            and x.__array_interface__["data"][0]
-            == of.__array_interface__["data"][0])
+    """Whether x is the array `of`: one dtype, shape, strides and first
+    element. Two aligned elements whose alignment is their itemsize overlap
+    only when they start at one address, so a bounds check of the first
+    elements compares the addresses without reading them; reading them
+    (ctypes, __array_interface__) costs several microseconds a call, and
+    only other dtypes and misaligned arrays need it."""
+    if x.dtype != of.dtype or x.shape != of.shape or x.strides != of.strides:
+        return False
+    if x.dtype.alignment == x.itemsize and x.flags.aligned and of.flags.aligned:
+        first = (slice(0, 1),) * x.ndim
+        return np.may_share_memory(x[first], of[first])
+    return x.ctypes.data == of.ctypes.data
 
 
 def conv1d(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None, *,

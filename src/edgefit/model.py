@@ -256,7 +256,9 @@ def count_macs(config: ModelConfig) -> MacReport:
     the dense head; BN, ReLU, and the residual add are excluded. Flash
     assumes int8 weights, int32 biases, and one float32 scale per output
     channel. Peak activations assume int8 buffers with the block input kept
-    alive for the skip connection.
+    alive for the skip connection: inside a block the skip, a conv's input
+    and its output, which is two buffers when the block's one conv reads
+    the skip itself. quantize.QuantPlan lays out its arena to this figure.
     """
     config.validate()
     c, l, k = config.width, config.seq_len, config.kernel
@@ -275,8 +277,9 @@ def count_macs(config: ModelConfig) -> MacReport:
     flash = weights * 1 + biases * 4 + out_channels * 4
 
     act = c * l   # int8 bytes of one full-width activation
+    in_block = 1 + min(config.convs_per_block, 2)   # skip + in + out
     peak = max(config.in_channels * l + act,   # stem
-               3 * act,                        # inside a block: skip + in + out
+               in_block * act,                 # inside a block
                act + config.classes * 4)       # head (int32 logits)
     return MacReport(per_layer=per_layer, total=total,
                      param_count=weights + biases,

@@ -143,7 +143,7 @@ def realtime_check(time_per_inference_ms: float, window_stride_samples: int,
 
 @dataclass(frozen=True)
 class BenchResult:
-    median_ms: float
+    median_ms: float             # process CPU ms per inference
     spread_ms: float             # interquartile range
     throughput_mmacs: float
     mac_count: int
@@ -157,9 +157,16 @@ class BenchResult:
                 f"n_runs={self.n_runs}")
 
 
+WARM_UP_RUNS = 10
+
+
 def host_bench(m, n_runs: int = 50, seed: int = 0) -> BenchResult:
-    """Median per-inference wall time of the float or integer path on this
-    host. Host numbers characterize the build machine, not any MCU."""
+    """Median per-inference process CPU time, in ms, of the float or
+    integer path on this host, after WARM_UP_RUNS untimed calls (the first
+    builds the integer path's plan). CPU time leaves out the time the
+    process waits while other processes run, which made wall-clock medians
+    of two consecutive runs differ by more than 20 %. Host numbers
+    characterize the build machine, not any MCU."""
     if n_runs < 10:
         raise InvalidConfig(f"n_runs must be >= 10, got {n_runs}")
     if isinstance(m, quantize_mod.QuantModel):
@@ -171,13 +178,13 @@ def host_bench(m, n_runs: int = 50, seed: int = 0) -> BenchResult:
     cfg = m.config
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((cfg.in_channels, cfg.seq_len)).astype(np.float32)
-    for _ in range(3):
+    for _ in range(WARM_UP_RUNS):
         run(x)
     times = []
     for _ in range(n_runs):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         run(x)
-        times.append((time.perf_counter() - t0) * 1e3)
+        times.append((time.process_time() - t0) * 1e3)
     median = statistics.median(times)
     q = statistics.quantiles(times, n=4)
     macs = model_mod.count_macs(cfg).total

@@ -16,22 +16,48 @@ lie in [-128, 127] (check_quant_invariants enforces it, also on load).
 Every partial sum the GEMM forms, in whatever order it adds, is then an
 integer of magnitude at most fan_in * 128 * 255, and float32 represents
 every integer up to 2^24 exactly, float64 every one up to 2^53, so no sum
-ever rounds. Each layer takes float32 when that bound is below 2^24
-(every conv at width 52: fan_in 156 gives 5.09 M) and float64 otherwise
-(the head: fan_in 2080 gives 67.9 M). quantize_model rejects any layer
-whose worst case reaches 2^31, far below 2^53. The products are cast back
-to int64 before the int32 bias is added, so the accumulators equal those
-of an int32 GEMM bit for bit. The convs lower through kernels.conv1d, the
-one conv lowering of the package: _qconv_run hands it the shifted
-activations as int16 and the weights in the layer's float type, and
-conv1d pads in np.result_type of the two, so its buffer is the float GEMM
-operand and its padding is 0, the shifted zero point.
+ever rounds. Each conv takes float32 when that bound is below 2^24 (every
+conv at width 52: fan_in 156 gives 5.09 M) and float64 otherwise; the
+head always takes float64 (at width 52, fan_in 2080 gives 67.9 M).
+quantize_model and check_quant_invariants reject any layer whose worst
+case plus its largest bias reaches 2^31, far below 2^53. The products are
+cast back to integers before anything is added, so the accumulators equal
+those of an int32 GEMM bit for bit. The convs lower through
+kernels.conv1d, the one conv lowering of the package.
 
-qforward_batch runs the network over blocks of BLOCK_WINDOWS windows and
-requantizes in place, so every temporary of a block stays small and in
-cache, and the allocator reuses it for the next block. Run as one block,
-a 128-window batch mapped and faulted in about 80 MB of fresh pages per
-call (20,000 page faults).
+The plan. qforward_batch runs a QuantPlan, built at the model's first
+qforward_batch and kept on it (QuantModel.plan), over blocks of
+BLOCK_WINDOWS windows, as a microcontroller runtime plans its tensor arena
+before the first inference (TensorFlow Lite Micro). The plan holds:
+
+- each conv's weights in its GEMM dtype, its M0 and n as int64 columns
+  and one int64 column bias_q*M0 + 2^(30+n), which adds the bias and the
+  rounding term in one step (CMSIS-NN's fused output stage). The
+  accumulator bound keeps it, and acc*M0 plus it, within int64;
+- each residual add's multipliers, with the input zero points folded into
+  the rounding terms, and the head's weights transposed in float64;
+- scratch arrays for BLOCK_WINDOWS windows, one per shape and dtype, that
+  every step of that shape shares: the GEMM operand with its zero
+  borders, the patches, the GEMM output and the int64 accumulators;
+- one int8 arena of arena_bytes per window. The input, each block's skip
+  and every conv's input and output are views into it at planned offsets:
+  slot 0 holds the stem output and every block's input and output, the
+  convs of a block alternate between slots 1 and 2, and the input and the
+  head's int32 accumulators sit above slot 0, where slots 1 and 2 are dead
+  while they live. arena_bytes is count_macs().peak_activation_bytes,
+  6,240 B at width 52, the RAM figure the paper reports.
+
+A conv writes q - zp into its GEMM operand's interior in the operand's
+dtype, runs kernels.conv1d into its scratch arrays, and requantizes the
+accumulators in place into its output slot through _requantize_array.
+A block allocates only the input quantization's temporaries, a shift
+column per conv and numpy's casting buffers: at width 52 a steady call of
+8 windows peaks at 55 KB of allocations (468 KB before the plan).
+
+The plan is built after check_quant_invariants passes, from the model's
+arrays at that moment: edit no array of a model after its first
+inference (save and load it, or quantize again, to get a new plan). It
+runs in its own arrays, so two threads must not run one model at once.
 """
 
 from __future__ import annotations
@@ -205,27 +231,46 @@ def quantize_multiplier(ratio: float) -> tuple[int, int]:
     return m0, n
 
 
-def _rescale_array(acc: np.ndarray, m0: np.ndarray, shift_n: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Round-half-up of acc*M0 / 2^(31+n), unclamped, as int64. out, an
-    int64 array of acc's shape (acc itself allowed), receives the result
-    instead of a new array."""
-    shift = 31 + shift_n
-    t = np.multiply(acc, m0, out=out)
-    t += np.left_shift(np.int64(1), shift - 1)
+def _rescale(x: np.ndarray, m0, offset, shift, out: np.ndarray | None = None
+             ) -> np.ndarray:
+    """(x*M0 + offset) >> shift as int64, into out (x itself allowed) when
+    given. With offset 2^(shift-1) this rounds x*M0 / 2^shift half up."""
+    t = np.multiply(x, m0, out=out)
+    t += offset
     t >>= shift
     return t
 
 
-def _requantize_array(acc: np.ndarray, m0: np.ndarray, shift_n: np.ndarray,
-                      zero_point_out: int, low: int = QMIN,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized requantize; acc int64, m0/shift_n broadcastable int64.
-    Results saturate to [low, 127]; a fused ReLU passes its zero point as
-    low. out is _rescale_array's scratch array."""
-    value = _rescale_array(acc, m0, shift_n, out=out)
+def _saturate(value: np.ndarray, low: int,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Clamp the int64 array value to [low, 127] in place and return it as
+    int8, written into out when given."""
+    np.maximum(value, low, out=value)
+    if out is None:
+        return np.minimum(value, QMAX, out=value).astype(np.int8)
+    return np.minimum(value, QMAX, out=out, casting="unsafe")
+
+
+def _requantize_array(acc: np.ndarray, m0, shift_n, zero_point_out: int,
+                      low: int = QMIN, out: np.ndarray | None = None, *,
+                      offset=None, scratch: np.ndarray | None = None
+                      ) -> np.ndarray:
+    """Vectorized requantize: round-half-up of acc*M0 / 2^(31+n), plus
+    zero_point_out, saturated to [low, 127] as int8; a fused ReLU passes
+    its zero point as low. acc is int64 and m0, shift_n and offset
+    broadcast against it as int64.
+
+    offset replaces the rounding term 2^(30+n) added before the shift: the
+    plan passes bias_q*M0 + 2^(30+n), which adds the bias as well, since
+    (acc + bias)*M0 = acc*M0 + bias*M0. out, an int8 array of acc's shape,
+    receives the result; scratch, an int64 one (acc itself allowed), the
+    intermediate. Without them both are allocated and acc is left as is."""
+    shift = shift_n + 31
+    if offset is None:
+        offset = np.left_shift(np.int64(1), shift - 1)
+    value = _rescale(acc, m0, offset, shift, out=scratch)
     value += zero_point_out
-    return np.clip(value, low, QMAX, out=value).astype(np.int8)
+    return _saturate(value, low, out)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +324,9 @@ class QuantModel:
     stem: QConvLayer
     blocks: list[QBlock]
     head: QDense
+    # built by the first qforward_batch (see the module docstring)
+    plan: QuantPlan | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     def layers(self):
         yield self.stem
@@ -297,6 +345,17 @@ def _spec_items(qm: QuantModel):
         yield f"b{i}.add.h", block.add.h_spec
         yield f"b{i}.add.out", block.add.out_spec
     yield "head.in", qm.head.in_spec
+
+
+def _check_accumulator(name: str, fan_in: int, bias_q: np.ndarray) -> None:
+    """Raise AccumulatorOverflow unless the worst-case accumulator of a
+    layer, fan_in*128*255 + max|bias_q| (int8 weights against q - zp in
+    [-255, 255]), fits int32."""
+    worst = fan_in * 128 * 255 + int(np.abs(bias_q.astype(np.int64)).max(
+        initial=0))
+    if worst >= INT32_LIMIT:
+        raise AccumulatorOverflow(
+            f"{name}: worst-case accumulator {worst} does not fit int32")
 
 
 def _bias_scale_floor(b: np.ndarray, s_in: float) -> np.ndarray:
@@ -327,11 +386,7 @@ def _quantize_conv(name: str, w: np.ndarray, b: np.ndarray,
     pairs = [quantize_multiplier(float(r)) for r in ratios]
     m0 = np.array([p[0] for p in pairs], dtype=np.int32)
     shift = np.array([p[1] for p in pairs], dtype=np.int32)
-    fan_in = w.shape[1] * w.shape[2]
-    worst = fan_in * QMAX * 255 + int(np.abs(bias_q).max(initial=0))
-    if worst >= INT32_LIMIT:
-        raise AccumulatorOverflow(
-            f"{name}: worst-case accumulator {worst} does not fit int32")
+    _check_accumulator(name, w.shape[1] * w.shape[2], bias_q)
     return QConvLayer(name=name, w_q=qt.values, w_scale=w_scale,
                       bias_q=bias_q.astype(np.int32),
                       in_spec=in_spec, out_spec=out_spec,
@@ -381,11 +436,7 @@ def quantize_model(folded: ModelParams, stats: CalibStats) -> QuantModel:
     if not np.all(np.isfinite(head_real)) or np.any(np.abs(head_real) >= INT32_LIMIT):
         raise AccumulatorOverflow("head: quantized bias exceeds int32")
     head_bias = round_half_away(head_real)
-    fan_in = folded.head_w.shape[1]
-    worst = fan_in * QMAX * 255 + int(np.abs(head_bias).max(initial=0))
-    if worst >= INT32_LIMIT:
-        raise AccumulatorOverflow(
-            f"head: worst-case accumulator {worst} does not fit int32")
+    _check_accumulator("head", folded.head_w.shape[1], head_bias)
     head = QDense(w_q=qt.values, w_scale=qt.scale.astype(np.float32),
                   bias_q=head_bias.astype(np.int32), in_spec=current)
     return QuantModel(config=cfg, input_spec=input_spec, stem=stem,
@@ -412,80 +463,230 @@ def _gemm_dtype(fan_in: int) -> type:
     return np.float32 if fan_in * 128 * 255 < 2 ** 24 else np.float64
 
 
-def _qconv_run(layer: QConvLayer, x_q: np.ndarray, trace) -> np.ndarray:
-    """x_q: (B, C_in, L) int8 -> (B, C_out, L) int8."""
-    _, c_in, k = layer.w_q.shape
-    # q - zp lies in [-255, 255]; conv1d pads it with 0, the shifted zero
-    # point, and runs the GEMM in the weights' float type
-    shifted = np.subtract(x_q, layer.in_spec.zero_point, dtype=np.int16)
-    acc, _ = kernels.conv1d(shifted, layer.w_q.astype(_gemm_dtype(c_in * k)))
-    acc = acc.astype(np.int64)
-    acc += layer.bias_q[:, None]
-    _note(trace, f"{layer.name}.acc", acc)
-    low = layer.out_spec.zero_point if layer.relu else QMIN
-    q = _requantize_array(acc, layer.m0.astype(np.int64)[:, None],
-                          layer.shift.astype(np.int64)[:, None],
-                          layer.out_spec.zero_point, low, out=acc)
-    _note(trace, layer.name, q)
-    return q
-
-
-def _qadd_run(add: QAdd, q_a: np.ndarray, q_h: np.ndarray, trace) -> np.ndarray:
-    # rescale unclamped (addends may exceed int8 range before saturation)
-    a = np.subtract(q_a, add.a_spec.zero_point, dtype=np.int64)
-    _rescale_array(a, np.int64(add.a_m0), np.int64(add.a_shift), out=a)
-    h = np.subtract(q_h, add.h_spec.zero_point, dtype=np.int64)
-    _rescale_array(h, np.int64(add.h_m0), np.int64(add.h_shift), out=h)
-    a += h
-    a += add.out_spec.zero_point
-    # saturate, with the fused ReLU's floor at the output zero point
-    q = np.clip(a, add.out_spec.zero_point, QMAX, out=a).astype(np.int8)
-    _note(trace, "add", q)
-    return q
-
-
-def quantize_input(spec: QuantSpec, x: np.ndarray) -> np.ndarray:
+def quantize_input(spec: QuantSpec, x: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Float windows to int8 on spec's grid, rounding half away from zero;
+    written into out when given."""
     q = round_half_away(np.asarray(x, dtype=np.float64) / spec.scale)
-    return np.clip(q + spec.zero_point, QMIN, QMAX).astype(np.int8)
+    q += spec.zero_point
+    return _saturate(q, QMIN, out)
+
+
+@dataclass(frozen=True)
+class _ConvStep:
+    """One conv as the plan runs it: x (B, C_in, L) int8 -> y (B, C_out, L)
+    int8 through the scratch arrays of its layer shape."""
+
+    name: str
+    w: np.ndarray             # (C_out, C_in, K) in the layer's GEMM dtype
+    m0: np.ndarray            # (C_out, 1) int64
+    shift_n: np.ndarray       # (C_out, 1) int64
+    offset: np.ndarray        # (C_out, 1) int64: bias_q*M0 + 2^(30+n)
+    in_zp: int
+    out_zp: int
+    low: int                  # the output zero point under a fused ReLU
+
+    @classmethod
+    def of(cls, layer: QConvLayer) -> _ConvStep:
+        _, c_in, k = layer.w_q.shape
+        m0 = layer.m0.astype(np.int64)[:, None]
+        shift_n = layer.shift.astype(np.int64)[:, None]
+        # |bias_q| < 2^31 - fan_in*128*255 and M0 < 2^31 bound (acc +
+        # bias)*M0 by 2^62 and n <= 31 the rounding term by 2^61, so
+        # neither the offset nor acc*M0 + offset leaves int64
+        offset = (layer.bias_q.astype(np.int64)[:, None] * m0
+                  + np.left_shift(np.int64(1), shift_n + 30))
+        return cls(layer.name, layer.w_q.astype(_gemm_dtype(c_in * k)), m0,
+                   shift_n, offset, layer.in_spec.zero_point,
+                   layer.out_spec.zero_point,
+                   layer.out_spec.zero_point if layer.relu else QMIN)
+
+    def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
+        """(padded, its interior, patches, GEMM output, int64 accumulators),
+        each from take(shape, dtype, tag) as in QuantPlan. The padded
+        buffer, zero-filled, is shared only with convs of its shape, which
+        all write its interior alone, so its borders stay zero."""
+        c_out, c_in, k = self.w.shape
+        pad = (k - 1) // 2
+        padded = take((c_in, length + 2 * pad), self.w.dtype, "padded")
+        return (padded, padded[:, :, pad:pad + length],
+                take((c_in * k, length), self.w.dtype),
+                take((c_out, length), self.w.dtype),
+                take((c_out, length), np.int64))
+
+    def run(self, x, y, padded, interior, patches, gemm, acc, trace) -> None:
+        # q - zp lies in [-255, 255]: subtract in the GEMM dtype, not int8
+        np.subtract(x, self.in_zp, out=interior, dtype=interior.dtype)
+        kernels.conv1d(interior, self.w, gemm, padded=padded, patches=patches)
+        acc[...] = gemm
+        _note(trace, f"{self.name}.acc", acc)
+        _requantize_array(acc, self.m0, self.shift_n, self.out_zp, self.low,
+                          out=y, offset=self.offset, scratch=acc)
+        _note(trace, self.name, y)
+
+
+@dataclass(frozen=True)
+class _AddStep:
+    """The residual merge: each addend (q - zp)*M0 rescaled with the zero
+    point folded into its offset, 2^(s-1) - zp*M0, then summed and
+    saturated with the fused ReLU's floor at the output zero point."""
+
+    a: tuple[np.int64, np.int64, np.int64]     # block input: M0, offset, s
+    h: tuple[np.int64, np.int64, np.int64]     # last conv output
+    out_zp: int
+    channels: int
+
+    @classmethod
+    def of(cls, add: QAdd, channels: int) -> _AddStep:
+        def fold(m0: int, n: int, zp: int):
+            s = 31 + n
+            return np.int64(m0), np.int64((1 << (s - 1)) - zp * m0), np.int64(s)
+        return cls(fold(add.a_m0, add.a_shift, add.a_spec.zero_point),
+                   fold(add.h_m0, add.h_shift, add.h_spec.zero_point),
+                   add.out_spec.zero_point, channels)
+
+    def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
+        shape = (self.channels, length)
+        return take(shape, np.int64), take(shape, np.int64)
+
+    def run(self, a, h, y, ta, th, trace) -> None:
+        _rescale(a, *self.a, out=ta)
+        _rescale(h, *self.h, out=th)
+        ta += th
+        ta += self.out_zp
+        _saturate(ta, self.out_zp, out=y)
+        _note(trace, "add", y)
+
+
+@dataclass(frozen=True)
+class _HeadStep:
+    """The dense head: int32 accumulators of a float64 GEMM, then the one
+    float step, the logit dequantization."""
+
+    w_t: np.ndarray           # (N, classes) float64
+    bias_q: np.ndarray        # (classes,) int32
+    scale: np.ndarray         # (classes,) float64: s_in * s_w
+    in_zp: int
+
+    @classmethod
+    def of(cls, head: QDense) -> _HeadStep:
+        return cls(head.w_q.T.astype(np.float64), head.bias_q.astype(np.int32),
+                   head.in_spec.scale * head.w_scale.astype(np.float64),
+                   head.in_spec.zero_point)
+
+    def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
+        n, classes = self.w_t.shape
+        return take((n,), np.float64), take((classes,), np.float64)
+
+    def run(self, x, acc, operand, gemm, logits, trace) -> None:
+        np.subtract(x, self.in_zp, out=operand, dtype=np.float64)
+        np.matmul(operand, self.w_t, out=gemm)
+        acc[...] = gemm
+        acc += self.bias_q
+        _note(trace, "head.acc", acc)
+        np.multiply(acc, self.scale, out=logits)
+
+
+class QuantPlan:
+    """The integer network laid out once: GEMM-ready constants, scratch
+    arrays for BLOCK_WINDOWS windows shared by every step that takes one of
+    the same shape, and one int8 activation arena of arena_bytes per window
+    that holds every activation at a planned offset (see the module
+    docstring)."""
+
+    def __init__(self, qm: QuantModel):
+        check_quant_invariants(qm)
+        cfg = qm.config
+        length = cfg.seq_len
+        act = (cfg.width, length)
+        slot = [0, cfg.width * length, 2 * cfg.width * length]
+        self.input_spec = qm.input_spec
+        # the input sits above slot 0 and dies once the stem has run
+        self.input = (slot[1], (cfg.in_channels, length), np.int8)
+        # (step, its arena operands as (offset, shape, dtype))
+        self.layout = [(_ConvStep.of(qm.stem), [self.input, (0, act, np.int8)])]
+        for block in qm.blocks:
+            # slot 0 keeps the block input for the skip; the convs
+            # alternate between slots 1 and 2
+            src = 0
+            for j, layer in enumerate(block.convs):
+                dst = slot[1 + j % 2]
+                self.layout.append((_ConvStep.of(layer), [
+                    (src, act, np.int8), (dst, act, np.int8)]))
+                src = dst
+            self.layout.append((_AddStep.of(block.add, cfg.width), [
+                (0, act, np.int8), (src, act, np.int8), (0, act, np.int8)]))
+        # the head reads slot 0 and keeps its int32 accumulators above it
+        self.layout.append((_HeadStep.of(qm.head), [
+            (0, (cfg.width * length,), np.int8),
+            (slot[1], (cfg.classes,), np.int32)]))
+        self.arena_bytes = max(
+            offset + math.prod(shape) * np.dtype(dtype).itemsize
+            for _, operands in self.layout for offset, shape, dtype in operands)
+        self.arena = np.zeros((BLOCK_WINDOWS, self.arena_bytes), np.int8)
+        # the k-th array of one (tag, shape, dtype) a step takes is the
+        # k-th such array of every other step: the steps run one at a time
+        # and none reads what another left in its scratch
+        pool: dict[tuple, np.ndarray] = {}
+        self.scratch = []
+        for step, _ in self.layout:
+            taken: dict[tuple, int] = {}
+
+            def take(shape, dtype, tag=""):
+                key = (tag, shape, np.dtype(dtype))
+                taken[key] = taken.get(key, 0) + 1
+                key += (taken[key],)
+                if key not in pool:
+                    pool[key] = np.zeros((BLOCK_WINDOWS, *shape), dtype)
+                return pool[key]
+
+            self.scratch.append(step.scratch(take, length))
+        self._bound: dict[int, tuple] = {}
+
+    def _bind(self, batch: int) -> tuple:
+        """The arena views and scratch arrays every step takes for a block
+        of batch windows: the leading rows of each array."""
+        arena = self.arena[:batch]
+
+        def view(offset, shape, dtype):
+            end = offset + math.prod(shape) * np.dtype(dtype).itemsize
+            return arena[:, offset:end].view(dtype).reshape(batch, *shape)
+
+        calls = [(step.run, [view(*operand) for operand in operands]
+                  + [a[:batch] for a in scratch])
+                 for (step, operands), scratch in zip(self.layout, self.scratch)]
+        bound = (view(*self.input), calls[:-1], calls[-1])
+        self._bound[batch] = bound
+        return bound
+
+    def run(self, x: np.ndarray, logits: np.ndarray, trace=None) -> None:
+        """Write the logits (b, classes) of the float windows x (b,
+        in_channels, seq_len), b <= BLOCK_WINDOWS, into logits."""
+        q, body, (head, args) = self._bound.get(len(x)) or self._bind(len(x))
+        quantize_input(self.input_spec, x, out=q)
+        _note(trace, "input", q)
+        for run, operands in body:
+            run(*operands, trace)
+        head(*args, logits, trace)
 
 
 def qforward_batch(qm: QuantModel, x: np.ndarray,
                    trace: list | None = None) -> np.ndarray:
     """Integer inference over a batch (B, in_channels, seq_len) of float
     windows; only the input quantization and the final logit dequantization
-    use floating point."""
+    use floating point. Builds the model's plan on its first call."""
     cfg = qm.config
     if x.ndim != 3 or x.shape[1:] != (cfg.in_channels, cfg.seq_len):
         raise ShapeMismatch(
             f"expected (B, {cfg.in_channels}, {cfg.seq_len}), got {x.shape}")
+    if qm.plan is None:
+        qm.plan = QuantPlan(qm)
     logits = np.empty((x.shape[0], cfg.classes), dtype=np.float32)
     for i in range(0, x.shape[0], BLOCK_WINDOWS):
         block = slice(i, i + BLOCK_WINDOWS)
         # every block takes the same path: the first one traces it
-        logits[block] = _qforward_block(qm, x[block],
-                                        trace if i == 0 else None)
+        qm.plan.run(x[block], logits[block], trace if i == 0 else None)
     return logits
-
-
-def _qforward_block(qm: QuantModel, x: np.ndarray, trace) -> np.ndarray:
-    """qforward_batch over one block; float64 logits."""
-    q = quantize_input(qm.input_spec, x)
-    _note(trace, "input", q)
-    q = _qconv_run(qm.stem, q, trace)
-    for block in qm.blocks:
-        q_in = q
-        for layer in block.convs:
-            q = _qconv_run(layer, q, trace)
-        q = _qadd_run(block.add, q_in, q, trace)
-    head = qm.head
-    flat = q.reshape(q.shape[0], -1)
-    dtype = _gemm_dtype(head.w_q.shape[1])
-    shifted = flat.astype(dtype) - head.in_spec.zero_point
-    acc = (shifted @ head.w_q.astype(dtype).T).astype(np.int64)
-    acc += head.bias_q[None, :]
-    _note(trace, "head.acc", acc)
-    scale = head.in_spec.scale * head.w_scale.astype(np.float64)
-    return acc.astype(np.float64) * scale[None, :]
 
 
 def qforward(qm: QuantModel, x: np.ndarray,
@@ -524,8 +725,14 @@ def check_quant_invariants(qm: QuantModel) -> None:
     (see the module docstring) assumes |q - zero_point| <= 255. Every
     scale, of a spec or a weight channel, must be finite and positive, and
     every multiplier M0 * 2^-(31+n) must be one quantize_multiplier gives
-    for its scale ratio, with n in [-30, 31]: _rescale_array shifts an
-    int64 by 31 + n bits."""
+    for its scale ratio, with n in [-30, 31]: _rescale shifts an int64 by
+    31 + n bits. Every conv and the head must keep the worst-case
+    accumulator that quantize_model checks within int32, which also keeps
+    the plan's folded constants bias_q*M0 + 2^(30+n) within int64."""
+    for layer in qm.layers():
+        _check_accumulator(layer.name, layer.w_q.shape[1] * layer.w_q.shape[2],
+                           layer.bias_q)
+    _check_accumulator("head", qm.head.w_q.shape[1], qm.head.bias_q)
     for name, spec in _spec_items(qm):
         if not QMIN <= spec.zero_point <= QMAX:
             raise AccumulatorOverflow(f"{name}: zero point {spec.zero_point} "

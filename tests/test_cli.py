@@ -181,6 +181,23 @@ class TestEval:
         assert code == cli.EXIT_DATA
         assert_one_error_line(err, "CorruptFile")
 
+    def test_forged_accumulator_is_numeric_error(self, capsys, pipeline,
+                                                 tmp_path):
+        # a checksummed EFQ2 whose one bias breaks the int32 accumulator
+        # bound while every multiplier, scale and zero point stays valid
+        contents = container.read(pipeline["qmodel"], quantize.QUANT_MAGIC)
+        bias = contents.tensors["b0.c0.bias_q"].copy()
+        bias[0] = 2 ** 31 - 1
+        contents.tensors["b0.c0.bias_q"] = bias
+        bad = tmp_path / "bad.efq"
+        container.write(bad, quantize.QUANT_MAGIC, contents.meta,
+                        contents.tensors)
+        code, _, err = run_cli(capsys, "eval", "--model", str(bad),
+                               "--windows", str(pipeline["windows"]))
+        assert code == cli.EXIT_NUMERIC
+        assert_one_error_line(err, "AccumulatorOverflow")
+        assert "b0.c0" in err
+
     def test_version_1_model_is_data_error(self, capsys, pipeline, tmp_path):
         old = tmp_path / "old.efq"
         old.write_bytes(b"EFQ1" + pipeline["qmodel"].read_bytes()[4:])

@@ -187,6 +187,23 @@ class TestConvBuffers:
         with pytest.raises(ShapeMismatch):
             kernels.conv1d(padded[:, :, :10], w, padded=padded)
 
+    def test_view_check_compares_addresses(self):
+        padded = np.zeros((2, 3, 12), np.float32)
+        interior = padded[:, :, 1:11]
+        assert kernels._is_view(padded[:, :, 1:11], interior)
+        assert not kernels._is_view(padded[:, :, 0:10], interior)
+        assert not kernels._is_view(padded.view(np.int32)[:, :, 1:11],
+                                    interior)
+        # misaligned float32 arrays, the same one and one a byte further on
+        raw = np.zeros(4 * 72 + 2, np.uint8)
+
+        def at(byte):
+            return raw[byte:byte + 4 * 72].view(np.float32).reshape(2, 3, 12)
+
+        assert not at(1).flags.aligned
+        assert kernels._is_view(at(1)[:, :, 1:11], at(1)[:, :, 1:11])
+        assert not kernels._is_view(at(2)[:, :, 1:11], at(1)[:, :, 1:11])
+
 
 def test_every_conv_lowers_through_im2col(monkeypatch):
     """The float forward, a training step and the int8 forward call

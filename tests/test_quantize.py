@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,18 @@ def reference_qconv(layer, x_q):
     return out.astype(np.int8)
 
 
+def plan_qconv(layer, x_q):
+    """x_q (B, C_in, L) int8 through the conv step the plan runs for
+    layer, with scratch arrays of its own."""
+    step = quantize._ConvStep.of(layer)
+    batch, _, length = x_q.shape
+    y = np.empty((batch, layer.w_q.shape[0], length), np.int8)
+    scratch = step.scratch(
+        lambda shape, dtype, tag="": np.zeros((batch, *shape), dtype), length)
+    step.run(x_q, y, *scratch, None)
+    return y
+
+
 class TestQForward:
     def test_identity_layer_small_instance(self):
         """K=1 identity weights with matching in/out specs: the quantized
@@ -329,7 +342,7 @@ class TestQForward:
                                         spec, spec, relu=False)
         rng = np.random.default_rng(0)
         x_q = rng.integers(-128, 128, size=(1, c, 10)).astype(np.int8)
-        out = quantize._qconv_run(layer, x_q, None)[0]
+        out = plan_qconv(layer, x_q)[0]
         assert np.abs(out.astype(int) - x_q[0].astype(int)).max() <= 2
 
     def test_one_layer_exact_integer_oracle(self, rng):
@@ -340,7 +353,7 @@ class TestQForward:
         for relu in (False, True):
             layer = quantize._quantize_conv("t", w, b, in_spec, out_spec, relu)
             x_q = rng.integers(-128, 128, size=(1, 2, 9)).astype(np.int8)
-            got = quantize._qconv_run(layer, x_q, None)[0]
+            got = plan_qconv(layer, x_q)[0]
             np.testing.assert_array_equal(got, reference_qconv(layer, x_q[0]))
 
     def test_no_floats_in_integer_path(self):
@@ -390,6 +403,86 @@ class TestQForward:
         assert agree >= 0.90
 
 
+# The unplanned oracle: the integer path as it ran before QuantPlan, which
+# rebuilt every constant and temporary on each call and added the bias and
+# rounding term separately; its requantization is its own copy.
+
+def oracle_rescale(acc, m0, shift_n, out=None):
+    """Round-half-up of acc*M0 / 2^(31+n), unclamped, as int64."""
+    shift = 31 + shift_n
+    t = np.multiply(acc, m0, out=out)
+    t += np.left_shift(np.int64(1), shift - 1)
+    t >>= shift
+    return t
+
+
+def oracle_requantize(acc, m0, shift_n, zero_point_out, low=-128):
+    value = oracle_rescale(acc, m0, shift_n, out=acc)
+    value += zero_point_out
+    return np.clip(value, low, 127, out=value).astype(np.int8)
+
+
+def unplanned_qconv(layer, x_q, trace):
+    """x_q: (B, C_in, L) int8 -> (B, C_out, L) int8."""
+    _, c_in, k = layer.w_q.shape
+    shifted = np.subtract(x_q, layer.in_spec.zero_point, dtype=np.int16)
+    acc, _ = kernels.conv1d(shifted,
+                            layer.w_q.astype(quantize._gemm_dtype(c_in * k)))
+    acc = acc.astype(np.int64)
+    acc += layer.bias_q[:, None]
+    quantize._note(trace, f"{layer.name}.acc", acc)
+    low = layer.out_spec.zero_point if layer.relu else -128
+    q = oracle_requantize(acc, layer.m0.astype(np.int64)[:, None],
+                          layer.shift.astype(np.int64)[:, None],
+                          layer.out_spec.zero_point, low)
+    quantize._note(trace, layer.name, q)
+    return q
+
+
+def unplanned_qadd(add, q_a, q_h, trace):
+    # rescale unclamped (addends may exceed int8 range before saturation)
+    a = np.subtract(q_a, add.a_spec.zero_point, dtype=np.int64)
+    oracle_rescale(a, np.int64(add.a_m0), np.int64(add.a_shift), out=a)
+    h = np.subtract(q_h, add.h_spec.zero_point, dtype=np.int64)
+    oracle_rescale(h, np.int64(add.h_m0), np.int64(add.h_shift), out=h)
+    a += h
+    a += add.out_spec.zero_point
+    q = np.clip(a, add.out_spec.zero_point, 127, out=a).astype(np.int8)
+    quantize._note(trace, "add", q)
+    return q
+
+
+def unplanned_qforward_batch(qm, x, trace=None):
+    """Float32 logits of the batch x, one block of BLOCK_WINDOWS at a time."""
+    logits = np.empty((x.shape[0], qm.config.classes), dtype=np.float32)
+    for i in range(0, x.shape[0], quantize.BLOCK_WINDOWS):
+        block = slice(i, i + quantize.BLOCK_WINDOWS)
+        logits[block] = unplanned_block(qm, x[block], trace if i == 0 else None)
+    return logits
+
+
+def unplanned_block(qm, x, trace):
+    q = np.asarray(x, dtype=np.float64) / qm.input_spec.scale
+    q = np.clip(round_half_away(q) + qm.input_spec.zero_point, -128, 127)
+    q = q.astype(np.int8)
+    quantize._note(trace, "input", q)
+    q = unplanned_qconv(qm.stem, q, trace)
+    for block in qm.blocks:
+        q_in = q
+        for layer in block.convs:
+            q = unplanned_qconv(layer, q, trace)
+        q = unplanned_qadd(block.add, q_in, q, trace)
+    head = qm.head
+    flat = q.reshape(q.shape[0], -1)
+    dtype = quantize._gemm_dtype(head.w_q.shape[1])
+    shifted = flat.astype(dtype) - head.in_spec.zero_point
+    acc = (shifted @ head.w_q.astype(dtype).T).astype(np.int64)
+    acc += head.bias_q[None, :]
+    quantize._note(trace, "head.acc", acc)
+    scale = head.in_spec.scale * head.w_scale.astype(np.float64)
+    return acc.astype(np.float64) * scale[None, :]
+
+
 def int32_qconv_run(layer, x_q):
     """The conv with its GEMM in int32, as the integer path ran it before
     the GEMMs moved to float32/float64: the oracle for their exactness."""
@@ -420,7 +513,7 @@ def int32_qforward_batch(qm, x):
         q_in = q
         for layer in block.convs:
             q = int32_qconv_run(layer, q)
-        q = quantize._qadd_run(block.add, q_in, q, None)
+        q = unplanned_qadd(block.add, q_in, q, None)
     flat = q.reshape(q.shape[0], -1)
     shifted = flat.astype(np.int32) - qm.head.in_spec.zero_point
     acc = shifted @ qm.head.w_q.astype(np.int32).T + qm.head.bias_q[None, :]
@@ -458,13 +551,17 @@ def extreme_model(qm, rng):
 
 class TestExactFloatGemm:
     """qforward_batch runs its GEMMs in float32/float64; the logits must be
-    bit-identical to the int32 GEMMs."""
+    bit-identical to the int32 GEMMs and to the unplanned oracle."""
 
     @staticmethod
     def check_against_oracle(qm, x):
         trace = []
         got = qforward_batch(qm, x, trace=trace)
         np.testing.assert_array_equal(got, int32_qforward_batch(qm, x))
+        oracle_trace = []
+        np.testing.assert_array_equal(
+            got, unplanned_qforward_batch(qm, x, trace=oracle_trace))
+        assert [name for name, _ in trace] == [name for name, _ in oracle_trace]
         assert quantize.count_float_entries(trace) == 0
         acc = [dtype for name, dtype in trace if name.endswith(".acc")]
         cfg = qm.config
@@ -506,7 +603,10 @@ class TestExactFloatGemm:
         # all q = -128 against zero point 127: every stem product is
         # 127 * -255 in the two all-+127 channels
         self.check_against_oracle(qm, np.full((4, 7, 40), -1.0, np.float32))
-
+        batched = qforward_batch(qm, x[:5].astype(np.float32))
+        for i in range(5):
+            np.testing.assert_array_equal(
+                qforward(qm, x[i].astype(np.float32)), batched[i])
 
     @pytest.mark.parametrize("site", ["conv", "head"])
     @pytest.mark.parametrize("bias", [0.05, 0.0])
@@ -524,6 +624,89 @@ class TestExactFloatGemm:
         assert np.all(qm.blocks[0].convs[0].shift <= 30)
         x = np.stack([win.data for win in synth.make_random_windows(24, seed=4)])
         self.check_against_oracle(qm, x)
+
+
+class TestQuantPlan:
+    """The plan qforward_batch builds once per model and runs."""
+
+    def test_width_8_matches_oracles(self):
+        _, qm = quantized_fixture(width=8)
+        x = np.stack([w.data for w in synth.make_random_windows(19, seed=9)])
+        TestExactFloatGemm.check_against_oracle(qm, x)
+
+    @pytest.mark.parametrize("width", [4, 8, 52])
+    def test_arena_is_the_peak_activation_figure(self, width):
+        cfg = ModelConfig(width=width)
+        _, qm = quantized_fixture(width=width, n_calib=16)
+        qforward(qm, synth.make_random_windows(1, seed=0)[0].data)
+        plan = qm.plan
+        assert plan.arena.dtype == np.int8
+        assert plan.arena.shape == (quantize.BLOCK_WINDOWS, plan.arena_bytes)
+        assert plan.arena_bytes == model.count_macs(cfg).peak_activation_bytes
+        act = width * cfg.seq_len
+        if width == 4:
+            # the input outgrows one activation slot: the stem's operands
+            # set the arena at 3 slots, not the input's 280 B plus one
+            assert cfg.in_channels * cfg.seq_len > act
+        assert plan.arena_bytes == max(cfg.in_channels * cfg.seq_len + act,
+                                       3 * act, act + 4 * cfg.classes)
+
+    def test_one_conv_per_block_needs_two_slots(self):
+        cfg = ModelConfig(width=8, convs_per_block=1)
+        folded = fold_batchnorm(build(cfg, seed=3))
+        qm = quantize_model(folded, calibrate(
+            folded, synth.make_random_windows(16, seed=1)))
+        x = np.stack([w.data for w in synth.make_random_windows(9, seed=2)])
+        TestExactFloatGemm.check_against_oracle(qm, x)
+        assert qm.plan.arena_bytes == model.count_macs(cfg).peak_activation_bytes
+        assert qm.plan.arena_bytes == max(7 * 40 + 320, 2 * 320)
+
+    def test_built_once_per_model(self, monkeypatch):
+        _, qm = quantized_fixture(width=8)
+        built = []
+        original = quantize.QuantPlan.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            original(self, *args)
+
+        monkeypatch.setattr(quantize.QuantPlan, "__init__", counted)
+        x = np.stack([w.data for w in synth.make_random_windows(11, seed=3)])
+        first = qforward_batch(qm, x)
+        plan = qm.plan
+        np.testing.assert_array_equal(qforward_batch(qm, x), first)
+        np.testing.assert_array_equal(qforward(qm, x[10]), first[10])
+        assert built == [plan] and qm.plan is plan
+        assert "plan" not in repr(qm)
+
+    def test_saved_and_loaded_model_gives_same_logits(self, tmp_path):
+        _, qm = quantized_fixture(width=52, n_calib=64)
+        x = np.stack([w.data for w in synth.make_random_windows(10, seed=5)])
+        before = qforward_batch(qm, x)
+        path = tmp_path / "q.efq"
+        quantize.save(qm, path)
+        loaded = quantize.load(path)
+        assert loaded.plan is None
+        np.testing.assert_array_equal(qforward_batch(loaded, x), before)
+
+    def test_steady_call_allocates_under_128kb(self):
+        _, qm = quantized_fixture(width=52, n_calib=16)
+        x = np.stack([w.data for w in synth.make_random_windows(8, seed=2)])
+        qforward_batch(qm, x)
+        tracemalloc.start()
+        try:
+            qforward_batch(qm, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024
+
+    def test_plan_checks_the_model(self):
+        _, qm = quantized_fixture(width=4)
+        qm.blocks[0].convs[0].bias_q[0] = 2 ** 31 - 1
+        with pytest.raises(AccumulatorOverflow, match="b0.c0"):
+            qforward(qm, synth.make_random_windows(1, seed=0)[0].data)
+        assert qm.plan is None
 
 
 class TestQuantFile:
@@ -610,6 +793,18 @@ class TestQuantFile:
         path = tmp_path / "q.efq"
         quantize.save(qm, path)
         with pytest.raises(RequantRangeError, match=match):
+            quantize.load(path)
+
+    @pytest.mark.parametrize("site", ["b0.c0", "head"])
+    def test_forged_accumulator_bound_rejected(self, tmp_path, site):
+        # one int32 bias at the type's limit: every multiplier, scale and
+        # zero point is still valid, only the accumulator bound is broken
+        _, qm = quantized_fixture(width=8)
+        layer = qm.blocks[0].convs[0] if site == "b0.c0" else qm.head
+        layer.bias_q[0] = 2 ** 31 - 1
+        path = tmp_path / "q.efq"
+        quantize.save(qm, path)
+        with pytest.raises(AccumulatorOverflow, match=site):
             quantize.load(path)
 
     def test_corrupt_m0_rejected(self, tmp_path):
