@@ -2,14 +2,13 @@
 and synth subcommands over the full pipeline.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical-contract
-violation. EDGEFIT_THREADS caps the loader/segmenter thread pool.
+violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -34,13 +33,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"error: {message}\n")
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("EDGEFIT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _sniff_model(path: str):
@@ -69,8 +61,7 @@ def cmd_prepare(args) -> int:
     manifest = {"stride": args.stride, "window_size": dataset.WINDOW_SIZE,
                 "folds": []}
     for k in folds:
-        split = dataset.build_fold(recordings, k, stride=args.stride,
-                                   n_threads=_threads())
+        split = dataset.build_fold(recordings, k, stride=args.stride)
         path = out / f"windows_fold{k}.efw"
         dataset.save_windows(path, split.train + split.test)
         manifest["folds"].append({

@@ -4,12 +4,13 @@ Input files are comma-separated text with one header row and the canonical
 columns timestamp, acc_x, acc_y, acc_z, gyro_x, gyro_y, gyro_z, hbc, label,
 subject, session. A ColumnMap adapts files whose headers deviate from the
 canonical names. Labels may be integers 0..11 or canonical class names.
+Files are converted one column at a time; a row is parsed on its own only
+to name the first malformed line of a file whose conversion failed.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -78,17 +79,6 @@ class ColumnMap:
         return indices
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    """One parsed sensor row: 7 signal channels plus label/subject/session."""
-
-    timestamp: float
-    channels: tuple[float, ...]   # acc xyz, gyro xyz, hbc
-    label: int
-    subject: int
-    session: int
-
-
 @dataclass
 class Recording:
     """All samples of one (subject, session) pair, ordered by timestamp."""
@@ -149,7 +139,8 @@ def _parse_label(raw: str) -> int:
     return value
 
 
-def _parse_row(row: list[str], idx: dict[str, int]) -> SampleRecord:
+def _parse_row(row: list[str], idx: dict[str, int]) -> None:
+    """Raise ValueError with the reason row is not a valid data row."""
     try:
         ts = float(row[idx["timestamp"]])
         channels = tuple(float(row[idx[name]]) for name in CHANNEL_NAMES)
@@ -157,7 +148,9 @@ def _parse_row(row: list[str], idx: dict[str, int]) -> SampleRecord:
         raise ValueError(f"bad numeric field ({e})")
     if not all(np.isfinite(channels)) or not np.isfinite(ts):
         raise ValueError("non-finite value")
-    label = _parse_label(row[idx["label"]])
+    if len(row) <= idx["label"]:
+        raise ValueError("label field missing")
+    _parse_label(row[idx["label"]])
     try:
         subject = int(row[idx["subject"]])
         session = int(row[idx["session"]])
@@ -167,14 +160,55 @@ def _parse_row(row: list[str], idx: dict[str, int]) -> SampleRecord:
         raise ValueError(f"subject {subject} outside {SUBJECT_RANGE}")
     if not SESSION_RANGE[0] <= session <= SESSION_RANGE[1]:
         raise ValueError(f"session {session} outside {SESSION_RANGE}")
-    return SampleRecord(ts, channels, label, subject, session)
+
+
+def _read_csv(f: Path, schema: ColumnMap, number: int) -> tuple | None:
+    """Columns of f's data rows, or None if it has none: timestamps, (N, 7)
+    float32 channels, labels, subjects and sessions (each distinct string
+    parsed once), line numbers and number. Errors as in load_recordings."""
+    with open(f, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        idx = None if header is None else schema.resolve(header, str(f))
+        numbered = [(lineno, row) for lineno, row in enumerate(reader, start=2)
+                    if any(map(str.strip, row))]
+    if not numbered:   # also when f is empty, without a header
+        return None
+    lines, rows = zip(*numbered)
+    try:
+        columns = list(zip(*rows))   # a short row leaves a column out
+        numeric = np.array([list(map(float, columns[idx[name]]))
+                            for name in ("timestamp", *CHANNEL_NAMES)])
+        if not np.isfinite(numeric).all():
+            raise ValueError("non-finite value")
+        ids = []
+        for name, parse, (low, high) in (
+                ("label", _parse_label, (0, NUM_CLASSES - 1)),
+                ("subject", int, SUBJECT_RANGE), ("session", int, SESSION_RANGE)):
+            column = columns[idx[name]]
+            values = {raw: parse(raw) for raw in dict.fromkeys(column)}
+            if not all(low <= v <= high for v in values.values()):
+                raise ValueError(f"{name} out of range")
+            ids.append(np.array(list(map(values.__getitem__, column)), np.int16))
+    except (ValueError, IndexError):
+        for lineno, row in numbered:
+            try:
+                _parse_row(row, idx)
+            except ValueError as e:
+                raise MalformedRow(lineno, str(e), str(f)) from None
+        raise
+    return (numeric[0], numeric[1:].T.astype(np.float32), *ids,
+            np.array(lines), np.full(len(rows), number))
 
 
 def load_recordings(path: str | Path, schema: ColumnMap | None = None) -> list[Recording]:
     """Load every CSV under path (file or directory) into Recordings.
 
-    One Recording per (subject, session) pair, merged across files and sorted
-    by timestamp. Unparseable rows raise MalformedRow with their line number.
+    One Recording per (subject, session) pair, merged across files in name
+    order and stably sorted by timestamp. A file that fails conversion raises
+    MalformedRow with the file, its first malformed line (the header is line
+    1) and the reason _parse_row gives; a timestamp not after its predecessor
+    raises MalformedRow with that row's file and line.
     """
     schema = schema or ColumnMap()
     path = Path(path)
@@ -183,41 +217,27 @@ def load_recordings(path: str | Path, schema: ColumnMap | None = None) -> list[R
     files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
     if not files:
         raise EmptyDataset(f"no .csv files under {path}")
-
-    groups: dict[tuple[int, int], list[SampleRecord]] = {}
-    for f in files:
-        with open(f, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                continue
-            idx = schema.resolve(header, str(f))
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                try:
-                    rec = _parse_row(row, idx)
-                except ValueError as e:
-                    raise MalformedRow(lineno, str(e), str(f)) from None
-                groups.setdefault((rec.subject, rec.session), []).append(rec)
-
-    if not groups:
+    parts = [part for part in (_read_csv(f, schema, number)
+                               for number, f in enumerate(files)) if part]
+    if not parts:
         raise EmptyDataset(f"no data rows found under {path}")
 
-    recordings = []
-    for (subject, session), records in sorted(groups.items()):
-        records.sort(key=lambda r: r.timestamp)
-        ts = np.array([r.timestamp for r in records], dtype=np.float64)
-        if np.any(np.diff(ts) <= 0):
-            dup = int(np.argmax(np.diff(ts) <= 0)) + 1
-            raise MalformedRow(
-                dup, f"timestamps not strictly increasing for subject "
-                f"{subject} session {session}")
-        data = np.array([r.channels for r in records], dtype=np.float32)
-        labels = np.array([r.label for r in records], dtype=np.int16)
-        recordings.append(Recording(subject, session, ts, data, labels))
-    return recordings
+    ts, data, labels, subject, session, lines, sources = (
+        np.concatenate(column) for column in zip(*parts))
+    order = np.lexsort((ts, session, subject))   # stable: file order on ties
+    ts, data, labels, subject, session = (
+        column[order] for column in (ts, data, labels, subject, session))
+    same = (np.diff(subject) == 0) & (np.diff(session) == 0)
+    stalled = same & (np.diff(ts) <= 0)
+    if stalled.any():
+        i = stalled.argmax() + 1
+        raise MalformedRow(
+            int(lines[order[i]]), f"timestamps not strictly increasing for "
+            f"subject {subject[i]} session {session[i]}",
+            str(files[sources[order[i]]]))
+    bounds = [0, *(np.flatnonzero(~same) + 1), len(ts)]
+    return [Recording(int(subject[a]), int(session[a]), ts[a:b], data[a:b],
+                      labels[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def compute_norm_stats(recordings: list[Recording]) -> NormStats:
@@ -291,20 +311,6 @@ def segment_windows(rec: Recording, stats: NormStats, size: int = WINDOW_SIZE,
     return windows
 
 
-def segment_all(recordings: list[Recording], stats: NormStats,
-                size: int = WINDOW_SIZE, stride: int = RATE_HZ,
-                n_threads: int = 1) -> list[Window]:
-    """Segment every recording, merged in (subject, session) order."""
-    ordered = sorted(recordings, key=lambda r: (r.subject, r.session))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(pool.map(
-                lambda r: segment_windows(r, stats, size, stride), ordered))
-    else:
-        parts = [segment_windows(r, stats, size, stride) for r in ordered]
-    return [w for part in parts for w in part]
-
-
 def class_counts(windows: list[Window]) -> np.ndarray:
     """Per-class counts of the per-sample labels across all windows."""
     counts = np.zeros(NUM_CLASSES, dtype=np.int64)
@@ -344,15 +350,17 @@ def build_fold(recordings: list[Recording], held_out_subject: int,
 
     Stats and class counts come exclusively from the training subjects;
     the held-out subject's windows are normalized with those same stats and
-    carry weight 1.0 (weights only matter for training).
+    carry weight 1.0 (weights only matter for training). n_threads is
+    ignored; it stays only while the benchmark's prepare stage passes it.
     """
     train_recs = [r for r in recordings if r.subject != held_out_subject]
     test_recs = [r for r in recordings if r.subject == held_out_subject]
     if not train_recs:
         raise EmptyDataset(f"no training subjects besides {held_out_subject}")
     stats = compute_norm_stats(train_recs)
-    train = segment_all(train_recs, stats, size, stride, n_threads)
-    test = segment_all(test_recs, stats, size, stride, n_threads)
+    train, test = ([w for r in sorted(recs, key=lambda r: (r.subject, r.session))
+                    for w in segment_windows(r, stats, size, stride)]
+                   for recs in (train_recs, test_recs))
     assign_weights(train, class_counts(train))
     return DatasetSplit(train=train, test=test, held_out_subject=held_out_subject)
 

@@ -91,4 +91,5 @@ class AccumulatorOverflow(NumericalContractError):
 
 
 class RequantRangeError(NumericalContractError):
-    """Scale ratio cannot be represented as M0 * 2^-(31+n) with n >= 0."""
+    """Scale ratio cannot be represented as M0 * 2^-(31+n), or a layer
+    holds a spec that differs from the one of the activation it reads."""

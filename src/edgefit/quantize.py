@@ -728,7 +728,10 @@ def check_quant_invariants(qm: QuantModel) -> None:
     for its scale ratio, with n in [-30, 31]: _rescale shifts an int64 by
     31 + n bits. Every conv and the head must keep the worst-case
     accumulator that quantize_model checks within int32, which also keeps
-    the plan's folded constants bias_q*M0 + 2^(30+n) within int64."""
+    the plan's folded constants bias_q*M0 + 2^(30+n) within int64. Every
+    spec held twice must equal its other copy: a layer's input spec, an
+    add's addend specs and the head's input spec are those of the
+    activations they read, and the stem reads the input."""
     for layer in qm.layers():
         _check_accumulator(layer.name, layer.w_q.shape[1] * layer.w_q.shape[2],
                            layer.bias_q)
@@ -763,6 +766,22 @@ def check_quant_invariants(qm: QuantModel) -> None:
             error = abs(int(m0) * 2.0 ** (-31 - int(n)) - r) / r
             if error > 2 ** -24:
                 raise RequantRangeError(f"{name}: multiplier error {error}")
+    # (site, spec, reading site, the spec it holds)
+    copies = [("input", qm.input_spec, "stem.in", qm.stem.in_spec)]
+    current = ("stem.out", qm.stem.out_spec)
+    for i, block in enumerate(qm.blocks):
+        block_in = current
+        for layer in block.convs:
+            copies.append((*current, f"{layer.name}.in", layer.in_spec))
+            current = (f"{layer.name}.out", layer.out_spec)
+        copies += [(*block_in, f"b{i}.add.a", block.add.a_spec),
+                   (*current, f"b{i}.add.h", block.add.h_spec)]
+        current = (f"b{i}.add.out", block.add.out_spec)
+    copies.append((*current, "head.in", qm.head.in_spec))
+    for site, spec, reader, held in copies:
+        if held != spec:
+            raise RequantRangeError(f"{reader}: {held} differs from {site}: "
+                                    f"{spec}")
 
 
 # ---------------------------------------------------------------------------

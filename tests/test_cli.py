@@ -84,6 +84,17 @@ class TestPrepare:
         assert_one_error_line(err, "InvalidConfig")
         assert not out.exists()
 
+    def test_short_row_is_data_error(self, capsys, tmp_path):
+        data = tmp_path / "short.csv"
+        data.write_text("timestamp,acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,"
+                        "hbc,label,subject,session\n"
+                        "0.0,1,2,3,4,5,6,7,0,1,1\n0.05,1,2,3,4,5,6,7\n")
+        code, _, err = run_cli(capsys, "prepare", "--dataset", str(data),
+                               "--out", str(tmp_path / "o"))
+        assert code == cli.EXIT_DATA
+        assert_one_error_line(err, "MalformedRow")
+        assert f"{data}:3:" in err
+
     @pytest.mark.parametrize("flag, value", [("--stride", "0"),
                                              ("--fold", "x")])
     def test_bad_argument_is_usage_error(self, capsys, pipeline, tmp_path,
@@ -197,6 +208,23 @@ class TestEval:
         assert code == cli.EXIT_NUMERIC
         assert_one_error_line(err, "AccumulatorOverflow")
         assert "b0.c0" in err
+
+    def test_forged_spec_copy_is_numeric_error(self, capsys, pipeline,
+                                                tmp_path):
+        # a checksummed EFQ2 whose copy of block 1's input spec in the add
+        # disagrees with the spec block 0 writes
+        contents = container.read(pipeline["qmodel"], quantize.QUANT_MAGIC)
+        zero_point = contents.tensors["b1.add.a.zero_point"]
+        contents.tensors["b1.add.a.zero_point"] = (
+            zero_point + (-10 if zero_point > 0 else 10))
+        bad = tmp_path / "bad.efq"
+        container.write(bad, quantize.QUANT_MAGIC, contents.meta,
+                        contents.tensors)
+        code, _, err = run_cli(capsys, "eval", "--model", str(bad),
+                               "--windows", str(pipeline["windows"]))
+        assert code == cli.EXIT_NUMERIC
+        assert_one_error_line(err, "RequantRangeError")
+        assert "b1.add.a" in err and "b0.add.out" in err
 
     def test_version_1_model_is_data_error(self, capsys, pipeline, tmp_path):
         old = tmp_path / "old.efq"

@@ -1,3 +1,6 @@
+import csv
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -135,8 +138,32 @@ class TestLoadRecordings:
     def test_duplicate_timestamp(self, tmp_path):
         path = tmp_path / "a.csv"
         write_csv(path, [row(0.0), row(0.0)])
-        with pytest.raises(MalformedRow):
+        with pytest.raises(MalformedRow) as exc:
             load_recordings(path)
+        assert exc.value.index == 3
+        assert exc.value.path == str(path)
+
+    def test_duplicate_timestamp_across_files(self, tmp_path):
+        # merged group: a:2 (0.0), a:3 (0.05), b:3 (0.05), b:2 (0.10);
+        # b.csv line 3 is the first row not after its predecessor
+        write_csv(tmp_path / "a.csv", [row(0.0), row(0.05)])
+        write_csv(tmp_path / "b.csv", [row(0.10), row(0.05)])
+        with pytest.raises(MalformedRow) as exc:
+            load_recordings(tmp_path)
+        assert exc.value.index == 3
+        assert exc.value.path == str(tmp_path / "b.csv")
+        assert "subject 1 session 1" in exc.value.reason
+
+    def test_row_without_label_subject_session(self, tmp_path):
+        path = tmp_path / "a.csv"
+        with open(path, "w") as f:
+            f.write(HEADER)
+            f.write("0.0,1,2,3,4,5,6,7,0,1,1\n")
+            f.write("0.05,1,2,3,4,5,6,7\n")
+        with pytest.raises(MalformedRow) as exc:
+            load_recordings(path)
+        assert exc.value.index == 3
+        assert exc.value.path == str(path)
 
     def test_directory_merges_files(self, tmp_path):
         write_csv(tmp_path / "a.csv", [row(0.0)])
@@ -321,14 +348,6 @@ class TestBuildFold:
         weights = np.array([w.weight for w in split.train])
         np.testing.assert_allclose(weights, 1.0, atol=1e-6)
 
-    def test_threads_match_sequential(self, synth_dataset_dir):
-        recs = load_recordings(synth_dataset_dir)
-        a = build_fold(recs, 1, n_threads=1)
-        b = build_fold(recs, 1, n_threads=4)
-        assert len(a.train) == len(b.train)
-        for wa, wb in zip(a.train, b.train):
-            assert wa.data.tobytes() == wb.data.tobytes()
-            assert wa.weight == wb.weight
 
 
 class TestWindowContainer:
@@ -419,3 +438,165 @@ def test_class_counts_uses_sample_labels(rng):
     windows = segment_windows(rec, stats, 40, 1)
     counts = class_counts(windows)
     assert counts[0] == 30 and counts[4] == 10 and counts.sum() == 40
+
+
+# ---------------------------------------------------------------------------
+# the row-by-row loader that the column-wise load_recordings replaced, kept
+# as its oracle
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SampleRecord:
+    """One parsed sensor row: 7 signal channels plus label/subject/session."""
+
+    timestamp: float
+    channels: tuple[float, ...]   # acc xyz, gyro xyz, hbc
+    label: int
+    subject: int
+    session: int
+
+
+def oracle_parse_row(row, idx) -> SampleRecord:
+    try:
+        ts = float(row[idx["timestamp"]])
+        channels = tuple(float(row[idx[name]]) for name in dataset.CHANNEL_NAMES)
+    except (ValueError, IndexError) as e:
+        raise ValueError(f"bad numeric field ({e})")
+    if not all(np.isfinite(channels)) or not np.isfinite(ts):
+        raise ValueError("non-finite value")
+    label = dataset._parse_label(row[idx["label"]])
+    try:
+        subject = int(row[idx["subject"]])
+        session = int(row[idx["session"]])
+    except (ValueError, IndexError):
+        raise ValueError("subject/session not an integer")
+    if not dataset.SUBJECT_RANGE[0] <= subject <= dataset.SUBJECT_RANGE[1]:
+        raise ValueError(f"subject {subject} outside {dataset.SUBJECT_RANGE}")
+    if not dataset.SESSION_RANGE[0] <= session <= dataset.SESSION_RANGE[1]:
+        raise ValueError(f"session {session} outside {dataset.SESSION_RANGE}")
+    return SampleRecord(ts, channels, label, subject, session)
+
+
+def oracle_load_recordings(path) -> list[Recording]:
+    files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
+    groups = {}
+    for f in files:
+        with open(f, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                continue
+            idx = ColumnMap().resolve(header, str(f))
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                try:
+                    rec = oracle_parse_row(row, idx)
+                except ValueError as e:
+                    raise MalformedRow(lineno, str(e), str(f)) from None
+                groups.setdefault((rec.subject, rec.session), []).append(rec)
+    if not groups:
+        raise EmptyDataset(f"no data rows found under {path}")
+    recordings = []
+    for (subject, session), records in sorted(groups.items()):
+        records.sort(key=lambda r: r.timestamp)
+        ts = np.array([r.timestamp for r in records], dtype=np.float64)
+        if np.any(np.diff(ts) <= 0):
+            dup = int(np.argmax(np.diff(ts) <= 0)) + 1
+            raise MalformedRow(
+                dup, f"timestamps not strictly increasing for subject "
+                f"{subject} session {session}")
+        data = np.array([r.channels for r in records], dtype=np.float32)
+        labels = np.array([r.label for r in records], dtype=np.int16)
+        recordings.append(Recording(subject, session, ts, data, labels))
+    return recordings
+
+
+def load_per_file(loader, directory) -> list[Recording]:
+    return [r for f in sorted(directory.glob("*.csv")) for r in loader(f)]
+
+
+def assert_same_recordings(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        # cmd_prepare JSON-dumps the fold ids, so they stay Python ints
+        assert type(a.subject) is int and type(a.session) is int
+        assert (a.subject, a.session, a.rate_hz) == (b.subject, b.session,
+                                                     b.rate_hz)
+        for name in ("timestamps", "data", "labels"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
+
+
+# One malformed line per case, after two good ones; the last two cases
+# have two bad lines, the later one being the first the column conversion
+# meets (numeric columns are converted before labels and ids).
+MALFORMED = {
+    "bad_float": ["0.10,1,2,x,4,5,6,7,0,1,1"],
+    "nan": ["0.10,1,2,3,4,5,nan,7,0,1,1"],
+    "inf_timestamp": ["inf,1,2,3,4,5,6,7,0,1,1"],
+    "short_numeric": ["0.10,1,2,3"],
+    "label_13": ["0.10,1,2,3,4,5,6,7,13,1,1"],
+    "unknown_class": ["0.10,1,2,3,4,5,6,7,Yoga,1,1"],
+    "non_integer_subject": ["0.10,1,2,3,4,5,6,7,0,1.5,1"],
+    "subject_11": ["0.10,1,2,3,4,5,6,7,0,11,1"],
+    "session_0": ["0.10,1,2,3,4,5,6,7,0,1,0"],
+    "label_then_float": ["0.10,1,2,3,4,5,6,7,-1,1,1", "",
+                         "0.15,1,2,3,4,5,6,x,0,1,1"],
+    "session_then_nan": ["0.10,1,2,3,4,5,6,7,0,1,6",
+                         "0.15,1,2,3,nan,5,6,7,0,1,1"],
+}
+
+
+class TestOracleParity:
+    def test_synth_recordings_per_file(self, synth_dataset_dir):
+        assert_same_recordings(
+            load_per_file(load_recordings, synth_dataset_dir),
+            load_per_file(oracle_load_recordings, synth_dataset_dir))
+
+    def test_synth_recordings_directory(self, synth_dataset_dir):
+        assert_same_recordings(load_recordings(synth_dataset_dir),
+                               oracle_load_recordings(synth_dataset_dir))
+
+    def test_unsorted_interleaved_rows(self, tmp_path):
+        # groups interleaved across two files, rows out of time order,
+        # class names, blank and whitespace-only lines
+        write_csv(tmp_path / "a.csv", [
+            row(0.10, label="Squat", value=1.5), row(0.0, subject=2, value=2),
+            row(0.0, value=3), row(0.05, session=2, value=4)])
+        with open(tmp_path / "a.csv", "a") as f:
+            f.write("\n , ,\n" + ",".join(map(str, row(0.15, value=5))) + "\n")
+        write_csv(tmp_path / "b.csv", [row(0.05, label=3, value=6),
+                                       row(0.20, subject=2, value=7)])
+        recs = load_recordings(tmp_path)
+        assert recs[0].timestamps.tolist() == [0.0, 0.05, 0.10, 0.15]
+        assert_same_recordings(recs, oracle_load_recordings(tmp_path))
+
+    def test_window_bytes(self, synth_dataset_dir, tmp_path):
+        paths = []
+        for loader in (load_recordings, oracle_load_recordings):
+            split = build_fold(loader(synth_dataset_dir), held_out_subject=2)
+            paths.append(tmp_path / f"{loader.__name__}.efw")
+            save_windows(paths[-1], split.train + split.test)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("directory", [False, True])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_same_error(self, tmp_path, case, directory):
+        # as a directory, a good file precedes the bad one
+        write_csv(tmp_path / "a.csv", [row(0.0, session=2)])
+        path = tmp_path / "b.csv"
+        write_csv(path, [row(0.0), row(0.05)])
+        with open(path, "a") as f:
+            f.write("\n".join(MALFORMED[case]) + "\n")
+        target = tmp_path if directory else path
+        errors = []
+        for loader in (load_recordings, oracle_load_recordings):
+            with pytest.raises(MalformedRow) as exc:
+                loader(target)
+            e = exc.value
+            errors.append((type(e), e.index, e.reason, e.path))
+        assert errors[0] == errors[1]
+        assert (errors[0][1], errors[0][3]) == (4, str(path))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import randomize_bn
-from edgefit import kernels, model, quantize, synth
+from edgefit import container, kernels, model, quantize, synth
 from edgefit.errors import (
     AccumulatorOverflow,
     CorruptFile,
@@ -524,28 +524,40 @@ def int32_qforward_batch(qm, x):
 def extreme_model(qm, rng):
     """A copy of qm with every weight +-127 (two all-+127 output channels
     per layer, whose sums reach fan_in * 127 * 255 on an input that sits
-    at one extreme) and zero points alternating between -128 and 127."""
+    at one extreme), an input scale of 1e-3 and activation zero points
+    alternating between -128 and 127. Each activation keeps one spec in
+    every place that holds it, and the stem's multipliers encode its new
+    input scale, so the model passes check_quant_invariants."""
     qm = copy.deepcopy(qm)
     zps = iter([-128, 127] * 100)
-
-    def spec(s):
-        return quantize.QuantSpec(scale=s.scale, zero_point=next(zps))
 
     def weights(w):
         w = np.where(rng.random(w.shape) < 0.5, 127, -127).astype(np.int8)
         w[:2] = 127
         return w
 
-    qm.input_spec = quantize.QuantSpec(scale=1e-3, zero_point=127)
-    for layer in qm.layers():
+    def conv(layer, in_spec):
         layer.w_q = weights(layer.w_q)
-        layer.in_spec, layer.out_spec = spec(layer.in_spec), spec(layer.out_spec)
+        layer.in_spec = in_spec
+        layer.out_spec = quantize.QuantSpec(scale=layer.out_spec.scale,
+                                            zero_point=next(zps))
+        return layer.out_spec
+
+    qm.input_spec = quantize.QuantSpec(scale=1e-3, zero_point=127)
+    current = conv(qm.stem, qm.input_spec)
+    ratios = 1e-3 * qm.stem.w_scale.astype(np.float64) / current.scale
+    qm.stem.m0, qm.stem.shift = (np.array(v, np.int32) for v in zip(
+        *(quantize_multiplier(float(r)) for r in ratios)))
     for block in qm.blocks:
         add = block.add
-        add.a_spec, add.h_spec = spec(add.a_spec), spec(add.h_spec)
-        add.out_spec = spec(add.out_spec)
+        add.a_spec = current
+        for layer in block.convs:
+            current = conv(layer, current)
+        add.h_spec = current
+        add.out_spec = current = quantize.QuantSpec(
+            scale=add.out_spec.scale, zero_point=next(zps))
     qm.head.w_q = weights(qm.head.w_q)
-    qm.head.in_spec = spec(qm.head.in_spec)
+    qm.head.in_spec = current
     return qm
 
 
@@ -806,6 +818,34 @@ class TestQuantFile:
         quantize.save(qm, path)
         with pytest.raises(AccumulatorOverflow, match=site):
             quantize.load(path)
+
+    @pytest.mark.parametrize("edited, other", [
+        ("stem.in.zero_point", "input"), ("input.scale", "stem.in"),
+        ("b0.c1.in.zero_point", "b0.c0.out"),
+        ("b1.c0.in.zero_point", "b0.add.out"),
+        ("b1.add.a.zero_point", "b0.add.out"),
+        ("b0.add.h.zero_point", "b0.c2.out"),
+        ("head.in.scale", "b2.add.out")])
+    def test_disagreeing_spec_copies_rejected(self, tmp_path, edited, other):
+        # a checksummed EFQ2 in which one of the two stored copies of an
+        # activation spec moves: every scale, zero point and multiplier
+        # stays within its own bounds
+        _, qm = quantized_fixture(width=8)
+        path = tmp_path / "q.efq"
+        quantize.save(qm, path)
+        contents = container.read(path, quantize.QUANT_MAGIC)
+        value = contents.tensors[edited]
+        if edited.endswith("zero_point"):
+            value = value + (-10 if value > 0 else 10)
+        else:
+            value = value * np.float32(1.0 + 2.0 ** -20)
+        contents.tensors[edited] = value
+        container.write(path, quantize.QUANT_MAGIC, contents.meta,
+                        contents.tensors)
+        with pytest.raises(RequantRangeError, match="differs") as exc:
+            quantize.load(path)
+        site = edited.rsplit(".", 1)[0]
+        assert f"{site}: " in str(exc.value) and f"{other}: " in str(exc.value)
 
     def test_corrupt_m0_rejected(self, tmp_path):
         _, qm = quantized_fixture(width=4)
