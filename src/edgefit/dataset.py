@@ -148,13 +148,14 @@ def _parse_row(row: list[str], idx: dict[str, int]) -> None:
         raise ValueError(f"bad numeric field ({e})")
     if not all(np.isfinite(channels)) or not np.isfinite(ts):
         raise ValueError("non-finite value")
-    if len(row) <= idx["label"]:
-        raise ValueError("label field missing")
+    for name in ("label", "subject", "session"):
+        if len(row) <= idx[name]:
+            raise ValueError(f"{name} field missing")
     _parse_label(row[idx["label"]])
     try:
         subject = int(row[idx["subject"]])
         session = int(row[idx["session"]])
-    except (ValueError, IndexError):
+    except ValueError:
         raise ValueError("subject/session not an integer")
     if not SUBJECT_RANGE[0] <= subject <= SUBJECT_RANGE[1]:
         raise ValueError(f"subject {subject} outside {SUBJECT_RANGE}")
@@ -165,13 +166,18 @@ def _parse_row(row: list[str], idx: dict[str, int]) -> None:
 def _read_csv(f: Path, schema: ColumnMap, number: int) -> tuple | None:
     """Columns of f's data rows, or None if it has none: timestamps, (N, 7)
     float32 channels, labels, subjects and sessions (each distinct string
-    parsed once), line numbers and number. Errors as in load_recordings."""
+    parsed once), each row's first physical line and number. Errors as in
+    load_recordings."""
     with open(f, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         idx = None if header is None else schema.resolve(header, str(f))
-        numbered = [(lineno, row) for lineno, row in enumerate(reader, start=2)
-                    if any(map(str.strip, row))]
+        numbered = []
+        start = reader.line_num + 1   # a quoted field may span lines
+        for row in reader:
+            if any(map(str.strip, row)):
+                numbered.append((start, row))
+            start = reader.line_num + 1
     if not numbered:   # also when f is empty, without a header
         return None
     lines, rows = zip(*numbered)
@@ -206,9 +212,10 @@ def load_recordings(path: str | Path, schema: ColumnMap | None = None) -> list[R
 
     One Recording per (subject, session) pair, merged across files in name
     order and stably sorted by timestamp. A file that fails conversion raises
-    MalformedRow with the file, its first malformed line (the header is line
-    1) and the reason _parse_row gives; a timestamp not after its predecessor
-    raises MalformedRow with that row's file and line.
+    MalformedRow with the file, the physical line its first malformed row
+    starts on (the header is line 1) and the reason _parse_row gives; a
+    timestamp not after its predecessor raises MalformedRow with that row's
+    file and line.
     """
     schema = schema or ColumnMap()
     path = Path(path)
@@ -265,21 +272,21 @@ def label_window(labels: np.ndarray) -> int:
     return candidates[0]
 
 
-def window_weight(labels: np.ndarray, class_freq: np.ndarray) -> float:
-    """Mean inverse relative frequency of the window's per-sample labels.
+def window_weight(labels: np.ndarray, class_freq: np.ndarray) -> np.ndarray:
+    """Mean inverse relative frequency of each window's per-sample labels,
+    labels (..., L) -> (...) float64.
 
     weight = mean over samples of N_total / (n_classes * N_label), so a
     perfectly uniform label distribution gives every window weight 1.
     """
     class_freq = np.asarray(class_freq, dtype=np.int64)
-    n_classes = len(class_freq)
-    n_total = int(class_freq.sum())
-    present = np.unique(labels)
-    for lbl in present:
-        if class_freq[lbl] <= 0:
-            raise UnseenLabel(int(lbl))
-    inv = n_total / (n_classes * class_freq[labels].astype(np.float64))
-    return float(inv.mean())
+    seen = class_freq > 0
+    if not seen[labels].all():
+        raise UnseenLabel(int(labels[~seen[labels]].min()))
+    inv = np.zeros(len(class_freq))
+    inv[seen] = int(class_freq.sum()) / (
+        len(class_freq) * class_freq[seen].astype(np.float64))
+    return inv[labels].mean(axis=-1)
 
 
 def segment_windows(rec: Recording, stats: NormStats, size: int = WINDOW_SIZE,
@@ -323,10 +330,13 @@ def class_counts(windows: list[Window]) -> np.ndarray:
 
 
 def assign_weights(windows: list[Window], class_freq: np.ndarray) -> None:
-    for w in windows:
-        labels = (w.sample_labels if w.sample_labels is not None
-                  else np.full(w.data.shape[1], w.label, dtype=np.int64))
-        w.weight = window_weight(labels, class_freq)
+    if not windows:
+        return
+    labels = np.stack([w.sample_labels if w.sample_labels is not None
+                       else np.full(w.data.shape[1], w.label, dtype=np.int64)
+                       for w in windows])
+    for w, weight in zip(windows, window_weight(labels, class_freq).tolist()):
+        w.weight = weight
 
 
 def loucv_splits(windows: list[Window]) -> list[DatasetSplit]:

@@ -10,11 +10,24 @@ the float forward (conv1d_same_batch), the trainer's forward and input
 gradient (through conv1d_backward) and the integer path (the conv step of
 quantize.QuantPlan) all call it, and it calls im2col through this
 module's namespace. Without a pad buffer it zero-fills one in
-np.result_type(x, w), so float operands keep their dtype. conv1d_backward
-forms the weight gradient from the same padded input, one batched GEMM
-per tap. Both take optional output buffers in numpy's out= idiom, which
-the trainer and the integer plan pass; without them every result is
-allocated, and the values are the same bits.
+np.result_type(x, w), so float operands keep their dtype.
+
+conv1d unfolds and multiplies a batch one block of BLOCK windows at a
+time, so a block's patches are still in the cache when its GEMM reads
+them (the unrolled convolution of Chellapilla et al., 2006, blocked for
+the cache as in Goto and van de Geijn, 2008). At width 52 and kernel 3 a
+window's patches take 25 KB; 16 windows' 400 KB, with their input and
+output, stay well inside a 2 MB L2, where a batch of 512 unfolded at once
+wrote 12.8 MB of patches before its GEMM read any of them back. Each
+window is still its own GEMM, so a window's result does not depend on the
+batch or the block it runs in, and a batch of at most BLOCK windows runs
+as one block with no loop.
+
+conv1d_backward forms the weight gradient from the same padded input
+(conv1d_weight_grad), one batched GEMM per tap. Both take optional output
+buffers in numpy's out= idiom, which the trainer and the integer plan
+pass; without them every result is allocated, and the values are the
+same bits.
 """
 
 from __future__ import annotations
@@ -22,6 +35,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonFiniteInput, ShapeMismatch
+
+# Windows conv1d unfolds and multiplies at a time (see the module docstring).
+BLOCK = 16
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -61,21 +77,21 @@ def _is_view(x: np.ndarray, of: np.ndarray) -> bool:
 
 def conv1d(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None, *,
            padded: np.ndarray | None = None,
-           patches: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+           patches: np.ndarray | None = None) -> np.ndarray:
     """Cross-correlation with zero 'same' padding, stride 1, no bias.
 
-    x: (B, C_in, L), w: (C_out, C_in, K) with K odd. Returns y (B, C_out, L)
-    and the patches (B, C_in*K, L) it multiplied. Each window is one GEMM of
-    the (C_out, C_in*K) weights over its own patches, so a window's result
-    does not depend on the batch it runs in.
+    x: (B, C_in, L), w: (C_out, C_in, K) with K odd. Returns y (B, C_out,
+    L). Each block of BLOCK windows is unfolded by im2col and multiplied by
+    the (C_out, C_in*K) weights, one GEMM per window, into its rows of y.
 
     out, padded and patches are optional output buffers in numpy's out=
     idiom, for a caller that runs many steps without allocating: out
-    receives y, patches the patches, and padded (B, C_in, L+K-1), whose
-    borders must be zero, the padded input. x may be padded's own interior
-    view, as when the layer before wrote its output there; it is then
-    read in place, not copied. Without them conv1d allocates each, the pad
-    buffer zero-filled in np.result_type(x, w).
+    receives y, padded (B, C_in, L+K-1), whose borders must be zero, the
+    padded input, and patches (min(B, BLOCK), C_in*K, L) the patches of
+    one block at a time. x may be padded's own interior view, as when the
+    layer before wrote its output there; it is then read in place, not
+    copied. Without them conv1d allocates each, the pad buffer zero-filled
+    in np.result_type(x, w), and patches for one block.
     """
     batch, c_in, length = x.shape
     c_out, _, k = w.shape
@@ -89,8 +105,46 @@ def conv1d(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None, *,
     elif not _is_view(x, interior):
         raise ShapeMismatch("conv input overlaps the pad buffer but is not "
                             "its interior")
-    patches = im2col(padded, k, length, patches)
-    return np.matmul(w.reshape(c_out, c_in * k), patches, out=out), patches
+    w2 = w.reshape(c_out, c_in * k)
+    if batch <= BLOCK:
+        return np.matmul(w2, im2col(padded, k, length, patches), out=out)
+    if out is None:
+        out = np.empty((batch, c_out, length), np.result_type(w, padded))
+    if patches is None:
+        patches = np.empty((BLOCK, c_in * k, length), padded.dtype)
+    for i in range(0, batch, BLOCK):
+        rows = slice(i, i + BLOCK)
+        block = padded[rows]
+        np.matmul(w2, im2col(block, k, length, patches[:len(block)]),
+                  out=out[rows])
+    return out
+
+
+def conv1d_weight_grad(g: np.ndarray, padded: np.ndarray, *,
+                       dw: np.ndarray | None = None,
+                       products: np.ndarray | None = None):
+    """Gradients (dw, db) of conv1d's weights and of a per-channel bias
+    added to y, given dL/dy g (B, C_out, L) and the padded input (B, C_in,
+    L+K-1) conv1d multiplied.
+
+    dw takes one batched GEMM per tap of g against a strided view of the
+    padded input, summed over the batch, so neither operand is copied and
+    no patches need to be kept from the forward pass. dw (C_out, C_in, K)
+    and products (B, C_out, C_in), one tap's per-window products, are
+    optional output buffers.
+    """
+    batch, c_out, length = g.shape
+    _, c_in, padded_len = padded.shape
+    k = padded_len - length + 1
+    if dw is None:
+        dw = np.empty((c_out, c_in, k), dtype=np.result_type(g, padded))
+    if products is None:
+        products = np.empty((batch, c_out, c_in), dtype=dw.dtype)
+    for t in range(k):
+        np.matmul(g, padded[:, :, t:t + length].transpose(0, 2, 1),
+                  out=products)
+        dw[:, :, t] = products.sum(axis=0)
+    return dw, np.einsum("bcl->c", g)
 
 
 def conv1d_backward(g: np.ndarray, w: np.ndarray, padded: np.ndarray, *,
@@ -103,28 +157,14 @@ def conv1d_backward(g: np.ndarray, w: np.ndarray, padded: np.ndarray, *,
     (B, C_in, L+K-1) conv1d multiplied.
 
     Returns (dx, dw, db). dx is conv1d of g with the flipped, transposed
-    kernel; db is the gradient of a per-channel bias added to y. dw takes
-    one batched GEMM per tap of g against a strided view of the padded
-    input, summed over the batch, so neither operand is copied and no
-    patches need to be kept from the forward pass.
+    kernel; dw and db are conv1d_weight_grad's.
 
     dx, dw, g_padded and patches are optional output buffers as in conv1d
-    (g may be g_padded's interior); products (B, C_out, C_in) holds one
-    tap's per-window products.
+    (g may be g_padded's interior); products as in conv1d_weight_grad.
     """
-    batch, _, length = g.shape
-    c_out, c_in, k = w.shape
-    dx, _ = conv1d(g, w.transpose(1, 0, 2)[:, :, ::-1], dx,
-                   padded=g_padded, patches=patches)
-    if dw is None:
-        dw = np.empty(w.shape, dtype=np.result_type(g, padded))
-    if products is None:
-        products = np.empty((batch, c_out, c_in), dtype=dw.dtype)
-    for t in range(k):
-        np.matmul(g, padded[:, :, t:t + length].transpose(0, 2, 1),
-                  out=products)
-        dw[:, :, t] = products.sum(axis=0)
-    return dx, dw, np.einsum("bcl->c", g)
+    dx = conv1d(g, w.transpose(1, 0, 2)[:, :, ::-1], dx, padded=g_padded,
+                patches=patches)
+    return (dx, *conv1d_weight_grad(g, padded, dw=dw, products=products))
 
 
 def conv1d_same_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -135,7 +175,7 @@ def conv1d_same_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray
     _require(k % 2 == 1, f"kernel size must be odd, got {k}")
     _require(x.shape[1] == c_in, f"input channels {x.shape[1]} != weight C_in {c_in}")
     _require(b.shape == (c_out,), f"bias shape {b.shape} != ({c_out},)")
-    y, _ = conv1d(x, w)
+    y = conv1d(x, w)
     y += b[:, None]
     return y
 

@@ -114,12 +114,13 @@ class Workspace:
 
     Per conv layer it holds the zero-padded input (batch, C_in, L+K-1),
     whose interior the previous layer's ReLU writes into directly, and the
-    normalized activations x_hat; shared buffers take the im2col patches,
-    the BN output before the ReLU, the flowing gradients and each weight
-    gradient. A step writes everything with out=, and a shorter batch of b
-    windows uses the leading rows buf[:b], so a step allocates nothing of
-    the batch's size. train_fold keeps one workspace for an epoch's step
-    loop and drops it before the validation pass.
+    normalized activations x_hat; shared buffers take the im2col patches
+    of one block of kernels.BLOCK windows, the BN output before the ReLU,
+    the flowing gradients and each weight gradient. A step writes
+    everything with out=, and a shorter batch of b windows uses the leading
+    rows buf[:b], so a step allocates nothing of the batch's size.
+    train_fold keeps one workspace for an epoch's step loop and drops it
+    before the validation pass.
     """
 
     def __init__(self, m: ModelParams, batch: int):
@@ -138,11 +139,11 @@ class Workspace:
         self.out = act()                   # last ReLU output, the head's input
         self.h = act()                     # BN output before the ReLU
         self.mask = np.empty((batch, c, length), bool)
-        self.patches = np.empty((batch, widest * k, length), dtype)
+        self.patches = np.empty((min(batch, kernels.BLOCK), widest * k, length),
+                                dtype)
         self.products = np.empty((batch, c, widest), dtype)
         self.grad = (act(), act())
         self.g_padded = np.zeros((batch, c, length + k - 1), dtype)
-        self.dx_in = act(cfg.in_channels)  # the stem's input gradient, unused
         self.dw = {name: np.empty_like(layer.w) for name, layer in m.conv_layers()}
         self.head_w = np.empty_like(m.head_w)
 
@@ -266,11 +267,15 @@ def _step(ws: Workspace, m: ModelParams, x, targets, weights):
         if pos == last:                     # the add routes dh to the skip too
             skip_grad, da = da, spare
         c_out, c_in, k = layer.w.shape
-        _, dw, db = kernels.conv1d_backward(
-            dz, layer.w, ws.padded[i][:b], dx=da if i else ws.dx_in[:b],
-            dw=ws.dw[name], g_padded=ws.g_padded[:b],
-            patches=ws.patches[:b, :c_out * k],
-            products=ws.products[:b, :, :c_in])
+        products = ws.products[:b, :, :c_in]
+        if i:
+            _, dw, db = kernels.conv1d_backward(
+                dz, layer.w, ws.padded[i][:b], dx=da, dw=ws.dw[name],
+                g_padded=ws.g_padded[:b], patches=ws.patches[:b, :c_out * k],
+                products=products)
+        else:   # nothing reads the stem's input gradient
+            dw, db = kernels.conv1d_weight_grad(
+                dz, ws.padded[0][:b], dw=ws.dw[name], products=products)
         grads[f"{name}.w"] = dw
         grads[f"{name}.b"] = db
         grads[f"{name}.gamma"] = dgamma

@@ -95,6 +95,16 @@ class TestPrepare:
         assert_one_error_line(err, "MalformedRow")
         assert f"{data}:3:" in err
 
+    def test_missing_session_is_data_error(self, capsys, tmp_path):
+        data = tmp_path / "short.csv"
+        data.write_text("timestamp,acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,"
+                        "hbc,label,subject,session\n0.0,1,2,3,4,5,6,7,0,1\n")
+        code, _, err = run_cli(capsys, "prepare", "--dataset", str(data),
+                               "--out", str(tmp_path / "o"))
+        assert code == cli.EXIT_DATA
+        assert_one_error_line(err, "MalformedRow")
+        assert f"{data}:2: session field missing" in err
+
     @pytest.mark.parametrize("flag, value", [("--stride", "0"),
                                              ("--fold", "x")])
     def test_bad_argument_is_usage_error(self, capsys, pipeline, tmp_path,

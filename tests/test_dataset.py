@@ -165,6 +165,36 @@ class TestLoadRecordings:
         assert exc.value.index == 3
         assert exc.value.path == str(path)
 
+    @pytest.mark.parametrize("missing", ["subject", "session"])
+    def test_row_without_subject_or_session(self, tmp_path, missing):
+        path = tmp_path / "a.csv"
+        fields = "0.0,1,2,3,4,5,6,7,0" + (",1" if missing == "session" else "")
+        with open(path, "w") as f:
+            f.write(HEADER + fields + "\n")
+        with pytest.raises(MalformedRow) as exc:
+            load_recordings(path)
+        assert (exc.value.index, exc.value.reason) == (2, f"{missing} field "
+                                                          "missing")
+
+    @pytest.mark.parametrize("bad, reason", [
+        ('0.15,1,2,3,4,5,6,7,13,1,1,"x\ny"', "label 13 outside [0, 11]"),
+        ('0.0,1,2,3,4,5,6,7,0,1,1,"x\ny"', "timestamps not strictly "
+                                             "increasing for subject 1 "
+                                             "session 1")])
+    def test_line_is_where_the_record_starts(self, tmp_path, bad, reason):
+        # a quoted note on line 3 runs on to line 4, so the bad record
+        # after it starts on physical line 5, not the file's fourth
+        # record, and ends on line 6
+        path = tmp_path / "a.csv"
+        with open(path, "w") as f:
+            f.write(HEADER.rstrip("\n") + ",note\n")
+            f.write("0.0,1,2,3,4,5,6,7,0,1,1,x\n")
+            f.write('0.05,1,2,3,4,5,6,7,0,1,1,"two\nlines"\n')
+            f.write(bad + "\n")
+        with pytest.raises(MalformedRow) as exc:
+            load_recordings(path)
+        assert (exc.value.index, exc.value.reason) == (5, reason)
+
     def test_directory_merges_files(self, tmp_path):
         write_csv(tmp_path / "a.csv", [row(0.0)])
         write_csv(tmp_path / "b.csv", [row(0.05)])
@@ -280,6 +310,27 @@ class TestWindowWeight:
         freq = np.array([40, 0])
         with pytest.raises(UnseenLabel):
             window_weight(np.array([0, 1]), freq)
+        with pytest.raises(UnseenLabel):
+            window_weight(np.array([[0, 0], [0, 1]]), freq)
+
+    def test_rows_bit_identical_to_one_window_each(self, rng):
+        freq = rng.integers(1, 500, 12)
+        labels = rng.integers(0, 12, (9, 40))
+        weights = window_weight(labels, freq)
+        assert weights.shape == (9,) and weights.dtype == np.float64
+        for row_labels, weight in zip(labels, weights):
+            assert window_weight(row_labels, freq) == weight
+
+
+def oracle_window_weight(labels, class_freq):
+    """The per-window weight the vectorized window_weight replaced."""
+    class_freq = np.asarray(class_freq, dtype=np.int64)
+    for lbl in np.unique(labels):
+        if class_freq[lbl] <= 0:
+            raise UnseenLabel(int(lbl))
+    inv = (int(class_freq.sum())
+           / (len(class_freq) * class_freq[labels].astype(np.float64)))
+    return float(inv.mean())
 
 
 class TestLoucvSplits:
@@ -336,6 +387,15 @@ class TestBuildFold:
         std = normalized.std(axis=0)
         assert np.all(np.abs(mean) <= 1e-4)
         assert np.all((std >= 1 - 1e-3) & (std <= 1 + 1e-3))
+
+    def test_weights_bit_identical_to_per_window_oracle(self,
+                                                         synth_dataset_dir):
+        split = build_fold(load_recordings(synth_dataset_dir),
+                           held_out_subject=2)
+        counts = class_counts(split.train)
+        assert [w.weight for w in split.train] == [
+            oracle_window_weight(w.sample_labels, counts) for w in split.train]
+        assert all(type(w.weight) is float for w in split.train)
 
     def test_uniform_labels_give_unit_weights(self, rng):
         recs = []
@@ -488,13 +548,15 @@ def oracle_load_recordings(path) -> list[Recording]:
             except StopIteration:
                 continue
             idx = ColumnMap().resolve(header, str(f))
-            for lineno, row in enumerate(reader, start=2):
+            lineno = reader.line_num + 1   # where the next record starts
+            for row in reader:
+                start, lineno = lineno, reader.line_num + 1
                 if not row or all(not cell.strip() for cell in row):
                     continue
                 try:
                     rec = oracle_parse_row(row, idx)
                 except ValueError as e:
-                    raise MalformedRow(lineno, str(e), str(f)) from None
+                    raise MalformedRow(start, str(e), str(f)) from None
                 groups.setdefault((rec.subject, rec.session), []).append(rec)
     if not groups:
         raise EmptyDataset(f"no data rows found under {path}")

@@ -142,7 +142,7 @@ class TestConvBuffers:
         x = rng.standard_normal((batch, c_in, length)).astype(np.float32)
         w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
         g = rng.standard_normal((batch, c_out, length)).astype(np.float32)
-        y, patches = kernels.conv1d(x, w)
+        y = kernels.conv1d(x, w)
         padded = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
         dx, dw, db = kernels.conv1d_backward(g, w, padded)
 
@@ -156,17 +156,16 @@ class TestConvBuffers:
         products = np.empty((rows, c_out, c_in), np.float32)
         dw_buf = np.empty(w.shape, np.float32)
 
-        y2, patches2 = kernels.conv1d(x, w, out[:batch],
-                                      padded=pad_buf[:batch],
-                                      patches=patch_buf[:batch, :c_in * k])
+        y2 = kernels.conv1d(x, w, out[:batch], padded=pad_buf[:batch],
+                            patches=patch_buf[:batch, :c_in * k])
         np.testing.assert_array_equal(y2, y)
-        np.testing.assert_array_equal(patches2, patches)
+        np.testing.assert_array_equal(patch_buf[:batch, :c_in * k],
+                                      kernels.im2col(padded, k, length))
         np.testing.assert_array_equal(pad_buf[:batch], padded)
         # x already in the pad buffer's interior is read in place
         interior = pad_buf[:batch, :, pad:pad + length]
-        y3, _ = kernels.conv1d(interior, w, out[:batch],
-                               padded=pad_buf[:batch],
-                               patches=patch_buf[:batch, :c_in * k])
+        y3 = kernels.conv1d(interior, w, out[:batch], padded=pad_buf[:batch],
+                            patches=patch_buf[:batch, :c_in * k])
         np.testing.assert_array_equal(y3, y)
 
         g_interior = g_pad_buf[:batch, :, pad:pad + length]
@@ -180,6 +179,47 @@ class TestConvBuffers:
         np.testing.assert_array_equal(dx2, dx)
         np.testing.assert_array_equal(dw2, dw)
         np.testing.assert_array_equal(db2, db)
+
+    @pytest.mark.parametrize("buffers", [False, True])
+    @pytest.mark.parametrize("c_in,c_out,length,k", CONV_CASES)
+    def test_blocks_match_one_window_calls(self, rng, c_in, c_out, length,
+                                           k, buffers):
+        """2*BLOCK + 3 windows, three blocks the last of them short, give
+        the bits of one-window calls; the caller's patches buffer holds one
+        block."""
+        batch, pad = 2 * kernels.BLOCK + 3, (k - 1) // 2
+        x = rng.standard_normal((batch, c_in, length)).astype(np.float32)
+        w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
+        g = rng.standard_normal((batch, c_out, length)).astype(np.float32)
+        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+        one = [kernels.conv1d_backward(g[i:i + 1], w, padded[i:i + 1])
+               for i in range(batch)]
+        want_y = np.concatenate([kernels.conv1d(x[i:i + 1], w)
+                                 for i in range(batch)])
+        want_dx = np.concatenate([dx for dx, _, _ in one])
+        want_dw = np.stack([dw for _, dw, _ in one]).sum(axis=0)
+        want_db = np.stack([db for _, _, db in one]).sum(axis=0)
+
+        if buffers:
+            patches = np.empty((kernels.BLOCK, max(c_in, c_out) * k, length),
+                               np.float32)
+            y = kernels.conv1d(
+                x, w, np.empty((batch, c_out, length), np.float32),
+                padded=np.zeros_like(padded), patches=patches[:, :c_in * k])
+            g_padded = np.zeros((batch, c_out, length + k - 1), np.float32)
+            dx, dw, db = kernels.conv1d_backward(
+                g, w, padded, dx=np.empty_like(x), dw=np.empty_like(w),
+                g_padded=g_padded, patches=patches[:, :c_out * k],
+                products=np.empty((batch, c_out, c_in), np.float32))
+        else:
+            y = kernels.conv1d(x, w)
+            dx, dw, db = kernels.conv1d_backward(g, w, padded)
+        for got, want in ((y, want_y), (dx, want_dx)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        # the weight gradients sum over the whole batch, not block by block
+        np.testing.assert_allclose(dw, want_dw, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(db, want_db, rtol=1e-5, atol=1e-5)
 
     def test_input_overlapping_pad_buffer_rejected(self, rng):
         w = rng.standard_normal((4, 3, 3)).astype(np.float32)
@@ -207,15 +247,16 @@ class TestConvBuffers:
 
 def test_every_conv_lowers_through_im2col(monkeypatch):
     """The float forward, a training step and the int8 forward call
-    kernels.im2col once per conv, and the training backward once more:
-    the benchmark taps and traces that one name."""
+    kernels.im2col once per conv and block of windows (kernels.BLOCK for
+    the float convs, quantize.BLOCK_WINDOWS for the integer plan), and the
+    training backward once more for every conv but the stem, whose input
+    gradient nothing reads: the benchmark taps and traces that one name."""
     cfg = model.ModelConfig(width=4)
     convs = 1 + cfg.blocks * cfg.convs_per_block
     m = model.build(cfg, seed=0)
     folded = model.fold_batchnorm(m)
     qm = quantize.quantize_model(folded, quantize.calibrate(
         folded, synth.make_random_windows(4, seed=0)))
-    x = np.stack([w.data for w in synth.make_random_windows(3, seed=1)])
     calls = []
     original = kernels.im2col
 
@@ -230,10 +271,14 @@ def test_every_conv_lowers_through_im2col(monkeypatch):
         run()
         return len(calls)
 
-    assert count(lambda: model.forward_batch(m, x)) == convs
-    assert count(lambda: training.backward(
-        m, x, np.array([0, 1, 2]), np.ones(3))) == 2 * convs
-    assert count(lambda: quantize.qforward_batch(qm, x)) == convs
+    for n in (3, 2 * kernels.BLOCK + 3):
+        x = np.stack([w.data for w in synth.make_random_windows(n, seed=1)])
+        blocks = -(-n // kernels.BLOCK)
+        assert count(lambda: model.forward_batch(m, x)) == blocks * convs
+        assert count(lambda: training.backward(
+            m, x, np.arange(n) % 12, np.ones(n))) == blocks * (2 * convs - 1)
+        assert count(lambda: quantize.qforward_batch(qm, x)) == (
+            -(-n // quantize.BLOCK_WINDOWS) * convs)
 
 
 class TestBatchnormInfer:

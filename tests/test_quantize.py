@@ -426,8 +426,8 @@ def unplanned_qconv(layer, x_q, trace):
     """x_q: (B, C_in, L) int8 -> (B, C_out, L) int8."""
     _, c_in, k = layer.w_q.shape
     shifted = np.subtract(x_q, layer.in_spec.zero_point, dtype=np.int16)
-    acc, _ = kernels.conv1d(shifted,
-                            layer.w_q.astype(quantize._gemm_dtype(c_in * k)))
+    acc = kernels.conv1d(shifted,
+                         layer.w_q.astype(quantize._gemm_dtype(c_in * k)))
     acc = acc.astype(np.int64)
     acc += layer.bias_q[:, None]
     quantize._note(trace, f"{layer.name}.acc", acc)

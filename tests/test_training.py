@@ -55,7 +55,11 @@ def oracle_forward_train(m, x):
         entry = {"name": name}
         if pos == 0:
             skip = a
-        z, entry["patches"] = kernels.conv1d(a, layer.w)
+        z = kernels.conv1d(a, layer.w)
+        pad = (layer.w.shape[2] - 1) // 2
+        entry["patches"] = kernels.im2col(
+            np.pad(a, ((0, 0), (0, 0), (pad, pad))), layer.w.shape[2],
+            a.shape[2])
         z += layer.b[:, None]
         h, entry["bn"] = oracle_bn_train_forward(z, layer.gamma, layer.beta, eps)
         if pos == last:
@@ -93,7 +97,7 @@ def oracle_backward_train(m, x, targets, weights):
             pending_skip_grad = dh
         dz, dgamma, dbeta = oracle_bn_train_backward(dh, layer.gamma, entry["bn"])
         c_out, c_in, k = layer.w.shape
-        dx, _ = kernels.conv1d(dz, layer.w.transpose(1, 0, 2)[:, :, ::-1])
+        dx = kernels.conv1d(dz, layer.w.transpose(1, 0, 2)[:, :, ::-1])
         dw = np.tensordot(dz, entry["patches"], axes=([0, 2], [0, 2]))
         grads[f"{name}.w"] = dw.reshape(c_out, c_in, k)
         grads[f"{name}.b"] = dz.sum(axis=(0, 2))
@@ -248,9 +252,10 @@ def random_batch(rng, n, dtype):
 
 class TestWorkspaceTrainer:
     @pytest.mark.parametrize("width, rows, b", [
-        (2, 6, 6), (2, 6, 4), (52, 16, 16), (52, 16, 11)])
+        (2, 6, 6), (2, 6, 4), (52, 16, 16), (52, 16, 11), (52, 40, 37)])
     def test_matches_allocating_oracle(self, rng, width, rows, b):
-        """Full and shorter-than-workspace batches, float64: gradients within
+        """Full and shorter-than-workspace batches, one and three conv
+        blocks (kernels.BLOCK windows each), float64: gradients within
         1e-12 of the allocating trainer's largest gradient (the conv-bias
         gradients are zero up to rounding, so a per-tensor scale would be
         noise), loss and BN statistics within 1e-12 relative."""
