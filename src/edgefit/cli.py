@@ -56,8 +56,7 @@ def cmd_prepare(args) -> int:
     if fold is not None and fold not in subjects:
         raise InvalidConfig(f"no subject {fold} in {args.dataset}")
     folds = subjects if fold is None else [fold]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = dataset.make_out_dir(args.out)
     manifest = {"stride": args.stride, "window_size": dataset.WINDOW_SIZE,
                 "folds": []}
     for k in folds:
@@ -250,10 +249,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("synth", help="generate a synthetic CSV dataset")
-    p.add_argument("--out", required=True)
-    p.add_argument("--subjects", type=int, default=10)
-    p.add_argument("--sessions", type=int, default=5)
-    p.add_argument("--class-seconds", type=float, default=12.0)
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--subjects", type=int, default=10,
+                   help="subjects %d-%d (default 10)" % dataset.SUBJECT_RANGE)
+    p.add_argument("--sessions", type=int, default=5,
+                   help="sessions per subject %d-%d (default 5)"
+                        % dataset.SESSION_RANGE)
+    p.add_argument("--class-seconds", type=float, default=12.0,
+                   help="seconds per exercise segment, finite and >= 0 "
+                        "(default 12)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
     return parser

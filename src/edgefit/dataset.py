@@ -375,6 +375,18 @@ def build_fold(recordings: list[Recording], held_out_subject: int,
     return DatasetSplit(train=train, test=test, held_out_subject=held_out_subject)
 
 
+def make_out_dir(path: str | Path) -> Path:
+    """Create the output directory path and its parents if missing; raises
+    InvalidConfig when path is a file or lies under one."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise InvalidConfig(f"output directory {path} is a file or lies "
+                            f"under one") from None
+    return path
+
+
 def save_windows(path: str | Path, windows: list[Window]) -> None:
     """Write an EFW2 container (layout in edgefit.container): the window
     count as metadata, data (N, 7, 40) and the _WINDOW_FIELDS as tensors.
