@@ -36,11 +36,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sniff_model(path: str):
-    """Load an int8 model file as one, any other file as a float model."""
+    """Load an int8 model file of any version (magic EFQ*) as one, so that
+    an old version is named as such, and any other file as a float model."""
     p = Path(path)
     if p.is_file():
         with open(p, "rb") as f:
-            if f.read(4) == quantize.QUANT_MAGIC:
+            if f.read(3) == quantize.QUANT_MAGIC[:3]:
                 return quantize.load(p)
     return model.load(p)
 
@@ -55,6 +56,8 @@ def cmd_prepare(args) -> int:
     subjects = sorted({r.subject for r in recordings})
     if fold is not None and fold not in subjects:
         raise InvalidConfig(f"no subject {fold} in {args.dataset}")
+    if args.stride < 1:
+        raise InvalidConfig(f"--stride must be >= 1, got {args.stride}")
     folds = subjects if fold is None else [fold]
     out = dataset.make_out_dir(args.out)
     manifest = {"stride": args.stride, "window_size": dataset.WINDOW_SIZE,
@@ -106,6 +109,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_quantize(args) -> int:
+    if args.calib_size < 1:
+        raise InvalidConfig(
+            f"--calib-size must be >= 1, got {args.calib_size}")
     m = model.load(args.model)
     windows = dataset.load_windows(args.windows)
     if args.fold is not None:
@@ -121,7 +127,6 @@ def cmd_quantize(args) -> int:
     folded = model.fold_batchnorm(m)
     stats = quantize.calibrate(folded, calib)
     qm = quantize.quantize_model(folded, stats)
-    quantize.check_quant_invariants(qm)
     quantize.save(qm, args.out)
     print(f"calibrated on {size} windows; quantized model -> {args.out}")
     return EXIT_OK
@@ -224,7 +229,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("eval", help="evaluate a float or quantized model")
-    p.add_argument("--model", required=True, help="EFM2 or EFQ2 file")
+    p.add_argument("--model", required=True, help="EFM2 or EFQ3 file")
     p.add_argument("--windows", required=True)
     p.add_argument("--fold", type=int, default=None,
                    help="evaluate only this subject's windows")
@@ -267,6 +272,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # train, quantize, bench and synth seed np.random.default_rng with it
+        if getattr(args, "seed", 0) < 0:
+            raise InvalidConfig(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except DataError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

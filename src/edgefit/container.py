@@ -1,5 +1,5 @@
 """The one binary container behind every file edgefit writes: windows
-(EFW2), float models (EFM2) and int8 models (EFQ2).
+(EFW2), float models (EFM2) and int8 models (EFQ3).
 
 Layout, integers little-endian:
 

@@ -91,5 +91,5 @@ class AccumulatorOverflow(NumericalContractError):
 
 
 class RequantRangeError(NumericalContractError):
-    """Scale ratio cannot be represented as M0 * 2^-(31+n), or a layer
-    holds a spec that differs from the one of the activation it reads."""
+    """A scale is not finite and positive, or a scale ratio cannot be
+    represented as M0 * 2^-(31+n) with n in [-30, 31]."""

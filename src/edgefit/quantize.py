@@ -25,6 +25,16 @@ cast back to integers before anything is added, so the accumulators equal
 those of an int32 GEMM bit for bit. The convs lower through
 kernels.conv1d, the one conv lowering of the package.
 
+The model stores what a microcontroller runtime stores (TensorFlow Lite
+Micro): per conv and for the head the int8 weights, their per-channel
+scales and the int32 biases, and one (scale, zero point) spec per
+activation, the one its layer produces: the input, each conv's output and
+each residual add's output. A layer's input spec is that of the activation
+before it. The fixed-point multipliers are not stored: like each TFLM
+kernel's Prepare, the plan derives every M0 and n with quantize_multiplier
+when it lays the network out, from s_in*s_w/s_out per conv channel and
+s_a/s_out, s_h/s_out per add.
+
 The plan. qforward_batch runs a QuantPlan, built at the model's first
 qforward_batch and kept on it (QuantModel.plan), over blocks of
 BLOCK_WINDOWS windows, as a microcontroller runtime plans its tensor arena
@@ -54,7 +64,8 @@ A block allocates only the input quantization's temporaries, a shift
 column per conv and numpy's casting buffers: at width 52 a steady call of
 8 windows peaks at 55 KB of allocations (468 KB before the plan).
 
-The plan is built after check_quant_invariants passes, from the model's
+The plan is laid out by _layout, the walk check_quant_invariants runs, so
+it derives the multipliers and checks the model once, from the model's
 arrays at that moment: edit no array of a model after its first
 inference (save and load it, or quantize again, to get a new plan). It
 runs in its own arrays, so two threads must not run one model at once.
@@ -93,11 +104,10 @@ WEIGHT_SCALE_FLOOR = 1e-12
 INT32_LIMIT = 2 ** 31
 CALIB_BLOCK = 64        # windows per forward_batch call in calibrate
 
-QUANT_MAGIC = b"EFQ2"
+QUANT_MAGIC = b"EFQ3"
 
-# QConvLayer arrays with their EFQ2 dtypes; a QDense has the first three.
-_CONV_TENSORS = (("w_q", "|i1"), ("w_scale", "<f4"), ("bias_q", "<i4"),
-                 ("m0", "<i4"), ("shift", "<i4"))
+# the arrays of a QConvLayer or QDense with their EFQ3 dtypes
+_LAYER_TENSORS = (("w_q", "|i1"), ("w_scale", "<f4"), ("bias_q", "<i4"))
 
 
 @dataclass(frozen=True)
@@ -108,44 +118,28 @@ class QuantSpec:
     zero_point: int
 
 
-@dataclass
-class QuantTensor:
-    values: np.ndarray       # int8
-    scale: np.ndarray        # float32 scalar array, or (C,) for per-channel
-    zero_point: np.ndarray   # int32, same shape as scale
-
-
 def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest with ties away from zero, as int64."""
     return np.copysign(np.floor(np.abs(x) + 0.5), x).astype(np.int64)
 
 
-def quantize_tensor(x: np.ndarray, channel_axis: int | None = None,
-                    floor: np.ndarray | float = 0.0) -> QuantTensor:
-    """Quantize a float tensor to symmetric int8: scale = max|x| / 127 (per
-    channel_axis when given), raised to floor (broadcast like the scale)
-    and to WEIGHT_SCALE_FLOOR, so an all-zero tensor or channel gets a
-    positive scale instead of an error; zero point 0.
+def quantize_tensor(w: np.ndarray, floor: np.ndarray | float = 0.0
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Quantize a float weight tensor to symmetric int8 per output channel
+    (axis 0): scale = max|w| / 127 over the channel, raised to floor (one
+    per channel, or one for all) and to WEIGHT_SCALE_FLOOR, so an all-zero
+    channel gets a positive scale instead of an error; zero point 0.
+    Returns the int8 values and the (C_out,) float32 scales.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
+    w = np.asarray(w, dtype=np.float64)
+    if not np.all(np.isfinite(w)):
         raise InvalidConfig("cannot quantize non-finite tensor")
-    if channel_axis is None:
-        scale = np.array(np.abs(x).max(), dtype=np.float64)
-    else:
-        reduce_axes = tuple(a for a in range(x.ndim) if a != channel_axis)
-        scale = np.abs(x).max(axis=reduce_axes)
+    scale = np.abs(w).max(axis=tuple(range(1, w.ndim)))
     scale = np.maximum(np.maximum(scale / QMAX, floor),
                        WEIGHT_SCALE_FLOOR).astype(np.float32)
-    zp = np.zeros_like(scale, dtype=np.int32)
-    if channel_axis is None:
-        q = round_half_away(x / float(scale))
-    else:
-        shape = [1] * x.ndim
-        shape[channel_axis] = -1
-        q = round_half_away(x / scale.astype(np.float64).reshape(shape))
-    values = np.clip(q, QMIN, QMAX).astype(np.int8)
-    return QuantTensor(values=values, scale=scale, zero_point=zp)
+    q = round_half_away(w / scale.astype(np.float64).reshape(
+        -1, *[1] * (w.ndim - 1)))
+    return np.clip(q, QMIN, QMAX).astype(np.int8), scale
 
 
 def activation_spec(lo: float, hi: float) -> QuantSpec:
@@ -212,22 +206,27 @@ def calibrate(folded: ModelParams, calib: list[Window]) -> CalibStats:
 # fixed-point requantization
 # ---------------------------------------------------------------------------
 
-def quantize_multiplier(ratio: float) -> tuple[int, int]:
-    """Express ratio as M0 * 2^-(31+n) with M0 in [2^30, 2^31).
+def quantize_multiplier(ratio: float, name: str = "multiplier"
+                        ) -> tuple[int, int]:
+    """Express ratio as M0 * 2^-(31+n) with M0 in [2^30, 2^31) and n in
+    [-30, 31], since _rescale shifts an int64 by 31 + n bits; raises
+    RequantRangeError, naming the layer name, for any other ratio.
 
     n is negative for ratios >= 1 (the residual add can need that); the
     representation is exact to within half an ulp of M0.
     """
     if not (ratio > 0 and math.isfinite(ratio)):
-        raise RequantRangeError(f"scale ratio must be positive, got {ratio}")
+        raise RequantRangeError(
+            f"{name}: scale ratio must be finite and positive, got {ratio}")
     mantissa, exponent = math.frexp(ratio)     # ratio = mantissa * 2^exponent
     m0 = round(mantissa * (1 << 31))
     if m0 == (1 << 31):
         m0 >>= 1
         exponent += 1
     n = -exponent
-    if 31 + n < 1:
-        raise RequantRangeError(f"scale ratio {ratio} too large to represent")
+    if not -30 <= n <= 31:
+        raise RequantRangeError(f"{name}: scale ratio {ratio} needs shift "
+                                f"{n}, outside [-30, 31]")
     return m0, n
 
 
@@ -283,24 +282,8 @@ class QConvLayer:
     w_q: np.ndarray           # (C_out, C_in, K) int8
     w_scale: np.ndarray       # (C_out,) float32
     bias_q: np.ndarray        # (C_out,) int32
-    in_spec: QuantSpec
     out_spec: QuantSpec
-    m0: np.ndarray            # (C_out,) int32
-    shift: np.ndarray         # (C_out,) int32
     relu: bool
-
-
-@dataclass
-class QAdd:
-    """Residual merge: both addends rescaled into the output spec."""
-
-    a_spec: QuantSpec         # block input
-    h_spec: QuantSpec         # last conv output
-    out_spec: QuantSpec
-    a_m0: int
-    a_shift: int
-    h_m0: int
-    h_shift: int
 
 
 @dataclass
@@ -308,13 +291,12 @@ class QDense:
     w_q: np.ndarray           # (classes, N) int8
     w_scale: np.ndarray       # (classes,) float32
     bias_q: np.ndarray        # (classes,) int32
-    in_spec: QuantSpec
 
 
 @dataclass
 class QBlock:
     convs: list[QConvLayer]
-    add: QAdd
+    out_spec: QuantSpec       # the residual add's output
 
 
 @dataclass
@@ -335,16 +317,14 @@ class QuantModel:
 
 
 def _spec_items(qm: QuantModel):
-    """Yield (name, QuantSpec) for every activation spec the model holds."""
+    """Yield (name, QuantSpec) for every activation in network order: the
+    input, each conv's output and each residual add's output."""
     yield "input", qm.input_spec
-    for layer in qm.layers():
-        yield f"{layer.name}.in", layer.in_spec
-        yield f"{layer.name}.out", layer.out_spec
+    yield "stem.out", qm.stem.out_spec
     for i, block in enumerate(qm.blocks):
-        yield f"b{i}.add.a", block.add.a_spec
-        yield f"b{i}.add.h", block.add.h_spec
-        yield f"b{i}.add.out", block.add.out_spec
-    yield "head.in", qm.head.in_spec
+        for layer in block.convs:
+            yield f"{layer.name}.out", layer.out_spec
+        yield f"b{i}.add.out", block.out_spec
 
 
 def _check_accumulator(name: str, fan_in: int, bias_q: np.ndarray) -> None:
@@ -356,6 +336,18 @@ def _check_accumulator(name: str, fan_in: int, bias_q: np.ndarray) -> None:
     if worst >= INT32_LIMIT:
         raise AccumulatorOverflow(
             f"{name}: worst-case accumulator {worst} does not fit int32")
+
+
+def _checked(name: str, spec: QuantSpec) -> QuantSpec:
+    """spec, once its zero point is known to lie in the int8 range (the
+    exact float GEMM bound assumes |q - zero_point| <= 255) and its scale
+    to be finite and positive."""
+    if not QMIN <= spec.zero_point <= QMAX:
+        raise AccumulatorOverflow(f"{name}: zero point {spec.zero_point} "
+                                  f"outside [{QMIN}, {QMAX}]")
+    if not 0 < spec.scale < math.inf:
+        raise RequantRangeError(f"{name}: scale {spec.scale}")
+    return spec
 
 
 def _bias_scale_floor(b: np.ndarray, s_in: float) -> np.ndarray:
@@ -372,8 +364,7 @@ def _quantize_conv(name: str, w: np.ndarray, b: np.ndarray,
     # ratio s_in * s_w / s_out at or above 2^-31, so its shift n <= 30
     floor = np.maximum(_bias_scale_floor(b, in_spec.scale),
                        out_spec.scale / (in_spec.scale * 2.0 ** 31))
-    qt = quantize_tensor(w, channel_axis=0, floor=floor)
-    w_scale = qt.scale.astype(np.float32)
+    w_q, w_scale = quantize_tensor(w, floor=floor)
     bias_scale = in_spec.scale * w_scale.astype(np.float64)
     bias_real = b.astype(np.float64) / bias_scale
     ratios = bias_scale / out_spec.scale
@@ -383,18 +374,15 @@ def _quantize_conv(name: str, w: np.ndarray, b: np.ndarray,
         raise AccumulatorOverflow(f"{name}: quantized bias exceeds int32 at "
                                   f"every scale the multiplier can express")
     bias_q = round_half_away(bias_real)
-    pairs = [quantize_multiplier(float(r)) for r in ratios]
-    m0 = np.array([p[0] for p in pairs], dtype=np.int32)
-    shift = np.array([p[1] for p in pairs], dtype=np.int32)
     _check_accumulator(name, w.shape[1] * w.shape[2], bias_q)
-    return QConvLayer(name=name, w_q=qt.values, w_scale=w_scale,
-                      bias_q=bias_q.astype(np.int32),
-                      in_spec=in_spec, out_spec=out_spec,
-                      m0=m0, shift=shift, relu=relu)
+    return QConvLayer(name=name, w_q=w_q, w_scale=w_scale,
+                      bias_q=bias_q.astype(np.int32), out_spec=out_spec,
+                      relu=relu)
 
 
 def quantize_model(folded: ModelParams, stats: CalibStats) -> QuantModel:
-    """Build the int8 model from a folded float model and calibration ranges."""
+    """Build the int8 model from a folded float model and calibration
+    ranges; it passes check_quant_invariants, so its plan can be laid out."""
     if not folded.bn_folded:
         raise InvalidConfig("quantize_model expects a BN-folded model")
     cfg = folded.config
@@ -409,7 +397,6 @@ def quantize_model(folded: ModelParams, stats: CalibStats) -> QuantModel:
     blocks = []
     current = stem_out
     for i, block in enumerate(folded.blocks):
-        block_in = current
         convs = []
         for j, layer in enumerate(block):
             if j < cfg.convs_per_block - 1:
@@ -421,26 +408,23 @@ def quantize_model(folded: ModelParams, stats: CalibStats) -> QuantModel:
             convs.append(_quantize_conv(f"b{i}.c{j}", layer.w, layer.b,
                                         current, out_spec, relu))
             current = out_spec
-        out_spec = activation_spec(*stats.range_of(f"b{i}.out"))
-        a_m0, a_shift = quantize_multiplier(block_in.scale / out_spec.scale)
-        h_m0, h_shift = quantize_multiplier(current.scale / out_spec.scale)
-        blocks.append(QBlock(convs=convs, add=QAdd(
-            a_spec=block_in, h_spec=current, out_spec=out_spec,
-            a_m0=a_m0, a_shift=a_shift, h_m0=h_m0, h_shift=h_shift)))
-        current = out_spec
+        current = activation_spec(*stats.range_of(f"b{i}.out"))
+        blocks.append(QBlock(convs=convs, out_spec=current))
 
-    qt = quantize_tensor(folded.head_w, channel_axis=0,
-                         floor=_bias_scale_floor(folded.head_b, current.scale))
-    head_scale = current.scale * qt.scale.astype(np.float64)
+    head_w, head_w_scale = quantize_tensor(
+        folded.head_w, floor=_bias_scale_floor(folded.head_b, current.scale))
+    head_scale = current.scale * head_w_scale.astype(np.float64)
     head_real = folded.head_b.astype(np.float64) / head_scale
     if not np.all(np.isfinite(head_real)) or np.any(np.abs(head_real) >= INT32_LIMIT):
         raise AccumulatorOverflow("head: quantized bias exceeds int32")
     head_bias = round_half_away(head_real)
     _check_accumulator("head", folded.head_w.shape[1], head_bias)
-    head = QDense(w_q=qt.values, w_scale=qt.scale.astype(np.float32),
-                  bias_q=head_bias.astype(np.int32), in_spec=current)
-    return QuantModel(config=cfg, input_spec=input_spec, stem=stem,
-                      blocks=blocks, head=head)
+    head = QDense(w_q=head_w, w_scale=head_w_scale,
+                  bias_q=head_bias.astype(np.int32))
+    qm = QuantModel(config=cfg, input_spec=input_spec, stem=stem,
+                    blocks=blocks, head=head)
+    check_quant_invariants(qm)
+    return qm
 
 
 # ---------------------------------------------------------------------------
@@ -487,19 +471,24 @@ class _ConvStep:
     low: int                  # the output zero point under a fused ReLU
 
     @classmethod
-    def of(cls, layer: QConvLayer) -> _ConvStep:
+    def of(cls, layer: QConvLayer, in_spec: QuantSpec) -> _ConvStep:
+        """The step of layer reading an activation on in_spec's grid, with
+        M0 and n per channel from s_in*s_w/s_out; a weight scale that is
+        not finite and positive makes its ratio so."""
         _, c_in, k = layer.w_q.shape
-        m0 = layer.m0.astype(np.int64)[:, None]
-        shift_n = layer.shift.astype(np.int64)[:, None]
+        _check_accumulator(layer.name, c_in * k, layer.bias_q)
+        out = _checked(f"{layer.name}.out", layer.out_spec)
+        ratios = in_spec.scale * layer.w_scale.astype(np.float64) / out.scale
+        m0, shift_n = (np.array(column, np.int64)[:, None] for column in zip(
+            *(quantize_multiplier(float(r), layer.name) for r in ratios)))
         # |bias_q| < 2^31 - fan_in*128*255 and M0 < 2^31 bound (acc +
         # bias)*M0 by 2^62 and n <= 31 the rounding term by 2^61, so
         # neither the offset nor acc*M0 + offset leaves int64
         offset = (layer.bias_q.astype(np.int64)[:, None] * m0
                   + np.left_shift(np.int64(1), shift_n + 30))
         return cls(layer.name, layer.w_q.astype(_gemm_dtype(c_in * k)), m0,
-                   shift_n, offset, layer.in_spec.zero_point,
-                   layer.out_spec.zero_point,
-                   layer.out_spec.zero_point if layer.relu else QMIN)
+                   shift_n, offset, in_spec.zero_point, out.zero_point,
+                   out.zero_point if layer.relu else QMIN)
 
     def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
         """(padded, its interior, patches, GEMM output, int64 accumulators),
@@ -537,13 +526,18 @@ class _AddStep:
     channels: int
 
     @classmethod
-    def of(cls, add: QAdd, channels: int) -> _AddStep:
-        def fold(m0: int, n: int, zp: int):
+    def of(cls, name: str, a: QuantSpec, h: QuantSpec, out: QuantSpec,
+           channels: int) -> _AddStep:
+        """The add name of the block input on a's grid and the last conv
+        output on h's into out, with M0 and n from s_a/s_out and s_h/s_out."""
+        out = _checked(f"{name}.out", out)
+
+        def fold(spec: QuantSpec):
+            m0, n = quantize_multiplier(spec.scale / out.scale, name)
             s = 31 + n
-            return np.int64(m0), np.int64((1 << (s - 1)) - zp * m0), np.int64(s)
-        return cls(fold(add.a_m0, add.a_shift, add.a_spec.zero_point),
-                   fold(add.h_m0, add.h_shift, add.h_spec.zero_point),
-                   add.out_spec.zero_point, channels)
+            offset = (1 << (s - 1)) - spec.zero_point * m0
+            return np.int64(m0), np.int64(offset), np.int64(s)
+        return cls(fold(a), fold(h), out.zero_point, channels)
 
     def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
         shape = (self.channels, length)
@@ -569,10 +563,14 @@ class _HeadStep:
     in_zp: int
 
     @classmethod
-    def of(cls, head: QDense) -> _HeadStep:
+    def of(cls, head: QDense, in_spec: QuantSpec) -> _HeadStep:
+        _check_accumulator("head", head.w_q.shape[1], head.bias_q)
+        if not np.all((head.w_scale > 0) & np.isfinite(head.w_scale)):
+            raise RequantRangeError("head: weight scales must be finite and "
+                                    "positive")
         return cls(head.w_q.T.astype(np.float64), head.bias_q.astype(np.int32),
-                   head.in_spec.scale * head.w_scale.astype(np.float64),
-                   head.in_spec.zero_point)
+                   in_spec.scale * head.w_scale.astype(np.float64),
+                   in_spec.zero_point)
 
     def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
         n, classes = self.w_t.shape
@@ -587,6 +585,40 @@ class _HeadStep:
         np.multiply(acc, self.scale, out=logits)
 
 
+def _layout(qm: QuantModel) -> list[tuple]:
+    """Walk the network once: pass each step the spec of the activation it
+    reads, which checks the layer and derives its multipliers, and place
+    its arena operands. Returns (step, its operands as (offset, shape,
+    dtype)) in run order."""
+    cfg = qm.config
+    length = cfg.seq_len
+    act = (cfg.width, length)
+    slot = [0, cfg.width * length, 2 * cfg.width * length]
+    current = _checked("input", qm.input_spec)
+    # the input sits above slot 0 and dies once the stem has run
+    layout = [(_ConvStep.of(qm.stem, current), [
+        (slot[1], (cfg.in_channels, length), np.int8), (0, act, np.int8)])]
+    current = qm.stem.out_spec
+    for i, block in enumerate(qm.blocks):
+        # slot 0 keeps the block input for the skip; the convs alternate
+        # between slots 1 and 2
+        block_in, src = current, 0
+        for j, layer in enumerate(block.convs):
+            dst = slot[1 + j % 2]
+            layout.append((_ConvStep.of(layer, current), [
+                (src, act, np.int8), (dst, act, np.int8)]))
+            src, current = dst, layer.out_spec
+        layout.append((_AddStep.of(f"b{i}.add", block_in, current,
+                                   block.out_spec, cfg.width), [
+            (0, act, np.int8), (src, act, np.int8), (0, act, np.int8)]))
+        current = block.out_spec
+    # the head reads slot 0 and keeps its int32 accumulators above it
+    layout.append((_HeadStep.of(qm.head, current), [
+        (0, (cfg.width * length,), np.int8),
+        (slot[1], (cfg.classes,), np.int32)]))
+    return layout
+
+
 class QuantPlan:
     """The integer network laid out once: GEMM-ready constants, scratch
     arrays for BLOCK_WINDOWS windows shared by every step that takes one of
@@ -595,31 +627,11 @@ class QuantPlan:
     docstring)."""
 
     def __init__(self, qm: QuantModel):
-        check_quant_invariants(qm)
-        cfg = qm.config
-        length = cfg.seq_len
-        act = (cfg.width, length)
-        slot = [0, cfg.width * length, 2 * cfg.width * length]
         self.input_spec = qm.input_spec
-        # the input sits above slot 0 and dies once the stem has run
-        self.input = (slot[1], (cfg.in_channels, length), np.int8)
         # (step, its arena operands as (offset, shape, dtype))
-        self.layout = [(_ConvStep.of(qm.stem), [self.input, (0, act, np.int8)])]
-        for block in qm.blocks:
-            # slot 0 keeps the block input for the skip; the convs
-            # alternate between slots 1 and 2
-            src = 0
-            for j, layer in enumerate(block.convs):
-                dst = slot[1 + j % 2]
-                self.layout.append((_ConvStep.of(layer), [
-                    (src, act, np.int8), (dst, act, np.int8)]))
-                src = dst
-            self.layout.append((_AddStep.of(block.add, cfg.width), [
-                (0, act, np.int8), (src, act, np.int8), (0, act, np.int8)]))
-        # the head reads slot 0 and keeps its int32 accumulators above it
-        self.layout.append((_HeadStep.of(qm.head), [
-            (0, (cfg.width * length,), np.int8),
-            (slot[1], (cfg.classes,), np.int32)]))
+        self.layout = _layout(qm)
+        # the stem's first operand
+        self.input = self.layout[0][1][0]
         self.arena_bytes = max(
             offset + math.prod(shape) * np.dtype(dtype).itemsize
             for _, operands in self.layout for offset, shape, dtype in operands)
@@ -640,7 +652,7 @@ class QuantPlan:
                     pool[key] = np.zeros((BLOCK_WINDOWS, *shape), dtype)
                 return pool[key]
 
-            self.scratch.append(step.scratch(take, length))
+            self.scratch.append(step.scratch(take, qm.config.seq_len))
         self._bound: dict[int, tuple] = {}
 
     def _bind(self, batch: int) -> tuple:
@@ -724,64 +736,12 @@ def check_quant_invariants(qm: QuantModel) -> None:
     Zero points must lie in the int8 range: the exact float GEMM bound
     (see the module docstring) assumes |q - zero_point| <= 255. Every
     scale, of a spec or a weight channel, must be finite and positive, and
-    every multiplier M0 * 2^-(31+n) must be one quantize_multiplier gives
-    for its scale ratio, with n in [-30, 31]: _rescale shifts an int64 by
-    31 + n bits. Every conv and the head must keep the worst-case
-    accumulator that quantize_model checks within int32, which also keeps
-    the plan's folded constants bias_q*M0 + 2^(30+n) within int64. Every
-    spec held twice must equal its other copy: a layer's input spec, an
-    add's addend specs and the head's input spec are those of the
-    activations they read, and the stem reads the input."""
-    for layer in qm.layers():
-        _check_accumulator(layer.name, layer.w_q.shape[1] * layer.w_q.shape[2],
-                           layer.bias_q)
-    _check_accumulator("head", qm.head.w_q.shape[1], qm.head.bias_q)
-    for name, spec in _spec_items(qm):
-        if not QMIN <= spec.zero_point <= QMAX:
-            raise AccumulatorOverflow(f"{name}: zero point {spec.zero_point} "
-                                      f"outside [{QMIN}, {QMAX}]")
-        if not 0 < spec.scale < math.inf:
-            raise RequantRangeError(f"{name}: scale {spec.scale}")
-    if not np.all((qm.head.w_scale > 0) & np.isfinite(qm.head.w_scale)):
-        raise RequantRangeError("head: weight scales must be finite and "
-                                "positive")
-    # (name, M0s, shifts, the scale ratios they encode); a weight scale
-    # that is not finite and positive makes its ratio so
-    multipliers = [(layer.name, layer.m0, layer.shift,
-                    (layer.in_spec.scale * layer.w_scale.astype(np.float64))
-                    / layer.out_spec.scale) for layer in qm.layers()]
-    for i, block in enumerate(qm.blocks):
-        add = block.add
-        multipliers.append((f"b{i}.add", [add.a_m0, add.h_m0],
-                            [add.a_shift, add.h_shift],
-                            [add.a_spec.scale / add.out_spec.scale,
-                             add.h_spec.scale / add.out_spec.scale]))
-    for name, m0s, shifts, ratios in multipliers:
-        for m0, n, r in zip(m0s, shifts, ratios):
-            if not 0 < r < math.inf:
-                raise RequantRangeError(f"{name}: scale ratio {r}")
-            if not ((1 << 30) <= int(m0) < (1 << 31) and -30 <= int(n) <= 31):
-                raise RequantRangeError(f"{name}: M0 {m0} or shift {n} "
-                                        f"out of range")
-            error = abs(int(m0) * 2.0 ** (-31 - int(n)) - r) / r
-            if error > 2 ** -24:
-                raise RequantRangeError(f"{name}: multiplier error {error}")
-    # (site, spec, reading site, the spec it holds)
-    copies = [("input", qm.input_spec, "stem.in", qm.stem.in_spec)]
-    current = ("stem.out", qm.stem.out_spec)
-    for i, block in enumerate(qm.blocks):
-        block_in = current
-        for layer in block.convs:
-            copies.append((*current, f"{layer.name}.in", layer.in_spec))
-            current = (f"{layer.name}.out", layer.out_spec)
-        copies += [(*block_in, f"b{i}.add.a", block.add.a_spec),
-                   (*current, f"b{i}.add.h", block.add.h_spec)]
-        current = (f"b{i}.add.out", block.add.out_spec)
-    copies.append((*current, "head.in", qm.head.in_spec))
-    for site, spec, reader, held in copies:
-        if held != spec:
-            raise RequantRangeError(f"{reader}: {held} differs from {site}: "
-                                    f"{spec}")
+    every scale ratio a multiplier encodes must take a shift n in [-30, 31]
+    (quantize_multiplier). Every conv and the head must keep the
+    worst-case accumulator that quantize_model checks within int32, which
+    also keeps the plan's folded constants bias_q*M0 + 2^(30+n) within
+    int64. This is the walk that lays out the plan (_layout)."""
+    _layout(qm)
 
 
 # ---------------------------------------------------------------------------
@@ -789,17 +749,14 @@ def check_quant_invariants(qm: QuantModel) -> None:
 # ---------------------------------------------------------------------------
 
 def save(qm: QuantModel, path: str | Path) -> None:
-    """Write an EFQ2 container (layout in edgefit.container) with the
-    config as metadata and every array, spec and multiplier as a named
-    tensor. Which convs fuse a ReLU follows from the architecture."""
-    tensors = {f"{layer.name}.{attr}": getattr(layer, attr).astype(dtype)
-               for layer in qm.layers() for attr, dtype in _CONV_TENSORS}
-    for i, block in enumerate(qm.blocks):
-        add = block.add
-        tensors[f"b{i}.add"] = np.array(
-            [add.a_m0, add.a_shift, add.h_m0, add.h_shift], "<i4")
-    for attr, dtype in _CONV_TENSORS[:3]:
-        tensors[f"head.{attr}"] = getattr(qm.head, attr).astype(dtype)
+    """Write an EFQ3 container (layout in edgefit.container) with the
+    config as metadata and as named tensors the w_q, w_scale and bias_q of
+    every conv and the head and the scale and zero point of every
+    activation. Which convs fuse a ReLU follows from the architecture."""
+    named = [(layer.name, layer) for layer in qm.layers()]
+    named.append(("head", qm.head))
+    tensors = {f"{name}.{attr}": getattr(layer, attr).astype(dtype)
+               for name, layer in named for attr, dtype in _LAYER_TENSORS}
     for name, spec in _spec_items(qm):
         tensors[f"{name}.scale"] = np.array(spec.scale, "<f4")
         tensors[f"{name}.zero_point"] = np.array(spec.zero_point, "<i4")
@@ -808,7 +765,7 @@ def save(qm: QuantModel, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> QuantModel:
-    """Read an EFQ2 file. Every tensor must have the shape the file's config
+    """Read an EFQ3 file. Every tensor must have the shape the file's config
     gives it, and the model must pass check_quant_invariants."""
     contents = container.read(path, QUANT_MAGIC)
     cfg = config_from_meta(contents)
@@ -819,24 +776,20 @@ def load(path: str | Path) -> QuantModel:
         return QuantSpec(float(take(f"{name}.scale", "<f4", ())),
                          int(take(f"{name}.zero_point", "<i4", ())))
 
+    def arrays(name, shape):
+        return [take(f"{name}.{attr}", dtype, shape if attr == "w_q"
+                     else shape[:1]) for attr, dtype in _LAYER_TENSORS]
+
     def conv(name, c_in, relu):
-        w_q = take(f"{name}.w_q", "|i1", (c, c_in, cfg.kernel))
-        w_scale, bias_q, m0, shift = (take(f"{name}.{attr}", dtype, (c,))
-                                      for attr, dtype in _CONV_TENSORS[1:])
-        return QConvLayer(name, w_q, w_scale, bias_q, spec(f"{name}.in"),
-                          spec(f"{name}.out"), m0, shift, relu)
+        return QConvLayer(name, *arrays(name, (c, c_in, cfg.kernel)),
+                          spec(f"{name}.out"), relu)
 
     stem = conv("stem", cfg.in_channels, True)
-    blocks = []
-    for i in range(cfg.blocks):
-        convs = [conv(f"b{i}.c{j}", c, j < cfg.convs_per_block - 1)
-                 for j in range(cfg.convs_per_block)]
-        add = QAdd(spec(f"b{i}.add.a"), spec(f"b{i}.add.h"),
-                   spec(f"b{i}.add.out"), *take(f"b{i}.add", "<i4", (4,)).tolist())
-        blocks.append(QBlock(convs, add))
-    head = QDense(take("head.w_q", "|i1", (cfg.classes, cfg.seq_len * c)),
-                  take("head.w_scale", "<f4", (cfg.classes,)),
-                  take("head.bias_q", "<i4", (cfg.classes,)), spec("head.in"))
+    blocks = [QBlock([conv(f"b{i}.c{j}", c, j < cfg.convs_per_block - 1)
+                      for j in range(cfg.convs_per_block)],
+                     spec(f"b{i}.add.out"))
+              for i in range(cfg.blocks)]
+    head = QDense(*arrays("head", (cfg.classes, cfg.seq_len * c)))
     qm = QuantModel(cfg, spec("input"), stem, blocks, head)
     contents.finish()
     check_quant_invariants(qm)

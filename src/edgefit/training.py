@@ -57,9 +57,9 @@ class Hyperparams:
             raise InvalidConfig("beta1 and beta2 must lie in (0, 1)")
         if self.adam_eps <= 0 or self.batch_size < 1 or self.epochs < 1:
             raise InvalidConfig("adam_eps, batch_size, epochs must be positive")
-        if self.patience > self.epochs:
-            raise InvalidConfig(
-                f"patience {self.patience} exceeds epochs {self.epochs}")
+        if not 0 <= self.patience <= self.epochs:
+            raise InvalidConfig(f"patience {self.patience} outside [0, epochs "
+                                f"{self.epochs}]")
 
 
 @dataclass

@@ -109,11 +109,13 @@ class TestPrepare:
                                              ("--fold", "x")])
     def test_bad_argument_is_usage_error(self, capsys, pipeline, tmp_path,
                                          flag, value):
+        out = tmp_path / "o"
         code, _, err = run_cli(capsys, "prepare", "--dataset",
-                               str(pipeline["data"]), "--out",
-                               str(tmp_path / "o"), flag, value)
+                               str(pipeline["data"]), "--out", str(out),
+                               flag, value)
         assert code == cli.EXIT_USAGE
         assert_one_error_line(err, "InvalidConfig")
+        assert not out.exists()
 
 
 class TestTrain:
@@ -132,6 +134,18 @@ class TestTrain:
         assert history.exists()
         assert history.read_text().startswith("epoch,train_loss")
 
+    def test_negative_patience_is_usage_error(self, capsys, pipeline,
+                                              tmp_path):
+        out = tmp_path / "m.efm"
+        code, _, err = run_cli(capsys, "train", "--windows",
+                               str(pipeline["windows"]), "--fold", "1",
+                               "--out", str(out), "--epochs", "2",
+                               "--patience", "-5")
+        assert code == cli.EXIT_USAGE
+        assert_one_error_line(err, "InvalidConfig")
+        assert "patience -5" in err
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_fold(self, capsys, pipeline):
         code, _, err = run_cli(capsys, "train", "--windows",
                                str(pipeline["windows"]), "--fold", "9",
@@ -147,6 +161,18 @@ class TestQuantize:
                          "--windows", str(pipeline["windows"]), "--fold", "1",
                          "--calib-size", "64", "--out", str(out2)]) == 0
         assert pipeline["qmodel"].read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_bad_calibration_size_is_usage_error(self, capsys, pipeline,
+                                                 tmp_path, size):
+        code, _, err = run_cli(capsys, "quantize", "--model",
+                               str(pipeline["model"]), "--windows",
+                               str(pipeline["windows"]), "--calib-size", size,
+                               "--out", str(tmp_path / "q.efq"))
+        assert code == cli.EXIT_USAGE
+        assert_one_error_line(err, "InvalidConfig")
+        assert "--calib-size" in err
+        assert not any(tmp_path.iterdir())
 
     def test_short_bn_tensor_is_data_error(self, capsys, pipeline, tmp_path):
         bad = tmp_path / "bad.efm"
@@ -196,7 +222,7 @@ class TestEval:
                                               tmp_path):
         bad = tmp_path / "bad.efq"
         cut_tensors(pipeline["qmodel"], bad, quantize.QUANT_MAGIC,
-                    ["stem.m0", "stem.shift"])
+                    ["stem.w_scale"])
         code, _, err = run_cli(capsys, "eval", "--model", str(bad),
                                "--windows", str(pipeline["windows"]))
         assert code == cli.EXIT_DATA
@@ -204,8 +230,8 @@ class TestEval:
 
     def test_forged_accumulator_is_numeric_error(self, capsys, pipeline,
                                                  tmp_path):
-        # a checksummed EFQ2 whose one bias breaks the int32 accumulator
-        # bound while every multiplier, scale and zero point stays valid
+        # a checksummed EFQ3 whose one bias breaks the int32 accumulator
+        # bound while every scale and zero point stays valid
         contents = container.read(pipeline["qmodel"], quantize.QUANT_MAGIC)
         bias = contents.tensors["b0.c0.bias_q"].copy()
         bias[0] = 2 ** 31 - 1
@@ -219,30 +245,16 @@ class TestEval:
         assert_one_error_line(err, "AccumulatorOverflow")
         assert "b0.c0" in err
 
-    def test_forged_spec_copy_is_numeric_error(self, capsys, pipeline,
-                                                tmp_path):
-        # a checksummed EFQ2 whose copy of block 1's input spec in the add
-        # disagrees with the spec block 0 writes
-        contents = container.read(pipeline["qmodel"], quantize.QUANT_MAGIC)
-        zero_point = contents.tensors["b1.add.a.zero_point"]
-        contents.tensors["b1.add.a.zero_point"] = (
-            zero_point + (-10 if zero_point > 0 else 10))
-        bad = tmp_path / "bad.efq"
-        container.write(bad, quantize.QUANT_MAGIC, contents.meta,
-                        contents.tensors)
-        code, _, err = run_cli(capsys, "eval", "--model", str(bad),
-                               "--windows", str(pipeline["windows"]))
-        assert code == cli.EXIT_NUMERIC
-        assert_one_error_line(err, "RequantRangeError")
-        assert "b1.add.a" in err and "b0.add.out" in err
-
     def test_version_1_model_is_data_error(self, capsys, pipeline, tmp_path):
-        old = tmp_path / "old.efq"
-        old.write_bytes(b"EFQ1" + pipeline["qmodel"].read_bytes()[4:])
-        code, _, err = run_cli(capsys, "eval", "--model", str(old),
-                               "--windows", str(pipeline["windows"]))
-        assert code == cli.EXIT_DATA
-        assert_one_error_line(err, "VersionMismatch")
+        # EFQ2 files stored every multiplier and three copies of some specs
+        for magic in (b"EFQ1", b"EFQ2"):
+            old = tmp_path / "old.efq"
+            old.write_bytes(magic + pipeline["qmodel"].read_bytes()[4:])
+            code, _, err = run_cli(capsys, "eval", "--model", str(old),
+                                   "--windows", str(pipeline["windows"]))
+            assert code == cli.EXIT_DATA
+            assert_one_error_line(err, "VersionMismatch")
+            assert f"magic {magic!r}, expected b'EFQ3'" in err
 
 
 class TestBench:
@@ -278,6 +290,23 @@ class TestReport:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("command", ["synth", "train", "quantize",
+                                         "bench"])
+    def test_negative_seed_is_usage_error(self, capsys, pipeline, tmp_path,
+                                          command):
+        out = tmp_path / "out"
+        argv = {"synth": ["--out", str(out)],
+                "train": ["--windows", str(pipeline["windows"]), "--fold",
+                          "1", "--out", str(out), "--epochs", "1"],
+                "quantize": ["--model", str(pipeline["model"]), "--windows",
+                             str(pipeline["windows"]), "--out", str(out)],
+                "bench": ["--model", str(pipeline["qmodel"])]}[command]
+        code, stdout, err = run_cli(capsys, command, *argv, "--seed", "-1")
+        assert code == cli.EXIT_USAGE
+        assert_one_error_line(err, "InvalidConfig")
+        assert "--seed must be >= 0" in err and not stdout
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command", ["prepare", "train", "quantize",
                                          "eval", "bench", "report", "synth"])
     def test_help_exits_zero(self, command):

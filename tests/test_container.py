@@ -29,7 +29,8 @@ KINDS = {
     "windows": (save_windows, dataset.load_windows, dataset.WINDOW_MAGIC,
                 "label"),
     "model": (save_model, model.load, model.MODEL_MAGIC, "stem.gamma"),
-    "qmodel": (save_qmodel, quantize.load, quantize.QUANT_MAGIC, "stem.m0"),
+    "qmodel": (save_qmodel, quantize.load, quantize.QUANT_MAGIC,
+               "stem.w_scale"),
 }
 
 

@@ -1,5 +1,8 @@
 import copy
+import math
 import tracemalloc
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +24,6 @@ from edgefit.quantize import (
     CalibStats,
     QuantSpec,
     calibrate,
-    QuantTensor,
     activation_spec,
     check_quant_invariants,
     qforward,
@@ -32,6 +34,19 @@ from edgefit.quantize import (
     quantize_tensor,
     round_half_away,
 )
+
+
+@dataclass
+class QuantTensor:
+    values: np.ndarray       # int8
+    scale: np.ndarray        # float32 scalar array, or (C,) for per-channel
+    zero_point: np.ndarray   # int32, same shape as scale
+
+
+def quantize_symmetric(x):
+    """quantize_tensor's (values, scale) with its zero points, all 0."""
+    values, scale = quantize_tensor(x)
+    return QuantTensor(values, scale, np.zeros_like(scale, dtype=np.int32))
 
 
 def quantize_affine(x):
@@ -77,11 +92,14 @@ def quantized_fixture(width=8, model_seed=3, calib_seed=1, n_calib=256):
 
 
 class TestQuantizeTensor:
+    """quantize_tensor scales per output channel; the one-channel inputs
+    cover what a per-tensor scale did."""
+
     def test_symmetric_example(self):
-        qt = quantize_tensor(np.array([-1.0, 0.0, 1.0]))
-        assert float(qt.scale) == pytest.approx(1 / 127, rel=1e-6)
-        np.testing.assert_array_equal(qt.values, [-127, 0, 127])
-        assert int(qt.zero_point) == 0
+        values, scale = quantize_tensor(np.array([[-1.0, 0.0, 1.0]]))
+        assert scale.dtype == np.float32 and scale.shape == (1,)
+        assert float(scale[0]) == pytest.approx(1 / 127, rel=1e-6)
+        np.testing.assert_array_equal(values, [[-127, 0, 127]])
 
     def test_affine_full_positive_range(self):
         s = 0.02
@@ -90,10 +108,10 @@ class TestQuantizeTensor:
         np.testing.assert_array_equal(qt.values, [-128, 127])
 
     def test_dequantize_error_bound(self, rng):
-        x = rng.uniform(-2, 2, size=100)
-        qt = quantize_tensor(x)
+        x = rng.uniform(-2, 2, size=(1, 100))
+        qt = quantize_symmetric(x)
         err = np.abs(dequantize(qt) - x)
-        assert np.all(err <= float(qt.scale) / 2 + 1e-9)
+        assert np.all(err <= float(qt.scale[0]) / 2 + 1e-9)
 
     def test_affine_dequantize_error_bound(self, rng):
         x = rng.uniform(-1, 3, size=100)
@@ -102,23 +120,25 @@ class TestQuantizeTensor:
         assert np.all(err <= float(qt.scale) / 2 + 1e-9)
 
     def test_all_zero_gets_scale_floor(self):
-        qt = quantize_tensor(np.zeros(5))
-        assert float(qt.scale) > 0
-        np.testing.assert_array_equal(qt.values, 0)
+        values, scale = quantize_tensor(np.zeros((1, 5)))
+        assert float(scale[0]) > 0
+        np.testing.assert_array_equal(values, 0)
 
     def test_per_channel(self, rng):
         w = rng.standard_normal((4, 3, 3))
         w[2] *= 10
-        qt = quantize_tensor(w, channel_axis=0)
-        assert qt.scale.shape == (4,)
-        assert float(qt.scale[2]) == pytest.approx(np.abs(w[2]).max() / 127,
-                                                   rel=1e-5)
-        assert np.abs(qt.values).max() <= 127
+        values, scale = quantize_tensor(w)
+        assert scale.shape == (4,)
+        assert float(scale[2]) == pytest.approx(np.abs(w[2]).max() / 127,
+                                                rel=1e-5)
+        assert np.abs(values).max() <= 127
+        err = np.abs(dequantize(quantize_symmetric(w)) - w)
+        assert np.all(err <= scale[:, None, None] / 2 + 1e-9)
 
     def test_rounding_half_away_from_zero(self):
         # scale 1: 0.5 -> 1, -0.5 -> -1 (not banker's rounding)
-        qt = quantize_tensor(np.array([127.0, 0.5, -0.5, -127.0]))
-        np.testing.assert_array_equal(qt.values, [127, 1, -1, -127])
+        values, _ = quantize_tensor(np.array([[127.0, 0.5, -0.5, -127.0]]))
+        np.testing.assert_array_equal(values, [[127, 1, -1, -127]])
 
 
 class TestQuantizeMultiplier:
@@ -134,10 +154,18 @@ class TestQuantizeMultiplier:
             assert abs(m0 * 2.0 ** (-31 - n) - ratio) / ratio < 2 ** -24
 
     def test_invalid(self):
-        with pytest.raises(RequantRangeError):
-            quantize_multiplier(0.0)
-        with pytest.raises(RequantRangeError):
-            quantize_multiplier(-1.0)
+        for ratio in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(RequantRangeError, match="b1.c2"):
+                quantize_multiplier(ratio, "b1.c2")
+
+    def test_shift_bounds(self):
+        # n = 31 for ratios in [2^-32, 2^-31), n = -30 in [2^29, 2^30)
+        assert quantize_multiplier(2.0 ** -32) == (1 << 30, 31)
+        assert quantize_multiplier(0.75 * 2.0 ** 30) == (3 << 29, -30)
+        for ratio, n in ((2.0 ** -32 * 0.99, 32), (2.0 ** 30, -31)):
+            with pytest.raises(RequantRangeError,
+                               match=f"b0.add: .* needs shift {n},"):
+                quantize_multiplier(ratio, "b0.add")
 
 
 class TestRequantize:
@@ -256,6 +284,12 @@ class TestQuantizeModel:
         _, qm = quantized_fixture()
         check_quant_invariants(qm)
 
+    def test_checks_the_model_it_returns(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(quantize, "check_quant_invariants", checked.append)
+        _, qm = quantized_fixture(width=4)
+        assert checked == [qm]
+
     def test_deterministic_bytes(self, tmp_path):
         _, qm1 = quantized_fixture()
         _, qm2 = quantized_fixture()
@@ -290,10 +324,21 @@ class TestQuantizeModel:
             quantize._quantize_conv("big-bias", w, b, spec, spec, relu=False)
 
 
-def reference_qconv(layer, x_q):
+def conv_multipliers(layer, in_spec):
+    """quantize_multiplier's M0 and n per output channel of layer, reading
+    in_spec's grid, as two int64 columns."""
+    ratios = (in_spec.scale * layer.w_scale.astype(np.float64)
+              / layer.out_spec.scale)
+    pairs = [quantize_multiplier(float(r)) for r in ratios]
+    return (np.array([m0 for m0, _ in pairs], np.int64)[:, None],
+            np.array([n for _, n in pairs], np.int64)[:, None])
+
+
+def reference_qconv(layer, in_spec, x_q):
     """Exact integer oracle: Python-loop convolution plus long-division
     rounding, independent of the numpy/shift implementation."""
     c_out, c_in, k = layer.w_q.shape
+    m0, shift = conv_multipliers(layer, in_spec)
     length = x_q.shape[1]
     pad = (k - 1) // 2
     out = np.zeros((c_out, length), dtype=np.int64)
@@ -304,10 +349,10 @@ def reference_qconv(layer, x_q):
                 for kk in range(k):
                     src = t + kk - pad
                     if 0 <= src < length:
-                        xv = int(x_q[c, src]) - layer.in_spec.zero_point
+                        xv = int(x_q[c, src]) - in_spec.zero_point
                         acc += int(layer.w_q[o, c, kk]) * xv
-            num = acc * int(layer.m0[o])
-            den = 1 << (31 + int(layer.shift[o]))
+            num = acc * int(m0[o, 0])
+            den = 1 << (31 + int(shift[o, 0]))
             q, r = divmod(num, den)          # floor division, exact ints
             if 2 * r >= den:                 # round half toward +inf
                 q += 1
@@ -319,10 +364,10 @@ def reference_qconv(layer, x_q):
     return out.astype(np.int8)
 
 
-def plan_qconv(layer, x_q):
-    """x_q (B, C_in, L) int8 through the conv step the plan runs for
-    layer, with scratch arrays of its own."""
-    step = quantize._ConvStep.of(layer)
+def plan_qconv(layer, in_spec, x_q):
+    """x_q (B, C_in, L) int8 on in_spec's grid through the conv step the
+    plan runs for layer, with scratch arrays of its own."""
+    step = quantize._ConvStep.of(layer, in_spec)
     batch, _, length = x_q.shape
     y = np.empty((batch, layer.w_q.shape[0], length), np.int8)
     scratch = step.scratch(
@@ -342,7 +387,7 @@ class TestQForward:
                                         spec, spec, relu=False)
         rng = np.random.default_rng(0)
         x_q = rng.integers(-128, 128, size=(1, c, 10)).astype(np.int8)
-        out = plan_qconv(layer, x_q)[0]
+        out = plan_qconv(layer, spec, x_q)[0]
         assert np.abs(out.astype(int) - x_q[0].astype(int)).max() <= 2
 
     def test_one_layer_exact_integer_oracle(self, rng):
@@ -353,8 +398,9 @@ class TestQForward:
         for relu in (False, True):
             layer = quantize._quantize_conv("t", w, b, in_spec, out_spec, relu)
             x_q = rng.integers(-128, 128, size=(1, 2, 9)).astype(np.int8)
-            got = plan_qconv(layer, x_q)[0]
-            np.testing.assert_array_equal(got, reference_qconv(layer, x_q[0]))
+            got = plan_qconv(layer, in_spec, x_q)[0]
+            np.testing.assert_array_equal(
+                got, reference_qconv(layer, in_spec, x_q[0]))
 
     def test_no_floats_in_integer_path(self):
         _, qm = quantized_fixture(width=4)
@@ -422,32 +468,35 @@ def oracle_requantize(acc, m0, shift_n, zero_point_out, low=-128):
     return np.clip(value, low, 127, out=value).astype(np.int8)
 
 
-def unplanned_qconv(layer, x_q, trace):
-    """x_q: (B, C_in, L) int8 -> (B, C_out, L) int8."""
+def unplanned_qconv(layer, in_spec, x_q, trace):
+    """x_q: (B, C_in, L) int8 on in_spec's grid -> (B, C_out, L) int8."""
     _, c_in, k = layer.w_q.shape
-    shifted = np.subtract(x_q, layer.in_spec.zero_point, dtype=np.int16)
+    shifted = np.subtract(x_q, in_spec.zero_point, dtype=np.int16)
     acc = kernels.conv1d(shifted,
                          layer.w_q.astype(quantize._gemm_dtype(c_in * k)))
     acc = acc.astype(np.int64)
     acc += layer.bias_q[:, None]
     quantize._note(trace, f"{layer.name}.acc", acc)
     low = layer.out_spec.zero_point if layer.relu else -128
-    q = oracle_requantize(acc, layer.m0.astype(np.int64)[:, None],
-                          layer.shift.astype(np.int64)[:, None],
+    q = oracle_requantize(acc, *conv_multipliers(layer, in_spec),
                           layer.out_spec.zero_point, low)
     quantize._note(trace, layer.name, q)
     return q
 
 
-def unplanned_qadd(add, q_a, q_h, trace):
-    # rescale unclamped (addends may exceed int8 range before saturation)
-    a = np.subtract(q_a, add.a_spec.zero_point, dtype=np.int64)
-    oracle_rescale(a, np.int64(add.a_m0), np.int64(add.a_shift), out=a)
-    h = np.subtract(q_h, add.h_spec.zero_point, dtype=np.int64)
-    oracle_rescale(h, np.int64(add.h_m0), np.int64(add.h_shift), out=h)
-    a += h
-    a += add.out_spec.zero_point
-    q = np.clip(a, add.out_spec.zero_point, 127, out=a).astype(np.int8)
+def unplanned_qadd(a_spec, h_spec, out_spec, q_a, q_h, trace):
+    """The block input q_a on a_spec's grid plus the last conv output q_h
+    on h_spec's, into out_spec with the fused ReLU."""
+    def rescaled(q, spec):
+        # unclamped (addends may exceed int8 range before saturation)
+        m0, n = quantize_multiplier(spec.scale / out_spec.scale)
+        x = np.subtract(q, spec.zero_point, dtype=np.int64)
+        return oracle_rescale(x, np.int64(m0), np.int64(n), out=x)
+
+    a = rescaled(q_a, a_spec)
+    a += rescaled(q_h, h_spec)
+    a += out_spec.zero_point
+    q = np.clip(a, out_spec.zero_point, 127, out=a).astype(np.int8)
     quantize._note(trace, "add", q)
     return q
 
@@ -462,43 +511,44 @@ def unplanned_qforward_batch(qm, x, trace=None):
 
 
 def unplanned_block(qm, x, trace):
-    q = np.asarray(x, dtype=np.float64) / qm.input_spec.scale
-    q = np.clip(round_half_away(q) + qm.input_spec.zero_point, -128, 127)
+    spec = qm.input_spec
+    q = np.asarray(x, dtype=np.float64) / spec.scale
+    q = np.clip(round_half_away(q) + spec.zero_point, -128, 127)
     q = q.astype(np.int8)
     quantize._note(trace, "input", q)
-    q = unplanned_qconv(qm.stem, q, trace)
+    q, spec = unplanned_qconv(qm.stem, spec, q, trace), qm.stem.out_spec
     for block in qm.blocks:
-        q_in = q
+        q_in, block_in = q, spec
         for layer in block.convs:
-            q = unplanned_qconv(layer, q, trace)
-        q = unplanned_qadd(block.add, q_in, q, trace)
+            q, spec = unplanned_qconv(layer, spec, q, trace), layer.out_spec
+        q = unplanned_qadd(block_in, spec, block.out_spec, q_in, q, trace)
+        spec = block.out_spec
     head = qm.head
     flat = q.reshape(q.shape[0], -1)
     dtype = quantize._gemm_dtype(head.w_q.shape[1])
-    shifted = flat.astype(dtype) - head.in_spec.zero_point
+    shifted = flat.astype(dtype) - spec.zero_point
     acc = (shifted @ head.w_q.astype(dtype).T).astype(np.int64)
     acc += head.bias_q[None, :]
     quantize._note(trace, "head.acc", acc)
-    scale = head.in_spec.scale * head.w_scale.astype(np.float64)
+    scale = spec.scale * head.w_scale.astype(np.float64)
     return acc.astype(np.float64) * scale[None, :]
 
 
-def int32_qconv_run(layer, x_q):
+def int32_qconv_run(layer, in_spec, x_q):
     """The conv with its GEMM in int32, as the integer path ran it before
     the GEMMs moved to float32/float64: the oracle for their exactness."""
     batch, c_in, length = x_q.shape
     c_out, _, k = layer.w_q.shape
     pad = (k - 1) // 2
-    shifted = x_q.astype(np.int32) - layer.in_spec.zero_point
+    shifted = x_q.astype(np.int32) - in_spec.zero_point
     xp = np.pad(shifted, ((0, 0), (0, 0), (pad, pad)))
     cols = kernels.im2col(xp, k, length)
     flat = cols.transpose(1, 0, 2).reshape(c_in * k, batch * length)
     acc = layer.w_q.reshape(c_out, -1).astype(np.int32) @ flat
     acc = acc.reshape(c_out, batch, length).transpose(1, 0, 2)
     acc = acc + layer.bias_q[None, :, None]
-    q = quantize._requantize_array(acc.astype(np.int64),
-                                   layer.m0.astype(np.int64)[None, :, None],
-                                   layer.shift.astype(np.int64)[None, :, None],
+    m0, shift = conv_multipliers(layer, in_spec)
+    q = quantize._requantize_array(acc.astype(np.int64), m0[None], shift[None],
                                    layer.out_spec.zero_point)
     if layer.relu:
         q = np.maximum(q, np.int8(layer.out_spec.zero_point))
@@ -507,17 +557,19 @@ def int32_qconv_run(layer, x_q):
 
 def int32_qforward_batch(qm, x):
     """qforward_batch with every GEMM (convs and head) in int32."""
-    q = quantize.quantize_input(qm.input_spec, x)
-    q = int32_qconv_run(qm.stem, q)
+    spec = qm.input_spec
+    q = quantize.quantize_input(spec, x)
+    q, spec = int32_qconv_run(qm.stem, spec, q), qm.stem.out_spec
     for block in qm.blocks:
-        q_in = q
+        q_in, block_in = q, spec
         for layer in block.convs:
-            q = int32_qconv_run(layer, q)
-        q = unplanned_qadd(block.add, q_in, q, None)
+            q, spec = int32_qconv_run(layer, spec, q), layer.out_spec
+        q = unplanned_qadd(block_in, spec, block.out_spec, q_in, q, None)
+        spec = block.out_spec
     flat = q.reshape(q.shape[0], -1)
-    shifted = flat.astype(np.int32) - qm.head.in_spec.zero_point
+    shifted = flat.astype(np.int32) - spec.zero_point
     acc = shifted @ qm.head.w_q.astype(np.int32).T + qm.head.bias_q[None, :]
-    scale = qm.head.in_spec.scale * qm.head.w_scale.astype(np.float64)
+    scale = spec.scale * qm.head.w_scale.astype(np.float64)
     return (acc.astype(np.float64) * scale[None, :]).astype(np.float32)
 
 
@@ -525,9 +577,8 @@ def extreme_model(qm, rng):
     """A copy of qm with every weight +-127 (two all-+127 output channels
     per layer, whose sums reach fan_in * 127 * 255 on an input that sits
     at one extreme), an input scale of 1e-3 and activation zero points
-    alternating between -128 and 127. Each activation keeps one spec in
-    every place that holds it, and the stem's multipliers encode its new
-    input scale, so the model passes check_quant_invariants."""
+    alternating between -128 and 127. It passes check_quant_invariants:
+    the stem's multipliers follow its new input scale."""
     qm = copy.deepcopy(qm)
     zps = iter([-128, 127] * 100)
 
@@ -536,28 +587,20 @@ def extreme_model(qm, rng):
         w[:2] = 127
         return w
 
-    def conv(layer, in_spec):
+    def moved(spec):
+        return quantize.QuantSpec(scale=spec.scale, zero_point=next(zps))
+
+    def conv(layer):
         layer.w_q = weights(layer.w_q)
-        layer.in_spec = in_spec
-        layer.out_spec = quantize.QuantSpec(scale=layer.out_spec.scale,
-                                            zero_point=next(zps))
-        return layer.out_spec
+        layer.out_spec = moved(layer.out_spec)
 
     qm.input_spec = quantize.QuantSpec(scale=1e-3, zero_point=127)
-    current = conv(qm.stem, qm.input_spec)
-    ratios = 1e-3 * qm.stem.w_scale.astype(np.float64) / current.scale
-    qm.stem.m0, qm.stem.shift = (np.array(v, np.int32) for v in zip(
-        *(quantize_multiplier(float(r)) for r in ratios)))
+    conv(qm.stem)
     for block in qm.blocks:
-        add = block.add
-        add.a_spec = current
         for layer in block.convs:
-            current = conv(layer, current)
-        add.h_spec = current
-        add.out_spec = current = quantize.QuantSpec(
-            scale=add.out_spec.scale, zero_point=next(zps))
+            conv(layer)
+        block.out_spec = moved(block.out_spec)
     qm.head.w_q = weights(qm.head.w_q)
-    qm.head.in_spec = current
     return qm
 
 
@@ -633,13 +676,59 @@ class TestExactFloatGemm:
         qm = quantize_model(folded, calibrate(
             folded, synth.make_random_windows(64, seed=1)))
         check_quant_invariants(qm)
-        assert np.all(qm.blocks[0].convs[0].shift <= 30)
         x = np.stack([win.data for win in synth.make_random_windows(24, seed=4)])
         self.check_against_oracle(qm, x)
+        step = qm.plan.layout[1][0]
+        assert step.name == "b0.c0" and np.all(step.shift_n <= 30)
+
+
+def exact_multiplier(ratio):
+    """M0 in [2^30, 2^31) and n with M0 = ratio * 2^(31+n) rounded to
+    nearest, ties to even, in exact rational arithmetic."""
+    n, scaled = -64, Fraction(ratio) * Fraction(2) ** -33
+    while scaled < 2 ** 30:
+        n, scaled = n + 1, scaled * 2
+    m0 = round(scaled)
+    return (m0 >> 1, n - 1) if m0 == 2 ** 31 else (m0, n)
 
 
 class TestQuantPlan:
     """The plan qforward_batch builds once per model and runs."""
+
+    def test_multipliers_match_exact_arithmetic(self):
+        """Every conv's and add's M0 and n in the plan, and the constants
+        folded from them, follow from the scale ratio of the specs found by
+        walking the network here: s_in*s_w/s_out, s_a/s_out, s_h/s_out."""
+        _, qm = quantized_fixture(width=8)
+        qforward(qm, synth.make_random_windows(1, seed=0)[0].data)
+        steps = iter(step for step, _ in qm.plan.layout)
+
+        def conv(layer, in_spec):
+            step = next(steps)
+            assert step.name == layer.name and step.in_zp == in_spec.zero_point
+            for o, s_w in enumerate(layer.w_scale):
+                m0, n = exact_multiplier(in_spec.scale * float(s_w)
+                                         / layer.out_spec.scale)
+                assert (step.m0[o, 0], step.shift_n[o, 0]) == (m0, n)
+                assert step.offset[o, 0] == (int(layer.bias_q[o]) * m0
+                                             + 2 ** (30 + n))
+            return layer.out_spec
+
+        spec = conv(qm.stem, qm.input_spec)
+        for block in qm.blocks:
+            block_in = spec
+            for layer in block.convs:
+                spec = conv(layer, spec)
+            add = next(steps)
+            for folded, addend in ((add.a, block_in), (add.h, spec)):
+                m0, n = exact_multiplier(addend.scale / block.out_spec.scale)
+                assert folded == (m0, 2 ** (30 + n) - addend.zero_point * m0,
+                                  31 + n)
+            spec = block.out_spec
+        head = next(steps)
+        assert head.in_zp == spec.zero_point
+        np.testing.assert_array_equal(
+            head.scale, spec.scale * qm.head.w_scale.astype(np.float64))
 
     def test_width_8_matches_oracles(self):
         _, qm = quantized_fixture(width=8)
@@ -735,6 +824,26 @@ class TestQuantFile:
         quantize.save(loaded, resaved)
         assert path.read_bytes() == resaved.read_bytes()
 
+    def test_file_holds_each_fact_once(self, tmp_path):
+        """Three tensors per conv and for the head, and one scale and zero
+        point per activation: the input, each conv's output, each add's."""
+        _, qm = quantized_fixture(width=8)
+        path = tmp_path / "q.efq"
+        quantize.save(qm, path)
+        assert path.read_bytes()[:4] == b"EFQ3"
+        cfg = qm.config
+        convs = ["stem"] + [f"b{i}.c{j}" for i in range(cfg.blocks)
+                            for j in range(cfg.convs_per_block)]
+        activations = (["input"] + [f"{name}.out" for name in convs]
+                       + [f"b{i}.add.out" for i in range(cfg.blocks)])
+        assert len(activations) == 14
+        expected = {f"{layer}.{attr}" for layer in convs + ["head"]
+                    for attr in ("w_q", "w_scale", "bias_q")}
+        expected |= {f"{name}.{attr}" for name in activations
+                     for attr in ("scale", "zero_point")}
+        tensors = container.read(path, quantize.QUANT_MAGIC).tensors
+        assert set(tensors) == expected and len(tensors) == 3 * 11 + 2 * 14
+
     def test_truncated(self, tmp_path):
         _, qm = quantized_fixture(width=4)
         path = tmp_path / "q.efq"
@@ -765,46 +874,70 @@ class TestQuantFile:
         with pytest.raises(NumericalContractError, match="input: zero point"):
             quantize.load(path)
 
+    @pytest.mark.parametrize("name", ["input", "stem.out", "b0.c1.out",
+                                      "b1.add.out"])
+    @pytest.mark.parametrize("attr, value", [
+        ("zero_point", 128), ("zero_point", -129), ("scale", 0.0),
+        ("scale", float("inf"))])
+    def test_every_activation_spec_is_checked(self, tmp_path, name, attr,
+                                              value):
+        # a checksummed EFQ3 with one bad spec; the plan's walk checks
+        # each activation's spec where its layer produces it
+        _, qm = quantized_fixture(width=4)
+        path = tmp_path / "q.efq"
+        quantize.save(qm, path)
+        contents = container.read(path, quantize.QUANT_MAGIC)
+        tensor = contents.tensors[f"{name}.{attr}"]
+        contents.tensors[f"{name}.{attr}"] = np.full_like(tensor, value)
+        container.write(path, quantize.QUANT_MAGIC, contents.meta,
+                        contents.tensors)
+        error, what = ((AccumulatorOverflow, "zero point") if attr == "zero_point"
+                       else (RequantRangeError, "scale"))
+        with pytest.raises(error, match=f"{name}: {what}"):
+            quantize.load(path)
+
     @pytest.mark.parametrize("where, value", [
         ("w_scale", float("nan")), ("spec", float("nan")),
-        ("w_scale", float("inf")), ("spec", 0.0)])
+        ("w_scale", float("inf")), ("spec", 0.0), ("head", 0.0)])
     def test_bad_scale_rejected(self, tmp_path, where, value):
         _, qm = quantized_fixture(width=4)
         if where == "w_scale":
             qm.stem.w_scale[0] = value
+        elif where == "head":
+            qm.head.w_scale[0] = value
         else:
             qm.stem.out_spec = QuantSpec(scale=value,
                                          zero_point=qm.stem.out_spec.zero_point)
         path = tmp_path / "q.efq"
         quantize.save(qm, path)
-        with pytest.raises(RequantRangeError, match="stem"):
+        with pytest.raises(RequantRangeError,
+                           match="head" if where == "head" else "stem"):
             quantize.load(path)
 
     @pytest.mark.parametrize("where", ["conv", "add"])
     def test_shift_beyond_31_rejected(self, tmp_path, where):
-        # a multiplier consistent with its scale ratio 0.75 * 2^-40, so
-        # only the shift bound (n = 40 > 31) rejects it
+        # finite positive scales whose ratio 0.75 * 2^-40 (stem channel 0,
+        # or block 0's input against its add's output) needs n = 40 > 31
         _, qm = quantized_fixture(width=4)
         if where == "conv":
             stem = qm.stem
             stem.w_scale[0] = 0.75 * 2.0 ** -40 * (stem.out_spec.scale
-                                                   / stem.in_spec.scale)
-            stem.m0[0], stem.shift[0] = quantize_multiplier(
-                stem.in_spec.scale * float(stem.w_scale[0])
-                / stem.out_spec.scale)
-            n, match = int(stem.shift[0]), "stem"
+                                                   / qm.input_spec.scale)
+            ratio = (qm.input_spec.scale * float(stem.w_scale[0])
+                     / stem.out_spec.scale)
+            match = "stem"
         else:
-            add = qm.blocks[0].add
-            add.a_spec = QuantSpec(
-                scale=float(np.float32(0.75 * 2.0 ** -40 * add.out_spec.scale)),
-                zero_point=add.a_spec.zero_point)
-            add.a_m0, add.a_shift = quantize_multiplier(
-                add.a_spec.scale / add.out_spec.scale)
-            n, match = add.a_shift, "b0.add"
-        assert n == 40
+            block = qm.blocks[0]
+            block.out_spec = QuantSpec(
+                scale=float(np.float32(qm.stem.out_spec.scale
+                                       / (0.75 * 2.0 ** -40))),
+                zero_point=block.out_spec.zero_point)
+            ratio = qm.stem.out_spec.scale / block.out_spec.scale
+            match = "b0.add"
+        assert math.frexp(ratio)[1] == -40
         path = tmp_path / "q.efq"
         quantize.save(qm, path)
-        with pytest.raises(RequantRangeError, match=match):
+        with pytest.raises(RequantRangeError, match=f"{match}: .* shift 40,"):
             quantize.load(path)
 
     @pytest.mark.parametrize("site", ["b0.c0", "head"])
@@ -817,40 +950,4 @@ class TestQuantFile:
         path = tmp_path / "q.efq"
         quantize.save(qm, path)
         with pytest.raises(AccumulatorOverflow, match=site):
-            quantize.load(path)
-
-    @pytest.mark.parametrize("edited, other", [
-        ("stem.in.zero_point", "input"), ("input.scale", "stem.in"),
-        ("b0.c1.in.zero_point", "b0.c0.out"),
-        ("b1.c0.in.zero_point", "b0.add.out"),
-        ("b1.add.a.zero_point", "b0.add.out"),
-        ("b0.add.h.zero_point", "b0.c2.out"),
-        ("head.in.scale", "b2.add.out")])
-    def test_disagreeing_spec_copies_rejected(self, tmp_path, edited, other):
-        # a checksummed EFQ2 in which one of the two stored copies of an
-        # activation spec moves: every scale, zero point and multiplier
-        # stays within its own bounds
-        _, qm = quantized_fixture(width=8)
-        path = tmp_path / "q.efq"
-        quantize.save(qm, path)
-        contents = container.read(path, quantize.QUANT_MAGIC)
-        value = contents.tensors[edited]
-        if edited.endswith("zero_point"):
-            value = value + (-10 if value > 0 else 10)
-        else:
-            value = value * np.float32(1.0 + 2.0 ** -20)
-        contents.tensors[edited] = value
-        container.write(path, quantize.QUANT_MAGIC, contents.meta,
-                        contents.tensors)
-        with pytest.raises(RequantRangeError, match="differs") as exc:
-            quantize.load(path)
-        site = edited.rsplit(".", 1)[0]
-        assert f"{site}: " in str(exc.value) and f"{other}: " in str(exc.value)
-
-    def test_corrupt_m0_rejected(self, tmp_path):
-        _, qm = quantized_fixture(width=4)
-        qm.stem.m0[0] = 12345
-        path = tmp_path / "q.efq"
-        quantize.save(qm, path)
-        with pytest.raises(NumericalContractError):
             quantize.load(path)

@@ -361,6 +361,8 @@ class TestAdamStep:
     def test_hyperparam_validation(self):
         with pytest.raises(InvalidConfig):
             Hyperparams(patience=10, epochs=5).validate()
+        with pytest.raises(InvalidConfig, match="patience -1"):
+            Hyperparams(patience=-1, epochs=5).validate()
         with pytest.raises(InvalidConfig):
             Hyperparams(lr=0).validate()
 
