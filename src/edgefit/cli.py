@@ -79,17 +79,9 @@ def cmd_prepare(args) -> int:
     return EXIT_OK
 
 
-def _select_fold(windows, fold: int) -> dataset.DatasetSplit:
-    splits = dataset.loucv_splits(windows)
-    for s in splits:
-        if s.held_out_subject == fold:
-            return s
-    raise InvalidConfig(f"no subject {fold} in the window container")
-
-
 def cmd_train(args) -> int:
     windows = dataset.load_windows(args.windows)
-    split = _select_fold(windows, args.fold)
+    split = dataset.fold_split(windows, args.fold)
     config = model.ModelConfig(width=args.width)
     hp = training.Hyperparams(epochs=args.epochs, patience=args.patience,
                               batch_size=args.batch_size)
@@ -114,10 +106,8 @@ def cmd_quantize(args) -> int:
             f"--calib-size must be >= 1, got {args.calib_size}")
     m = model.load(args.model)
     windows = dataset.load_windows(args.windows)
-    if args.fold is not None:
-        calib_pool = [w for w in windows if w.subject != args.fold]
-    else:
-        calib_pool = windows
+    calib_pool = (windows if args.fold is None
+                  else dataset.fold_split(windows, args.fold).train)
     if not calib_pool:
         raise InvalidConfig("no calibration windows after fold exclusion")
     rng = np.random.default_rng(args.seed)
@@ -136,7 +126,7 @@ def cmd_eval(args) -> int:
     m = _sniff_model(args.model)
     windows = dataset.load_windows(args.windows)
     if args.fold is not None:
-        windows = [w for w in windows if w.subject == args.fold]
+        windows = dataset.fold_split(windows, args.fold).test
     if isinstance(m, quantize.QuantModel):
         metrics = quantize.evaluate_quant(m, windows)
     else:

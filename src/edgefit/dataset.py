@@ -2,8 +2,8 @@
 
 Input files are comma-separated text with one header row and the canonical
 columns timestamp, acc_x, acc_y, acc_z, gyro_x, gyro_y, gyro_z, hbc, label,
-subject, session. A ColumnMap adapts files whose headers deviate from the
-canonical names. Labels may be integers 0..11 or canonical class names.
+subject, session, in any order. Labels may be integers 0..11 or canonical
+class names.
 Files are converted one column at a time; a row is parsed on its own only
 to name the first malformed line of a file whose conversion failed.
 """
@@ -11,10 +11,11 @@ to name the first malformed line of a file whose conversion failed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import container
 from .errors import (
@@ -37,6 +38,7 @@ NUM_CHANNELS = 7
 WINDOW_SIZE = 40
 RATE_HZ = 20
 CHANNEL_NAMES = ("acc_x", "acc_y", "acc_z", "gyro_x", "gyro_y", "gyro_z", "hbc")
+COLUMNS = ("timestamp", *CHANNEL_NAMES, "label", "subject", "session")
 
 SUBJECT_RANGE = (1, 10)
 SESSION_RANGE = (1, 5)
@@ -51,32 +53,14 @@ _WINDOW_FIELDS = (("label", "|u1"), ("weight", "<f4"), ("subject", "|u1"),
 _NAME_TO_LABEL = {name.lower(): i for i, name in enumerate(CLASS_NAMES)}
 
 
-@dataclass(frozen=True)
-class ColumnMap:
-    """Maps canonical column names to the header names actually in the file."""
-
-    timestamp: str = "timestamp"
-    acc_x: str = "acc_x"
-    acc_y: str = "acc_y"
-    acc_z: str = "acc_z"
-    gyro_x: str = "gyro_x"
-    gyro_y: str = "gyro_y"
-    gyro_z: str = "gyro_z"
-    hbc: str = "hbc"
-    label: str = "label"
-    subject: str = "subject"
-    session: str = "session"
-
-    def resolve(self, header: list[str], path: str = "") -> dict[str, int]:
-        """Return canonical name -> column index, or raise MissingColumn."""
-        positions = {name.strip(): i for i, name in enumerate(header)}
-        indices = {}
-        for f in fields(self):
-            actual = getattr(self, f.name)
-            if actual not in positions:
-                raise MissingColumn(actual, path)
-            indices[f.name] = positions[actual]
-        return indices
+def resolve_columns(header: list[str], path: str = "") -> dict[str, int]:
+    """Return canonical column name -> index in header, or raise
+    MissingColumn naming the first canonical column header lacks."""
+    positions = {name.strip(): i for i, name in enumerate(header)}
+    try:
+        return {name: positions[name] for name in COLUMNS}
+    except KeyError as e:
+        raise MissingColumn(e.args[0], path) from None
 
 
 @dataclass
@@ -104,18 +88,14 @@ class NormStats:
 
 @dataclass
 class Window:
-    """A normalized 7x40 segment with its target label and training weight.
-
-    sample_labels keeps the per-sample labels the window was cut from; it is
-    needed to compute the weight and is dropped on serialization.
-    """
+    """A normalized 7x40 segment with its majority label and training
+    weight (see build_fold)."""
 
     data: np.ndarray          # (7, 40) float32
     label: int
     weight: float
     subject: int
     session: int
-    sample_labels: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -163,7 +143,7 @@ def _parse_row(row: list[str], idx: dict[str, int]) -> None:
         raise ValueError(f"session {session} outside {SESSION_RANGE}")
 
 
-def _read_csv(f: Path, schema: ColumnMap, number: int) -> tuple | None:
+def _read_csv(f: Path, number: int) -> tuple | None:
     """Columns of f's data rows, or None if it has none: timestamps, (N, 7)
     float32 channels, labels, subjects and sessions (each distinct string
     parsed once), each row's first physical line and number. Errors as in
@@ -171,7 +151,7 @@ def _read_csv(f: Path, schema: ColumnMap, number: int) -> tuple | None:
     with open(f, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        idx = None if header is None else schema.resolve(header, str(f))
+        idx = None if header is None else resolve_columns(header, str(f))
         numbered = []
         start = reader.line_num + 1   # a quoted field may span lines
         for row in reader:
@@ -207,7 +187,7 @@ def _read_csv(f: Path, schema: ColumnMap, number: int) -> tuple | None:
             np.array(lines), np.full(len(rows), number))
 
 
-def load_recordings(path: str | Path, schema: ColumnMap | None = None) -> list[Recording]:
+def load_recordings(path: str | Path) -> list[Recording]:
     """Load every CSV under path (file or directory) into Recordings.
 
     One Recording per (subject, session) pair, merged across files in name
@@ -217,14 +197,13 @@ def load_recordings(path: str | Path, schema: ColumnMap | None = None) -> list[R
     timestamp not after its predecessor raises MalformedRow with that row's
     file and line.
     """
-    schema = schema or ColumnMap()
     path = Path(path)
     if not path.exists():
         raise EmptyDataset(f"path does not exist: {path}")
     files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
     if not files:
         raise EmptyDataset(f"no .csv files under {path}")
-    parts = [part for part in (_read_csv(f, schema, number)
+    parts = [part for part in (_read_csv(f, number)
                                for number, f in enumerate(files)) if part]
     if not parts:
         raise EmptyDataset(f"no data rows found under {path}")
@@ -263,13 +242,21 @@ def window_count(length: int, size: int, stride: int) -> int:
     return (length - size) // stride + 1
 
 
-def label_window(labels: np.ndarray) -> int:
-    """Most frequent label; ties go to the non-Null label with lowest id."""
-    counts = np.bincount(labels, minlength=NUM_CLASSES)
-    best = int(counts.max())
-    candidates = [c for c in range(NUM_CLASSES) if counts[c] == best]
-    candidates.sort(key=lambda c: (c == NULL_CLASS, c))
-    return candidates[0]
+def label_window(labels: np.ndarray) -> np.ndarray:
+    """Majority label of each window, class ids (..., L) -> (...) int64;
+    ties go to the non-Null label with the lowest id.
+
+    Row i's labels are offset by i * NUM_CLASSES, so one bincount counts
+    every row. Scores are 2 * count, less 1 for Null: a tied Null loses to
+    any tied class, and the first maximal score has the lowest id.
+    """
+    rows = labels.reshape(-1, labels.shape[-1])
+    offsets = NUM_CLASSES * np.arange(len(rows))[:, None]
+    counts = np.bincount((rows + offsets).ravel(),
+                         minlength=NUM_CLASSES * len(rows))
+    scores = (2 * counts.reshape(*labels.shape[:-1], NUM_CLASSES)
+              - (np.arange(NUM_CLASSES) == NULL_CLASS))
+    return scores.argmax(axis=-1)
 
 
 def window_weight(labels: np.ndarray, class_freq: np.ndarray) -> np.ndarray:
@@ -290,53 +277,30 @@ def window_weight(labels: np.ndarray, class_freq: np.ndarray) -> np.ndarray:
 
 
 def segment_windows(rec: Recording, stats: NormStats, size: int = WINDOW_SIZE,
-                    stride: int = RATE_HZ) -> list[Window]:
-    """Cut rec into z-normalized windows of `size` samples every `stride`.
-
-    Labels come from majority vote; weights are placeholder 1.0 until
-    assign_weights runs with the training-fold class counts.
-    """
+                    stride: int = RATE_HZ) -> tuple[np.ndarray, np.ndarray]:
+    """Cut rec into z-normalized windows of `size` samples every `stride`:
+    data (n, 7, size) float32 and each window's per-sample labels (n, size),
+    with n = window_count(len(rec), size, stride). Both are views, the
+    data of one normalized copy of rec."""
     if stride < 1:
         raise InvalidConfig(f"stride must be >= 1, got {stride}")
-    n = window_count(len(rec), size, stride)
-    if n == 0:
-        return []
+    if len(rec) < size:
+        return (np.empty((0, NUM_CHANNELS, size), np.float32),
+                np.empty((0, size), rec.labels.dtype))
     normalized = ((rec.data.astype(np.float64) - stats.mean) / stats.std).astype(np.float32)
-    windows = []
-    for i in range(n):
-        start = i * stride
-        seg = normalized[start:start + size]          # (size, 7)
-        labels = rec.labels[start:start + size].astype(np.int64)
-        windows.append(Window(
-            data=np.ascontiguousarray(seg.T),          # (7, size)
-            label=label_window(labels),
-            weight=1.0,
-            subject=rec.subject,
-            session=rec.session,
-            sample_labels=labels,
-        ))
-    return windows
+    return (sliding_window_view(normalized, size, axis=0)[::stride],
+            sliding_window_view(rec.labels, size)[::stride])
 
 
-def class_counts(windows: list[Window]) -> np.ndarray:
-    """Per-class counts of the per-sample labels across all windows."""
-    counts = np.zeros(NUM_CLASSES, dtype=np.int64)
-    for w in windows:
-        if w.sample_labels is None:
-            counts[w.label] += w.data.shape[1]
-        else:
-            counts += np.bincount(w.sample_labels, minlength=NUM_CLASSES)
-    return counts
-
-
-def assign_weights(windows: list[Window], class_freq: np.ndarray) -> None:
-    if not windows:
-        return
-    labels = np.stack([w.sample_labels if w.sample_labels is not None
-                       else np.full(w.data.shape[1], w.label, dtype=np.int64)
-                       for w in windows])
-    for w, weight in zip(windows, window_weight(labels, class_freq).tolist()):
-        w.weight = weight
+def fold_split(windows: list[Window], held_out_subject: int) -> DatasetSplit:
+    """That subject's windows test, every other window trains, both in
+    input order; raises InvalidConfig when no window has that subject."""
+    test = [w for w in windows if w.subject == held_out_subject]
+    if not test:
+        raise InvalidConfig(f"no subject {held_out_subject} in the windows")
+    train = [w for w in windows if w.subject != held_out_subject]
+    return DatasetSplit(train=train, test=test,
+                        held_out_subject=held_out_subject)
 
 
 def loucv_splits(windows: list[Window]) -> list[DatasetSplit]:
@@ -345,12 +309,31 @@ def loucv_splits(windows: list[Window]) -> list[DatasetSplit]:
     if len(subjects) < 2:
         raise FewerThanTwoSubjects(
             f"leave-one-user-out needs >= 2 subjects, got {len(subjects)}")
-    splits = []
-    for s in subjects:
-        test = [w for w in windows if w.subject == s]
-        train = [w for w in windows if w.subject != s]
-        splits.append(DatasetSplit(train=train, test=test, held_out_subject=s))
-    return splits
+    return [fold_split(windows, s) for s in subjects]
+
+
+def _cut(recordings: list[Recording], stats: NormStats, size: int,
+         stride: int) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """Every window of recordings in (subject, session) order: data
+    (n, 7, size), per-sample labels (n, size) and each window's (subject,
+    session)."""
+    recordings = sorted(recordings, key=lambda r: (r.subject, r.session))
+    cuts = [segment_windows(r, stats, size, stride) for r in recordings]
+    data = np.concatenate([np.empty((0, NUM_CHANNELS, size), np.float32)]
+                          + [d for d, _ in cuts])
+    labels = np.concatenate([np.empty((0, size), np.int16)]
+                            + [lbl for _, lbl in cuts])
+    ids = [(r.subject, r.session) for r, (d, _) in zip(recordings, cuts)
+           for _ in range(len(d))]
+    return data, labels, ids
+
+
+def _windows(data: np.ndarray, labels: np.ndarray,
+             ids: list[tuple[int, int]], weights: list[float]) -> list[Window]:
+    """One Window per row of a _cut, labelled by majority vote."""
+    return [Window(d, label, weight, subject, session)
+            for d, label, weight, (subject, session)
+            in zip(data, label_window(labels).tolist(), weights, ids)]
 
 
 def build_fold(recordings: list[Recording], held_out_subject: int,
@@ -360,18 +343,22 @@ def build_fold(recordings: list[Recording], held_out_subject: int,
 
     Stats and class counts come exclusively from the training subjects;
     the held-out subject's windows are normalized with those same stats and
-    carry weight 1.0 (weights only matter for training). n_threads is
-    ignored; it stays only while the benchmark's prepare stage passes it.
+    carry weight 1.0 (weights only matter for training). A training
+    window's weight is window_weight of its per-sample labels under the
+    per-sample class counts of all training windows. n_threads is ignored;
+    it stays only while the benchmark's prepare stage passes it.
     """
     train_recs = [r for r in recordings if r.subject != held_out_subject]
     test_recs = [r for r in recordings if r.subject == held_out_subject]
     if not train_recs:
         raise EmptyDataset(f"no training subjects besides {held_out_subject}")
     stats = compute_norm_stats(train_recs)
-    train, test = ([w for r in sorted(recs, key=lambda r: (r.subject, r.session))
-                    for w in segment_windows(r, stats, size, stride)]
-                   for recs in (train_recs, test_recs))
-    assign_weights(train, class_counts(train))
+    data, labels, ids = _cut(train_recs, stats, size, stride)
+    class_freq = np.bincount(labels.ravel(), minlength=NUM_CLASSES)
+    train = _windows(data, labels, ids,
+                     window_weight(labels, class_freq).tolist())
+    data, labels, ids = _cut(test_recs, stats, size, stride)
+    test = _windows(data, labels, ids, [1.0] * len(data))
     return DatasetSplit(train=train, test=test, held_out_subject=held_out_subject)
 
 
@@ -389,8 +376,7 @@ def make_out_dir(path: str | Path) -> Path:
 
 def save_windows(path: str | Path, windows: list[Window]) -> None:
     """Write an EFW2 container (layout in edgefit.container): the window
-    count as metadata, data (N, 7, 40) and the _WINDOW_FIELDS as tensors.
-    sample_labels are not stored."""
+    count as metadata, data (N, 7, 40) and the _WINDOW_FIELDS as tensors."""
     n = len(windows)
     data = np.array([w.data for w in windows], "<f4")
     container.write(path, WINDOW_MAGIC, {"windows": n}, {

@@ -85,6 +85,7 @@ from .dataset import Window
 from .errors import (
     AccumulatorOverflow,
     EmptyCalibrationSet,
+    EmptyTestSet,
     InvalidConfig,
     MissingCalibration,
     RequantRangeError,
@@ -97,6 +98,7 @@ from .model import (
     config_from_meta,
     forward_batch,
 )
+from .training import _stack, metrics_from_logits
 
 QMIN, QMAX = -128, 127
 RANGE_FLOOR = 1e-3      # minimum activation range width
@@ -719,12 +721,9 @@ def count_float_entries(trace: list) -> int:
 
 def evaluate_quant(qm: QuantModel, windows: list[Window], batch: int = 256):
     """Argmax Metrics of the integer path over a window list."""
-    from .training import EmptyTestSet, metrics_from_logits
     if not windows:
         raise EmptyTestSet("evaluate needs at least one window")
-    x = np.stack([w.data for w in windows]).astype(np.float32)
-    y = np.array([w.label for w in windows], dtype=np.int64)
-    wt = np.array([w.weight for w in windows], dtype=np.float32)
+    x, y, wt = _stack(windows)
     logits = np.concatenate([qforward_batch(qm, x[i:i + batch])
                              for i in range(0, len(x), batch)])
     return metrics_from_logits(logits, y, wt, qm.config.classes)

@@ -29,8 +29,6 @@ from .dataset import (
     RATE_HZ,
     SESSION_RANGE,
     SUBJECT_RANGE,
-    WINDOW_SIZE,
-    Window,
     make_out_dir,
 )
 from .errors import InvalidConfig
@@ -108,36 +106,3 @@ def make_synthetic_dataset(out_dir: str | Path, subjects: int = 10,
                 f.write("".join(blocks))
             paths.append(path)
     return paths
-
-
-def make_separable_windows(n: int = 200, seed: int = 0,
-                           labels: tuple[int, int] = (1, 2)) -> list[Window]:
-    """Trivially separable two-class windows: opposite DC levels, tiny noise.
-
-    Subjects alternate between 1 and 2 and sessions cycle 1..5 so the
-    leave-one-user-out and validation-session machinery can run on them.
-    """
-    rng = np.random.default_rng(seed)
-    windows = []
-    for i in range(n):
-        label = labels[i % 2]
-        level = 1.0 if i % 2 == 0 else -1.0
-        data = (level + 0.05 * rng.standard_normal(
-            (NUM_CHANNELS, WINDOW_SIZE))).astype(np.float32)
-        windows.append(Window(
-            data=data, label=label, weight=1.0,
-            subject=1 + (i % 2), session=1 + (i // 2) % 5,
-            sample_labels=np.full(WINDOW_SIZE, label, dtype=np.int64),
-        ))
-    return windows
-
-
-def make_random_windows(n: int, seed: int = 0, scale: float = 1.0) -> list[Window]:
-    """Gaussian windows for calibration and agreement tests."""
-    rng = np.random.default_rng(seed)
-    return [Window(
-        data=(scale * rng.standard_normal(
-            (NUM_CHANNELS, WINDOW_SIZE))).astype(np.float32),
-        label=int(rng.integers(NUM_CLASSES)), weight=1.0,
-        subject=1 + int(rng.integers(10)), session=1 + int(rng.integers(5)),
-    ) for _ in range(n)]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edgefit import kernels, model, synth
+from edgefit.dataset import NUM_CHANNELS, NUM_CLASSES, WINDOW_SIZE, Window
 from edgefit.errors import ShapeMismatch
 
 
@@ -41,6 +42,34 @@ def dense(x, w, b):
     if b.shape != (w.shape[0],):
         raise ShapeMismatch(f"bias shape {b.shape} != ({w.shape[0]},)")
     return w @ x + b
+
+
+def make_separable_windows(n=200, seed=0, labels=(1, 2)):
+    """Trivially separable two-class windows: opposite DC levels, tiny noise.
+
+    Subjects alternate between 1 and 2 and sessions cycle 1..5 so the
+    leave-one-user-out and validation-session machinery can run on them.
+    """
+    rng = np.random.default_rng(seed)
+    windows = []
+    for i in range(n):
+        level = 1.0 if i % 2 == 0 else -1.0
+        data = (level + 0.05 * rng.standard_normal(
+            (NUM_CHANNELS, WINDOW_SIZE))).astype(np.float32)
+        windows.append(Window(data=data, label=labels[i % 2], weight=1.0,
+                              subject=1 + (i % 2), session=1 + (i // 2) % 5))
+    return windows
+
+
+def make_random_windows(n, seed=0, scale=1.0):
+    """Gaussian windows for calibration and agreement tests."""
+    rng = np.random.default_rng(seed)
+    return [Window(
+        data=(scale * rng.standard_normal(
+            (NUM_CHANNELS, WINDOW_SIZE))).astype(np.float32),
+        label=int(rng.integers(NUM_CLASSES)), weight=1.0,
+        subject=1 + int(rng.integers(10)), session=1 + int(rng.integers(5)),
+    ) for _ in range(n)]
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import randomize_bn
+from conftest import make_random_windows, make_separable_windows, randomize_bn
 from edgefit import cli, dataset, model, platform_model, quantize, synth, training
 
 WIDTH = 24          # training width for the reduced-protocol criteria
@@ -201,9 +201,9 @@ def test_criterion_06a_requantize_oracle(rng):
 def test_criterion_06b_random_model_agreement():
     folded = model.fold_batchnorm(model.build(model.ModelConfig(width=52),
                                               seed=0))
-    calib = synth.make_random_windows(512, seed=1)
+    calib = make_random_windows(512, seed=1)
     qm = quantize.quantize_model(folded, quantize.calibrate(folded, calib))
-    windows = synth.make_random_windows(1000, seed=2)
+    windows = make_random_windows(1000, seed=2)
     x = np.stack([w.data for w in windows])
     agree = float((quantize.qforward_batch(qm, x).argmax(1)
                    == model.forward_batch(folded, x).argmax(1)).mean())
@@ -233,7 +233,7 @@ def test_criterion_07_training_protocol(trained_fold):
     bacc = training.evaluate(params, split.test).balanced_accuracy
     held_out_ok = bacc >= 0.70 and len(history.train_loss) >= 0.1 * TRAIN_EPOCHS
 
-    sep = synth.make_separable_windows(200, seed=0)
+    sep = make_separable_windows(200, seed=0)
     sep_split = dataset.DatasetSplit(train=sep, test=sep, held_out_subject=0)
     hp = training.Hyperparams(epochs=30, patience=30, batch_size=32)
     sep_params, sep_hist = training.train_fold(

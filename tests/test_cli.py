@@ -174,6 +174,16 @@ class TestQuantize:
         assert "--calib-size" in err
         assert not any(tmp_path.iterdir())
 
+    def test_absent_fold_is_usage_error(self, capsys, pipeline, tmp_path):
+        code, stdout, err = run_cli(capsys, "quantize", "--model",
+                                    str(pipeline["model"]), "--windows",
+                                    str(pipeline["windows"]), "--fold", "99",
+                                    "--out", str(tmp_path / "q.efq"))
+        assert code == cli.EXIT_USAGE
+        assert_one_error_line(err, "InvalidConfig")
+        assert "no subject 99" in err and not stdout
+        assert not any(tmp_path.iterdir())
+
     def test_short_bn_tensor_is_data_error(self, capsys, pipeline, tmp_path):
         bad = tmp_path / "bad.efm"
         cut_tensors(pipeline["model"], bad, model.MODEL_MAGIC, ["stem.gamma"])
@@ -200,6 +210,15 @@ class TestEval:
                                "--format", "kv")
         assert code == 0
         assert out.startswith("balanced_accuracy=")
+
+    @pytest.mark.parametrize("kind", ["model", "qmodel"])
+    def test_absent_fold_is_usage_error(self, capsys, pipeline, kind):
+        code, stdout, err = run_cli(capsys, "eval", "--model",
+                                    str(pipeline[kind]), "--windows",
+                                    str(pipeline["windows"]), "--fold", "99")
+        assert code == cli.EXIT_USAGE
+        assert_one_error_line(err, "InvalidConfig")
+        assert "no subject 99" in err and not stdout
 
     def test_missing_model_file(self, capsys, pipeline):
         code, _, err = run_cli(capsys, "eval", "--model", "/tmp/ghost.efm",

@@ -5,13 +5,14 @@ import zlib
 import numpy as np
 import pytest
 
-from edgefit import container, dataset, model, quantize, synth
+from conftest import make_random_windows
+from edgefit import container, dataset, model, quantize
 from edgefit.errors import CorruptFile, VersionMismatch
 from edgefit.model import ModelConfig, build, fold_batchnorm
 
 
 def save_windows(path):
-    dataset.save_windows(path, synth.make_random_windows(6, seed=2))
+    dataset.save_windows(path, make_random_windows(6, seed=2))
 
 
 def save_model(path):
@@ -20,7 +21,7 @@ def save_model(path):
 
 def save_qmodel(path):
     folded = fold_batchnorm(build(ModelConfig(width=4), seed=0))
-    stats = quantize.calibrate(folded, synth.make_random_windows(16, seed=1))
+    stats = quantize.calibrate(folded, make_random_windows(16, seed=1))
     quantize.save(quantize.quantize_model(folded, stats), path)
 
 

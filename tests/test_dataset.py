@@ -6,17 +6,17 @@ import pytest
 
 from edgefit import dataset
 from edgefit.dataset import (
-    ColumnMap,
     NormStats,
     Recording,
     Window,
     build_fold,
-    class_counts,
     compute_norm_stats,
+    fold_split,
     label_window,
     load_recordings,
     load_windows,
     loucv_splits,
+    resolve_columns,
     save_windows,
     segment_windows,
     window_count,
@@ -26,6 +26,7 @@ from edgefit.errors import (
     CorruptFile,
     EmptyDataset,
     FewerThanTwoSubjects,
+    InvalidConfig,
     MalformedRow,
     MissingColumn,
     UnseenLabel,
@@ -111,18 +112,6 @@ class TestLoadRecordings:
             f.write("timestamp,acc_x\n0.0,1.0\n")
         with pytest.raises(MissingColumn):
             load_recordings(path)
-
-    def test_column_map_adapter(self, tmp_path):
-        path = tmp_path / "a.csv"
-        with open(path, "w") as f:
-            f.write("t,ax,ay,az,gx,gy,gz,cap,activity,user,day\n")
-            f.write("0.0,1,2,3,4,5,6,7,0,1,1\n")
-        schema = ColumnMap(timestamp="t", acc_x="ax", acc_y="ay", acc_z="az",
-                           gyro_x="gx", gyro_y="gy", gyro_z="gz", hbc="cap",
-                           label="activity", subject="user", session="day")
-        recs = load_recordings(path, schema)
-        np.testing.assert_array_equal(recs[0].data[0],
-                                      [1, 2, 3, 4, 5, 6, 7])
 
     def test_empty(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -234,22 +223,34 @@ class TestSegmentWindows:
     def test_count_example(self, rng):
         rec = make_recording(rng.standard_normal(100))
         stats = compute_norm_stats([rec])
-        assert len(segment_windows(rec, stats, 40, 20)) == 4
+        data, labels = segment_windows(rec, stats, 40, 20)
+        assert data.shape == (4, 7, 40) and labels.shape == (4, 40)
 
     def test_too_short(self, rng):
         rec = make_recording(rng.standard_normal(39))
         stats = compute_norm_stats([rec])
-        assert segment_windows(rec, stats, 40, 20) == []
+        data, labels = segment_windows(rec, stats, 40, 20)
+        assert data.shape == (0, 7, 40) and labels.shape == (0, 40)
+
+    def test_zero_stride_rejected(self, rng):
+        rec = make_recording(rng.standard_normal(100))
+        stats = compute_norm_stats([rec])
+        with pytest.raises(InvalidConfig):
+            segment_windows(rec, stats, 40, 0)
+        with pytest.raises(InvalidConfig):
+            build_fold([rec, make_recording(rng.standard_normal(100),
+                                            subject=2)],
+                       held_out_subject=2, stride=0)
 
     def test_single_window_is_znormalized(self, rng):
         values = rng.standard_normal(40)
         rec = make_recording(values)
         stats = compute_norm_stats([rec])
-        (w,) = segment_windows(rec, stats, 40, 1)
+        (data,), _ = segment_windows(rec, stats, 40, 1)
         expected = (values - values.mean()) / values.std()
-        np.testing.assert_allclose(w.data[0], expected.astype(np.float32),
+        np.testing.assert_allclose(data[0], expected.astype(np.float32),
                                    rtol=1e-5, atol=1e-6)
-        assert w.data.shape == (7, 40)
+        assert data.shape == (7, 40)
 
     def test_count_law_randomized(self, rng):
         for _ in range(200):
@@ -260,18 +261,22 @@ class TestSegmentWindows:
             if length > 0:
                 rec = make_recording(rng.standard_normal(length))
                 stats = NormStats(mean=np.zeros(7), std=np.ones(7))
-                assert len(segment_windows(rec, stats, 40, stride)) == expected
+                data, labels = segment_windows(rec, stats, 40, stride)
+                assert len(data) == len(labels) == expected
 
     def test_determinism(self, rng):
         rec = make_recording(rng.standard_normal(120))
         stats = compute_norm_stats([rec])
-        a = segment_windows(rec, stats, 40, 20)
-        b = segment_windows(rec, stats, 40, 20)
-        for wa, wb in zip(a, b):
-            assert wa.data.tobytes() == wb.data.tobytes()
+        a, _ = segment_windows(rec, stats, 40, 20)
+        b, _ = segment_windows(rec, stats, 40, 20)
+        assert a.tobytes() == b.tobytes()
 
 
 class TestLabelWindow:
+    # unanimous, strict majority, tied Null, two tied classes
+    CASES = ([9] * 40, [0] * 21 + [8] * 19, [8] * 20 + [0] * 20,
+             [3] * 20 + [7] * 20)
+
     def test_unanimous(self):
         assert label_window(np.full(40, 9)) == 9
 
@@ -286,6 +291,25 @@ class TestLabelWindow:
     def test_tie_between_non_null_prefers_lower_id(self):
         labels = np.array([3] * 20 + [7] * 20)
         assert label_window(labels) == 3
+
+    def test_matrix_equals_its_rows(self):
+        matrix = np.array(self.CASES, dtype=np.int16)
+        got = label_window(matrix)
+        assert got.shape == (4,)
+        assert got.tolist() == [label_window(r) for r in matrix] == [9, 0, 8, 3]
+
+    def test_random_tied_rows_match_per_window_oracle(self, rng):
+        # rows of k classes with 40 / k samples each always tie; rows drawn
+        # from three classes often do
+        rows = [rng.permutation(np.repeat(
+                    rng.choice(12, size=k, replace=False), 40 // k))
+                for k in rng.choice([2, 4, 5, 8], size=3000)]
+        matrix = np.concatenate([rows, rng.integers(0, 3, (3000, 40))])
+        got = label_window(matrix)
+        assert got.tolist() == [oracle_label_window(r) for r in matrix]
+        assert got.tolist() == [label_window(r) for r in matrix]
+        assert label_window(matrix.reshape(2, -1, 40)).tolist() == (
+            got.reshape(2, -1).tolist())
 
 
 class TestWindowWeight:
@@ -365,6 +389,14 @@ class TestLoucvSplits:
         with pytest.raises(FewerThanTwoSubjects):
             loucv_splits(self.windows_for([1]))
 
+    def test_fold_split_keeps_order_and_rejects_absent_subject(self):
+        windows = self.windows_for([2, 1, 2, 3], per_subject=2)
+        split = fold_split(windows, 2)
+        assert split.test == [w for w in windows if w.subject == 2]
+        assert split.train == [w for w in windows if w.subject != 2]
+        with pytest.raises(InvalidConfig, match="no subject 4"):
+            fold_split(windows, 4)
+
 
 class TestBuildFold:
     def test_no_leakage_and_weights(self, synth_dataset_dir):
@@ -388,14 +420,38 @@ class TestBuildFold:
         assert np.all(np.abs(mean) <= 1e-4)
         assert np.all((std >= 1 - 1e-3) & (std <= 1 + 1e-3))
 
-    def test_weights_bit_identical_to_per_window_oracle(self,
-                                                         synth_dataset_dir):
-        split = build_fold(load_recordings(synth_dataset_dir),
-                           held_out_subject=2)
-        counts = class_counts(split.train)
-        assert [w.weight for w in split.train] == [
-            oracle_window_weight(w.sample_labels, counts) for w in split.train]
-        assert all(type(w.weight) is float for w in split.train)
+    def test_bit_identical_to_per_window_oracle(self, synth_dataset_dir):
+        recs = load_recordings(synth_dataset_dir)
+        for held_out in (1, 2, 3):
+            split = build_fold(recs, held_out_subject=held_out)
+            train, test = oracle_build_fold(recs, held_out)
+            for got, expected in ((split.train, train), (split.test, test)):
+                assert len(got) == len(expected)
+                for a, b in zip(got, expected):
+                    assert a.data.dtype == b.data.dtype
+                    assert a.data.shape == b.data.shape
+                    assert a.data.tobytes() == b.data.tobytes()
+                    fields = (a.label, a.weight, a.subject, a.session)
+                    assert fields == (b.label, b.weight, b.subject, b.session)
+                    assert [type(v) for v in fields] == [int, float, int, int]
+
+    def test_weights_count_every_sample(self, rng):
+        # one training window of 30 Null and 10 Legcurl samples: counts
+        # [30, 0, 0, 0, 10, ...], so the weight is
+        # (30 * 40 / (12 * 30) + 10 * 40 / (12 * 10)) / 40 = 1 / 6
+        labels = np.array([0] * 30 + [4] * 10)
+        recs = [make_recording(rng.standard_normal(40), labels=labels),
+                make_recording(rng.standard_normal(40), subject=2)]
+        (w,) = build_fold(recs, held_out_subject=2).train
+        assert (w.label, w.weight) == (0, pytest.approx(1 / 6))
+
+    def test_short_recording_gives_no_windows(self, rng):
+        recs = [make_recording(rng.standard_normal(100)),
+                make_recording(rng.standard_normal(39), session=2),
+                make_recording(rng.standard_normal(39), subject=2)]
+        split = build_fold(recs, held_out_subject=2)
+        assert [(w.subject, w.session) for w in split.train] == [(1, 1)] * 4
+        assert split.test == []
 
     def test_uniform_labels_give_unit_weights(self, rng):
         recs = []
@@ -491,13 +547,59 @@ class TestWindowContainer:
         assert load_windows(path) == []
 
 
-def test_class_counts_uses_sample_labels(rng):
-    labels = np.array([0] * 30 + [4] * 10)
-    rec = make_recording(rng.standard_normal(40), labels=labels)
-    stats = compute_norm_stats([rec])
-    windows = segment_windows(rec, stats, 40, 1)
-    counts = class_counts(windows)
-    assert counts[0] == 30 and counts[4] == 10 and counts.sum() == 40
+# ---------------------------------------------------------------------------
+# the per-window cutting, majority vote and class counts that build_fold's
+# label matrix replaced, kept as its oracle
+# ---------------------------------------------------------------------------
+
+def oracle_label_window(labels) -> int:
+    """Most frequent label; ties go to the non-Null label with lowest id."""
+    counts = np.bincount(labels, minlength=dataset.NUM_CLASSES)
+    best = int(counts.max())
+    candidates = [c for c in range(dataset.NUM_CLASSES) if counts[c] == best]
+    candidates.sort(key=lambda c: (c == dataset.NULL_CLASS, c))
+    return candidates[0]
+
+
+def oracle_segment_windows(rec, stats, size=40, stride=20):
+    """(Window with weight 1.0, its per-sample labels) for each window."""
+    normalized = ((rec.data.astype(np.float64) - stats.mean)
+                  / stats.std).astype(np.float32)
+    windows = []
+    for i in range(window_count(len(rec), size, stride)):
+        start = i * stride
+        seg = normalized[start:start + size]          # (size, 7)
+        labels = rec.labels[start:start + size].astype(np.int64)
+        windows.append((Window(data=np.ascontiguousarray(seg.T),
+                               label=oracle_label_window(labels), weight=1.0,
+                               subject=rec.subject, session=rec.session),
+                        labels))
+    return windows
+
+
+def oracle_class_counts(sample_labels) -> np.ndarray:
+    """Per-class counts of the per-sample labels across all windows."""
+    counts = np.zeros(dataset.NUM_CLASSES, dtype=np.int64)
+    for labels in sample_labels:
+        counts += np.bincount(labels, minlength=dataset.NUM_CLASSES)
+    return counts
+
+
+def oracle_build_fold(recordings, held_out_subject):
+    """(train, test) Windows as build_fold made them one window at a time."""
+    train_recs = [r for r in recordings if r.subject != held_out_subject]
+    stats = compute_norm_stats(train_recs)
+
+    def cut(recs):
+        return [pair for r in sorted(recs, key=lambda r: (r.subject, r.session))
+                for pair in oracle_segment_windows(r, stats)]
+
+    train = cut(train_recs)
+    test = cut(r for r in recordings if r.subject == held_out_subject)
+    counts = oracle_class_counts([labels for _, labels in train])
+    for w, labels in train:
+        w.weight = oracle_window_weight(labels, counts)
+    return [w for w, _ in train], [w for w, _ in test]
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +649,7 @@ def oracle_load_recordings(path) -> list[Recording]:
                 header = next(reader)
             except StopIteration:
                 continue
-            idx = ColumnMap().resolve(header, str(f))
+            idx = resolve_columns(header, str(f))
             lineno = reader.line_num + 1   # where the next record starts
             for row in reader:
                 start, lineno = lineno, reader.line_num + 1

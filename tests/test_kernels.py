@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import conv1d_same, dense
-from edgefit import kernels, model, quantize, synth, training
+from conftest import conv1d_same, dense, make_random_windows
+from edgefit import kernels, model, quantize, training
 from edgefit.errors import NonFiniteInput, ShapeMismatch
 
 
@@ -256,7 +256,7 @@ def test_every_conv_lowers_through_im2col(monkeypatch):
     m = model.build(cfg, seed=0)
     folded = model.fold_batchnorm(m)
     qm = quantize.quantize_model(folded, quantize.calibrate(
-        folded, synth.make_random_windows(4, seed=0)))
+        folded, make_random_windows(4, seed=0)))
     calls = []
     original = kernels.im2col
 
@@ -272,7 +272,7 @@ def test_every_conv_lowers_through_im2col(monkeypatch):
         return len(calls)
 
     for n in (3, 2 * kernels.BLOCK + 3):
-        x = np.stack([w.data for w in synth.make_random_windows(n, seed=1)])
+        x = np.stack([w.data for w in make_random_windows(n, seed=1)])
         blocks = -(-n // kernels.BLOCK)
         assert count(lambda: model.forward_batch(m, x)) == blocks * convs
         assert count(lambda: training.backward(

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from edgefit import model, platform_model, quantize, synth
+from conftest import make_random_windows
+from edgefit import model, platform_model, quantize
 from edgefit.errors import CorruptFile, FewerThanTwoProfiles, InvalidConfig
 from edgefit.platform_model import (
     BUILTIN_PROFILES,
@@ -124,7 +125,7 @@ class TestHostBench:
     def test_quant_path_counts_same_macs(self):
         folded = model.fold_batchnorm(model.build(model.ModelConfig(width=4),
                                                   seed=0))
-        stats = quantize.calibrate(folded, synth.make_random_windows(16, seed=0))
+        stats = quantize.calibrate(folded, make_random_windows(16, seed=0))
         qm = quantize.quantize_model(folded, stats)
         fr = host_bench(folded, n_runs=12)
         qr = host_bench(qm, n_runs=12)

@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import randomize_bn
-from edgefit import container, kernels, model, quantize, synth
+from conftest import make_random_windows, randomize_bn
+from edgefit import container, kernels, model, quantize
 from edgefit.errors import (
     AccumulatorOverflow,
     CorruptFile,
@@ -86,7 +86,7 @@ def requantize(acc, m0, n, zero_point_out):
 
 def quantized_fixture(width=8, model_seed=3, calib_seed=1, n_calib=256):
     folded = fold_batchnorm(build(ModelConfig(width=width), seed=model_seed))
-    calib = synth.make_random_windows(n_calib, seed=calib_seed)
+    calib = make_random_windows(n_calib, seed=calib_seed)
     stats = calibrate(folded, calib)
     return folded, quantize_model(folded, stats)
 
@@ -224,23 +224,23 @@ class TestRequantize:
 class TestCalibrate:
     def test_zero_window_ranges_contain_zero(self):
         folded = fold_batchnorm(build(ModelConfig(width=4), seed=0))
-        zero = synth.make_random_windows(1, seed=0, scale=0.0)
+        zero = make_random_windows(1, seed=0, scale=0.0)
         stats = calibrate(folded, zero)
         for lo, hi in stats.ranges.values():
             assert lo <= 0.0 <= hi
 
     def test_monotone_ranges(self):
         folded = fold_batchnorm(build(ModelConfig(width=4), seed=0))
-        few = calibrate(folded, synth.make_random_windows(8, seed=1))
-        more = calibrate(folded, synth.make_random_windows(8, seed=1)
-                         + synth.make_random_windows(8, seed=2))
+        few = calibrate(folded, make_random_windows(8, seed=1))
+        more = calibrate(folded, make_random_windows(8, seed=1)
+                         + make_random_windows(8, seed=2))
         for name, (lo, hi) in few.ranges.items():
             lo2, hi2 = more.ranges[name]
             assert lo2 <= lo and hi2 >= hi
 
     def test_duplicate_windows_do_not_change_stats(self):
         folded = fold_batchnorm(build(ModelConfig(width=4), seed=0))
-        w = synth.make_random_windows(1, seed=3)
+        w = make_random_windows(1, seed=3)
         once = calibrate(folded, w)
         twice = calibrate(folded, w + w)
         assert once.ranges == twice.ranges
@@ -251,7 +251,7 @@ class TestCalibrate:
         through forward_batch one at a time."""
         folded = fold_batchnorm(randomize_bn(build(ModelConfig(width=52),
                                                    seed=6)))
-        windows = synth.make_random_windows(512, seed=7)
+        windows = make_random_windows(512, seed=7)
         single = CalibStats(ranges={})
         for w in windows:
             capture = {}
@@ -276,7 +276,7 @@ class TestCalibrate:
     def test_unfolded_rejected(self):
         m = build(ModelConfig(width=4), seed=0)
         with pytest.raises(InvalidConfig):
-            calibrate(m, synth.make_random_windows(1, seed=0))
+            calibrate(m, make_random_windows(1, seed=0))
 
 
 class TestQuantizeModel:
@@ -405,7 +405,7 @@ class TestQForward:
     def test_no_floats_in_integer_path(self):
         _, qm = quantized_fixture(width=4)
         trace = []
-        qforward(qm, synth.make_random_windows(1, seed=5)[0].data, trace=trace)
+        qforward(qm, make_random_windows(1, seed=5)[0].data, trace=trace)
         assert quantize.count_float_entries(trace) == 0
         assert len(trace) > 10   # the trace actually covered the layers
 
@@ -423,7 +423,7 @@ class TestQForward:
 
     def test_single_matches_batched(self):
         _, qm = quantized_fixture(width=4)
-        windows = synth.make_random_windows(6, seed=6)
+        windows = make_random_windows(6, seed=6)
         x = np.stack([w.data for w in windows])
         batched = qforward_batch(qm, x)
         for i, w in enumerate(windows):
@@ -431,7 +431,7 @@ class TestQForward:
 
     def test_top1_agreement_with_float(self):
         folded, qm = quantized_fixture(width=8)
-        windows = synth.make_random_windows(300, seed=2)
+        windows = make_random_windows(300, seed=2)
         x = np.stack([w.data for w in windows])
         agree = (qforward_batch(qm, x).argmax(1)
                  == model.forward_batch(folded, x).argmax(1)).mean()
@@ -440,9 +440,9 @@ class TestQForward:
     def test_trained_bn_model_agreement(self):
         folded = fold_batchnorm(
             randomize_bn(build(ModelConfig(width=8), seed=3), seed=7))
-        calib = synth.make_random_windows(256, seed=1)
+        calib = make_random_windows(256, seed=1)
         qm = quantize_model(folded, calibrate(folded, calib))
-        windows = synth.make_random_windows(300, seed=2)
+        windows = make_random_windows(300, seed=2)
         x = np.stack([w.data for w in windows])
         agree = (qforward_batch(qm, x).argmax(1)
                  == model.forward_batch(folded, x).argmax(1)).mean()
@@ -627,14 +627,14 @@ class TestExactFloatGemm:
         _, qm = quantized_fixture(width=52, n_calib=64)
         assert quantize._gemm_dtype(52 * 3) is np.float32
         assert quantize._gemm_dtype(52 * 40) is np.float64
-        x = np.stack([w.data for w in synth.make_random_windows(256, seed=11)])
+        x = np.stack([w.data for w in make_random_windows(256, seed=11)])
         self.check_against_oracle(qm, x)
 
     def test_partial_last_block(self):
         # 2 full blocks and a partial one; each window equals its single call
         _, qm = quantized_fixture(width=52, n_calib=64)
         n = 2 * quantize.BLOCK_WINDOWS + 3
-        x = np.stack([w.data for w in synth.make_random_windows(n, seed=13)])
+        x = np.stack([w.data for w in make_random_windows(n, seed=13)])
         self.check_against_oracle(qm, x)
         batched = qforward_batch(qm, x)
         for i in range(n):
@@ -645,7 +645,7 @@ class TestExactFloatGemm:
         _, qm = quantized_fixture(width=176, n_calib=16)
         assert qm.blocks[0].convs[0].w_q.shape[1:] == (176, 3)
         assert quantize._gemm_dtype(528) is np.float64
-        x = np.stack([w.data for w in synth.make_random_windows(24, seed=12)])
+        x = np.stack([w.data for w in make_random_windows(24, seed=12)])
         self.check_against_oracle(qm, x)
 
     def test_extreme_operands(self, rng):
@@ -674,9 +674,9 @@ class TestExactFloatGemm:
         w[3] = 0
         b[3] = bias
         qm = quantize_model(folded, calibrate(
-            folded, synth.make_random_windows(64, seed=1)))
+            folded, make_random_windows(64, seed=1)))
         check_quant_invariants(qm)
-        x = np.stack([win.data for win in synth.make_random_windows(24, seed=4)])
+        x = np.stack([win.data for win in make_random_windows(24, seed=4)])
         self.check_against_oracle(qm, x)
         step = qm.plan.layout[1][0]
         assert step.name == "b0.c0" and np.all(step.shift_n <= 30)
@@ -700,7 +700,7 @@ class TestQuantPlan:
         folded from them, follow from the scale ratio of the specs found by
         walking the network here: s_in*s_w/s_out, s_a/s_out, s_h/s_out."""
         _, qm = quantized_fixture(width=8)
-        qforward(qm, synth.make_random_windows(1, seed=0)[0].data)
+        qforward(qm, make_random_windows(1, seed=0)[0].data)
         steps = iter(step for step, _ in qm.plan.layout)
 
         def conv(layer, in_spec):
@@ -732,14 +732,14 @@ class TestQuantPlan:
 
     def test_width_8_matches_oracles(self):
         _, qm = quantized_fixture(width=8)
-        x = np.stack([w.data for w in synth.make_random_windows(19, seed=9)])
+        x = np.stack([w.data for w in make_random_windows(19, seed=9)])
         TestExactFloatGemm.check_against_oracle(qm, x)
 
     @pytest.mark.parametrize("width", [4, 8, 52])
     def test_arena_is_the_peak_activation_figure(self, width):
         cfg = ModelConfig(width=width)
         _, qm = quantized_fixture(width=width, n_calib=16)
-        qforward(qm, synth.make_random_windows(1, seed=0)[0].data)
+        qforward(qm, make_random_windows(1, seed=0)[0].data)
         plan = qm.plan
         assert plan.arena.dtype == np.int8
         assert plan.arena.shape == (quantize.BLOCK_WINDOWS, plan.arena_bytes)
@@ -756,8 +756,8 @@ class TestQuantPlan:
         cfg = ModelConfig(width=8, convs_per_block=1)
         folded = fold_batchnorm(build(cfg, seed=3))
         qm = quantize_model(folded, calibrate(
-            folded, synth.make_random_windows(16, seed=1)))
-        x = np.stack([w.data for w in synth.make_random_windows(9, seed=2)])
+            folded, make_random_windows(16, seed=1)))
+        x = np.stack([w.data for w in make_random_windows(9, seed=2)])
         TestExactFloatGemm.check_against_oracle(qm, x)
         assert qm.plan.arena_bytes == model.count_macs(cfg).peak_activation_bytes
         assert qm.plan.arena_bytes == max(7 * 40 + 320, 2 * 320)
@@ -772,7 +772,7 @@ class TestQuantPlan:
             original(self, *args)
 
         monkeypatch.setattr(quantize.QuantPlan, "__init__", counted)
-        x = np.stack([w.data for w in synth.make_random_windows(11, seed=3)])
+        x = np.stack([w.data for w in make_random_windows(11, seed=3)])
         first = qforward_batch(qm, x)
         plan = qm.plan
         np.testing.assert_array_equal(qforward_batch(qm, x), first)
@@ -782,7 +782,7 @@ class TestQuantPlan:
 
     def test_saved_and_loaded_model_gives_same_logits(self, tmp_path):
         _, qm = quantized_fixture(width=52, n_calib=64)
-        x = np.stack([w.data for w in synth.make_random_windows(10, seed=5)])
+        x = np.stack([w.data for w in make_random_windows(10, seed=5)])
         before = qforward_batch(qm, x)
         path = tmp_path / "q.efq"
         quantize.save(qm, path)
@@ -792,7 +792,7 @@ class TestQuantPlan:
 
     def test_steady_call_allocates_under_128kb(self):
         _, qm = quantized_fixture(width=52, n_calib=16)
-        x = np.stack([w.data for w in synth.make_random_windows(8, seed=2)])
+        x = np.stack([w.data for w in make_random_windows(8, seed=2)])
         qforward_batch(qm, x)
         tracemalloc.start()
         try:
@@ -806,7 +806,7 @@ class TestQuantPlan:
         _, qm = quantized_fixture(width=4)
         qm.blocks[0].convs[0].bias_q[0] = 2 ** 31 - 1
         with pytest.raises(AccumulatorOverflow, match="b0.c0"):
-            qforward(qm, synth.make_random_windows(1, seed=0)[0].data)
+            qforward(qm, make_random_windows(1, seed=0)[0].data)
         assert qm.plan is None
 
 
@@ -816,7 +816,7 @@ class TestQuantFile:
         path = tmp_path / "q.efq"
         quantize.save(qm, path)
         loaded = quantize.load(path)
-        windows = synth.make_random_windows(5, seed=8)
+        windows = make_random_windows(5, seed=8)
         for w in windows:
             np.testing.assert_array_equal(qforward(qm, w.data),
                                           qforward(loaded, w.data))

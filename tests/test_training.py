@@ -4,7 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from edgefit import dataset, kernels, model, synth, training
+from conftest import make_random_windows, make_separable_windows
+from edgefit import dataset, kernels, model, training
 from edgefit.errors import EmptyTestSet, EmptyTrainSet, InvalidConfig
 from edgefit.model import ModelConfig, build
 from edgefit.training import (
@@ -368,7 +369,7 @@ class TestAdamStep:
 
 
 def separable_split(n=200, seed=0):
-    windows = synth.make_separable_windows(n, seed=seed)
+    windows = make_separable_windows(n, seed=seed)
     return dataset.DatasetSplit(train=windows, test=windows,
                                 held_out_subject=0)
 
@@ -460,7 +461,7 @@ class TestTrainFold:
 
 class TestEvaluate:
     def test_perfect_predictor(self):
-        windows = synth.make_separable_windows(40, seed=0)
+        windows = make_separable_windows(40, seed=0)
         split = dataset.DatasetSplit(train=windows, test=windows,
                                      held_out_subject=0)
         hp = Hyperparams(epochs=25, patience=25, batch_size=16)
@@ -473,13 +474,13 @@ class TestEvaluate:
         # force one class by a huge head bias: recall 1 on it, 0 on the other
         m = build(ModelConfig(width=2), seed=0)
         m.head_b[4] = 100.0
-        windows = synth.make_separable_windows(40, seed=0, labels=(4, 5))
+        windows = make_separable_windows(40, seed=0, labels=(4, 5))
         metrics = evaluate(m, windows)
         assert metrics.balanced_accuracy == pytest.approx(0.5)
 
     def test_confusion_row_sums_are_truth_counts(self, rng):
         m = build(ModelConfig(width=2), seed=0)
-        windows = synth.make_random_windows(60, seed=1)
+        windows = make_random_windows(60, seed=1)
         metrics = evaluate(m, windows)
         truth_counts = np.bincount([w.label for w in windows], minlength=12)
         np.testing.assert_array_equal(metrics.confusion.sum(axis=1),
@@ -492,7 +493,7 @@ class TestEvaluate:
 
     def test_metrics_text_has_confusion_block(self):
         m = build(ModelConfig(width=2), seed=0)
-        metrics = evaluate(m, synth.make_random_windows(10, seed=0))
+        metrics = evaluate(m, make_random_windows(10, seed=0))
         text = metrics.as_text()
         assert "balanced_accuracy=" in text
         assert "confusion matrix" in text
@@ -501,7 +502,7 @@ class TestEvaluate:
 def test_validation_split_prefers_session_five():
     windows = []
     for session in (1, 2, 5):
-        windows += [w for w in synth.make_separable_windows(20, seed=session)]
+        windows += [w for w in make_separable_windows(20, seed=session)]
         for w in windows[-20:]:
             w.session = session
     train, val = training._split_validation(windows)
@@ -510,7 +511,7 @@ def test_validation_split_prefers_session_five():
 
 
 def test_validation_split_falls_back_to_max_session():
-    windows = synth.make_separable_windows(30, seed=0)
+    windows = make_separable_windows(30, seed=0)
     for i, w in enumerate(windows):
         w.session = 1 + i % 3   # sessions 1..3, no session 5
     train, val = training._split_validation(windows)
