@@ -46,6 +46,17 @@ def _sniff_model(path: str):
     return model.load(p)
 
 
+def _output_file(flag: str, path: str) -> str:
+    """path, once a file can be created there: InvalidConfig when it is a
+    directory or its directory does not exist. Commands check their
+    outputs before they load or write anything."""
+    p = Path(path)
+    if p.is_dir() or not p.parent.is_dir():
+        raise InvalidConfig(f"{flag} {path} is a directory or lies in no "
+                            f"existing directory")
+    return path
+
+
 def cmd_prepare(args) -> int:
     try:
         fold = None if args.fold == "all" else int(args.fold)
@@ -80,6 +91,9 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _output_file("--out", args.out)
+    history_path = _output_file("--history", args.history or str(
+        Path(args.out).with_suffix(".history.csv")))
     windows = dataset.load_windows(args.windows)
     split = dataset.fold_split(windows, args.fold)
     config = model.ModelConfig(width=args.width)
@@ -87,7 +101,6 @@ def cmd_train(args) -> int:
                               batch_size=args.batch_size)
     params, history = training.train_fold(split, config, hp, args.seed)
     model.save(params, args.out)
-    history_path = args.history or str(Path(args.out).with_suffix(".history.csv"))
     history.to_csv(history_path)
     best = history.best_epoch
     print(f"trained fold {args.fold}: {len(history.train_loss)} epochs, "
@@ -104,6 +117,7 @@ def cmd_quantize(args) -> int:
     if args.calib_size < 1:
         raise InvalidConfig(
             f"--calib-size must be >= 1, got {args.calib_size}")
+    _output_file("--out", args.out)
     m = model.load(args.model)
     windows = dataset.load_windows(args.windows)
     calib_pool = (windows if args.fold is None

@@ -109,15 +109,6 @@ class ModelParams:
             bn_folded=self.bn_folded,
         )
 
-    def astype(self, dtype) -> "ModelParams":
-        out = self.copy()
-        for layer in [out.stem] + [l for blk in out.blocks for l in blk]:
-            for a in ("w", "b", "gamma", "beta", "mean", "var"):
-                setattr(layer, a, getattr(layer, a).astype(dtype))
-        out.head_w = out.head_w.astype(dtype)
-        out.head_b = out.head_b.astype(dtype)
-        return out
-
 
 def build(config: ModelConfig, seed: int) -> ModelParams:
     """He-uniform initialized parameters, deterministic in the seed."""
@@ -160,9 +151,8 @@ def forward_batch(m: ModelParams, x: np.ndarray,
                   capture: dict[str, np.ndarray] | None = None) -> np.ndarray:
     """Inference forward over a batch (B, in_channels, seq_len) -> (B, classes).
 
-    With capture given, per-site activations are stored under the names the
-    quantizer calibrates against: input, stem, b{i}.r1, b{i}.r2, b{i}.conv3,
-    b{i}.out, logits.
+    With capture given, every activation of activation_names(m.config) is
+    stored under its name.
     """
     cfg = m.config
     if x.ndim != 3 or x.shape[1:] != (cfg.in_channels, cfg.seq_len):
@@ -177,7 +167,7 @@ def forward_batch(m: ModelParams, x: np.ndarray,
     record("input", x)
     a = kernels.relu(_bn(m.stem, kernels.conv1d_same_batch(x, m.stem.w, m.stem.b),
                          eps, m.bn_folded))
-    record("stem", a)
+    record("stem.out", a)
     for i, block in enumerate(m.blocks):
         skip = a
         h = a
@@ -186,14 +176,11 @@ def forward_batch(m: ModelParams, x: np.ndarray,
                     eps, m.bn_folded)
             if j < len(block) - 1:
                 h = kernels.relu(h)
-                record(f"b{i}.r{j + 1}", h)
-        record(f"b{i}.conv3", h)
+            record(f"b{i}.c{j}.out", h)
         a = kernels.relu(kernels.add(h, skip))
-        record(f"b{i}.out", a)
+        record(f"b{i}.add.out", a)
     flat = a.reshape(a.shape[0], -1)
-    logits = kernels.dense_batch(flat, m.head_w, m.head_b)
-    record("logits", logits)
-    return logits
+    return kernels.dense_batch(flat, m.head_w, m.head_b)
 
 
 def forward(m: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -206,16 +193,17 @@ def forward(m: ModelParams, x: np.ndarray) -> np.ndarray:
     return kernels.check_finite(logits, "logits")
 
 
-def calibration_sites(config: ModelConfig) -> list[str]:
-    """Activation names forward_batch captures, in execution order."""
-    sites = ["input", "stem"]
+def activation_names(config: ModelConfig) -> list[str]:
+    """The name of every activation the int8 model quantizes, in execution
+    order: input, stem.out, each conv's b{i}.c{j}.out (after its ReLU, if
+    it has one) and each residual add's b{i}.add.out. forward_batch
+    captures them, quantize.calibrate ranges them, and an EFQ3 file and
+    the int8 trace store them under these names."""
+    names = ["input", "stem.out"]
     for i in range(config.blocks):
-        for j in range(1, config.convs_per_block):
-            sites.append(f"b{i}.r{j}")
-        sites.append(f"b{i}.conv3")
-        sites.append(f"b{i}.out")
-    sites.append("logits")
-    return sites
+        names += [f"b{i}.c{j}.out" for j in range(config.convs_per_block)]
+        names.append(f"b{i}.add.out")
+    return names
 
 
 @dataclass
@@ -311,8 +299,8 @@ def fold_batchnorm(m: ModelParams) -> ModelParams:
 def config_from_meta(contents: container.Contents) -> ModelConfig:
     """The ModelConfig in a model container's metadata. CorruptFile unless
     it is valid, every dimension is an int and the file holds at least as
-    many tensor elements as the config has weights, which bounds what a
-    loader allocates for it."""
+    many tensor elements as the config has weights and biases, which
+    bounds what a loader allocates for it."""
     try:
         config = ModelConfig(**contents.meta["config"])
         dims = dataclasses.astuple(config)[:-1]      # every field but bn_eps
@@ -321,13 +309,10 @@ def config_from_meta(contents: container.Contents) -> ModelConfig:
         config.validate()
     except (KeyError, TypeError, ValueError, InvalidConfig) as e:
         raise CorruptFile(f"{contents.path}: bad model config ({e})") from None
-    c, k = config.width, config.kernel
-    weights = (c * k * (config.in_channels
-                        + c * config.blocks * config.convs_per_block)
-               + config.classes * config.seq_len * c)
-    if weights > sum(arr.size for arr in contents.tensors.values()):
+    if count_macs(config).param_count > sum(
+            arr.size for arr in contents.tensors.values()):
         raise CorruptFile(f"{contents.path}: bad model config ({config} "
-                          f"has more weights than the file holds)")
+                          f"has more parameters than the file holds)")
     return config
 
 

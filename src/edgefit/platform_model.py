@@ -11,6 +11,7 @@ RISC-V cluster and two STM32 Cortex-M parts), each at two clock settings.
 from __future__ import annotations
 
 import csv
+import math
 import statistics
 import time
 from dataclasses import dataclass
@@ -32,9 +33,12 @@ class PlatformProfile:
     mac_count: int
 
     def validate(self) -> None:
-        if min(self.clock_hz, self.power_mw,
-               self.time_per_inference_ms, self.mac_count) <= 0:
-            raise InvalidConfig(f"profile '{self.name}' has non-positive fields")
+        # a chained comparison, so NaN fails it as well
+        if not all(0 < v < math.inf for v in (
+                self.clock_hz, self.power_mw, self.time_per_inference_ms,
+                self.mac_count)):
+            raise InvalidConfig(f"profile '{self.name}' has non-positive or "
+                                f"non-finite fields")
 
 
 @dataclass(frozen=True)
@@ -217,7 +221,7 @@ def load_profiles(path: str | Path) -> list[PlatformProfile]:
                     time_per_inference_ms=float(row[3]),
                     mac_count=int(float(row[4])),
                 ))
-            except ValueError as e:
+            except (ValueError, OverflowError) as e:   # int(inf) overflows
                 raise CorruptFile(f"{path}:{lineno}: {e}") from None
     if not profiles:
         raise CorruptFile(f"no profiles in {path}")

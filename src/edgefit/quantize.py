@@ -29,11 +29,14 @@ The model stores what a microcontroller runtime stores (TensorFlow Lite
 Micro): per conv and for the head the int8 weights, their per-channel
 scales and the int32 biases, and one (scale, zero point) spec per
 activation, the one its layer produces: the input, each conv's output and
-each residual add's output. A layer's input spec is that of the activation
-before it. The fixed-point multipliers are not stored: like each TFLM
-kernel's Prepare, the plan derives every M0 and n with quantize_multiplier
-when it lays the network out, from s_in*s_w/s_out per conv channel and
-s_a/s_out, s_h/s_out per add.
+each residual add's output. Each activation has one name, from
+model.activation_names: calibrate ranges it, quantize_model reads that
+range, the EFQ3 file stores its spec and the int8 trace records it under
+that name. A layer's input spec is that of the activation before it. The
+fixed-point multipliers are not stored: like each TFLM kernel's Prepare,
+the plan derives every M0 and n with quantize_multiplier when it lays the
+network out, from s_in*s_w/s_out per conv channel and s_a/s_out,
+s_h/s_out per add.
 
 The plan. qforward_batch runs a QuantPlan, built at the model's first
 qforward_batch and kept on it (QuantModel.plan), over blocks of
@@ -94,7 +97,7 @@ from .errors import (
 from .model import (
     ModelConfig,
     ModelParams,
-    calibration_sites,
+    activation_names,
     config_from_meta,
     forward_batch,
 )
@@ -176,29 +179,23 @@ class CalibStats:
 
 
 def calibrate(folded: ModelParams, calib: list[Window]) -> CalibStats:
-    """Record per-site activation ranges of the folded float model.
+    """Record the range of every activation of the folded float model,
+    keyed by its name in activation_names.
 
     The windows run through forward_batch in blocks of CALIB_BLOCK. Every
-    site before the head is batch-invariant (kernels.conv1d runs one GEMM
-    per window and the other layers are elementwise). The head's GEMM is
-    not: it takes the whole block and sums in an order that varies with
-    the block's shape, so the logits are recomputed one window at a time.
-    Every range then equals a one-window-at-a-time run's bit for bit and
-    depends on the set of windows alone."""
+    activation is batch-invariant (kernels.conv1d runs one GEMM per window
+    and the other layers are elementwise), so every range equals a
+    one-window-at-a-time run's bit for bit and depends on the set of
+    windows alone."""
     if not folded.bn_folded:
         raise InvalidConfig("calibrate expects a BN-folded model")
     if not calib:
         raise EmptyCalibrationSet("calibration set is empty")
-    head_input = f"b{folded.config.blocks - 1}.out"
     stats = CalibStats(ranges={})
     for i in range(0, len(calib), CALIB_BLOCK):
         x = np.stack([w.data for w in calib[i:i + CALIB_BLOCK]])
         capture: dict[str, np.ndarray] = {}
         forward_batch(folded, x.astype(np.float32, copy=False), capture=capture)
-        flat = capture[head_input].reshape(len(x), 1, -1)
-        capture["logits"] = np.concatenate(
-            [kernels.dense_batch(row, folded.head_w, folded.head_b)
-             for row in flat])
         for name, arr in capture.items():
             stats.update(name, arr)
     return stats
@@ -352,79 +349,73 @@ def _checked(name: str, spec: QuantSpec) -> QuantSpec:
     return spec
 
 
-def _bias_scale_floor(b: np.ndarray, s_in: float) -> np.ndarray:
-    """Least weight scale per output channel that keeps the quantized
-    bias b / (s_in * s_w) within 2^30."""
-    return np.abs(b.astype(np.float64)) / (s_in * 2.0 ** 30)
+def _quantize_weights(name: str, w: np.ndarray, b: np.ndarray, s_in: float,
+                      floor: float
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The int8 weights, their per-channel scales and the int32 biases at
+    s_in*s_w of a conv or the head reading an activation of scale s_in.
+
+    Each channel's weight scale is raised to floor and to the least one
+    that keeps its quantized bias b / (s_in*s_w) within 2^30. That matters
+    only for a channel whose weights are (nearly) all zero."""
+    b = b.astype(np.float64)
+    w_q, w_scale = quantize_tensor(
+        w, floor=np.maximum(np.abs(b) / (s_in * 2.0 ** 30), floor))
+    bias_real = b / (s_in * w_scale.astype(np.float64))
+    if not np.all(np.isfinite(bias_real)):
+        raise AccumulatorOverflow(f"{name}: quantized bias exceeds int32")
+    bias_q = round_half_away(bias_real)
+    _check_accumulator(name, w[0].size, bias_q)
+    return w_q, w_scale, bias_q.astype(np.int32)
 
 
 def _quantize_conv(name: str, w: np.ndarray, b: np.ndarray,
                    in_spec: QuantSpec, out_spec: QuantSpec,
                    relu: bool) -> QConvLayer:
-    # the floor matters only for a channel whose weights are (nearly) all
-    # zero: it keeps the bias within int32 and the multiplier's scale
-    # ratio s_in * s_w / s_out at or above 2^-31, so its shift n <= 30
-    floor = np.maximum(_bias_scale_floor(b, in_spec.scale),
-                       out_spec.scale / (in_spec.scale * 2.0 ** 31))
-    w_q, w_scale = quantize_tensor(w, floor=floor)
-    bias_scale = in_spec.scale * w_scale.astype(np.float64)
-    bias_real = b.astype(np.float64) / bias_scale
-    ratios = bias_scale / out_spec.scale
-    # the floor fits every finite bias into int32, but once |b| reaches
-    # s_out * 2^60 the scale it takes needs a multiplier shift n < -30
-    if not np.all(np.isfinite(bias_real)) or np.any(ratios >= 2.0 ** 30):
+    # the floor keeps the multiplier's scale ratio s_in * s_w / s_out at
+    # or above 2^-31, so its shift n <= 30
+    w_q, w_scale, bias_q = _quantize_weights(
+        name, w, b, in_spec.scale,
+        floor=out_spec.scale / (in_spec.scale * 2.0 ** 31))
+    # the bias floor fits every finite bias into int32, but once |b|
+    # reaches s_out * 2^60 the scale it takes needs a multiplier shift
+    # n < -30
+    if np.any(in_spec.scale * w_scale.astype(np.float64) / out_spec.scale
+              >= 2.0 ** 30):
         raise AccumulatorOverflow(f"{name}: quantized bias exceeds int32 at "
                                   f"every scale the multiplier can express")
-    bias_q = round_half_away(bias_real)
-    _check_accumulator(name, w.shape[1] * w.shape[2], bias_q)
-    return QConvLayer(name=name, w_q=w_q, w_scale=w_scale,
-                      bias_q=bias_q.astype(np.int32), out_spec=out_spec,
-                      relu=relu)
+    return QConvLayer(name=name, w_q=w_q, w_scale=w_scale, bias_q=bias_q,
+                      out_spec=out_spec, relu=relu)
 
 
 def quantize_model(folded: ModelParams, stats: CalibStats) -> QuantModel:
-    """Build the int8 model from a folded float model and calibration
-    ranges; it passes check_quant_invariants, so its plan can be laid out."""
+    """Build the int8 model from a folded float model and the range of
+    every activation in activation_names; it passes check_quant_invariants,
+    so its plan can be laid out."""
     if not folded.bn_folded:
         raise InvalidConfig("quantize_model expects a BN-folded model")
-    cfg = folded.config
-    for site in calibration_sites(cfg):
-        stats.range_of(site)
+    specs = {name: activation_spec(*stats.range_of(name))
+             for name in activation_names(folded.config)}
 
-    input_spec = activation_spec(*stats.range_of("input"))
-    stem_out = activation_spec(*stats.range_of("stem"))
-    stem = _quantize_conv("stem", folded.stem.w, folded.stem.b,
-                          input_spec, stem_out, relu=True)
+    def conv(name, layer, in_spec, relu):
+        return _quantize_conv(name, layer.w, layer.b, in_spec,
+                              specs[f"{name}.out"], relu)
 
+    stem = conv("stem", folded.stem, specs["input"], relu=True)
     blocks = []
-    current = stem_out
+    current = stem.out_spec
     for i, block in enumerate(folded.blocks):
         convs = []
         for j, layer in enumerate(block):
-            if j < cfg.convs_per_block - 1:
-                out_spec = activation_spec(*stats.range_of(f"b{i}.r{j + 1}"))
-                relu = True
-            else:
-                out_spec = activation_spec(*stats.range_of(f"b{i}.conv3"))
-                relu = False
-            convs.append(_quantize_conv(f"b{i}.c{j}", layer.w, layer.b,
-                                        current, out_spec, relu))
-            current = out_spec
-        current = activation_spec(*stats.range_of(f"b{i}.out"))
+            convs.append(conv(f"b{i}.c{j}", layer, current,
+                              relu=j < len(block) - 1))
+            current = convs[-1].out_spec
+        current = specs[f"b{i}.add.out"]
         blocks.append(QBlock(convs=convs, out_spec=current))
-
-    head_w, head_w_scale = quantize_tensor(
-        folded.head_w, floor=_bias_scale_floor(folded.head_b, current.scale))
-    head_scale = current.scale * head_w_scale.astype(np.float64)
-    head_real = folded.head_b.astype(np.float64) / head_scale
-    if not np.all(np.isfinite(head_real)) or np.any(np.abs(head_real) >= INT32_LIMIT):
-        raise AccumulatorOverflow("head: quantized bias exceeds int32")
-    head_bias = round_half_away(head_real)
-    _check_accumulator("head", folded.head_w.shape[1], head_bias)
-    head = QDense(w_q=head_w, w_scale=head_w_scale,
-                  bias_q=head_bias.astype(np.int32))
-    qm = QuantModel(config=cfg, input_spec=input_spec, stem=stem,
-                    blocks=blocks, head=head)
+    head = QDense(*_quantize_weights("head", folded.head_w, folded.head_b,
+                                     current.scale, 0.0))
+    qm = QuantModel(config=folded.config, input_spec=specs["input"],
+                    stem=stem, blocks=blocks, head=head)
     check_quant_invariants(qm)
     return qm
 
@@ -463,7 +454,8 @@ class _ConvStep:
     """One conv as the plan runs it: x (B, C_in, L) int8 -> y (B, C_out, L)
     int8 through the scratch arrays of its layer shape."""
 
-    name: str
+    acc_name: str             # the trace's names: {conv}.acc, {conv}.out
+    out_name: str
     w: np.ndarray             # (C_out, C_in, K) in the layer's GEMM dtype
     m0: np.ndarray            # (C_out, 1) int64
     shift_n: np.ndarray       # (C_out, 1) int64
@@ -479,7 +471,8 @@ class _ConvStep:
         not finite and positive makes its ratio so."""
         _, c_in, k = layer.w_q.shape
         _check_accumulator(layer.name, c_in * k, layer.bias_q)
-        out = _checked(f"{layer.name}.out", layer.out_spec)
+        out_name = f"{layer.name}.out"
+        out = _checked(out_name, layer.out_spec)
         ratios = in_spec.scale * layer.w_scale.astype(np.float64) / out.scale
         m0, shift_n = (np.array(column, np.int64)[:, None] for column in zip(
             *(quantize_multiplier(float(r), layer.name) for r in ratios)))
@@ -488,8 +481,9 @@ class _ConvStep:
         # neither the offset nor acc*M0 + offset leaves int64
         offset = (layer.bias_q.astype(np.int64)[:, None] * m0
                   + np.left_shift(np.int64(1), shift_n + 30))
-        return cls(layer.name, layer.w_q.astype(_gemm_dtype(c_in * k)), m0,
-                   shift_n, offset, in_spec.zero_point, out.zero_point,
+        return cls(f"{layer.name}.acc", out_name,
+                   layer.w_q.astype(_gemm_dtype(c_in * k)), m0, shift_n,
+                   offset, in_spec.zero_point, out.zero_point,
                    out.zero_point if layer.relu else QMIN)
 
     def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
@@ -510,10 +504,10 @@ class _ConvStep:
         np.subtract(x, self.in_zp, out=interior, dtype=interior.dtype)
         kernels.conv1d(interior, self.w, gemm, padded=padded, patches=patches)
         acc[...] = gemm
-        _note(trace, f"{self.name}.acc", acc)
+        _note(trace, self.acc_name, acc)
         _requantize_array(acc, self.m0, self.shift_n, self.out_zp, self.low,
                           out=y, offset=self.offset, scratch=acc)
-        _note(trace, self.name, y)
+        _note(trace, self.out_name, y)
 
 
 @dataclass(frozen=True)
@@ -522,6 +516,7 @@ class _AddStep:
     point folded into its offset, 2^(s-1) - zp*M0, then summed and
     saturated with the fused ReLU's floor at the output zero point."""
 
+    out_name: str             # b{i}.add.out
     a: tuple[np.int64, np.int64, np.int64]     # block input: M0, offset, s
     h: tuple[np.int64, np.int64, np.int64]     # last conv output
     out_zp: int
@@ -532,14 +527,15 @@ class _AddStep:
            channels: int) -> _AddStep:
         """The add name of the block input on a's grid and the last conv
         output on h's into out, with M0 and n from s_a/s_out and s_h/s_out."""
-        out = _checked(f"{name}.out", out)
+        out_name = f"{name}.out"
+        out = _checked(out_name, out)
 
         def fold(spec: QuantSpec):
             m0, n = quantize_multiplier(spec.scale / out.scale, name)
             s = 31 + n
             offset = (1 << (s - 1)) - spec.zero_point * m0
             return np.int64(m0), np.int64(offset), np.int64(s)
-        return cls(fold(a), fold(h), out.zero_point, channels)
+        return cls(out_name, fold(a), fold(h), out.zero_point, channels)
 
     def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
         shape = (self.channels, length)
@@ -551,7 +547,7 @@ class _AddStep:
         ta += th
         ta += self.out_zp
         _saturate(ta, self.out_zp, out=y)
-        _note(trace, "add", y)
+        _note(trace, self.out_name, y)
 
 
 @dataclass(frozen=True)

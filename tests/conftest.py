@@ -28,6 +28,18 @@ def randomize_bn(m, seed=0):
     return m
 
 
+def astype(m, dtype):
+    """A copy of the model m with every tensor cast to dtype, for the
+    float64 gradient oracles of test_training.py and criterion 4."""
+    out = m.copy()
+    for _, layer in out.conv_layers():
+        for a in ("w", "b", "gamma", "beta", "mean", "var"):
+            setattr(layer, a, getattr(layer, a).astype(dtype))
+    out.head_w = out.head_w.astype(dtype)
+    out.head_b = out.head_b.astype(dtype)
+    return out
+
+
 def conv1d_same(x, w, b):
     """Cross-correlation of a single window (C_in, L) -> (C_out, L)."""
     if x.ndim != 2:

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_random_windows, make_separable_windows, randomize_bn
+from conftest import (astype, make_random_windows, make_separable_windows,
+                      randomize_bn)
 from edgefit import cli, dataset, model, platform_model, quantize, synth, training
 
 WIDTH = 24          # training width for the reduced-protocol criteria
@@ -127,7 +128,7 @@ def test_criterion_04_gradient_oracle(rng):
     Elements whose +-h perturbation flips a ReLU mask are excluded: the loss
     is not differentiable across such an interval, so central differences do
     not estimate the derivative there. Everything else must agree to 1e-3."""
-    m = model.build(model.ModelConfig(width=4), seed=1).astype(np.float64)
+    m = astype(model.build(model.ModelConfig(width=4), seed=1), np.float64)
     x = rng.standard_normal((2, 7, 40))
     y = np.array([3, 7])
     w = np.array([1.0, 2.0])

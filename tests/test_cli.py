@@ -307,6 +307,21 @@ class TestReport:
         assert code == 0
         assert "a" in out and "b" in out
 
+    @pytest.mark.parametrize("row, code, error, named", [
+        ("b,nan,1.0,500,1000000", cli.EXIT_USAGE, "InvalidConfig", "'b'"),
+        ("b,1e6,inf,500,1000000", cli.EXIT_USAGE, "InvalidConfig", "'b'"),
+        ("b,1e6,1.0,nan,1000000", cli.EXIT_USAGE, "InvalidConfig", "'b'"),
+        ("b,1e6,1.0,500,1e400", cli.EXIT_DATA, "CorruptFile", "p.csv:2:"),
+    ])
+    def test_non_finite_profile_field(self, capsys, tmp_path, row, code,
+                                      error, named):
+        path = tmp_path / "p.csv"
+        path.write_text(f"a,1e6,1.0,1000,1000000\n{row}\n")
+        got, out, err = run_cli(capsys, "report", "--profiles", str(path))
+        assert got == code and not out
+        assert_one_error_line(err, error)
+        assert named in err
+
 
 class TestUsage:
     @pytest.mark.parametrize("command", ["synth", "train", "quantize",
@@ -325,6 +340,29 @@ class TestUsage:
         assert_one_error_line(err, "InvalidConfig")
         assert "--seed must be >= 0" in err and not stdout
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, flag", [("train", "--out"),
+                                               ("train", "--history"),
+                                               ("quantize", "--out")])
+    @pytest.mark.parametrize("target", ["missing/x.out", "existing"])
+    def test_unwritable_output_is_usage_error(self, capsys, pipeline,
+                                              tmp_path, command, flag,
+                                              target):
+        (tmp_path / "existing").mkdir()
+        path = str(tmp_path / target)
+        argv = {"train": ["--windows", str(pipeline["windows"]), "--fold",
+                          "1", "--out", str(tmp_path / "m.efm"),
+                          "--width", "4", "--epochs", "1"],
+                "quantize": ["--model", str(pipeline["model"]), "--windows",
+                             str(pipeline["windows"]), "--out",
+                             str(tmp_path / "q.efq")]}[command]
+        argv += [flag, path]    # the last --out wins
+        code, stdout, err = run_cli(capsys, command, *argv)
+        assert code == cli.EXIT_USAGE
+        assert_one_error_line(err, "InvalidConfig")
+        assert f"{flag} {path}" in err and not stdout
+        assert [p.name for p in tmp_path.iterdir()] == ["existing"]
+        assert not any((tmp_path / "existing").iterdir())
 
     @pytest.mark.parametrize("command", ["prepare", "train", "quantize",
                                          "eval", "bench", "report", "synth"])

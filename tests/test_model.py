@@ -101,8 +101,7 @@ class TestForward:
         model.forward_batch(m, rng.standard_normal((2, 7, 40)).astype(np.float32),
                             capture=capture)
         for name, arr in capture.items():
-            if name != "logits":
-                assert arr.shape[-1] == 40, name
+            assert arr.shape[-1] == 40, name
 
     def test_skip_ablation(self, rng):
         """Zero conv weights and identity BN turn a block into ReLU(input)."""
@@ -114,10 +113,11 @@ class TestForward:
         capture = {}
         x = rng.standard_normal((1, 7, 40)).astype(np.float32)
         model.forward_batch(m, x, capture=capture)
-        stem_out = capture["stem"]
-        np.testing.assert_array_equal(capture["b0.out"],
+        stem_out = capture["stem.out"]
+        np.testing.assert_array_equal(capture["b0.add.out"],
                                       kernels.relu(stem_out))
-        np.testing.assert_array_equal(capture["b2.out"], stem_out * (stem_out > 0))
+        np.testing.assert_array_equal(capture["b2.add.out"],
+                                      stem_out * (stem_out > 0))
 
 
 class TestMacReport:

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,14 @@ class TestDeriveMetrics:
     def test_invalid_profile(self):
         with pytest.raises(InvalidConfig):
             derive_metrics(PlatformProfile("bad", 0, 1, 1, 1))
+
+    @pytest.mark.parametrize("field", ["clock_hz", "power_mw",
+                                       "time_per_inference_ms", "mac_count"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_profile(self, field, value):
+        p = dataclasses.replace(BUILTIN_PROFILES[0], **{field: value})
+        with pytest.raises(InvalidConfig):
+            derive_metrics(p)
 
 
 class TestSpeedupTable:
@@ -169,6 +180,12 @@ class TestProfileFile:
     def test_missing(self, tmp_path):
         with pytest.raises(CorruptFile):
             load_profiles(tmp_path / "none.csv")
+
+    def test_overflowing_mac_count(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("x,1e6,1.0,1000,1000000\ny,2e6,2.0,500,1e400\n")
+        with pytest.raises(CorruptFile, match=r"p\.csv:2: "):
+            load_profiles(path)
 
 
 def test_report_formats():

@@ -246,9 +246,9 @@ class TestCalibrate:
         assert once.ranges == twice.ranges
 
     def test_blocks_match_one_window_at_a_time(self, tmp_path):
-        """Width 52, 512 windows (8 blocks): every site's range, logits
-        included, and the EFQ2 bytes equal those of running the windows
-        through forward_batch one at a time."""
+        """Width 52, 512 windows (8 blocks): every activation's range and
+        the EFQ3 bytes equal those of running the windows through
+        forward_batch one at a time."""
         folded = fold_batchnorm(randomize_bn(build(ModelConfig(width=52),
                                                    seed=6)))
         windows = make_random_windows(512, seed=7)
@@ -260,8 +260,7 @@ class TestCalibrate:
             for name, arr in capture.items():
                 single.update(name, arr)
         batched = calibrate(folded, windows)
-        for site in model.calibration_sites(folded.config):
-            assert batched.ranges[site] == single.ranges[site], site
+        assert batched.ranges == single.ranges
         paths = []
         for tag, stats in (("single", single), ("batched", batched)):
             paths.append(tmp_path / f"{tag}.efq")
@@ -280,6 +279,32 @@ class TestCalibrate:
 
 
 class TestQuantizeModel:
+    @pytest.mark.parametrize("config", [ModelConfig(),
+                                        ModelConfig(convs_per_block=1)])
+    def test_one_name_per_activation(self, config, tmp_path):
+        """activation_names names what forward_batch captures, what
+        calibrate ranges, the specs an EFQ3 file stores and the
+        activations the int8 trace records."""
+        names = model.activation_names(config)
+        folded = fold_batchnorm(build(config, seed=0))
+        windows = make_random_windows(4, seed=0)
+        capture = {}
+        model.forward_batch(folded, windows[0].data[None], capture=capture)
+        assert list(capture) == names
+        stats = calibrate(folded, windows)
+        assert list(stats.ranges) == names
+        qm = quantize_model(folded, stats)
+        quantize.save(qm, tmp_path / "q.efq")
+        stored = container.read(tmp_path / "q.efq", quantize.QUANT_MAGIC)
+        for field in ("scale", "zero_point"):
+            assert sorted(name.removesuffix(f".{field}")
+                          for name in stored.tensors
+                          if name.endswith(f".{field}")) == sorted(names)
+        trace = []
+        qforward(qm, windows[0].data, trace=trace)
+        assert [name for name, _ in trace
+                if not name.endswith(".acc")] == names
+
     def test_multiplier_invariant_every_layer(self):
         _, qm = quantized_fixture()
         check_quant_invariants(qm)
@@ -480,11 +505,11 @@ def unplanned_qconv(layer, in_spec, x_q, trace):
     low = layer.out_spec.zero_point if layer.relu else -128
     q = oracle_requantize(acc, *conv_multipliers(layer, in_spec),
                           layer.out_spec.zero_point, low)
-    quantize._note(trace, layer.name, q)
+    quantize._note(trace, f"{layer.name}.out", q)
     return q
 
 
-def unplanned_qadd(a_spec, h_spec, out_spec, q_a, q_h, trace):
+def unplanned_qadd(name, a_spec, h_spec, out_spec, q_a, q_h, trace):
     """The block input q_a on a_spec's grid plus the last conv output q_h
     on h_spec's, into out_spec with the fused ReLU."""
     def rescaled(q, spec):
@@ -497,7 +522,7 @@ def unplanned_qadd(a_spec, h_spec, out_spec, q_a, q_h, trace):
     a += rescaled(q_h, h_spec)
     a += out_spec.zero_point
     q = np.clip(a, out_spec.zero_point, 127, out=a).astype(np.int8)
-    quantize._note(trace, "add", q)
+    quantize._note(trace, name, q)
     return q
 
 
@@ -517,11 +542,12 @@ def unplanned_block(qm, x, trace):
     q = q.astype(np.int8)
     quantize._note(trace, "input", q)
     q, spec = unplanned_qconv(qm.stem, spec, q, trace), qm.stem.out_spec
-    for block in qm.blocks:
+    for i, block in enumerate(qm.blocks):
         q_in, block_in = q, spec
         for layer in block.convs:
             q, spec = unplanned_qconv(layer, spec, q, trace), layer.out_spec
-        q = unplanned_qadd(block_in, spec, block.out_spec, q_in, q, trace)
+        q = unplanned_qadd(f"b{i}.add.out", block_in, spec, block.out_spec,
+                           q_in, q, trace)
         spec = block.out_spec
     head = qm.head
     flat = q.reshape(q.shape[0], -1)
@@ -564,7 +590,8 @@ def int32_qforward_batch(qm, x):
         q_in, block_in = q, spec
         for layer in block.convs:
             q, spec = int32_qconv_run(layer, spec, q), layer.out_spec
-        q = unplanned_qadd(block_in, spec, block.out_spec, q_in, q, None)
+        q = unplanned_qadd(None, block_in, spec, block.out_spec, q_in, q,
+                           None)
         spec = block.out_spec
     flat = q.reshape(q.shape[0], -1)
     shifted = flat.astype(np.int32) - spec.zero_point
@@ -679,7 +706,7 @@ class TestExactFloatGemm:
         x = np.stack([win.data for win in make_random_windows(24, seed=4)])
         self.check_against_oracle(qm, x)
         step = qm.plan.layout[1][0]
-        assert step.name == "b0.c0" and np.all(step.shift_n <= 30)
+        assert step.out_name == "b0.c0.out" and np.all(step.shift_n <= 30)
 
 
 def exact_multiplier(ratio):
@@ -705,7 +732,8 @@ class TestQuantPlan:
 
         def conv(layer, in_spec):
             step = next(steps)
-            assert step.name == layer.name and step.in_zp == in_spec.zero_point
+            assert step.out_name == f"{layer.name}.out"
+            assert step.in_zp == in_spec.zero_point
             for o, s_w in enumerate(layer.w_scale):
                 m0, n = exact_multiplier(in_spec.scale * float(s_w)
                                          / layer.out_spec.scale)

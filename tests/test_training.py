@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import make_random_windows, make_separable_windows
+from conftest import astype, make_random_windows, make_separable_windows
 from edgefit import dataset, kernels, model, training
 from edgefit.errors import EmptyTestSet, EmptyTrainSet, InvalidConfig
 from edgefit.model import ModelConfig, build
@@ -187,7 +187,7 @@ class TestBackward:
     def test_gradients_match_finite_differences(self, rng):
         """Keystone: analytic backprop vs the 64-bit central-difference
         oracle on a small-width model, batch of 2 random windows."""
-        m = build(ModelConfig(width=4), seed=1).astype(np.float64)
+        m = astype(build(ModelConfig(width=4), seed=1), np.float64)
         x = rng.standard_normal((2, 7, 40))
         y = np.array([3, 7])
         w = np.array([1.0, 2.0])
@@ -198,7 +198,7 @@ class TestBackward:
 
     def test_conv_bias_gradient_is_zero_under_bn(self, rng):
         # BN subtracts the batch mean, so a per-channel conv bias cancels
-        m = build(ModelConfig(width=4), seed=1).astype(np.float64)
+        m = astype(build(ModelConfig(width=4), seed=1), np.float64)
         grads, _ = backward(m, rng.standard_normal((3, 7, 40)),
                             np.array([0, 1, 2]), np.ones(3))
         for name, g in grads.items():
@@ -206,7 +206,7 @@ class TestBackward:
                 assert np.abs(g).max() < 1e-12, name
 
     def test_duplicated_batch_leaves_gradients_unchanged(self, rng):
-        m = build(ModelConfig(width=4), seed=2).astype(np.float64)
+        m = astype(build(ModelConfig(width=4), seed=2), np.float64)
         x = rng.standard_normal((2, 7, 40))
         y = np.array([1, 5])
         w = np.array([0.5, 1.5])
@@ -221,7 +221,7 @@ class TestBackward:
     def test_gradients_linear_in_weights(self, rng):
         """With the batch (hence BN statistics) fixed, gradients are linear
         in the per-sample weights; a zero-weight sample contributes nothing."""
-        m = build(ModelConfig(width=4), seed=3).astype(np.float64)
+        m = astype(build(ModelConfig(width=4), seed=3), np.float64)
         x = rng.standard_normal((2, 7, 40))
         y = np.array([2, 9])
         g10, _ = backward(m, x, y, np.array([1.0, 0.0]))
@@ -232,7 +232,7 @@ class TestBackward:
                                        rtol=1e-9, atol=1e-12)
 
     def test_zero_weight_sample_label_is_irrelevant(self, rng):
-        m = build(ModelConfig(width=4), seed=3).astype(np.float64)
+        m = astype(build(ModelConfig(width=4), seed=3), np.float64)
         x = rng.standard_normal((2, 7, 40))
         w = np.array([1.0, 0.0])
         ga, _ = backward(m, x, np.array([2, 9]), w)
@@ -260,7 +260,7 @@ class TestWorkspaceTrainer:
         1e-12 of the allocating trainer's largest gradient (the conv-bias
         gradients are zero up to rounding, so a per-tensor scale would be
         noise), loss and BN statistics within 1e-12 relative."""
-        m = build(ModelConfig(width=width), seed=4).astype(np.float64)
+        m = astype(build(ModelConfig(width=width), seed=4), np.float64)
         x, y, w = random_batch(rng, b, np.float64)
         grads, loss, stats = training._step(training.Workspace(m, rows),
                                             m, x, y, w)
