@@ -97,7 +97,8 @@ def cmd_train(args) -> int:
     windows = dataset.load_windows(args.windows)
     split = dataset.fold_split(windows, args.fold)
     config = model.ModelConfig(width=args.width)
-    hp = training.Hyperparams(epochs=args.epochs, patience=args.patience,
+    patience = min(100, args.epochs) if args.patience is None else args.patience
+    hp = training.Hyperparams(epochs=args.epochs, patience=patience,
                               batch_size=args.batch_size)
     params, history = training.train_fold(split, config, hp, args.seed)
     model.save(params, args.out)
@@ -216,7 +217,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--width", type=int, default=52)
     p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--patience", type=int, default=100)
+    p.add_argument("--patience", type=int, help="default min(100, --epochs)")
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--history", default=None, help="history CSV path")

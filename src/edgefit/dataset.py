@@ -72,7 +72,6 @@ class Recording:
     timestamps: np.ndarray   # (N,) float64, strictly increasing
     data: np.ndarray         # (N, 7) float32
     labels: np.ndarray       # (N,) int16
-    rate_hz: int = RATE_HZ
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -276,20 +275,20 @@ def window_weight(labels: np.ndarray, class_freq: np.ndarray) -> np.ndarray:
     return inv[labels].mean(axis=-1)
 
 
-def segment_windows(rec: Recording, stats: NormStats, size: int = WINDOW_SIZE,
+def segment_windows(rec: Recording, stats: NormStats,
                     stride: int = RATE_HZ) -> tuple[np.ndarray, np.ndarray]:
-    """Cut rec into z-normalized windows of `size` samples every `stride`:
-    data (n, 7, size) float32 and each window's per-sample labels (n, size),
-    with n = window_count(len(rec), size, stride). Both are views, the
-    data of one normalized copy of rec."""
+    """Cut rec into z-normalized windows of WINDOW_SIZE samples every
+    `stride`: data (n, 7, WINDOW_SIZE) float32 and each window's per-sample
+    labels (n, WINDOW_SIZE), with n = window_count(len(rec), WINDOW_SIZE,
+    stride). Both are views, the data of one normalized copy of rec."""
     if stride < 1:
         raise InvalidConfig(f"stride must be >= 1, got {stride}")
-    if len(rec) < size:
-        return (np.empty((0, NUM_CHANNELS, size), np.float32),
-                np.empty((0, size), rec.labels.dtype))
+    if len(rec) < WINDOW_SIZE:
+        return (np.empty((0, NUM_CHANNELS, WINDOW_SIZE), np.float32),
+                np.empty((0, WINDOW_SIZE), rec.labels.dtype))
     normalized = ((rec.data.astype(np.float64) - stats.mean) / stats.std).astype(np.float32)
-    return (sliding_window_view(normalized, size, axis=0)[::stride],
-            sliding_window_view(rec.labels, size)[::stride])
+    return (sliding_window_view(normalized, WINDOW_SIZE, axis=0)[::stride],
+            sliding_window_view(rec.labels, WINDOW_SIZE)[::stride])
 
 
 def fold_split(windows: list[Window], held_out_subject: int) -> DatasetSplit:
@@ -312,16 +311,16 @@ def loucv_splits(windows: list[Window]) -> list[DatasetSplit]:
     return [fold_split(windows, s) for s in subjects]
 
 
-def _cut(recordings: list[Recording], stats: NormStats, size: int,
-         stride: int) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+def _cut(recordings: list[Recording], stats: NormStats, stride: int
+         ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
     """Every window of recordings in (subject, session) order: data
-    (n, 7, size), per-sample labels (n, size) and each window's (subject,
-    session)."""
+    (n, 7, WINDOW_SIZE), per-sample labels (n, WINDOW_SIZE) and each
+    window's (subject, session)."""
     recordings = sorted(recordings, key=lambda r: (r.subject, r.session))
-    cuts = [segment_windows(r, stats, size, stride) for r in recordings]
-    data = np.concatenate([np.empty((0, NUM_CHANNELS, size), np.float32)]
-                          + [d for d, _ in cuts])
-    labels = np.concatenate([np.empty((0, size), np.int16)]
+    cuts = [segment_windows(r, stats, stride) for r in recordings]
+    data = np.concatenate([np.empty((0, NUM_CHANNELS, WINDOW_SIZE),
+                                    np.float32)] + [d for d, _ in cuts])
+    labels = np.concatenate([np.empty((0, WINDOW_SIZE), np.int16)]
                             + [lbl for _, lbl in cuts])
     ids = [(r.subject, r.session) for r, (d, _) in zip(recordings, cuts)
            for _ in range(len(d))]
@@ -337,8 +336,7 @@ def _windows(data: np.ndarray, labels: np.ndarray,
 
 
 def build_fold(recordings: list[Recording], held_out_subject: int,
-               size: int = WINDOW_SIZE, stride: int = RATE_HZ,
-               n_threads: int = 1) -> DatasetSplit:
+               stride: int = RATE_HZ, n_threads: int = 1) -> DatasetSplit:
     """Full per-fold pipeline with training-fold-only normalization.
 
     Stats and class counts come exclusively from the training subjects;
@@ -353,11 +351,11 @@ def build_fold(recordings: list[Recording], held_out_subject: int,
     if not train_recs:
         raise EmptyDataset(f"no training subjects besides {held_out_subject}")
     stats = compute_norm_stats(train_recs)
-    data, labels, ids = _cut(train_recs, stats, size, stride)
+    data, labels, ids = _cut(train_recs, stats, stride)
     class_freq = np.bincount(labels.ravel(), minlength=NUM_CLASSES)
     train = _windows(data, labels, ids,
                      window_weight(labels, class_freq).tolist())
-    data, labels, ids = _cut(test_recs, stats, size, stride)
+    data, labels, ids = _cut(test_recs, stats, stride)
     test = _windows(data, labels, ids, [1.0] * len(data))
     return DatasetSplit(train=train, test=test, held_out_subject=held_out_subject)
 

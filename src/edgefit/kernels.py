@@ -5,11 +5,13 @@ path; they preserve float64 inputs so test oracles can run at higher
 precision). Activations are laid out channels-first: (C, L) for a single
 window, (B, C, L) for the batched variants used by the trainer.
 
-conv1d is the only code that pads a convolution and lowers it to a GEMM:
-the float forward (conv1d_same_batch), the trainer's forward and input
-gradient (through conv1d_backward) and the integer path (the conv step of
-quantize.QuantPlan) all call it, and it calls im2col through this
-module's namespace. Without a pad buffer it zero-fills one in
+conv1d is the only code that lowers a convolution to a GEMM: the float
+forward (conv1d_same_batch), the trainer's forward and input gradient and
+the integer path (the conv step of quantize.QuantPlan) all call it, and it
+calls im2col through this module's namespace. Its operand is the padded
+batch (B, C_in, L+K-1), and the caller owns its zero borders: the trainer
+and the integer plan write each input into the interior of a pad buffer
+they keep; conv1d_same_batch, the one caller that pads, zero-fills one in
 np.result_type(x, w), so float operands keep their dtype.
 
 conv1d unfolds and multiplies a batch one block of BLOCK windows at a
@@ -23,11 +25,11 @@ window is still its own GEMM, so a window's result does not depend on the
 batch or the block it runs in, and a batch of at most BLOCK windows runs
 as one block with no loop.
 
-conv1d_backward forms the weight gradient from the same padded input
-(conv1d_weight_grad), one batched GEMM per tap. Both take optional output
-buffers in numpy's out= idiom, which the trainer and the integer plan
-pass; without them every result is allocated, and the values are the
-same bits.
+conv1d_weight_grad forms the weight gradient from the same padded input,
+one batched GEMM per tap; the input gradient is conv1d of the padded
+output gradient with the flipped, transposed kernel. Both take optional
+output buffers in numpy's out= idiom; without them every result is
+allocated, with the same bits.
 """
 
 from __future__ import annotations
@@ -60,51 +62,22 @@ def im2col(x_padded: np.ndarray, kernel: int, out_len: int,
     return out
 
 
-def _is_view(x: np.ndarray, of: np.ndarray) -> bool:
-    """Whether x is the array `of`: one dtype, shape, strides and first
-    element. Two aligned elements whose alignment is their itemsize overlap
-    only when they start at one address, so a bounds check of the first
-    elements compares the addresses without reading them; reading them
-    (ctypes, __array_interface__) costs several microseconds a call, and
-    only other dtypes and misaligned arrays need it."""
-    if x.dtype != of.dtype or x.shape != of.shape or x.strides != of.strides:
-        return False
-    if x.dtype.alignment == x.itemsize and x.flags.aligned and of.flags.aligned:
-        first = (slice(0, 1),) * x.ndim
-        return np.may_share_memory(x[first], of[first])
-    return x.ctypes.data == of.ctypes.data
-
-
-def conv1d(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None, *,
-           padded: np.ndarray | None = None,
-           patches: np.ndarray | None = None) -> np.ndarray:
+def conv1d(padded: np.ndarray, w: np.ndarray, out: np.ndarray | None = None,
+           *, patches: np.ndarray | None = None) -> np.ndarray:
     """Cross-correlation with zero 'same' padding, stride 1, no bias.
 
-    x: (B, C_in, L), w: (C_out, C_in, K) with K odd. Returns y (B, C_out,
-    L). Each block of BLOCK windows is unfolded by im2col and multiplied by
-    the (C_out, C_in*K) weights, one GEMM per window, into its rows of y.
+    padded: (B, C_in, L+K-1), the input with (K-1)/2 zero columns on each
+    side; w: (C_out, C_in, K) with K odd. Returns y (B, C_out, L). Each
+    block of BLOCK windows is unfolded by im2col and multiplied by the
+    (C_out, C_in*K) weights, one GEMM per window, into its rows of y.
 
-    out, padded and patches are optional output buffers in numpy's out=
-    idiom, for a caller that runs many steps without allocating: out
-    receives y, padded (B, C_in, L+K-1), whose borders must be zero, the
-    padded input, and patches (min(B, BLOCK), C_in*K, L) the patches of
-    one block at a time. x may be padded's own interior view, as when the
-    layer before wrote its output there; it is then read in place, not
-    copied. Without them conv1d allocates each, the pad buffer zero-filled
-    in np.result_type(x, w), and patches for one block.
+    out and patches are optional output buffers in numpy's out= idiom, for
+    a caller that runs many steps without allocating: out receives y, and
+    patches (min(B, BLOCK), C_in*K, L) the patches of one block at a time.
     """
-    batch, c_in, length = x.shape
+    batch, c_in, padded_len = padded.shape
     c_out, _, k = w.shape
-    pad = (k - 1) // 2
-    if padded is None:
-        padded = np.zeros((batch, c_in, length + 2 * pad),
-                          dtype=np.result_type(x, w))
-    interior = padded[:, :, pad:pad + length]
-    if not np.may_share_memory(x, padded):
-        interior[...] = x
-    elif not _is_view(x, interior):
-        raise ShapeMismatch("conv input overlaps the pad buffer but is not "
-                            "its interior")
+    length = padded_len - k + 1
     w2 = w.reshape(c_out, c_in * k)
     if batch <= BLOCK:
         return np.matmul(w2, im2col(padded, k, length, patches), out=out)
@@ -147,35 +120,20 @@ def conv1d_weight_grad(g: np.ndarray, padded: np.ndarray, *,
     return dw, np.einsum("bcl->c", g)
 
 
-def conv1d_backward(g: np.ndarray, w: np.ndarray, padded: np.ndarray, *,
-                    dx: np.ndarray | None = None,
-                    dw: np.ndarray | None = None,
-                    g_padded: np.ndarray | None = None,
-                    patches: np.ndarray | None = None,
-                    products: np.ndarray | None = None):
-    """Gradients of conv1d given dL/dy g (B, C_out, L) and the padded input
-    (B, C_in, L+K-1) conv1d multiplied.
-
-    Returns (dx, dw, db). dx is conv1d of g with the flipped, transposed
-    kernel; dw and db are conv1d_weight_grad's.
-
-    dx, dw, g_padded and patches are optional output buffers as in conv1d
-    (g may be g_padded's interior); products as in conv1d_weight_grad.
-    """
-    dx = conv1d(g, w.transpose(1, 0, 2)[:, :, ::-1], dx, padded=g_padded,
-                patches=patches)
-    return (dx, *conv1d_weight_grad(g, padded, dw=dw, products=products))
-
-
 def conv1d_same_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """conv1d plus a bias b (C_out,), with its operands' shapes checked."""
+    """conv1d of x (B, C_in, L), zero-padded here, plus a bias b (C_out,),
+    with its operands' shapes checked."""
     _require(x.ndim == 3, f"conv input must be (B, C, L), got shape {x.shape}")
     _require(w.ndim == 3, f"conv weight must be (C_out, C_in, K), got shape {w.shape}")
     c_out, c_in, k = w.shape
     _require(k % 2 == 1, f"kernel size must be odd, got {k}")
     _require(x.shape[1] == c_in, f"input channels {x.shape[1]} != weight C_in {c_in}")
     _require(b.shape == (c_out,), f"bias shape {b.shape} != ({c_out},)")
-    y = conv1d(x, w)
+    batch, _, length = x.shape
+    pad = (k - 1) // 2
+    padded = np.zeros((batch, c_in, length + 2 * pad), np.result_type(x, w))
+    padded[:, :, pad:pad + length] = x
+    y = conv1d(padded, w)
     y += b[:, None]
     return y
 

@@ -61,8 +61,9 @@ before the first inference (TensorFlow Lite Micro). The plan holds:
   6,240 B at width 52, the RAM figure the paper reports.
 
 A conv writes q - zp into its GEMM operand's interior in the operand's
-dtype, runs kernels.conv1d into its scratch arrays, and requantizes the
-accumulators in place into its output slot through _requantize_array.
+dtype, runs kernels.conv1d on the operand, zero borders included, into
+its scratch arrays, and requantizes the accumulators in place into its
+output slot through _requantize_array.
 A block allocates only the input quantization's temporaries, a shift
 column per conv and numpy's casting buffers: at width 52 a steady call of
 8 windows peaks at 55 KB of allocations (468 KB before the plan).
@@ -502,7 +503,7 @@ class _ConvStep:
     def run(self, x, y, padded, interior, patches, gemm, acc, trace) -> None:
         # q - zp lies in [-255, 255]: subtract in the GEMM dtype, not int8
         np.subtract(x, self.in_zp, out=interior, dtype=interior.dtype)
-        kernels.conv1d(interior, self.w, gemm, padded=padded, patches=patches)
+        kernels.conv1d(padded, self.w, gemm, patches=patches)
         acc[...] = gemm
         _note(trace, self.acc_name, acc)
         _requantize_array(acc, self.m0, self.shift_n, self.out_zp, self.low,
@@ -715,14 +716,14 @@ def count_float_entries(trace: list) -> int:
     return sum(1 for _, dtype in trace if dtype.startswith("float"))
 
 
-def evaluate_quant(qm: QuantModel, windows: list[Window], batch: int = 256):
-    """Argmax Metrics of the integer path over a window list."""
+def evaluate_quant(qm: QuantModel, windows: list[Window]):
+    """Argmax Metrics of the integer path over a window list, in one
+    qforward_batch call (which runs blocks of BLOCK_WINDOWS)."""
     if not windows:
         raise EmptyTestSet("evaluate needs at least one window")
     x, y, wt = _stack(windows)
-    logits = np.concatenate([qforward_batch(qm, x[i:i + batch])
-                             for i in range(0, len(x), batch)])
-    return metrics_from_logits(logits, y, wt, qm.config.classes)
+    return metrics_from_logits(qforward_batch(qm, x), y, wt,
+                               qm.config.classes)
 
 
 def check_quant_invariants(qm: QuantModel) -> None:

@@ -7,14 +7,16 @@ holds out one session per training subject so the held-out test subject is
 never touched.
 
 A step runs in a Workspace: every activation, gradient and scratch array
-the step writes, allocated once and written with out=. train_fold builds
-one per epoch, sized for min(batch_size, n) windows; a shorter last batch
-uses its leading rows. It is dropped before the validation pass, so it
-never coexists with the evaluation's batch-512 temporaries. A step that
-allocates frees about 30 MB of temporaries at its end, which the allocator
-returns to the OS and the next step faults back in (about 10,000 page
-faults a step at width 52, batch 64). backward and _forward_train build a
-workspace per call and run the same code.
+the step writes, allocated once and written with out=. Its zero-bordered
+pad buffers are kernels.conv1d's operands: the batch, each ReLU output and
+each conv's output gradient are written into their interiors. train_fold
+builds a workspace per epoch, sized for min(batch_size, n) windows; a
+shorter last batch uses its leading rows. It is dropped before the
+validation pass, so it never coexists with the evaluation's batch-512
+temporaries. A step that allocates frees about 30 MB of temporaries at
+its end, which the allocator returns to the OS and the next step faults
+back in (about 10,000 page faults a step at width 52, batch 64). backward
+and _forward_train build a workspace per call and run the same code.
 """
 
 from __future__ import annotations
@@ -113,14 +115,13 @@ class Workspace:
     windows, in the parameters' dtype.
 
     Per conv layer it holds the zero-padded input (batch, C_in, L+K-1),
-    whose interior the previous layer's ReLU writes into directly, and the
-    normalized activations x_hat; shared buffers take the im2col patches
-    of one block of kernels.BLOCK windows, the BN output before the ReLU,
-    the flowing gradients and each weight gradient. A step writes
-    everything with out=, and a shorter batch of b windows uses the leading
-    rows buf[:b], so a step allocates nothing of the batch's size.
-    train_fold keeps one workspace for an epoch's step loop and drops it
-    before the validation pass.
+    whose interior the batch or the previous layer's ReLU is written to,
+    and the normalized activations x_hat; shared buffers take the im2col
+    patches of one block of kernels.BLOCK windows, the BN output before the
+    ReLU, the flowing gradients, the padded output gradient and each weight
+    gradient. A step writes everything with out=, and a shorter batch of b
+    windows uses the leading rows buf[:b], so a step allocates nothing of
+    the batch's size.
     """
 
     def __init__(self, m: ModelParams, batch: int):
@@ -193,7 +194,8 @@ def _forward(ws: Workspace, m: ModelParams, x: np.ndarray):
     last = m.config.convs_per_block - 1
     layers = list(m.conv_layers())
     tape = {"layers": []}
-    a = x
+    a = ws.interior(ws.padded[0], b)
+    a[...] = x
     skip = None
     for i, (name, layer) in enumerate(layers):
         pos = _conv_index(name)
@@ -201,7 +203,7 @@ def _forward(ws: Workspace, m: ModelParams, x: np.ndarray):
             skip = a
         _, c_in, k = layer.w.shape
         xhat = ws.xhat[i][:b]
-        kernels.conv1d(a, layer.w, xhat, padded=ws.padded[i][:b],
+        kernels.conv1d(ws.padded[i][:b], layer.w, xhat,
                        patches=ws.patches[:b, :c_in * k])
         # the conv bias only shifts the batch mean, which BN subtracts
         mu, var, inv = _bn_normalize(xhat, eps)
@@ -267,15 +269,13 @@ def _step(ws: Workspace, m: ModelParams, x, targets, weights):
         if pos == last:                     # the add routes dh to the skip too
             skip_grad, da = da, spare
         c_out, c_in, k = layer.w.shape
-        products = ws.products[:b, :, :c_in]
-        if i:
-            _, dw, db = kernels.conv1d_backward(
-                dz, layer.w, ws.padded[i][:b], dx=da, dw=ws.dw[name],
-                g_padded=ws.g_padded[:b], patches=ws.patches[:b, :c_out * k],
-                products=products)
-        else:   # nothing reads the stem's input gradient
-            dw, db = kernels.conv1d_weight_grad(
-                dz, ws.padded[0][:b], dw=ws.dw[name], products=products)
+        dw, db = kernels.conv1d_weight_grad(
+            dz, ws.padded[i][:b], dw=ws.dw[name],
+            products=ws.products[:b, :, :c_in])
+        if i:   # nothing reads the stem's input gradient
+            flipped = layer.w.transpose(1, 0, 2)[:, :, ::-1]
+            kernels.conv1d(ws.g_padded[:b], flipped, da,
+                           patches=ws.patches[:b, :c_out * k])
         grads[f"{name}.w"] = dw
         grads[f"{name}.b"] = db
         grads[f"{name}.gamma"] = dgamma

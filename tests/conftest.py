@@ -47,6 +47,16 @@ def conv1d_same(x, w, b):
     return kernels.conv1d_same_batch(x[None], w, b)[0]
 
 
+def same_padded(x, w):
+    """The batch x (B, C_in, L) with (K-1)/2 zero columns on each side for
+    the kernel w (C_out, C_in, K), in np.result_type(x, w): the operand
+    kernels.conv1d takes."""
+    pad = (w.shape[2] - 1) // 2
+    out = np.zeros((*x.shape[:2], x.shape[2] + 2 * pad), np.result_type(x, w))
+    out[:, :, pad:pad + x.shape[2]] = x
+    return out
+
+
 def dense(x, w, b):
     """Affine map w @ x + b for x (N,), w (M, N), b (M,)."""
     if x.ndim != 1 or w.ndim != 2 or w.shape[1] != x.shape[0]:

@@ -146,6 +146,30 @@ class TestTrain:
         assert "patience -5" in err
         assert not any(tmp_path.iterdir())
 
+    def test_default_patience_fits_few_epochs(self, capsys, pipeline,
+                                              tmp_path):
+        """Without --patience, fewer than 100 epochs still train: the
+        default is min(100, --epochs)."""
+        out = tmp_path / "m.efm"
+        code, _, err = run_cli(capsys, "train", "--windows",
+                               str(pipeline["windows"]), "--fold", "1",
+                               "--out", str(out), "--width", "8",
+                               "--epochs", "2")
+        assert code == cli.EXIT_OK, err
+        assert model.load(out).config.width == 8
+
+    def test_patience_above_epochs_is_usage_error(self, capsys, pipeline,
+                                                  tmp_path):
+        out = tmp_path / "m.efm"
+        code, _, err = run_cli(capsys, "train", "--windows",
+                               str(pipeline["windows"]), "--fold", "1",
+                               "--out", str(out), "--epochs", "2",
+                               "--patience", "5")
+        assert code == cli.EXIT_USAGE
+        assert_one_error_line(err, "InvalidConfig")
+        assert "patience 5" in err
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_fold(self, capsys, pipeline):
         code, _, err = run_cli(capsys, "train", "--windows",
                                str(pipeline["windows"]), "--fold", "9",

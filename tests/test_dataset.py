@@ -223,20 +223,20 @@ class TestSegmentWindows:
     def test_count_example(self, rng):
         rec = make_recording(rng.standard_normal(100))
         stats = compute_norm_stats([rec])
-        data, labels = segment_windows(rec, stats, 40, 20)
+        data, labels = segment_windows(rec, stats, 20)
         assert data.shape == (4, 7, 40) and labels.shape == (4, 40)
 
     def test_too_short(self, rng):
         rec = make_recording(rng.standard_normal(39))
         stats = compute_norm_stats([rec])
-        data, labels = segment_windows(rec, stats, 40, 20)
+        data, labels = segment_windows(rec, stats, 20)
         assert data.shape == (0, 7, 40) and labels.shape == (0, 40)
 
     def test_zero_stride_rejected(self, rng):
         rec = make_recording(rng.standard_normal(100))
         stats = compute_norm_stats([rec])
         with pytest.raises(InvalidConfig):
-            segment_windows(rec, stats, 40, 0)
+            segment_windows(rec, stats, 0)
         with pytest.raises(InvalidConfig):
             build_fold([rec, make_recording(rng.standard_normal(100),
                                             subject=2)],
@@ -246,7 +246,7 @@ class TestSegmentWindows:
         values = rng.standard_normal(40)
         rec = make_recording(values)
         stats = compute_norm_stats([rec])
-        (data,), _ = segment_windows(rec, stats, 40, 1)
+        (data,), _ = segment_windows(rec, stats, 1)
         expected = (values - values.mean()) / values.std()
         np.testing.assert_allclose(data[0], expected.astype(np.float32),
                                    rtol=1e-5, atol=1e-6)
@@ -261,14 +261,14 @@ class TestSegmentWindows:
             if length > 0:
                 rec = make_recording(rng.standard_normal(length))
                 stats = NormStats(mean=np.zeros(7), std=np.ones(7))
-                data, labels = segment_windows(rec, stats, 40, stride)
+                data, labels = segment_windows(rec, stats, stride)
                 assert len(data) == len(labels) == expected
 
     def test_determinism(self, rng):
         rec = make_recording(rng.standard_normal(120))
         stats = compute_norm_stats([rec])
-        a, _ = segment_windows(rec, stats, 40, 20)
-        b, _ = segment_windows(rec, stats, 40, 20)
+        a, _ = segment_windows(rec, stats, 20)
+        b, _ = segment_windows(rec, stats, 20)
         assert a.tobytes() == b.tobytes()
 
 
@@ -686,8 +686,7 @@ def assert_same_recordings(got, expected):
     for a, b in zip(got, expected):
         # cmd_prepare JSON-dumps the fold ids, so they stay Python ints
         assert type(a.subject) is int and type(a.session) is int
-        assert (a.subject, a.session, a.rate_hz) == (b.subject, b.session,
-                                                     b.rate_hz)
+        assert (a.subject, a.session) == (b.subject, b.session)
         for name in ("timestamps", "data", "labels"):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype and x.shape == y.shape, name

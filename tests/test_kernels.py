@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import conv1d_same, dense, make_random_windows
+from conftest import conv1d_same, dense, make_random_windows, same_padded
 from edgefit import kernels, model, quantize, training
 from edgefit.errors import NonFiniteInput, ShapeMismatch
 
@@ -113,15 +113,20 @@ class TestConv1dSame:
                                           conv1d_same(x[i], w, b))
 
 
+def flip(w):
+    """The kernel (C_in, C_out, K), transposed with its taps reversed, whose
+    conv1d over the padded output gradient is the input gradient of w's."""
+    return w.transpose(1, 0, 2)[:, :, ::-1]
+
+
 class TestConv1dBackward:
     @pytest.mark.parametrize("c_in,c_out,length,k", CONV_CASES)
     def test_matches_naive_adjoint(self, rng, c_in, c_out, length, k):
         x = rng.standard_normal((2, c_in, length))
         w = rng.standard_normal((c_out, c_in, k))
         g = rng.standard_normal((2, c_out, length))
-        pad = (k - 1) // 2
-        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-        dx, dw, db = kernels.conv1d_backward(g, w, padded)
+        dx = kernels.conv1d(same_padded(g, flip(w)), flip(w))
+        dw, db = kernels.conv1d_weight_grad(g, same_padded(x, w))
         grads = [naive_conv1d_same_grads(x[i], w, g[i]) for i in range(2)]
         for i in range(2):
             np.testing.assert_allclose(dx[i], grads[i][0], rtol=1e-12,
@@ -133,8 +138,9 @@ class TestConv1dBackward:
 
 
 class TestConvBuffers:
-    """conv1d and conv1d_backward write into caller-owned buffers with the
-    same bits as when they allocate, also through leading-row views."""
+    """conv1d and conv1d_weight_grad write into caller-owned buffers with
+    the same bits as when they allocate, also through leading-row views of
+    buffers sized for a larger batch, as the trainer passes them."""
 
     @pytest.mark.parametrize("c_in,c_out,length,k", CONV_CASES)
     def test_buffers_match_allocating_call(self, rng, c_in, c_out, length, k):
@@ -142,9 +148,10 @@ class TestConvBuffers:
         x = rng.standard_normal((batch, c_in, length)).astype(np.float32)
         w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
         g = rng.standard_normal((batch, c_out, length)).astype(np.float32)
-        y = kernels.conv1d(x, w)
-        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-        dx, dw, db = kernels.conv1d_backward(g, w, padded)
+        padded = same_padded(x, w)
+        y = kernels.conv1d(padded, w)
+        dx = kernels.conv1d(same_padded(g, flip(w)), flip(w))
+        dw, db = kernels.conv1d_weight_grad(g, padded)
 
         rows = batch + 2          # buffers sized for a larger batch
         wide = max(c_in, c_out)
@@ -156,25 +163,20 @@ class TestConvBuffers:
         products = np.empty((rows, c_out, c_in), np.float32)
         dw_buf = np.empty(w.shape, np.float32)
 
-        y2 = kernels.conv1d(x, w, out[:batch], padded=pad_buf[:batch],
+        # the caller writes each input into its pad buffer's interior
+        pad_buf[:batch, :, pad:pad + length] = x
+        g_interior = g_pad_buf[:batch, :, pad:pad + length]
+        g_interior[...] = g
+        y2 = kernels.conv1d(pad_buf[:batch], w, out[:batch],
                             patches=patch_buf[:batch, :c_in * k])
+        assert np.shares_memory(y2, out)
         np.testing.assert_array_equal(y2, y)
         np.testing.assert_array_equal(patch_buf[:batch, :c_in * k],
                                       kernels.im2col(padded, k, length))
-        np.testing.assert_array_equal(pad_buf[:batch], padded)
-        # x already in the pad buffer's interior is read in place
-        interior = pad_buf[:batch, :, pad:pad + length]
-        y3 = kernels.conv1d(interior, w, out[:batch], padded=pad_buf[:batch],
-                            patches=patch_buf[:batch, :c_in * k])
-        np.testing.assert_array_equal(y3, y)
-
-        g_interior = g_pad_buf[:batch, :, pad:pad + length]
-        g_interior[...] = g
-        dx2, dw2, db2 = kernels.conv1d_backward(
-            g_interior, w, pad_buf[:batch], dx=dx_buf[:batch], dw=dw_buf,
-            g_padded=g_pad_buf[:batch],
-            patches=patch_buf[:batch, :c_out * k],
-            products=products[:batch])
+        dx2 = kernels.conv1d(g_pad_buf[:batch], flip(w), dx_buf[:batch],
+                             patches=patch_buf[:batch, :c_out * k])
+        dw2, db2 = kernels.conv1d_weight_grad(
+            g_interior, pad_buf[:batch], dw=dw_buf, products=products[:batch])
         assert np.shares_memory(dx2, dx_buf) and dw2 is dw_buf
         np.testing.assert_array_equal(dx2, dx)
         np.testing.assert_array_equal(dw2, dw)
@@ -187,62 +189,42 @@ class TestConvBuffers:
         """2*BLOCK + 3 windows, three blocks the last of them short, give
         the bits of one-window calls; the caller's patches buffer holds one
         block."""
-        batch, pad = 2 * kernels.BLOCK + 3, (k - 1) // 2
+        batch = 2 * kernels.BLOCK + 3
         x = rng.standard_normal((batch, c_in, length)).astype(np.float32)
         w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
         g = rng.standard_normal((batch, c_out, length)).astype(np.float32)
-        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-        one = [kernels.conv1d_backward(g[i:i + 1], w, padded[i:i + 1])
+        padded = same_padded(x, w)
+        g_padded = same_padded(g, flip(w))
+        one = [kernels.conv1d_weight_grad(g[i:i + 1], padded[i:i + 1])
                for i in range(batch)]
-        want_y = np.concatenate([kernels.conv1d(x[i:i + 1], w)
+        want_y = np.concatenate([kernels.conv1d(padded[i:i + 1], w)
                                  for i in range(batch)])
-        want_dx = np.concatenate([dx for dx, _, _ in one])
-        want_dw = np.stack([dw for _, dw, _ in one]).sum(axis=0)
-        want_db = np.stack([db for _, _, db in one]).sum(axis=0)
+        want_dx = np.concatenate([kernels.conv1d(g_padded[i:i + 1], flip(w))
+                                  for i in range(batch)])
+        want_dw = np.stack([dw for dw, _ in one]).sum(axis=0)
+        want_db = np.stack([db for _, db in one]).sum(axis=0)
 
         if buffers:
             patches = np.empty((kernels.BLOCK, max(c_in, c_out) * k, length),
                                np.float32)
             y = kernels.conv1d(
-                x, w, np.empty((batch, c_out, length), np.float32),
-                padded=np.zeros_like(padded), patches=patches[:, :c_in * k])
-            g_padded = np.zeros((batch, c_out, length + k - 1), np.float32)
-            dx, dw, db = kernels.conv1d_backward(
-                g, w, padded, dx=np.empty_like(x), dw=np.empty_like(w),
-                g_padded=g_padded, patches=patches[:, :c_out * k],
+                padded, w, np.empty((batch, c_out, length), np.float32),
+                patches=patches[:, :c_in * k])
+            dx = kernels.conv1d(g_padded, flip(w), np.empty_like(x),
+                                patches=patches[:, :c_out * k])
+            dw, db = kernels.conv1d_weight_grad(
+                g, padded, dw=np.empty_like(w),
                 products=np.empty((batch, c_out, c_in), np.float32))
         else:
-            y = kernels.conv1d(x, w)
-            dx, dw, db = kernels.conv1d_backward(g, w, padded)
+            y = kernels.conv1d(padded, w)
+            dx = kernels.conv1d(g_padded, flip(w))
+            dw, db = kernels.conv1d_weight_grad(g, padded)
         for got, want in ((y, want_y), (dx, want_dx)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         # the weight gradients sum over the whole batch, not block by block
         np.testing.assert_allclose(dw, want_dw, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(db, want_db, rtol=1e-5, atol=1e-5)
-
-    def test_input_overlapping_pad_buffer_rejected(self, rng):
-        w = rng.standard_normal((4, 3, 3)).astype(np.float32)
-        padded = np.zeros((2, 3, 12), np.float32)
-        with pytest.raises(ShapeMismatch):
-            kernels.conv1d(padded[:, :, :10], w, padded=padded)
-
-    def test_view_check_compares_addresses(self):
-        padded = np.zeros((2, 3, 12), np.float32)
-        interior = padded[:, :, 1:11]
-        assert kernels._is_view(padded[:, :, 1:11], interior)
-        assert not kernels._is_view(padded[:, :, 0:10], interior)
-        assert not kernels._is_view(padded.view(np.int32)[:, :, 1:11],
-                                    interior)
-        # misaligned float32 arrays, the same one and one a byte further on
-        raw = np.zeros(4 * 72 + 2, np.uint8)
-
-        def at(byte):
-            return raw[byte:byte + 4 * 72].view(np.float32).reshape(2, 3, 12)
-
-        assert not at(1).flags.aligned
-        assert kernels._is_view(at(1)[:, :, 1:11], at(1)[:, :, 1:11])
-        assert not kernels._is_view(at(2)[:, :, 1:11], at(1)[:, :, 1:11])
 
 
 def test_every_conv_lowers_through_im2col(monkeypatch):

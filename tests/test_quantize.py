@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import make_random_windows, randomize_bn
-from edgefit import container, kernels, model, quantize
+from conftest import make_random_windows, randomize_bn, same_padded
+from edgefit import container, kernels, model, quantize, training
 from edgefit.errors import (
     AccumulatorOverflow,
     CorruptFile,
@@ -454,6 +454,26 @@ class TestQForward:
         for i, w in enumerate(windows):
             np.testing.assert_array_equal(qforward(qm, w.data), batched[i])
 
+    def test_evaluate_quant_is_one_batch_call(self):
+        """37 windows, not a multiple of BLOCK_WINDOWS: evaluate_quant gives
+        the confusion matrix and loss of metrics_from_logits over one
+        qforward_batch call, whose logits are those of any split into
+        smaller calls."""
+        _, qm = quantized_fixture(width=8)
+        windows = make_random_windows(37, seed=5)
+        x = np.stack([w.data for w in windows])
+        logits = qforward_batch(qm, x)
+        split = np.concatenate([qforward_batch(qm, x[i:i + 10])
+                                for i in range(0, len(x), 10)])
+        assert logits.tobytes() == split.tobytes()
+        want = training.metrics_from_logits(
+            logits, np.array([w.label for w in windows]),
+            np.array([w.weight for w in windows], np.float32),
+            qm.config.classes)
+        got = quantize.evaluate_quant(qm, windows)
+        np.testing.assert_array_equal(got.confusion, want.confusion)
+        assert got.loss == want.loss
+
     def test_top1_agreement_with_float(self):
         folded, qm = quantized_fixture(width=8)
         windows = make_random_windows(300, seed=2)
@@ -497,8 +517,8 @@ def unplanned_qconv(layer, in_spec, x_q, trace):
     """x_q: (B, C_in, L) int8 on in_spec's grid -> (B, C_out, L) int8."""
     _, c_in, k = layer.w_q.shape
     shifted = np.subtract(x_q, in_spec.zero_point, dtype=np.int16)
-    acc = kernels.conv1d(shifted,
-                         layer.w_q.astype(quantize._gemm_dtype(c_in * k)))
+    w = layer.w_q.astype(quantize._gemm_dtype(c_in * k))
+    acc = kernels.conv1d(same_padded(shifted, w), w)
     acc = acc.astype(np.int64)
     acc += layer.bias_q[:, None]
     quantize._note(trace, f"{layer.name}.acc", acc)

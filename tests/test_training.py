@@ -4,7 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import astype, make_random_windows, make_separable_windows
+from conftest import (astype, make_random_windows, make_separable_windows,
+                      same_padded)
 from edgefit import dataset, kernels, model, training
 from edgefit.errors import EmptyTestSet, EmptyTrainSet, InvalidConfig
 from edgefit.model import ModelConfig, build
@@ -56,11 +57,10 @@ def oracle_forward_train(m, x):
         entry = {"name": name}
         if pos == 0:
             skip = a
-        z = kernels.conv1d(a, layer.w)
-        pad = (layer.w.shape[2] - 1) // 2
-        entry["patches"] = kernels.im2col(
-            np.pad(a, ((0, 0), (0, 0), (pad, pad))), layer.w.shape[2],
-            a.shape[2])
+        padded = same_padded(a, layer.w)
+        z = kernels.conv1d(padded, layer.w)
+        entry["patches"] = kernels.im2col(padded, layer.w.shape[2],
+                                          a.shape[2])
         z += layer.b[:, None]
         h, entry["bn"] = oracle_bn_train_forward(z, layer.gamma, layer.beta, eps)
         if pos == last:
@@ -98,7 +98,8 @@ def oracle_backward_train(m, x, targets, weights):
             pending_skip_grad = dh
         dz, dgamma, dbeta = oracle_bn_train_backward(dh, layer.gamma, entry["bn"])
         c_out, c_in, k = layer.w.shape
-        dx = kernels.conv1d(dz, layer.w.transpose(1, 0, 2)[:, :, ::-1])
+        flipped = layer.w.transpose(1, 0, 2)[:, :, ::-1]
+        dx = kernels.conv1d(same_padded(dz, flipped), flipped)
         dw = np.tensordot(dz, entry["patches"], axes=([0, 2], [0, 2]))
         grads[f"{name}.w"] = dw.reshape(c_out, c_in, k)
         grads[f"{name}.b"] = dz.sum(axis=(0, 2))
