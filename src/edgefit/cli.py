@@ -168,10 +168,15 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.stride < 1:
+        raise InvalidConfig(f"--stride must be >= 1, got {args.stride}")
     if args.profiles:
         profiles = platform_model.load_profiles(args.profiles)
     else:
         profiles = list(platform_model.BUILTIN_PROFILES)
+    if args.baseline is not None and all(p.name != args.baseline
+                                         for p in profiles):
+        raise InvalidConfig(f"no profile named '{args.baseline}'")
     if args.format == "kv":
         print(platform_model.report_kv(profiles))
     else:

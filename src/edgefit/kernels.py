@@ -6,13 +6,19 @@ precision). Activations are laid out channels-first: (C, L) for a single
 window, (B, C, L) for the batched variants used by the trainer.
 
 conv1d is the only code that lowers a convolution to a GEMM: the float
-forward (conv1d_same_batch), the trainer's forward and input gradient and
-the integer path (the conv step of quantize.QuantPlan) all call it, and it
-calls im2col through this module's namespace. Its operand is the padded
-batch (B, C_in, L+K-1), and the caller owns its zero borders: the trainer
-and the integer plan write each input into the interior of a pad buffer
-they keep; conv1d_same_batch, the one caller that pads, zero-fills one in
-np.result_type(x, w), so float operands keep their dtype.
+forward (model.forward_batch, through conv1d_same_batch), the trainer's
+forward and input gradient and the integer path (the conv step of
+quantize.QuantPlan) all call it, and it calls im2col through this
+module's namespace. Its operand is the padded batch (B, C_in, L+K-1), and
+the caller owns its zero borders: the trainer and the integer plan write
+each input into the interior of a pad buffer they keep, and
+conv1d_same_batch copies its input into one its caller keeps or, without
+one, zero-fills one in np.result_type(x, w), so float operands keep their
+dtype.
+
+batchnorm_infer, relu and add are the layer-by-layer forms of what
+model.forward_batch does in place on a conv's output: the tests compose
+them into its oracle, and perfbench's tracer wraps them by name.
 
 conv1d unfolds and multiplies a batch one block of BLOCK windows at a
 time, so a block's patches are still in the cache when its GEMM reads
@@ -42,9 +48,11 @@ from .errors import NonFiniteInput, ShapeMismatch
 BLOCK = 16
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str, *args) -> None:
+    """Raise ShapeMismatch(msg % args) unless cond; the message is only
+    formatted on failure, so a check costs a comparison."""
     if not cond:
-        raise ShapeMismatch(msg)
+        raise ShapeMismatch(msg % args)
 
 
 def im2col(x_padded: np.ndarray, kernel: int, out_len: int,
@@ -120,20 +128,43 @@ def conv1d_weight_grad(g: np.ndarray, padded: np.ndarray, *,
     return dw, np.einsum("bcl->c", g)
 
 
-def conv1d_same_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def conv1d_same_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                      out: np.ndarray | None = None, *,
+                      padded: np.ndarray | None = None,
+                      patches: np.ndarray | None = None) -> np.ndarray:
     """conv1d of x (B, C_in, L), zero-padded here, plus a bias b (C_out,),
-    with its operands' shapes checked."""
-    _require(x.ndim == 3, f"conv input must be (B, C, L), got shape {x.shape}")
-    _require(w.ndim == 3, f"conv weight must be (C_out, C_in, K), got shape {w.shape}")
-    c_out, c_in, k = w.shape
-    _require(k % 2 == 1, f"kernel size must be odd, got {k}")
-    _require(x.shape[1] == c_in, f"input channels {x.shape[1]} != weight C_in {c_in}")
-    _require(b.shape == (c_out,), f"bias shape {b.shape} != ({c_out},)")
-    batch, _, length = x.shape
-    pad = (k - 1) // 2
-    padded = np.zeros((batch, c_in, length + 2 * pad), np.result_type(x, w))
+    with its operands' shapes checked.
+
+    out, padded and patches are optional buffers in numpy's out= idiom:
+    out and patches as for conv1d, and padded the (B, C_in, L+K-1) operand,
+    whose (K-1)/2 border columns on each side the caller keeps zero; x is
+    copied into its interior. Without it, one is zero-filled in
+    np.result_type(x, w). x may be out itself, since it is copied before
+    y is written.
+    """
+    # one test when the shapes fit; each is checked by name only if not
+    if not (x.ndim == w.ndim == 3 and w.shape[2] % 2 == 1
+            and x.shape[1] == w.shape[1] and b.shape == w.shape[:1]):
+        _require(x.ndim == 3, "conv input must be (B, C, L), got shape %s",
+                 x.shape)
+        _require(w.ndim == 3,
+                 "conv weight must be (C_out, C_in, K), got shape %s", w.shape)
+        _require(w.shape[2] % 2 == 1, "kernel size must be odd, got %d",
+                 w.shape[2])
+        _require(x.shape[1] == w.shape[1], "input channels %d != weight C_in %d",
+                 x.shape[1], w.shape[1])
+        _require(b.shape == w.shape[:1], "bias shape %s != (%d,)", b.shape,
+                 w.shape[0])
+    batch, c_in, length = x.shape
+    pad = (w.shape[2] - 1) // 2
+    if padded is None:
+        padded = np.zeros((batch, c_in, length + 2 * pad), np.result_type(x, w))
+    else:
+        _require(padded.shape == (batch, c_in, length + 2 * pad),
+                 "pad buffer shape %s != %s", padded.shape,
+                 (batch, c_in, length + 2 * pad))
     padded[:, :, pad:pad + length] = x
-    y = conv1d(padded, w)
+    y = conv1d(padded, w, out, patches=patches)
     y += b[:, None]
     return y
 
@@ -146,7 +177,7 @@ def batchnorm_infer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     """
     c = x.shape[-2]
     for name, p in (("gamma", gamma), ("beta", beta), ("mean", mean), ("var", var)):
-        _require(p.shape == (c,), f"{name} shape {p.shape} != ({c},)")
+        _require(p.shape == (c,), "%s shape %s != (%d,)", name, p.shape, c)
     shape = (c, 1) if x.ndim == 2 else (1, c, 1)
     inv = gamma / np.sqrt(var + eps)
     return (x - mean.reshape(shape)) * inv.reshape(shape) + beta.reshape(shape)
@@ -157,14 +188,14 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    _require(x.shape == y.shape, f"add shapes differ: {x.shape} vs {y.shape}")
+    _require(x.shape == y.shape, "add shapes differ: %s vs %s", x.shape, y.shape)
     return x + y
 
 
 def dense_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched affine map for x (B, N) -> (B, M)."""
     _require(x.ndim == 2 and w.shape[1] == x.shape[1],
-             f"weight {w.shape} incompatible with input {x.shape}")
+             "weight %s incompatible with input %s", w.shape, x.shape)
     return x @ w.T + b[None, :]
 
 

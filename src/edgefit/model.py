@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -140,46 +141,78 @@ def build(config: ModelConfig, seed: int) -> ModelParams:
     return ModelParams(config, stem, blocks, head_w, head_b)
 
 
-def _bn(layer: ConvLayer, x: np.ndarray, eps: float, folded: bool) -> np.ndarray:
-    if folded:
-        return x
-    return kernels.batchnorm_infer(x, layer.gamma, layer.beta,
-                                   layer.mean, layer.var, eps)
-
-
 def forward_batch(m: ModelParams, x: np.ndarray,
-                  capture: dict[str, np.ndarray] | None = None) -> np.ndarray:
+                  capture: Callable[[str, np.ndarray], object] | None = None
+                  ) -> np.ndarray:
     """Inference forward over a batch (B, in_channels, seq_len) -> (B, classes).
 
-    With capture given, every activation of activation_names(m.config) is
-    stored under its name.
+    The batch runs depth-first: each block of kernels.BLOCK windows goes
+    through the whole conv stack before the next block starts, in buffers
+    sized for one block (the fused layers of Alwani et al., 2016), so its
+    feature maps stay in the cache, and a call allocates one block's
+    buffers (830 KB at width 52) and the (B, seq_len*width) head input.
+    Every conv is kernels.conv1d_same_batch into one output buffer, which
+    copies its input into a zero-bordered pad buffer first: a residual
+    block's first conv into the skip buffer, which keeps the block's input
+    for the add, and every other conv into one shared buffer. The bias,
+    BN unless folded (in batchnorm_infer's order), the ReLU and the
+    residual add then run in place on the output. The head runs once over
+    the whole batch, so every activation and logit equals a layer-by-layer
+    run's bit for bit, whatever the batch.
+
+    With capture given, capture(name, activation) is called for every
+    activation of activation_names(m.config), in that order, once per
+    block. The activation is a contiguous (n, C, seq_len) view of that
+    block's windows, valid only during the call.
     """
     cfg = m.config
     if x.ndim != 3 or x.shape[1:] != (cfg.in_channels, cfg.seq_len):
         raise ShapeMismatch(
             f"expected (B, {cfg.in_channels}, {cfg.seq_len}), got {x.shape}")
-    eps = cfg.bn_eps
+    dtype = np.result_type(x, m.stem.w)   # a model's tensors share one dtype
+    batch, width, length, k = len(x), cfg.width, cfg.seq_len, cfg.kernel
+    nb = min(batch, kernels.BLOCK)
+    interior = slice((k - 1) // 2, (k - 1) // 2 + length)
+    padded_in = np.zeros((nb, cfg.in_channels, length + k - 1), dtype)
+    skip = np.zeros((nb, width, length + k - 1), dtype)
+    padded = np.zeros((nb, width, length + k - 1), dtype)
+    out = np.empty((nb, width, length), dtype)
+    patches = np.empty(nb * max(cfg.in_channels, width) * k * length, dtype)
+    flat = np.empty((batch, width * length), dtype)
 
-    def record(name, arr):
+    def conv(layer: ConvLayer, a: np.ndarray, pad_buf: np.ndarray
+             ) -> np.ndarray:
+        n, c_in = a.shape[:2]
+        y = kernels.conv1d_same_batch(
+            a, layer.w, layer.b, out[:n], padded=pad_buf[:n],
+            patches=patches[:n * c_in * k * length].reshape(n, c_in * k, length))
+        if not m.bn_folded:     # in batchnorm_infer's order
+            y -= layer.mean[:, None]
+            y *= (layer.gamma / np.sqrt(layer.var + cfg.bn_eps))[:, None]
+            y += layer.beta[:, None]
+        return y
+
+    def record(name: str, a: np.ndarray) -> None:
         if capture is not None:
-            capture[name] = arr
+            capture(name, a)
 
-    record("input", x)
-    a = kernels.relu(_bn(m.stem, kernels.conv1d_same_batch(x, m.stem.w, m.stem.b),
-                         eps, m.bn_folded))
-    record("stem.out", a)
-    for i, block in enumerate(m.blocks):
-        skip = a
-        h = a
-        for j, layer in enumerate(block):
-            h = _bn(layer, kernels.conv1d_same_batch(h, layer.w, layer.b),
-                    eps, m.bn_folded)
-            if j < len(block) - 1:
-                h = kernels.relu(h)
-            record(f"b{i}.c{j}.out", h)
-        a = kernels.relu(kernels.add(h, skip))
-        record(f"b{i}.add.out", a)
-    flat = a.reshape(a.shape[0], -1)
+    for start in range(0, batch, kernels.BLOCK):
+        a = x[start:start + kernels.BLOCK]
+        n = len(a)
+        record("input", a)
+        a = conv(m.stem, a, padded_in)
+        np.maximum(a, 0, out=a)
+        record("stem.out", a)
+        for i, block in enumerate(m.blocks):
+            for j, layer in enumerate(block):
+                a = conv(layer, a, skip if j == 0 else padded)
+                if j < len(block) - 1:
+                    np.maximum(a, 0, out=a)
+                record(f"b{i}.c{j}.out", a)
+            a += skip[:n, :, interior]
+            np.maximum(a, 0, out=a)
+            record(f"b{i}.add.out", a)
+        flat[start:start + n] = a.reshape(n, -1)
     return kernels.dense_batch(flat, m.head_w, m.head_b)
 
 

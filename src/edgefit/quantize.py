@@ -183,11 +183,13 @@ def calibrate(folded: ModelParams, calib: list[Window]) -> CalibStats:
     """Record the range of every activation of the folded float model,
     keyed by its name in activation_names.
 
-    The windows run through forward_batch in blocks of CALIB_BLOCK. Every
-    activation is batch-invariant (kernels.conv1d runs one GEMM per window
-    and the other layers are elementwise), so every range equals a
-    one-window-at-a-time run's bit for bit and depends on the set of
-    windows alone."""
+    The windows run through forward_batch in chunks of CALIB_BLOCK, whose
+    capture callback is CalibStats.update: it ranges each activation of
+    each block of kernels.BLOCK windows while the block's contiguous
+    buffer holds it. Every activation is batch-invariant (kernels.conv1d
+    runs one GEMM per window and the other layers are elementwise), so
+    every range equals a one-window-at-a-time run's bit for bit and
+    depends on the set of windows alone."""
     if not folded.bn_folded:
         raise InvalidConfig("calibrate expects a BN-folded model")
     if not calib:
@@ -195,10 +197,8 @@ def calibrate(folded: ModelParams, calib: list[Window]) -> CalibStats:
     stats = CalibStats(ranges={})
     for i in range(0, len(calib), CALIB_BLOCK):
         x = np.stack([w.data for w in calib[i:i + CALIB_BLOCK]])
-        capture: dict[str, np.ndarray] = {}
-        forward_batch(folded, x.astype(np.float32, copy=False), capture=capture)
-        for name, arr in capture.items():
-            stats.update(name, arr)
+        forward_batch(folded, x.astype(np.float32, copy=False),
+                      capture=stats.update)
     return stats
 
 

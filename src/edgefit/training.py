@@ -12,11 +12,13 @@ pad buffers are kernels.conv1d's operands: the batch, each ReLU output and
 each conv's output gradient are written into their interiors. train_fold
 builds a workspace per epoch, sized for min(batch_size, n) windows; a
 shorter last batch uses its leading rows. It is dropped before the
-validation pass, so it never coexists with the evaluation's batch-512
-temporaries. A step that allocates frees about 30 MB of temporaries at
-its end, which the allocator returns to the OS and the next step faults
-back in (about 10,000 page faults a step at width 52, batch 64). backward
-and _forward_train build a workspace per call and run the same code.
+validation pass, so it never coexists with the evaluation's buffers (at
+width 52, model.forward_batch's 4.3 MB head input for a 512-window chunk
+and one block's 830 KB). A step that allocates frees about 30 MB of
+temporaries at its end, which the allocator returns to the OS and the
+next step faults back in (about 10,000 page faults a step at width 52,
+batch 64). backward and _forward_train build a workspace per call and
+run the same code.
 """
 
 from __future__ import annotations

@@ -66,6 +66,53 @@ def dense(x, w, b):
     return w @ x + b
 
 
+def layerwise_forward(m, x, capture=None):
+    """The float forward over a batch (B, in_channels, seq_len), one layer
+    at a time over the whole batch, each layer through its kernels
+    function: the oracle of model.forward_batch. With capture, a dict,
+    every activation of model.activation_names is stored under its name."""
+    cfg = m.config
+    if x.ndim != 3 or x.shape[1:] != (cfg.in_channels, cfg.seq_len):
+        raise ShapeMismatch(
+            f"expected (B, {cfg.in_channels}, {cfg.seq_len}), got {x.shape}")
+
+    def bn(layer, t):
+        if m.bn_folded:
+            return t
+        return kernels.batchnorm_infer(t, layer.gamma, layer.beta,
+                                       layer.mean, layer.var, cfg.bn_eps)
+
+    def record(name, arr):
+        if capture is not None:
+            capture[name] = arr
+
+    record("input", x)
+    a = kernels.relu(bn(m.stem, kernels.conv1d_same_batch(x, m.stem.w,
+                                                          m.stem.b)))
+    record("stem.out", a)
+    for i, block in enumerate(m.blocks):
+        skip = a
+        h = a
+        for j, layer in enumerate(block):
+            h = bn(layer, kernels.conv1d_same_batch(h, layer.w, layer.b))
+            if j < len(block) - 1:
+                h = kernels.relu(h)
+            record(f"b{i}.c{j}.out", h)
+        a = kernels.relu(kernels.add(h, skip))
+        record(f"b{i}.add.out", a)
+    return kernels.dense_batch(a.reshape(a.shape[0], -1), m.head_w, m.head_b)
+
+
+def captured(m, x):
+    """model.forward_batch's logits for the batch x and every activation it
+    captures, by name: a copy of each block's view, joined over the batch."""
+    parts = {}
+    logits = model.forward_batch(
+        m, x, capture=lambda name, arr: parts.setdefault(name, []).append(
+            arr.copy()))
+    return logits, {name: np.concatenate(p) for name, p in parts.items()}
+
+
 def make_separable_windows(n=200, seed=0, labels=(1, 2)):
     """Trivially separable two-class windows: opposite DC levels, tiny noise.
 

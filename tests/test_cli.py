@@ -347,6 +347,22 @@ class TestReport:
         assert named in err
 
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--stride", "0"], "--stride"),
+        (["--baseline", "nosuch"], "'nosuch'"),
+        (["--baseline", "nosuch", "--profiles", "one"], "'nosuch'"),
+    ])
+    def test_bad_option_rejected_before_output(self, capsys, tmp_path, argv,
+                                               named):
+        path = tmp_path / "one.csv"
+        path.write_text("a,1e6,1.0,1000,1000000\n")
+        argv = [str(path) if arg == "one" else arg for arg in argv]
+        code, out, err = run_cli(capsys, "report", *argv)
+        assert code == cli.EXIT_USAGE and not out
+        assert_one_error_line(err, "InvalidConfig")
+        assert named in err
+
+
 class TestUsage:
     @pytest.mark.parametrize("command", ["synth", "train", "quantize",
                                          "bench"])

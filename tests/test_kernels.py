@@ -112,6 +112,27 @@ class TestConv1dSame:
             np.testing.assert_array_equal(batched[i],
                                           conv1d_same(x[i], w, b))
 
+    def test_buffers_match_allocating_call(self, rng):
+        """With out, padded and patches given, the result is the allocating
+        call's, also when x is out itself."""
+        x = rng.standard_normal((5, 4, 12)).astype(np.float32)
+        w = rng.standard_normal((4, 4, 3)).astype(np.float32)
+        b = rng.standard_normal(4).astype(np.float32)
+        expected = kernels.conv1d_same_batch(x, w, b)
+        out = x.copy()
+        padded = np.zeros((5, 4, 14), np.float32)
+        y = kernels.conv1d_same_batch(out, w, b, out, padded=padded,
+                                      patches=np.empty((5, 12, 12), np.float32))
+        assert y is out
+        np.testing.assert_array_equal(y, expected)
+
+    def test_pad_buffer_shape_checked(self, rng):
+        x = rng.standard_normal((2, 3, 12)).astype(np.float32)
+        w = rng.standard_normal((4, 3, 3)).astype(np.float32)
+        with pytest.raises(ShapeMismatch, match="pad buffer"):
+            kernels.conv1d_same_batch(x, w, np.zeros(4, np.float32),
+                                      padded=np.zeros((1, 3, 14), np.float32))
+
 
 def flip(w):
     """The kernel (C_in, C_out, K), transposed with its taps reversed, whose

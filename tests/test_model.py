@@ -1,7 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import conv1d_same, dense, randomize_bn
+from conftest import (
+    captured,
+    conv1d_same,
+    dense,
+    layerwise_forward,
+    randomize_bn,
+)
 from edgefit import kernels, model
 from edgefit.errors import (
     CorruptFile,
@@ -97,9 +105,8 @@ class TestForward:
 
     def test_every_activation_keeps_input_length(self, rng):
         m = build(ModelConfig(width=4), seed=0)
-        capture = {}
-        model.forward_batch(m, rng.standard_normal((2, 7, 40)).astype(np.float32),
-                            capture=capture)
+        _, capture = captured(
+            m, rng.standard_normal((2, 7, 40)).astype(np.float32))
         for name, arr in capture.items():
             assert arr.shape[-1] == 40, name
 
@@ -110,14 +117,93 @@ class TestForward:
             for layer in blk:
                 layer.w[:] = 0
                 layer.b[:] = 0
-        capture = {}
         x = rng.standard_normal((1, 7, 40)).astype(np.float32)
-        model.forward_batch(m, x, capture=capture)
+        _, capture = captured(m, x)
         stem_out = capture["stem.out"]
         np.testing.assert_array_equal(capture["b0.add.out"],
                                       kernels.relu(stem_out))
         np.testing.assert_array_equal(capture["b2.add.out"],
                                       stem_out * (stem_out > 0))
+
+
+class TestDepthFirst:
+    """forward_batch runs each block of kernels.BLOCK windows through the
+    whole conv stack in one block's buffers."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("folded", [False, True])
+    @pytest.mark.parametrize("convs_per_block", [1, 3])
+    @pytest.mark.parametrize("width", [4, 52])
+    def test_bit_identical_to_layerwise(self, width, convs_per_block, folded,
+                                        dtype):
+        """Logits and every captured activation equal the layer-by-layer
+        oracle's, dtype included, for batches inside one block, of exactly
+        one block, over several blocks with a partial last one, and of
+        the 512 windows training._eval_arrays passes."""
+        m = randomize_bn(build(ModelConfig(width=width,
+                                           convs_per_block=convs_per_block),
+                               seed=width), seed=convs_per_block)
+        if folded:
+            m = fold_batchnorm(m)
+        x = np.random.default_rng(width).standard_normal(
+            (512, 7, 40)).astype(dtype)
+        for batch in (1, 3, kernels.BLOCK, 2 * kernels.BLOCK + 3, 512):
+            expected_acts = {}
+            expected = layerwise_forward(m, x[:batch], expected_acts)
+            logits, acts = captured(m, x[:batch])
+            assert logits.dtype == expected.dtype == dtype
+            np.testing.assert_array_equal(logits, expected)
+            assert list(acts) == model.activation_names(m.config)
+            for name, arr in expected_acts.items():
+                assert acts[name].dtype == arr.dtype == dtype, name
+                np.testing.assert_array_equal(acts[name], arr, err_msg=name)
+
+    def test_capture_once_per_block_contiguous(self, rng):
+        m = build(ModelConfig(width=4), seed=0)
+        calls = []
+
+        def capture(name, arr):
+            assert arr.flags.c_contiguous, name
+            calls.append((name, len(arr)))
+
+        batch = 2 * kernels.BLOCK + 3
+        model.forward_batch(
+            m, rng.standard_normal((batch, 7, 40)).astype(np.float32),
+            capture=capture)
+        names = model.activation_names(m.config)
+        assert calls == [(name, n) for n in (kernels.BLOCK, kernels.BLOCK, 3)
+                         for name in names]
+
+    def test_empty_batch(self):
+        m = build(ModelConfig(width=4), seed=0)
+        logits = model.forward_batch(m, np.zeros((0, 7, 40), np.float32))
+        assert logits.shape == (0, 12)
+
+    @pytest.mark.parametrize("batch", [1, 512])
+    def test_allocations_bounded(self, rng, batch):
+        """At width 52 a call holds the (B, 2080) head input and one block's
+        buffers: the padded input, the skip and pad buffers, the conv
+        output and the patches. The head's logits and its temporaries (75 KB for 512
+        windows) fit in 96 KB."""
+        cfg = ModelConfig(width=52)
+        m = fold_batchnorm(build(cfg, seed=0))
+        x = rng.standard_normal((batch, 7, 40)).astype(np.float32)
+        n = min(batch, kernels.BLOCK)
+        padded_len = cfg.seq_len + cfg.kernel - 1
+        block = n * (cfg.in_channels * padded_len + 2 * cfg.width * padded_len
+                     + cfg.width * cfg.seq_len
+                     + cfg.width * cfg.kernel * cfg.seq_len) * 4
+        head_in = batch * cfg.width * cfg.seq_len * 4
+        model.forward_batch(m, x)
+        tracemalloc.start()
+        try:
+            model.forward_batch(m, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= head_in + block + 96 * 1024
+        if batch == 1:
+            assert peak < 128 * 1024
 
 
 class TestMacReport:

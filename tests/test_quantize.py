@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import make_random_windows, randomize_bn, same_padded
+from conftest import captured, make_random_windows, randomize_bn, same_padded
 from edgefit import container, kernels, model, quantize, training
 from edgefit.errors import (
     AccumulatorOverflow,
@@ -254,9 +254,7 @@ class TestCalibrate:
         windows = make_random_windows(512, seed=7)
         single = CalibStats(ranges={})
         for w in windows:
-            capture = {}
-            model.forward_batch(folded, w.data.astype(np.float32)[None],
-                                capture=capture)
+            _, capture = captured(folded, w.data.astype(np.float32)[None])
             for name, arr in capture.items():
                 single.update(name, arr)
         batched = calibrate(folded, windows)
@@ -288,8 +286,7 @@ class TestQuantizeModel:
         names = model.activation_names(config)
         folded = fold_batchnorm(build(config, seed=0))
         windows = make_random_windows(4, seed=0)
-        capture = {}
-        model.forward_batch(folded, windows[0].data[None], capture=capture)
+        _, capture = captured(folded, windows[0].data[None])
         assert list(capture) == names
         stats = calibrate(folded, windows)
         assert list(stats.ranges) == names
