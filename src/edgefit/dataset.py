@@ -384,14 +384,19 @@ def save_windows(path: str | Path, windows: list[Window]) -> None:
 
 
 def load_windows(path: str | Path) -> list[Window]:
-    """Read an EFW2 file. Every label must be a class id, every weight
-    finite and positive, and every subject and session within its range."""
+    """Read an EFW2 file. Every window's data must be finite, every label a
+    class id, every weight finite and positive, and every subject and
+    session within its range."""
     contents = container.read(path, WINDOW_MAGIC)
     n = contents.meta.get("windows")
     data = contents.take("data", "<f4", (n, NUM_CHANNELS, WINDOW_SIZE))
     label, weight, subject, session = (contents.take(name, dtype, (n,))
                                        for name, dtype in _WINDOW_FIELDS)
     contents.finish()
+    finite = np.isfinite(data).all(axis=(1, 2))
+    if not finite.all():
+        raise CorruptFile(f"{contents.path}: window {int(finite.argmin())} "
+                          f"holds NaN or Inf data")
     bad = ((label >= NUM_CLASSES) | ~(np.isfinite(weight) & (weight > 0))
            | (subject < SUBJECT_RANGE[0]) | (subject > SUBJECT_RANGE[1])
            | (session < SESSION_RANGE[0]) | (session > SESSION_RANGE[1]))

@@ -43,15 +43,21 @@ qforward_batch and kept on it (QuantModel.plan), over blocks of
 BLOCK_WINDOWS windows, as a microcontroller runtime plans its tensor arena
 before the first inference (TensorFlow Lite Micro). The plan holds:
 
-- each conv's weights in its GEMM dtype, its M0 and n as int64 columns
-  and one int64 column bias_q*M0 + 2^(30+n), which adds the bias and the
-  rounding term in one step (CMSIS-NN's fused output stage). The
-  accumulator bound keeps it, and acc*M0 plus it, within int64;
+- each conv's weights in its GEMM dtype and three contiguous int64
+  (C_out, L) rows, each channel's value repeated over the window: M0, the
+  total shift 31 + n, and bias_q*M0 + 2^(30+n), which adds the bias and
+  the rounding term in one step (CMSIS-NN's fused output stage). Every
+  requantization pass then runs as one C_out*L loop per window. The
+  accumulator bound keeps the offset, and acc*M0 plus it, within int64;
 - each residual add's multipliers, with the input zero points folded into
-  the rounding terms, and the head's weights transposed in float64;
+  the rounding terms, and its table: the add's output depends on its two
+  int8 operands alone, so the plan rescales, sums and saturates all
+  65,536 pairs once, and a block looks each output up at (a as uint8) << 8
+  | (h as uint8); the head's weights transposed in float64;
 - scratch arrays for BLOCK_WINDOWS windows, one per shape and dtype, that
   every step of that shape shares: the GEMM operand with its zero
-  borders, the patches, the GEMM output and the int64 accumulators;
+  borders, the patches, the GEMM output and the int64 accumulators (on a
+  64-bit host, the adds' intp table indices share them);
 - one int8 arena of arena_bytes per window. The input, each block's skip
   and every conv's input and output are views into it at planned offsets:
   slot 0 holds the stem output and every block's input and output, the
@@ -60,13 +66,20 @@ before the first inference (TensorFlow Lite Micro). The plan holds:
   while they live. arena_bytes is count_macs().peak_activation_bytes,
   6,240 B at width 52, the RAM figure the paper reports.
 
+At width 52 a plan holds 1.88 MB: 0.50 MB of conv rows, 192 KB of add
+tables, 0.49 MB of GEMM-ready weights, 0.64 MB of scratch and a 49 KB
+arena.
+
 A conv writes q - zp into its GEMM operand's interior in the operand's
 dtype, runs kernels.conv1d on the operand, zero borders included, into
 its scratch arrays, and requantizes the accumulators in place into its
-output slot through _requantize_array.
-A block allocates only the input quantization's temporaries, a shift
-column per conv and numpy's casting buffers: at width 52 a steady call of
-8 windows peaks at 55 KB of allocations (468 KB before the plan).
+output slot with _rescale and _saturate, the arithmetic of
+_requantize_array. An add makes three passes: the index, its low byte and
+the lookup. A block allocates only the input quantization's temporaries,
+numpy's casting buffers and, for more than one window, the copy np.take
+writes back into the strided arena: at width 52 a steady call of 8
+windows peaks at 55 KB of allocations (468 KB before the plan), and one
+window at 19 KB.
 
 The plan is laid out by _layout, the walk check_quant_invariants runs, so
 it derives the multipliers and checks the model once, from the model's
@@ -78,6 +91,7 @@ runs in its own arrays, so two threads must not run one model at once.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -245,31 +259,26 @@ def _saturate(value: np.ndarray, low: int,
     """Clamp the int64 array value to [low, 127] in place and return it as
     int8, written into out when given."""
     np.maximum(value, low, out=value)
+    np.minimum(value, QMAX, out=value)
     if out is None:
-        return np.minimum(value, QMAX, out=value).astype(np.int8)
-    return np.minimum(value, QMAX, out=out, casting="unsafe")
+        return value.astype(np.int8)
+    # a plain cast, faster than a minimum that casts into out
+    np.copyto(out, value, casting="unsafe")
+    return out
 
 
-def _requantize_array(acc: np.ndarray, m0, shift_n, zero_point_out: int,
-                      low: int = QMIN, out: np.ndarray | None = None, *,
-                      offset=None, scratch: np.ndarray | None = None
+def _requantize_array(acc: np.ndarray, m0, shift_n, zero_point_out: int
                       ) -> np.ndarray:
     """Vectorized requantize: round-half-up of acc*M0 / 2^(31+n), plus
-    zero_point_out, saturated to [low, 127] as int8; a fused ReLU passes
-    its zero point as low. acc is int64 and m0, shift_n and offset
-    broadcast against it as int64.
-
-    offset replaces the rounding term 2^(30+n) added before the shift: the
-    plan passes bias_q*M0 + 2^(30+n), which adds the bias as well, since
-    (acc + bias)*M0 = acc*M0 + bias*M0. out, an int8 array of acc's shape,
-    receives the result; scratch, an int64 one (acc itself allowed), the
-    intermediate. Without them both are allocated and acc is left as is."""
+    zero_point_out, saturated to [-128, 127] as int8. acc is int64 and m0
+    and shift_n broadcast against it as int64; acc is left as is. The
+    plan's conv step runs the same _rescale and _saturate on constants it
+    derived once: the total shift 31 + n and the rounding term with the
+    bias folded in, saturating at its zero point under a fused ReLU."""
     shift = shift_n + 31
-    if offset is None:
-        offset = np.left_shift(np.int64(1), shift - 1)
-    value = _rescale(acc, m0, offset, shift, out=scratch)
+    value = _rescale(acc, m0, np.left_shift(np.int64(1), shift - 1), shift)
     value += zero_point_out
-    return _saturate(value, low, out)
+    return _saturate(value, QMIN)
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +453,22 @@ def _gemm_dtype(fan_in: int) -> type:
 def quantize_input(spec: QuantSpec, x: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Float windows to int8 on spec's grid, rounding half away from zero;
-    written into out when given."""
-    q = round_half_away(np.asarray(x, dtype=np.float64) / spec.scale)
-    q += spec.zero_point
-    return _saturate(q, QMIN, out)
+    written into out when given. Raises NonFiniteInput for NaN or Inf.
+
+    x/scale is clamped in float64 to [-128 - zp, 127 - zp] before the
+    integer cast: rounding keeps a value between two integers between
+    them, so the result is that of rounding and then saturating, and no
+    value too large for int64 reaches the cast."""
+    kernels.check_finite(x, "int8 input")
+    zp = spec.zero_point
+    v = np.divide(x, spec.scale, dtype=np.float64)
+    np.maximum(v, QMIN - zp, out=v)
+    q = round_half_away(np.minimum(v, QMAX - zp, out=v))
+    q += zp
+    if out is None:
+        return q.astype(np.int8)
+    np.copyto(out, q, casting="unsafe")
+    return out
 
 
 @dataclass(frozen=True)
@@ -458,18 +479,21 @@ class _ConvStep:
     acc_name: str             # the trace's names: {conv}.acc, {conv}.out
     out_name: str
     w: np.ndarray             # (C_out, C_in, K) in the layer's GEMM dtype
-    m0: np.ndarray            # (C_out, 1) int64
-    shift_n: np.ndarray       # (C_out, 1) int64
-    offset: np.ndarray        # (C_out, 1) int64: bias_q*M0 + 2^(30+n)
+    # per-element rows, each channel's value repeated over L, so that every
+    # requantization pass runs as one C_out*L loop per window
+    m0: np.ndarray            # (C_out, L) int64
+    offset: np.ndarray        # (C_out, L) int64: bias_q*M0 + 2^(30+n)
+    shift: np.ndarray         # (C_out, L) int64: 31 + n
     in_zp: int
     out_zp: int
     low: int                  # the output zero point under a fused ReLU
 
     @classmethod
-    def of(cls, layer: QConvLayer, in_spec: QuantSpec) -> _ConvStep:
-        """The step of layer reading an activation on in_spec's grid, with
-        M0 and n per channel from s_in*s_w/s_out; a weight scale that is
-        not finite and positive makes its ratio so."""
+    def of(cls, layer: QConvLayer, in_spec: QuantSpec, length: int
+           ) -> _ConvStep:
+        """The step of layer reading an activation of length L on
+        in_spec's grid, with M0 and n per channel from s_in*s_w/s_out; a
+        weight scale that is not finite and positive makes its ratio so."""
         _, c_in, k = layer.w_q.shape
         _check_accumulator(layer.name, c_in * k, layer.bias_q)
         out_name = f"{layer.name}.out"
@@ -482,10 +506,13 @@ class _ConvStep:
         # neither the offset nor acc*M0 + offset leaves int64
         offset = (layer.bias_q.astype(np.int64)[:, None] * m0
                   + np.left_shift(np.int64(1), shift_n + 30))
+
+        def row(column):
+            return np.repeat(column, length, axis=1)
         return cls(f"{layer.name}.acc", out_name,
-                   layer.w_q.astype(_gemm_dtype(c_in * k)), m0, shift_n,
-                   offset, in_spec.zero_point, out.zero_point,
-                   out.zero_point if layer.relu else QMIN)
+                   layer.w_q.astype(_gemm_dtype(c_in * k)), row(m0),
+                   row(offset), row(shift_n + 31), in_spec.zero_point,
+                   out.zero_point, out.zero_point if layer.relu else QMIN)
 
     def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
         """(padded, its interior, patches, GEMM output, int64 accumulators),
@@ -506,8 +533,10 @@ class _ConvStep:
         kernels.conv1d(padded, self.w, gemm, patches=patches)
         acc[...] = gemm
         _note(trace, self.acc_name, acc)
-        _requantize_array(acc, self.m0, self.shift_n, self.out_zp, self.low,
-                          out=y, offset=self.offset, scratch=acc)
+        # _requantize_array's arithmetic, with the bias folded into offset
+        _rescale(acc, self.m0, self.offset, self.shift, out=acc)
+        acc += self.out_zp
+        _saturate(acc, self.low, out=y)
         _note(trace, self.out_name, y)
 
 
@@ -515,7 +544,9 @@ class _ConvStep:
 class _AddStep:
     """The residual merge: each addend (q - zp)*M0 rescaled with the zero
     point folded into its offset, 2^(s-1) - zp*M0, then summed and
-    saturated with the fused ReLU's floor at the output zero point."""
+    saturated with the fused ReLU's floor at the output zero point. The
+    output depends on the two int8 operands alone, so the plan runs it as
+    a lookup in table."""
 
     out_name: str             # b{i}.add.out
     a: tuple[np.int64, np.int64, np.int64]     # block input: M0, offset, s
@@ -538,16 +569,25 @@ class _AddStep:
             return np.int64(m0), np.int64(offset), np.int64(s)
         return cls(out_name, fold(a), fold(h), out.zero_point, channels)
 
-    def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
-        shape = (self.channels, length)
-        return take(shape, np.int64), take(shape, np.int64)
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """The (65536,) int8 output of every operand pair, at index
+        (a as uint8) << 8 | (h as uint8). Built at the plan's first add,
+        never by _layout's walk, which every quantize and load repeats."""
+        byte = np.arange(256, dtype=np.uint8).view(np.int8).astype(np.int64)
+        total = _rescale(byte, *self.a)[:, None] + _rescale(byte, *self.h)
+        total += self.out_zp
+        return _saturate(total, self.out_zp).ravel()
 
-    def run(self, a, h, y, ta, th, trace) -> None:
-        _rescale(a, *self.a, out=ta)
-        _rescale(h, *self.h, out=th)
-        ta += th
-        ta += self.out_zp
-        _saturate(ta, self.out_zp, out=y)
+    def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
+        # intp, the index type np.take wants: any other makes it copy
+        return (take((self.channels, length), np.intp),)
+
+    def run(self, a, h, y, index, trace) -> None:
+        np.left_shift(a.view(np.uint8), 8, out=index, dtype=np.intp)
+        np.bitwise_or(index, h.view(np.uint8), out=index)
+        # mode="raise" would buffer y
+        np.take(self.table, index, out=y, mode="clip")
         _note(trace, self.out_name, y)
 
 
@@ -595,7 +635,7 @@ def _layout(qm: QuantModel) -> list[tuple]:
     slot = [0, cfg.width * length, 2 * cfg.width * length]
     current = _checked("input", qm.input_spec)
     # the input sits above slot 0 and dies once the stem has run
-    layout = [(_ConvStep.of(qm.stem, current), [
+    layout = [(_ConvStep.of(qm.stem, current, length), [
         (slot[1], (cfg.in_channels, length), np.int8), (0, act, np.int8)])]
     current = qm.stem.out_spec
     for i, block in enumerate(qm.blocks):
@@ -604,7 +644,7 @@ def _layout(qm: QuantModel) -> list[tuple]:
         block_in, src = current, 0
         for j, layer in enumerate(block.convs):
             dst = slot[1 + j % 2]
-            layout.append((_ConvStep.of(layer, current), [
+            layout.append((_ConvStep.of(layer, current, length), [
                 (src, act, np.int8), (dst, act, np.int8)]))
             src, current = dst, layer.out_spec
         layout.append((_AddStep.of(f"b{i}.add", block_in, current,

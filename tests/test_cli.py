@@ -261,6 +261,19 @@ class TestEval:
         assert_one_error_line(err, "CorruptFile")
         assert "window 0 out of range" in err
 
+    @pytest.mark.parametrize("kind", ["model", "qmodel"])
+    def test_non_finite_window_is_data_error(self, capsys, pipeline, tmp_path,
+                                             kind):
+        windows = dataset.load_windows(pipeline["windows"])
+        windows[2].data[0, 0] = float("nan")
+        bad = tmp_path / "bad.efw"
+        dataset.save_windows(bad, windows)
+        code, stdout, err = run_cli(capsys, "eval", "--model",
+                                    str(pipeline[kind]), "--windows", str(bad))
+        assert code == cli.EXIT_DATA and not stdout
+        assert_one_error_line(err, "CorruptFile")
+        assert "window 2 holds NaN or Inf" in err
+
     def test_short_multipliers_are_data_error(self, capsys, pipeline,
                                               tmp_path):
         bad = tmp_path / "bad.efq"
@@ -322,6 +335,22 @@ class TestReport:
         code, out, _ = run_cli(capsys, "report", "--format", "kv")
         assert code == 0
         assert "gap8@175MHz.energy_mj=" in out
+
+    def test_both_mac_conventions(self, capsys):
+        """count_macs' figure for the default config stands beside the
+        profiles' own MAC counts, in text and kv."""
+        code, out, _ = run_cli(capsys, "report")
+        assert code == 0
+        rows = {line[:26].strip(): line[26:].split()
+                for line in out.splitlines()}
+        assert rows["MAC"] == ["3,051,812"] * 2 + ["3,039,408"] * 4
+        assert rows["MAC (count_macs)"] == ["2,988,960"] * 6
+        code, out, _ = run_cli(capsys, "report", "--format", "kv")
+        assert code == 0
+        lines = out.splitlines()
+        assert "count_macs.total=2988960" in lines
+        assert "gap8@80MHz.mac_count=3051812" in lines
+        assert "cortex-m4@60MHz.mac_count=3039408" in lines
 
     def test_custom_profiles(self, capsys, tmp_path):
         path = tmp_path / "p.csv"

@@ -529,6 +529,16 @@ class TestWindowContainer:
         with pytest.raises(CorruptFile, match="window 1 out of range"):
             load_windows(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_data(self, tmp_path, rng, value):
+        windows = self.sample_windows(rng)
+        windows[3].data[5, 17] = value
+        path = tmp_path / "w.efw"
+        save_windows(path, windows)
+        with pytest.raises(CorruptFile, match="window 3 holds NaN or Inf"):
+            load_windows(path)
+
     @pytest.mark.parametrize("field, value", [("subject", 0), ("subject", 11),
                                               ("session", 0), ("session", 6),
                                               ("weight", 0.0)])

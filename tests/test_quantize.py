@@ -15,6 +15,7 @@ from edgefit.errors import (
     EmptyCalibrationSet,
     InvalidConfig,
     MissingCalibration,
+    NonFiniteInput,
     NumericalContractError,
     RequantRangeError,
     VersionMismatch,
@@ -389,13 +390,77 @@ def reference_qconv(layer, in_spec, x_q):
 def plan_qconv(layer, in_spec, x_q):
     """x_q (B, C_in, L) int8 on in_spec's grid through the conv step the
     plan runs for layer, with scratch arrays of its own."""
-    step = quantize._ConvStep.of(layer, in_spec)
     batch, _, length = x_q.shape
+    step = quantize._ConvStep.of(layer, in_spec, length)
     y = np.empty((batch, layer.w_q.shape[0], length), np.int8)
     scratch = step.scratch(
         lambda shape, dtype, tag="": np.zeros((batch, *shape), dtype), length)
     step.run(x_q, y, *scratch, None)
     return y
+
+
+class TestQuantizeInput:
+    """quantize_input rounds half away from zero and saturates; it clamps
+    in float64 before any integer cast and rejects NaN and Inf."""
+
+    SPEC = QuantSpec(scale=0.03, zero_point=-10)
+
+    @staticmethod
+    def rounded_then_saturated(spec, x):
+        """The arithmetic quantize_input had before it clamped first: round
+        to int64, add the zero point, saturate. Exact for |x/scale| < 2^62."""
+        q = round_half_away(np.asarray(x, np.float64) / spec.scale)
+        return np.clip(q + spec.zero_point, -128, 127).astype(np.int8)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_range_values_unchanged(self, rng, dtype):
+        """Ties at +-0.5 LSB, -0.0, the largest double below 0.5 LSB, the
+        saturation edges and random values give what rounding first gave."""
+        s = self.SPEC.scale
+        k = np.arange(-160.0, 160.0)
+        x = np.concatenate([
+            k * s, (k + 0.5) * s, (k - 0.5) * s,
+            [0.0, -0.0, 0.49999999999999994 * s, -0.49999999999999994 * s,
+             0.49999999999999994, -0.49999999999999994, 1e6, -1e6],
+            rng.uniform(-5, 5, 1000)]).astype(dtype)
+        np.testing.assert_array_equal(quantize_input(self.SPEC, x),
+                                      self.rounded_then_saturated(self.SPEC, x))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("value, q", [(1e20, 127), (-1e20, -128),
+                                          (3e38, 127), (-3e38, -128)])
+    def test_huge_values_saturate(self, dtype, value, q):
+        got = quantize_input(self.SPEC, np.full((7, 40), value, dtype))
+        np.testing.assert_array_equal(got, np.full((7, 40), q, np.int8))
+
+    @pytest.mark.parametrize("value", [1e20, -1e20, 3e38, -3e38])
+    def test_huge_window_logits_are_those_of_a_saturated_one(self, value):
+        """Through qforward and qforward_batch, a window of +-1e20 or
+        +-3e38 gives the logits of one that saturates at +-1e6."""
+        _, qm = quantized_fixture(width=4)
+        x = np.full((7, 40), value, np.float32)
+        expected = qforward(qm, np.full((7, 40), np.sign(value) * 1e6,
+                                        np.float32))
+        np.testing.assert_array_equal(qforward(qm, x), expected)
+        batch = np.stack([x, -x, x])
+        np.testing.assert_array_equal(qforward_batch(qm, batch)[[0, 2]],
+                                      [expected, expected])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_input_raises(self, value):
+        _, qm = quantized_fixture(width=4)
+        windows = make_random_windows(9, seed=3)
+        windows[7].data[2, 11] = value
+        x = np.stack([w.data for w in windows])
+        with pytest.raises(NonFiniteInput):
+            quantize_input(self.SPEC, x)
+        with pytest.raises(NonFiniteInput):
+            qforward(qm, x[7])
+        with pytest.raises(NonFiniteInput):
+            qforward_batch(qm, x)
+        with pytest.raises(NonFiniteInput):
+            quantize.evaluate_quant(qm, windows)
 
 
 class TestQForward:
@@ -723,7 +788,7 @@ class TestExactFloatGemm:
         x = np.stack([win.data for win in make_random_windows(24, seed=4)])
         self.check_against_oracle(qm, x)
         step = qm.plan.layout[1][0]
-        assert step.out_name == "b0.c0.out" and np.all(step.shift_n <= 30)
+        assert step.out_name == "b0.c0.out" and np.all(step.shift <= 31 + 30)
 
 
 def exact_multiplier(ratio):
@@ -742,21 +807,27 @@ class TestQuantPlan:
     def test_multipliers_match_exact_arithmetic(self):
         """Every conv's and add's M0 and n in the plan, and the constants
         folded from them, follow from the scale ratio of the specs found by
-        walking the network here: s_in*s_w/s_out, s_a/s_out, s_h/s_out."""
+        walking the network here: s_in*s_w/s_out, s_a/s_out, s_h/s_out.
+        A conv holds each constant in every column of its channel's row."""
         _, qm = quantized_fixture(width=8)
         qforward(qm, make_random_windows(1, seed=0)[0].data)
         steps = iter(step for step, _ in qm.plan.layout)
+        length = qm.config.seq_len
 
         def conv(layer, in_spec):
             step = next(steps)
             assert step.out_name == f"{layer.name}.out"
             assert step.in_zp == in_spec.zero_point
+            rows = (step.m0, step.shift, step.offset)
+            for row in rows:
+                assert row.dtype == np.int64 and row.flags.c_contiguous
+                assert row.shape == (len(layer.w_scale), length)
             for o, s_w in enumerate(layer.w_scale):
                 m0, n = exact_multiplier(in_spec.scale * float(s_w)
                                          / layer.out_spec.scale)
-                assert (step.m0[o, 0], step.shift_n[o, 0]) == (m0, n)
-                assert step.offset[o, 0] == (int(layer.bias_q[o]) * m0
-                                             + 2 ** (30 + n))
+                offset = int(layer.bias_q[o]) * m0 + 2 ** (30 + n)
+                assert [row[o].tolist() for row in rows] == [
+                    [value] * length for value in (m0, 31 + n, offset)]
             return layer.out_spec
 
         spec = conv(qm.stem, qm.input_spec)
@@ -774,6 +845,29 @@ class TestQuantPlan:
         assert head.in_zp == spec.zero_point
         np.testing.assert_array_equal(
             head.scale, spec.scale * qm.head.w_scale.astype(np.float64))
+
+    @pytest.mark.parametrize("extreme", [False, True])
+    def test_add_tables_match_arithmetic_on_every_pair(self, rng, extreme):
+        """Each add's table holds, at index (a as uint8) << 8 | (h as
+        uint8), the unplanned oracle's add of a and h, for all 65,536
+        pairs; extreme_model's zero points sit at -128 and 127."""
+        _, qm = quantized_fixture(width=8)
+        if extreme:
+            qm = extreme_model(qm, rng)
+        qforward(qm, make_random_windows(1, seed=0)[0].data)
+        index = np.arange(1 << 16)
+        a = (index >> 8).astype(np.uint8).view(np.int8)
+        h = (index & 0xFF).astype(np.uint8).view(np.int8)
+        adds = [step for step, _ in qm.plan.layout
+                if isinstance(step, quantize._AddStep)]
+        assert len(adds) == len(qm.blocks)
+        block_in = qm.stem.out_spec
+        for block, add in zip(qm.blocks, adds):
+            expected = unplanned_qadd(None, block_in, block.convs[-1].out_spec,
+                                      block.out_spec, a, h, None)
+            assert add.table.dtype == np.int8
+            np.testing.assert_array_equal(add.table, expected)
+            block_in = block.out_spec
 
     def test_width_8_matches_oracles(self):
         _, qm = quantized_fixture(width=8)
@@ -846,6 +940,18 @@ class TestQuantPlan:
         finally:
             tracemalloc.stop()
         assert peak < 128 * 1024
+
+    def test_steady_single_window_allocates_under_64kb(self):
+        _, qm = quantized_fixture(width=52, n_calib=16)
+        x = make_random_windows(1, seed=2)[0].data
+        qforward(qm, x)
+        tracemalloc.start()
+        try:
+            qforward(qm, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_plan_checks_the_model(self):
         _, qm = quantized_fixture(width=4)
