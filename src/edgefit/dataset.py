@@ -147,16 +147,21 @@ def _read_csv(f: Path, number: int) -> tuple | None:
     float32 channels, labels, subjects and sessions (each distinct string
     parsed once), each row's first physical line and number. Errors as in
     load_recordings."""
-    with open(f, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        idx = None if header is None else resolve_columns(header, str(f))
-        numbered = []
-        start = reader.line_num + 1   # a quoted field may span lines
-        for row in reader:
-            if any(map(str.strip, row)):
-                numbered.append((start, row))
-            start = reader.line_num + 1
+    try:
+        with open(f, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            idx = None if header is None else resolve_columns(header, str(f))
+            numbered = []
+            start = reader.line_num + 1   # a quoted field may span lines
+            for row in reader:
+                if any(map(str.strip, row)):
+                    numbered.append((start, row))
+                start = reader.line_num + 1
+    except UnicodeDecodeError as e:
+        raise CorruptFile(f"{f}: not {e.encoding} text ({e.reason})") from None
+    except csv.Error as e:   # e.g. a field longer than csv's limit
+        raise MalformedRow(reader.line_num, str(e), str(f)) from None
     if not numbered:   # also when f is empty, without a header
         return None
     lines, rows = zip(*numbered)

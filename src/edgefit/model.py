@@ -33,8 +33,11 @@ class ModelConfig:
     bn_eps: float = 1e-3
 
     def __post_init__(self):
-        # keep bn_eps float32-exact so the file format round-trips the config
-        object.__setattr__(self, "bn_eps", float(np.float32(self.bn_eps)))
+        # keep bn_eps float32-exact so the file format round-trips the
+        # config; one beyond float32's range becomes inf, which validate
+        # rejects
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "bn_eps", float(np.float32(self.bn_eps)))
 
     def validate(self) -> None:
         if min(self.in_channels, self.seq_len, self.classes, self.width,
@@ -42,8 +45,9 @@ class ModelConfig:
             raise InvalidConfig(f"non-positive dimension in {self}")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise InvalidConfig(f"kernel must be odd and positive, got {self.kernel}")
-        if not self.bn_eps >= 0:
-            raise InvalidConfig(f"bn_eps must be >= 0, got {self.bn_eps}")
+        if not 0 <= self.bn_eps < np.inf:
+            raise InvalidConfig(f"bn_eps must be finite and >= 0, "
+                                f"got {self.bn_eps}")
 
 
 @dataclass
@@ -270,6 +274,17 @@ class MacReport:
         return "\n".join(lines)
 
 
+def _weights_and_biases(config: ModelConfig) -> tuple[int, int]:
+    """The weight and bias counts of config's convs and head, in closed
+    form: no table of its layers is built, so a file's config can be
+    bounded by them before anything is allocated for it."""
+    c, k = config.width, config.kernel
+    convs = config.blocks * config.convs_per_block      # besides the stem
+    weights = (c * config.in_channels * k + convs * c * c * k
+               + config.classes * config.seq_len * c)
+    return weights, c * (1 + convs) + config.classes
+
+
 def count_macs(config: ModelConfig) -> MacReport:
     """Per-layer multiply-accumulate counts and memory footprint estimates.
 
@@ -290,10 +305,7 @@ def count_macs(config: ModelConfig) -> MacReport:
     per_layer["head"] = l * c * config.classes
     total = sum(per_layer.values())
 
-    conv_shapes = [(c, config.in_channels)] + \
-        [(c, c)] * (config.blocks * config.convs_per_block)
-    weights = sum(co * ci * k for co, ci in conv_shapes) + config.classes * l * c
-    biases = sum(co for co, _ in conv_shapes) + config.classes
+    weights, biases = _weights_and_biases(config)
     out_channels = biases
     flash = weights * 1 + biases * 4 + out_channels * 4
 
@@ -340,9 +352,10 @@ def config_from_meta(contents: container.Contents) -> ModelConfig:
         if any(type(d) is not int for d in dims):
             raise TypeError(f"non-integer dimension in {config}")
         config.validate()
-    except (KeyError, TypeError, ValueError, InvalidConfig) as e:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            InvalidConfig) as e:
         raise CorruptFile(f"{contents.path}: bad model config ({e})") from None
-    if count_macs(config).param_count > sum(
+    if sum(_weights_and_biases(config)) > sum(
             arr.size for arr in contents.tensors.values()):
         raise CorruptFile(f"{contents.path}: bad model config ({config} "
                           f"has more parameters than the file holds)")
@@ -360,11 +373,17 @@ def save(m: ModelParams, path: str | Path) -> None:
 
 def load(path: str | Path) -> ModelParams:
     """Read an EFM2 file: every tensor must have the dtype and shape of the
-    one build gives for the file's config."""
+    one build gives for the file's config, and be finite, and no running
+    variance may be negative."""
     contents = container.read(path, MODEL_MAGIC)
     m = build(config_from_meta(contents), 0)
     for name, arr in m.all_tensors():
         arr[...] = contents.take(name, "<f4", arr.shape)
+        if not np.isfinite(arr).all():
+            raise CorruptFile(f"{contents.path}: tensor {name} is not finite")
+        if name.endswith(".var") and (arr < 0).any():
+            raise CorruptFile(f"{contents.path}: tensor {name} holds a "
+                              f"negative variance")
     contents.finish()
     m.bn_folded = contents.meta.get("bn_folded")
     if not isinstance(m.bn_folded, bool):

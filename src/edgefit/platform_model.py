@@ -203,26 +203,33 @@ def load_profiles(path: str | Path) -> list[PlatformProfile]:
     path = Path(path)
     if not path.is_file():
         raise CorruptFile(f"profile file not found: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+    except UnicodeDecodeError as e:
+        raise CorruptFile(
+            f"{path}: not {e.encoding} text ({e.reason})") from None
+    except csv.Error as e:   # e.g. a field longer than csv's limit
+        raise CorruptFile(f"{path}: {e}") from None
     profiles = []
-    with open(path, newline="") as f:
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if lineno == 1 and not _is_number(row[1] if len(row) > 1 else ""):
-                continue   # header
-            if len(row) != 5:
-                raise CorruptFile(f"{path}:{lineno}: expected 5 fields, "
-                                  f"got {len(row)}")
-            try:
-                profiles.append(PlatformProfile(
-                    name=row[0].strip(),
-                    clock_hz=float(row[1]),
-                    power_mw=float(row[2]),
-                    time_per_inference_ms=float(row[3]),
-                    mac_count=int(float(row[4])),
-                ))
-            except (ValueError, OverflowError) as e:   # int(inf) overflows
-                raise CorruptFile(f"{path}:{lineno}: {e}") from None
+    for lineno, row in enumerate(rows, start=1):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if lineno == 1 and not _is_number(row[1] if len(row) > 1 else ""):
+            continue   # header
+        if len(row) != 5:
+            raise CorruptFile(f"{path}:{lineno}: expected 5 fields, "
+                              f"got {len(row)}")
+        try:
+            profiles.append(PlatformProfile(
+                name=row[0].strip(),
+                clock_hz=float(row[1]),
+                power_mw=float(row[2]),
+                time_per_inference_ms=float(row[3]),
+                mac_count=int(float(row[4])),
+            ))
+        except (ValueError, OverflowError) as e:   # int(inf) overflows
+            raise CorruptFile(f"{path}:{lineno}: {e}") from None
     if not profiles:
         raise CorruptFile(f"no profiles in {path}")
     return profiles

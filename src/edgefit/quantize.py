@@ -25,18 +25,22 @@ cast back to integers before anything is added, so the accumulators equal
 those of an int32 GEMM bit for bit. The convs lower through
 kernels.conv1d, the one conv lowering of the package.
 
-The model stores what a microcontroller runtime stores (TensorFlow Lite
-Micro): per conv and for the head the int8 weights, their per-channel
-scales and the int32 biases, and one (scale, zero point) spec per
-activation, the one its layer produces: the input, each conv's output and
-each residual add's output. Each activation has one name, from
-model.activation_names: calibrate ranges it, quantize_model reads that
-range, the EFQ3 file stores its spec and the int8 trace records it under
-that name. A layer's input spec is that of the activation before it. The
-fixed-point multipliers are not stored: like each TFLM kernel's Prepare,
-the plan derives every M0 and n with quantize_multiplier when it lays the
-network out, from s_in*s_w/s_out per conv channel and s_a/s_out,
-s_h/s_out per add.
+The model, QuantModel, holds exactly what an EFQ3 file holds, which is
+what a microcontroller runtime stores (TensorFlow Lite Micro): one QLayer
+per conv and for the head, with the int8 weights, their per-channel scales
+and the int32 biases, and one table, specs, of a (scale, zero point) per
+activation: the input, each conv's output and each residual add's output.
+The table is keyed and ordered by model.activation_names: calibrate ranges
+each activation under its name, quantize_model reads that range, the EFQ3
+file stores its spec and the int8 trace records it under that name. A
+layer reads the activation just before its output in that order, and the
+head reads the last one. A conv is named by its position, as in
+ModelParams.conv_layers, and fuses a ReLU unless it is a block's last;
+_layout is the one walk that knows this topology. The fixed-point
+multipliers are not stored: like each TFLM kernel's Prepare, the plan
+derives every M0 and n with quantize_multiplier when it lays the network
+out, from s_in*s_w/s_out per conv channel and s_a/s_out, s_h/s_out per
+add.
 
 The plan. qforward_batch runs a QuantPlan, built at the model's first
 qforward_batch and kept on it (QuantModel.plan), over blocks of
@@ -126,7 +130,7 @@ CALIB_BLOCK = 64        # windows per forward_batch call in calibrate
 
 QUANT_MAGIC = b"EFQ3"
 
-# the arrays of a QConvLayer or QDense with their EFQ3 dtypes
+# the arrays of a QLayer with their EFQ3 dtypes
 _LAYER_TENSORS = (("w_q", "|i1"), ("w_scale", "<f4"), ("bias_q", "<i4"))
 
 
@@ -286,54 +290,34 @@ def _requantize_array(acc: np.ndarray, m0, shift_n, zero_point_out: int
 # ---------------------------------------------------------------------------
 
 @dataclass
-class QConvLayer:
-    name: str
-    w_q: np.ndarray           # (C_out, C_in, K) int8
+class QLayer:
+    """A conv's or the head's tensors, as EFQ3 stores them."""
+
+    w_q: np.ndarray           # (C_out, C_in, K), or (classes, N) for the head
     w_scale: np.ndarray       # (C_out,) float32
     bias_q: np.ndarray        # (C_out,) int32
-    out_spec: QuantSpec
-    relu: bool
-
-
-@dataclass
-class QDense:
-    w_q: np.ndarray           # (classes, N) int8
-    w_scale: np.ndarray       # (classes,) float32
-    bias_q: np.ndarray        # (classes,) int32
-
-
-@dataclass
-class QBlock:
-    convs: list[QConvLayer]
-    out_spec: QuantSpec       # the residual add's output
 
 
 @dataclass
 class QuantModel:
     config: ModelConfig
-    input_spec: QuantSpec
-    stem: QConvLayer
-    blocks: list[QBlock]
-    head: QDense
+    # one spec per activation, keyed and ordered by activation_names(config)
+    specs: dict[str, QuantSpec]
+    stem: QLayer
+    blocks: list[list[QLayer]]
+    head: QLayer
     # built by the first qforward_batch (see the module docstring)
     plan: QuantPlan | None = dataclasses.field(
         default=None, init=False, repr=False, compare=False)
 
     def layers(self):
-        yield self.stem
-        for block in self.blocks:
-            yield from block.convs
-
-
-def _spec_items(qm: QuantModel):
-    """Yield (name, QuantSpec) for every activation in network order: the
-    input, each conv's output and each residual add's output."""
-    yield "input", qm.input_spec
-    yield "stem.out", qm.stem.out_spec
-    for i, block in enumerate(qm.blocks):
-        for layer in block.convs:
-            yield f"{layer.name}.out", layer.out_spec
-        yield f"b{i}.add.out", block.out_spec
+        """Yield (name, QLayer) for every conv, named as in
+        ModelParams.conv_layers, and then ("head", head)."""
+        yield "stem", self.stem
+        for i, block in enumerate(self.blocks):
+            for j, layer in enumerate(block):
+                yield f"b{i}.c{j}", layer
+        yield "head", self.head
 
 
 def _check_accumulator(name: str, fan_in: int, bias_q: np.ndarray) -> None:
@@ -380,8 +364,7 @@ def _quantize_weights(name: str, w: np.ndarray, b: np.ndarray, s_in: float,
 
 
 def _quantize_conv(name: str, w: np.ndarray, b: np.ndarray,
-                   in_spec: QuantSpec, out_spec: QuantSpec,
-                   relu: bool) -> QConvLayer:
+                   in_spec: QuantSpec, out_spec: QuantSpec) -> QLayer:
     # the floor keeps the multiplier's scale ratio s_in * s_w / s_out at
     # or above 2^-31, so its shift n <= 30
     w_q, w_scale, bias_q = _quantize_weights(
@@ -394,8 +377,7 @@ def _quantize_conv(name: str, w: np.ndarray, b: np.ndarray,
               >= 2.0 ** 30):
         raise AccumulatorOverflow(f"{name}: quantized bias exceeds int32 at "
                                   f"every scale the multiplier can express")
-    return QConvLayer(name=name, w_q=w_q, w_scale=w_scale, bias_q=bias_q,
-                      out_spec=out_spec, relu=relu)
+    return QLayer(w_q, w_scale, bias_q)
 
 
 def quantize_model(folded: ModelParams, stats: CalibStats) -> QuantModel:
@@ -404,28 +386,18 @@ def quantize_model(folded: ModelParams, stats: CalibStats) -> QuantModel:
     so its plan can be laid out."""
     if not folded.bn_folded:
         raise InvalidConfig("quantize_model expects a BN-folded model")
-    specs = {name: activation_spec(*stats.range_of(name))
-             for name in activation_names(folded.config)}
-
-    def conv(name, layer, in_spec, relu):
-        return _quantize_conv(name, layer.w, layer.b, in_spec,
-                              specs[f"{name}.out"], relu)
-
-    stem = conv("stem", folded.stem, specs["input"], relu=True)
-    blocks = []
-    current = stem.out_spec
-    for i, block in enumerate(folded.blocks):
-        convs = []
-        for j, layer in enumerate(block):
-            convs.append(conv(f"b{i}.c{j}", layer, current,
-                              relu=j < len(block) - 1))
-            current = convs[-1].out_spec
-        current = specs[f"b{i}.add.out"]
-        blocks.append(QBlock(convs=convs, out_spec=current))
-    head = QDense(*_quantize_weights("head", folded.head_w, folded.head_b,
-                                     current.scale, 0.0))
-    qm = QuantModel(config=folded.config, input_spec=specs["input"],
-                    stem=stem, blocks=blocks, head=head)
+    names = activation_names(folded.config)
+    specs = {name: activation_spec(*stats.range_of(name)) for name in names}
+    # each conv reads the activation just before its output
+    read_by = dict(zip(names[1:], names))
+    convs = [_quantize_conv(name, layer.w, layer.b,
+                            specs[read_by[f"{name}.out"]], specs[f"{name}.out"])
+             for name, layer in folded.conv_layers()]
+    head = QLayer(*_quantize_weights("head", folded.head_w, folded.head_b,
+                                     specs[names[-1]].scale, 0.0))
+    n = folded.config.convs_per_block
+    qm = QuantModel(folded.config, specs, convs[0],
+                    [convs[i:i + n] for i in range(1, len(convs), n)], head)
     check_quant_invariants(qm)
     return qm
 
@@ -458,10 +430,12 @@ def quantize_input(spec: QuantSpec, x: np.ndarray,
     x/scale is clamped in float64 to [-128 - zp, 127 - zp] before the
     integer cast: rounding keeps a value between two integers between
     them, so the result is that of rounding and then saturating, and no
-    value too large for int64 reaches the cast."""
+    value too large for int64 reaches the cast. A finite x whose quotient
+    overflows to +-inf saturates the same way, without a warning."""
     kernels.check_finite(x, "int8 input")
     zp = spec.zero_point
-    v = np.divide(x, spec.scale, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        v = np.divide(x, spec.scale, dtype=np.float64)
     np.maximum(v, QMIN - zp, out=v)
     q = round_half_away(np.minimum(v, QMAX - zp, out=v))
     q += zp
@@ -489,18 +463,19 @@ class _ConvStep:
     low: int                  # the output zero point under a fused ReLU
 
     @classmethod
-    def of(cls, layer: QConvLayer, in_spec: QuantSpec, length: int
-           ) -> _ConvStep:
-        """The step of layer reading an activation of length L on
-        in_spec's grid, with M0 and n per channel from s_in*s_w/s_out; a
-        weight scale that is not finite and positive makes its ratio so."""
+    def of(cls, name: str, layer: QLayer, in_spec: QuantSpec,
+           out_spec: QuantSpec, relu: bool, length: int) -> _ConvStep:
+        """The step of the conv name reading an activation of length L on
+        in_spec's grid into out_spec's, with M0 and n per channel from
+        s_in*s_w/s_out and, if relu, a fused ReLU; a weight scale that is
+        not finite and positive makes its ratio so."""
         _, c_in, k = layer.w_q.shape
-        _check_accumulator(layer.name, c_in * k, layer.bias_q)
-        out_name = f"{layer.name}.out"
-        out = _checked(out_name, layer.out_spec)
+        _check_accumulator(name, c_in * k, layer.bias_q)
+        out_name = f"{name}.out"
+        out = _checked(out_name, out_spec)
         ratios = in_spec.scale * layer.w_scale.astype(np.float64) / out.scale
         m0, shift_n = (np.array(column, np.int64)[:, None] for column in zip(
-            *(quantize_multiplier(float(r), layer.name) for r in ratios)))
+            *(quantize_multiplier(float(r), name) for r in ratios)))
         # |bias_q| < 2^31 - fan_in*128*255 and M0 < 2^31 bound (acc +
         # bias)*M0 by 2^62 and n <= 31 the rounding term by 2^61, so
         # neither the offset nor acc*M0 + offset leaves int64
@@ -509,10 +484,10 @@ class _ConvStep:
 
         def row(column):
             return np.repeat(column, length, axis=1)
-        return cls(f"{layer.name}.acc", out_name,
+        return cls(f"{name}.acc", out_name,
                    layer.w_q.astype(_gemm_dtype(c_in * k)), row(m0),
                    row(offset), row(shift_n + 31), in_spec.zero_point,
-                   out.zero_point, out.zero_point if layer.relu else QMIN)
+                   out.zero_point, out.zero_point if relu else QMIN)
 
     def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
         """(padded, its interior, patches, GEMM output, int64 accumulators),
@@ -602,7 +577,7 @@ class _HeadStep:
     in_zp: int
 
     @classmethod
-    def of(cls, head: QDense, in_spec: QuantSpec) -> _HeadStep:
+    def of(cls, head: QLayer, in_spec: QuantSpec) -> _HeadStep:
         _check_accumulator("head", head.w_q.shape[1], head.bias_q)
         if not np.all((head.w_scale > 0) & np.isfinite(head.w_scale)):
             raise RequantRangeError("head: weight scales must be finite and "
@@ -625,34 +600,39 @@ class _HeadStep:
 
 
 def _layout(qm: QuantModel) -> list[tuple]:
-    """Walk the network once: pass each step the spec of the activation it
-    reads, which checks the layer and derives its multipliers, and place
-    its arena operands. Returns (step, its operands as (offset, shape,
-    dtype)) in run order."""
+    """Walk the network once: pass each step the specs of the activations
+    it reads and writes, which checks the layer and derives its
+    multipliers, and place its arena operands. Every conv fuses a ReLU but
+    a block's last. Returns (step, its operands as (offset, shape, dtype))
+    in run order."""
     cfg = qm.config
+    specs = qm.specs
     length = cfg.seq_len
     act = (cfg.width, length)
     slot = [0, cfg.width * length, 2 * cfg.width * length]
-    current = _checked("input", qm.input_spec)
     # the input sits above slot 0 and dies once the stem has run
-    layout = [(_ConvStep.of(qm.stem, current, length), [
+    layout = [(_ConvStep.of("stem", qm.stem, _checked("input", specs["input"]),
+                            specs["stem.out"], True, length), [
         (slot[1], (cfg.in_channels, length), np.int8), (0, act, np.int8)])]
-    current = qm.stem.out_spec
+    current = "stem.out"
     for i, block in enumerate(qm.blocks):
         # slot 0 keeps the block input for the skip; the convs alternate
         # between slots 1 and 2
         block_in, src = current, 0
-        for j, layer in enumerate(block.convs):
-            dst = slot[1 + j % 2]
-            layout.append((_ConvStep.of(layer, current, length), [
-                (src, act, np.int8), (dst, act, np.int8)]))
-            src, current = dst, layer.out_spec
-        layout.append((_AddStep.of(f"b{i}.add", block_in, current,
-                                   block.out_spec, cfg.width), [
+        for j, layer in enumerate(block):
+            name, dst = f"b{i}.c{j}", slot[1 + j % 2]
+            layout.append((_ConvStep.of(
+                name, layer, specs[current], specs[f"{name}.out"],
+                j < len(block) - 1, length), [
+                    (src, act, np.int8), (dst, act, np.int8)]))
+            src, current = dst, f"{name}.out"
+        layout.append((_AddStep.of(f"b{i}.add", specs[block_in],
+                                   specs[current], specs[f"b{i}.add.out"],
+                                   cfg.width), [
             (0, act, np.int8), (src, act, np.int8), (0, act, np.int8)]))
-        current = block.out_spec
+        current = f"b{i}.add.out"
     # the head reads slot 0 and keeps its int32 accumulators above it
-    layout.append((_HeadStep.of(qm.head, current), [
+    layout.append((_HeadStep.of(qm.head, specs[current]), [
         (0, (cfg.width * length,), np.int8),
         (slot[1], (cfg.classes,), np.int32)]))
     return layout
@@ -666,7 +646,7 @@ class QuantPlan:
     docstring)."""
 
     def __init__(self, qm: QuantModel):
-        self.input_spec = qm.input_spec
+        self.input_spec = qm.specs["input"]
         # (step, its arena operands as (offset, shape, dtype))
         self.layout = _layout(qm)
         # the stem's first operand
@@ -789,11 +769,9 @@ def save(qm: QuantModel, path: str | Path) -> None:
     config as metadata and as named tensors the w_q, w_scale and bias_q of
     every conv and the head and the scale and zero point of every
     activation. Which convs fuse a ReLU follows from the architecture."""
-    named = [(layer.name, layer) for layer in qm.layers()]
-    named.append(("head", qm.head))
     tensors = {f"{name}.{attr}": getattr(layer, attr).astype(dtype)
-               for name, layer in named for attr, dtype in _LAYER_TENSORS}
-    for name, spec in _spec_items(qm):
+               for name, layer in qm.layers() for attr, dtype in _LAYER_TENSORS}
+    for name, spec in qm.specs.items():
         tensors[f"{name}.scale"] = np.array(spec.scale, "<f4")
         tensors[f"{name}.zero_point"] = np.array(spec.zero_point, "<i4")
     container.write(path, QUANT_MAGIC,
@@ -808,25 +786,19 @@ def load(path: str | Path) -> QuantModel:
     take = contents.take
     c = cfg.width
 
-    def spec(name):
-        return QuantSpec(float(take(f"{name}.scale", "<f4", ())),
+    def layer(name, shape):
+        return QLayer(*(take(f"{name}.{attr}", dtype, shape if attr == "w_q"
+                             else shape[:1]) for attr, dtype in _LAYER_TENSORS))
+
+    qm = QuantModel(
+        cfg,
+        {name: QuantSpec(float(take(f"{name}.scale", "<f4", ())),
                          int(take(f"{name}.zero_point", "<i4", ())))
-
-    def arrays(name, shape):
-        return [take(f"{name}.{attr}", dtype, shape if attr == "w_q"
-                     else shape[:1]) for attr, dtype in _LAYER_TENSORS]
-
-    def conv(name, c_in, relu):
-        return QConvLayer(name, *arrays(name, (c, c_in, cfg.kernel)),
-                          spec(f"{name}.out"), relu)
-
-    stem = conv("stem", cfg.in_channels, True)
-    blocks = [QBlock([conv(f"b{i}.c{j}", c, j < cfg.convs_per_block - 1)
-                      for j in range(cfg.convs_per_block)],
-                     spec(f"b{i}.add.out"))
-              for i in range(cfg.blocks)]
-    head = QDense(*arrays("head", (cfg.classes, cfg.seq_len * c)))
-    qm = QuantModel(cfg, spec("input"), stem, blocks, head)
+         for name in activation_names(cfg)},
+        layer("stem", (c, cfg.in_channels, cfg.kernel)),
+        [[layer(f"b{i}.c{j}", (c, c, cfg.kernel))
+          for j in range(cfg.convs_per_block)] for i in range(cfg.blocks)],
+        layer("head", (cfg.classes, cfg.seq_len * c)))
     contents.finish()
     check_quant_invariants(qm)
     return qm

@@ -105,6 +105,25 @@ class TestPrepare:
         assert_one_error_line(err, "MalformedRow")
         assert f"{data}:2: session field missing" in err
 
+    @pytest.mark.parametrize("field, error, named", [
+        (b"\xff", "CorruptFile", ": not utf-8 text"),
+        (b"1" * 131_073, "MalformedRow", ":3: field larger than field limit"),
+    ])
+    def test_undecodable_or_oversized_field_is_data_error(
+            self, capsys, tmp_path, field, error, named):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"timestamp,acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,"
+                         b"hbc,label,subject,session\n"
+                         b"0.0,1,2,3,4,5,6,7,0,1,1\n0.05,1,2,"
+                         + field + b",4,5,6,7,0,1,1\n")
+        out = tmp_path / "o"
+        code, _, err = run_cli(capsys, "prepare", "--dataset", str(data),
+                               "--out", str(out))
+        assert code == cli.EXIT_DATA
+        assert_one_error_line(err, error)
+        assert f"{data}{named}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--stride", "0"),
                                              ("--fold", "x")])
     def test_bad_argument_is_usage_error(self, capsys, pipeline, tmp_path,
@@ -274,6 +293,18 @@ class TestEval:
         assert_one_error_line(err, "CorruptFile")
         assert "window 2 holds NaN or Inf" in err
 
+    def test_non_finite_weight_is_data_error(self, capsys, pipeline, tmp_path):
+        contents = container.read(pipeline["model"], model.MODEL_MAGIC)
+        contents.tensors["b0.c0.w"].flat[0] = float("nan")
+        bad = tmp_path / "bad.efm"
+        container.write(bad, model.MODEL_MAGIC, contents.meta,
+                        contents.tensors)
+        code, stdout, err = run_cli(capsys, "eval", "--model", str(bad),
+                                    "--windows", str(pipeline["windows"]))
+        assert code == cli.EXIT_DATA and not stdout
+        assert_one_error_line(err, "CorruptFile")
+        assert "tensor b0.c0.w is not finite" in err
+
     def test_short_multipliers_are_data_error(self, capsys, pipeline,
                                               tmp_path):
         bad = tmp_path / "bad.efq"
@@ -375,6 +406,14 @@ class TestReport:
         assert_one_error_line(err, error)
         assert named in err
 
+
+    def test_undecodable_profiles_are_data_error(self, capsys, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"a,1e6,1.0,1000,1000000\n\xff,1e6,1.0,500,1000000\n")
+        code, out, err = run_cli(capsys, "report", "--profiles", str(path))
+        assert code == cli.EXIT_DATA and not out
+        assert_one_error_line(err, "CorruptFile")
+        assert f"{path}: not utf-8 text" in err
 
     @pytest.mark.parametrize("argv, named", [
         (["--stride", "0"], "--stride"),

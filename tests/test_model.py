@@ -8,9 +8,10 @@ from conftest import (
     conv1d_same,
     dense,
     layerwise_forward,
+    make_random_windows,
     randomize_bn,
 )
-from edgefit import kernels, model
+from edgefit import container, kernels, model, quantize
 from edgefit.errors import (
     CorruptFile,
     InvalidConfig,
@@ -315,3 +316,50 @@ class TestModelFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorruptFile):
             model.load(tmp_path / "ghost.efm")
+
+    @staticmethod
+    def forged(tmp_path, kind, edit):
+        """A checksummed width-4 EFM2 or EFQ3 file after edit(contents)."""
+        m = fold_batchnorm(randomize_bn(build(ModelConfig(width=4), seed=0)))
+        path = tmp_path / kind
+        if kind == "EFM2":
+            model.save(m, path)
+        else:
+            quantize.save(quantize.quantize_model(m, quantize.calibrate(
+                m, make_random_windows(2, seed=0))), path)
+        contents = container.read(path, kind.encode())
+        edit(contents)
+        container.write(path, kind.encode(), contents.meta, contents.tensors)
+        return path, {"EFM2": model.load, "EFQ3": quantize.load}[kind]
+
+    @pytest.mark.parametrize("kind", ["EFM2", "EFQ3"])
+    @pytest.mark.parametrize("field, value", [
+        ("blocks", 2 ** 31), ("convs_per_block", 2 ** 31),
+        ("bn_eps", 1e308), ("bn_eps", 10 ** 400)])
+    def test_config_out_of_range_is_corrupt(self, tmp_path, monkeypatch,
+                                            kind, field, value):
+        """2^31 blocks or convs are bounded by the closed-form parameter
+        count before count_macs could build its per-layer table, and a
+        bn_eps beyond float32 is rejected without a warning."""
+        def refused(config):
+            raise AssertionError("a loader built the per-layer MAC table")
+
+        monkeypatch.setattr(model, "count_macs", refused)
+        path, load = self.forged(
+            tmp_path, kind,
+            lambda contents: contents.meta["config"].update({field: value}))
+        with pytest.raises(CorruptFile, match="bad model config"):
+            load(path)
+
+    @pytest.mark.parametrize("name, value", [
+        ("stem.w", float("nan")), ("b0.c1.b", float("inf")),
+        ("head.w", -float("inf")), ("b1.c0.var", float("nan")),
+        ("b2.c2.var", -1.0)])
+    def test_non_finite_tensor_or_negative_variance_is_corrupt(
+            self, tmp_path, name, value):
+        def edit(contents):
+            contents.tensors[name].flat[1] = value
+
+        path, load = self.forged(tmp_path, "EFM2", edit)
+        with pytest.raises(CorruptFile, match=f"tensor {name} "):
+            load(path)

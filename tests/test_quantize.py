@@ -337,31 +337,31 @@ class TestQuantizeModel:
         b = np.zeros(1, dtype=np.float32)
         spec = QuantSpec(scale=0.1, zero_point=0)
         with pytest.raises(AccumulatorOverflow):
-            quantize._quantize_conv("huge", w, b, spec, spec, relu=False)
+            quantize._quantize_conv("huge", w, b, spec, spec)
 
     def test_bias_overflow(self):
         w = np.ones((1, 2, 3), dtype=np.float32)
         b = np.array([1e30], dtype=np.float32)
         spec = QuantSpec(scale=0.1, zero_point=0)
         with pytest.raises(AccumulatorOverflow):
-            quantize._quantize_conv("big-bias", w, b, spec, spec, relu=False)
+            quantize._quantize_conv("big-bias", w, b, spec, spec)
 
 
-def conv_multipliers(layer, in_spec):
+def conv_multipliers(layer, in_spec, out_spec):
     """quantize_multiplier's M0 and n per output channel of layer, reading
-    in_spec's grid, as two int64 columns."""
+    in_spec's grid into out_spec's, as two int64 columns."""
     ratios = (in_spec.scale * layer.w_scale.astype(np.float64)
-              / layer.out_spec.scale)
+              / out_spec.scale)
     pairs = [quantize_multiplier(float(r)) for r in ratios]
     return (np.array([m0 for m0, _ in pairs], np.int64)[:, None],
             np.array([n for _, n in pairs], np.int64)[:, None])
 
 
-def reference_qconv(layer, in_spec, x_q):
+def reference_qconv(layer, in_spec, out_spec, relu, x_q):
     """Exact integer oracle: Python-loop convolution plus long-division
     rounding, independent of the numpy/shift implementation."""
     c_out, c_in, k = layer.w_q.shape
-    m0, shift = conv_multipliers(layer, in_spec)
+    m0, shift = conv_multipliers(layer, in_spec, out_spec)
     length = x_q.shape[1]
     pad = (k - 1) // 2
     out = np.zeros((c_out, length), dtype=np.int64)
@@ -379,19 +379,19 @@ def reference_qconv(layer, in_spec, x_q):
             q, r = divmod(num, den)          # floor division, exact ints
             if 2 * r >= den:                 # round half toward +inf
                 q += 1
-            q += layer.out_spec.zero_point
+            q += out_spec.zero_point
             q = max(-128, min(127, q))
-            if layer.relu:
-                q = max(q, layer.out_spec.zero_point)
+            if relu:
+                q = max(q, out_spec.zero_point)
             out[o, t] = q
     return out.astype(np.int8)
 
 
-def plan_qconv(layer, in_spec, x_q):
+def plan_qconv(layer, in_spec, out_spec, relu, x_q):
     """x_q (B, C_in, L) int8 on in_spec's grid through the conv step the
     plan runs for layer, with scratch arrays of its own."""
     batch, _, length = x_q.shape
-    step = quantize._ConvStep.of(layer, in_spec, length)
+    step = quantize._ConvStep.of("t", layer, in_spec, out_spec, relu, length)
     y = np.empty((batch, layer.w_q.shape[0], length), np.int8)
     scratch = step.scratch(
         lambda shape, dtype, tag="": np.zeros((batch, *shape), dtype), length)
@@ -433,6 +433,13 @@ class TestQuantizeInput:
         got = quantize_input(self.SPEC, np.full((7, 40), value, dtype))
         np.testing.assert_array_equal(got, np.full((7, 40), q, np.int8))
 
+    @pytest.mark.parametrize("value, q", [(1.7e308, 127), (-1.7e308, -128)])
+    def test_quotient_beyond_float64_saturates_silently(self, value, q):
+        """x/scale overflows float64 at scale 0.03; the warnings filter
+        turns any RuntimeWarning into an error."""
+        got = quantize_input(self.SPEC, np.full((7, 40), value))
+        np.testing.assert_array_equal(got, np.full((7, 40), q, np.int8))
+
     @pytest.mark.parametrize("value", [1e20, -1e20, 3e38, -3e38])
     def test_huge_window_logits_are_those_of_a_saturated_one(self, value):
         """Through qforward and qforward_batch, a window of +-1e20 or
@@ -471,10 +478,10 @@ class TestQForward:
         spec = QuantSpec(scale=0.05, zero_point=3)
         w = np.eye(c, dtype=np.float32)[:, :, None]
         layer = quantize._quantize_conv("id", w, np.zeros(c, np.float32),
-                                        spec, spec, relu=False)
+                                        spec, spec)
         rng = np.random.default_rng(0)
         x_q = rng.integers(-128, 128, size=(1, c, 10)).astype(np.int8)
-        out = plan_qconv(layer, spec, x_q)[0]
+        out = plan_qconv(layer, spec, spec, False, x_q)[0]
         assert np.abs(out.astype(int) - x_q[0].astype(int)).max() <= 2
 
     def test_one_layer_exact_integer_oracle(self, rng):
@@ -482,12 +489,12 @@ class TestQForward:
         b = rng.standard_normal(3).astype(np.float32) * 0.1
         in_spec = QuantSpec(scale=0.04, zero_point=-5)
         out_spec = QuantSpec(scale=0.11, zero_point=12)
+        layer = quantize._quantize_conv("t", w, b, in_spec, out_spec)
         for relu in (False, True):
-            layer = quantize._quantize_conv("t", w, b, in_spec, out_spec, relu)
             x_q = rng.integers(-128, 128, size=(1, 2, 9)).astype(np.int8)
-            got = plan_qconv(layer, in_spec, x_q)[0]
+            got = plan_qconv(layer, in_spec, out_spec, relu, x_q)[0]
             np.testing.assert_array_equal(
-                got, reference_qconv(layer, in_spec, x_q[0]))
+                got, reference_qconv(layer, in_spec, out_spec, relu, x_q[0]))
 
     def test_no_floats_in_integer_path(self):
         _, qm = quantized_fixture(width=4)
@@ -505,8 +512,8 @@ class TestQForward:
         assert np.all(np.isfinite(a))
         # zero input quantizes exactly to the input zero point
         np.testing.assert_array_equal(
-            quantize_input(qm.input_spec, zero),
-            np.full((7, 40), qm.input_spec.zero_point, dtype=np.int8))
+            quantize_input(qm.specs["input"], zero),
+            np.full((7, 40), qm.specs["input"].zero_point, dtype=np.int8))
 
     def test_single_matches_batched(self):
         _, qm = quantized_fixture(width=4)
@@ -575,7 +582,30 @@ def oracle_requantize(acc, m0, shift_n, zero_point_out, low=-128):
     return np.clip(value, low, 127, out=value).astype(np.int8)
 
 
-def unplanned_qconv(layer, in_spec, x_q, trace):
+def walk_network(qm, q, conv, add):
+    """The int8 network as the oracles run it, independent of _layout: q =
+    conv(name, layer, in_spec, out_spec, relu, q) for each conv, where
+    every conv but a block's last fuses a ReLU, and q = add(name, a_spec,
+    h_spec, out_spec, q_a, q_h) for each block's residual add of its input
+    q_a and its last conv's output q_h. Returns the head's input and its
+    spec."""
+    specs = qm.specs
+    q = conv("stem", qm.stem, specs["input"], specs["stem.out"], True, q)
+    spec = specs["stem.out"]
+    for i, block in enumerate(qm.blocks):
+        q_in, block_in = q, spec
+        for j, layer in enumerate(block):
+            name = f"b{i}.c{j}"
+            out = specs[f"{name}.out"]
+            q = conv(name, layer, spec, out, j < len(block) - 1, q)
+            spec = out
+        out = specs[f"b{i}.add.out"]
+        q = add(f"b{i}.add", block_in, spec, out, q_in, q)
+        spec = out
+    return q, spec
+
+
+def unplanned_qconv(name, layer, in_spec, out_spec, relu, x_q, trace):
     """x_q: (B, C_in, L) int8 on in_spec's grid -> (B, C_out, L) int8."""
     _, c_in, k = layer.w_q.shape
     shifted = np.subtract(x_q, in_spec.zero_point, dtype=np.int16)
@@ -583,17 +613,18 @@ def unplanned_qconv(layer, in_spec, x_q, trace):
     acc = kernels.conv1d(same_padded(shifted, w), w)
     acc = acc.astype(np.int64)
     acc += layer.bias_q[:, None]
-    quantize._note(trace, f"{layer.name}.acc", acc)
-    low = layer.out_spec.zero_point if layer.relu else -128
-    q = oracle_requantize(acc, *conv_multipliers(layer, in_spec),
-                          layer.out_spec.zero_point, low)
-    quantize._note(trace, f"{layer.name}.out", q)
+    quantize._note(trace, f"{name}.acc", acc)
+    low = out_spec.zero_point if relu else -128
+    q = oracle_requantize(acc, *conv_multipliers(layer, in_spec, out_spec),
+                          out_spec.zero_point, low)
+    quantize._note(trace, f"{name}.out", q)
     return q
 
 
 def unplanned_qadd(name, a_spec, h_spec, out_spec, q_a, q_h, trace):
     """The block input q_a on a_spec's grid plus the last conv output q_h
-    on h_spec's, into out_spec with the fused ReLU."""
+    on h_spec's, into out_spec with the fused ReLU, traced as the add
+    name's output."""
     def rescaled(q, spec):
         # unclamped (addends may exceed int8 range before saturation)
         m0, n = quantize_multiplier(spec.scale / out_spec.scale)
@@ -604,7 +635,7 @@ def unplanned_qadd(name, a_spec, h_spec, out_spec, q_a, q_h, trace):
     a += rescaled(q_h, h_spec)
     a += out_spec.zero_point
     q = np.clip(a, out_spec.zero_point, 127, out=a).astype(np.int8)
-    quantize._note(trace, name, q)
+    quantize._note(trace, f"{name}.out", q)
     return q
 
 
@@ -618,19 +649,14 @@ def unplanned_qforward_batch(qm, x, trace=None):
 
 
 def unplanned_block(qm, x, trace):
-    spec = qm.input_spec
+    spec = qm.specs["input"]
     q = np.asarray(x, dtype=np.float64) / spec.scale
     q = np.clip(round_half_away(q) + spec.zero_point, -128, 127)
     q = q.astype(np.int8)
     quantize._note(trace, "input", q)
-    q, spec = unplanned_qconv(qm.stem, spec, q, trace), qm.stem.out_spec
-    for i, block in enumerate(qm.blocks):
-        q_in, block_in = q, spec
-        for layer in block.convs:
-            q, spec = unplanned_qconv(layer, spec, q, trace), layer.out_spec
-        q = unplanned_qadd(f"b{i}.add.out", block_in, spec, block.out_spec,
-                           q_in, q, trace)
-        spec = block.out_spec
+    q, spec = walk_network(
+        qm, q, lambda *args: unplanned_qconv(*args, trace),
+        lambda *args: unplanned_qadd(*args, trace))
     head = qm.head
     flat = q.reshape(q.shape[0], -1)
     dtype = quantize._gemm_dtype(head.w_q.shape[1])
@@ -642,7 +668,7 @@ def unplanned_block(qm, x, trace):
     return acc.astype(np.float64) * scale[None, :]
 
 
-def int32_qconv_run(layer, in_spec, x_q):
+def int32_qconv_run(name, layer, in_spec, out_spec, relu, x_q):
     """The conv with its GEMM in int32, as the integer path ran it before
     the GEMMs moved to float32/float64: the oracle for their exactness."""
     batch, c_in, length = x_q.shape
@@ -655,26 +681,19 @@ def int32_qconv_run(layer, in_spec, x_q):
     acc = layer.w_q.reshape(c_out, -1).astype(np.int32) @ flat
     acc = acc.reshape(c_out, batch, length).transpose(1, 0, 2)
     acc = acc + layer.bias_q[None, :, None]
-    m0, shift = conv_multipliers(layer, in_spec)
+    m0, shift = conv_multipliers(layer, in_spec, out_spec)
     q = quantize._requantize_array(acc.astype(np.int64), m0[None], shift[None],
-                                   layer.out_spec.zero_point)
-    if layer.relu:
-        q = np.maximum(q, np.int8(layer.out_spec.zero_point))
+                                   out_spec.zero_point)
+    if relu:
+        q = np.maximum(q, np.int8(out_spec.zero_point))
     return q
 
 
 def int32_qforward_batch(qm, x):
     """qforward_batch with every GEMM (convs and head) in int32."""
-    spec = qm.input_spec
-    q = quantize.quantize_input(spec, x)
-    q, spec = int32_qconv_run(qm.stem, spec, q), qm.stem.out_spec
-    for block in qm.blocks:
-        q_in, block_in = q, spec
-        for layer in block.convs:
-            q, spec = int32_qconv_run(layer, spec, q), layer.out_spec
-        q = unplanned_qadd(None, block_in, spec, block.out_spec, q_in, q,
-                           None)
-        spec = block.out_spec
+    q, spec = walk_network(
+        qm, quantize.quantize_input(qm.specs["input"], x), int32_qconv_run,
+        lambda *args: unplanned_qadd(*args, None))
     flat = q.reshape(q.shape[0], -1)
     shifted = flat.astype(np.int32) - spec.zero_point
     acc = shifted @ qm.head.w_q.astype(np.int32).T + qm.head.bias_q[None, :]
@@ -696,20 +715,11 @@ def extreme_model(qm, rng):
         w[:2] = 127
         return w
 
-    def moved(spec):
-        return quantize.QuantSpec(scale=spec.scale, zero_point=next(zps))
-
-    def conv(layer):
+    for _, layer in qm.layers():
         layer.w_q = weights(layer.w_q)
-        layer.out_spec = moved(layer.out_spec)
-
-    qm.input_spec = quantize.QuantSpec(scale=1e-3, zero_point=127)
-    conv(qm.stem)
-    for block in qm.blocks:
-        for layer in block.convs:
-            conv(layer)
-        block.out_spec = moved(block.out_spec)
-    qm.head.w_q = weights(qm.head.w_q)
+    qm.specs = {name: QuantSpec(scale=spec.scale, zero_point=next(zps))
+                for name, spec in qm.specs.items()}
+    qm.specs["input"] = QuantSpec(scale=1e-3, zero_point=127)
     return qm
 
 
@@ -752,7 +762,7 @@ class TestExactFloatGemm:
     def test_wide_conv_takes_float64(self):
         # fan_in 176 * 3 = 528: 528 * 128 * 255 >= 2^24
         _, qm = quantized_fixture(width=176, n_calib=16)
-        assert qm.blocks[0].convs[0].w_q.shape[1:] == (176, 3)
+        assert qm.blocks[0][0].w_q.shape[1:] == (176, 3)
         assert quantize._gemm_dtype(528) is np.float64
         x = np.stack([w.data for w in make_random_windows(24, seed=12)])
         self.check_against_oracle(qm, x)
@@ -761,7 +771,7 @@ class TestExactFloatGemm:
         _, qm = quantized_fixture(width=52, n_calib=64)
         qm = extreme_model(qm, rng)
         x = np.where(rng.random((64, 7, 40)) < 0.5, -1.0, 1.0)
-        q_in = quantize_input(qm.input_spec, x)
+        q_in = quantize_input(qm.specs["input"], x)
         assert set(np.unique(q_in)) == {-128, 127}
         self.check_against_oracle(qm, x.astype(np.float32))
         # all q = -128 against zero point 127: every stem product is
@@ -814,33 +824,31 @@ class TestQuantPlan:
         steps = iter(step for step, _ in qm.plan.layout)
         length = qm.config.seq_len
 
-        def conv(layer, in_spec):
+        def conv(name, layer, in_spec, out_spec, relu, q):
             step = next(steps)
-            assert step.out_name == f"{layer.name}.out"
+            assert step.out_name == f"{name}.out"
             assert step.in_zp == in_spec.zero_point
+            assert step.low == (out_spec.zero_point if relu else -128)
             rows = (step.m0, step.shift, step.offset)
             for row in rows:
                 assert row.dtype == np.int64 and row.flags.c_contiguous
                 assert row.shape == (len(layer.w_scale), length)
             for o, s_w in enumerate(layer.w_scale):
                 m0, n = exact_multiplier(in_spec.scale * float(s_w)
-                                         / layer.out_spec.scale)
+                                         / out_spec.scale)
                 offset = int(layer.bias_q[o]) * m0 + 2 ** (30 + n)
                 assert [row[o].tolist() for row in rows] == [
                     [value] * length for value in (m0, 31 + n, offset)]
-            return layer.out_spec
 
-        spec = conv(qm.stem, qm.input_spec)
-        for block in qm.blocks:
-            block_in = spec
-            for layer in block.convs:
-                spec = conv(layer, spec)
-            add = next(steps)
-            for folded, addend in ((add.a, block_in), (add.h, spec)):
-                m0, n = exact_multiplier(addend.scale / block.out_spec.scale)
+        def add(name, a_spec, h_spec, out_spec, q_a, q_h):
+            step = next(steps)
+            assert step.out_name == f"{name}.out"
+            for folded, addend in ((step.a, a_spec), (step.h, h_spec)):
+                m0, n = exact_multiplier(addend.scale / out_spec.scale)
                 assert folded == (m0, 2 ** (30 + n) - addend.zero_point * m0,
                                   31 + n)
-            spec = block.out_spec
+
+        _, spec = walk_network(qm, None, conv, add)
         head = next(steps)
         assert head.in_zp == spec.zero_point
         np.testing.assert_array_equal(
@@ -858,16 +866,18 @@ class TestQuantPlan:
         index = np.arange(1 << 16)
         a = (index >> 8).astype(np.uint8).view(np.int8)
         h = (index & 0xFF).astype(np.uint8).view(np.int8)
-        adds = [step for step, _ in qm.plan.layout
-                if isinstance(step, quantize._AddStep)]
-        assert len(adds) == len(qm.blocks)
-        block_in = qm.stem.out_spec
-        for block, add in zip(qm.blocks, adds):
-            expected = unplanned_qadd(None, block_in, block.convs[-1].out_spec,
-                                      block.out_spec, a, h, None)
-            assert add.table.dtype == np.int8
-            np.testing.assert_array_equal(add.table, expected)
-            block_in = block.out_spec
+        adds = iter(step for step, _ in qm.plan.layout
+                    if isinstance(step, quantize._AddStep))
+
+        def add(name, a_spec, h_spec, out_spec, q_a, q_h):
+            step = next(adds)
+            assert step.out_name == f"{name}.out"
+            assert step.table.dtype == np.int8
+            np.testing.assert_array_equal(step.table, unplanned_qadd(
+                name, a_spec, h_spec, out_spec, a, h, None))
+
+        walk_network(qm, None, lambda *args: None, add)
+        assert next(adds, None) is None
 
     def test_width_8_matches_oracles(self):
         _, qm = quantized_fixture(width=8)
@@ -955,7 +965,7 @@ class TestQuantPlan:
 
     def test_plan_checks_the_model(self):
         _, qm = quantized_fixture(width=4)
-        qm.blocks[0].convs[0].bias_q[0] = 2 ** 31 - 1
+        qm.blocks[0][0].bias_q[0] = 2 ** 31 - 1
         with pytest.raises(AccumulatorOverflow, match="b0.c0"):
             qforward(qm, make_random_windows(1, seed=0)[0].data)
         assert qm.plan is None
@@ -1019,7 +1029,8 @@ class TestQuantFile:
 
     def test_corrupt_zero_point_rejected(self, tmp_path):
         _, qm = quantized_fixture(width=4)
-        qm.input_spec = QuantSpec(scale=qm.input_spec.scale, zero_point=300)
+        qm.specs["input"] = QuantSpec(scale=qm.specs["input"].scale,
+                                      zero_point=300)
         path = tmp_path / "q.efq"
         quantize.save(qm, path)
         with pytest.raises(NumericalContractError, match="input: zero point"):
@@ -1057,8 +1068,8 @@ class TestQuantFile:
         elif where == "head":
             qm.head.w_scale[0] = value
         else:
-            qm.stem.out_spec = QuantSpec(scale=value,
-                                         zero_point=qm.stem.out_spec.zero_point)
+            qm.specs["stem.out"] = QuantSpec(
+                scale=value, zero_point=qm.specs["stem.out"].zero_point)
         path = tmp_path / "q.efq"
         quantize.save(qm, path)
         with pytest.raises(RequantRangeError,
@@ -1070,20 +1081,20 @@ class TestQuantFile:
         # finite positive scales whose ratio 0.75 * 2^-40 (stem channel 0,
         # or block 0's input against its add's output) needs n = 40 > 31
         _, qm = quantized_fixture(width=4)
+        specs = qm.specs
         if where == "conv":
             stem = qm.stem
-            stem.w_scale[0] = 0.75 * 2.0 ** -40 * (stem.out_spec.scale
-                                                   / qm.input_spec.scale)
-            ratio = (qm.input_spec.scale * float(stem.w_scale[0])
-                     / stem.out_spec.scale)
+            stem.w_scale[0] = 0.75 * 2.0 ** -40 * (specs["stem.out"].scale
+                                                   / specs["input"].scale)
+            ratio = (specs["input"].scale * float(stem.w_scale[0])
+                     / specs["stem.out"].scale)
             match = "stem"
         else:
-            block = qm.blocks[0]
-            block.out_spec = QuantSpec(
-                scale=float(np.float32(qm.stem.out_spec.scale
+            specs["b0.add.out"] = QuantSpec(
+                scale=float(np.float32(specs["stem.out"].scale
                                        / (0.75 * 2.0 ** -40))),
-                zero_point=block.out_spec.zero_point)
-            ratio = qm.stem.out_spec.scale / block.out_spec.scale
+                zero_point=specs["b0.add.out"].zero_point)
+            ratio = specs["stem.out"].scale / specs["b0.add.out"].scale
             match = "b0.add"
         assert math.frexp(ratio)[1] == -40
         path = tmp_path / "q.efq"
@@ -1096,7 +1107,7 @@ class TestQuantFile:
         # one int32 bias at the type's limit: every multiplier, scale and
         # zero point is still valid, only the accumulator bound is broken
         _, qm = quantized_fixture(width=8)
-        layer = qm.blocks[0].convs[0] if site == "b0.c0" else qm.head
+        layer = qm.blocks[0][0] if site == "b0.c0" else qm.head
         layer.bias_q[0] = 2 ** 31 - 1
         path = tmp_path / "q.efq"
         quantize.save(qm, path)
