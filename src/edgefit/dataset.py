@@ -11,6 +11,7 @@ to name the first malformed line of a file whose conversion failed.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,14 +143,25 @@ def _parse_row(row: list[str], idx: dict[str, int]) -> None:
         raise ValueError(f"session {session} outside {SESSION_RANGE}")
 
 
+@contextmanager
+def open_csv(path: Path):
+    """A csv.reader over path read as UTF-8. A byte that does not decode
+    raises CorruptFile naming the file; csv.Error is the caller's."""
+    with open(path, newline="", encoding="utf-8") as f:
+        try:
+            yield csv.reader(f)
+        except UnicodeDecodeError as e:
+            raise CorruptFile(
+                f"{path}: not {e.encoding} text ({e.reason})") from None
+
+
 def _read_csv(f: Path, number: int) -> tuple | None:
     """Columns of f's data rows, or None if it has none: timestamps, (N, 7)
     float32 channels, labels, subjects and sessions (each distinct string
     parsed once), each row's first physical line and number. Errors as in
     load_recordings."""
     try:
-        with open(f, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+        with open_csv(f) as reader:
             header = next(reader, None)
             idx = None if header is None else resolve_columns(header, str(f))
             numbered = []
@@ -158,8 +170,6 @@ def _read_csv(f: Path, number: int) -> tuple | None:
                 if any(map(str.strip, row)):
                     numbered.append((start, row))
                 start = reader.line_num + 1
-    except UnicodeDecodeError as e:
-        raise CorruptFile(f"{f}: not {e.encoding} text ({e.reason})") from None
     except csv.Error as e:   # e.g. a field longer than csv's limit
         raise MalformedRow(reader.line_num, str(e), str(f)) from None
     if not numbered:   # also when f is empty, without a header

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import open_csv
 from .errors import CorruptFile, FewerThanTwoProfiles, InvalidConfig
 from . import model as model_mod
 from . import quantize as quantize_mod
@@ -204,11 +205,8 @@ def load_profiles(path: str | Path) -> list[PlatformProfile]:
     if not path.is_file():
         raise CorruptFile(f"profile file not found: {path}")
     try:
-        with open(path, newline="", encoding="utf-8") as f:
-            rows = list(csv.reader(f))
-    except UnicodeDecodeError as e:
-        raise CorruptFile(
-            f"{path}: not {e.encoding} text ({e.reason})") from None
+        with open_csv(path) as reader:
+            rows = list(reader)
     except csv.Error as e:   # e.g. a field longer than csv's limit
         raise CorruptFile(f"{path}: {e}") from None
     profiles = []

@@ -717,9 +717,9 @@ def extreme_model(qm, rng):
 
     for _, layer in qm.layers():
         layer.w_q = weights(layer.w_q)
-    qm.specs = {name: QuantSpec(scale=spec.scale, zero_point=next(zps))
+    qm.specs = {name: QuantSpec(scale=1e-3, zero_point=127) if name == "input"
+                else QuantSpec(scale=spec.scale, zero_point=next(zps))
                 for name, spec in qm.specs.items()}
-    qm.specs["input"] = QuantSpec(scale=1e-3, zero_point=127)
     return qm
 
 
