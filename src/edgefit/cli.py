@@ -16,9 +16,11 @@ import numpy as np
 
 from . import dataset, model, platform_model, quantize, synth, training
 from .errors import (
+    CorruptFile,
     DataError,
     EdgefitError,
     InvalidConfig,
+    NonFiniteInput,
     NumericalContractError,
     ShapeMismatch,
 )
@@ -145,7 +147,12 @@ def cmd_eval(args) -> int:
     if isinstance(m, quantize.QuantModel):
         metrics = quantize.evaluate_quant(m, windows)
     else:
-        metrics = training.evaluate(m, windows)
+        # load_windows and model.load admit only finite values, yet finite
+        # weights can overflow the forward: the model file is at fault
+        try:
+            metrics = training.evaluate(m, windows)
+        except NonFiniteInput as e:
+            raise CorruptFile(f"{args.model}: {e}") from None
     print(metrics.as_kv() if args.format == "kv" else metrics.as_text())
     return EXIT_OK
 

@@ -4,13 +4,17 @@ Input files are comma-separated text with one header row and the canonical
 columns timestamp, acc_x, acc_y, acc_z, gyro_x, gyro_y, gyro_z, hbc, label,
 subject, session, in any order. Labels may be integers 0..11 or canonical
 class names.
-Files are converted one column at a time; a row is parsed on its own only
-to name the first malformed line of a file whose conversion failed.
+A file's records are taken whole from the csv reader and converted one
+column at a time, with no Python code per record. Physical line numbers
+are found only when an error names one: a file is then read again record
+by record, to parse each row on its own up to the first malformed one or
+to find where a stalled timestamp's record starts.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -155,29 +159,43 @@ def open_csv(path: Path):
                 f"{path}: not {e.encoding} text ({e.reason})") from None
 
 
+def _numbered_rows(f: Path) -> list[tuple[int, list[str]]]:
+    """f's non-blank data records, each with the physical line it starts on
+    (the header is line 1; a quoted field may span lines). Only an error
+    that names a line reads a file this way."""
+    with open_csv(f) as reader:
+        next(reader, None)
+        numbered = []
+        start = reader.line_num + 1
+        for row in reader:
+            if any(map(str.strip, row)):
+                numbered.append((start, row))
+            start = reader.line_num + 1
+    return numbered
+
+
 def _read_csv(f: Path, number: int) -> tuple | None:
     """Columns of f's data rows, or None if it has none: timestamps, (N, 7)
     float32 channels, labels, subjects and sessions (each distinct string
-    parsed once), each row's first physical line and number. Errors as in
-    load_recordings."""
+    parsed once), each row's ordinal among f's non-blank records and number.
+    Errors as in load_recordings; a failed conversion finds the line of the
+    first malformed row through _numbered_rows."""
     try:
         with open_csv(f) as reader:
             header = next(reader, None)
             idx = None if header is None else resolve_columns(header, str(f))
-            numbered = []
-            start = reader.line_num + 1   # a quoted field may span lines
-            for row in reader:
-                if any(map(str.strip, row)):
-                    numbered.append((start, row))
-                start = reader.line_num + 1
+            rows = list(reader)
     except csv.Error as e:   # e.g. a field longer than csv's limit
         raise MalformedRow(reader.line_num, str(e), str(f)) from None
-    if not numbered:   # also when f is empty, without a header
+    # a record is blank when all its fields are whitespace
+    rows = list(itertools.compress(rows, map(str.strip, map("".join, rows))))
+    if not rows:   # also when f is empty, without a header
         return None
-    lines, rows = zip(*numbered)
+    n = len(rows)
     try:
         columns = list(zip(*rows))   # a short row leaves a column out
-        numeric = np.array([list(map(float, columns[idx[name]]))
+        numeric = np.array([np.fromiter(map(float, columns[idx[name]]),
+                                        np.float64, n)
                             for name in ("timestamp", *CHANNEL_NAMES)])
         if not np.isfinite(numeric).all():
             raise ValueError("non-finite value")
@@ -189,16 +207,16 @@ def _read_csv(f: Path, number: int) -> tuple | None:
             values = {raw: parse(raw) for raw in dict.fromkeys(column)}
             if not all(low <= v <= high for v in values.values()):
                 raise ValueError(f"{name} out of range")
-            ids.append(np.array(list(map(values.__getitem__, column)), np.int16))
+            ids.append(np.fromiter(map(values.__getitem__, column), np.int16, n))
     except (ValueError, IndexError):
-        for lineno, row in numbered:
+        for lineno, row in _numbered_rows(f):
             try:
                 _parse_row(row, idx)
             except ValueError as e:
                 raise MalformedRow(lineno, str(e), str(f)) from None
         raise
     return (numeric[0], numeric[1:].T.astype(np.float32), *ids,
-            np.array(lines), np.full(len(rows), number))
+            np.arange(n), np.full(n, number))
 
 
 def load_recordings(path: str | Path) -> list[Recording]:
@@ -209,7 +227,8 @@ def load_recordings(path: str | Path) -> list[Recording]:
     MalformedRow with the file, the physical line its first malformed row
     starts on (the header is line 1) and the reason _parse_row gives; a
     timestamp not after its predecessor raises MalformedRow with that row's
-    file and line.
+    file and line. Rows are tracked by their ordinal in their file, and only
+    such an error reads a file again to find a physical line.
     """
     path = Path(path)
     if not path.exists():
@@ -222,7 +241,7 @@ def load_recordings(path: str | Path) -> list[Recording]:
     if not parts:
         raise EmptyDataset(f"no data rows found under {path}")
 
-    ts, data, labels, subject, session, lines, sources = (
+    ts, data, labels, subject, session, ordinals, sources = (
         np.concatenate(column) for column in zip(*parts))
     order = np.lexsort((ts, session, subject))   # stable: file order on ties
     ts, data, labels, subject, session = (
@@ -231,10 +250,11 @@ def load_recordings(path: str | Path) -> list[Recording]:
     stalled = same & (np.diff(ts) <= 0)
     if stalled.any():
         i = stalled.argmax() + 1
+        f = files[sources[order[i]]]
+        line, _ = _numbered_rows(f)[ordinals[order[i]]]
         raise MalformedRow(
-            int(lines[order[i]]), f"timestamps not strictly increasing for "
-            f"subject {subject[i]} session {session[i]}",
-            str(files[sources[order[i]]]))
+            line, f"timestamps not strictly increasing for "
+            f"subject {subject[i]} session {session[i]}", str(f))
     bounds = [0, *(np.flatnonzero(~same) + 1), len(ts)]
     return [Recording(int(subject[a]), int(session[a]), ts[a:b], data[a:b],
                       labels[a:b]) for a, b in zip(bounds, bounds[1:])]

@@ -61,12 +61,21 @@ def im2col(x_padded: np.ndarray, kernel: int, out_len: int,
 
     Patch index (c, k) flattens to c*K + k, matching w.reshape(C_out, C_in*K).
     out, if given, is the (B, C*K, out_len) array the patches are written to.
+
+    One strided copy: windows is the (B, C, K, out_len) view of x_padded
+    whose element (b, c, k, l) is x_padded[b, c, k + l], and splitting
+    out's axis 1 into (C, K) is always a view of out. The view is built
+    with the ndarray constructor, which costs less per call than
+    as_strided or sliding_window_view at one window.
     """
     b, c, _ = x_padded.shape
     if out is None:
         out = np.empty((b, c * kernel, out_len), dtype=x_padded.dtype)
-    for k in range(kernel):
-        out[:, k::kernel] = x_padded[:, :, k:k + out_len]
+    x = np.ascontiguousarray(x_padded)
+    s0, s1, s2 = x.strides
+    windows = np.ndarray((b, c, kernel, out_len), x.dtype, x, 0,
+                         (s0, s1, s2, s2))
+    np.copyto(out.reshape(b, c, kernel, out_len), windows)
     return out
 
 

@@ -35,6 +35,7 @@ from .errors import (
     EmptyTestSet,
     EmptyTrainSet,
     InvalidConfig,
+    NonFiniteInput,
     ShapeMismatch,
 )
 from .model import ModelConfig, ModelParams, build, forward_batch
@@ -389,8 +390,14 @@ def metrics_from_logits(logits: np.ndarray, targets: np.ndarray,
 
 
 def _eval_arrays(m: ModelParams, x, y, wt, batch: int = 512):
-    logits = np.concatenate([forward_batch(m, x[i:i + batch])
-                             for i in range(0, len(x), batch)])
+    """Metrics of m on finite windows x; NonFiniteInput, with no numpy
+    warning, when finite weights overflow the float32 forward."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            logits = np.concatenate([forward_batch(m, x[i:i + batch])
+                                     for i in range(0, len(x), batch)])
+    except FloatingPointError as e:
+        raise NonFiniteInput(f"float32 forward: {e}") from None
     return metrics_from_logits(logits, y, wt, m.config.classes)
 
 

@@ -305,6 +305,20 @@ class TestEval:
         assert_one_error_line(err, "CorruptFile")
         assert "tensor b0.c0.w is not finite" in err
 
+    def test_overflowing_weight_is_data_error(self, capsys, pipeline,
+                                              tmp_path):
+        # finite, so the model loads, but its float32 forward overflows
+        contents = container.read(pipeline["model"], model.MODEL_MAGIC)
+        contents.tensors["b0.c0.w"].flat[0] = 1e38
+        bad = tmp_path / "bad.efm"
+        container.write(bad, model.MODEL_MAGIC, contents.meta,
+                        contents.tensors)
+        code, stdout, err = run_cli(capsys, "eval", "--model", str(bad),
+                                    "--windows", str(pipeline["windows"]))
+        assert code == cli.EXIT_DATA and not stdout
+        assert_one_error_line(err, "CorruptFile")
+        assert str(bad) in err
+
     def test_short_multipliers_are_data_error(self, capsys, pipeline,
                                               tmp_path):
         bad = tmp_path / "bad.efq"

@@ -171,24 +171,58 @@ class TestLoadRecordings:
                                              "increasing for subject 1 "
                                              "session 1")])
     def test_line_is_where_the_record_starts(self, tmp_path, bad, reason):
-        # a quoted note on line 3 runs on to line 4, so the bad record
-        # after it starts on physical line 5, not the file's fourth
-        # record, and ends on line 6
-        path = tmp_path / "a.csv"
-        with open(path, "w") as f:
-            f.write(HEADER.rstrip("\n") + ",note\n")
-            f.write("0.0,1,2,3,4,5,6,7,0,1,1,x\n")
-            f.write('0.05,1,2,3,4,5,6,7,0,1,1,"two\nlines"\n')
-            f.write(bad + "\n")
-        with pytest.raises(MalformedRow) as exc:
-            load_recordings(path)
-        assert (exc.value.index, exc.value.reason) == (5, reason)
+        # a quoted note on line 3 runs on to line 4, and a blank line 5 and
+        # a whitespace-only record on line 6 are skipped, so the bad record
+        # after them starts on physical line 7, not the file's fourth
+        # record, and ends on line 8, with LF or CRLF line endings
+        text = (HEADER.rstrip("\n") + ",note\n"
+                "0.0,1,2,3,4,5,6,7,0,1,1,x\n"
+                '0.05,1,2,3,4,5,6,7,0,1,1,"two\nlines"\n'
+                "\n , ,\n" + bad + "\n")
+        for name, eol in (("lf", "\n"), ("crlf", "\r\n")):
+            path = tmp_path / f"{name}.csv"
+            with open(path, "w", newline="") as f:
+                f.write(text.replace("\n", eol))
+            with pytest.raises(MalformedRow) as exc:
+                load_recordings(path)
+            assert (exc.value.index, exc.value.reason) == (7, reason)
 
     def test_directory_merges_files(self, tmp_path):
         write_csv(tmp_path / "a.csv", [row(0.0)])
         write_csv(tmp_path / "b.csv", [row(0.05)])
         recs = load_recordings(tmp_path)
         assert len(recs) == 1 and len(recs[0]) == 2
+
+
+class TestLinesOnlyForErrors:
+    """load_recordings reads a file record by record, through
+    _numbered_rows, only when an error names a physical line."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        numbered_rows = dataset._numbered_rows
+
+        def counting(f):
+            calls.append(f)
+            return numbered_rows(f)
+
+        monkeypatch.setattr(dataset, "_numbered_rows", counting)
+        return calls
+
+    def test_success_reads_no_lines(self, synth_dataset_dir, calls):
+        load_recordings(synth_dataset_dir)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [row(0.10, label=13), row(0.0)])
+    def test_error_reads_lines_of_one_file_once(self, tmp_path, calls, bad):
+        write_csv(tmp_path / "a.csv", [row(0.0, session=2)])
+        path = tmp_path / "b.csv"
+        write_csv(path, [row(0.0), row(0.05), bad])
+        with pytest.raises(MalformedRow) as exc:
+            load_recordings(tmp_path)
+        assert (exc.value.index, exc.value.path) == (4, str(path))
+        assert calls == [path]
 
 
 class TestNormStats:
@@ -758,18 +792,24 @@ class TestOracleParity:
     @pytest.mark.parametrize("directory", [False, True])
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_file_same_error(self, tmp_path, case, directory):
-        # as a directory, a good file precedes the bad one
-        write_csv(tmp_path / "a.csv", [row(0.0, session=2)])
-        path = tmp_path / "b.csv"
-        write_csv(path, [row(0.0), row(0.05)])
-        with open(path, "a") as f:
-            f.write("\n".join(MALFORMED[case]) + "\n")
-        target = tmp_path if directory else path
-        errors = []
-        for loader in (load_recordings, oracle_load_recordings):
-            with pytest.raises(MalformedRow) as exc:
-                loader(target)
-            e = exc.value
-            errors.append((type(e), e.index, e.reason, e.path))
-        assert errors[0] == errors[1]
-        assert (errors[0][1], errors[0][3]) == (4, str(path))
+        # as a directory, a good file precedes the bad one; the files are
+        # written once with LF and once with CRLF line endings
+        for name, eol in (("lf", "\n"), ("crlf", "\r\n")):
+            root = tmp_path / name
+            root.mkdir()
+            write_csv(root / "a.csv", [row(0.0, session=2)])
+            path = root / "b.csv"
+            write_csv(path, [row(0.0), row(0.05)])
+            with open(path, "a") as f:
+                f.write("\n".join(MALFORMED[case]) + "\n")
+            for f in (root / "a.csv", path):
+                f.write_bytes(f.read_bytes().replace(b"\n", eol.encode()))
+            target = root if directory else path
+            errors = []
+            for loader in (load_recordings, oracle_load_recordings):
+                with pytest.raises(MalformedRow) as exc:
+                    loader(target)
+                e = exc.value
+                errors.append((type(e), e.index, e.reason, e.path))
+            assert errors[0] == errors[1]
+            assert (errors[0][1], errors[0][3]) == (4, str(path))
