@@ -195,7 +195,8 @@ def cmd_report(args) -> int:
     budget = platform_model.realtime_check(
         max(p.time_per_inference_ms for p in profiles), args.stride)
     print()
-    print(f"realtime @ 20 Hz, stride {args.stride}: budget {budget.budget_ms:.0f} ms, "
+    print(f"realtime @ {dataset.RATE_HZ} Hz, stride {args.stride}: budget "
+          f"{budget.budget_ms:.0f} ms, "
           f"slowest platform {'feasible' if budget.feasible else 'INFEASIBLE'} "
           f"(margin {budget.margin:.1f}x)")
     return EXIT_OK

@@ -26,7 +26,6 @@ from . import container
 from .errors import (
     CorruptFile,
     EmptyDataset,
-    FewerThanTwoSubjects,
     InvalidConfig,
     MalformedRow,
     MissingColumn,
@@ -337,15 +336,6 @@ def fold_split(windows: list[Window], held_out_subject: int) -> DatasetSplit:
                         held_out_subject=held_out_subject)
 
 
-def loucv_splits(windows: list[Window]) -> list[DatasetSplit]:
-    """One fold per subject: that subject's windows test, the rest train."""
-    subjects = sorted({w.subject for w in windows})
-    if len(subjects) < 2:
-        raise FewerThanTwoSubjects(
-            f"leave-one-user-out needs >= 2 subjects, got {len(subjects)}")
-    return [fold_split(windows, s) for s in subjects]
-
-
 def _cut(recordings: list[Recording], stats: NormStats, stride: int
          ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
     """Every window of recordings in (subject, session) order: data
@@ -420,8 +410,10 @@ def save_windows(path: str | Path, windows: list[Window]) -> None:
 
 def load_windows(path: str | Path) -> list[Window]:
     """Read an EFW2 file. Every window's data must be finite, every label a
-    class id, every weight finite and positive, and every subject and
-    session within its range."""
+    class id, every weight positive and at most WINDOW_SIZE * n /
+    NUM_CLASSES for n windows (the most build_fold gives: a training
+    class's inverse frequency is at most 40 * n_train / 12), and every
+    subject and session within its range."""
     contents = container.read(path, WINDOW_MAGIC)
     n = contents.meta.get("windows")
     data = contents.take("data", "<f4", (n, NUM_CHANNELS, WINDOW_SIZE))
@@ -432,7 +424,8 @@ def load_windows(path: str | Path) -> list[Window]:
     if not finite.all():
         raise CorruptFile(f"{contents.path}: window {int(finite.argmin())} "
                           f"holds NaN or Inf data")
-    bad = ((label >= NUM_CLASSES) | ~(np.isfinite(weight) & (weight > 0))
+    bad = ((label >= NUM_CLASSES)
+           | ~((weight > 0) & (weight <= WINDOW_SIZE * n / NUM_CLASSES))
            | (subject < SUBJECT_RANGE[0]) | (subject > SUBJECT_RANGE[1])
            | (session < SESSION_RANGE[0]) | (session > SESSION_RANGE[1]))
     if bad.any():

@@ -36,10 +36,6 @@ class UnseenLabel(DataError):
         super().__init__(f"label {label} has zero count in the training set")
 
 
-class FewerThanTwoSubjects(DataError):
-    pass
-
-
 class EmptyTrainSet(DataError):
     pass
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import open_csv
+from .dataset import RATE_HZ, open_csv
 from .errors import CorruptFile, FewerThanTwoProfiles, InvalidConfig
 from . import model as model_mod
 from . import quantize as quantize_mod
@@ -135,12 +135,13 @@ class RealtimeCheck:
     budget_ms: float
 
 
-def realtime_check(time_per_inference_ms: float, window_stride_samples: int,
-                   rate_hz: float = 20.0) -> RealtimeCheck:
-    """Can the platform keep up with one inference per window stride?"""
-    if min(time_per_inference_ms, window_stride_samples, rate_hz) <= 0:
+def realtime_check(time_per_inference_ms: float, window_stride_samples: int
+                   ) -> RealtimeCheck:
+    """Can the platform keep up with one inference per window stride of
+    samples arriving at dataset.RATE_HZ, the rate windowing assumes?"""
+    if min(time_per_inference_ms, window_stride_samples) <= 0:
         raise InvalidConfig("realtime_check needs positive inputs")
-    budget_ms = window_stride_samples / rate_hz * 1e3
+    budget_ms = window_stride_samples / RATE_HZ * 1e3
     return RealtimeCheck(feasible=time_per_inference_ms < budget_ms,
                          margin=budget_ms / time_per_inference_ms,
                          budget_ms=budget_ms)

@@ -77,13 +77,13 @@ arena.
 A conv writes q - zp into its GEMM operand's interior in the operand's
 dtype, runs kernels.conv1d on the operand, zero borders included, into
 its scratch arrays, and requantizes the accumulators in place into its
-output slot with _rescale and _saturate, the arithmetic of
-_requantize_array. An add makes three passes: the index, its low byte and
-the lookup. A block allocates only the input quantization's temporaries,
-numpy's casting buffers and, for more than one window, the copy np.take
-writes back into the strided arena: at width 52 a steady call of 8
-windows peaks at 55 KB of allocations (468 KB before the plan), and one
-window at 19 KB.
+output slot with _rescale and _saturate: (acc + bias_q)*M0 / 2^(31+n)
+rounded half up, plus the output zero point. An add makes three passes:
+the index, its low byte and the lookup. A block allocates only the input
+quantization's temporaries, numpy's casting buffers and, for more than
+one window, the copy np.take writes back into the strided arena: at
+width 52 a steady call of 8 windows peaks at 55 KB of allocations
+(468 KB before the plan), and one window at 19 KB.
 
 The plan is laid out by _layout, the walk check_quant_invariants runs, so
 it derives the multipliers and checks the model once, from the model's
@@ -269,20 +269,6 @@ def _saturate(value: np.ndarray, low: int,
     # a plain cast, faster than a minimum that casts into out
     np.copyto(out, value, casting="unsafe")
     return out
-
-
-def _requantize_array(acc: np.ndarray, m0, shift_n, zero_point_out: int
-                      ) -> np.ndarray:
-    """Vectorized requantize: round-half-up of acc*M0 / 2^(31+n), plus
-    zero_point_out, saturated to [-128, 127] as int8. acc is int64 and m0
-    and shift_n broadcast against it as int64; acc is left as is. The
-    plan's conv step runs the same _rescale and _saturate on constants it
-    derived once: the total shift 31 + n and the rounding term with the
-    bias folded in, saturating at its zero point under a fused ReLU."""
-    shift = shift_n + 31
-    value = _rescale(acc, m0, np.left_shift(np.int64(1), shift - 1), shift)
-    value += zero_point_out
-    return _saturate(value, QMIN)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +494,7 @@ class _ConvStep:
         kernels.conv1d(padded, self.w, gemm, patches=patches)
         acc[...] = gemm
         _note(trace, self.acc_name, acc)
-        # _requantize_array's arithmetic, with the bias folded into offset
+        # (acc + bias_q)*M0 / 2^(31+n) rounded half up, as offset folds it
         _rescale(acc, self.m0, self.offset, self.shift, out=acc)
         acc += self.out_zp
         _saturate(acc, self.low, out=y)
@@ -579,12 +565,14 @@ class _HeadStep:
     @classmethod
     def of(cls, head: QLayer, in_spec: QuantSpec) -> _HeadStep:
         _check_accumulator("head", head.w_q.shape[1], head.bias_q)
-        if not np.all((head.w_scale > 0) & np.isfinite(head.w_scale)):
-            raise RequantRangeError("head: weight scales must be finite and "
-                                    "positive")
+        scale = in_spec.scale * head.w_scale.astype(np.float64)
+        # |acc| < 2^31, so every logit is then a finite float32
+        if not np.all((head.w_scale > 0)
+                      & (scale * 2.0 ** 31 < np.finfo(np.float32).max)):
+            raise RequantRangeError("head: weight scales must be positive and "
+                                    "keep s_in*s_w*2^31 below float32's max")
         return cls(head.w_q.T.astype(np.float64), head.bias_q.astype(np.int32),
-                   in_spec.scale * head.w_scale.astype(np.float64),
-                   in_spec.zero_point)
+                   scale, in_spec.zero_point)
 
     def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
         n, classes = self.w_t.shape
@@ -756,7 +744,9 @@ def check_quant_invariants(qm: QuantModel) -> None:
     (quantize_multiplier). Every conv and the head must keep the
     worst-case accumulator that quantize_model checks within int32, which
     also keeps the plan's folded constants bias_q*M0 + 2^(30+n) within
-    int64. This is the walk that lays out the plan (_layout)."""
+    int64, and the head's s_in*s_w*2^31 must stay below float32's maximum,
+    which keeps every logit finite. This is the walk that lays out the
+    plan (_layout)."""
     _layout(qm)
 
 

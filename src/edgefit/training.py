@@ -43,14 +43,17 @@ from .model import ModelConfig, ModelParams, build, forward_batch
 PROB_FLOOR = 1e-12
 BN_MOMENTUM = 0.9
 VAL_SESSION = 5
+# Adam's moment decays and denominator floor (Kingma & Ba's defaults)
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
 class Hyperparams:
+    """The training options: Adam's step size, the epoch budget, the early
+    stopping patience and the batch size. Adam's other constants are
+    BETA1, BETA2 and ADAM_EPS."""
+
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 1000
     patience: int = 100
     batch_size: int = 64
@@ -58,10 +61,8 @@ class Hyperparams:
     def validate(self) -> None:
         if self.lr <= 0:
             raise InvalidConfig(f"lr must be > 0, got {self.lr}")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise InvalidConfig("beta1 and beta2 must lie in (0, 1)")
-        if self.adam_eps <= 0 or self.batch_size < 1 or self.epochs < 1:
-            raise InvalidConfig("adam_eps, batch_size, epochs must be positive")
+        if self.batch_size < 1 or self.epochs < 1:
+            raise InvalidConfig("batch_size and epochs must be positive")
         if not 0 <= self.patience <= self.epochs:
             raise InvalidConfig(f"patience {self.patience} outside [0, epochs "
                                 f"{self.epochs}]")
@@ -321,21 +322,21 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
               state: AdamState, hp: Hyperparams):
     """Standard bias-corrected Adam update, in place."""
     state.t += 1
-    bc1 = 1.0 - hp.beta1 ** state.t
-    bc2 = 1.0 - hp.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for name, p in params.param_items():
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeMismatch(f"gradient {name} shape {g.shape} != {p.shape}")
         m_ = state.m[name]
         v_ = state.v[name]
-        m_ *= hp.beta1
-        m_ += (1.0 - hp.beta1) * g
-        v_ *= hp.beta2
-        v_ += (1.0 - hp.beta2) * np.square(g)
+        m_ *= BETA1
+        m_ += (1.0 - BETA1) * g
+        v_ *= BETA2
+        v_ += (1.0 - BETA2) * np.square(g)
         m_hat = m_ / bc1
         v_hat = v_ / bc2
-        p -= (hp.lr * m_hat / (np.sqrt(v_hat) + hp.adam_eps)).astype(p.dtype)
+        p -= (hp.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
     return params, state
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgefit import kernels, model, synth
+from edgefit import kernels, model, quantize, synth
 from edgefit.dataset import NUM_CHANNELS, NUM_CLASSES, WINDOW_SIZE, Window
 from edgefit.errors import ShapeMismatch
 
@@ -26,6 +26,18 @@ def randomize_bn(m, seed=0):
         layer.mean = (0.2 * rng.standard_normal(n)).astype(np.float32)
         layer.var = rng.uniform(0.5, 2.0, n).astype(np.float32)
     return m
+
+
+def requantize_array(acc, m0, shift_n, zero_point_out):
+    """Vectorized requantize: round-half-up of acc*M0 / 2^(31+n), plus
+    zero_point_out, saturated to [-128, 127] as int8. acc is int64 and m0
+    and shift_n broadcast against it as int64; acc is left as is. These
+    are the _rescale and _saturate calls of the int8 plan's conv step for
+    a zero bias: offset 2^(30+n), shift 31+n, no fused ReLU."""
+    offset = np.left_shift(np.int64(1), shift_n + 30)
+    value = quantize._rescale(acc, m0, offset, shift_n + 31)
+    value += zero_point_out
+    return quantize._saturate(value, quantize.QMIN)
 
 
 def astype(m, dtype):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import (astype, make_random_windows, make_separable_windows,
-                      randomize_bn)
+                      randomize_bn, requantize_array)
 from edgefit import cli, dataset, model, platform_model, quantize, synth, training
 
 WIDTH = 24          # training width for the reduced-protocol criteria
@@ -190,7 +190,7 @@ def test_criterion_06a_requantize_oracle(rng):
         pairs = [quantize.quantize_multiplier(float(r)) for r in ratios[sl]]
         m0 = np.array([p[0] for p in pairs], dtype=np.int64)
         n = np.array([p[1] for p in pairs], dtype=np.int64)
-        got = quantize._requantize_array(accs[sl], m0, n, 0)
+        got = requantize_array(accs[sl], m0, n, 0)
         oracle = np.clip(np.rint(accs[sl].astype(np.float64) * ratios[sl]),
                          -128, 127)
         worst = max(worst, int(np.abs(got - oracle).max()))
@@ -263,7 +263,7 @@ def test_criterion_08_dataset_invariants(rng):
                for s in range(1, 11) for i in range(4)]
     partition_ok = True
     seen_test_subjects = []
-    for split in dataset.loucv_splits(windows):
+    for split in (dataset.fold_split(windows, s) for s in range(1, 11)):
         train_subj = {w.subject for w in split.train}
         test_subj = {w.subject for w in split.test}
         partition_ok &= not (train_subj & test_subj)
@@ -293,7 +293,7 @@ def test_criterion_09_realtime_feasibility():
     margins = {}
     feasible = True
     for name, t in max_clock_latencies.items():
-        check = platform_model.realtime_check(t, 20, 20.0)
+        check = platform_model.realtime_check(t, 20)
         feasible &= check.feasible
         margins[name] = check.margin
     report(9, feasible,

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from edgefit import cli, container, dataset, model, quantize
@@ -293,6 +294,34 @@ class TestEval:
         assert_one_error_line(err, "CorruptFile")
         assert "window 2 holds NaN or Inf" in err
 
+    def test_huge_window_weight_is_data_error(self, capsys, pipeline,
+                                              tmp_path):
+        # finite, but the weighted loss of the float eval overflows
+        windows = dataset.load_windows(pipeline["windows"])
+        windows[3].weight = 1e38
+        bad = tmp_path / "bad.efw"
+        dataset.save_windows(bad, windows)
+        code, stdout, err = run_cli(capsys, "eval", "--model",
+                                    str(pipeline["model"]), "--windows",
+                                    str(bad))
+        assert code == cli.EXIT_DATA and not stdout
+        assert_one_error_line(err, "CorruptFile")
+        assert str(bad) in err
+
+    def test_overflowing_head_scale_is_numeric_error(self, capsys, pipeline,
+                                                     tmp_path):
+        # finite and positive, but the float32 logits overflow
+        contents = container.read(pipeline["qmodel"], quantize.QUANT_MAGIC)
+        contents.tensors["head.w_scale"][0] = 1e38
+        bad = tmp_path / "bad.efq"
+        container.write(bad, quantize.QUANT_MAGIC, contents.meta,
+                        contents.tensors)
+        code, stdout, err = run_cli(capsys, "eval", "--model", str(bad),
+                                    "--windows", str(pipeline["windows"]))
+        assert code == cli.EXIT_NUMERIC and not stdout
+        assert_one_error_line(err, "RequantRangeError")
+        assert "head" in err
+
     def test_non_finite_weight_is_data_error(self, capsys, pipeline, tmp_path):
         contents = container.read(pipeline["model"], model.MODEL_MAGIC)
         contents.tensors["b0.c0.w"].flat[0] = float("nan")
@@ -356,6 +385,77 @@ class TestEval:
             assert code == cli.EXIT_DATA
             assert_one_error_line(err, "VersionMismatch")
             assert f"magic {magic!r}, expected b'EFQ3'" in err
+
+
+ELEMENT_VALUES = (float("nan"), float("inf"), -float("inf"), 1e38, -1e38, 0.0)
+META_VALUES = (-1, 2 ** 31, 0.5, "x")
+
+
+def mutate(contents, rng):
+    """One seeded mutation of contents, in place: one tensor element set to
+    an ELEMENT_VALUES entry (an integer tensor takes the nearest value its
+    dtype holds, 0 for NaN), one tensor zeroed or reversed, or one
+    metadata value replaced by a META_VALUES entry. Returns what it did."""
+    kind = rng.integers(3)
+    if kind == 2:
+        def leaves(meta, path):
+            for key, value in meta.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, path + (key,))
+                else:
+                    yield path + (key,)
+        paths = sorted(leaves(contents.meta, ()))
+        path = paths[rng.integers(len(paths))]
+        value = META_VALUES[rng.integers(len(META_VALUES))]
+        parent = contents.meta
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        return f"meta {'.'.join(path)} = {value!r}"
+    names = sorted(contents.tensors)
+    name = names[rng.integers(len(names))]
+    tensor = contents.tensors[name]
+    if kind == 1:
+        if rng.integers(2):
+            tensor[...] = 0
+            return f"{name} zeroed"
+        contents.tensors[name] = np.flip(tensor).copy()
+        return f"{name} reversed"
+    value = ELEMENT_VALUES[rng.integers(len(ELEMENT_VALUES))]
+    if tensor.dtype.kind != "f":
+        info = np.iinfo(tensor.dtype)
+        value = 0 if np.isnan(value) else int(np.clip(value, info.min,
+                                                      info.max))
+    index = rng.integers(tensor.size)
+    tensor.flat[index] = value
+    return f"{name}[{index}] = {value}"
+
+
+def test_seeded_loader_fuzz(capsys, pipeline, tmp_path):
+    """100 seeded, checksum-valid mutations of the windows, float model and
+    int8 model files: eval either succeeds or exits 2 or 3 with one error
+    line and no output; a RuntimeWarning fails the test."""
+    # among them a 1e38 window weight under the float model and a 1e38
+    # int8 head scale, two values that once overflowed eval's float32
+    rng = np.random.default_rng(159)
+    files = {"windows": dataset.WINDOW_MAGIC, "model": model.MODEL_MAGIC,
+             "qmodel": quantize.QUANT_MAGIC}
+    for i in range(100):
+        kind = ("windows", "model", "qmodel")[i % 3]
+        contents = container.read(pipeline[kind], files[kind])
+        what = mutate(contents, rng)
+        bad = tmp_path / f"bad{i}{pipeline[kind].suffix}"
+        container.write(bad, files[kind], contents.meta, contents.tensors)
+        argv = {"windows": str(pipeline["windows"]),
+                "model": str(pipeline["qmodel" if i % 2 else "model"])}
+        argv["windows" if kind == "windows" else "model"] = str(bad)
+        code, stdout, err = run_cli(capsys, "eval", "--model", argv["model"],
+                                    "--windows", argv["windows"])
+        assert code in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_NUMERIC), what
+        assert code == cli.EXIT_OK or not stdout, what
+        lines = err.splitlines()
+        assert len(lines) <= 1, (what, err)
+        assert all(line.startswith("error:") for line in lines), (what, err)
 
 
 class TestBench:

@@ -15,7 +15,6 @@ from edgefit.dataset import (
     label_window,
     load_recordings,
     load_windows,
-    loucv_splits,
     resolve_columns,
     save_windows,
     segment_windows,
@@ -25,7 +24,6 @@ from edgefit.dataset import (
 from edgefit.errors import (
     CorruptFile,
     EmptyDataset,
-    FewerThanTwoSubjects,
     InvalidConfig,
     MalformedRow,
     MissingColumn,
@@ -391,37 +389,21 @@ def oracle_window_weight(labels, class_freq):
     return float(inv.mean())
 
 
-class TestLoucvSplits:
+class TestFoldSplit:
     @staticmethod
     def windows_for(subjects, per_subject=5):
         return [Window(data=np.zeros((7, 40), np.float32), label=0, weight=1.0,
                        subject=s, session=1 + i % 5)
                 for s in subjects for i in range(per_subject)]
 
-    def test_ten_subjects(self):
-        windows = self.windows_for(range(1, 11))
-        splits = loucv_splits(windows)
-        assert len(splits) == 10
-        assert all(s.test for s in splits)
-        covered = sorted(s.held_out_subject for s in splits)
-        assert covered == list(range(1, 11))
-
-    def test_two_subjects_partition_sizes(self):
-        splits = loucv_splits(self.windows_for([1, 2]))
-        assert all(len(s.train) == 5 and len(s.test) == 5 for s in splits)
-
     def test_partition_property(self):
         windows = self.windows_for([1, 2, 3])
-        for s in loucv_splits(windows):
+        for s in (fold_split(windows, subject) for subject in (1, 2, 3)):
             assert len(s.train) + len(s.test) == len(windows)
             train_subjects = {w.subject for w in s.train}
             test_subjects = {w.subject for w in s.test}
             assert not (train_subjects & test_subjects)
             assert test_subjects == {s.held_out_subject}
-
-    def test_single_subject_rejected(self):
-        with pytest.raises(FewerThanTwoSubjects):
-            loucv_splits(self.windows_for([1]))
 
     def test_fold_split_keeps_order_and_rejects_absent_subject(self):
         windows = self.windows_for([2, 1, 2, 3], per_subject=2)
@@ -575,7 +557,8 @@ class TestWindowContainer:
 
     @pytest.mark.parametrize("field, value", [("subject", 0), ("subject", 11),
                                               ("session", 0), ("session", 6),
-                                              ("weight", 0.0)])
+                                              ("weight", 0.0),
+                                              ("weight", 1e38)])
     def test_out_of_range_subject_session_or_weight(self, tmp_path, rng,
                                                     field, value):
         windows = self.sample_windows(rng)

@@ -108,21 +108,21 @@ class TestSpeedupTable:
 class TestRealtimeCheck:
     def test_reference_latencies_all_feasible(self):
         for time_ms in (3.2, 60.36, 20.88):
-            check = realtime_check(time_ms, 20, 20.0)
+            check = realtime_check(time_ms, 20)
             assert check.budget_ms == pytest.approx(1000.0)
             assert check.feasible
 
     def test_margin(self):
-        assert realtime_check(3.2, 20, 20.0).margin == pytest.approx(312.5)
+        assert realtime_check(3.2, 20).margin == pytest.approx(312.5)
 
     def test_infeasible(self):
-        check = realtime_check(1200.0, 20, 20.0)
+        check = realtime_check(1200.0, 20)
         assert not check.feasible
         assert check.margin < 1.0
 
     def test_positive_inputs_required(self):
         with pytest.raises(InvalidConfig):
-            realtime_check(-1.0, 20, 20.0)
+            realtime_check(-1.0, 20)
 
 
 class TestHostBench:

@@ -329,7 +329,7 @@ class TestAdamStep:
 
     def test_first_step_is_signed_lr(self):
         m, state = self.setup_model()
-        hp = Hyperparams(adam_eps=1e-12)
+        hp = Hyperparams()
         before = {n: p.copy() for n, p in m.param_items()}
         grads = {n: np.where(np.arange(p.size).reshape(p.shape) % 2 == 0,
                              0.7, -1.3).astype(p.dtype)
@@ -350,7 +350,7 @@ class TestAdamStep:
             np.testing.assert_array_equal(p, before[n])
 
     def test_first_step_magnitude_independent_of_scale(self):
-        hp = Hyperparams(adam_eps=1e-12)
+        hp = Hyperparams()
         for scale in (1e-4, 1.0, 1e4):
             m, state = self.setup_model()
             before = {n: p.copy() for n, p in m.param_items()}
