@@ -9,12 +9,12 @@ conv1d is the only code that lowers a convolution to a GEMM: the float
 forward (model.forward_batch, through conv1d_same_batch), the trainer's
 forward and input gradient and the integer path (the conv step of
 quantize.QuantPlan) all call it, and it calls im2col through this
-module's namespace. Its operand is the padded batch (B, C_in, L+K-1), and
-the caller owns its zero borders: the trainer and the integer plan write
-each input into the interior of a pad buffer they keep, and
-conv1d_same_batch copies its input into one its caller keeps or, without
-one, zero-fills one in np.result_type(x, w), so float operands keep their
-dtype.
+module's namespace. Every conv entry point takes one operand, the padded
+batch (B, C_in, L+K-1), and the caller owns its zero borders: the float
+forward, the trainer and the integer plan each keep zero-filled pad
+buffers and write every input into interior(padded, K), the (B, C_in, L)
+view between the borders. interior is the one place that knows the
+border width (K-1)/2.
 
 batchnorm_infer, relu and add are the layer-by-layer forms of what
 model.forward_batch does in place on a conv's output: the tests compose
@@ -137,42 +137,33 @@ def conv1d_weight_grad(g: np.ndarray, padded: np.ndarray, *,
     return dw, np.einsum("bcl->c", g)
 
 
-def conv1d_same_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                      out: np.ndarray | None = None, *,
-                      padded: np.ndarray | None = None,
-                      patches: np.ndarray | None = None) -> np.ndarray:
-    """conv1d of x (B, C_in, L), zero-padded here, plus a bias b (C_out,),
-    with its operands' shapes checked.
+def interior(padded: np.ndarray, kernel: int) -> np.ndarray:
+    """The (..., L) view of an operand padded (..., L+K-1) for the odd
+    kernel size K: every column but the (K-1)/2 borders on each side."""
+    pad = (kernel - 1) // 2
+    return padded[..., pad:padded.shape[-1] - pad]
 
-    out, padded and patches are optional buffers in numpy's out= idiom:
-    out and patches as for conv1d, and padded the (B, C_in, L+K-1) operand,
-    whose (K-1)/2 border columns on each side the caller keeps zero; x is
-    copied into its interior. Without it, one is zero-filled in
-    np.result_type(x, w). x may be out itself, since it is copied before
-    y is written.
-    """
+
+def conv1d_same_batch(padded: np.ndarray, w: np.ndarray, b: np.ndarray,
+                      out: np.ndarray | None = None, *,
+                      patches: np.ndarray | None = None) -> np.ndarray:
+    """conv1d of the padded batch (B, C_in, L+K-1) plus a bias b (C_out,),
+    with its operands' shapes checked; out and patches as for conv1d."""
     # one test when the shapes fit; each is checked by name only if not
-    if not (x.ndim == w.ndim == 3 and w.shape[2] % 2 == 1
-            and x.shape[1] == w.shape[1] and b.shape == w.shape[:1]):
-        _require(x.ndim == 3, "conv input must be (B, C, L), got shape %s",
-                 x.shape)
+    if not (padded.ndim == w.ndim == 3 and w.shape[2] % 2 == 1
+            and padded.shape[1] == w.shape[1] and b.shape == w.shape[:1]):
+        _require(padded.ndim == 3,
+                 "conv input must be (B, C, L+K-1), got shape %s",
+                 padded.shape)
         _require(w.ndim == 3,
                  "conv weight must be (C_out, C_in, K), got shape %s", w.shape)
         _require(w.shape[2] % 2 == 1, "kernel size must be odd, got %d",
                  w.shape[2])
-        _require(x.shape[1] == w.shape[1], "input channels %d != weight C_in %d",
-                 x.shape[1], w.shape[1])
+        _require(padded.shape[1] == w.shape[1],
+                 "input channels %d != weight C_in %d", padded.shape[1],
+                 w.shape[1])
         _require(b.shape == w.shape[:1], "bias shape %s != (%d,)", b.shape,
                  w.shape[0])
-    batch, c_in, length = x.shape
-    pad = (w.shape[2] - 1) // 2
-    if padded is None:
-        padded = np.zeros((batch, c_in, length + 2 * pad), np.result_type(x, w))
-    else:
-        _require(padded.shape == (batch, c_in, length + 2 * pad),
-                 "pad buffer shape %s != %s", padded.shape,
-                 (batch, c_in, length + 2 * pad))
-    padded[:, :, pad:pad + length] = x
     y = conv1d(padded, w, out, patches=patches)
     y += b[:, None]
     return y

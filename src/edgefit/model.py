@@ -154,20 +154,22 @@ def forward_batch(m: ModelParams, x: np.ndarray,
     through the whole conv stack before the next block starts, in buffers
     sized for one block (the fused layers of Alwani et al., 2016), so its
     feature maps stay in the cache, and a call allocates one block's
-    buffers (830 KB at width 52) and the (B, seq_len*width) head input.
-    Every conv is kernels.conv1d_same_batch into one output buffer, which
-    copies its input into a zero-bordered pad buffer first: a residual
-    block's first conv into the skip buffer, which keeps the block's input
-    for the add, and every other conv into one shared buffer. The bias,
-    BN unless folded (in batchnorm_infer's order), the ReLU and the
-    residual add then run in place on the output. The head runs once over
-    the whole batch, so every activation and logit equals a layer-by-layer
-    run's bit for bit, whatever the batch.
+    buffers (830 KB at width 52) and the (B, width, seq_len) head input.
+    Each conv is kernels.conv1d_same_batch of a zero-bordered pad buffer
+    into one output buffer, where the bias, BN unless folded (in
+    batchnorm_infer's order) and the residual add run in place. Each layer
+    writes its output where the next one reads it: the block's windows
+    are copied into the stem's pad buffer, each ReLU writes into the
+    interior of the next conv's pad buffer, and a residual block's last
+    ReLU into the skip buffer, the next block's operand. The head runs
+    once over the whole batch, so every activation and logit equals a
+    layer-by-layer run's bit for bit, whatever the batch.
 
     With capture given, capture(name, activation) is called for every
     activation of activation_names(m.config), in that order, once per
-    block. The activation is a contiguous (n, C, seq_len) view of that
-    block's windows, valid only during the call.
+    block. The activation is an (n, C, seq_len) view of that block's
+    windows, valid only during the call: the slice of x, a pad buffer's
+    (non-contiguous) interior or the output buffer.
     """
     cfg = m.config
     if x.ndim != 3 or x.shape[1:] != (cfg.in_channels, cfg.seq_len):
@@ -176,19 +178,19 @@ def forward_batch(m: ModelParams, x: np.ndarray,
     dtype = np.result_type(x, m.stem.w)   # a model's tensors share one dtype
     batch, width, length, k = len(x), cfg.width, cfg.seq_len, cfg.kernel
     nb = min(batch, kernels.BLOCK)
-    interior = slice((k - 1) // 2, (k - 1) // 2 + length)
     padded_in = np.zeros((nb, cfg.in_channels, length + k - 1), dtype)
     skip = np.zeros((nb, width, length + k - 1), dtype)
     padded = np.zeros((nb, width, length + k - 1), dtype)
+    x_in, skip_in, pad_in = (kernels.interior(p, k)
+                             for p in (padded_in, skip, padded))
     out = np.empty((nb, width, length), dtype)
     patches = np.empty(nb * max(cfg.in_channels, width) * k * length, dtype)
-    flat = np.empty((batch, width * length), dtype)
+    flat = np.empty((batch, width, length), dtype)
 
-    def conv(layer: ConvLayer, a: np.ndarray, pad_buf: np.ndarray
-             ) -> np.ndarray:
-        n, c_in = a.shape[:2]
+    def conv(layer: ConvLayer, operand: np.ndarray, n: int) -> np.ndarray:
+        c_in = operand.shape[1]
         y = kernels.conv1d_same_batch(
-            a, layer.w, layer.b, out[:n], padded=pad_buf[:n],
+            operand[:n], layer.w, layer.b, out[:n],
             patches=patches[:n * c_in * k * length].reshape(n, c_in * k, length))
         if not m.bn_folded:     # in batchnorm_infer's order
             y -= layer.mean[:, None]
@@ -201,23 +203,23 @@ def forward_batch(m: ModelParams, x: np.ndarray,
             capture(name, a)
 
     for start in range(0, batch, kernels.BLOCK):
-        a = x[start:start + kernels.BLOCK]
-        n = len(a)
-        record("input", a)
-        a = conv(m.stem, a, padded_in)
-        np.maximum(a, 0, out=a)
-        record("stem.out", a)
+        n = min(batch - start, kernels.BLOCK)
+        record("input", x[start:start + n])
+        x_in[:n] = x[start:start + n]
+        np.maximum(conv(m.stem, padded_in, n), 0, out=skip_in[:n])
+        record("stem.out", skip_in[:n])
         for i, block in enumerate(m.blocks):
             for j, layer in enumerate(block):
-                a = conv(layer, a, skip if j == 0 else padded)
+                y = conv(layer, skip if j == 0 else padded, n)
                 if j < len(block) - 1:
-                    np.maximum(a, 0, out=a)
-                record(f"b{i}.c{j}.out", a)
-            a += skip[:n, :, interior]
-            np.maximum(a, 0, out=a)
-            record(f"b{i}.add.out", a)
-        flat[start:start + n] = a.reshape(n, -1)
-    return kernels.dense_batch(flat, m.head_w, m.head_b)
+                    y = np.maximum(y, 0, out=pad_in[:n])
+                record(f"b{i}.c{j}.out", y)
+            y += skip_in[:n]
+            np.maximum(y, 0, out=skip_in[:n])
+            record(f"b{i}.add.out", skip_in[:n])
+        flat[start:start + n] = skip_in[:n]
+    return kernels.dense_batch(flat.reshape(batch, width * length),
+                               m.head_w, m.head_b)
 
 
 def forward(m: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -201,34 +201,42 @@ def host_bench(m, n_runs: int = 50, seed: int = 0) -> BenchResult:
 
 def load_profiles(path: str | Path) -> list[PlatformProfile]:
     """Read profiles from delimited text: name, clock_hz, power_mw, time_ms,
-    mac_count. A header row is skipped when present."""
+    mac_count. The first non-blank row is a header, and skipped, when its
+    clock field is not a number. Names must be unique and non-empty, and
+    each MAC count integral."""
     path = Path(path)
     if not path.is_file():
         raise CorruptFile(f"profile file not found: {path}")
     try:
         with open_csv(path) as reader:
-            rows = list(reader)
+            rows = [(lineno, row) for lineno, row in enumerate(reader, start=1)
+                    if any(map(str.strip, row))]
     except csv.Error as e:   # e.g. a field longer than csv's limit
         raise CorruptFile(f"{path}: {e}") from None
+    if rows and not _is_number([*rows[0][1], ""][1]):
+        del rows[0]   # header
     profiles = []
-    for lineno, row in enumerate(rows, start=1):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if lineno == 1 and not _is_number(row[1] if len(row) > 1 else ""):
-            continue   # header
+    first_line: dict[str, int] = {}
+    for lineno, row in rows:
         if len(row) != 5:
             raise CorruptFile(f"{path}:{lineno}: expected 5 fields, "
                               f"got {len(row)}")
+        name = row[0].strip()
         try:
-            profiles.append(PlatformProfile(
-                name=row[0].strip(),
-                clock_hz=float(row[1]),
-                power_mw=float(row[2]),
-                time_per_inference_ms=float(row[3]),
-                mac_count=int(float(row[4])),
-            ))
-        except (ValueError, OverflowError) as e:   # int(inf) overflows
+            if not name:
+                raise ValueError("empty profile name")
+            if name in first_line:
+                raise ValueError(f"profile {name!r} repeats line "
+                                 f"{first_line[name]}")
+            macs = float(row[4])
+            if macs != int(macs):   # int(inf) overflows, int(nan) raises
+                raise ValueError(f"mac_count {row[4].strip()} is not an "
+                                 f"integer")
+            profiles.append(PlatformProfile(name, *map(float, row[1:4]),
+                                            int(macs)))
+        except (ValueError, OverflowError) as e:
             raise CorruptFile(f"{path}:{lineno}: {e}") from None
+        first_line[name] = lineno
     if not profiles:
         raise CorruptFile(f"no profiles in {path}")
     return profiles

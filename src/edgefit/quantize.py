@@ -203,8 +203,9 @@ def calibrate(folded: ModelParams, calib: list[Window]) -> CalibStats:
 
     The windows run through forward_batch in chunks of CALIB_BLOCK, whose
     capture callback is CalibStats.update: it ranges each activation of
-    each block of kernels.BLOCK windows while the block's contiguous
-    buffer holds it. Every activation is batch-invariant (kernels.conv1d
+    each block of kernels.BLOCK windows in the view forward_batch passes,
+    which may be a pad buffer's strided interior: a min and a max read it
+    in place, whatever its strides. Every activation is batch-invariant (kernels.conv1d
     runs one GEMM per window and the other layers are elementwise), so
     every range equals a one-window-at-a-time run's bit for bit and
     depends on the set of windows alone."""
@@ -481,9 +482,8 @@ class _ConvStep:
         buffer, zero-filled, is shared only with convs of its shape, which
         all write its interior alone, so its borders stay zero."""
         c_out, c_in, k = self.w.shape
-        pad = (k - 1) // 2
-        padded = take((c_in, length + 2 * pad), self.w.dtype, "padded")
-        return (padded, padded[:, :, pad:pad + length],
+        padded = take((c_in, length + k - 1), self.w.dtype, "padded")
+        return (padded, kernels.interior(padded, k),
                 take((c_in * k, length), self.w.dtype),
                 take((c_out, length), self.w.dtype),
                 take((c_out, length), np.int64))

@@ -137,7 +137,6 @@ class Workspace:
         def act(channels=c):
             return np.empty((batch, channels, length), dtype)
 
-        self.pad = (k - 1) // 2
         self.padded = [np.zeros((batch, layer.w.shape[1], length + k - 1), dtype)
                        for _, layer in m.conv_layers()]
         self.xhat = [act() for _ in self.padded]
@@ -151,9 +150,6 @@ class Workspace:
         self.g_padded = np.zeros((batch, c, length + k - 1), dtype)
         self.dw = {name: np.empty_like(layer.w) for name, layer in m.conv_layers()}
         self.head_w = np.empty_like(m.head_w)
-
-    def interior(self, buf: np.ndarray, b: int) -> np.ndarray:
-        return buf[:b, :, self.pad:buf.shape[2] - self.pad]
 
 
 def _bn_normalize(z: np.ndarray, eps: float):
@@ -198,7 +194,7 @@ def _forward(ws: Workspace, m: ModelParams, x: np.ndarray):
     last = m.config.convs_per_block - 1
     layers = list(m.conv_layers())
     tape = {"layers": []}
-    a = ws.interior(ws.padded[0], b)
+    a = kernels.interior(ws.padded[0][:b], m.config.kernel)
     a[...] = x
     skip = None
     for i, (name, layer) in enumerate(layers):
@@ -216,7 +212,7 @@ def _forward(ws: Workspace, m: ModelParams, x: np.ndarray):
         h += layer.beta[:, None]
         if pos == last:
             h += skip
-        a = (ws.interior(ws.padded[i + 1], b) if i + 1 < len(layers)
+        a = (kernels.interior(ws.padded[i + 1][:b], k) if i + 1 < len(layers)
              else ws.out[:b])
         np.maximum(h, 0, out=a)
         tape["layers"].append({"post": a, "mean": mu + layer.b, "var": var,
@@ -260,7 +256,7 @@ def _step(ws: Workspace, m: ModelParams, x, targets, weights):
     layers = list(m.conv_layers())
     last = m.config.convs_per_block - 1
     mask = ws.mask[:b]
-    dz = ws.interior(ws.g_padded, b)
+    dz = kernels.interior(ws.g_padded[:b], m.config.kernel)
     skip_grad = None
     for i in range(len(layers) - 1, -1, -1):
         name, layer = layers[i]
@@ -422,7 +418,7 @@ def train_fold(split: DatasetSplit, config: ModelConfig, hp: Hyperparams,
         raise EmptyTrainSet(f"fold {split.held_out_subject} has no training windows")
     train_windows, val_windows = _split_validation(split.train)
     x_train, y_train, w_train = _stack(train_windows)
-    x_val, y_val, w_val = _stack(val_windows) if val_windows else (None, None, None)
+    x_val, y_val, w_val = _stack(val_windows)
 
     params = build(config, seed)
     state = init_adam(params)
@@ -450,17 +446,13 @@ def train_fold(split: DatasetSplit, config: ModelConfig, hp: Hyperparams,
         del ws   # never alive next to the validation pass's temporaries
         train_loss = loss_sum / n
 
-        if x_val is not None:
-            val = _eval_arrays(params, x_val, y_val, w_val)
-            val_loss, val_bacc = val.loss, val.balanced_accuracy
-        else:
-            val_loss, val_bacc = train_loss, 0.0
+        val = _eval_arrays(params, x_val, y_val, w_val)
         history.train_loss.append(train_loss)
-        history.val_loss.append(val_loss)
-        history.val_balanced_accuracy.append(val_bacc)
+        history.val_loss.append(val.loss)
+        history.val_balanced_accuracy.append(val.balanced_accuracy)
 
-        if val_loss < best_loss:
-            best_loss = val_loss
+        if val.loss < best_loss:
+            best_loss = val.loss
             best_params = params.copy()
             history.best_epoch = epoch
             since_best = 0

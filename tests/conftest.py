@@ -56,7 +56,7 @@ def conv1d_same(x, w, b):
     """Cross-correlation of a single window (C_in, L) -> (C_out, L)."""
     if x.ndim != 2:
         raise ShapeMismatch(f"conv input must be (C, L), got shape {x.shape}")
-    return kernels.conv1d_same_batch(x[None], w, b)[0]
+    return kernels.conv1d_same_batch(same_padded(x[None], w), w, b)[0]
 
 
 def same_padded(x, w):
@@ -67,6 +67,14 @@ def same_padded(x, w):
     out = np.zeros((*x.shape[:2], x.shape[2] + 2 * pad), np.result_type(x, w))
     out[:, :, pad:pad + x.shape[2]] = x
     return out
+
+
+def assert_zero_borders(padded, k):
+    """Every column of padded (..., L+K-1) outside its interior is zero:
+    the (K-1)/2 border columns on each side of a conv operand."""
+    pad = (k - 1) // 2
+    assert not padded[..., :pad].any()
+    assert not padded[..., padded.shape[-1] - pad:].any()
 
 
 def dense(x, w, b):
@@ -94,19 +102,22 @@ def layerwise_forward(m, x, capture=None):
         return kernels.batchnorm_infer(t, layer.gamma, layer.beta,
                                        layer.mean, layer.var, cfg.bn_eps)
 
+    def conv(layer, t):
+        return kernels.conv1d_same_batch(same_padded(t, layer.w), layer.w,
+                                         layer.b)
+
     def record(name, arr):
         if capture is not None:
             capture[name] = arr
 
     record("input", x)
-    a = kernels.relu(bn(m.stem, kernels.conv1d_same_batch(x, m.stem.w,
-                                                          m.stem.b)))
+    a = kernels.relu(bn(m.stem, conv(m.stem, x)))
     record("stem.out", a)
     for i, block in enumerate(m.blocks):
         skip = a
         h = a
         for j, layer in enumerate(block):
-            h = bn(layer, kernels.conv1d_same_batch(h, layer.w, layer.b))
+            h = bn(layer, conv(layer, h))
             if j < len(block) - 1:
                 h = kernels.relu(h)
             record(f"b{i}.c{j}.out", h)

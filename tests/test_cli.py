@@ -510,6 +510,12 @@ class TestReport:
         ("b,1e6,inf,500,1000000", cli.EXIT_USAGE, "InvalidConfig", "'b'"),
         ("b,1e6,1.0,nan,1000000", cli.EXIT_USAGE, "InvalidConfig", "'b'"),
         ("b,1e6,1.0,500,1e400", cli.EXIT_DATA, "CorruptFile", "p.csv:2:"),
+        ("a,2e6,2.0,500,1000000", cli.EXIT_DATA, "CorruptFile",
+         "p.csv:2: profile 'a' repeats line 1"),
+        (",2e6,2.0,500,1000000", cli.EXIT_DATA, "CorruptFile",
+         "p.csv:2: empty profile name"),
+        ("b,2e6,2.0,500,1.5", cli.EXIT_DATA, "CorruptFile",
+         "p.csv:2: mac_count 1.5 is not an integer"),
     ])
     def test_non_finite_profile_field(self, capsys, tmp_path, row, code,
                                       error, named):
@@ -520,6 +526,18 @@ class TestReport:
         assert_one_error_line(err, error)
         assert named in err
 
+    def test_header_after_blank_line(self, capsys, tmp_path):
+        rows = ("name,clock_hz,power_mw,time_ms,mac_count\n"
+                "a,1e6,1.0,1000,1000000\nb,1e6,1.0,500,1000000\n")
+        outs = []
+        for text in (rows, "\n" + rows):
+            path = tmp_path / "p.csv"
+            path.write_text(text)
+            code, out, _ = run_cli(capsys, "report", "--profiles", str(path),
+                                   "--format", "kv")
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_undecodable_profiles_are_data_error(self, capsys, tmp_path):
         path = tmp_path / "p.csv"

@@ -107,31 +107,34 @@ class TestConv1dSame:
         x = rng.standard_normal((5, 3, 12)).astype(np.float32)
         w = rng.standard_normal((4, 3, 3)).astype(np.float32)
         b = rng.standard_normal(4).astype(np.float32)
-        batched = kernels.conv1d_same_batch(x, w, b)
+        batched = kernels.conv1d_same_batch(same_padded(x, w), w, b)
         for i in range(5):
             np.testing.assert_array_equal(batched[i],
                                           conv1d_same(x[i], w, b))
 
     def test_buffers_match_allocating_call(self, rng):
-        """With out, padded and patches given, the result is the allocating
-        call's, also when x is out itself."""
+        """With out and patches given, the result is the allocating call's,
+        written into out."""
         x = rng.standard_normal((5, 4, 12)).astype(np.float32)
         w = rng.standard_normal((4, 4, 3)).astype(np.float32)
         b = rng.standard_normal(4).astype(np.float32)
-        expected = kernels.conv1d_same_batch(x, w, b)
-        out = x.copy()
-        padded = np.zeros((5, 4, 14), np.float32)
-        y = kernels.conv1d_same_batch(out, w, b, out, padded=padded,
+        padded = same_padded(x, w)
+        expected = kernels.conv1d_same_batch(padded, w, b)
+        out = np.empty_like(x)
+        y = kernels.conv1d_same_batch(padded, w, b, out,
                                       patches=np.empty((5, 12, 12), np.float32))
         assert y is out
         np.testing.assert_array_equal(y, expected)
 
-    def test_pad_buffer_shape_checked(self, rng):
-        x = rng.standard_normal((2, 3, 12)).astype(np.float32)
-        w = rng.standard_normal((4, 3, 3)).astype(np.float32)
-        with pytest.raises(ShapeMismatch, match="pad buffer"):
-            kernels.conv1d_same_batch(x, w, np.zeros(4, np.float32),
-                                      padded=np.zeros((1, 3, 14), np.float32))
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_interior_is_the_view_between_the_borders(rng, k):
+    padded = rng.standard_normal((2, 3, 10 + k - 1))
+    inner = kernels.interior(padded, k)
+    pad = (k - 1) // 2
+    assert inner.shape == (2, 3, 10)
+    assert np.shares_memory(inner, padded)
+    np.testing.assert_array_equal(inner, padded[:, :, pad:pad + 10])
 
 
 def flip(w):

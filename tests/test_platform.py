@@ -187,6 +187,27 @@ class TestProfileFile:
         with pytest.raises(CorruptFile, match=r"p\.csv:2: "):
             load_profiles(path)
 
+    def test_header_after_blank_lines(self, tmp_path):
+        rows = ("name,clock_hz,power_mw,time_ms,mac_count\n"
+                "x,1e6,1.0,1000,1000000\ny,2e6,2.0,500,3.051812e6\n")
+        path = tmp_path / "p.csv"
+        path.write_text(rows)
+        padded = tmp_path / "padded.csv"
+        padded.write_text("\n ,\n" + rows)
+        assert load_profiles(padded) == load_profiles(path)
+        assert load_profiles(path)[1].mac_count == 3_051_812
+
+    @pytest.mark.parametrize("row, message", [
+        ("x,2e6,2.0,500,1000000", r"p\.csv:2: profile 'x' repeats line 1"),
+        (" ,2e6,2.0,500,1000000", r"p\.csv:2: empty profile name"),
+        ("y,2e6,2.0,500,1.5", r"p\.csv:2: mac_count 1\.5 is not an integer"),
+    ])
+    def test_ambiguous_row_rejected(self, tmp_path, row, message):
+        path = tmp_path / "p.csv"
+        path.write_text(f"x,1e6,1.0,1000,1000000\n{row}\n")
+        with pytest.raises(CorruptFile, match=message):
+            load_profiles(path)
+
 
 def test_report_formats():
     table = report_table(list(BUILTIN_PROFILES))

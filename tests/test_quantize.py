@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (captured, make_random_windows, randomize_bn,
-                      requantize_array, same_padded)
+from conftest import (assert_zero_borders, captured, make_random_windows,
+                      randomize_bn, requantize_array, same_padded)
 from edgefit import container, kernels, model, quantize, training
 from edgefit.errors import (
     AccumulatorOverflow,
@@ -504,6 +504,21 @@ class TestQForward:
         batched = qforward_batch(qm, x)
         for i, w in enumerate(windows):
             np.testing.assert_array_equal(qforward(qm, w.data), batched[i])
+
+    def test_plan_pad_borders_stay_zero(self):
+        """Blocks of 8, 3 and 1 windows write only the interiors of the
+        conv steps' padded scratch arrays."""
+        _, qm = quantized_fixture(width=4)
+        for n in (8, 3, 1):
+            qforward_batch(qm, np.stack(
+                [w.data for w in make_random_windows(n, seed=n)]))
+        convs = [(step, scratch) for (step, _), scratch
+                 in zip(qm.plan.layout, qm.plan.scratch)
+                 if isinstance(step, quantize._ConvStep)]
+        assert len(convs) == 10
+        for step, (padded, *_) in convs:
+            assert padded.any()
+            assert_zero_borders(padded, step.w.shape[2])
 
     def test_evaluate_quant_is_one_batch_call(self):
         """37 windows, not a multiple of BLOCK_WINDOWS: evaluate_quant gives

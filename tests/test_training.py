@@ -4,8 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import (astype, make_random_windows, make_separable_windows,
-                      same_padded)
+from conftest import (assert_zero_borders, astype, make_random_windows,
+                      make_separable_windows, same_padded)
 from edgefit import dataset, kernels, model, training
 from edgefit.errors import EmptyTestSet, EmptyTrainSet, InvalidConfig
 from edgefit.model import ModelConfig, build
@@ -293,6 +293,18 @@ class TestWorkspaceTrainer:
             for a, b in zip(stats[name], want_stats[name]):
                 assert a.tobytes() == b.tobytes(), name
 
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_pad_borders_stay_zero(self, rng, k):
+        """Steps of 8 windows and a shorter last one write only the
+        interiors of the workspace's pad buffers."""
+        m = build(ModelConfig(width=8, kernel=k), seed=5)
+        ws = training.Workspace(m, 8)
+        for n in (8, 8, 3):
+            training._step(ws, m, *random_batch(rng, n, np.float32))
+        for buf in [*ws.padded, ws.g_padded]:
+            assert kernels.interior(buf, k).any()
+            assert_zero_borders(buf, k)
+
     def test_steady_step_allocates_under_2mb(self, monkeypatch):
         """The second optimizer step of an epoch at width 52, batch 64, Adam
         included, peaks below 2 MB of fresh allocations (numpy reports its
@@ -445,6 +457,16 @@ class TestTrainFold:
     def test_empty_train_set(self):
         split = dataset.DatasetSplit(train=[], test=[], held_out_subject=1)
         with pytest.raises(EmptyTrainSet):
+            train_fold(split, ModelConfig(width=2), Hyperparams(), seed=0)
+
+    def test_one_session_per_subject_leaves_nothing_to_train(self):
+        """Each subject's one session is its validation session."""
+        windows = make_separable_windows(40)
+        for w in windows:
+            w.session = 3
+        split = dataset.DatasetSplit(train=windows, test=windows,
+                                     held_out_subject=0)
+        with pytest.raises(EmptyTrainSet, match="validation session"):
             train_fold(split, ModelConfig(width=2), Hyperparams(), seed=0)
 
     def test_history_csv(self, tmp_path):
