@@ -96,6 +96,8 @@ def cmd_train(args) -> int:
     _output_file("--out", args.out)
     history_path = _output_file("--history", args.history or str(
         Path(args.out).with_suffix(".history.csv")))
+    if Path(history_path).resolve() == Path(args.out).resolve():
+        raise InvalidConfig(f"--history {history_path} is the --out file")
     windows = dataset.load_windows(args.windows)
     split = dataset.fold_split(windows, args.fold)
     config = model.ModelConfig(width=args.width)
@@ -131,8 +133,14 @@ def cmd_quantize(args) -> int:
     size = min(args.calib_size, len(calib_pool))
     idx = rng.choice(len(calib_pool), size=size, replace=False)
     calib = [calib_pool[i] for i in sorted(idx)]
-    folded = model.fold_batchnorm(m)
-    stats = quantize.calibrate(folded, calib)
+    # model.load admits only finite values, yet finite weights can
+    # overflow the fold or the float32 forward: the model file is at fault
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            folded = model.fold_batchnorm(m)
+            stats = quantize.calibrate(folded, calib)
+    except FloatingPointError as e:
+        raise CorruptFile(f"{args.model}: float32 {e}") from None
     qm = quantize.quantize_model(folded, stats)
     quantize.save(qm, args.out)
     print(f"calibrated on {size} windows; quantized model -> {args.out}")

@@ -126,10 +126,12 @@ def _parse_row(row: list[str], idx: dict[str, int]) -> None:
     """Raise ValueError with the reason row is not a valid data row."""
     try:
         ts = float(row[idx["timestamp"]])
-        channels = tuple(float(row[idx[name]]) for name in CHANNEL_NAMES)
+        channels = [float(row[idx[name]]) for name in CHANNEL_NAMES]
     except (ValueError, IndexError) as e:
         raise ValueError(f"bad numeric field ({e})")
-    if not all(np.isfinite(channels)) or not np.isfinite(ts):
+    with np.errstate(over="ignore"):   # channels are stored as float32
+        channels = np.array(channels, np.float32)
+    if not np.isfinite(channels).all() or not np.isfinite(ts):
         raise ValueError("non-finite value")
     for name in ("label", "subject", "session"):
         if len(row) <= idx[name]:
@@ -196,7 +198,10 @@ def _read_csv(f: Path, number: int) -> tuple | None:
         numeric = np.array([np.fromiter(map(float, columns[idx[name]]),
                                         np.float64, n)
                             for name in ("timestamp", *CHANNEL_NAMES)])
-        if not np.isfinite(numeric).all():
+        # stored as float32, where _parse_row checks them too
+        with np.errstate(over="ignore"):
+            channels = numeric[1:].T.astype(np.float32)
+        if not (np.isfinite(numeric[0]).all() and np.isfinite(channels).all()):
             raise ValueError("non-finite value")
         ids = []
         for name, parse, (low, high) in (
@@ -214,7 +219,7 @@ def _read_csv(f: Path, number: int) -> tuple | None:
             except ValueError as e:
                 raise MalformedRow(lineno, str(e), str(f)) from None
         raise
-    return (numeric[0], numeric[1:].T.astype(np.float32), *ids,
+    return (numeric[0], channels, *ids,
             np.arange(n), np.full(n, number))
 
 

@@ -8,6 +8,7 @@ conv-BN, adds the unmodified block input, and applies a final ReLU.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,23 +97,10 @@ class ModelParams:
     def all_tensors(self):
         """Yield (name, array) for every tensor including running stats."""
         for name, layer in self.conv_layers():
-            for attr in ("w", "b", "gamma", "beta", "mean", "var"):
-                yield f"{name}.{attr}", getattr(layer, attr)
+            for f in dataclasses.fields(ConvLayer):
+                yield f"{name}.{f.name}", getattr(layer, f.name)
         yield "head.w", self.head_w
         yield "head.b", self.head_b
-
-    def copy(self) -> "ModelParams":
-        def cl(layer: ConvLayer) -> ConvLayer:
-            return ConvLayer(*(getattr(layer, a).copy()
-                               for a in ("w", "b", "gamma", "beta", "mean", "var")))
-        return ModelParams(
-            config=self.config,
-            stem=cl(self.stem),
-            blocks=[[cl(l) for l in blk] for blk in self.blocks],
-            head_w=self.head_w.copy(),
-            head_b=self.head_b.copy(),
-            bn_folded=self.bn_folded,
-        )
 
 
 def build(config: ModelConfig, seed: int) -> ModelParams:
@@ -327,7 +315,7 @@ def fold_batchnorm(m: ModelParams) -> ModelParams:
     channel, b' = (b-mean)*g/sqrt(v+eps)+beta. The result skips BN entirely
     (its BN parameters are identity and bn_eps is zeroed, so folding again
     is a no-op)."""
-    out = m.copy()
+    out = copy.deepcopy(m)
     eps = m.config.bn_eps if not m.bn_folded else 0.0
     for _, layer in out.conv_layers():
         scale = (layer.gamma / np.sqrt(layer.var + eps)).astype(np.float32)
@@ -376,18 +364,20 @@ def save(m: ModelParams, path: str | Path) -> None:
 def load(path: str | Path) -> ModelParams:
     """Read an EFM2 file: every tensor must have the dtype and shape of the
     one build gives for the file's config, and be finite, and no running
-    variance may be negative."""
+    variance may be negative, nor zero where the BN eps fold_batchnorm
+    adds to it (bn_eps, or 0 once folded) is 0."""
     contents = container.read(path, MODEL_MAGIC)
     m = build(config_from_meta(contents), 0)
+    m.bn_folded = contents.meta.get("bn_folded")
+    if not isinstance(m.bn_folded, bool):
+        raise CorruptFile(f"{contents.path}: bn_folded is {m.bn_folded!r}")
+    eps = 0.0 if m.bn_folded else m.config.bn_eps
     for name, arr in m.all_tensors():
         arr[...] = contents.take(name, "<f4", arr.shape)
         if not np.isfinite(arr).all():
             raise CorruptFile(f"{contents.path}: tensor {name} is not finite")
-        if name.endswith(".var") and (arr < 0).any():
+        if name.endswith(".var") and (arr <= 0 if eps == 0 else arr < 0).any():
             raise CorruptFile(f"{contents.path}: tensor {name} holds a "
-                              f"negative variance")
+                              f"negative variance, or a zero one with eps 0")
     contents.finish()
-    m.bn_folded = contents.meta.get("bn_folded")
-    if not isinstance(m.bn_folded, bool):
-        raise CorruptFile(f"{contents.path}: bn_folded is {m.bn_folded!r}")
     return m

@@ -7,22 +7,21 @@ holds out one session per training subject so the held-out test subject is
 never touched.
 
 A step runs in a Workspace: every activation, gradient and scratch array
-the step writes, allocated once and written with out=. Its zero-bordered
-pad buffers are kernels.conv1d's operands: the batch, each ReLU output and
-each conv's output gradient are written into their interiors. train_fold
-builds a workspace per epoch, sized for min(batch_size, n) windows; a
-shorter last batch uses its leading rows. It is dropped before the
-validation pass, so it never coexists with the evaluation's buffers (at
-width 52, model.forward_batch's 4.3 MB head input for a 512-window chunk
-and one block's 830 KB). A step that allocates frees about 30 MB of
-temporaries at its end, which the allocator returns to the OS and the
-next step faults back in (about 10,000 page faults a step at width 52,
-batch 64). backward and _forward_train build a workspace per call and
-run the same code.
+the step writes, allocated once and written with out=. Both passes walk
+the convs by their index in conv_layers order: conv i reads operand i of
+the workspace, its ReLU writes operand i + 1 (the next conv's pad buffer
+interior), and where a residual add goes follows from i and
+convs_per_block alone. train_fold builds a workspace per epoch, sized for
+min(batch_size, n) windows; a shorter last batch uses its leading rows.
+It is dropped before the validation pass, so it never coexists with the
+evaluation's buffers (at width 52, model.forward_batch's 4.3 MB head
+input for a 512-window chunk and one block's 830 KB). backward builds a
+workspace per call and runs the same code.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -118,14 +117,13 @@ class Workspace:
     """Every array a training step writes, for batches of up to `batch`
     windows, in the parameters' dtype.
 
-    Per conv layer it holds the zero-padded input (batch, C_in, L+K-1),
-    whose interior the batch or the previous layer's ReLU is written to,
-    and the normalized activations x_hat; shared buffers take the im2col
-    patches of one block of kernels.BLOCK windows, the BN output before the
-    ReLU, the flowing gradients, the padded output gradient and each weight
-    gradient. A step writes everything with out=, and a shorter batch of b
-    windows uses the leading rows buf[:b], so a step allocates nothing of
-    the batch's size.
+    Per conv layer it holds the zero-padded input (batch, C_in, L+K-1) and
+    the normalized activations x_hat; `out` holds the last ReLU output, the
+    head's input. Shared buffers take the im2col patches of one block of
+    kernels.BLOCK windows, the BN output before the ReLU, the flowing
+    gradients, the padded output gradient and each weight gradient. A step
+    writes everything with out=, and a shorter batch of b windows uses the
+    leading rows buf[:b], so a step allocates nothing of the batch's size.
     """
 
     def __init__(self, m: ModelParams, batch: int):
@@ -137,10 +135,11 @@ class Workspace:
         def act(channels=c):
             return np.empty((batch, channels, length), dtype)
 
+        self.kernel = k
         self.padded = [np.zeros((batch, layer.w.shape[1], length + k - 1), dtype)
                        for _, layer in m.conv_layers()]
         self.xhat = [act() for _ in self.padded]
-        self.out = act()                   # last ReLU output, the head's input
+        self.out = act()
         self.h = act()                     # BN output before the ReLU
         self.mask = np.empty((batch, c, length), bool)
         self.patches = np.empty((min(batch, kernels.BLOCK), widest * k, length),
@@ -148,8 +147,15 @@ class Workspace:
         self.products = np.empty((batch, c, widest), dtype)
         self.grad = (act(), act())
         self.g_padded = np.zeros((batch, c, length + k - 1), dtype)
-        self.dw = {name: np.empty_like(layer.w) for name, layer in m.conv_layers()}
+        self.dw = [np.empty_like(layer.w) for _, layer in m.conv_layers()]
         self.head_w = np.empty_like(m.head_w)
+
+    def operands(self, b: int) -> list[np.ndarray]:
+        """The leading b rows of each conv's input, the interior of its pad
+        buffer, then of `out`: conv i reads operand i, its ReLU writes
+        operand i + 1, and the head reads the last."""
+        return ([kernels.interior(p[:b], self.kernel) for p in self.padded]
+                + [self.out[:b]])
 
 
 def _bn_normalize(z: np.ndarray, eps: float):
@@ -180,51 +186,34 @@ def _bn_backward(dh: np.ndarray, xhat: np.ndarray, gamma: np.ndarray,
     return dgamma, dbeta
 
 
-def _conv_index(name: str) -> int | None:
-    """Position of a conv within its block; None for the stem."""
-    return None if name == "stem" else int(name.split(".c")[1])
-
-
 def _forward(ws: Workspace, m: ModelParams, x: np.ndarray):
     """Forward pass with batch-statistics BN through ws's leading len(x)
-    rows. Returns the logits and a tape of views into ws plus each layer's
-    batch statistics."""
+    rows, leaving every operand and x_hat in ws. Returns the logits and
+    one (mean + conv bias, var, 1/sqrt(var+eps)) per conv, in conv_layers
+    order. Conv i >= 1 ends a block of n convs when i % n == 0 and adds
+    the block's input, operand i - n + 1, before its ReLU."""
     b = x.shape[0]
-    eps = m.config.bn_eps
-    last = m.config.convs_per_block - 1
-    layers = list(m.conv_layers())
-    tape = {"layers": []}
-    a = kernels.interior(ws.padded[0][:b], m.config.kernel)
-    a[...] = x
-    skip = None
-    for i, (name, layer) in enumerate(layers):
-        pos = _conv_index(name)
-        if pos == 0:
-            skip = a
+    n = m.config.convs_per_block
+    operands = ws.operands(b)
+    operands[0][...] = x
+    stats = []
+    for i, (_, layer) in enumerate(m.conv_layers()):
         _, c_in, k = layer.w.shape
         xhat = ws.xhat[i][:b]
         kernels.conv1d(ws.padded[i][:b], layer.w, xhat,
                        patches=ws.patches[:b, :c_in * k])
         # the conv bias only shifts the batch mean, which BN subtracts
-        mu, var, inv = _bn_normalize(xhat, eps)
+        mu, var, inv = _bn_normalize(xhat, m.config.bn_eps)
         h = ws.h[:b]
         np.multiply(xhat, layer.gamma[:, None], out=h)
         h += layer.beta[:, None]
-        if pos == last:
-            h += skip
-        a = (kernels.interior(ws.padded[i + 1][:b], k) if i + 1 < len(layers)
-             else ws.out[:b])
-        np.maximum(h, 0, out=a)
-        tape["layers"].append({"post": a, "mean": mu + layer.b, "var": var,
-                               "inv": inv})
-    tape["flat"] = a.reshape(b, -1)
-    logits = kernels.dense_batch(tape["flat"], m.head_w, m.head_b)
-    return logits, tape
-
-
-def _forward_train(m: ModelParams, x: np.ndarray):
-    """Forward pass with batch-statistics BN, returning a tape for backward."""
-    return _forward(Workspace(m, x.shape[0]), m, x)
+        if i and i % n == 0:
+            h += operands[i - n + 1]
+        np.maximum(h, 0, out=operands[i + 1])
+        stats.append((mu + layer.b, var, inv))
+    logits = kernels.dense_batch(operands[-1].reshape(b, -1), m.head_w,
+                                 m.head_b)
+    return logits, stats
 
 
 def _loss_and_dlogits(logits, targets, weights):
@@ -239,52 +228,54 @@ def _loss_and_dlogits(logits, targets, weights):
 
 
 def _step(ws: Workspace, m: ModelParams, x, targets, weights):
-    """Gradients of the mean weighted CE loss plus the BN batch statistics,
-    for the len(x) windows of x, computed in ws. The weight gradients are
-    ws's own arrays, valid until the next step."""
+    """Gradients of the mean weighted CE loss for the len(x) windows of x,
+    computed in ws: (grads keyed like param_items, loss, _forward's
+    stats). The conv weight gradients are ws's own arrays, valid until
+    the next step. Conv i's ReLU mask is read from operand i + 1. An add
+    sends its gradient to both branches, so the one kept at a block's
+    last conv joins the input gradient of its first, conv i >= 1 with
+    (i - 1) % n == 0."""
     b = x.shape[0]
-    logits, tape = _forward(ws, m, x)
+    logits, stats = _forward(ws, m, x)
+    operands = ws.operands(b)
     loss, dlogits = _loss_and_dlogits(logits, targets, weights)
 
     grads: dict[str, np.ndarray] = {}
-    grads["head.w"] = np.matmul(dlogits.T, tape["flat"], out=ws.head_w)
+    grads["head.w"] = np.matmul(dlogits.T, operands[-1].reshape(b, -1),
+                                out=ws.head_w)
     grads["head.b"] = dlogits.sum(axis=0)
     da, spare = ws.grad[0][:b], ws.grad[1][:b]
     np.matmul(dlogits, m.head_w, out=da.reshape(b, -1))
 
-    bn_stats = {}
     layers = list(m.conv_layers())
-    last = m.config.convs_per_block - 1
+    n = m.config.convs_per_block
     mask = ws.mask[:b]
     dz = kernels.interior(ws.g_padded[:b], m.config.kernel)
     skip_grad = None
     for i in range(len(layers) - 1, -1, -1):
         name, layer = layers[i]
-        entry = tape["layers"][i]
-        pos = _conv_index(name)
-        np.greater(entry["post"], 0, out=mask)
+        np.greater(operands[i + 1], 0, out=mask)
         da *= mask                          # da is now dL/dh
         dgamma, dbeta = _bn_backward(da, ws.xhat[i][:b], layer.gamma,
-                                     entry["inv"], dz)
-        if pos == last:                     # the add routes dh to the skip too
+                                     stats[i][2], dz)
+        if i and i % n == 0:                # the add routes dh to the skip too
             skip_grad, da = da, spare
         c_out, c_in, k = layer.w.shape
         dw, db = kernels.conv1d_weight_grad(
-            dz, ws.padded[i][:b], dw=ws.dw[name],
+            dz, ws.padded[i][:b], dw=ws.dw[i],
             products=ws.products[:b, :, :c_in])
-        if i:   # nothing reads the stem's input gradient
-            flipped = layer.w.transpose(1, 0, 2)[:, :, ::-1]
-            kernels.conv1d(ws.g_padded[:b], flipped, da,
-                           patches=ws.patches[:b, :c_out * k])
         grads[f"{name}.w"] = dw
         grads[f"{name}.b"] = db
         grads[f"{name}.gamma"] = dgamma
         grads[f"{name}.beta"] = dbeta
-        bn_stats[name] = (entry["mean"], entry["var"])
-        if pos == 0:
-            da += skip_grad
-            spare = skip_grad
-    return grads, loss, bn_stats
+        if i:   # nothing reads the stem's input gradient
+            flipped = layer.w.transpose(1, 0, 2)[:, :, ::-1]
+            kernels.conv1d(ws.g_padded[:b], flipped, da,
+                           patches=ws.patches[:b, :c_out * k])
+            if (i - 1) % n == 0:
+                da += skip_grad
+                spare = skip_grad
+    return grads, loss, stats
 
 
 def backward(m: ModelParams, x: np.ndarray, targets: np.ndarray,
@@ -336,9 +327,8 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
     return params, state
 
 
-def _update_running_stats(m: ModelParams, bn_stats) -> None:
-    for name, layer in m.conv_layers():
-        mu, var = bn_stats[name]
+def _update_running_stats(m: ModelParams, stats) -> None:
+    for (_, layer), (mu, var, _) in zip(m.conv_layers(), stats):
         layer.mean = (BN_MOMENTUM * layer.mean
                       + (1.0 - BN_MOMENTUM) * mu).astype(np.float32)
         layer.var = (BN_MOMENTUM * layer.var
@@ -436,10 +426,10 @@ def train_fold(split: DatasetSplit, config: ModelConfig, hp: Hyperparams,
         start = time.process_time()
         for i in range(0, n, hp.batch_size):
             idx = order[i:i + hp.batch_size]
-            grads, loss, bn_stats = _step(
+            grads, loss, stats = _step(
                 ws, params, x_train[idx], y_train[idx], w_train[idx])
             adam_step(params, grads, state, hp)
-            _update_running_stats(params, bn_stats)
+            _update_running_stats(params, stats)
             loss_sum += loss * len(idx)
         steps = len(range(0, n, hp.batch_size))
         history.step_ms.append(1000.0 * (time.process_time() - start) / steps)
@@ -453,7 +443,7 @@ def train_fold(split: DatasetSplit, config: ModelConfig, hp: Hyperparams,
 
         if val.loss < best_loss:
             best_loss = val.loss
-            best_params = params.copy()
+            best_params = copy.deepcopy(params)
             history.best_epoch = epoch
             since_best = 0
         else:

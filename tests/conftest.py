@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ def requantize_array(acc, m0, shift_n, zero_point_out):
 def astype(m, dtype):
     """A copy of the model m with every tensor cast to dtype, for the
     float64 gradient oracles of test_training.py and criterion 4."""
-    out = m.copy()
+    out = copy.deepcopy(m)
     for _, layer in out.conv_layers():
         for a in ("w", "b", "gamma", "beta", "mean", "var"):
             setattr(layer, a, getattr(layer, a).astype(dtype))

@@ -135,10 +135,11 @@ def test_criterion_04_gradient_oracle(rng):
     grads, _ = training.backward(m, x, y, w)
 
     def loss_and_masks():
-        logits, tape = training._forward_train(m, x)
+        ws = training.Workspace(m, len(x))
+        logits, _ = training._forward(ws, m, x)
         loss, _ = training._loss_and_dlogits(logits, y, w)
-        masks = np.concatenate([(e["post"] > 0).ravel()
-                                for e in tape["layers"]])
+        masks = np.concatenate([(a > 0).ravel()
+                                for a in ws.operands(len(x))[1:]])
         return loss, masks
 
     _, base = loss_and_masks()

@@ -190,6 +190,21 @@ class TestTrain:
         assert "patience 5" in err
         assert not any(tmp_path.iterdir())
 
+    def test_history_on_model_file_is_usage_error(self, capsys, pipeline,
+                                                  tmp_path, monkeypatch):
+        """--history naming the --out file, spelled another way, is refused
+        before anything is loaded or written."""
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run_cli(capsys, "train", "--windows",
+                                    str(pipeline["windows"]), "--fold", "1",
+                                    "--out", "m.efm", "--width", "4",
+                                    "--epochs", "1",
+                                    "--history", str(tmp_path / "m.efm"))
+        assert code == cli.EXIT_USAGE and not stdout
+        assert_one_error_line(err, "InvalidConfig")
+        assert "--history" in err
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_fold(self, capsys, pipeline):
         code, _, err = run_cli(capsys, "train", "--windows",
                                str(pipeline["windows"]), "--fold", "9",
@@ -236,6 +251,28 @@ class TestQuantize:
                                "--out", str(tmp_path / "q.efq"))
         assert code == cli.EXIT_DATA
         assert_one_error_line(err, "CorruptFile")
+
+
+    @pytest.mark.parametrize("name, value, config, message", [
+        # finite, so the model loads, but its float32 forward overflows
+        ("b0.c0.w", 1e38, {}, "float32"),
+        # fold_batchnorm would divide by sqrt(0 + 0)
+        ("stem.var", 0.0, {"bn_eps": 0.0}, "tensor stem.var")])
+    def test_model_that_eval_rejects_is_data_error(
+            self, capsys, pipeline, tmp_path, name, value, config, message):
+        contents = container.read(pipeline["model"], model.MODEL_MAGIC)
+        contents.tensors[name].flat[0] = value
+        contents.meta["config"].update(config)
+        bad = tmp_path / "bad.efm"
+        container.write(bad, model.MODEL_MAGIC, contents.meta,
+                        contents.tensors)
+        code, stdout, err = run_cli(capsys, "quantize", "--model", str(bad),
+                                    "--windows", str(pipeline["windows"]),
+                                    "--out", str(tmp_path / "q.efq"))
+        assert code == cli.EXIT_DATA and not stdout
+        assert_one_error_line(err, "CorruptFile")
+        assert str(bad) in err and message in err
+        assert not (tmp_path / "q.efq").exists()
 
 
 class TestEval:

@@ -651,7 +651,10 @@ def oracle_parse_row(row, idx) -> SampleRecord:
         channels = tuple(float(row[idx[name]]) for name in dataset.CHANNEL_NAMES)
     except (ValueError, IndexError) as e:
         raise ValueError(f"bad numeric field ({e})")
-    if not all(np.isfinite(channels)) or not np.isfinite(ts):
+    # channels are stored as float32, which rounds |c| >= 2^128 - 2^103
+    # (its largest value plus half an ulp) to inf
+    if not (all(abs(c) < 2.0 ** 128 - 2.0 ** 103 for c in channels)
+            and np.isfinite(ts)):
         raise ValueError("non-finite value")
     label = dataset._parse_label(row[idx["label"]])
     try:
@@ -727,6 +730,7 @@ MALFORMED = {
     "bad_float": ["0.10,1,2,x,4,5,6,7,0,1,1"],
     "nan": ["0.10,1,2,3,4,5,nan,7,0,1,1"],
     "inf_timestamp": ["inf,1,2,3,4,5,6,7,0,1,1"],
+    "beyond_float32": ["0.10,1,2,3,4,5,6,1e39,0,1,1"],
     "short_numeric": ["0.10,1,2,3"],
     "label_13": ["0.10,1,2,3,4,5,6,7,13,1,1"],
     "unknown_class": ["0.10,1,2,3,4,5,6,7,Yoga,1,1"],

@@ -7,8 +7,7 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# kept for acceptance criterion 4's gradient check of the training forward
-TEST_ONLY = {"training._forward_train"}
+TEST_ONLY = set()
 
 
 def unreferenced_definitions() -> set[str]:

@@ -44,6 +44,12 @@ def oracle_bn_train_backward(g, gamma, cache):
     return dx, dgamma, dbeta
 
 
+def conv_position(name):
+    """Position of a conv within its block, from its name b{i}.c{j}; None
+    for the stem."""
+    return None if name == "stem" else int(name.split(".c")[1])
+
+
 def oracle_forward_train(m, x):
     """Forward pass with batch-statistics BN, a fresh array per tensor,
     returning a tape for oracle_backward_train."""
@@ -53,7 +59,7 @@ def oracle_forward_train(m, x):
     a = x
     skip = None
     for name, layer in m.conv_layers():
-        pos = training._conv_index(name)
+        pos = conv_position(name)
         entry = {"name": name}
         if pos == 0:
             skip = a
@@ -75,8 +81,9 @@ def oracle_forward_train(m, x):
 
 
 def oracle_backward_train(m, x, targets, weights):
-    """(grads, loss, bn_stats) as training._step returns them; dw is one
-    tensordot of g with the forward's patches over batch and length."""
+    """(grads, loss, [(mean + conv bias, var)] per conv) as training._step
+    returns them; dw is one tensordot of g with the forward's patches over
+    batch and length."""
     logits, tape = oracle_forward_train(m, x)
     loss, dlogits = training._loss_and_dlogits(logits, targets, weights)
 
@@ -85,14 +92,14 @@ def oracle_backward_train(m, x, targets, weights):
     grads["head.b"] = dlogits.sum(axis=0)
     da = (dlogits @ m.head_w).reshape(tape["layers"][-1]["post"].shape)
 
-    bn_stats = {}
+    bn_stats = [(e["bn"][2], e["bn"][3]) for e in tape["layers"]]
     layers = list(m.conv_layers())
     last = m.config.convs_per_block - 1
     pending_skip_grad = None
     for idx in range(len(layers) - 1, -1, -1):
         name, layer = layers[idx]
         entry = tape["layers"][idx]
-        pos = training._conv_index(name)
+        pos = conv_position(name)
         dh = da * (entry["post"] > 0)
         if pos == last:
             pending_skip_grad = dh
@@ -105,7 +112,6 @@ def oracle_backward_train(m, x, targets, weights):
         grads[f"{name}.b"] = dz.sum(axis=(0, 2))
         grads[f"{name}.gamma"] = dgamma
         grads[f"{name}.beta"] = dbeta
-        bn_stats[name] = (entry["bn"][2], entry["bn"][3])
         if pos == 0 and pending_skip_grad is not None:
             dx = dx + pending_skip_grad
             pending_skip_grad = None
@@ -152,10 +158,11 @@ def finite_difference_check(m, x, y, w, h, kink_aware):
     grads, _ = backward(m, x, y, w)
 
     def loss_and_masks():
-        logits, tape = training._forward_train(m, x)
+        ws = training.Workspace(m, len(x))
+        logits, _ = training._forward(ws, m, x)
         loss, _ = training._loss_and_dlogits(logits, y, w)
-        masks = np.concatenate([(e["post"] > 0).ravel()
-                                for e in tape["layers"]])
+        masks = np.concatenate([(a > 0).ravel()
+                                for a in ws.operands(len(x))[1:]])
         return loss, masks
 
     _, base_masks = loss_and_masks()
@@ -253,15 +260,24 @@ def random_batch(rng, n, dtype):
 
 
 class TestWorkspaceTrainer:
-    @pytest.mark.parametrize("width, rows, b", [
-        (2, 6, 6), (2, 6, 4), (52, 16, 16), (52, 16, 11), (52, 40, 37)])
-    def test_matches_allocating_oracle(self, rng, width, rows, b):
-        """Full and shorter-than-workspace batches, one and three conv
-        blocks (kernels.BLOCK windows each), float64: gradients within
-        1e-12 of the allocating trainer's largest gradient (the conv-bias
-        gradients are zero up to rounding, so a per-tensor scale would be
-        noise), loss and BN statistics within 1e-12 relative."""
-        m = astype(build(ModelConfig(width=width), seed=4), np.float64)
+    @pytest.mark.parametrize("width, rows, b, blocks, convs", [
+        *(pytest.param(width, rows, b, 3, 3, id=f"{width}-{rows}-{b}")
+          for width, rows, b in [(2, 6, 6), (2, 6, 4), (52, 16, 16),
+                                 (52, 16, 11), (52, 40, 37)]),
+        *(pytest.param(4, 6, 5, blocks, convs,
+                       id=f"blocks{blocks}-convs{convs}")
+          for blocks, convs in [(3, 1), (3, 2), (1, 3), (1, 1)])])
+    def test_matches_allocating_oracle(self, rng, width, rows, b, blocks,
+                                       convs):
+        """Full and shorter-than-workspace batches, one and three im2col
+        blocks (kernels.BLOCK windows each), one to three residual blocks
+        of one to three convs (a one-conv block both starts and ends at
+        the same conv), float64: gradients within 1e-12 of the allocating
+        trainer's largest gradient (the conv-bias gradients are zero up to
+        rounding, so a per-tensor scale would be noise), loss and BN
+        statistics within 1e-12 relative."""
+        config = ModelConfig(width=width, blocks=blocks, convs_per_block=convs)
+        m = astype(build(config, seed=4), np.float64)
         x, y, w = random_batch(rng, b, np.float64)
         grads, loss, stats = training._step(training.Workspace(m, rows),
                                             m, x, y, w)
@@ -271,9 +287,10 @@ class TestWorkspaceTrainer:
         scale = max(np.abs(g).max() for g in want.values())
         for name, g in want.items():
             assert np.abs(grads[name] - g).max() <= 1e-12 * scale, name
-        for name, (mu, var) in want_stats.items():
-            np.testing.assert_allclose(stats[name][0], mu, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(stats[name][1], var, rtol=1e-12)
+        assert len(stats) == len(want_stats)
+        for (mu, var, _), (want_mu, want_var) in zip(stats, want_stats):
+            np.testing.assert_allclose(mu, want_mu, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(var, want_var, rtol=1e-12)
 
     def test_leading_rows_bit_identical_to_sized_workspace(self, rng):
         """A 5-window batch through the first rows of an 8-window workspace
@@ -289,9 +306,9 @@ class TestWorkspaceTrainer:
         assert loss == want_loss
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
-        for name in want_stats:
-            for a, b in zip(stats[name], want_stats[name]):
-                assert a.tobytes() == b.tobytes(), name
+        for i, (got_s, want_s) in enumerate(zip(stats, want_stats)):
+            for a, b in zip(got_s, want_s):
+                assert a.tobytes() == b.tobytes(), i
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_pad_borders_stay_zero(self, rng, k):
