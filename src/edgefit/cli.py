@@ -48,14 +48,18 @@ def _sniff_model(path: str):
     return model.load(p)
 
 
-def _output_file(flag: str, path: str) -> str:
-    """path, once a file can be created there: InvalidConfig when it is a
-    directory or its directory does not exist. Commands check their
-    outputs before they load or write anything."""
+def _output_file(flag: str, path: str, inputs: dict[str, str]) -> str:
+    """path, once a file can be created there that is none of inputs, the
+    command's files keyed by flag: InvalidConfig when it is a directory,
+    its directory does not exist or it resolves to one of inputs.
+    Commands check their outputs before they load or write anything."""
     p = Path(path)
     if p.is_dir() or not p.parent.is_dir():
         raise InvalidConfig(f"{flag} {path} is a directory or lies in no "
                             f"existing directory")
+    for input_flag, input_path in inputs.items():
+        if p.resolve() == Path(input_path).resolve():
+            raise InvalidConfig(f"{flag} {path} is the {input_flag} file")
     return path
 
 
@@ -93,11 +97,11 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _output_file("--out", args.out)
+    inputs = {"--windows": args.windows}
+    _output_file("--out", args.out, inputs)
     history_path = _output_file("--history", args.history or str(
-        Path(args.out).with_suffix(".history.csv")))
-    if Path(history_path).resolve() == Path(args.out).resolve():
-        raise InvalidConfig(f"--history {history_path} is the --out file")
+        Path(args.out).with_suffix(".history.csv")),
+        {**inputs, "--out": args.out})
     windows = dataset.load_windows(args.windows)
     split = dataset.fold_split(windows, args.fold)
     config = model.ModelConfig(width=args.width)
@@ -122,7 +126,8 @@ def cmd_quantize(args) -> int:
     if args.calib_size < 1:
         raise InvalidConfig(
             f"--calib-size must be >= 1, got {args.calib_size}")
-    _output_file("--out", args.out)
+    _output_file("--out", args.out,
+                 {"--model": args.model, "--windows": args.windows})
     m = model.load(args.model)
     windows = dataset.load_windows(args.windows)
     calib_pool = (windows if args.fold is None

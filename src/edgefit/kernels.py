@@ -5,13 +5,14 @@ path; they preserve float64 inputs so test oracles can run at higher
 precision). Activations are laid out channels-first: (C, L) for a single
 window, (B, C, L) for the batched variants used by the trainer.
 
-conv1d is the only code that lowers a convolution to a GEMM: the float
-forward (model.forward_batch, through conv1d_same_batch), the trainer's
-forward and input gradient and the integer path (the conv step of
-quantize.QuantPlan) all call it, and it calls im2col through this
-module's namespace. Every conv entry point takes one operand, the padded
-batch (B, C_in, L+K-1), and the caller owns its zero borders: the float
-forward, the trainer and the integer plan each keep zero-filled pad
+im2col and a GEMM are the one lowering of a convolution, and conv1d and
+conv1d_backward are the only code that runs it, each calling im2col
+through this module's namespace: the float forward (model.forward_batch,
+through conv1d_same_batch), the trainer's forward and the integer path
+(the conv step of quantize.QuantPlan) call conv1d, and the trainer's
+backward conv1d_backward. Every conv entry point takes one operand, the
+padded batch (B, C_in, L+K-1), and the caller owns its zero borders: the
+float forward, the trainer and the integer plan each keep zero-filled pad
 buffers and write every input into interior(padded, K), the (B, C_in, L)
 view between the borders. interior is the one place that knows the
 border width (K-1)/2.
@@ -31,11 +32,15 @@ window is still its own GEMM, so a window's result does not depend on the
 batch or the block it runs in, and a batch of at most BLOCK windows runs
 as one block with no loop.
 
-conv1d_weight_grad forms the weight gradient from the same padded input,
-one batched GEMM per tap; the input gradient is conv1d of the padded
-output gradient with the flipped, transposed kernel. Both take optional
-output buffers in numpy's out= idiom; without them every result is
-allocated, with the same bits.
+conv1d_backward is the trainer's half of the same lowering. Per block it
+unfolds the zero-bordered output gradient once, through im2col, and that
+one patch matrix gives both gradients: the flipped, transposed kernel
+times the patches is the input gradient (the GEMM conv1d would run on it,
+so the bits are conv1d's), and the patches times the block's input
+interior, transposed, are the weight gradient's per-window products, in
+which tap t is patch row K-1-t. Both conv kernels take optional output
+buffers in numpy's out= idiom; without them every result is allocated,
+with the same bits.
 """
 
 from __future__ import annotations
@@ -110,31 +115,60 @@ def conv1d(padded: np.ndarray, w: np.ndarray, out: np.ndarray | None = None,
     return out
 
 
-def conv1d_weight_grad(g: np.ndarray, padded: np.ndarray, *,
-                       dw: np.ndarray | None = None,
-                       products: np.ndarray | None = None):
-    """Gradients (dw, db) of conv1d's weights and of a per-channel bias
-    added to y, given dL/dy g (B, C_out, L) and the padded input (B, C_in,
-    L+K-1) conv1d multiplied.
+def conv1d_backward(g_padded: np.ndarray, w: np.ndarray, padded: np.ndarray,
+                    dx: np.ndarray | None = None,
+                    dw: np.ndarray | None = None, *,
+                    patches: np.ndarray | None = None,
+                    products: np.ndarray | None = None):
+    """Gradients of conv1d(padded, w) and of a per-channel bias added to
+    its output, given dL/dy zero-bordered as g_padded (B, C_out, L+K-1).
+    Returns (dw, db); dx (B, C_in, L), if given, receives the input
+    gradient, and without it none is formed.
 
-    dw takes one batched GEMM per tap of g against a strided view of the
-    padded input, summed over the batch, so neither operand is copied and
-    no patches need to be kept from the forward pass. dw (C_out, C_in, K)
-    and products (B, C_out, C_in), one tap's per-window products, are
-    optional output buffers.
+    Each block of BLOCK windows is unfolded once by im2col into patches
+    (min(B, BLOCK), C_out*K, L). The (C_in, C_out*K) flipped kernel times
+    them gives the block's dx, one GEMM per window as in conv1d; the
+    patches times the block's input interior, transposed, give products
+    (min(B, BLOCK), C_out*K, C_in), whose sum over the batch is dw
+    (C_out, C_in, K), tap t at patch row K-1-t. dw, patches and products
+    are optional output buffers.
     """
-    batch, c_out, length = g.shape
-    _, c_in, padded_len = padded.shape
-    k = padded_len - length + 1
+    batch, c_out, padded_len = g_padded.shape
+    _, c_in, k = w.shape
+    length = padded_len - k + 1
+    x = interior(padded, k).transpose(0, 2, 1)
+    rows = min(batch, BLOCK)
     if dw is None:
-        dw = np.empty((c_out, c_in, k), dtype=np.result_type(g, padded))
+        dw = np.empty(w.shape, np.result_type(g_padded, padded))
+    if patches is None:
+        patches = np.empty((rows, c_out * k, length), g_padded.dtype)
     if products is None:
-        products = np.empty((batch, c_out, c_in), dtype=dw.dtype)
-    for t in range(k):
-        np.matmul(g, padded[:, :, t:t + length].transpose(0, 2, 1),
-                  out=products)
-        dw[:, :, t] = products.sum(axis=0)
-    return dw, np.einsum("bcl->c", g)
+        products = np.empty((rows, c_out * k, c_in), dw.dtype)
+    w_flipped = w.transpose(1, 0, 2)[:, :, ::-1].reshape(c_in, c_out * k)
+    for i in range(0, batch, BLOCK):
+        block = slice(i, i + BLOCK)
+        n = len(g_padded[block])
+        unfolded = im2col(g_padded[block], k, length, patches[:n])
+        if dx is not None:
+            np.matmul(w_flipped, unfolded, out=dx[block])
+        np.matmul(unfolded, x[block], out=products[:n])
+        # summed contiguous, then added: a sum straight into dw's strided
+        # taps view runs 4x slower
+        block_sum = products[:n].sum(axis=0)
+        if i:
+            total += block_sum
+        else:
+            total = block_sum
+    # total[o*K + j, c] is dw[o, c, K-1-j], the row order of the patches
+    np.copyto(dw.transpose(0, 2, 1)[:, ::-1], total.reshape(c_out, k, c_in))
+    return dw, np.einsum("bcl->c", interior(g_padded, k))
+
+
+def channel_rows(v: np.ndarray, length: int) -> np.ndarray:
+    """The (C, L) array of the per-channel values v (C,), each repeated
+    over L. Broadcast against (B, C, L), a row makes numpy's inner loop run
+    over C*L elements, where a (C, 1) column makes it run over L."""
+    return np.repeat(v[:, None], length, axis=1)
 
 
 def interior(padded: np.ndarray, kernel: int) -> np.ndarray:

@@ -68,7 +68,9 @@ before the first inference (TensorFlow Lite Micro). The plan holds:
   convs of a block alternate between slots 1 and 2, and the input and the
   head's int32 accumulators sit above slot 0, where slots 1 and 2 are dead
   while they live. arena_bytes is count_macs().peak_activation_bytes,
-  6,240 B at width 52, the RAM figure the paper reports.
+  6,240 B at width 52, the RAM figure the paper reports. A block of b
+  windows places each operand at its offset times b in the flattened
+  arena, so every operand is one contiguous (b, C, L) array.
 
 At width 52 a plan holds 1.88 MB: 0.50 MB of conv rows, 192 KB of add
 tables, 0.49 MB of GEMM-ready weights, 0.64 MB of scratch and a 49 KB
@@ -79,11 +81,12 @@ dtype, runs kernels.conv1d on the operand, zero borders included, into
 its scratch arrays, and requantizes the accumulators in place into its
 output slot with _rescale and _saturate: (acc + bias_q)*M0 / 2^(31+n)
 rounded half up, plus the output zero point. An add makes three passes:
-the index, its low byte and the lookup. A block allocates only the input
-quantization's temporaries, numpy's casting buffers and, for more than
-one window, the copy np.take writes back into the strided arena: at
-width 52 a steady call of 8 windows peaks at 55 KB of allocations
-(468 KB before the plan), and one window at 19 KB.
+the index, its low byte and the lookup, which np.take writes in place
+into its contiguous output. A block allocates only the input
+quantization's temporaries and numpy's casting buffers: at width 52 a
+steady call of 8 windows peaks at 68 KB of allocations under tracemalloc,
+the casting buffers of a conv's int8 operand (468 KB before the plan),
+and one window at 19 KB.
 
 The plan is laid out by _layout, the walk check_quant_invariants runs, so
 it derives the multipliers and checks the model once, from the model's
@@ -461,16 +464,16 @@ class _ConvStep:
         out_name = f"{name}.out"
         out = _checked(out_name, out_spec)
         ratios = in_spec.scale * layer.w_scale.astype(np.float64) / out.scale
-        m0, shift_n = (np.array(column, np.int64)[:, None] for column in zip(
+        m0, shift_n = (np.array(column, np.int64) for column in zip(
             *(quantize_multiplier(float(r), name) for r in ratios)))
         # |bias_q| < 2^31 - fan_in*128*255 and M0 < 2^31 bound (acc +
         # bias)*M0 by 2^62 and n <= 31 the rounding term by 2^61, so
         # neither the offset nor acc*M0 + offset leaves int64
-        offset = (layer.bias_q.astype(np.int64)[:, None] * m0
+        offset = (layer.bias_q.astype(np.int64) * m0
                   + np.left_shift(np.int64(1), shift_n + 30))
 
         def row(column):
-            return np.repeat(column, length, axis=1)
+            return kernels.channel_rows(column, length)
         return cls(f"{name}.acc", out_name,
                    layer.w_q.astype(_gemm_dtype(c_in * k)), row(m0),
                    row(offset), row(shift_n + 31), in_spec.zero_point,
@@ -664,12 +667,15 @@ class QuantPlan:
 
     def _bind(self, batch: int) -> tuple:
         """The arena views and scratch arrays every step takes for a block
-        of batch windows: the leading rows of each array."""
-        arena = self.arena[:batch]
+        of batch windows: the leading rows of each scratch array, and each
+        operand at its offset times batch in the flattened arena, so that
+        every operand is one contiguous (batch, *shape) array."""
+        arena = self.arena.reshape(-1)
 
         def view(offset, shape, dtype):
-            end = offset + math.prod(shape) * np.dtype(dtype).itemsize
-            return arena[:, offset:end].view(dtype).reshape(batch, *shape)
+            start = offset * batch
+            end = start + math.prod(shape) * np.dtype(dtype).itemsize * batch
+            return arena[start:end].view(dtype).reshape(batch, *shape)
 
         calls = [(step.run, [view(*operand) for operand in operands]
                   + [a[:batch] for a in scratch])

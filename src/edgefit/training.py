@@ -11,7 +11,11 @@ the step writes, allocated once and written with out=. Both passes walk
 the convs by their index in conv_layers order: conv i reads operand i of
 the workspace, its ReLU writes operand i + 1 (the next conv's pad buffer
 interior), and where a residual add goes follows from i and
-convs_per_block alone. train_fold builds a workspace per epoch, sized for
+convs_per_block alone. Per conv, BN keeps only the centred activation
+zc and applies its per-channel factors as (C, L) rows
+(kernels.channel_rows), and one kernels.conv1d_backward call unfolds the
+output gradient once for both the weight and the input gradient.
+train_fold builds a workspace per epoch, sized for
 min(batch_size, n) windows; a shorter last batch uses its leading rows.
 It is dropped before the validation pass, so it never coexists with the
 evaluation's buffers (at width 52, model.forward_batch's 4.3 MB head
@@ -118,12 +122,14 @@ class Workspace:
     windows, in the parameters' dtype.
 
     Per conv layer it holds the zero-padded input (batch, C_in, L+K-1) and
-    the normalized activations x_hat; `out` holds the last ReLU output, the
-    head's input. Shared buffers take the im2col patches of one block of
-    kernels.BLOCK windows, the BN output before the ReLU, the flowing
-    gradients, the padded output gradient and each weight gradient. A step
-    writes everything with out=, and a shorter batch of b windows uses the
-    leading rows buf[:b], so a step allocates nothing of the batch's size.
+    the centred activations zc, the conv output less its batch mean, which
+    is all the BN backward needs; `out` holds the last ReLU output, the
+    head's input. Shared buffers take the BN output before the ReLU, the
+    flowing gradients, the padded output gradient, each weight gradient
+    and, for one block of kernels.BLOCK windows, the im2col patches and
+    the weight gradient's per-window products. A step writes everything
+    with out=, and a shorter batch of b windows uses the leading rows
+    buf[:b], so a step allocates nothing of the batch's size.
     """
 
     def __init__(self, m: ModelParams, batch: int):
@@ -138,13 +144,13 @@ class Workspace:
         self.kernel = k
         self.padded = [np.zeros((batch, layer.w.shape[1], length + k - 1), dtype)
                        for _, layer in m.conv_layers()]
-        self.xhat = [act() for _ in self.padded]
+        self.zc = [act() for _ in self.padded]
         self.out = act()
         self.h = act()                     # BN output before the ReLU
         self.mask = np.empty((batch, c, length), bool)
-        self.patches = np.empty((min(batch, kernels.BLOCK), widest * k, length),
-                                dtype)
-        self.products = np.empty((batch, c, widest), dtype)
+        rows = min(batch, kernels.BLOCK)
+        self.patches = np.empty((rows, widest * k, length), dtype)
+        self.products = np.empty((rows, c * k, widest), dtype)
         self.grad = (act(), act())
         self.g_padded = np.zeros((batch, c, length + k - 1), dtype)
         self.dw = [np.empty_like(layer.w) for _, layer in m.conv_layers()]
@@ -159,36 +165,39 @@ class Workspace:
 
 
 def _bn_normalize(z: np.ndarray, eps: float):
-    """Batch-statistics BN of z (B, C, L) in place, in one centred pass:
-    z becomes x_hat. Returns (mean, population variance, 1/sqrt(var+eps))."""
+    """Batch statistics of z (B, C, L), which is centred in place: z
+    becomes zc = z - mean, and x_hat = zc/sqrt(var+eps) is never formed.
+    Returns (mean, population variance, 1/sqrt(var+eps))."""
     n = z.shape[0] * z.shape[2]
     mu = np.einsum("bcl->c", z) / n
-    z -= mu[:, None]
+    z -= kernels.channel_rows(mu, z.shape[2])
     var = np.einsum("bcl,bcl->c", z, z) / n
-    inv = 1.0 / np.sqrt(var + eps)
-    z *= inv[:, None]
-    return mu, var, inv
+    return mu, var, 1.0 / np.sqrt(var + eps)
 
 
-def _bn_backward(dh: np.ndarray, xhat: np.ndarray, gamma: np.ndarray,
+def _bn_backward(dh: np.ndarray, zc: np.ndarray, gamma: np.ndarray,
                  inv: np.ndarray, out: np.ndarray):
-    """dL/dz into out, given dh = dL/d(gamma*x_hat + beta); returns
-    (dgamma, dbeta). The two batch means the BN gradient needs are dbeta/n
-    and dgamma/n, so each reduction runs once. x_hat is overwritten, dh is
-    not."""
-    n = dh.shape[0] * dh.shape[2]
-    dgamma = np.einsum("bcl,bcl->c", dh, xhat)
+    """dL/dz into out, given dh = dL/d(gamma*x_hat + beta) and the centred
+    zc, x_hat = zc*inv; returns (dgamma, dbeta). With dgamma = inv *
+    sum(dh*zc), dz = gamma*inv * (dh - zc*inv*dgamma/n - dbeta/n), each
+    reduction runs once and each per-channel factor is applied as a (C, L)
+    row. zc is overwritten, dh is not."""
+    length = dh.shape[2]
+    n = dh.shape[0] * length
+    dgamma = inv * np.einsum("bcl,bcl->c", dh, zc)
     dbeta = np.einsum("bcl->c", dh)
-    xhat *= (dgamma / n)[:, None]
-    xhat += (dbeta / n)[:, None]
-    np.subtract(dh, xhat, out=xhat)
-    np.multiply(xhat, (gamma * inv)[:, None], out=out)
+    zc *= kernels.channel_rows(inv * dgamma / n, length)
+    zc += kernels.channel_rows(dbeta / n, length)
+    np.subtract(dh, zc, out=zc)
+    np.multiply(zc, kernels.channel_rows(gamma * inv, length), out=out)
     return dgamma, dbeta
 
 
 def _forward(ws: Workspace, m: ModelParams, x: np.ndarray):
     """Forward pass with batch-statistics BN through ws's leading len(x)
-    rows, leaving every operand and x_hat in ws. Returns the logits and
+    rows, leaving every operand and centred activation zc in ws; the BN
+    output is h = zc*(gamma*inv) + beta, with both per-channel factors
+    applied as (C, L) rows. Returns the logits and
     one (mean + conv bias, var, 1/sqrt(var+eps)) per conv, in conv_layers
     order. Conv i >= 1 ends a block of n convs when i % n == 0 and adds
     the block's input, operand i - n + 1, before its ReLU."""
@@ -197,16 +206,17 @@ def _forward(ws: Workspace, m: ModelParams, x: np.ndarray):
     operands = ws.operands(b)
     operands[0][...] = x
     stats = []
+    length = m.config.seq_len
     for i, (_, layer) in enumerate(m.conv_layers()):
         _, c_in, k = layer.w.shape
-        xhat = ws.xhat[i][:b]
-        kernels.conv1d(ws.padded[i][:b], layer.w, xhat,
+        zc = ws.zc[i][:b]
+        kernels.conv1d(ws.padded[i][:b], layer.w, zc,
                        patches=ws.patches[:b, :c_in * k])
         # the conv bias only shifts the batch mean, which BN subtracts
-        mu, var, inv = _bn_normalize(xhat, m.config.bn_eps)
+        mu, var, inv = _bn_normalize(zc, m.config.bn_eps)
         h = ws.h[:b]
-        np.multiply(xhat, layer.gamma[:, None], out=h)
-        h += layer.beta[:, None]
+        np.multiply(zc, kernels.channel_rows(layer.gamma * inv, length), out=h)
+        h += kernels.channel_rows(layer.beta, length)
         if i and i % n == 0:
             h += operands[i - n + 1]
         np.maximum(h, 0, out=operands[i + 1])
@@ -231,7 +241,9 @@ def _step(ws: Workspace, m: ModelParams, x, targets, weights):
     """Gradients of the mean weighted CE loss for the len(x) windows of x,
     computed in ws: (grads keyed like param_items, loss, _forward's
     stats). The conv weight gradients are ws's own arrays, valid until
-    the next step. Conv i's ReLU mask is read from operand i + 1. An add
+    the next step. Conv i's ReLU mask is read from operand i + 1, and one
+    kernels.conv1d_backward call gives its weight and input gradients;
+    the stem asks for no input gradient, since nothing reads it. An add
     sends its gradient to both branches, so the one kept at a block's
     last conv joins the input gradient of its first, conv i >= 1 with
     (i - 1) % n == 0."""
@@ -256,25 +268,22 @@ def _step(ws: Workspace, m: ModelParams, x, targets, weights):
         name, layer = layers[i]
         np.greater(operands[i + 1], 0, out=mask)
         da *= mask                          # da is now dL/dh
-        dgamma, dbeta = _bn_backward(da, ws.xhat[i][:b], layer.gamma,
+        dgamma, dbeta = _bn_backward(da, ws.zc[i][:b], layer.gamma,
                                      stats[i][2], dz)
         if i and i % n == 0:                # the add routes dh to the skip too
             skip_grad, da = da, spare
         c_out, c_in, k = layer.w.shape
-        dw, db = kernels.conv1d_weight_grad(
-            dz, ws.padded[i][:b], dw=ws.dw[i],
-            products=ws.products[:b, :, :c_in])
+        dw, db = kernels.conv1d_backward(
+            ws.g_padded[:b], layer.w, ws.padded[i][:b], da if i else None,
+            ws.dw[i], patches=ws.patches[:b, :c_out * k],
+            products=ws.products[:b, :c_out * k, :c_in])
         grads[f"{name}.w"] = dw
         grads[f"{name}.b"] = db
         grads[f"{name}.gamma"] = dgamma
         grads[f"{name}.beta"] = dbeta
-        if i:   # nothing reads the stem's input gradient
-            flipped = layer.w.transpose(1, 0, 2)[:, :, ::-1]
-            kernels.conv1d(ws.g_padded[:b], flipped, da,
-                           patches=ws.patches[:b, :c_out * k])
-            if (i - 1) % n == 0:
-                da += skip_grad
-                spare = skip_grad
+        if i and (i - 1) % n == 0:
+            da += skip_grad
+            spare = skip_grad
     return grads, loss, stats
 
 

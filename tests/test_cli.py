@@ -641,6 +641,32 @@ class TestUsage:
         assert [p.name for p in tmp_path.iterdir()] == ["existing"]
         assert not any((tmp_path / "existing").iterdir())
 
+    @pytest.mark.parametrize("command, flag, target", [
+        ("train", "--out", "windows"), ("train", "--history", "windows"),
+        ("quantize", "--out", "windows"), ("quantize", "--out", "model")])
+    def test_output_on_input_file_is_usage_error(self, capsys, pipeline,
+                                                 tmp_path, monkeypatch,
+                                                 command, flag, target):
+        """An output naming one of the command's input files, spelled
+        another way, is refused before anything is loaded or written, and
+        the input keeps its bytes."""
+        for name in ("windows", "model"):
+            (tmp_path / name).write_bytes(pipeline[name].read_bytes())
+        before = (tmp_path / target).read_bytes()
+        monkeypatch.chdir(tmp_path)
+        argv = {"train": ["--windows", "windows", "--fold", "1", "--out",
+                          "m.efm", "--width", "4", "--epochs", "1"],
+                "quantize": ["--model", "model", "--windows", "windows",
+                             "--out", "q.efq"]}[command]
+        path = str(tmp_path / target)
+        code, stdout, err = run_cli(capsys, command, *argv, flag, path)
+        assert code == cli.EXIT_USAGE and not stdout
+        assert_one_error_line(err, "InvalidConfig")
+        assert f"{flag} {path} is the --{target} file" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model",
+                                                             "windows"]
+        assert (tmp_path / target).read_bytes() == before
+
     @pytest.mark.parametrize("command", ["prepare", "train", "quantize",
                                          "eval", "bench", "report", "synth"])
     def test_help_exits_zero(self, command):

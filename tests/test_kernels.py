@@ -143,14 +143,34 @@ def flip(w):
     return w.transpose(1, 0, 2)[:, :, ::-1]
 
 
+def conv1d_weight_grad(g, padded):
+    """The weight-gradient oracle: (dw, db) of conv1d's weights and of a
+    per-channel bias added to y, given dL/dy g (B, C_out, L) and the padded
+    input (B, C_in, L+K-1), one batched GEMM per tap of g against a strided
+    view of the padded input, summed over the batch."""
+    length = g.shape[2]
+    k = padded.shape[2] - length + 1
+    dw = np.stack([
+        np.matmul(g, padded[:, :, t:t + length].transpose(0, 2, 1)).sum(axis=0)
+        for t in range(k)], axis=2)
+    return dw, g.sum(axis=(0, 2))
+
+
+def backward(g, w, padded):
+    """(dx, dw, db) of kernels.conv1d_backward for the output gradient g
+    (B, C_out, L), each in a fresh array."""
+    dx = np.empty(padded.shape[:2] + g.shape[2:], g.dtype)
+    dw, db = kernels.conv1d_backward(same_padded(g, flip(w)), w, padded, dx)
+    return dx, dw, db
+
+
 class TestConv1dBackward:
     @pytest.mark.parametrize("c_in,c_out,length,k", CONV_CASES)
     def test_matches_naive_adjoint(self, rng, c_in, c_out, length, k):
         x = rng.standard_normal((2, c_in, length))
         w = rng.standard_normal((c_out, c_in, k))
         g = rng.standard_normal((2, c_out, length))
-        dx = kernels.conv1d(same_padded(g, flip(w)), flip(w))
-        dw, db = kernels.conv1d_weight_grad(g, same_padded(x, w))
+        dx, dw, db = backward(g, w, same_padded(x, w))
         grads = [naive_conv1d_same_grads(x[i], w, g[i]) for i in range(2)]
         for i in range(2):
             np.testing.assert_allclose(dx[i], grads[i][0], rtol=1e-12,
@@ -160,10 +180,51 @@ class TestConv1dBackward:
         np.testing.assert_allclose(db, grads[0][2] + grads[1][2], rtol=1e-12,
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("buffers", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c_in,c_out", [(7, 4), (4, 4), (7, 52),
+                                            (52, 52)])
+    @pytest.mark.parametrize("batch", [1, kernels.BLOCK,
+                                       2 * kernels.BLOCK + 3])
+    def test_matches_conv1d_and_weight_grad_oracle(self, rng, batch, c_in,
+                                                   c_out, dtype, buffers):
+        """dx has the bits of conv1d on the padded gradient with the flipped
+        kernel; dw and db agree with the per-tap oracle within rounding of
+        dtype; without dx the weight gradients keep their bits. With
+        buffers, every output goes to a caller-owned array, sliced from one
+        sized for a wider layer as the trainer's workspace slices them."""
+        length, k = 40, 3
+        x = rng.standard_normal((batch, c_in, length)).astype(dtype)
+        w = rng.standard_normal((c_out, c_in, k)).astype(dtype)
+        g = rng.standard_normal((batch, c_out, length)).astype(dtype)
+        padded, g_padded = same_padded(x, w), same_padded(g, flip(w))
+        kwargs = {}
+        if buffers:
+            rows, wide = min(batch, kernels.BLOCK), max(c_in, c_out)
+            kwargs = dict(
+                patches=np.empty((rows, wide * k, length), dtype)[:, :c_out * k],
+                products=np.empty((rows, c_out * k, wide), dtype)[:, :, :c_in])
+            dw_buf = np.empty(w.shape, dtype)
+        dx = np.empty_like(x)
+        dw, db = kernels.conv1d_backward(
+            g_padded, w, padded, dx, dw_buf if buffers else None, **kwargs)
+        assert not buffers or dw is dw_buf
+        want_dx = kernels.conv1d(g_padded, flip(w))
+        assert dx.dtype == want_dx.dtype == dw.dtype == db.dtype == dtype
+        assert dx.tobytes() == want_dx.tobytes()
+        want_dw, want_db = conv1d_weight_grad(g.astype(np.float64),
+                                              padded.astype(np.float64))
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        for got, want in ((dw, want_dw), (db, want_db)):
+            np.testing.assert_allclose(got, want, rtol=tol,
+                                       atol=tol * np.abs(want).max())
+        dw2, db2 = kernels.conv1d_backward(g_padded, w, padded, **kwargs)
+        assert dw2.tobytes() == dw.tobytes() and db2.tobytes() == db.tobytes()
+
 
 class TestConvBuffers:
-    """conv1d and conv1d_weight_grad write into caller-owned buffers with
-    the same bits as when they allocate, also through leading-row views of
+    """conv1d and conv1d_backward write into caller-owned buffers with the
+    same bits as when they allocate, also through leading-row views of
     buffers sized for a larger batch, as the trainer passes them."""
 
     @pytest.mark.parametrize("c_in,c_out,length,k", CONV_CASES)
@@ -174,8 +235,7 @@ class TestConvBuffers:
         g = rng.standard_normal((batch, c_out, length)).astype(np.float32)
         padded = same_padded(x, w)
         y = kernels.conv1d(padded, w)
-        dx = kernels.conv1d(same_padded(g, flip(w)), flip(w))
-        dw, db = kernels.conv1d_weight_grad(g, padded)
+        dx, dw, db = backward(g, w, padded)
 
         rows = batch + 2          # buffers sized for a larger batch
         wide = max(c_in, c_out)
@@ -184,25 +244,24 @@ class TestConvBuffers:
         patch_buf = np.empty((rows, wide * k, length), np.float32)
         out = np.empty((rows, c_out, length), np.float32)
         dx_buf = np.empty((rows, c_in, length), np.float32)
-        products = np.empty((rows, c_out, c_in), np.float32)
+        products = np.empty((rows, c_out * k, wide), np.float32)
         dw_buf = np.empty(w.shape, np.float32)
 
         # the caller writes each input into its pad buffer's interior
         pad_buf[:batch, :, pad:pad + length] = x
-        g_interior = g_pad_buf[:batch, :, pad:pad + length]
-        g_interior[...] = g
+        g_pad_buf[:batch, :, pad:pad + length] = g
         y2 = kernels.conv1d(pad_buf[:batch], w, out[:batch],
                             patches=patch_buf[:batch, :c_in * k])
         assert np.shares_memory(y2, out)
         np.testing.assert_array_equal(y2, y)
         np.testing.assert_array_equal(patch_buf[:batch, :c_in * k],
                                       kernels.im2col(padded, k, length))
-        dx2 = kernels.conv1d(g_pad_buf[:batch], flip(w), dx_buf[:batch],
-                             patches=patch_buf[:batch, :c_out * k])
-        dw2, db2 = kernels.conv1d_weight_grad(
-            g_interior, pad_buf[:batch], dw=dw_buf, products=products[:batch])
-        assert np.shares_memory(dx2, dx_buf) and dw2 is dw_buf
-        np.testing.assert_array_equal(dx2, dx)
+        dw2, db2 = kernels.conv1d_backward(
+            g_pad_buf[:batch], w, pad_buf[:batch], dx_buf[:batch], dw_buf,
+            patches=patch_buf[:batch, :c_out * k],
+            products=products[:batch, :, :c_in])
+        assert dw2 is dw_buf
+        np.testing.assert_array_equal(dx_buf[:batch], dx)
         np.testing.assert_array_equal(dw2, dw)
         np.testing.assert_array_equal(db2, db)
 
@@ -211,22 +270,19 @@ class TestConvBuffers:
     def test_blocks_match_one_window_calls(self, rng, c_in, c_out, length,
                                            k, buffers):
         """2*BLOCK + 3 windows, three blocks the last of them short, give
-        the bits of one-window calls; the caller's patches buffer holds one
-        block."""
+        the bits of one-window calls; the caller's patches and products
+        buffers hold one block."""
         batch = 2 * kernels.BLOCK + 3
         x = rng.standard_normal((batch, c_in, length)).astype(np.float32)
         w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
         g = rng.standard_normal((batch, c_out, length)).astype(np.float32)
         padded = same_padded(x, w)
-        g_padded = same_padded(g, flip(w))
-        one = [kernels.conv1d_weight_grad(g[i:i + 1], padded[i:i + 1])
-               for i in range(batch)]
+        one = [backward(g[i:i + 1], w, padded[i:i + 1]) for i in range(batch)]
         want_y = np.concatenate([kernels.conv1d(padded[i:i + 1], w)
                                  for i in range(batch)])
-        want_dx = np.concatenate([kernels.conv1d(g_padded[i:i + 1], flip(w))
-                                  for i in range(batch)])
-        want_dw = np.stack([dw for dw, _ in one]).sum(axis=0)
-        want_db = np.stack([db for _, db in one]).sum(axis=0)
+        want_dx = np.concatenate([dx for dx, _, _ in one])
+        want_dw = np.stack([dw for _, dw, _ in one]).sum(axis=0)
+        want_db = np.stack([db for _, _, db in one]).sum(axis=0)
 
         if buffers:
             patches = np.empty((kernels.BLOCK, max(c_in, c_out) * k, length),
@@ -234,19 +290,19 @@ class TestConvBuffers:
             y = kernels.conv1d(
                 padded, w, np.empty((batch, c_out, length), np.float32),
                 patches=patches[:, :c_in * k])
-            dx = kernels.conv1d(g_padded, flip(w), np.empty_like(x),
-                                patches=patches[:, :c_out * k])
-            dw, db = kernels.conv1d_weight_grad(
-                g, padded, dw=np.empty_like(w),
-                products=np.empty((batch, c_out, c_in), np.float32))
+            dx = np.empty_like(x)
+            dw, db = kernels.conv1d_backward(
+                same_padded(g, flip(w)), w, padded, dx, np.empty_like(w),
+                patches=patches[:, :c_out * k],
+                products=np.empty((kernels.BLOCK, c_out * k, c_in),
+                                  np.float32))
         else:
             y = kernels.conv1d(padded, w)
-            dx = kernels.conv1d(g_padded, flip(w))
-            dw, db = kernels.conv1d_weight_grad(g, padded)
+            dx, dw, db = backward(g, w, padded)
         for got, want in ((y, want_y), (dx, want_dx)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-        # the weight gradients sum over the whole batch, not block by block
+        # the weight gradients sum over the whole batch, not window by window
         np.testing.assert_allclose(dw, want_dw, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(db, want_db, rtol=1e-5, atol=1e-5)
 
@@ -255,8 +311,9 @@ def test_every_conv_lowers_through_im2col(monkeypatch):
     """The float forward, a training step and the int8 forward call
     kernels.im2col once per conv and block of windows (kernels.BLOCK for
     the float convs, quantize.BLOCK_WINDOWS for the integer plan), and the
-    training backward once more for every conv but the stem, whose input
-    gradient nothing reads: the benchmark taps and traces that one name."""
+    training backward once more, since every conv, the stem too, unfolds
+    its output gradient for the weight gradient: the benchmark taps and
+    traces that one name."""
     cfg = model.ModelConfig(width=4)
     convs = 1 + cfg.blocks * cfg.convs_per_block
     m = model.build(cfg, seed=0)
@@ -282,7 +339,7 @@ def test_every_conv_lowers_through_im2col(monkeypatch):
         blocks = -(-n // kernels.BLOCK)
         assert count(lambda: model.forward_batch(m, x)) == blocks * convs
         assert count(lambda: training.backward(
-            m, x, np.arange(n) % 12, np.ones(n))) == blocks * (2 * convs - 1)
+            m, x, np.arange(n) % 12, np.ones(n))) == blocks * 2 * convs
         assert count(lambda: quantize.qforward_batch(qm, x)) == (
             -(-n // quantize.BLOCK_WINDOWS) * convs)
 
