@@ -69,12 +69,12 @@ def cmd_prepare(args) -> int:
     except ValueError:
         raise InvalidConfig(f"--fold must be a subject id or 'all', "
                             f"got {args.fold!r}") from None
+    if args.stride < 1:
+        raise InvalidConfig(f"--stride must be >= 1, got {args.stride}")
     recordings = dataset.load_recordings(args.dataset)
     subjects = sorted({r.subject for r in recordings})
     if fold is not None and fold not in subjects:
         raise InvalidConfig(f"no subject {fold} in {args.dataset}")
-    if args.stride < 1:
-        raise InvalidConfig(f"--stride must be >= 1, got {args.stride}")
     folds = subjects if fold is None else [fold]
     out = dataset.make_out_dir(args.out)
     manifest = {"stride": args.stride, "window_size": dataset.WINDOW_SIZE,
@@ -97,6 +97,12 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
+    config = model.ModelConfig(width=args.width)
+    config.validate()
+    patience = min(100, args.epochs) if args.patience is None else args.patience
+    hp = training.Hyperparams(epochs=args.epochs, patience=patience,
+                              batch_size=args.batch_size)
+    hp.validate()
     inputs = {"--windows": args.windows}
     _output_file("--out", args.out, inputs)
     history_path = _output_file("--history", args.history or str(
@@ -104,10 +110,6 @@ def cmd_train(args) -> int:
         {**inputs, "--out": args.out})
     windows = dataset.load_windows(args.windows)
     split = dataset.fold_split(windows, args.fold)
-    config = model.ModelConfig(width=args.width)
-    patience = min(100, args.epochs) if args.patience is None else args.patience
-    hp = training.Hyperparams(epochs=args.epochs, patience=patience,
-                              batch_size=args.batch_size)
     params, history = training.train_fold(split, config, hp, args.seed)
     model.save(params, args.out)
     history.to_csv(history_path)
@@ -292,7 +294,7 @@ def build_parser() -> _Parser:
                    help="sessions per subject %d-%d (default 5)"
                         % dataset.SESSION_RANGE)
     p.add_argument("--class-seconds", type=float, default=12.0,
-                   help="seconds per exercise segment, finite and >= 0 "
+                   help="seconds per exercise segment, 0 to 3600 "
                         "(default 12)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)

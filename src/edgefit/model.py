@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,38 @@ class ModelConfig:
                                 f"got {self.bn_eps}")
 
 
+class Conv(NamedTuple):
+    """One conv of the network as topology lists it: its name, its input
+    channels and the activation it reads. A block's last conv also names
+    skip, the index of the block's first conv, whose operand (the block
+    input) it adds to its output before its ReLU, and that add."""
+
+    name: str
+    in_channels: int
+    reads: str
+    skip: int | None = None
+    add: str | None = None
+
+
+@functools.lru_cache(maxsize=64)
+def topology(config: ModelConfig) -> tuple[Conv, ...]:
+    """The convs of config in execution order: the stem, then each block's
+    convs b{i}.c{j}, the last adding the block input as b{i}.add. Each
+    conv writes {name}.out and each add {add}.out; every conv fuses a ReLU
+    but a block's last, whose add does. The table is cached per config,
+    so the executors walk it on every call without rebuilding it; its
+    size grows with config.blocks * config.convs_per_block, so a file's
+    config must be bounded (config_from_meta) before it is built."""
+    convs = [Conv("stem", config.in_channels, "input")]
+    for i in range(config.blocks):
+        first = len(convs)
+        for j in range(config.convs_per_block):
+            reads = f"{convs[-1].add or convs[-1].name}.out"
+            convs.append(Conv(f"b{i}.c{j}", config.width, reads))
+        convs[-1] = convs[-1]._replace(skip=first, add=f"b{i}.add")
+    return tuple(convs)
+
+
 @dataclass
 class ConvLayer:
     """One convolution with its batch-normalization parameters."""
@@ -66,18 +99,14 @@ class ConvLayer:
 @dataclass
 class ModelParams:
     config: ModelConfig
-    stem: ConvLayer
-    blocks: list[list[ConvLayer]]
+    convs: list[ConvLayer]   # one per record of topology(config), in order
     head_w: np.ndarray   # (classes, seq_len*width)
     head_b: np.ndarray   # (classes,)
     bn_folded: bool = False
 
     def conv_layers(self):
-        """Yield (name, ConvLayer) in execution order."""
-        yield "stem", self.stem
-        for i, block in enumerate(self.blocks):
-            for j, layer in enumerate(block):
-                yield f"b{i}.c{j}", layer
+        """(name, ConvLayer) for every conv, in execution order."""
+        return zip((conv.name for conv in topology(self.config)), self.convs)
 
     def param_items(self):
         """Yield (name, array) for every trainable tensor, fixed order.
@@ -123,14 +152,12 @@ def build(config: ModelConfig, seed: int) -> ModelParams:
             var=np.ones(c_out, dtype=np.float32),
         )
 
-    c = config.width
-    stem = conv_layer(c, config.in_channels)
-    blocks = [[conv_layer(c, c) for _ in range(config.convs_per_block)]
-              for _ in range(config.blocks)]
-    flat = config.seq_len * c
+    convs = [conv_layer(config.width, conv.in_channels)
+             for conv in topology(config)]
+    flat = config.seq_len * config.width
     head_w = he_uniform((config.classes, flat), flat)
     head_b = np.zeros(config.classes, dtype=np.float32)
-    return ModelParams(config, stem, blocks, head_w, head_b)
+    return ModelParams(config, convs, head_w, head_b)
 
 
 def forward_batch(m: ModelParams, x: np.ndarray,
@@ -143,14 +170,15 @@ def forward_batch(m: ModelParams, x: np.ndarray,
     sized for one block (the fused layers of Alwani et al., 2016), so its
     feature maps stay in the cache, and a call allocates one block's
     buffers (830 KB at width 52) and the (B, width, seq_len) head input.
-    Each conv is kernels.conv1d_same_batch of a zero-bordered pad buffer
-    into one output buffer, where the bias, BN unless folded (in
-    batchnorm_infer's order) and the residual add run in place. Each layer
-    writes its output where the next one reads it: the block's windows
-    are copied into the stem's pad buffer, each ReLU writes into the
-    interior of the next conv's pad buffer, and a residual block's last
-    ReLU into the skip buffer, the next block's operand. The head runs
-    once over the whole batch, so every activation and logit equals a
+    The convs run in topology(m.config) order, each as
+    kernels.conv1d_same_batch of a zero-bordered pad buffer into one
+    output buffer, where the bias, BN unless folded (in batchnorm_infer's
+    order) and a residual add run in place. Conv i reads pads[i] and its
+    ReLU writes the interior of pads[i + 1]: the stem reads the input's
+    pad buffer, a conv that starts a block reads the skip buffer, which
+    the block's add reads too, and every other conv the one pad buffer;
+    the last entry is the skip buffer, the head input. The head runs once
+    over the whole batch, so every activation and logit equals a
     layer-by-layer run's bit for bit, whatever the batch.
 
     With capture given, capture(name, activation) is called for every
@@ -163,28 +191,21 @@ def forward_batch(m: ModelParams, x: np.ndarray,
     if x.ndim != 3 or x.shape[1:] != (cfg.in_channels, cfg.seq_len):
         raise ShapeMismatch(
             f"expected (B, {cfg.in_channels}, {cfg.seq_len}), got {x.shape}")
-    dtype = np.result_type(x, m.stem.w)   # a model's tensors share one dtype
+    # a model's tensors share one dtype
+    dtype = np.result_type(x, m.convs[0].w)
     batch, width, length, k = len(x), cfg.width, cfg.seq_len, cfg.kernel
     nb = min(batch, kernels.BLOCK)
     padded_in = np.zeros((nb, cfg.in_channels, length + k - 1), dtype)
     skip = np.zeros((nb, width, length + k - 1), dtype)
     padded = np.zeros((nb, width, length + k - 1), dtype)
-    x_in, skip_in, pad_in = (kernels.interior(p, k)
-                             for p in (padded_in, skip, padded))
+    convs = topology(cfg)
+    starts = {conv.skip for conv in convs}
+    pads = [padded_in] + [skip if i in starts else padded
+                          for i in range(1, len(convs))] + [skip]
+    inside = slice((k - 1) // 2, (k - 1) // 2 + length)   # kernels.interior
     out = np.empty((nb, width, length), dtype)
     patches = np.empty(nb * max(cfg.in_channels, width) * k * length, dtype)
     flat = np.empty((batch, width, length), dtype)
-
-    def conv(layer: ConvLayer, operand: np.ndarray, n: int) -> np.ndarray:
-        c_in = operand.shape[1]
-        y = kernels.conv1d_same_batch(
-            operand[:n], layer.w, layer.b, out[:n],
-            patches=patches[:n * c_in * k * length].reshape(n, c_in * k, length))
-        if not m.bn_folded:     # in batchnorm_infer's order
-            y -= layer.mean[:, None]
-            y *= (layer.gamma / np.sqrt(layer.var + cfg.bn_eps))[:, None]
-            y += layer.beta[:, None]
-        return y
 
     def record(name: str, a: np.ndarray) -> None:
         if capture is not None:
@@ -193,19 +214,22 @@ def forward_batch(m: ModelParams, x: np.ndarray,
     for start in range(0, batch, kernels.BLOCK):
         n = min(batch - start, kernels.BLOCK)
         record("input", x[start:start + n])
-        x_in[:n] = x[start:start + n]
-        np.maximum(conv(m.stem, padded_in, n), 0, out=skip_in[:n])
-        record("stem.out", skip_in[:n])
-        for i, block in enumerate(m.blocks):
-            for j, layer in enumerate(block):
-                y = conv(layer, skip if j == 0 else padded, n)
-                if j < len(block) - 1:
-                    y = np.maximum(y, 0, out=pad_in[:n])
-                record(f"b{i}.c{j}.out", y)
-            y += skip_in[:n]
-            np.maximum(y, 0, out=skip_in[:n])
-            record(f"b{i}.add.out", skip_in[:n])
-        flat[start:start + n] = skip_in[:n]
+        padded_in[:n, :, inside] = x[start:start + n]
+        for i, (conv, layer) in enumerate(zip(convs, m.convs)):
+            y = kernels.conv1d_same_batch(
+                pads[i][:n], layer.w, layer.b, out[:n],
+                patches=patches[:n * conv.in_channels * k * length].reshape(
+                    n, -1, length))
+            if not m.bn_folded:     # in batchnorm_infer's order
+                y -= layer.mean[:, None]
+                y *= (layer.gamma / np.sqrt(layer.var + cfg.bn_eps))[:, None]
+                y += layer.beta[:, None]
+            if conv.add is not None:
+                record(f"{conv.name}.out", y)
+                y += pads[conv.skip][:n, :, inside]
+            record(f"{conv.add or conv.name}.out",
+                   np.maximum(y, 0, out=pads[i + 1][:n, :, inside]))
+        flat[start:start + n] = skip[:n, :, inside]
     return kernels.dense_batch(flat.reshape(batch, width * length),
                                m.head_w, m.head_b)
 
@@ -222,15 +246,12 @@ def forward(m: ModelParams, x: np.ndarray) -> np.ndarray:
 
 def activation_names(config: ModelConfig) -> list[str]:
     """The name of every activation the int8 model quantizes, in execution
-    order: input, stem.out, each conv's b{i}.c{j}.out (after its ReLU, if
-    it has one) and each residual add's b{i}.add.out. forward_batch
-    captures them, quantize.calibrate ranges them, and an EFQ3 file and
-    the int8 trace store them under these names."""
-    names = ["input", "stem.out"]
-    for i in range(config.blocks):
-        names += [f"b{i}.c{j}.out" for j in range(config.convs_per_block)]
-        names.append(f"b{i}.add.out")
-    return names
+    order: the input, then each conv's {name}.out (after its ReLU, if it
+    has one) of topology(config), followed by its add's {add}.out if it
+    has one. forward_batch captures them, quantize.calibrate ranges them,
+    and an EFQ3 file and the int8 trace store them under these names."""
+    return ["input"] + [f"{name}.out" for conv in topology(config)
+                        for name in (conv.name, conv.add) if name]
 
 
 @dataclass
@@ -288,10 +309,8 @@ def count_macs(config: ModelConfig) -> MacReport:
     """
     config.validate()
     c, l, k = config.width, config.seq_len, config.kernel
-    per_layer: dict[str, int] = {"stem": l * k * config.in_channels * c}
-    for i in range(config.blocks):
-        for j in range(config.convs_per_block):
-            per_layer[f"b{i}.c{j}"] = l * k * c * c
+    per_layer = {conv.name: l * k * conv.in_channels * c
+                 for conv in topology(config)}
     per_layer["head"] = l * c * config.classes
     total = sum(per_layer.values())
 
@@ -317,7 +336,7 @@ def fold_batchnorm(m: ModelParams) -> ModelParams:
     is a no-op)."""
     out = copy.deepcopy(m)
     eps = m.config.bn_eps if not m.bn_folded else 0.0
-    for _, layer in out.conv_layers():
+    for layer in out.convs:
         scale = (layer.gamma / np.sqrt(layer.var + eps)).astype(np.float32)
         layer.w = (layer.w * scale[:, None, None]).astype(np.float32)
         layer.b = ((layer.b - layer.mean) * scale + layer.beta).astype(np.float32)

@@ -33,10 +33,9 @@ activation: the input, each conv's output and each residual add's output.
 The table is keyed and ordered by model.activation_names: calibrate ranges
 each activation under its name, quantize_model reads that range, the EFQ3
 file stores its spec and the int8 trace records it under that name. A
-layer reads the activation just before its output in that order, and the
-head reads the last one. A conv is named by its position, as in
-ModelParams.conv_layers, and fuses a ReLU unless it is a block's last;
-_layout is the one walk that knows this topology. The fixed-point
+conv reads the activation its model.topology record names and fuses a
+ReLU unless the record names an add; the head reads the last activation.
+quantize_model, load and _layout each walk that table. The fixed-point
 multipliers are not stored: like each TFLM kernel's Prepare, the plan
 derives every M0 and n with quantize_multiplier when it lays the network
 out, from s_in*s_w/s_out per conv channel and s_a/s_out, s_h/s_out per
@@ -122,6 +121,7 @@ from .model import (
     activation_names,
     config_from_meta,
     forward_batch,
+    topology,
 )
 from .training import _stack, metrics_from_logits
 
@@ -293,21 +293,17 @@ class QuantModel:
     config: ModelConfig
     # one spec per activation, keyed and ordered by activation_names(config)
     specs: dict[str, QuantSpec]
-    stem: QLayer
-    blocks: list[list[QLayer]]
+    convs: list[QLayer]       # one per record of topology(config), in order
     head: QLayer
     # built by the first qforward_batch (see the module docstring)
     plan: QuantPlan | None = dataclasses.field(
         default=None, init=False, repr=False, compare=False)
 
     def layers(self):
-        """Yield (name, QLayer) for every conv, named as in
+        """(name, QLayer) for every conv, named as in
         ModelParams.conv_layers, and then ("head", head)."""
-        yield "stem", self.stem
-        for i, block in enumerate(self.blocks):
-            for j, layer in enumerate(block):
-                yield f"b{i}.c{j}", layer
-        yield "head", self.head
+        names = [conv.name for conv in topology(self.config)] + ["head"]
+        return zip(names, self.convs + [self.head])
 
 
 def _check_accumulator(name: str, fan_in: int, bias_q: np.ndarray) -> None:
@@ -378,16 +374,12 @@ def quantize_model(folded: ModelParams, stats: CalibStats) -> QuantModel:
         raise InvalidConfig("quantize_model expects a BN-folded model")
     names = activation_names(folded.config)
     specs = {name: activation_spec(*stats.range_of(name)) for name in names}
-    # each conv reads the activation just before its output
-    read_by = dict(zip(names[1:], names))
-    convs = [_quantize_conv(name, layer.w, layer.b,
-                            specs[read_by[f"{name}.out"]], specs[f"{name}.out"])
-             for name, layer in folded.conv_layers()]
+    convs = [_quantize_conv(conv.name, layer.w, layer.b, specs[conv.reads],
+                            specs[f"{conv.name}.out"])
+             for conv, layer in zip(topology(folded.config), folded.convs)]
     head = QLayer(*_quantize_weights("head", folded.head_w, folded.head_b,
                                      specs[names[-1]].scale, 0.0))
-    n = folded.config.convs_per_block
-    qm = QuantModel(folded.config, specs, convs[0],
-                    [convs[i:i + n] for i in range(1, len(convs), n)], head)
+    qm = QuantModel(folded.config, specs, convs, head)
     check_quant_invariants(qm)
     return qm
 
@@ -512,7 +504,7 @@ class _AddStep:
     output depends on the two int8 operands alone, so the plan runs it as
     a lookup in table."""
 
-    out_name: str             # b{i}.add.out
+    out_name: str             # {add}.out
     a: tuple[np.int64, np.int64, np.int64]     # block input: M0, offset, s
     h: tuple[np.int64, np.int64, np.int64]     # last conv output
     out_zp: int
@@ -591,39 +583,40 @@ class _HeadStep:
 
 
 def _layout(qm: QuantModel) -> list[tuple]:
-    """Walk the network once: pass each step the specs of the activations
-    it reads and writes, which checks the layer and derives its
-    multipliers, and place its arena operands. Every conv fuses a ReLU but
-    a block's last. Returns (step, its operands as (offset, shape, dtype))
-    in run order."""
+    """Walk topology(qm.config) once: pass each step the specs of the
+    activations it reads and writes, which checks the layer and derives its
+    multipliers, and place its arena operands. Returns (step, its operands
+    as (offset, shape, dtype)) in run order."""
     cfg = qm.config
     specs = qm.specs
     length = cfg.seq_len
     act = (cfg.width, length)
     slot = [0, cfg.width * length, 2 * cfg.width * length]
-    # the input sits above slot 0 and dies once the stem has run
-    layout = [(_ConvStep.of("stem", qm.stem, _checked("input", specs["input"]),
-                            specs["stem.out"], True, length), [
-        (slot[1], (cfg.in_channels, length), np.int8), (0, act, np.int8)])]
-    current = "stem.out"
-    for i, block in enumerate(qm.blocks):
-        # slot 0 keeps the block input for the skip; the convs alternate
-        # between slots 1 and 2
-        block_in, src = current, 0
-        for j, layer in enumerate(block):
-            name, dst = f"b{i}.c{j}", slot[1 + j % 2]
-            layout.append((_ConvStep.of(
-                name, layer, specs[current], specs[f"{name}.out"],
-                j < len(block) - 1, length), [
-                    (src, act, np.int8), (dst, act, np.int8)]))
-            src, current = dst, f"{name}.out"
-        layout.append((_AddStep.of(f"b{i}.add", specs[block_in],
-                                   specs[current], specs[f"b{i}.add.out"],
-                                   cfg.width), [
-            (0, act, np.int8), (src, act, np.int8), (0, act, np.int8)]))
-        current = f"b{i}.add.out"
+    convs = topology(cfg)
+    starts = {conv.skip for conv in convs}
+    # slot 0 holds every block's input, which its add reads, and the
+    # head's: every add writes there, as does a conv without an add whose
+    # output the next conv starts a block from. The other convs alternate
+    # between slots 1 and 2; the input sits above slot 0 and dies once
+    # the stem has run.
+    _checked("input", specs["input"])
+    src, layout = slot[1], []
+    for i, (conv, layer) in enumerate(zip(convs, qm.convs)):
+        out = f"{conv.name}.out"
+        dst = (0 if conv.add is None and i + 1 in starts
+               else slot[2] if src == slot[1] else slot[1])
+        layout.append((_ConvStep.of(conv.name, layer, specs[conv.reads],
+                                    specs[out], conv.add is None, length),
+                       [(src, (conv.in_channels, length), np.int8),
+                        (dst, act, np.int8)]))
+        if conv.add is not None:
+            layout.append((_AddStep.of(
+                conv.add, specs[convs[conv.skip].reads], specs[out],
+                specs[f"{conv.add}.out"], cfg.width),
+                [(0, act, np.int8), (dst, act, np.int8), (0, act, np.int8)]))
+        src = dst if conv.add is None else 0
     # the head reads slot 0 and keeps its int32 accumulators above it
-    layout.append((_HeadStep.of(qm.head, specs[current]), [
+    layout.append((_HeadStep.of(qm.head, specs[activation_names(cfg)[-1]]), [
         (0, (cfg.width * length,), np.int8),
         (slot[1], (cfg.classes,), np.int32)]))
     return layout
@@ -791,9 +784,8 @@ def load(path: str | Path) -> QuantModel:
         {name: QuantSpec(float(take(f"{name}.scale", "<f4", ())),
                          int(take(f"{name}.zero_point", "<i4", ())))
          for name in activation_names(cfg)},
-        layer("stem", (c, cfg.in_channels, cfg.kernel)),
-        [[layer(f"b{i}.c{j}", (c, c, cfg.kernel))
-          for j in range(cfg.convs_per_block)] for i in range(cfg.blocks)],
+        [layer(conv.name, (c, conv.in_channels, cfg.kernel))
+         for conv in topology(cfg)],
         layer("head", (cfg.classes, cfg.seq_len * c)))
     contents.finish()
     check_quant_invariants(qm)

@@ -11,7 +11,8 @@ over the segment's rows and applied once to its timestamps and channels.
 `%.6f` formats a float exactly as `f"{v:.6f}"` does, so the files are
 byte-identical to a row-by-row writer's. It accepts only what `prepare`
 reads back: subjects and sessions inside dataset.SUBJECT_RANGE and
-SESSION_RANGE, and finite, non-negative durations and noise.
+SESSION_RANGE, finite, non-negative noise, and durations from 0 to one
+hour (MAX_SEGMENT_ROWS rows per segment).
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from .dataset import (
 )
 from .errors import InvalidConfig
 
+# the longest segment, one hour: 72,000 rows at RATE_HZ = 20
+MAX_SEGMENT_ROWS = 3600 * RATE_HZ
+
 
 def _check_synth_args(subjects: int, sessions: int, class_seconds: float,
                       null_seconds: float, noise: float) -> None:
@@ -44,6 +48,8 @@ def _check_synth_args(subjects: int, sessions: int, class_seconds: float,
                         ("null_seconds", null_seconds), ("noise", noise)):
         if not (math.isfinite(value) and value >= 0):
             raise InvalidConfig(f"{name} must be finite and >= 0, got {value}")
+        if name != "noise" and value * RATE_HZ > MAX_SEGMENT_ROWS:
+            raise InvalidConfig(f"{name} must be at most one hour, got {value}")
 
 
 def make_synthetic_dataset(out_dir: str | Path, subjects: int = 10,
@@ -56,8 +62,9 @@ def make_synthetic_dataset(out_dir: str | Path, subjects: int = 10,
     bytes equal those of a writer that formats row by row. Raises
     InvalidConfig, before anything is written, for subjects outside
     SUBJECT_RANGE, sessions outside SESSION_RANGE, a negative or non-finite
-    class_seconds, null_seconds or noise, and an out_dir that is a file or
-    lies under one.
+    class_seconds, null_seconds or noise, a class_seconds or null_seconds
+    above one hour (MAX_SEGMENT_ROWS rows at RATE_HZ), and an out_dir that
+    is a file or lies under one.
     """
     _check_synth_args(subjects, sessions, class_seconds, null_seconds, noise)
     out_dir = make_out_dir(out_dir)

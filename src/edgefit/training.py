@@ -8,10 +8,10 @@ never touched.
 
 A step runs in a Workspace: every activation, gradient and scratch array
 the step writes, allocated once and written with out=. Both passes walk
-the convs by their index in conv_layers order: conv i reads operand i of
+the convs of model.topology by their index: conv i reads operand i of
 the workspace, its ReLU writes operand i + 1 (the next conv's pad buffer
-interior), and where a residual add goes follows from i and
-convs_per_block alone. Per conv, BN keeps only the centred activation
+interior), and a block's last conv adds operand conv.skip, the block
+input, before its ReLU. Per conv, BN keeps only the centred activation
 zc and applies its per-channel factors as (C, L) rows
 (kernels.channel_rows), and one kernels.conv1d_backward call unfolds the
 output gradient once for both the weight and the input gradient.
@@ -41,7 +41,7 @@ from .errors import (
     NonFiniteInput,
     ShapeMismatch,
 )
-from .model import ModelConfig, ModelParams, build, forward_batch
+from .model import ModelConfig, ModelParams, build, forward_batch, topology
 
 PROB_FLOOR = 1e-12
 BN_MOMENTUM = 0.9
@@ -134,7 +134,7 @@ class Workspace:
 
     def __init__(self, m: ModelParams, batch: int):
         cfg = m.config
-        dtype = m.stem.w.dtype
+        dtype = m.convs[0].w.dtype
         c, length, k = cfg.width, cfg.seq_len, cfg.kernel
         widest = max(c, cfg.in_channels)
 
@@ -143,7 +143,7 @@ class Workspace:
 
         self.kernel = k
         self.padded = [np.zeros((batch, layer.w.shape[1], length + k - 1), dtype)
-                       for _, layer in m.conv_layers()]
+                       for layer in m.convs]
         self.zc = [act() for _ in self.padded]
         self.out = act()
         self.h = act()                     # BN output before the ReLU
@@ -153,7 +153,7 @@ class Workspace:
         self.products = np.empty((rows, c * k, widest), dtype)
         self.grad = (act(), act())
         self.g_padded = np.zeros((batch, c, length + k - 1), dtype)
-        self.dw = [np.empty_like(layer.w) for _, layer in m.conv_layers()]
+        self.dw = [np.empty_like(layer.w) for layer in m.convs]
         self.head_w = np.empty_like(m.head_w)
 
     def operands(self, b: int) -> list[np.ndarray]:
@@ -198,16 +198,15 @@ def _forward(ws: Workspace, m: ModelParams, x: np.ndarray):
     rows, leaving every operand and centred activation zc in ws; the BN
     output is h = zc*(gamma*inv) + beta, with both per-channel factors
     applied as (C, L) rows. Returns the logits and
-    one (mean + conv bias, var, 1/sqrt(var+eps)) per conv, in conv_layers
-    order. Conv i >= 1 ends a block of n convs when i % n == 0 and adds
-    the block's input, operand i - n + 1, before its ReLU."""
+    one (mean + conv bias, var, 1/sqrt(var+eps)) per conv, in topology
+    order. A conv with an add, a block's last, adds the block's input,
+    operand conv.skip, before its ReLU."""
     b = x.shape[0]
-    n = m.config.convs_per_block
     operands = ws.operands(b)
     operands[0][...] = x
     stats = []
     length = m.config.seq_len
-    for i, (_, layer) in enumerate(m.conv_layers()):
+    for i, (conv, layer) in enumerate(zip(topology(m.config), m.convs)):
         _, c_in, k = layer.w.shape
         zc = ws.zc[i][:b]
         kernels.conv1d(ws.padded[i][:b], layer.w, zc,
@@ -217,8 +216,8 @@ def _forward(ws: Workspace, m: ModelParams, x: np.ndarray):
         h = ws.h[:b]
         np.multiply(zc, kernels.channel_rows(layer.gamma * inv, length), out=h)
         h += kernels.channel_rows(layer.beta, length)
-        if i and i % n == 0:
-            h += operands[i - n + 1]
+        if conv.add is not None:
+            h += operands[conv.skip]
         np.maximum(h, 0, out=operands[i + 1])
         stats.append((mu + layer.b, var, inv))
     logits = kernels.dense_batch(operands[-1].reshape(b, -1), m.head_w,
@@ -245,8 +244,7 @@ def _step(ws: Workspace, m: ModelParams, x, targets, weights):
     kernels.conv1d_backward call gives its weight and input gradients;
     the stem asks for no input gradient, since nothing reads it. An add
     sends its gradient to both branches, so the one kept at a block's
-    last conv joins the input gradient of its first, conv i >= 1 with
-    (i - 1) % n == 0."""
+    last conv joins the input gradient of its first, conv.skip."""
     b = x.shape[0]
     logits, stats = _forward(ws, m, x)
     operands = ws.operands(b)
@@ -259,19 +257,18 @@ def _step(ws: Workspace, m: ModelParams, x, targets, weights):
     da, spare = ws.grad[0][:b], ws.grad[1][:b]
     np.matmul(dlogits, m.head_w, out=da.reshape(b, -1))
 
-    layers = list(m.conv_layers())
-    n = m.config.convs_per_block
+    convs = topology(m.config)
     mask = ws.mask[:b]
     dz = kernels.interior(ws.g_padded[:b], m.config.kernel)
-    skip_grad = None
-    for i in range(len(layers) - 1, -1, -1):
-        name, layer = layers[i]
+    skip_grad, first = None, None
+    for i in range(len(convs) - 1, -1, -1):
+        name, layer = convs[i].name, m.convs[i]
         np.greater(operands[i + 1], 0, out=mask)
         da *= mask                          # da is now dL/dh
         dgamma, dbeta = _bn_backward(da, ws.zc[i][:b], layer.gamma,
                                      stats[i][2], dz)
-        if i and i % n == 0:                # the add routes dh to the skip too
-            skip_grad, da = da, spare
+        if convs[i].add is not None:        # the add routes dh to the skip too
+            skip_grad, da, first = da, spare, convs[i].skip
         c_out, c_in, k = layer.w.shape
         dw, db = kernels.conv1d_backward(
             ws.g_padded[:b], layer.w, ws.padded[i][:b], da if i else None,
@@ -281,7 +278,7 @@ def _step(ws: Workspace, m: ModelParams, x, targets, weights):
         grads[f"{name}.b"] = db
         grads[f"{name}.gamma"] = dgamma
         grads[f"{name}.beta"] = dbeta
-        if i and (i - 1) % n == 0:
+        if i == first:
             da += skip_grad
             spare = skip_grad
     return grads, loss, stats
@@ -300,7 +297,7 @@ def backward(m: ModelParams, x: np.ndarray, targets: np.ndarray,
         raise ShapeMismatch(f"batch must be (B, C, L) with B >= 1, got {x.shape}")
     if x.shape[0] != len(targets) or len(targets) != len(weights):
         raise ShapeMismatch("batch, targets, and weights lengths differ")
-    dtype = m.stem.w.dtype
+    dtype = m.convs[0].w.dtype
     grads, loss, _ = _step(
         Workspace(m, x.shape[0]), m, x.astype(dtype, copy=False),
         np.asarray(targets), np.asarray(weights, dtype=dtype))
@@ -337,7 +334,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
 
 
 def _update_running_stats(m: ModelParams, stats) -> None:
-    for (_, layer), (mu, var, _) in zip(m.conv_layers(), stats):
+    for layer, (mu, var, _) in zip(m.convs, stats):
         layer.mean = (BN_MOMENTUM * layer.mean
                       + (1.0 - BN_MOMENTUM) * mu).astype(np.float32)
         layer.var = (BN_MOMENTUM * layer.var

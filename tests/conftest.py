@@ -88,6 +88,15 @@ def dense(x, w, b):
     return w @ x + b
 
 
+def regrouped(convs, config):
+    """convs, one per conv of config in execution order, split into the
+    stem and the list of residual blocks: the oracles' own view of the
+    wiring, independent of model.topology."""
+    n = config.convs_per_block
+    return convs[0], [convs[1 + i * n:1 + (i + 1) * n]
+                      for i in range(config.blocks)]
+
+
 def layerwise_forward(m, x, capture=None):
     """The float forward over a batch (B, in_channels, seq_len), one layer
     at a time over the whole batch, each layer through its kernels
@@ -112,10 +121,11 @@ def layerwise_forward(m, x, capture=None):
         if capture is not None:
             capture[name] = arr
 
+    stem, blocks = regrouped(m.convs, cfg)
     record("input", x)
-    a = kernels.relu(bn(m.stem, conv(m.stem, x)))
+    a = kernels.relu(bn(stem, conv(stem, x)))
     record("stem.out", a)
-    for i, block in enumerate(m.blocks):
+    for i, block in enumerate(blocks):
         skip = a
         h = a
         for j, layer in enumerate(block):

@@ -75,6 +75,15 @@ class TestPrepare:
         assert code == cli.EXIT_DATA
         assert "EmptyDataset" in err
 
+    def test_bad_stride_is_checked_before_reading(self, capsys, tmp_path):
+        out = tmp_path / "o"
+        code, _, err = run_cli(capsys, "prepare", "--dataset",
+                               str(tmp_path / "missing"), "--out", str(out),
+                               "--stride", "0")
+        assert code == cli.EXIT_USAGE
+        assert_one_error_line(err, "InvalidConfig")
+        assert "--stride" in err and not out.exists()
+
     def test_absent_fold_is_usage_error(self, capsys, synth_dataset_dir,
                                         tmp_path):
         out = tmp_path / "o"
@@ -148,6 +157,16 @@ class TestTrain:
         assert cli.main(common + ["--out", str(out1)]) == 0
         assert cli.main(common + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--epochs", "--width", "--batch-size"])
+    def test_bad_option_is_checked_before_reading(self, capsys, tmp_path,
+                                                  flag):
+        code, _, err = run_cli(capsys, "train", "--windows",
+                               str(tmp_path / "missing.efw"), "--fold", "1",
+                               "--out", str(tmp_path / "m.efm"), flag, "0")
+        assert code == cli.EXIT_USAGE
+        assert_one_error_line(err, "InvalidConfig")
+        assert not any(tmp_path.iterdir())
 
     def test_history_file_written(self, pipeline):
         history = pipeline["model"].with_suffix(".history.csv")

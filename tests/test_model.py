@@ -10,6 +10,7 @@ from conftest import (
     layerwise_forward,
     make_random_windows,
     randomize_bn,
+    regrouped,
 )
 from edgefit import container, kernels, model, quantize
 from edgefit.errors import (
@@ -32,27 +33,28 @@ class TestBuild:
     def test_seed_changes_weights(self):
         cfg = ModelConfig(width=4)
         a, b = build(cfg, seed=1), build(cfg, seed=2)
-        assert not np.array_equal(a.stem.w, b.stem.w)
+        assert not np.array_equal(a.convs[0].w, b.convs[0].w)
 
     def test_shapes(self):
         m = build(ModelConfig(width=4), seed=0)
-        assert m.stem.w.shape == (4, 7, 3)
-        assert all(layer.w.shape == (4, 4, 3)
-                   for blk in m.blocks for layer in blk)
+        assert len(m.convs) == 10
+        assert m.convs[0].w.shape == (4, 7, 3)
+        assert all(layer.w.shape == (4, 4, 3) for layer in m.convs[1:])
         assert m.head_w.shape == (12, 160)
         assert m.head_b.shape == (12,)
 
     def test_bn_initialized_near_identity(self, rng):
         m = build(ModelConfig(width=4, bn_eps=0.0), seed=0)
         x = rng.standard_normal((4, 40)).astype(np.float32)
-        y = kernels.batchnorm_infer(x, m.stem.gamma, m.stem.beta,
-                                    m.stem.mean, m.stem.var, 0.0)
+        stem = m.convs[0]
+        y = kernels.batchnorm_infer(x, stem.gamma, stem.beta,
+                                    stem.mean, stem.var, 0.0)
         np.testing.assert_allclose(y, x, rtol=1e-6)
 
     def test_he_bound(self):
         m = build(ModelConfig(width=4), seed=0)
         bound = np.sqrt(6.0 / (7 * 3))
-        assert np.abs(m.stem.w).max() <= bound
+        assert np.abs(m.convs[0].w).max() <= bound
 
     def test_invalid_config(self):
         with pytest.raises(InvalidConfig):
@@ -61,6 +63,33 @@ class TestBuild:
             build(ModelConfig(kernel=2), seed=0)
         with pytest.raises(InvalidConfig):
             build(ModelConfig(bn_eps=float("nan")), seed=0)
+
+
+class TestTopology:
+    def test_records_spelled_out(self):
+        Conv = model.Conv
+        assert model.topology(ModelConfig(blocks=2, convs_per_block=1)) == (
+            Conv("stem", 7, "input"),
+            Conv("b0.c0", 52, "stem.out", 1, "b0.add"),
+            Conv("b1.c0", 52, "b0.add.out", 2, "b1.add"))
+        assert model.topology(ModelConfig()) == (
+            Conv("stem", 7, "input"),
+            Conv("b0.c0", 52, "stem.out"),
+            Conv("b0.c1", 52, "b0.c0.out"),
+            Conv("b0.c2", 52, "b0.c1.out", 1, "b0.add"),
+            Conv("b1.c0", 52, "b0.add.out"),
+            Conv("b1.c1", 52, "b1.c0.out"),
+            Conv("b1.c2", 52, "b1.c1.out", 4, "b1.add"),
+            Conv("b2.c0", 52, "b1.add.out"),
+            Conv("b2.c1", 52, "b2.c0.out"),
+            Conv("b2.c2", 52, "b2.c1.out", 7, "b2.add"))
+
+    def test_built_once_per_config(self):
+        table = model.topology(ModelConfig(width=6, blocks=2))
+        assert model.topology(ModelConfig(width=6, blocks=2)) is table
+        assert [name for name, _ in build(ModelConfig(width=6, blocks=2),
+                                          0).conv_layers()] == [
+            conv.name for conv in table]
 
 
 class TestForward:
@@ -94,8 +123,9 @@ class TestForward:
             return kernels.batchnorm_infer(t, layer.gamma, layer.beta,
                                            layer.mean, layer.var, cfg.bn_eps)
 
-        a = kernels.relu(bn(m.stem, conv1d_same(x, m.stem.w, m.stem.b)))
-        for blk in m.blocks:
+        stem, blocks = regrouped(m.convs, cfg)
+        a = kernels.relu(bn(stem, conv1d_same(x, stem.w, stem.b)))
+        for blk in blocks:
             skip = a
             h = kernels.relu(bn(blk[0], conv1d_same(a, blk[0].w, blk[0].b)))
             h = kernels.relu(bn(blk[1], conv1d_same(h, blk[1].w, blk[1].b)))
@@ -114,10 +144,9 @@ class TestForward:
     def test_skip_ablation(self, rng):
         """Zero conv weights and identity BN turn a block into ReLU(input)."""
         m = build(ModelConfig(width=4, bn_eps=0.0), seed=0)
-        for blk in m.blocks:
-            for layer in blk:
-                layer.w[:] = 0
-                layer.b[:] = 0
+        for layer in m.convs[1:]:
+            layer.w[:] = 0
+            layer.b[:] = 0
         x = rng.standard_normal((1, 7, 40)).astype(np.float32)
         _, capture = captured(m, x)
         stem_out = capture["stem.out"]
@@ -141,12 +170,29 @@ class TestDepthFirst:
         oracle's, dtype included, for batches inside one block, of exactly
         one block, over several blocks with a partial last one, and of
         the 512 windows training._eval_arrays passes."""
-        m = randomize_bn(build(ModelConfig(width=width,
-                                           convs_per_block=convs_per_block),
-                               seed=width), seed=convs_per_block)
+        self.check_against_layerwise(
+            ModelConfig(width=width, convs_per_block=convs_per_block),
+            folded, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("folded", [False, True])
+    @pytest.mark.parametrize("blocks, convs_per_block", [(1, 1), (1, 3),
+                                                         (3, 2)])
+    def test_block_shapes_bit_identical_to_layerwise(
+            self, blocks, convs_per_block, folded, dtype):
+        """One residual block, and blocks of two convs, whose last conv
+        reads its first's output, against the same oracle."""
+        self.check_against_layerwise(
+            ModelConfig(width=4, blocks=blocks,
+                        convs_per_block=convs_per_block), folded, dtype)
+
+    @staticmethod
+    def check_against_layerwise(config, folded, dtype):
+        m = randomize_bn(build(config, seed=config.width),
+                         seed=config.convs_per_block)
         if folded:
             m = fold_batchnorm(m)
-        x = np.random.default_rng(width).standard_normal(
+        x = np.random.default_rng(config.width).standard_normal(
             (512, 7, 40)).astype(dtype)
         for batch in (1, 3, kernels.BLOCK, 2 * kernels.BLOCK + 3, 512):
             expected_acts = {}
@@ -155,6 +201,7 @@ class TestDepthFirst:
             assert logits.dtype == expected.dtype == dtype
             np.testing.assert_array_equal(logits, expected)
             assert list(acts) == model.activation_names(m.config)
+            assert list(expected_acts) == list(acts)
             for name, arr in expected_acts.items():
                 assert acts[name].dtype == arr.dtype == dtype, name
                 np.testing.assert_array_equal(acts[name], arr, err_msg=name)
@@ -240,8 +287,8 @@ class TestFoldBatchnorm:
     def test_identity_bn_keeps_weights(self):
         m = build(ModelConfig(width=4, bn_eps=0.0), seed=0)
         folded = fold_batchnorm(m)
-        np.testing.assert_array_equal(folded.stem.w, m.stem.w)
-        np.testing.assert_array_equal(folded.stem.b, m.stem.b)
+        np.testing.assert_array_equal(folded.convs[0].w, m.convs[0].w)
+        np.testing.assert_array_equal(folded.convs[0].b, m.convs[0].b)
         assert folded.bn_folded
 
     def test_equivalence_on_random_model(self, rng):
@@ -334,15 +381,18 @@ class TestModelFile:
     def test_config_out_of_range_is_corrupt(self, tmp_path, monkeypatch,
                                             kind, field, value):
         """2^31 blocks or convs are bounded by the closed-form parameter
-        count before count_macs could build its per-layer table, and a
-        bn_eps beyond float32 is rejected without a warning."""
+        count before count_macs or topology could build a per-layer
+        table, and a bn_eps beyond float32 is rejected without a
+        warning."""
         def refused(config):
-            raise AssertionError("a loader built the per-layer MAC table")
+            raise AssertionError("a loader built a per-layer table")
 
-        monkeypatch.setattr(model, "count_macs", refused)
         path, load = self.forged(
             tmp_path, kind,
             lambda contents: contents.meta["config"].update({field: value}))
+        monkeypatch.setattr(model, "count_macs", refused)
+        for module in (model, quantize):
+            monkeypatch.setattr(module, "topology", refused)
         with pytest.raises(CorruptFile, match="bad model config"):
             load(path)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (assert_zero_borders, captured, make_random_windows,
-                      randomize_bn, requantize_array, same_padded)
+                      randomize_bn, regrouped, requantize_array, same_padded)
 from edgefit import container, kernels, model, quantize, training
 from edgefit.errors import (
     AccumulatorOverflow,
@@ -587,9 +587,10 @@ def walk_network(qm, q, conv, add):
     q_a and its last conv's output q_h. Returns the head's input and its
     spec."""
     specs = qm.specs
-    q = conv("stem", qm.stem, specs["input"], specs["stem.out"], True, q)
+    stem, blocks = regrouped(qm.convs, qm.config)
+    q = conv("stem", stem, specs["input"], specs["stem.out"], True, q)
     spec = specs["stem.out"]
-    for i, block in enumerate(qm.blocks):
+    for i, block in enumerate(blocks):
         q_in, block_in = q, spec
         for j, layer in enumerate(block):
             name = f"b{i}.c{j}"
@@ -759,7 +760,7 @@ class TestExactFloatGemm:
     def test_wide_conv_takes_float64(self):
         # fan_in 176 * 3 = 528: 528 * 128 * 255 >= 2^24
         _, qm = quantized_fixture(width=176, n_calib=16)
-        assert qm.blocks[0][0].w_q.shape[1:] == (176, 3)
+        assert qm.convs[1].w_q.shape[1:] == (176, 3)
         assert quantize._gemm_dtype(528) is np.float64
         x = np.stack([w.data for w in make_random_windows(24, seed=12)])
         self.check_against_oracle(qm, x)
@@ -785,7 +786,7 @@ class TestExactFloatGemm:
         """An all-zero weight channel gets a weight scale floored so its
         bias fits int32 and its shift n stays <= 30."""
         folded = fold_batchnorm(build(ModelConfig(width=8), seed=3))
-        w, b = ((folded.blocks[0][0].w, folded.blocks[0][0].b) if site == "conv"
+        w, b = ((folded.convs[1].w, folded.convs[1].b) if site == "conv"
                 else (folded.head_w, folded.head_b))
         w[3] = 0
         b[3] = bias
@@ -908,6 +909,21 @@ class TestQuantPlan:
         assert qm.plan.arena_bytes == model.count_macs(cfg).peak_activation_bytes
         assert qm.plan.arena_bytes == max(7 * 40 + 320, 2 * 320)
 
+    @pytest.mark.parametrize("blocks, convs_per_block", [(1, 1), (1, 3),
+                                                         (3, 2)])
+    def test_block_shapes_match_oracles(self, blocks, convs_per_block):
+        """One residual block, and blocks of two convs, run as the oracles
+        do, in an arena of the peak activation figure."""
+        cfg = ModelConfig(width=8, blocks=blocks,
+                          convs_per_block=convs_per_block)
+        folded = fold_batchnorm(randomize_bn(build(cfg, seed=3), seed=4))
+        qm = quantize_model(folded, calibrate(
+            folded, make_random_windows(16, seed=1)))
+        x = np.stack([w.data for w in make_random_windows(19, seed=2)])
+        TestExactFloatGemm.check_against_oracle(qm, x)
+        peak = model.count_macs(cfg).peak_activation_bytes
+        assert qm.plan.arena_bytes == peak
+
     def test_built_once_per_model(self, monkeypatch):
         _, qm = quantized_fixture(width=8)
         built = []
@@ -962,7 +978,7 @@ class TestQuantPlan:
 
     def test_plan_checks_the_model(self):
         _, qm = quantized_fixture(width=4)
-        qm.blocks[0][0].bias_q[0] = 2 ** 31 - 1
+        qm.convs[1].bias_q[0] = 2 ** 31 - 1
         with pytest.raises(AccumulatorOverflow, match="b0.c0"):
             qforward(qm, make_random_windows(1, seed=0)[0].data)
         assert qm.plan is None
@@ -1062,7 +1078,7 @@ class TestQuantFile:
     def test_bad_scale_rejected(self, tmp_path, where, value):
         _, qm = quantized_fixture(width=4)
         if where == "w_scale":
-            qm.stem.w_scale[0] = value
+            qm.convs[0].w_scale[0] = value
         elif where == "head":
             qm.head.w_scale[0] = value
         else:
@@ -1081,7 +1097,7 @@ class TestQuantFile:
         _, qm = quantized_fixture(width=4)
         specs = qm.specs
         if where == "conv":
-            stem = qm.stem
+            stem = qm.convs[0]
             stem.w_scale[0] = 0.75 * 2.0 ** -40 * (specs["stem.out"].scale
                                                    / specs["input"].scale)
             ratio = (specs["input"].scale * float(stem.w_scale[0])
@@ -1105,7 +1121,7 @@ class TestQuantFile:
         # one int32 bias at the type's limit: every multiplier, scale and
         # zero point is still valid, only the accumulator bound is broken
         _, qm = quantized_fixture(width=8)
-        layer = qm.blocks[0][0] if site == "b0.c0" else qm.head
+        layer = qm.convs[1] if site == "b0.c0" else qm.head
         layer.bias_q[0] = 2 ** 31 - 1
         path = tmp_path / "q.efq"
         quantize.save(qm, path)

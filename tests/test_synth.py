@@ -135,6 +135,7 @@ class TestArgumentRanges:
         dict(sessions=SESSION_RANGE[0] - 1), dict(sessions=SESSION_RANGE[1] + 1),
         dict(class_seconds=-1.0), dict(class_seconds=math.nan),
         dict(null_seconds=-0.5), dict(null_seconds=math.inf),
+        dict(null_seconds=1e300), dict(null_seconds=3600.05),
         dict(noise=-0.1), dict(noise=math.nan),
     ], ids=repr)
     def test_rejected_before_writing(self, tmp_path, kwargs):
@@ -149,7 +150,8 @@ class TestCli:
         ("--subjects", "-2"), ("--subjects", "0"), ("--subjects", "11"),
         ("--sessions", "0"), ("--sessions", "6"),
         ("--class-seconds", "-1"), ("--class-seconds", "nan"),
-        ("--class-seconds", "inf"),
+        ("--class-seconds", "inf"), ("--class-seconds", "1e300"),
+        ("--class-seconds", "3600.05"),
     ])
     def test_bad_synth_argument_is_usage_error(self, capsys, tmp_path,
                                                flag, value):

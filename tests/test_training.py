@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (assert_zero_borders, astype, make_random_windows,
-                      make_separable_windows, same_padded)
+                      make_separable_windows, regrouped, same_padded)
 from edgefit import dataset, kernels, model, training
 from edgefit.errors import EmptyTestSet, EmptyTrainSet, InvalidConfig
 from edgefit.model import ModelConfig, build
@@ -44,10 +44,13 @@ def oracle_bn_train_backward(g, gamma, cache):
     return dx, dgamma, dbeta
 
 
-def conv_position(name):
-    """Position of a conv within its block, from its name b{i}.c{j}; None
-    for the stem."""
-    return None if name == "stem" else int(name.split(".c")[1])
+def named_convs(m):
+    """(name, position in its block or None for the stem, ConvLayer) per
+    conv of m, in execution order, from the config alone."""
+    stem, blocks = regrouped(m.convs, m.config)
+    return [("stem", None, stem)] + [
+        (f"b{i}.c{j}", j, layer)
+        for i, block in enumerate(blocks) for j, layer in enumerate(block)]
 
 
 def oracle_forward_train(m, x):
@@ -58,8 +61,7 @@ def oracle_forward_train(m, x):
     tape = {"layers": []}
     a = x
     skip = None
-    for name, layer in m.conv_layers():
-        pos = conv_position(name)
+    for name, pos, layer in named_convs(m):
         entry = {"name": name}
         if pos == 0:
             skip = a
@@ -93,13 +95,12 @@ def oracle_backward_train(m, x, targets, weights):
     da = (dlogits @ m.head_w).reshape(tape["layers"][-1]["post"].shape)
 
     bn_stats = [(e["bn"][2], e["bn"][3]) for e in tape["layers"]]
-    layers = list(m.conv_layers())
+    layers = named_convs(m)
     last = m.config.convs_per_block - 1
     pending_skip_grad = None
     for idx in range(len(layers) - 1, -1, -1):
-        name, layer = layers[idx]
+        name, pos, layer = layers[idx]
         entry = tape["layers"][idx]
-        pos = conv_position(name)
         dh = da * (entry["post"] > 0)
         if pos == last:
             pending_skip_grad = dh
