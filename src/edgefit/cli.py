@@ -174,7 +174,13 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     m = _sniff_model(args.model)
-    result = platform_model.host_bench(m, n_runs=args.runs, seed=args.seed)
+    # as in eval: finite weights can overflow the float32 forward
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            result = platform_model.host_bench(m, n_runs=args.runs,
+                                               seed=args.seed)
+    except FloatingPointError as e:
+        raise CorruptFile(f"{args.model}: float32 forward: {e}") from None
     report = model.count_macs(m.config)
     if args.format == "kv":
         print(result.as_kv())

@@ -10,20 +10,33 @@ rounds half up (add 2^(shift-1), then arithmetic right shift).
 
 The conv and head GEMMs run through BLAS in float32 or float64 (numpy has
 no BLAS kernel for integers) and still return the exact integer products.
-Every operand is an integer: weights lie in [-128, 127] and the
-zero-point-shifted activations q - zp in [-255, 255], since zero points
-lie in [-128, 127] (check_quant_invariants enforces it, also on load).
-Every partial sum the GEMM forms, in whatever order it adds, is then an
-integer of magnitude at most fan_in * 128 * 255, and float32 represents
-every integer up to 2^24 exactly, float64 every one up to 2^53, so no sum
-ever rounds. Each conv takes float32 when that bound is below 2^24 (every
-conv at width 52: fan_in 156 gives 5.09 M) and float64 otherwise; the
-head always takes float64 (at width 52, fan_in 2080 gives 67.9 M).
-quantize_model and check_quant_invariants reject any layer whose worst
-case plus its largest bias reaches 2^31, far below 2^53. The products are
-cast back to integers before anything is added, so the accumulators equal
-those of an int32 GEMM bit for bit. The convs lower through
-kernels.conv1d, the one conv lowering of the package.
+Every operand is an integer: weights lie in [-128, 127] and so do the
+activations q, which the GEMMs multiply as they are; the input zero point
+enters through the constants instead (below). Every partial sum the GEMM
+forms, in whatever order it adds, is then an integer of magnitude at most
+fan_in * 128 * 128, below the bound fan_in * 128 * 255 of the
+zero-point-shifted operand q - zp in [-255, 255] that _gemm_dtype and the
+accumulator check use (zero points lie in [-128, 127]; check_quant_invariants
+enforces it, also on load). float32 represents every integer up to 2^24
+exactly, float64 every one up to 2^53, so no sum ever rounds. Each conv
+takes float32 when that bound is below 2^24 (every conv at width 52:
+fan_in 156 gives 5.09 M) and float64 otherwise; the head always takes
+float64 (at width 52, fan_in 2080 gives 67.9 M). quantize_model and
+check_quant_invariants reject any layer whose worst case plus its largest
+bias reaches 2^31, far below 2^53. The products are cast back to integers
+before anything is added, so the accumulators equal those of an int32 GEMM
+bit for bit. The convs lower through kernels.conv1d, the one conv lowering
+of the package.
+
+The input zero point is folded as integer-only inference does (Jacob et
+al., CVPR 2018): sum_t w*(q - zp) = sum_t w*q - zp*sum_t w, where the
+sums run over the taps inside the window, since the zero borders of a
+conv's operand stand for the real value 0 and add nothing. At output
+position l of a conv with pad (K-1)/2, the taps t with 0 <= l+t-pad < L
+count, so the folded term varies over l at the borders. It stays exact:
+|bias_q - zp*sum w| <= |bias_q| + fan_in*128*128 < 2^31 by the
+accumulator check, and the accumulator of q plus that bias equals the
+accumulator of q - zp plus bias_q.
 
 The model, QuantModel, holds exactly what an EFQ3 file holds, which is
 what a microcontroller runtime stores (TensorFlow Lite Micro): one QLayer
@@ -47,20 +60,25 @@ BLOCK_WINDOWS windows, as a microcontroller runtime plans its tensor arena
 before the first inference (TensorFlow Lite Micro). The plan holds:
 
 - each conv's weights in its GEMM dtype and three contiguous int64
-  (C_out, L) rows, each channel's value repeated over the window: M0, the
-  total shift 31 + n, and bias_q*M0 + 2^(30+n), which adds the bias and
-  the rounding term in one step (CMSIS-NN's fused output stage). Every
+  (C_out, L) rows: M0 and the total shift 31 + n, each channel's value
+  repeated over the window, and the offset
+  (bias_q - zp_in*sum_{t: 0 <= l+t-pad < L} sum_c w_q[o, c, t])*M0
+  + 2^(30+n), which adds the bias, the input zero point's term and the
+  rounding term in one step (CMSIS-NN's fused output stage). Every
   requantization pass then runs as one C_out*L loop per window. The
-  accumulator bound keeps the offset, and acc*M0 plus it, within int64;
+  accumulator bound keeps the offset below 2^62 + 2^61, and acc*M0 plus
+  it, within int64;
 - each residual add's multipliers, with the input zero points folded into
   the rounding terms, and its table: the add's output depends on its two
   int8 operands alone, so the plan rescales, sums and saturates all
   65,536 pairs once, and a block looks each output up at (a as uint8) << 8
-  | (h as uint8); the head's weights transposed in float64;
+  | (h as uint8); the head's weights transposed in float64 and its int32
+  biases bias_q - zp_in*sum_n w_q[c, n];
 - scratch arrays for BLOCK_WINDOWS windows, one per shape and dtype, that
   every step of that shape shares: the GEMM operand with its zero
-  borders, the patches, the GEMM output and the int64 accumulators (on a
-  64-bit host, the adds' intp table indices share them);
+  borders, the patches, the GEMM output, the int64 accumulators (on a
+  64-bit host, the adds' intp table indices share them) and the adds'
+  two uint16 index arrays;
 - one int8 arena of arena_bytes per window. The input, each block's skip
   and every conv's input and output are views into it at planned offsets:
   slot 0 holds the stem output and every block's input and output, the
@@ -71,21 +89,25 @@ before the first inference (TensorFlow Lite Micro). The plan holds:
   windows places each operand at its offset times b in the flattened
   arena, so every operand is one contiguous (b, C, L) array.
 
-At width 52 a plan holds 1.88 MB: 0.50 MB of conv rows, 192 KB of add
-tables, 0.49 MB of GEMM-ready weights, 0.64 MB of scratch and a 49 KB
+At width 52 a plan holds 2.70 MB: 0.50 MB of conv rows, 192 KB of add
+tables, 0.49 MB of GEMM-ready weights, 1.41 MB of scratch and a 98 KB
 arena.
 
-A conv writes q - zp into its GEMM operand's interior in the operand's
-dtype, runs kernels.conv1d on the operand, zero borders included, into
-its scratch arrays, and requantizes the accumulators in place into its
-output slot with _rescale and _saturate: (acc + bias_q)*M0 / 2^(31+n)
-rounded half up, plus the output zero point. An add makes three passes:
-the index, its low byte and the lookup, which np.take writes in place
-into its contiguous output. A block allocates only the input
-quantization's temporaries and numpy's casting buffers: at width 52 a
-steady call of 8 windows peaks at 68 KB of allocations under tracemalloc,
-the casting buffers of a conv's int8 operand (468 KB before the plan),
-and one window at 19 KB.
+A conv copies q into its GEMM operand's interior, a plain cast to the
+operand's dtype, runs kernels.conv1d on the operand, zero borders
+included, into its scratch arrays, and requantizes the accumulators in
+place into its output slot with _rescale and _saturate: (acc*M0 +
+offset) >> (31+n), which is (acc + bias_q)*M0 / 2^(31+n) of the shifted
+operand rounded half up, plus the output zero point. An add makes five
+passes over its operands: a's byte into a uint16 array, the shift, h's
+byte into the second, the OR and one copy into the intp index; then
+np.take writes the lookup in place into its contiguous output. A block
+allocates only the input quantization's temporaries and the iterator
+buffer of _rescale's (C_out, L)-row passes: under tracemalloc, at width
+52, a steady call of 16 windows peaks at 107 KB, the input quantization's
+float64 temporaries, one of 8 windows at 54 KB and one window at 7 KB;
+a conv step allocates 50 KB, _rescale's buffer, and an add nothing: a
+uint8 operand of a uint16 or intp ufunc would be cast through a buffer.
 
 The plan is laid out by _layout, the walk check_quant_invariants runs, so
 it derives the multipliers and checks the model once, from the model's
@@ -393,14 +415,20 @@ def _note(trace, name, arr):
         trace.append((name, str(arr.dtype)))
 
 
-# Windows per block in qforward_batch: a 52-channel conv's int64
-# accumulators for 8 windows take 133 KB.
-BLOCK_WINDOWS = 8
+# Windows per block in qforward_batch. Each block pays one call of every
+# step, so fewer, larger blocks cost less per window, though a 52-channel
+# conv's int64 accumulators for 16 windows take 266 KB: at width 52, 835
+# windows ran in 0.914 of the time in blocks of 16 as in blocks of 8, and
+# no faster in blocks of 32 (2-vCPU Xeon, numpy 2.4.6, OpenBLAS 0.3.31).
+BLOCK_WINDOWS = 16
 
 
 def _gemm_dtype(fan_in: int) -> type:
     """Narrowest float type whose GEMM gives exact integer results for
-    int8 weights against zero-point-shifted int8 inputs over fan_in terms."""
+    int8 weights against zero-point-shifted int8 inputs q - zp over fan_in
+    terms, |sum| <= fan_in*128*255. The plan's GEMMs multiply q itself,
+    whose sums stay within fan_in*128*128, so the bound holds for them
+    too."""
     return np.float32 if fan_in * 128 * 255 < 2 ** 24 else np.float64
 
 
@@ -435,12 +463,13 @@ class _ConvStep:
     acc_name: str             # the trace's names: {conv}.acc, {conv}.out
     out_name: str
     w: np.ndarray             # (C_out, C_in, K) in the layer's GEMM dtype
-    # per-element rows, each channel's value repeated over L, so that every
-    # requantization pass runs as one C_out*L loop per window
-    m0: np.ndarray            # (C_out, L) int64
-    offset: np.ndarray        # (C_out, L) int64: bias_q*M0 + 2^(30+n)
-    shift: np.ndarray         # (C_out, L) int64: 31 + n
-    in_zp: int
+    # per-element (C_out, L) int64 rows, so that every requantization pass
+    # runs as one C_out*L loop per window: M0 and 31 + n repeat each
+    # channel's value over L; the offset, (bias_q - zp_in * the weights on
+    # the taps inside the window at l)*M0 + 2^(30+n), varies at the borders
+    m0: np.ndarray
+    offset: np.ndarray
+    shift: np.ndarray
     out_zp: int
     low: int                  # the output zero point under a fused ReLU
 
@@ -458,18 +487,27 @@ class _ConvStep:
         ratios = in_spec.scale * layer.w_scale.astype(np.float64) / out.scale
         m0, shift_n = (np.array(column, np.int64) for column in zip(
             *(quantize_multiplier(float(r), name) for r in ratios)))
-        # |bias_q| < 2^31 - fan_in*128*255 and M0 < 2^31 bound (acc +
-        # bias)*M0 by 2^62 and n <= 31 the rounding term by 2^61, so
-        # neither the offset nor acc*M0 + offset leaves int64
-        offset = (layer.bias_q.astype(np.int64) * m0
-                  + np.left_shift(np.int64(1), shift_n + 30))
+        w = layer.w_q.astype(_gemm_dtype(c_in * k))
+        # the GEMM multiplies q, not q - zp, so the offset subtracts zp
+        # times the sum of the weights on the taps inside the window at l:
+        # the GEMM of a window of ones, whose zero borders drop the others,
+        # exact as the GEMM of any int8 window is
+        tap = np.arange(k)[:, None] + np.arange(length) - (k - 1) // 2
+        ones = np.tile((tap >= 0) & (tap < length), (c_in, 1)).astype(w.dtype)
+        taps = (w.reshape(len(w), -1) @ ones).astype(np.int64)
+        # |bias_q - zp*taps| <= |bias_q| + fan_in*128*128 < 2^31 and M0 <
+        # 2^31 bound its product by 2^62, and n <= 31 the rounding term by
+        # 2^61: the offset stays within int64, and acc*M0 plus it equals
+        # (acc + bias_q)*M0 + 2^(30+n) of the zero-point-shifted operand
+        offset = ((layer.bias_q.astype(np.int64)[:, None]
+                   - in_spec.zero_point * taps) * m0[:, None]
+                  + np.left_shift(np.int64(1), shift_n + 30)[:, None])
 
         def row(column):
             return kernels.channel_rows(column, length)
-        return cls(f"{name}.acc", out_name,
-                   layer.w_q.astype(_gemm_dtype(c_in * k)), row(m0),
-                   row(offset), row(shift_n + 31), in_spec.zero_point,
-                   out.zero_point, out.zero_point if relu else QMIN)
+        return cls(f"{name}.acc", out_name, w, row(m0), offset,
+                   row(shift_n + 31), out.zero_point,
+                   out.zero_point if relu else QMIN)
 
     def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
         """(padded, its interior, patches, GEMM output, int64 accumulators),
@@ -484,8 +522,8 @@ class _ConvStep:
                 take((c_out, length), np.int64))
 
     def run(self, x, y, padded, interior, patches, gemm, acc, trace) -> None:
-        # q - zp lies in [-255, 255]: subtract in the GEMM dtype, not int8
-        np.subtract(x, self.in_zp, out=interior, dtype=interior.dtype)
+        # a plain cast of q: the offset carries the input zero point
+        np.copyto(interior, x)
         kernels.conv1d(padded, self.w, gemm, patches=patches)
         acc[...] = gemm
         _note(trace, self.acc_name, acc)
@@ -502,7 +540,9 @@ class _AddStep:
     point folded into its offset, 2^(s-1) - zp*M0, then summed and
     saturated with the fused ReLU's floor at the output zero point. The
     output depends on the two int8 operands alone, so the plan runs it as
-    a lookup in table."""
+    a lookup in table, at an index built in uint16 scratch from the two
+    operands' bytes by plain casts and same-type passes and copied once
+    into the intp array np.take reads."""
 
     out_name: str             # {add}.out
     a: tuple[np.int64, np.int64, np.int64]     # block input: M0, offset, s
@@ -536,12 +576,20 @@ class _AddStep:
         return _saturate(total, self.out_zp).ravel()
 
     def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
-        # intp, the index type np.take wants: any other makes it copy
-        return (take((self.channels, length), np.intp),)
+        # two uint16 arrays for the index and the intp one np.take wants:
+        # any other index type makes it copy
+        shape = (self.channels, length)
+        return (take(shape, np.uint16), take(shape, np.uint16),
+                take(shape, np.intp))
 
-    def run(self, a, h, y, index, trace) -> None:
-        np.left_shift(a.view(np.uint8), 8, out=index, dtype=np.intp)
-        np.bitwise_or(index, h.view(np.uint8), out=index)
+    def run(self, a, h, y, pair, low, index, trace) -> None:
+        # plain casts and passes over one type: a uint8 operand of a
+        # uint16 ufunc would be cast through a buffer
+        np.copyto(pair, a.view(np.uint8))
+        pair <<= 8
+        np.copyto(low, h.view(np.uint8))
+        pair |= low
+        np.copyto(index, pair)
         # mode="raise" would buffer y
         np.take(self.table, index, out=y, mode="clip")
         _note(trace, self.out_name, y)
@@ -553,9 +601,10 @@ class _HeadStep:
     float step, the logit dequantization."""
 
     w_t: np.ndarray           # (N, classes) float64
-    bias_q: np.ndarray        # (classes,) int32
+    # (classes,) int32: bias_q - zp_in * sum_n w_q, as the GEMM multiplies
+    # q, not q - zp
+    bias: np.ndarray
     scale: np.ndarray         # (classes,) float64: s_in * s_w
-    in_zp: int
 
     @classmethod
     def of(cls, head: QLayer, in_spec: QuantSpec) -> _HeadStep:
@@ -566,18 +615,21 @@ class _HeadStep:
                       & (scale * 2.0 ** 31 < np.finfo(np.float32).max)):
             raise RequantRangeError("head: weight scales must be positive and "
                                     "keep s_in*s_w*2^31 below float32's max")
-        return cls(head.w_q.T.astype(np.float64), head.bias_q.astype(np.int32),
-                   scale, in_spec.zero_point)
+        # |bias| <= |bias_q| + fan_in*128*128 < 2^31
+        bias = (head.bias_q.astype(np.int64) - in_spec.zero_point
+                * head.w_q.sum(axis=1, dtype=np.int64))
+        return cls(head.w_q.T.astype(np.float64), bias.astype(np.int32),
+                   scale)
 
     def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
         n, classes = self.w_t.shape
         return take((n,), np.float64), take((classes,), np.float64)
 
     def run(self, x, acc, operand, gemm, logits, trace) -> None:
-        np.subtract(x, self.in_zp, out=operand, dtype=np.float64)
+        np.copyto(operand, x)
         np.matmul(operand, self.w_t, out=gemm)
         acc[...] = gemm
-        acc += self.bias_q
+        acc += self.bias
         _note(trace, "head.acc", acc)
         np.multiply(acc, self.scale, out=logits)
 
@@ -742,8 +794,9 @@ def check_quant_invariants(qm: QuantModel) -> None:
     every scale ratio a multiplier encodes must take a shift n in [-30, 31]
     (quantize_multiplier). Every conv and the head must keep the
     worst-case accumulator that quantize_model checks within int32, which
-    also keeps the plan's folded constants bias_q*M0 + 2^(30+n) within
-    int64, and the head's s_in*s_w*2^31 must stay below float32's maximum,
+    also keeps the plan's folded biases bias_q - zp_in*sum w within int32
+    and its offsets (bias_q - zp_in*sum w)*M0 + 2^(30+n) within int64,
+    and the head's s_in*s_w*2^31 must stay below float32's maximum,
     which keeps every logit finite. This is the walk that lays out the
     plan (_layout)."""
     _layout(qm)

@@ -523,6 +523,22 @@ class TestBench:
         assert "throughput_mmacs=" in out
         assert "macs.total=" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "kv"])
+    def test_overflowing_weight_is_data_error(self, capsys, pipeline,
+                                              tmp_path, fmt):
+        """As in eval: finite weights that overflow the float32 forward
+        make one CorruptFile line naming the model file, and no warning."""
+        contents = container.read(pipeline["model"], model.MODEL_MAGIC)
+        contents.tensors["b0.c0.w"][0] = 1e38
+        bad = tmp_path / "bad.efm"
+        container.write(bad, model.MODEL_MAGIC, contents.meta,
+                        contents.tensors)
+        code, stdout, err = run_cli(capsys, "bench", "--model", str(bad),
+                                    "--runs", "10", "--format", fmt)
+        assert code == cli.EXIT_DATA and not stdout
+        assert_one_error_line(err, "CorruptFile")
+        assert str(bad) in err
+
 
 class TestReport:
     def test_builtin_table(self, capsys):

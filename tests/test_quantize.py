@@ -478,6 +478,31 @@ class TestQForward:
             np.testing.assert_array_equal(
                 got, reference_qconv(layer, in_spec, out_spec, relu, x_q[0]))
 
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("in_zp", [-128, 0, 127])
+    def test_border_taps(self, rng, kernel, in_zp):
+        """At lengths 1, 2, K and 40, the taps that fall on the zero
+        borders add nothing, whatever the input zero point: the conv step
+        gives the unplanned oracle's output, and the exact oracle's."""
+        c_in, c_out = 3, 6
+        w_q = np.where(rng.random((c_out, c_in, kernel)) < 0.5, 127, -127)
+        w_q[0], w_q[1] = 127, -127
+        layer = quantize.QLayer(w_q.astype(np.int8),
+                                rng.uniform(0.5, 1.5, c_out).astype(np.float32)
+                                / (127 * 8 * c_in * kernel),
+                                rng.integers(-3000, 3001, c_out, np.int32))
+        in_spec = QuantSpec(scale=0.04, zero_point=in_zp)
+        out_spec = QuantSpec(scale=0.011, zero_point=-7)
+        for length in sorted({1, 2, kernel, 40}):
+            x_q = rng.integers(-128, 128, (3, c_in, length)).astype(np.int8)
+            x_q[0] = in_zp
+            for relu in (False, True):
+                got = plan_qconv(layer, in_spec, out_spec, relu, x_q)
+                np.testing.assert_array_equal(got, unplanned_qconv(
+                    "t", layer, in_spec, out_spec, relu, x_q, None))
+                np.testing.assert_array_equal(got[2], reference_qconv(
+                    layer, in_spec, out_spec, relu, x_q[2]))
+
     def test_no_floats_in_integer_path(self):
         _, qm = quantized_fixture(width=4)
         trace = []
@@ -816,7 +841,10 @@ class TestQuantPlan:
         """Every conv's and add's M0 and n in the plan, and the constants
         folded from them, follow from the scale ratio of the specs found by
         walking the network here: s_in*s_w/s_out, s_a/s_out, s_h/s_out.
-        A conv holds each constant in every column of its channel's row."""
+        A conv holds M0 and n in every column of its channel's row, and at
+        column l the offset (bias_q - zp_in * the sum of the weights on the
+        taps that fall inside the window at l)*M0 + 2^(30+n); the head's
+        bias is bias_q - zp_in times the sum of its channel's weights."""
         _, qm = quantized_fixture(width=8)
         qforward(qm, make_random_windows(1, seed=0)[0].data)
         steps = iter(step for step, _ in qm.plan.layout)
@@ -825,18 +853,22 @@ class TestQuantPlan:
         def conv(name, layer, in_spec, out_spec, relu, q):
             step = next(steps)
             assert step.out_name == f"{name}.out"
-            assert step.in_zp == in_spec.zero_point
             assert step.low == (out_spec.zero_point if relu else -128)
             rows = (step.m0, step.shift, step.offset)
             for row in rows:
                 assert row.dtype == np.int64 and row.flags.c_contiguous
                 assert row.shape == (len(layer.w_scale), length)
+            _, c_in, k = layer.w_q.shape
+            pad = (k - 1) // 2
             for o, s_w in enumerate(layer.w_scale):
                 m0, n = exact_multiplier(in_spec.scale * float(s_w)
                                          / out_spec.scale)
-                offset = int(layer.bias_q[o]) * m0 + 2 ** (30 + n)
+                offset = [(int(layer.bias_q[o]) - in_spec.zero_point * sum(
+                    int(layer.w_q[o, c, t]) for c in range(c_in)
+                    for t in range(k) if 0 <= l + t - pad < length))
+                    * m0 + 2 ** (30 + n) for l in range(length)]
                 assert [row[o].tolist() for row in rows] == [
-                    [value] * length for value in (m0, 31 + n, offset)]
+                    [m0] * length, [31 + n] * length, offset]
 
         def add(name, a_spec, h_spec, out_spec, q_a, q_h):
             step = next(steps)
@@ -848,7 +880,9 @@ class TestQuantPlan:
 
         _, spec = walk_network(qm, None, conv, add)
         head = next(steps)
-        assert head.in_zp == spec.zero_point
+        assert head.bias.tolist() == [
+            int(b) - spec.zero_point * sum(map(int, w))
+            for b, w in zip(qm.head.bias_q, qm.head.w_q)]
         np.testing.assert_array_equal(
             head.scale, spec.scale * qm.head.w_scale.astype(np.float64))
 
@@ -953,16 +987,18 @@ class TestQuantPlan:
         np.testing.assert_array_equal(qforward_batch(loaded, x), before)
 
     def test_steady_call_allocates_under_128kb(self):
+        """A full block of BLOCK_WINDOWS windows, and a block of 8."""
         _, qm = quantized_fixture(width=52, n_calib=16)
-        x = np.stack([w.data for w in make_random_windows(8, seed=2)])
-        qforward_batch(qm, x)
-        tracemalloc.start()
-        try:
+        for n in (quantize.BLOCK_WINDOWS, 8):
+            x = np.stack([w.data for w in make_random_windows(n, seed=2)])
             qforward_batch(qm, x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 128 * 1024
+            tracemalloc.start()
+            try:
+                qforward_batch(qm, x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 128 * 1024, n
 
     def test_steady_single_window_allocates_under_64kb(self):
         _, qm = quantized_fixture(width=52, n_calib=16)
