@@ -2,13 +2,16 @@
 and synth subcommands over the full pipeline.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical-contract
-violation.
+violation, 141 output pipe closed before the command finished printing
+(128 + SIGPIPE, the status a shell reports for a program that signal
+ends), with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -29,6 +32,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -314,7 +318,18 @@ def main(argv=None) -> int:
         # train, quantize, bench and synth seed np.random.default_rng with it
         if getattr(args, "seed", 0) < 0:
             raise InvalidConfig(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, so that a closed pipe raises inside the try and
+        # not at the interpreter's exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so that the exit's
+        # flush of what is still buffered stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except DataError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -4,6 +4,15 @@ and a dense classifier over the flattened activations.
 Every convolution uses 'same' padding at stride 1, so all activations keep
 the input length. Each identity block runs conv-BN-ReLU, conv-BN-ReLU,
 conv-BN, adds the unmodified block input, and applies a final ReLU.
+
+The float executor, forward_batch, runs in a ForwardPlan kept on the
+model, as quantize.QuantPlan runs the int8 one: one block of
+kernels.BLOCK windows' buffers (830 KB at width 52) and every conv's
+views into them, laid out at the model's first call. The plan holds no
+parameter, so training's in-place updates reach the next call; it makes
+the calls on one model share its buffers, so one thread at a time runs
+a model and a capture callback must not call forward_batch on it; and a
+copy or a pickle of a model carries no plan, but builds its own.
 """
 
 from __future__ import annotations
@@ -103,6 +112,14 @@ class ModelParams:
     head_w: np.ndarray   # (classes, seq_len*width)
     head_b: np.ndarray   # (classes,)
     bn_folded: bool = False
+    # built by the first forward_batch (see ForwardPlan)
+    plan: ForwardPlan | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # a plan's views alias its own buffers, which no copy or pickle of
+        # them would: a copy builds its own plan at its first call
+        return {**self.__dict__, "plan": None}
 
     def conv_layers(self):
         """(name, ConvLayer) for every conv, in execution order."""
@@ -160,26 +177,89 @@ def build(config: ModelConfig, seed: int) -> ModelParams:
     return ModelParams(config, convs, head_w, head_b)
 
 
+class ForwardPlan:
+    """The float network's buffers for one block of kernels.BLOCK windows,
+    laid out once per (config, dtype), and for each block size n every
+    conv's views into them, bound at the first block of that size.
+
+    The buffers: a zero-bordered pad buffer of the input, the skip buffer,
+    which holds a residual block's input and, last, the head input, one
+    pad buffer that every other conv reads, one conv output and one
+    patches buffer; 830 KB at width 52. Conv i reads pads[i] and its ReLU
+    writes the interior of pads[i + 1]: the stem reads the input's pad
+    buffer, a conv that starts a block reads the skip buffer, which the
+    block's add reads too, and every other conv the one pad buffer; the
+    last entry is the skip buffer. Only the convs' interiors are ever
+    written, so every border stays zero. A plan holds buffers only, never
+    a parameter: forward_batch reads every layer's arrays at call time."""
+
+    def __init__(self, config: ModelConfig, dtype: np.dtype):
+        self.config, self.dtype = config, dtype
+        convs = topology(config)
+        nb, width, k = kernels.BLOCK, config.width, config.kernel
+        padded_len = config.seq_len + k - 1
+        padded_in = np.zeros((nb, config.in_channels, padded_len), dtype)
+        skip = np.zeros((nb, width, padded_len), dtype)
+        padded = np.zeros((nb, width, padded_len), dtype)
+        starts = {conv.skip for conv in convs}
+        self.pads = ([padded_in] + [skip if i in starts else padded
+                                    for i in range(1, len(convs))] + [skip])
+        self.out = np.empty((nb, width, config.seq_len), dtype)
+        self.patches = np.empty(
+            nb * max(config.in_channels, width) * k * config.seq_len, dtype)
+        self._bound: dict[int, tuple] = {}
+
+    def bind(self, n: int) -> tuple:
+        """The views a block of n windows runs in: the input's interior,
+        one tuple per conv (its operand, patches, output, the interior its
+        add reads or None, the interior its ReLU writes, and the names of
+        its output and of the activation after its ReLU) and the skip
+        buffer's interior, the block's rows of the head input."""
+        bound = self._bound.get(n)
+        if bound is None:
+            cfg = self.config
+            k, length = cfg.kernel, cfg.seq_len
+            pads = [kernels.interior(pad[:n], k) for pad in self.pads]
+            steps = tuple(
+                (self.pads[i][:n],
+                 self.patches[:n * conv.in_channels * k * length].reshape(
+                     n, -1, length),
+                 self.out[:n],
+                 None if conv.skip is None else pads[conv.skip],
+                 pads[i + 1], f"{conv.name}.out",
+                 f"{conv.add or conv.name}.out")
+                for i, conv in enumerate(topology(cfg)))
+            bound = self._bound[n] = (pads[0], steps, pads[-1])
+        return bound
+
+
 def forward_batch(m: ModelParams, x: np.ndarray,
                   capture: Callable[[str, np.ndarray], object] | None = None
                   ) -> np.ndarray:
     """Inference forward over a batch (B, in_channels, seq_len) -> (B, classes).
 
     The batch runs depth-first: each block of kernels.BLOCK windows goes
-    through the whole conv stack before the next block starts, in buffers
-    sized for one block (the fused layers of Alwani et al., 2016), so its
-    feature maps stay in the cache, and a call allocates one block's
-    buffers (830 KB at width 52) and the (B, width, seq_len) head input.
-    The convs run in topology(m.config) order, each as
-    kernels.conv1d_same_batch of a zero-bordered pad buffer into one
-    output buffer, where the bias, BN unless folded (in batchnorm_infer's
-    order) and a residual add run in place. Conv i reads pads[i] and its
-    ReLU writes the interior of pads[i + 1]: the stem reads the input's
-    pad buffer, a conv that starts a block reads the skip buffer, which
-    the block's add reads too, and every other conv the one pad buffer;
-    the last entry is the skip buffer, the head input. The head runs once
-    over the whole batch, so every activation and logit equals a
-    layer-by-layer run's bit for bit, whatever the batch.
+    through the whole conv stack before the next block starts, in the
+    buffers of one block (the fused layers of Alwani et al., 2016), so its
+    feature maps stay in the cache. Those buffers and every conv's views
+    into them are the model's ForwardPlan (m.plan), built at its first
+    call and again only when the model's config or the call's dtype
+    changes, as a microcontroller runtime plans its tensor arena once
+    (TensorFlow Lite Micro): 830 KB at width 52, which the model keeps. A
+    call allocates only the (B, width, seq_len) head input and the logits,
+    and its loop over the convs only calls kernels: each conv is
+    kernels.conv1d_same_batch of its pad buffer into the output buffer,
+    looked up in kernels at call time, where the bias, BN unless folded
+    (in batchnorm_infer's order) and a residual add run in place before
+    the ReLU writes the next conv's operand. Every parameter is read at
+    call time, so an in-place edit or a rebound array reaches the next
+    call. The head runs once over the whole batch, so every activation
+    and logit equals a layer-by-layer run's bit for bit, whatever the
+    batch.
+
+    The plan makes a model's calls share its buffers: one thread at a time
+    may run a model, and capture must not call forward_batch on it. A copy
+    or a pickle of the model carries no plan and builds its own.
 
     With capture given, capture(name, activation) is called for every
     activation of activation_names(m.config), in that order, once per
@@ -193,44 +273,34 @@ def forward_batch(m: ModelParams, x: np.ndarray,
             f"expected (B, {cfg.in_channels}, {cfg.seq_len}), got {x.shape}")
     # a model's tensors share one dtype
     dtype = np.result_type(x, m.convs[0].w)
-    batch, width, length, k = len(x), cfg.width, cfg.seq_len, cfg.kernel
-    nb = min(batch, kernels.BLOCK)
-    padded_in = np.zeros((nb, cfg.in_channels, length + k - 1), dtype)
-    skip = np.zeros((nb, width, length + k - 1), dtype)
-    padded = np.zeros((nb, width, length + k - 1), dtype)
-    convs = topology(cfg)
-    starts = {conv.skip for conv in convs}
-    pads = [padded_in] + [skip if i in starts else padded
-                          for i in range(1, len(convs))] + [skip]
-    inside = slice((k - 1) // 2, (k - 1) // 2 + length)   # kernels.interior
-    out = np.empty((nb, width, length), dtype)
-    patches = np.empty(nb * max(cfg.in_channels, width) * k * length, dtype)
-    flat = np.empty((batch, width, length), dtype)
-
-    def record(name: str, a: np.ndarray) -> None:
-        if capture is not None:
-            capture(name, a)
-
+    plan = m.plan
+    if plan is None or (plan.config, plan.dtype) != (cfg, dtype):
+        plan = m.plan = ForwardPlan(cfg, dtype)
+    batch = len(x)
+    flat = np.empty((batch, cfg.width, cfg.seq_len), dtype)
     for start in range(0, batch, kernels.BLOCK):
-        n = min(batch - start, kernels.BLOCK)
-        record("input", x[start:start + n])
-        padded_in[:n, :, inside] = x[start:start + n]
-        for i, (conv, layer) in enumerate(zip(convs, m.convs)):
-            y = kernels.conv1d_same_batch(
-                pads[i][:n], layer.w, layer.b, out[:n],
-                patches=patches[:n * conv.in_channels * k * length].reshape(
-                    n, -1, length))
+        block = x[start:start + kernels.BLOCK]
+        inputs, steps, last = plan.bind(len(block))
+        if capture is not None:
+            capture("input", block)
+        np.copyto(inputs, block)
+        for layer, (operand, patches, out, skip, relu_out, name,
+                    relu_name) in zip(m.convs, steps):
+            y = kernels.conv1d_same_batch(operand, layer.w, layer.b, out,
+                                          patches=patches)
             if not m.bn_folded:     # in batchnorm_infer's order
                 y -= layer.mean[:, None]
                 y *= (layer.gamma / np.sqrt(layer.var + cfg.bn_eps))[:, None]
                 y += layer.beta[:, None]
-            if conv.add is not None:
-                record(f"{conv.name}.out", y)
-                y += pads[conv.skip][:n, :, inside]
-            record(f"{conv.add or conv.name}.out",
-                   np.maximum(y, 0, out=pads[i + 1][:n, :, inside]))
-        flat[start:start + n] = skip[:n, :, inside]
-    return kernels.dense_batch(flat.reshape(batch, width * length),
+            if skip is not None:
+                if capture is not None:
+                    capture(name, y)
+                y += skip
+            np.maximum(y, 0, out=relu_out)
+            if capture is not None:
+                capture(relu_name, relu_out)
+        flat[start:start + len(block)] = last
+    return kernels.dense_batch(flat.reshape(batch, cfg.width * cfg.seq_len),
                                m.head_w, m.head_b)
 
 

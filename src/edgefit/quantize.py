@@ -114,6 +114,9 @@ it derives the multipliers and checks the model once, from the model's
 arrays at that moment: edit no array of a model after its first
 inference (save and load it, or quantize again, to get a new plan). It
 runs in its own arrays, so two threads must not run one model at once.
+A copy or a pickle of a model carries no plan (its views would not alias
+the copied arena) and lays out its own at its first call, from the
+copy's arrays at that moment.
 """
 
 from __future__ import annotations
@@ -320,6 +323,11 @@ class QuantModel:
     # built by the first qforward_batch (see the module docstring)
     plan: QuantPlan | None = dataclasses.field(
         default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # a plan's views alias its own arena and scratch, which no copy or
+        # pickle of them would: a copy builds its own plan at its first call
+        return {**self.__dict__, "plan": None}
 
     def layers(self):
         """(name, QLayer) for every conv, named as in

@@ -18,9 +18,11 @@ output gradient once for both the weight and the input gradient.
 train_fold builds a workspace per epoch, sized for
 min(batch_size, n) windows; a shorter last batch uses its leading rows.
 It is dropped before the validation pass, so it never coexists with the
-evaluation's buffers (at width 52, model.forward_batch's 4.3 MB head
-input for a 512-window chunk and one block's 830 KB). backward builds a
-workspace per call and runs the same code.
+4.3 MB head input that model.forward_batch allocates for each 512-window
+chunk (width 52); the validation pass runs in the model's forward plan,
+one block's 830 KB, which the model keeps from its first validation on
+and the best-epoch copy does not carry. backward builds a workspace per
+call and runs the same code.
 """
 
 from __future__ import annotations

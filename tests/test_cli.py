@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -713,6 +717,23 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["train"])
         assert exc.value.code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("fmt", ["text", "kv"])
+    def test_closed_stdout_pipe_exits_quietly(self, fmt):
+        """A reader that is gone before the command prints gets EXIT_PIPE
+        and nothing on stderr: no traceback, no 'Exception ignored'."""
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "edgefit.cli", "report", "--format",
+                 fmt], stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (cli.EXIT_PIPE, b"")
 
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 import copy
 import math
+import pickle
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
@@ -836,6 +837,26 @@ def exact_multiplier(ratio):
 
 class TestQuantPlan:
     """The plan qforward_batch builds once per model and runs."""
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    @pytest.mark.parametrize("kind", ["float", "int8"])
+    def test_copy_after_inference_builds_its_own_plan(self, kind, how):
+        """A copy or a pickle of a model that has run carries no plan,
+        whose views would not alias the copied buffers, and its logits
+        equal the original's bit for bit, as train_fold's best-epoch copy
+        and fold_batchnorm rely on."""
+        folded, qm = quantized_fixture(width=8)
+        m, run = ((qm, qforward_batch) if kind == "int8"
+                  else (folded, model.forward_batch))
+        x = np.stack([w.data for w in make_random_windows(40, seed=5)])
+        expected = run(m, x)
+        assert m.plan is not None
+        clone = (copy.deepcopy(m) if how == "deepcopy"
+                 else pickle.loads(pickle.dumps(m)))
+        assert clone.plan is None and m.plan is not None
+        np.testing.assert_array_equal(run(clone, x), expected)
+        np.testing.assert_array_equal(run(clone, x[:1]), run(m, x[:1]))
+        np.testing.assert_array_equal(run(m, x), expected)
 
     def test_multipliers_match_exact_arithmetic(self):
         """Every conv's and add's M0 and n in the plan, and the constants
