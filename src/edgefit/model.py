@@ -253,9 +253,15 @@ def forward_batch(m: ModelParams, x: np.ndarray,
     (in batchnorm_infer's order) and a residual add run in place before
     the ReLU writes the next conv's operand. Every parameter is read at
     call time, so an in-place edit or a rebound array reaches the next
-    call. The head runs once over the whole batch, so every activation
-    and logit equals a layer-by-layer run's bit for bit, whatever the
-    batch.
+    call. Every activation is batch-invariant: it equals a layer-by-layer
+    run's bit for bit, whatever the batch, since each conv is one GEMM per
+    window and the other layers are elementwise. The logits are not: the
+    head runs once over the whole batch, and BLAS sums a one-row GEMM in
+    another order than a many-row one, so a window's logits may differ in
+    their last bits with the batch it runs in (at width 52, one window's
+    logits differed from its row of a 256-window call by up to 1.5e-5 on
+    logits up to 15 in magnitude). They agree to float32 rounding, so
+    their argmax can differ only at a near tie.
 
     The plan makes a model's calls share its buffers: one thread at a time
     may run a model, and capture must not call forward_batch on it. A copy
@@ -305,7 +311,11 @@ def forward_batch(m: ModelParams, x: np.ndarray,
 
 
 def forward(m: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Single-window forward (in_channels, seq_len) -> logits (classes,)."""
+    """Single-window forward (in_channels, seq_len) -> logits (classes,):
+    a one-window forward_batch, whose activations equal those of any
+    batch bit for bit and whose logits agree with the window's row of a
+    batched call to float32 rounding, not bit for bit (see
+    forward_batch)."""
     cfg = m.config
     if x.ndim != 2 or x.shape != (cfg.in_channels, cfg.seq_len):
         raise ShapeMismatch(
@@ -454,19 +464,34 @@ def load(path: str | Path) -> ModelParams:
     """Read an EFM2 file: every tensor must have the dtype and shape of the
     one build gives for the file's config, and be finite, and no running
     variance may be negative, nor zero where the BN eps fold_batchnorm
-    adds to it (bn_eps, or 0 once folded) is 0."""
+    adds to it (bn_eps, or 0 once folded) is 0. The model holds the
+    file's arrays themselves, each fresh and writable (container.read),
+    so nothing is drawn or copied for it."""
     contents = container.read(path, MODEL_MAGIC)
-    m = build(config_from_meta(contents), 0)
-    m.bn_folded = contents.meta.get("bn_folded")
-    if not isinstance(m.bn_folded, bool):
-        raise CorruptFile(f"{contents.path}: bn_folded is {m.bn_folded!r}")
-    eps = 0.0 if m.bn_folded else m.config.bn_eps
-    for name, arr in m.all_tensors():
-        arr[...] = contents.take(name, "<f4", arr.shape)
+    config = config_from_meta(contents)
+    bn_folded = contents.meta.get("bn_folded")
+    if not isinstance(bn_folded, bool):
+        raise CorruptFile(f"{contents.path}: bn_folded is {bn_folded!r}")
+    eps = 0.0 if bn_folded else config.bn_eps
+
+    def take(name, shape):
+        arr = contents.take(name, "<f4", shape)
         if not np.isfinite(arr).all():
             raise CorruptFile(f"{contents.path}: tensor {name} is not finite")
         if name.endswith(".var") and (arr <= 0 if eps == 0 else arr < 0).any():
             raise CorruptFile(f"{contents.path}: tensor {name} holds a "
                               f"negative variance, or a zero one with eps 0")
+        return arr
+
+    c, k = config.width, config.kernel
+    # in all_tensors' order
+    convs = [ConvLayer(*(take(f"{conv.name}.{f.name}",
+                              (c, conv.in_channels, k) if f.name == "w"
+                              else (c,))
+                         for f in dataclasses.fields(ConvLayer)))
+             for conv in topology(config)]
+    m = ModelParams(config, convs,
+                    take("head.w", (config.classes, config.seq_len * c)),
+                    take("head.b", (config.classes,)), bn_folded)
     contents.finish()
     return m

@@ -49,15 +49,26 @@ file stores its spec and the int8 trace records it under that name. A
 conv reads the activation its model.topology record names and fuses a
 ReLU unless the record names an add; the head reads the last activation.
 quantize_model, load and _layout each walk that table. The fixed-point
-multipliers are not stored: like each TFLM kernel's Prepare, the plan
-derives every M0 and n with quantize_multiplier when it lays the network
-out, from s_in*s_w/s_out per conv channel and s_a/s_out, s_h/s_out per
-add.
+multipliers are not stored: like each TFLM kernel's Prepare, the walk
+derives every M0 and n with quantize_multiplier, in one call over each
+conv's channel vector s_in*s_w/s_out and one over each add's s_a/s_out,
+s_h/s_out.
+
+The walk. _layout, which check_quant_invariants, quantize_model (through
+it) and load run, checks every invariant check_quant_invariants lists:
+each spec's zero point and scale, each multiplier's shift, each layer's
+worst-case accumulator and the head's weight scales. It builds no plan
+constant: a step it returns holds its layer, its specs' zero points and
+its M0 and n vectors, and the arrays the plan runs on are cached
+properties of the step, built at the plan's first run (below), so a
+quantize or a load that never runs the model pays for none of them.
 
 The plan. qforward_batch runs a QuantPlan, built at the model's first
 qforward_batch and kept on it (QuantModel.plan), over blocks of
 BLOCK_WINDOWS windows, as a microcontroller runtime plans its tensor arena
-before the first inference (TensorFlow Lite Micro). The plan holds:
+before the first inference (TensorFlow Lite Micro). Its constants are
+built at its first run, from the model's arrays at that moment; the plan
+then holds:
 
 - each conv's weights in its GEMM dtype and three contiguous int64
   (C_out, L) rows: M0 and the total shift 31 + n, each channel's value
@@ -74,6 +85,8 @@ before the first inference (TensorFlow Lite Micro). The plan holds:
   65,536 pairs once, and a block looks each output up at (a as uint8) << 8
   | (h as uint8); the head's weights transposed in float64 and its int32
   biases bias_q - zp_in*sum_n w_q[c, n];
+- two float64 work arrays of the input for BLOCK_WINDOWS windows, in
+  which quantize_input divides, clamps and rounds;
 - scratch arrays for BLOCK_WINDOWS windows, one per shape and dtype, that
   every step of that shape shares: the GEMM operand with its zero
   borders, the patches, the GEMM output, the int64 accumulators (on a
@@ -89,9 +102,9 @@ before the first inference (TensorFlow Lite Micro). The plan holds:
   windows places each operand at its offset times b in the flattened
   arena, so every operand is one contiguous (b, C, L) array.
 
-At width 52 a plan holds 2.70 MB: 0.50 MB of conv rows, 192 KB of add
-tables, 0.49 MB of GEMM-ready weights, 1.41 MB of scratch and a 98 KB
-arena.
+At width 52 a plan holds 2.78 MB: 0.50 MB of conv rows, 192 KB of add
+tables, 0.49 MB of GEMM-ready weights, 1.41 MB of scratch, 70 KB of
+input work arrays and a 98 KB arena.
 
 A conv copies q into its GEMM operand's interior, a plain cast to the
 operand's dtype, runs kernels.conv1d on the operand, zero borders
@@ -102,17 +115,18 @@ operand rounded half up, plus the output zero point. An add makes five
 passes over its operands: a's byte into a uint16 array, the shift, h's
 byte into the second, the OR and one copy into the intp index; then
 np.take writes the lookup in place into its contiguous output. A block
-allocates only the input quantization's temporaries and the iterator
-buffer of _rescale's (C_out, L)-row passes: under tracemalloc, at width
-52, a steady call of 16 windows peaks at 107 KB, the input quantization's
-float64 temporaries, one of 8 windows at 54 KB and one window at 7 KB;
-a conv step allocates 50 KB, _rescale's buffer, and an add nothing: a
-uint8 operand of a uint16 or intp ufunc would be cast through a buffer.
+allocates only the input's finiteness mask and the iterator buffer of
+_rescale's (C_out, L)-row passes: under tracemalloc, at width 52, a
+steady call of 16 windows peaks at 51 KB, one of 8 windows at 51 KB and
+one window at 2 KB; a conv step allocates 50 KB, _rescale's buffer, and
+an add nothing: a uint8 operand of a uint16 or intp ufunc would be cast
+through a buffer.
 
-The plan is laid out by _layout, the walk check_quant_invariants runs, so
-it derives the multipliers and checks the model once, from the model's
-arrays at that moment: edit no array of a model after its first
-inference (save and load it, or quantize again, to get a new plan). It
+The plan is laid out by _layout and builds its constants at its first
+run, in the same qforward_batch call, so it checks the model and derives
+its constants once, from the model's arrays at that moment: edit no
+array of a model after its first inference (save and load it, or
+quantize again, to get a new plan). It
 runs in its own arrays, so two threads must not run one model at once.
 A copy or a pickle of a model carries no plan (its views would not alias
 the copied arena) and lays out its own at its first call, from the
@@ -207,13 +221,18 @@ def activation_spec(lo: float, hi: float) -> QuantSpec:
 
 @dataclass
 class CalibStats:
-    """Observed activation ranges, widened so zero is always representable."""
+    """Observed activation ranges (lo, hi) by name, each widened to include
+    0, so that zero is always representable: lo <= 0 <= hi."""
 
     ranges: dict[str, tuple[float, float]]
 
     def update(self, name: str, arr: np.ndarray) -> None:
-        lo = min(float(arr.min()), 0.0)
-        hi = max(float(arr.max()), 0.0)
+        """Widen name's range to arr's min and max."""
+        self.widen(name, float(arr.min()), float(arr.max()))
+
+    def widen(self, name: str, lo: float, hi: float) -> None:
+        """Widen name's range to [lo, hi] and to 0."""
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
         if name in self.ranges:
             old_lo, old_hi = self.ranges[name]
             lo, hi = min(lo, old_lo), max(hi, old_hi)
@@ -227,13 +246,18 @@ class CalibStats:
 
 def calibrate(folded: ModelParams, calib: list[Window]) -> CalibStats:
     """Record the range of every activation of the folded float model,
-    keyed by its name in activation_names.
+    keyed by its name in activation_names: its min and max over calib,
+    widened to include 0 (CalibStats).
 
     The windows run through forward_batch in chunks of CALIB_BLOCK, whose
-    capture callback is CalibStats.update: it ranges each activation of
-    each block of kernels.BLOCK windows in the view forward_batch passes,
-    which may be a pad buffer's strided interior: a min and a max read it
-    in place, whatever its strides. Every activation is batch-invariant (kernels.conv1d
+    capture callback ranges each activation of each block of kernels.BLOCK
+    windows in the view forward_batch passes, which may be a pad buffer's
+    strided interior; a reduction reads it in place, whatever its strides.
+    The activations that come out of a ReLU, each conv's or add's
+    {name}.out in model.topology, are never negative, so their low end is
+    the 0 every range is widened to and only their max is taken; the
+    others, the input and the block's last convs before the add, take a
+    min and a max. Every activation is batch-invariant (kernels.conv1d
     runs one GEMM per window and the other layers are elementwise), so
     every range equals a one-window-at-a-time run's bit for bit and
     depends on the set of windows alone."""
@@ -242,10 +266,19 @@ def calibrate(folded: ModelParams, calib: list[Window]) -> CalibStats:
     if not calib:
         raise EmptyCalibrationSet("calibration set is empty")
     stats = CalibStats(ranges={})
+    relu_outputs = {f"{conv.add or conv.name}.out"
+                    for conv in topology(folded.config)}
+
+    def capture(name: str, arr: np.ndarray) -> None:
+        if name in relu_outputs:
+            stats.widen(name, 0.0, float(arr.max()))
+        else:
+            stats.update(name, arr)
+
     for i in range(0, len(calib), CALIB_BLOCK):
         x = np.stack([w.data for w in calib[i:i + CALIB_BLOCK]])
         forward_batch(folded, x.astype(np.float32, copy=False),
-                      capture=stats.update)
+                      capture=capture)
     return stats
 
 
@@ -253,27 +286,36 @@ def calibrate(folded: ModelParams, calib: list[Window]) -> CalibStats:
 # fixed-point requantization
 # ---------------------------------------------------------------------------
 
-def quantize_multiplier(ratio: float, name: str = "multiplier"
-                        ) -> tuple[int, int]:
-    """Express ratio as M0 * 2^-(31+n) with M0 in [2^30, 2^31) and n in
-    [-30, 31], since _rescale shifts an int64 by 31 + n bits; raises
-    RequantRangeError, naming the layer name, for any other ratio.
+def quantize_multiplier(ratio, name: str = "multiplier"
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Express each scale ratio, a float or an array of them (one per
+    channel), as M0 * 2^-(31+n) with M0 in [2^30, 2^31) and n in [-30, 31],
+    since _rescale shifts an int64 by 31 + n bits. Returns M0 and n as
+    int64 of ratio's shape; raises RequantRangeError, naming the layer name
+    and the first ratio in C order that is not finite and positive or needs
+    another shift.
 
     n is negative for ratios >= 1 (the residual add can need that); the
     representation is exact to within half an ulp of M0.
     """
-    if not (ratio > 0 and math.isfinite(ratio)):
-        raise RequantRangeError(
-            f"{name}: scale ratio must be finite and positive, got {ratio}")
-    mantissa, exponent = math.frexp(ratio)     # ratio = mantissa * 2^exponent
-    m0 = round(mantissa * (1 << 31))
-    if m0 == (1 << 31):
-        m0 >>= 1
-        exponent += 1
-    n = -exponent
-    if not -30 <= n <= 31:
-        raise RequantRangeError(f"{name}: scale ratio {ratio} needs shift "
-                                f"{n}, outside [-30, 31]")
+    ratio = np.asarray(ratio, dtype=np.float64)
+    valid = (ratio > 0) & (ratio < math.inf)
+    # ratio = mantissa * 2^exponent, mantissa in [0.5, 1); scaling it by
+    # 2^31 is exact, and rint rounds half to even as round() does
+    mantissa, exponent = np.frexp(np.where(valid, ratio, 1.0))
+    m0 = np.rint(np.ldexp(mantissa, 31)).astype(np.int64)
+    carry = m0 == 1 << 31
+    m0 >>= carry
+    n = -exponent.astype(np.int64) - carry
+    bad = ~valid | (n < -30) | (n > 31)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        r = float(ratio.flat[i])
+        if not valid.flat[i]:
+            raise RequantRangeError(
+                f"{name}: scale ratio must be finite and positive, got {r}")
+        raise RequantRangeError(f"{name}: scale ratio {r} needs shift "
+                                f"{int(n.flat[i])}, outside [-30, 31]")
     return m0, n
 
 
@@ -441,45 +483,58 @@ def _gemm_dtype(fan_in: int) -> type:
 
 
 def quantize_input(spec: QuantSpec, x: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
+                   out: np.ndarray | None = None,
+                   work: tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> np.ndarray:
     """Float windows to int8 on spec's grid, rounding half away from zero;
     written into out when given. Raises NonFiniteInput for NaN or Inf.
+    work, when given, is two float64 arrays of x's shape that the quotient
+    and its rounding term are computed in, so that the call allocates
+    nothing but the finiteness check's mask; without it they are
+    allocated.
 
     x/scale is clamped in float64 to [-128 - zp, 127 - zp] before the
     integer cast: rounding keeps a value between two integers between
     them, so the result is that of rounding and then saturating, and no
     value too large for int64 reaches the cast. A finite x whose quotient
-    overflows to +-inf saturates the same way, without a warning."""
+    overflows to +-inf saturates the same way, without a warning. The
+    rounding is trunc(v + copysign(0.5, v)), the bits of round_half_away:
+    the sum is sign-symmetric, so it rounds as |v| + 0.5 does."""
     kernels.check_finite(x, "int8 input")
     zp = spec.zero_point
+    v, half = (np.empty(x.shape), np.empty(x.shape)) if work is None else work
+    # a plain cast, then the quotient in place: a float32 x divided into
+    # float64 would be cast through a buffer
+    np.copyto(v, x)
     with np.errstate(over="ignore"):
-        v = np.divide(x, spec.scale, dtype=np.float64)
+        np.divide(v, spec.scale, out=v)
     np.maximum(v, QMIN - zp, out=v)
-    q = round_half_away(np.minimum(v, QMAX - zp, out=v))
-    q += zp
+    np.minimum(v, QMAX - zp, out=v)
+    v += np.copysign(0.5, v, out=half)
+    np.trunc(v, out=v)
+    # every value is now an integer in [-128, 127] less zp
+    v += zp
     if out is None:
-        return q.astype(np.int8)
-    np.copyto(out, q, casting="unsafe")
+        return v.astype(np.int8)
+    np.copyto(out, v, casting="unsafe")
     return out
 
 
 @dataclass(frozen=True)
 class _ConvStep:
     """One conv as the plan runs it: x (B, C_in, L) int8 -> y (B, C_out, L)
-    int8 through the scratch arrays of its layer shape."""
+    int8 through the scratch arrays of its layer shape. The walk builds it
+    from the layer and the per-channel M0 and n; the arrays it runs on are
+    cached properties, built at the plan's first run of the step."""
 
     acc_name: str             # the trace's names: {conv}.acc, {conv}.out
     out_name: str
-    w: np.ndarray             # (C_out, C_in, K) in the layer's GEMM dtype
-    # per-element (C_out, L) int64 rows, so that every requantization pass
-    # runs as one C_out*L loop per window: M0 and 31 + n repeat each
-    # channel's value over L; the offset, (bias_q - zp_in * the weights on
-    # the taps inside the window at l)*M0 + 2^(30+n), varies at the borders
-    m0: np.ndarray
-    offset: np.ndarray
-    shift: np.ndarray
+    layer: QLayer
+    in_zp: int
+    multiplier: tuple[np.ndarray, np.ndarray]     # (C_out,) int64 M0, n
     out_zp: int
     low: int                  # the output zero point under a fused ReLU
+    length: int
 
     @classmethod
     def of(cls, name: str, layer: QLayer, in_spec: QuantSpec,
@@ -493,40 +548,62 @@ class _ConvStep:
         out_name = f"{name}.out"
         out = _checked(out_name, out_spec)
         ratios = in_spec.scale * layer.w_scale.astype(np.float64) / out.scale
-        m0, shift_n = (np.array(column, np.int64) for column in zip(
-            *(quantize_multiplier(float(r), name) for r in ratios)))
-        w = layer.w_q.astype(_gemm_dtype(c_in * k))
+        return cls(f"{name}.acc", out_name, layer, in_spec.zero_point,
+                   quantize_multiplier(ratios, name), out.zero_point,
+                   out.zero_point if relu else QMIN, length)
+
+    @property
+    def dtype(self) -> type:
+        return _gemm_dtype(self.layer.w_q[0].size)
+
+    @functools.cached_property
+    def w(self) -> np.ndarray:
+        """(C_out, C_in, K) in the layer's GEMM dtype."""
+        return self.layer.w_q.astype(self.dtype)
+
+    # per-element (C_out, L) int64 rows, so that every requantization pass
+    # runs as one C_out*L loop per window: M0 and 31 + n repeat each
+    # channel's value over L; the offset varies at the borders
+    @functools.cached_property
+    def m0(self) -> np.ndarray:
+        return kernels.channel_rows(self.multiplier[0], self.length)
+
+    @functools.cached_property
+    def shift(self) -> np.ndarray:
+        return kernels.channel_rows(self.multiplier[1] + 31, self.length)
+
+    @functools.cached_property
+    def offset(self) -> np.ndarray:
+        """(bias_q - zp_in * the weights on the taps inside the window at
+        l)*M0 + 2^(30+n)."""
+        w, length = self.w, self.length
+        c_out, c_in, k = w.shape
+        m0, shift_n = self.multiplier
         # the GEMM multiplies q, not q - zp, so the offset subtracts zp
         # times the sum of the weights on the taps inside the window at l:
         # the GEMM of a window of ones, whose zero borders drop the others,
         # exact as the GEMM of any int8 window is
         tap = np.arange(k)[:, None] + np.arange(length) - (k - 1) // 2
         ones = np.tile((tap >= 0) & (tap < length), (c_in, 1)).astype(w.dtype)
-        taps = (w.reshape(len(w), -1) @ ones).astype(np.int64)
+        taps = (w.reshape(c_out, -1) @ ones).astype(np.int64)
         # |bias_q - zp*taps| <= |bias_q| + fan_in*128*128 < 2^31 and M0 <
         # 2^31 bound its product by 2^62, and n <= 31 the rounding term by
         # 2^61: the offset stays within int64, and acc*M0 plus it equals
         # (acc + bias_q)*M0 + 2^(30+n) of the zero-point-shifted operand
-        offset = ((layer.bias_q.astype(np.int64)[:, None]
-                   - in_spec.zero_point * taps) * m0[:, None]
-                  + np.left_shift(np.int64(1), shift_n + 30)[:, None])
-
-        def row(column):
-            return kernels.channel_rows(column, length)
-        return cls(f"{name}.acc", out_name, w, row(m0), offset,
-                   row(shift_n + 31), out.zero_point,
-                   out.zero_point if relu else QMIN)
+        return ((self.layer.bias_q.astype(np.int64)[:, None]
+                 - self.in_zp * taps) * m0[:, None]
+                + np.left_shift(np.int64(1), shift_n + 30)[:, None])
 
     def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
         """(padded, its interior, patches, GEMM output, int64 accumulators),
         each from take(shape, dtype, tag) as in QuantPlan. The padded
         buffer, zero-filled, is shared only with convs of its shape, which
         all write its interior alone, so its borders stay zero."""
-        c_out, c_in, k = self.w.shape
-        padded = take((c_in, length + k - 1), self.w.dtype, "padded")
+        c_out, c_in, k = self.layer.w_q.shape
+        padded = take((c_in, length + k - 1), self.dtype, "padded")
         return (padded, kernels.interior(padded, k),
-                take((c_in * k, length), self.w.dtype),
-                take((c_out, length), self.w.dtype),
+                take((c_in * k, length), self.dtype),
+                take((c_out, length), self.dtype),
                 take((c_out, length), np.int64))
 
     def run(self, x, y, padded, interior, patches, gemm, acc, trace) -> None:
@@ -565,13 +642,11 @@ class _AddStep:
         output on h's into out, with M0 and n from s_a/s_out and s_h/s_out."""
         out_name = f"{name}.out"
         out = _checked(out_name, out)
-
-        def fold(spec: QuantSpec):
-            m0, n = quantize_multiplier(spec.scale / out.scale, name)
-            s = 31 + n
-            offset = (1 << (s - 1)) - spec.zero_point * m0
-            return np.int64(m0), np.int64(offset), np.int64(s)
-        return cls(out_name, fold(a), fold(h), out.zero_point, channels)
+        m0, n = quantize_multiplier([a.scale / out.scale, h.scale / out.scale],
+                                    name)
+        s = 31 + n
+        offset = (1 << (s - 1)) - np.array([a.zero_point, h.zero_point]) * m0
+        return cls(out_name, *zip(m0, offset, s), out.zero_point, channels)
 
     @functools.cached_property
     def table(self) -> np.ndarray:
@@ -606,12 +681,11 @@ class _AddStep:
 @dataclass(frozen=True)
 class _HeadStep:
     """The dense head: int32 accumulators of a float64 GEMM, then the one
-    float step, the logit dequantization."""
+    float step, the logit dequantization. Its GEMM operands are cached
+    properties, built at the plan's first run."""
 
-    w_t: np.ndarray           # (N, classes) float64
-    # (classes,) int32: bias_q - zp_in * sum_n w_q, as the GEMM multiplies
-    # q, not q - zp
-    bias: np.ndarray
+    layer: QLayer
+    in_zp: int
     scale: np.ndarray         # (classes,) float64: s_in * s_w
 
     @classmethod
@@ -623,14 +697,23 @@ class _HeadStep:
                       & (scale * 2.0 ** 31 < np.finfo(np.float32).max)):
             raise RequantRangeError("head: weight scales must be positive and "
                                     "keep s_in*s_w*2^31 below float32's max")
-        # |bias| <= |bias_q| + fan_in*128*128 < 2^31
-        bias = (head.bias_q.astype(np.int64) - in_spec.zero_point
-                * head.w_q.sum(axis=1, dtype=np.int64))
-        return cls(head.w_q.T.astype(np.float64), bias.astype(np.int32),
-                   scale)
+        return cls(head, in_spec.zero_point, scale)
+
+    @functools.cached_property
+    def w_t(self) -> np.ndarray:
+        """(N, classes) float64."""
+        return self.layer.w_q.T.astype(np.float64)
+
+    @functools.cached_property
+    def bias(self) -> np.ndarray:
+        """(classes,) int32: bias_q - zp_in * sum_n w_q, as the GEMM
+        multiplies q, not q - zp; |bias| <= |bias_q| + fan_in*128*128 <
+        2^31."""
+        return (self.layer.bias_q.astype(np.int64) - self.in_zp
+                * self.layer.w_q.sum(axis=1, dtype=np.int64)).astype(np.int32)
 
     def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
-        n, classes = self.w_t.shape
+        classes, n = self.layer.w_q.shape
         return take((n,), np.float64), take((classes,), np.float64)
 
     def run(self, x, acc, operand, gemm, logits, trace) -> None:
@@ -699,6 +782,8 @@ class QuantPlan:
             offset + math.prod(shape) * np.dtype(dtype).itemsize
             for _, operands in self.layout for offset, shape, dtype in operands)
         self.arena = np.zeros((BLOCK_WINDOWS, self.arena_bytes), np.int8)
+        # quantize_input's quotient and rounding term
+        self.work = np.zeros((2, BLOCK_WINDOWS, *self.input[1]), np.float64)
         # the k-th array of one (tag, shape, dtype) a step takes is the
         # k-th such array of every other step: the steps run one at a time
         # and none reads what another left in its scratch
@@ -733,15 +818,17 @@ class QuantPlan:
         calls = [(step.run, [view(*operand) for operand in operands]
                   + [a[:batch] for a in scratch])
                  for (step, operands), scratch in zip(self.layout, self.scratch)]
-        bound = (view(*self.input), calls[:-1], calls[-1])
+        bound = (view(*self.input), tuple(self.work[:, :batch]), calls[:-1],
+                 calls[-1])
         self._bound[batch] = bound
         return bound
 
     def run(self, x: np.ndarray, logits: np.ndarray, trace=None) -> None:
         """Write the logits (b, classes) of the float windows x (b,
         in_channels, seq_len), b <= BLOCK_WINDOWS, into logits."""
-        q, body, (head, args) = self._bound.get(len(x)) or self._bind(len(x))
-        quantize_input(self.input_spec, x, out=q)
+        q, work, body, (head, args) = (self._bound.get(len(x))
+                                       or self._bind(len(x)))
+        quantize_input(self.input_spec, x, out=q, work=work)
         _note(trace, "input", q)
         for run, operands in body:
             run(*operands, trace)
@@ -806,7 +893,7 @@ def check_quant_invariants(qm: QuantModel) -> None:
     and its offsets (bias_q - zp_in*sum w)*M0 + 2^(30+n) within int64,
     and the head's s_in*s_w*2^31 must stay below float32's maximum,
     which keeps every logit finite. This is the walk that lays out the
-    plan (_layout)."""
+    plan (_layout); it builds none of the plan's constants."""
     _layout(qm)
 
 

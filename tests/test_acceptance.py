@@ -188,9 +188,7 @@ def test_criterion_06a_requantize_oracle(rng):
     chunk = n_draws // 20
     for c in range(20):
         sl = slice(c * chunk, (c + 1) * chunk)
-        pairs = [quantize.quantize_multiplier(float(r)) for r in ratios[sl]]
-        m0 = np.array([p[0] for p in pairs], dtype=np.int64)
-        n = np.array([p[1] for p in pairs], dtype=np.int64)
+        m0, n = quantize.quantize_multiplier(ratios[sl])
         got = requantize_array(accs[sl], m0, n, 0)
         oracle = np.clip(np.rint(accs[sl].astype(np.float64) * ratios[sl]),
                          -128, 127)

@@ -208,6 +208,25 @@ class TestDepthFirst:
                 assert acts[name].dtype == arr.dtype == dtype, name
                 np.testing.assert_array_equal(acts[name], arr, err_msg=name)
 
+    def test_activations_batch_invariant_logits_to_rounding(self):
+        """Width 52: each window's activations in a one-window call equal
+        its rows of a 256-window call bit for bit; its logits, from a head
+        GEMM of another row count, agree to float32 rounding and in their
+        argmax, which is all the batched and streamed paths may assume."""
+        m = fold_batchnorm(randomize_bn(build(ModelConfig(width=52), seed=6)))
+        x = np.stack([w.data for w in make_random_windows(256, seed=7)])
+        logits, acts = captured(m, x)
+        scale = np.abs(logits).max()
+        for i in range(0, 256, 17):
+            one, one_acts = captured(m, x[i:i + 1])
+            for name, arr in one_acts.items():
+                np.testing.assert_array_equal(arr[0], acts[name][i],
+                                              err_msg=name)
+            for single in (one[0], forward(m, x[i])):
+                np.testing.assert_allclose(single, logits[i], rtol=0,
+                                           atol=1e-5 * scale)
+                assert single.argmax() == logits[i].argmax()
+
     def test_capture_once_per_block(self, rng):
         m = build(ModelConfig(width=4), seed=0)
         calls = []
@@ -445,6 +464,30 @@ class TestModelFile:
         for (na, a), (nb, b) in zip(m.all_tensors(), loaded.all_tensors()):
             assert na == nb
             assert a.tobytes() == b.tobytes()
+
+    def test_load_holds_owned_writable_arrays_and_draws_nothing(
+            self, tmp_path, monkeypatch):
+        """load takes the file's arrays as they are read, builds no
+        He-uniform model to overwrite, and each array is the model's own,
+        writable float32 in C order, as training's in-place updates need."""
+        m = randomize_bn(build(ModelConfig(width=5), seed=9), seed=4)
+        path = tmp_path / "m.efm"
+        model.save(m, path)
+
+        def no_build(*args):
+            raise AssertionError("load built a model")
+
+        monkeypatch.setattr(model, "build", no_build)
+        monkeypatch.setattr(np.random, "default_rng", no_build)
+        loaded = model.load(path)
+        bases = set()
+        for name, arr in loaded.all_tensors():
+            assert arr.dtype == np.float32 and arr.flags.c_contiguous, name
+            assert arr.flags.owndata and arr.flags.writeable, name
+            bases.add(id(arr))
+        assert len(bases) == len(list(m.all_tensors()))
+        loaded.convs[0].w += 1
+        np.testing.assert_array_equal(loaded.convs[0].w, m.convs[0].w + 1)
 
     def test_folded_flag_round_trip(self, tmp_path):
         m = fold_batchnorm(build(ModelConfig(width=4), seed=0))

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
@@ -171,6 +172,52 @@ class TestQuantizeMultiplier:
                 quantize_multiplier(ratio, "b0.add")
 
 
+    @staticmethod
+    def scalar_rule(ratio):
+        """M0 and n of one ratio in Python floats and ints: the mantissa
+        scaled by 2^31 and rounded half to even, halved back into
+        [2^30, 2^31) when it rounds up to 2^31."""
+        mantissa, exponent = math.frexp(ratio)
+        m0 = round(mantissa * (1 << 31))
+        if m0 == 1 << 31:
+            m0, exponent = m0 >> 1, exponent + 1
+        return m0, -exponent
+
+    def test_arrays_match_the_scalar_rule(self, rng):
+        """Element-wise over random ratios and over ratios whose mantissa
+        rounds up to 2^31, in any shape, as int64."""
+        carries = (1 - 2.0 ** -53) * 2.0 ** np.arange(-31, 30)
+        for ratio in (10 ** rng.uniform(-9, 9, 2000), carries,
+                      10 ** rng.uniform(-3, 0, (4, 13))):
+            ratio = np.clip(ratio, 2.0 ** -32, 2.0 ** 30 * 0.999)
+            m0, n = quantize_multiplier(ratio)
+            assert m0.dtype == n.dtype == np.int64
+            assert m0.shape == n.shape == ratio.shape
+            assert list(zip(m0.ravel().tolist(), n.ravel().tolist())) == [
+                self.scalar_rule(float(r)) for r in ratio.ravel()]
+        assert set(quantize_multiplier(carries)[0].tolist()) == {1 << 30}
+
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, "scale ratio must be finite and positive, got nan"),
+        (0.0, "scale ratio must be finite and positive, got 0.0"),
+        (-0.25, "scale ratio must be finite and positive, got -0.25"),
+        (math.inf, "scale ratio must be finite and positive, got inf"),
+        (2.0 ** 30, f"scale ratio {2.0 ** 30} needs shift -31, outside"),
+        (2.0 ** -33, f"scale ratio {2.0 ** -33} needs shift 32, outside")])
+    def test_array_error_names_the_first_offending_channel(self, bad, message):
+        """A bad channel among good ones is named with the layer; of two
+        bad channels, the first in C order is."""
+        ratio = np.full(6, 0.01)
+        ratio[2] = bad
+        with pytest.raises(RequantRangeError, match=re.escape(
+                f"b1.c2: {message}")):
+            quantize_multiplier(ratio, "b1.c2")
+        ratio[4] = 2.0 ** 31 if math.isnan(bad) else math.nan
+        with pytest.raises(RequantRangeError, match=re.escape(
+                f"b1.c2: {message}")):
+            quantize_multiplier(ratio, "b1.c2")
+
+
 class TestRequantize:
     def test_zero_acc_gives_zero_point(self):
         m0, n = quantize_multiplier(0.25)
@@ -229,25 +276,67 @@ class TestCalibrate:
         twice = calibrate(folded, w + w)
         assert once.ranges == twice.ranges
 
-    def test_blocks_match_one_window_at_a_time(self, tmp_path):
-        """Width 52, 512 windows (8 blocks): every activation's range and
-        the EFQ3 bytes equal those of running the windows through
-        forward_batch one at a time."""
-        folded = fold_batchnorm(randomize_bn(build(ModelConfig(width=52),
-                                                   seed=6)))
-        windows = make_random_windows(512, seed=7)
+    @staticmethod
+    def check_one_window_at_a_time(folded, windows, tmp_path):
+        """calibrate's ranges and the EFQ3 bytes they give equal those of
+        the two-sided min/max rule (CalibStats.update) over every
+        activation of the windows run through forward_batch one at a time.
+        Returns the ranges."""
         single = CalibStats(ranges={})
         for w in windows:
             _, capture = captured(folded, w.data.astype(np.float32)[None])
             for name, arr in capture.items():
                 single.update(name, arr)
         batched = calibrate(folded, windows)
+        assert list(batched.ranges) == model.activation_names(folded.config)
         assert batched.ranges == single.ranges
         paths = []
         for tag, stats in (("single", single), ("batched", batched)):
             paths.append(tmp_path / f"{tag}.efq")
             quantize.save(quantize_model(folded, stats), paths[-1])
         assert paths[0].read_bytes() == paths[1].read_bytes()
+        return batched.ranges
+
+    def test_blocks_match_one_window_at_a_time(self, tmp_path):
+        """Width 52, 512 windows (8 blocks): every activation's range and
+        the EFQ3 bytes equal those of running the windows through
+        forward_batch one at a time."""
+        folded = fold_batchnorm(randomize_bn(build(ModelConfig(width=52),
+                                                   seed=6)))
+        self.check_one_window_at_a_time(
+            folded, make_random_windows(512, seed=7), tmp_path)
+
+    @pytest.mark.parametrize("blocks, convs_per_block",
+                             [(1, 1), (1, 3), (3, 1), (3, 3)])
+    def test_topologies_match_one_window_at_a_time(
+            self, tmp_path, blocks, convs_per_block):
+        """calibrate takes only the max of a ReLU output, each conv's or
+        add's {name}.out in model.topology; the oracle takes both ends.
+        Width 8, 40 windows (3 blocks), in every block shape."""
+        cfg = ModelConfig(width=8, blocks=blocks,
+                          convs_per_block=convs_per_block)
+        folded = fold_batchnorm(randomize_bn(build(cfg, seed=6), seed=2))
+        ranges = self.check_one_window_at_a_time(
+            folded, make_random_windows(40, seed=7), tmp_path)
+        relu_outputs = {f"{conv.add or conv.name}.out"
+                        for conv in model.topology(cfg)}
+        assert len(relu_outputs) == 1 + blocks * convs_per_block
+        for name, (lo, hi) in ranges.items():
+            assert lo == 0.0 < hi if name in relu_outputs else lo < 0.0 < hi
+
+    def test_all_zero_relu_site(self, tmp_path):
+        """A conv whose ReLU output is 0 on every window (zero weights, a
+        negative bias) ranges to (0, 0), as the two-sided rule gives, and
+        quantizes with the range floor."""
+        folded = fold_batchnorm(randomize_bn(build(ModelConfig(width=8),
+                                                   seed=6)))
+        layer = folded.convs[2]                       # b0.c1
+        layer.w[...] = 0
+        layer.b[...] = -0.5
+        ranges = self.check_one_window_at_a_time(
+            folded, make_random_windows(40, seed=7), tmp_path)
+        assert ranges["b0.c1.out"] == (0.0, 0.0)
+        assert activation_spec(0.0, 0.0).scale > 0
 
     def test_empty(self):
         folded = fold_batchnorm(build(ModelConfig(width=4), seed=0))
@@ -435,6 +524,48 @@ class TestQuantizeInput:
         batch = np.stack([x, -x, x])
         np.testing.assert_array_equal(qforward_batch(qm, batch)[[0, 2]],
                                       [expected, expected])
+
+    @pytest.mark.parametrize("zp", [0, -10, 3, 127, -128])
+    @pytest.mark.parametrize("planned", [False, True])
+    def test_ties_and_edges_match_round_half_away(self, zp, planned):
+        """At scale 1, the ties +-0.5 and +-2.5 round away from zero,
+        -0.0 gives the zero point, 0.49999999999999994 rounds as
+        round_half_away rounds it, and values beyond the grid saturate:
+        round_half_away plus the zero point, clipped, with and without
+        the plan's out and work arrays."""
+        spec = QuantSpec(scale=1.0, zero_point=zp)
+        x = np.array([0.5, -0.5, 2.5, -2.5, 1.5, -1.5, 0.0, -0.0,
+                      0.49999999999999994, -0.49999999999999994,
+                      127.5, -128.5, 300.0, -300.0, 1e300, -1e300])
+        # round_half_away's int64 cast takes no 1e300
+        expected = np.clip(round_half_away(np.clip(x, -1e6, 1e6)) + zp,
+                           -128, 127)
+        if planned:
+            out = np.empty(x.shape, np.int8)
+            work = (np.empty(x.shape), np.empty(x.shape))
+            assert quantize_input(spec, x, out=out, work=work) is out
+        else:
+            out = quantize_input(spec, x)
+        assert out.dtype == np.int8
+        np.testing.assert_array_equal(out, expected)
+
+    def test_work_arrays_take_every_temporary(self):
+        """With out and work given, a 16-window block allocates only the
+        finiteness check's mask, not the float64 temporaries."""
+        x = np.stack([w.data for w in make_random_windows(16, seed=3)])
+        out = np.empty(x.shape, np.int8)
+        work = (np.empty(x.shape), np.empty(x.shape))
+        peaks = []
+        for kwargs in ({}, {"out": out, "work": work}):
+            quantize_input(self.SPEC, x, **kwargs)
+            tracemalloc.start()
+            try:
+                quantize_input(self.SPEC, x, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 8 * 1024 < 2 * x.size * 8 <= peaks[0]
+        np.testing.assert_array_equal(out, quantize_input(self.SPEC, x))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf")])
@@ -997,6 +1128,38 @@ class TestQuantPlan:
         assert built == [plan] and qm.plan is plan
         assert "plan" not in repr(qm)
 
+    def test_walk_builds_no_plan_constant(self, tmp_path, monkeypatch):
+        """check_quant_invariants, quantize_model and load walk the network
+        without building a conv's GEMM-dtype weights, its (C_out, L) rows
+        or offsets, an add's table or the head's operands; the first
+        qforward_batch builds each once."""
+        folded = fold_batchnorm(build(ModelConfig(width=8), seed=3))
+        stats = calibrate(folded, make_random_windows(16, seed=1))
+        rows = []
+        original = kernels.channel_rows
+
+        def counted(v, length):
+            rows.append(len(v))
+            return original(v, length)
+
+        monkeypatch.setattr(kernels, "channel_rows", counted)
+        qm = quantize_model(folded, stats)
+        check_quant_invariants(qm)
+        quantize.save(qm, tmp_path / "q.efq")
+        loaded = quantize.load(tmp_path / "q.efq")
+        cached = {"w", "m0", "shift", "offset", "table", "w_t", "bias"}
+        for step, _ in quantize._layout(loaded):
+            assert not cached & set(vars(step)), step
+        assert rows == [] and loaded.plan is None
+        x = np.stack([w.data for w in make_random_windows(3, seed=2)])
+        qforward_batch(loaded, x)
+        convs = len(model.topology(loaded.config))
+        assert rows == [8] * 2 * convs
+        for step, _ in loaded.plan.layout:
+            assert cached & set(vars(step)), step
+        qforward_batch(loaded, x)
+        assert len(rows) == 2 * convs
+
     def test_saved_and_loaded_model_gives_same_logits(self, tmp_path):
         _, qm = quantized_fixture(width=52, n_calib=64)
         x = np.stack([w.data for w in make_random_windows(10, seed=5)])
@@ -1020,6 +1183,21 @@ class TestQuantPlan:
             finally:
                 tracemalloc.stop()
             assert peak < 128 * 1024, n
+
+    def test_steady_full_block_allocates_under_64kb(self):
+        """A block of BLOCK_WINDOWS windows quantizes its input in the
+        plan's work arrays; what is left is _rescale's row buffer."""
+        _, qm = quantized_fixture(width=52, n_calib=16)
+        x = np.stack([w.data for w in make_random_windows(
+            quantize.BLOCK_WINDOWS, seed=2)])
+        qforward_batch(qm, x)
+        tracemalloc.start()
+        try:
+            qforward_batch(qm, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_steady_single_window_allocates_under_64kb(self):
         _, qm = quantized_fixture(width=52, n_calib=16)
