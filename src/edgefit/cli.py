@@ -4,7 +4,14 @@ and synth subcommands over the full pipeline.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical-contract
 violation, 141 output pipe closed before the command finished printing
 (128 + SIGPIPE, the status a shell reports for a program that signal
-ends), with nothing on stderr.
+ends), with nothing on stderr. The loaders admit only finite values, yet
+finite weights or windows can overflow float32 arithmetic: such an
+overflow is a data error, exit 2, whose one error line names the files
+the command read (--model, --windows).
+
+Each command parses its options, calls the library and prints; the rules
+of a fold's stages live in the library (quantize.post_training_quantize
+draws the calibration windows).
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ import numpy as np
 from . import dataset, model, platform_model, quantize, synth, training
 from .errors import (
     CorruptFile,
-    DataError,
     EdgefitError,
     InvalidConfig,
     NonFiniteInput,
@@ -33,6 +39,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_PIPE = 141
+# the widest model train builds: 28.8 M parameters
+MAX_WIDTH = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,6 +109,8 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.width > MAX_WIDTH:
+        raise InvalidConfig(f"--width must be <= {MAX_WIDTH}, got {args.width}")
     config = model.ModelConfig(width=args.width)
     config.validate()
     patience = min(100, args.epochs) if args.patience is None else args.patience
@@ -136,25 +146,12 @@ def cmd_quantize(args) -> int:
                  {"--model": args.model, "--windows": args.windows})
     m = model.load(args.model)
     windows = dataset.load_windows(args.windows)
-    calib_pool = (windows if args.fold is None
-                  else dataset.fold_split(windows, args.fold).train)
-    if not calib_pool:
-        raise InvalidConfig("no calibration windows after fold exclusion")
-    rng = np.random.default_rng(args.seed)
-    size = min(args.calib_size, len(calib_pool))
-    idx = rng.choice(len(calib_pool), size=size, replace=False)
-    calib = [calib_pool[i] for i in sorted(idx)]
-    # model.load admits only finite values, yet finite weights can
-    # overflow the fold or the float32 forward: the model file is at fault
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            folded = model.fold_batchnorm(m)
-            stats = quantize.calibrate(folded, calib)
-    except FloatingPointError as e:
-        raise CorruptFile(f"{args.model}: float32 {e}") from None
-    qm = quantize.quantize_model(folded, stats)
+    pool = (windows if args.fold is None
+            else dataset.fold_split(windows, args.fold).train)
+    qm, n = quantize.post_training_quantize(m, pool, args.calib_size,
+                                            args.seed)
     quantize.save(qm, args.out)
-    print(f"calibrated on {size} windows; quantized model -> {args.out}")
+    print(f"calibrated on {n} windows; quantized model -> {args.out}")
     return EXIT_OK
 
 
@@ -166,25 +163,14 @@ def cmd_eval(args) -> int:
     if isinstance(m, quantize.QuantModel):
         metrics = quantize.evaluate_quant(m, windows)
     else:
-        # load_windows and model.load admit only finite values, yet finite
-        # weights can overflow the forward: the model file is at fault
-        try:
-            metrics = training.evaluate(m, windows)
-        except NonFiniteInput as e:
-            raise CorruptFile(f"{args.model}: {e}") from None
+        metrics = training.evaluate(m, windows)
     print(metrics.as_kv() if args.format == "kv" else metrics.as_text())
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
     m = _sniff_model(args.model)
-    # as in eval: finite weights can overflow the float32 forward
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            result = platform_model.host_bench(m, n_runs=args.runs,
-                                               seed=args.seed)
-    except FloatingPointError as e:
-        raise CorruptFile(f"{args.model}: float32 forward: {e}") from None
+    result = platform_model.host_bench(m, n_runs=args.runs, seed=args.seed)
     report = model.count_macs(m.config)
     if args.format == "kv":
         print(result.as_kv())
@@ -267,7 +253,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--fold", type=int, default=None,
                    help="exclude this subject from calibration")
-    p.add_argument("--calib-size", type=int, default=512)
+    p.add_argument("--calib-size", type=int, default=512,
+                   help="calibrate on this many windows (default 512), "
+                        "drawn without replacement by --seed from the "
+                        "windows --fold leaves, or all of them if fewer")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_quantize)
 
@@ -330,17 +319,16 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
-    except DataError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except (NumericalContractError, ShapeMismatch) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except InvalidConfig as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except EdgefitError as e:
+        read = [path for path in (getattr(args, "model", None),
+                                  getattr(args, "windows", None)) if path]
+        if isinstance(e, NonFiniteInput) and read:
+            e = CorruptFile(f"{', '.join(read)}: {e}")
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        if isinstance(e, InvalidConfig):
+            return EXIT_USAGE
+        if isinstance(e, (NumericalContractError, ShapeMismatch)):
+            return EXIT_NUMERIC
         return EXIT_DATA
 
 

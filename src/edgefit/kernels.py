@@ -41,9 +41,13 @@ interior, transposed, are the weight gradient's per-window products, in
 which tap t is patch row K-1-t. Both conv kernels take optional output
 buffers in numpy's out= idiom; without them every result is allocated,
 with the same bits.
+
+float_checked is the package's one float32 overflow guard (below).
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -246,3 +250,23 @@ def check_finite(x: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput(f"{what} contains NaN or Inf")
     return x
+
+
+@contextlib.contextmanager
+def float_checked(what: str):
+    """Run a block under np.errstate(over="raise", invalid="raise") and
+    turn the first overflow or invalid value into NonFiniteInput("float32
+    {what}: ..."), with no numpy warning. The loaders admit only finite
+    values, yet finite weights or windows can overflow float32 arithmetic.
+
+    It wraps whole stages, once per call: training.train_fold's epoch loop,
+    training._eval_arrays' forward passes, the BN fold and calibration of
+    quantize.post_training_quantize, and platform_model.host_bench's runs.
+    model.forward_batch carries none: entered and left on every call, the
+    guard raised the one-window float latency (perfbench's
+    stream.float.p50_ms) by 4-6 %."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as e:
+        raise NonFiniteInput(f"float32 {what}: {e}") from None

@@ -159,6 +159,7 @@ from .model import (
     ModelParams,
     activation_names,
     config_from_meta,
+    fold_batchnorm,
     forward_batch,
     topology,
 )
@@ -454,6 +455,27 @@ def quantize_model(folded: ModelParams, stats: CalibStats) -> QuantModel:
     qm = QuantModel(folded.config, specs, convs, head)
     check_quant_invariants(qm)
     return qm
+
+
+def post_training_quantize(params: ModelParams, pool: list[Window],
+                           calib_size: int, seed: int
+                           ) -> tuple[QuantModel, int]:
+    """The quantize stage of one fold: fold params' BN, calibrate on n =
+    min(calib_size, len(pool)) windows drawn from pool without replacement
+    by default_rng(seed), kept in pool order, and quantize_model. Returns
+    the int8 model and n.
+
+    The fold and the calibration run inside kernels.float_checked, so
+    finite weights or windows that overflow them raise NonFiniteInput; an
+    empty pool raises calibrate's EmptyCalibrationSet. The draw depends on
+    len(pool), calib_size and seed alone, so equal arguments give equal
+    EFQ3 bytes."""
+    n = min(calib_size, len(pool))
+    idx = np.random.default_rng(seed).choice(len(pool), n, replace=False)
+    with kernels.float_checked("BN fold and calibration"):
+        folded = fold_batchnorm(params)
+        stats = calibrate(folded, [pool[i] for i in sorted(idx)])
+    return quantize_model(folded, stats), n
 
 
 # ---------------------------------------------------------------------------

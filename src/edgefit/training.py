@@ -40,7 +40,6 @@ from .errors import (
     EmptyTestSet,
     EmptyTrainSet,
     InvalidConfig,
-    NonFiniteInput,
     ShapeMismatch,
 )
 from .model import ModelConfig, ModelParams, build, forward_batch, topology
@@ -385,14 +384,12 @@ def metrics_from_logits(logits: np.ndarray, targets: np.ndarray,
 
 
 def _eval_arrays(m: ModelParams, x, y, wt, batch: int = 512):
-    """Metrics of m on finite windows x; NonFiniteInput, with no numpy
-    warning, when finite weights overflow the float32 forward."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            logits = np.concatenate([forward_batch(m, x[i:i + batch])
-                                     for i in range(0, len(x), batch)])
-    except FloatingPointError as e:
-        raise NonFiniteInput(f"float32 forward: {e}") from None
+    """Metrics of m on finite windows x, whose forward passes, batch
+    chunks at a time, run inside kernels.float_checked: NonFiniteInput,
+    with no numpy warning, when finite weights overflow them."""
+    with kernels.float_checked("forward"):
+        logits = np.concatenate([forward_batch(m, x[i:i + batch])
+                                 for i in range(0, len(x), batch)])
     return metrics_from_logits(logits, y, wt, m.config.classes)
 
 
@@ -410,6 +407,9 @@ def train_fold(split: DatasetSplit, config: ModelConfig, hp: Hyperparams,
     The monitored quantity is the weighted validation loss; training stops
     once `patience + 1` consecutive epochs fail to improve it (patience 0
     stops at the first epoch that does not improve).
+
+    The epoch loop runs inside kernels.float_checked: finite windows that
+    overflow a float32 step raise NonFiniteInput, with no numpy warning.
     """
     hp.validate()
     if not split.train:
@@ -427,38 +427,39 @@ def train_fold(split: DatasetSplit, config: ModelConfig, hp: Hyperparams,
     best_params = None
     since_best = 0
     n = len(x_train)
-    for epoch in range(1, hp.epochs + 1):
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        ws = Workspace(params, min(hp.batch_size, n))
-        start = time.process_time()
-        for i in range(0, n, hp.batch_size):
-            idx = order[i:i + hp.batch_size]
-            grads, loss, stats = _step(
-                ws, params, x_train[idx], y_train[idx], w_train[idx])
-            adam_step(params, grads, state, hp)
-            _update_running_stats(params, stats)
-            loss_sum += loss * len(idx)
-        steps = len(range(0, n, hp.batch_size))
-        history.step_ms.append(1000.0 * (time.process_time() - start) / steps)
-        del ws   # never alive next to the validation pass's temporaries
-        train_loss = loss_sum / n
+    with kernels.float_checked("training"):
+        for epoch in range(1, hp.epochs + 1):
+            order = rng.permutation(n)
+            loss_sum = 0.0
+            ws = Workspace(params, min(hp.batch_size, n))
+            start = time.process_time()
+            for i in range(0, n, hp.batch_size):
+                idx = order[i:i + hp.batch_size]
+                grads, loss, stats = _step(
+                    ws, params, x_train[idx], y_train[idx], w_train[idx])
+                adam_step(params, grads, state, hp)
+                _update_running_stats(params, stats)
+                loss_sum += loss * len(idx)
+            steps = len(range(0, n, hp.batch_size))
+            history.step_ms.append(1000.0 * (time.process_time() - start) / steps)
+            del ws   # never alive next to the validation pass's temporaries
+            train_loss = loss_sum / n
 
-        val = _eval_arrays(params, x_val, y_val, w_val)
-        history.train_loss.append(train_loss)
-        history.val_loss.append(val.loss)
-        history.val_balanced_accuracy.append(val.balanced_accuracy)
+            val = _eval_arrays(params, x_val, y_val, w_val)
+            history.train_loss.append(train_loss)
+            history.val_loss.append(val.loss)
+            history.val_balanced_accuracy.append(val.balanced_accuracy)
 
-        if val.loss < best_loss:
-            best_loss = val.loss
-            best_params = copy.deepcopy(params)
-            history.best_epoch = epoch
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best > hp.patience:
-                history.stopped_early = True
-                break
+            if val.loss < best_loss:
+                best_loss = val.loss
+                best_params = copy.deepcopy(params)
+                history.best_epoch = epoch
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best > hp.patience:
+                    history.stopped_early = True
+                    break
 
     if best_params is not None:
         params = best_params

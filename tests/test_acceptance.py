@@ -214,12 +214,7 @@ def test_criterion_06b_random_model_agreement():
 
 def test_criterion_06c_trained_fold_accuracy_drop(trained_fold):
     params, _, split, source = trained_fold
-    folded = model.fold_batchnorm(params)
-    rng = np.random.default_rng(0)
-    idx = rng.choice(len(split.train), size=min(512, len(split.train)),
-                     replace=False)
-    calib = [split.train[i] for i in sorted(idx)]
-    qm = quantize.quantize_model(folded, quantize.calibrate(folded, calib))
+    qm, _ = quantize.post_training_quantize(params, split.train, 512, 0)
     float_bacc = training.evaluate(params, split.test).balanced_accuracy
     quant_bacc = quantize.evaluate_quant(qm, split.test).balanced_accuracy
     drop = (float_bacc - quant_bacc) * 100

@@ -162,12 +162,16 @@ class TestTrain:
         assert cli.main(common + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    @pytest.mark.parametrize("flag", ["--epochs", "--width", "--batch-size"])
+    @pytest.mark.parametrize("flag, value", [
+        *(pytest.param(flag, "0", id=flag)
+          for flag in ("--epochs", "--width", "--batch-size")),
+        # beyond cli.MAX_WIDTH: model.build would ask for 224 GiB
+        ("--width", "100000")])
     def test_bad_option_is_checked_before_reading(self, capsys, tmp_path,
-                                                  flag):
+                                                  flag, value):
         code, _, err = run_cli(capsys, "train", "--windows",
                                str(tmp_path / "missing.efw"), "--fold", "1",
-                               "--out", str(tmp_path / "m.efm"), flag, "0")
+                               "--out", str(tmp_path / "m.efm"), flag, value)
         assert code == cli.EXIT_USAGE
         assert_one_error_line(err, "InvalidConfig")
         assert not any(tmp_path.iterdir())
@@ -238,11 +242,19 @@ class TestTrain:
 
 class TestQuantize:
     def test_deterministic(self, pipeline, tmp_path):
+        """Repeated, the command writes the same bytes, and they are those
+        of the library's quantize stage on the fold's training windows."""
         out2 = tmp_path / "q2.efq"
         assert cli.main(["quantize", "--model", str(pipeline["model"]),
                          "--windows", str(pipeline["windows"]), "--fold", "1",
                          "--calib-size", "64", "--out", str(out2)]) == 0
         assert pipeline["qmodel"].read_bytes() == out2.read_bytes()
+        pool = dataset.fold_split(dataset.load_windows(pipeline["windows"]),
+                                  1).train
+        qm, _ = quantize.post_training_quantize(model.load(pipeline["model"]),
+                                                pool, 64, 0)
+        quantize.save(qm, tmp_path / "lib.efq")
+        assert (tmp_path / "lib.efq").read_bytes() == out2.read_bytes()
 
     @pytest.mark.parametrize("size", ["0", "-1"])
     def test_bad_calibration_size_is_usage_error(self, capsys, pipeline,
@@ -280,11 +292,15 @@ class TestQuantize:
         # finite, so the model loads, but its float32 forward overflows
         ("b0.c0.w", 1e38, {}, "float32"),
         # fold_batchnorm would divide by sqrt(0 + 0)
-        ("stem.var", 0.0, {"bn_eps": 0.0}, "tensor stem.var")])
+        ("stem.var", 0.0, {"bn_eps": 0.0}, "tensor stem.var"),
+        # loads, but the fold's 3e38 / sqrt(0 + 1e-3) overflows float32
+        (("stem.gamma", "stem.var"), (3e38, 0.0), {"bn_eps": 1e-3},
+         "float32")])
     def test_model_that_eval_rejects_is_data_error(
             self, capsys, pipeline, tmp_path, name, value, config, message):
         contents = container.read(pipeline["model"], model.MODEL_MAGIC)
-        contents.tensors[name].flat[0] = value
+        for tensor, v in zip(np.atleast_1d(name), np.atleast_1d(value)):
+            contents.tensors[tensor].flat[0] = v
         contents.meta["config"].update(config)
         bad = tmp_path / "bad.efm"
         container.write(bad, model.MODEL_MAGIC, contents.meta,
@@ -705,6 +721,49 @@ class TestUsage:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model",
                                                              "windows"]
         assert (tmp_path / target).read_bytes() == before
+
+    def test_empty_calibration_pool_is_data_error(self, capsys, pipeline,
+                                                  tmp_path):
+        """No window left to train on or to calibrate with is one data
+        error, EXIT_DATA, for train and quantize alike."""
+        windows = dataset.load_windows(pipeline["windows"])
+        only = tmp_path / "only1.efw"
+        dataset.save_windows(only, [w for w in windows if w.subject == 1])
+        empty = tmp_path / "empty.efw"
+        dataset.save_windows(empty, [])
+        for command, argv, error in [
+                ("train", ["--windows", str(only), "--fold", "1", "--width",
+                           "4", "--epochs", "1"], "EmptyTrainSet"),
+                ("quantize", ["--model", str(pipeline["model"]), "--windows",
+                              str(only), "--fold", "1"],
+                 "EmptyCalibrationSet"),
+                ("quantize", ["--model", str(pipeline["model"]), "--windows",
+                              str(empty)], "EmptyCalibrationSet")]:
+            code, stdout, err = run_cli(capsys, command, *argv, "--out",
+                                        str(tmp_path / "out"))
+            assert code == cli.EXIT_DATA and not stdout, (command, argv)
+            assert_one_error_line(err, error)
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "empty.efw", "only1.efw"]
+
+    @pytest.mark.parametrize("command", ["train", "quantize"])
+    def test_overflowing_window_is_data_error(self, capsys, pipeline,
+                                              tmp_path, command):
+        """A finite training window that overflows float32 arithmetic makes
+        one CorruptFile line that names the windows file, and no warning."""
+        windows = dataset.load_windows(pipeline["windows"])
+        next(w for w in windows if w.subject != 1).data[...] = 3e38
+        bad = tmp_path / "bad.efw"
+        dataset.save_windows(bad, windows)
+        out = tmp_path / "out"
+        argv = {"train": ["--width", "4", "--epochs", "1"],
+                "quantize": ["--model", str(pipeline["model"])]}[command]
+        code, stdout, err = run_cli(capsys, command, "--windows", str(bad),
+                                    "--fold", "1", "--out", str(out), *argv)
+        assert code == cli.EXIT_DATA and not stdout
+        assert_one_error_line(err, "CorruptFile")
+        assert str(bad) in err and "float32" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.efw"]
 
     @pytest.mark.parametrize("command", ["prepare", "train", "quantize",
                                          "eval", "bench", "report", "synth"])
