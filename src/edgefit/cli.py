@@ -113,8 +113,7 @@ def cmd_train(args) -> int:
         raise InvalidConfig(f"--width must be <= {MAX_WIDTH}, got {args.width}")
     config = model.ModelConfig(width=args.width)
     config.validate()
-    patience = min(100, args.epochs) if args.patience is None else args.patience
-    hp = training.Hyperparams(epochs=args.epochs, patience=patience,
+    hp = training.Hyperparams(epochs=args.epochs, patience=args.patience,
                               batch_size=args.batch_size)
     hp.validate()
     inputs = {"--windows": args.windows}

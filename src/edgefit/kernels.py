@@ -38,9 +38,13 @@ one patch matrix gives both gradients: the flipped, transposed kernel
 times the patches is the input gradient (the GEMM conv1d would run on it,
 so the bits are conv1d's), and the patches times the block's input
 interior, transposed, are the weight gradient's per-window products, in
-which tap t is patch row K-1-t. Both conv kernels take optional output
-buffers in numpy's out= idiom; without them every result is allocated,
-with the same bits.
+which tap t is patch row K-1-t. A vector of ones times a block's
+products, one GEMV, sums them over the block, in half the time of a sum
+over numpy's axis 0 (7 against 14 us a 16-window block at width 52). It
+forms the weight gradient only: the trainer's convs feed batch-statistics
+BN, which makes a conv bias's gradient exactly zero. Both conv kernels
+take optional output buffers in numpy's out= idiom; without them every
+result is allocated, with the same bits.
 
 float_checked is the package's one float32 overflow guard (below).
 """
@@ -123,19 +127,22 @@ def conv1d_backward(g_padded: np.ndarray, w: np.ndarray, padded: np.ndarray,
                     dx: np.ndarray | None = None,
                     dw: np.ndarray | None = None, *,
                     patches: np.ndarray | None = None,
-                    products: np.ndarray | None = None):
-    """Gradients of conv1d(padded, w) and of a per-channel bias added to
-    its output, given dL/dy zero-bordered as g_padded (B, C_out, L+K-1).
-    Returns (dw, db); dx (B, C_in, L), if given, receives the input
-    gradient, and without it none is formed.
+                    products: np.ndarray | None = None) -> np.ndarray:
+    """The weight gradient dw (C_out, C_in, K) of conv1d(padded, w), given
+    dL/dy zero-bordered as g_padded (B, C_out, L+K-1); dx (B, C_in, L), if
+    given, receives the input gradient, and without it none is formed.
+    No bias gradient is formed: the trainer's convs feed batch-statistics
+    BN, under which it is exactly zero.
 
     Each block of BLOCK windows is unfolded once by im2col into patches
     (min(B, BLOCK), C_out*K, L). The (C_in, C_out*K) flipped kernel times
     them gives the block's dx, one GEMM per window as in conv1d; the
     patches times the block's input interior, transposed, give products
-    (min(B, BLOCK), C_out*K, C_in), whose sum over the batch is dw
-    (C_out, C_in, K), tap t at patch row K-1-t. dw, patches and products
-    are optional output buffers.
+    (min(B, BLOCK), C_out*K, C_in). One GEMV, a vector of ones times the
+    products flattened to (n, C_out*K*C_in), sums them over the block's n
+    windows, and the block sums add up to dw, tap t at patch row K-1-t.
+    dw, patches and products are optional output buffers; a products
+    buffer contiguous in its last two axes is summed without a copy.
     """
     batch, c_out, padded_len = g_padded.shape
     _, c_in, k = w.shape
@@ -149,6 +156,10 @@ def conv1d_backward(g_padded: np.ndarray, w: np.ndarray, padded: np.ndarray,
     if products is None:
         products = np.empty((rows, c_out * k, c_in), dw.dtype)
     w_flipped = w.transpose(1, 0, 2)[:, :, ::-1].reshape(c_in, c_out * k)
+    ones = np.ones(rows, dw.dtype)
+    # summed contiguous, then copied: a sum straight into dw's strided taps
+    # view runs 4x slower
+    total, block_sum = np.empty((2, c_out * k * c_in), dw.dtype)
     for i in range(0, batch, BLOCK):
         block = slice(i, i + BLOCK)
         n = len(g_padded[block])
@@ -156,16 +167,14 @@ def conv1d_backward(g_padded: np.ndarray, w: np.ndarray, padded: np.ndarray,
         if dx is not None:
             np.matmul(w_flipped, unfolded, out=dx[block])
         np.matmul(unfolded, x[block], out=products[:n])
-        # summed contiguous, then added: a sum straight into dw's strided
-        # taps view runs 4x slower
-        block_sum = products[:n].sum(axis=0)
+        np.matmul(ones[:n], products[:n].reshape(n, -1),
+                  out=block_sum if i else total)
         if i:
             total += block_sum
-        else:
-            total = block_sum
-    # total[o*K + j, c] is dw[o, c, K-1-j], the row order of the patches
+    # total[(o*K + j)*C_in + c] is dw[o, c, K-1-j], the row order of the
+    # patches
     np.copyto(dw.transpose(0, 2, 1)[:, ::-1], total.reshape(c_out, k, c_in))
-    return dw, np.einsum("bcl->c", interior(g_padded, k))
+    return dw
 
 
 def channel_rows(v: np.ndarray, length: int) -> np.ndarray:

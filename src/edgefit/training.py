@@ -13,8 +13,20 @@ the workspace, its ReLU writes operand i + 1 (the next conv's pad buffer
 interior), and a block's last conv adds operand conv.skip, the block
 input, before its ReLU. Per conv, BN keeps only the centred activation
 zc and applies its per-channel factors as (C, L) rows
-(kernels.channel_rows), and one kernels.conv1d_backward call unfolds the
-output gradient once for both the weight and the input gradient.
+(kernels.channel_rows), the forward keeps the ReLU's mask h > 0, taken
+from the contiguous BN output h, for the backward to multiply by (10
+masks, 1.3 MB at width 52 and batch 64), and one kernels.conv1d_backward
+call unfolds the output gradient once for both the weight and the input
+gradient.
+
+No conv forms a bias gradient. BN subtracts the batch mean of z = w*x +
+b, so b cancels from the loss, and its gradient, dL/dz summed over the
+batch and length, is exactly zero; computed, it is rounding noise (7.5e-8
+at width 52, against 0.27 for gamma's) that Adam, which divides by the
+gradient's running RMS, would blow up into steps of about lr. Every conv
+bias is handed one shared array of exact zeros instead, so Adam leaves it
+at its initial bits.
+
 train_fold builds a workspace per epoch, sized for
 min(batch_size, n) windows; a shorter last batch uses its leading rows.
 It is dropped before the validation pass, so it never coexists with the
@@ -28,6 +40,7 @@ call and runs the same code.
 from __future__ import annotations
 
 import copy
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,13 +67,18 @@ BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 @dataclass(frozen=True)
 class Hyperparams:
     """The training options: Adam's step size, the epoch budget, the early
-    stopping patience and the batch size. Adam's other constants are
-    BETA1, BETA2 and ADAM_EPS."""
+    stopping patience and the batch size. Without a patience given it is
+    min(100, epochs), so a short run still trains. Adam's other constants
+    are BETA1, BETA2 and ADAM_EPS."""
 
     lr: float = 1e-3
     epochs: int = 1000
-    patience: int = 100
+    patience: int | None = None
     batch_size: int = 64
+
+    def __post_init__(self):
+        if self.patience is None:
+            object.__setattr__(self, "patience", min(100, self.epochs))
 
     def validate(self) -> None:
         if self.lr <= 0:
@@ -122,15 +140,19 @@ class Workspace:
     """Every array a training step writes, for batches of up to `batch`
     windows, in the parameters' dtype.
 
-    Per conv layer it holds the zero-padded input (batch, C_in, L+K-1) and
+    Per conv layer it holds the zero-padded input (batch, C_in, L+K-1),
     the centred activations zc, the conv output less its batch mean, which
-    is all the BN backward needs; `out` holds the last ReLU output, the
-    head's input. Shared buffers take the BN output before the ReLU, the
-    flowing gradients, the padded output gradient, each weight gradient
-    and, for one block of kernels.BLOCK windows, the im2col patches and
-    the weight gradient's per-window products. A step writes everything
-    with out=, and a shorter batch of b windows uses the leading rows
-    buf[:b], so a step allocates nothing of the batch's size.
+    is all the BN backward needs, and the boolean mask of its ReLU, which
+    the forward writes from the contiguous BN output so that the backward
+    reads no strided operand (1.3 MB for the 10 convs at width 52 and
+    batch 64); `out` holds the last ReLU output, the head's input. Shared
+    buffers take the BN output before the ReLU, the flowing gradients, the
+    padded output gradient, each weight gradient, the zeros that stand
+    for every conv's bias gradient (see the module docstring) and, for one
+    block of kernels.BLOCK windows, the im2col patches and the weight
+    gradient's per-window products. A step writes everything with out=,
+    and a shorter batch of b windows uses the leading rows buf[:b], so a
+    step allocates nothing of the batch's size.
     """
 
     def __init__(self, m: ModelParams, batch: int):
@@ -148,7 +170,7 @@ class Workspace:
         self.zc = [act() for _ in self.padded]
         self.out = act()
         self.h = act()                     # BN output before the ReLU
-        self.mask = np.empty((batch, c, length), bool)
+        self.masks = [np.empty((batch, c, length), bool) for _ in m.convs]
         rows = min(batch, kernels.BLOCK)
         self.patches = np.empty((rows, widest * k, length), dtype)
         self.products = np.empty((rows, c * k, widest), dtype)
@@ -156,6 +178,7 @@ class Workspace:
         self.g_padded = np.zeros((batch, c, length + k - 1), dtype)
         self.dw = [np.empty_like(layer.w) for layer in m.convs]
         self.head_w = np.empty_like(m.head_w)
+        self.bias_grad = np.zeros(c, dtype)  # every conv's, read-only
 
     def operands(self, b: int) -> list[np.ndarray]:
         """The leading b rows of each conv's input, the interior of its pad
@@ -190,7 +213,10 @@ def _bn_backward(dh: np.ndarray, zc: np.ndarray, gamma: np.ndarray,
     zc *= kernels.channel_rows(inv * dgamma / n, length)
     zc += kernels.channel_rows(dbeta / n, length)
     np.subtract(dh, zc, out=zc)
-    np.multiply(zc, kernels.channel_rows(gamma * inv, length), out=out)
+    # scaled contiguous, then copied: a multiply straight into the strided
+    # out takes longer than both
+    zc *= kernels.channel_rows(gamma * inv, length)
+    np.copyto(out, zc)
     return dgamma, dbeta
 
 
@@ -219,6 +245,7 @@ def _forward(ws: Workspace, m: ModelParams, x: np.ndarray):
         h += kernels.channel_rows(layer.beta, length)
         if conv.add is not None:
             h += operands[conv.skip]
+        np.greater(h, 0, out=ws.masks[i][:b])
         np.maximum(h, 0, out=operands[i + 1])
         stats.append((mu + layer.b, var, inv))
     logits = kernels.dense_batch(operands[-1].reshape(b, -1), m.head_w,
@@ -241,7 +268,8 @@ def _step(ws: Workspace, m: ModelParams, x, targets, weights):
     """Gradients of the mean weighted CE loss for the len(x) windows of x,
     computed in ws: (grads keyed like param_items, loss, _forward's
     stats). The conv weight gradients are ws's own arrays, valid until
-    the next step. Conv i's ReLU mask is read from operand i + 1, and one
+    the next step, and every conv bias's gradient is ws's one array of
+    zeros. Conv i's ReLU mask is the one _forward kept, and one
     kernels.conv1d_backward call gives its weight and input gradients;
     the stem asks for no input gradient, since nothing reads it. An add
     sends its gradient to both branches, so the one kept at a block's
@@ -259,24 +287,21 @@ def _step(ws: Workspace, m: ModelParams, x, targets, weights):
     np.matmul(dlogits, m.head_w, out=da.reshape(b, -1))
 
     convs = topology(m.config)
-    mask = ws.mask[:b]
     dz = kernels.interior(ws.g_padded[:b], m.config.kernel)
     skip_grad, first = None, None
     for i in range(len(convs) - 1, -1, -1):
         name, layer = convs[i].name, m.convs[i]
-        np.greater(operands[i + 1], 0, out=mask)
-        da *= mask                          # da is now dL/dh
+        da *= ws.masks[i][:b]               # da is now dL/dh
         dgamma, dbeta = _bn_backward(da, ws.zc[i][:b], layer.gamma,
                                      stats[i][2], dz)
         if convs[i].add is not None:        # the add routes dh to the skip too
             skip_grad, da, first = da, spare, convs[i].skip
         c_out, c_in, k = layer.w.shape
-        dw, db = kernels.conv1d_backward(
+        grads[f"{name}.w"] = kernels.conv1d_backward(
             ws.g_padded[:b], layer.w, ws.padded[i][:b], da if i else None,
             ws.dw[i], patches=ws.patches[:b, :c_out * k],
             products=ws.products[:b, :c_out * k, :c_in])
-        grads[f"{name}.w"] = dw
-        grads[f"{name}.b"] = db
+        grads[f"{name}.b"] = ws.bias_grad
         grads[f"{name}.gamma"] = dgamma
         grads[f"{name}.beta"] = dbeta
         if i == first:
@@ -314,10 +339,22 @@ def init_adam(m: ModelParams) -> AdamState:
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
               state: AdamState, hp: Hyperparams):
-    """Standard bias-corrected Adam update, in place."""
+    """Bias-corrected Adam update, in place, in the folded form of Kingma
+    & Ba's section 2: with bc1 = 1 - beta1^t and bc2 = 1 - beta2^t,
+
+        p -= (lr*sqrt(bc2)/bc1) * m / (sqrt(v) + eps*sqrt(bc2)).
+
+    Multiplying the textbook m_hat / (sqrt(v_hat) + eps), with m_hat =
+    m/bc1 and v_hat = v/bc2, through by sqrt(bc2) gives it, so in exact
+    arithmetic the update is the textbook's. eps is scaled by sqrt(bc2) to
+    stay the floor of sqrt(v_hat), not of sqrt(v), which early on is
+    smaller by that factor. The bias corrections become two scalars: no
+    m_hat or v_hat array is formed, and the update keeps p's dtype."""
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
+    step = hp.lr * math.sqrt(bc2) / bc1
+    eps = ADAM_EPS * math.sqrt(bc2)
     for name, p in params.param_items():
         g = grads[name]
         if g.shape != p.shape:
@@ -328,9 +365,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
         m_ += (1.0 - BETA1) * g
         v_ *= BETA2
         v_ += (1.0 - BETA2) * np.square(g)
-        m_hat = m_ / bc1
-        v_hat = v_ / bc2
-        p -= (hp.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
+        p -= step * m_ / (np.sqrt(v_) + eps)
     return params, state
 
 

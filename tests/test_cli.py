@@ -196,14 +196,18 @@ class TestTrain:
     def test_default_patience_fits_few_epochs(self, capsys, pipeline,
                                               tmp_path):
         """Without --patience, fewer than 100 epochs still train: the
-        default is min(100, --epochs)."""
-        out = tmp_path / "m.efm"
-        code, _, err = run_cli(capsys, "train", "--windows",
-                               str(pipeline["windows"]), "--fold", "1",
-                               "--out", str(out), "--width", "8",
-                               "--epochs", "2")
+        default is min(100, --epochs), the model file that --patience 4
+        writes for --epochs 4."""
+        out, explicit = tmp_path / "m.efm", tmp_path / "p.efm"
+        common = ["train", "--windows", str(pipeline["windows"]), "--fold",
+                  "1", "--width", "8", "--epochs", "4"]
+        code, _, err = run_cli(capsys, *common, "--out", str(out))
         assert code == cli.EXIT_OK, err
         assert model.load(out).config.width == 8
+        code, _, err = run_cli(capsys, *common, "--out", str(explicit),
+                               "--patience", "4")
+        assert code == cli.EXIT_OK, err
+        assert out.read_bytes() == explicit.read_bytes()
 
     def test_patience_above_epochs_is_usage_error(self, capsys, pipeline,
                                                   tmp_path):

@@ -26,8 +26,8 @@ def naive_conv1d_same(x, w, b):
 
 def naive_conv1d_same_grads(x, w, g):
     """Direct-summation adjoint of naive_conv1d_same in float64: the
-    gradients (dx, dw, db) of sum(g * y) for an upstream gradient g
-    (C_out, L), each tap's product routed back to its input and weight."""
+    gradients (dx, dw) of sum(g * y) for an upstream gradient g (C_out, L),
+    each tap's product routed back to its input and weight."""
     c_out, c_in, k = w.shape
     length = x.shape[1]
     pad = (k - 1) // 2
@@ -41,7 +41,7 @@ def naive_conv1d_same_grads(x, w, g):
                     if 0 <= src < length:
                         dx[c, src] += w[o, c, kk] * g[o, t]
                         dw[o, c, kk] += x[c, src] * g[o, t]
-    return dx, dw, g.sum(axis=1)
+    return dx, dw
 
 
 CONV_CASES = [(1, 1, 5, 1), (3, 4, 12, 3), (8, 6, 16, 5), (5, 8, 9, 5)]
@@ -144,24 +144,23 @@ def flip(w):
 
 
 def conv1d_weight_grad(g, padded):
-    """The weight-gradient oracle: (dw, db) of conv1d's weights and of a
-    per-channel bias added to y, given dL/dy g (B, C_out, L) and the padded
-    input (B, C_in, L+K-1), one batched GEMM per tap of g against a strided
-    view of the padded input, summed over the batch."""
+    """The weight-gradient oracle: dw of conv1d's weights, given dL/dy g
+    (B, C_out, L) and the padded input (B, C_in, L+K-1), one batched GEMM
+    per tap of g against a strided view of the padded input, summed over
+    the batch."""
     length = g.shape[2]
     k = padded.shape[2] - length + 1
-    dw = np.stack([
+    return np.stack([
         np.matmul(g, padded[:, :, t:t + length].transpose(0, 2, 1)).sum(axis=0)
         for t in range(k)], axis=2)
-    return dw, g.sum(axis=(0, 2))
 
 
 def backward(g, w, padded):
-    """(dx, dw, db) of kernels.conv1d_backward for the output gradient g
+    """(dx, dw) of kernels.conv1d_backward for the output gradient g
     (B, C_out, L), each in a fresh array."""
     dx = np.empty(padded.shape[:2] + g.shape[2:], g.dtype)
-    dw, db = kernels.conv1d_backward(same_padded(g, flip(w)), w, padded, dx)
-    return dx, dw, db
+    dw = kernels.conv1d_backward(same_padded(g, flip(w)), w, padded, dx)
+    return dx, dw
 
 
 class TestConv1dBackward:
@@ -170,14 +169,12 @@ class TestConv1dBackward:
         x = rng.standard_normal((2, c_in, length))
         w = rng.standard_normal((c_out, c_in, k))
         g = rng.standard_normal((2, c_out, length))
-        dx, dw, db = backward(g, w, same_padded(x, w))
+        dx, dw = backward(g, w, same_padded(x, w))
         grads = [naive_conv1d_same_grads(x[i], w, g[i]) for i in range(2)]
         for i in range(2):
             np.testing.assert_allclose(dx[i], grads[i][0], rtol=1e-12,
                                        atol=1e-12)
         np.testing.assert_allclose(dw, grads[0][1] + grads[1][1], rtol=1e-12,
-                                   atol=1e-12)
-        np.testing.assert_allclose(db, grads[0][2] + grads[1][2], rtol=1e-12,
                                    atol=1e-12)
 
     @pytest.mark.parametrize("buffers", [False, True])
@@ -189,8 +186,8 @@ class TestConv1dBackward:
     def test_matches_conv1d_and_weight_grad_oracle(self, rng, batch, c_in,
                                                    c_out, dtype, buffers):
         """dx has the bits of conv1d on the padded gradient with the flipped
-        kernel; dw and db agree with the per-tap oracle within rounding of
-        dtype; without dx the weight gradients keep their bits. With
+        kernel; dw agrees with the per-tap oracle within rounding of dtype;
+        without dx the weight gradient keeps its bits. With
         buffers, every output goes to a caller-owned array, sliced from one
         sized for a wider layer as the trainer's workspace slices them."""
         length, k = 40, 3
@@ -206,20 +203,19 @@ class TestConv1dBackward:
                 products=np.empty((rows, c_out * k, wide), dtype)[:, :, :c_in])
             dw_buf = np.empty(w.shape, dtype)
         dx = np.empty_like(x)
-        dw, db = kernels.conv1d_backward(
+        dw = kernels.conv1d_backward(
             g_padded, w, padded, dx, dw_buf if buffers else None, **kwargs)
         assert not buffers or dw is dw_buf
         want_dx = kernels.conv1d(g_padded, flip(w))
-        assert dx.dtype == want_dx.dtype == dw.dtype == db.dtype == dtype
+        assert dx.dtype == want_dx.dtype == dw.dtype == dtype
         assert dx.tobytes() == want_dx.tobytes()
-        want_dw, want_db = conv1d_weight_grad(g.astype(np.float64),
-                                              padded.astype(np.float64))
+        want_dw = conv1d_weight_grad(g.astype(np.float64),
+                                     padded.astype(np.float64))
         tol = 1e-5 if dtype == np.float32 else 1e-12
-        for got, want in ((dw, want_dw), (db, want_db)):
-            np.testing.assert_allclose(got, want, rtol=tol,
-                                       atol=tol * np.abs(want).max())
-        dw2, db2 = kernels.conv1d_backward(g_padded, w, padded, **kwargs)
-        assert dw2.tobytes() == dw.tobytes() and db2.tobytes() == db.tobytes()
+        np.testing.assert_allclose(dw, want_dw, rtol=tol,
+                                   atol=tol * np.abs(want_dw).max())
+        dw2 = kernels.conv1d_backward(g_padded, w, padded, **kwargs)
+        assert dw2.tobytes() == dw.tobytes()
 
 
 class TestConvBuffers:
@@ -235,7 +231,7 @@ class TestConvBuffers:
         g = rng.standard_normal((batch, c_out, length)).astype(np.float32)
         padded = same_padded(x, w)
         y = kernels.conv1d(padded, w)
-        dx, dw, db = backward(g, w, padded)
+        dx, dw = backward(g, w, padded)
 
         rows = batch + 2          # buffers sized for a larger batch
         wide = max(c_in, c_out)
@@ -256,14 +252,13 @@ class TestConvBuffers:
         np.testing.assert_array_equal(y2, y)
         np.testing.assert_array_equal(patch_buf[:batch, :c_in * k],
                                       kernels.im2col(padded, k, length))
-        dw2, db2 = kernels.conv1d_backward(
+        dw2 = kernels.conv1d_backward(
             g_pad_buf[:batch], w, pad_buf[:batch], dx_buf[:batch], dw_buf,
             patches=patch_buf[:batch, :c_out * k],
             products=products[:batch, :, :c_in])
         assert dw2 is dw_buf
         np.testing.assert_array_equal(dx_buf[:batch], dx)
         np.testing.assert_array_equal(dw2, dw)
-        np.testing.assert_array_equal(db2, db)
 
     @pytest.mark.parametrize("buffers", [False, True])
     @pytest.mark.parametrize("c_in,c_out,length,k", CONV_CASES)
@@ -280,9 +275,8 @@ class TestConvBuffers:
         one = [backward(g[i:i + 1], w, padded[i:i + 1]) for i in range(batch)]
         want_y = np.concatenate([kernels.conv1d(padded[i:i + 1], w)
                                  for i in range(batch)])
-        want_dx = np.concatenate([dx for dx, _, _ in one])
-        want_dw = np.stack([dw for _, dw, _ in one]).sum(axis=0)
-        want_db = np.stack([db for _, _, db in one]).sum(axis=0)
+        want_dx = np.concatenate([dx for dx, _ in one])
+        want_dw = np.stack([dw for _, dw in one]).sum(axis=0)
 
         if buffers:
             patches = np.empty((kernels.BLOCK, max(c_in, c_out) * k, length),
@@ -291,20 +285,19 @@ class TestConvBuffers:
                 padded, w, np.empty((batch, c_out, length), np.float32),
                 patches=patches[:, :c_in * k])
             dx = np.empty_like(x)
-            dw, db = kernels.conv1d_backward(
+            dw = kernels.conv1d_backward(
                 same_padded(g, flip(w)), w, padded, dx, np.empty_like(w),
                 patches=patches[:, :c_out * k],
                 products=np.empty((kernels.BLOCK, c_out * k, c_in),
                                   np.float32))
         else:
             y = kernels.conv1d(padded, w)
-            dx, dw, db = backward(g, w, padded)
+            dx, dw = backward(g, w, padded)
         for got, want in ((y, want_y), (dx, want_dx)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-        # the weight gradients sum over the whole batch, not window by window
+        # the weight gradient sums over the whole batch, not window by window
         np.testing.assert_allclose(dw, want_dw, rtol=1e-5, atol=1e-5)
-        np.testing.assert_allclose(db, want_db, rtol=1e-5, atol=1e-5)
 
 
 def test_every_conv_lowers_through_im2col(monkeypatch):

@@ -206,13 +206,22 @@ class TestBackward:
         assert max(per_tensor.values()) < 1e-3, per_tensor
 
     def test_conv_bias_gradient_is_zero_under_bn(self, rng):
-        # BN subtracts the batch mean, so a per-channel conv bias cancels
-        m = astype(build(ModelConfig(width=4), seed=1), np.float64)
-        grads, _ = backward(m, rng.standard_normal((3, 7, 40)),
-                            np.array([0, 1, 2]), np.ones(3))
-        for name, g in grads.items():
-            if name.endswith(".b") and name != "head.b":
-                assert np.abs(g).max() < 1e-12, name
+        """BN subtracts the batch mean, so a per-channel conv bias cancels:
+        backward gives every conv bias exact zeros, in float32 and float64,
+        where the allocating oracle's bias gradient, dL/dz summed over batch
+        and length, is zero only up to rounding of the gamma gradient."""
+        for dtype in (np.float32, np.float64):
+            m = astype(build(ModelConfig(width=4), seed=1), dtype)
+            x, y, w = random_batch(rng, 3, dtype)
+            grads, _ = backward(m, x, y, w)
+            want, _, _ = oracle_backward_train(m, x, y, w)
+            for name, g in grads.items():
+                if name.endswith(".b") and name != "head.b":
+                    assert g.dtype == dtype and not g.any(), name
+                    gamma = want[name[:-1] + "gamma"]
+                    assert (np.abs(want[name]).max()
+                            <= 1e3 * np.finfo(dtype).eps
+                            * np.abs(gamma).max()), name
 
     def test_duplicated_batch_leaves_gradients_unchanged(self, rng):
         m = astype(build(ModelConfig(width=4), seed=2), np.float64)
@@ -390,6 +399,33 @@ class TestAdamStep:
                 np.testing.assert_allclose(np.abs(p - before[n]), hp.lr,
                                            rtol=1e-3)
 
+    def test_matches_textbook_oracle(self, rng):
+        """Fifty steps of seeded random gradients in float64 land within
+        1e-12 relative of Kingma & Ba's Algorithm 1, bias-corrected
+        moments m_hat and v_hat and all."""
+        m = astype(build(ModelConfig(width=4), seed=0), np.float64)
+        state, hp = init_adam(m), Hyperparams()
+        want = {n: p.copy() for n, p in m.param_items()}
+        m1 = {n: np.zeros_like(p) for n, p in want.items()}
+        m2 = {n: np.zeros_like(p) for n, p in want.items()}
+        for t in range(1, 51):
+            grads = {n: rng.standard_normal(p.shape) for n, p in want.items()}
+            adam_step(m, grads, state, hp)
+            for n, g in grads.items():
+                m1[n] = training.BETA1 * m1[n] + (1 - training.BETA1) * g
+                m2[n] = training.BETA2 * m2[n] + (1 - training.BETA2) * g * g
+                m_hat = m1[n] / (1 - training.BETA1 ** t)
+                v_hat = m2[n] / (1 - training.BETA2 ** t)
+                want[n] = want[n] - hp.lr * m_hat / (np.sqrt(v_hat)
+                                                     + training.ADAM_EPS)
+        for n, p in m.param_items():
+            np.testing.assert_allclose(p, want[n], rtol=1e-12, err_msg=n)
+
+    def test_patience_defaults_to_min_100_epochs(self):
+        assert Hyperparams().patience == 100
+        assert Hyperparams(epochs=5).patience == 5
+        assert Hyperparams(epochs=5, patience=2).patience == 2
+
     def test_hyperparam_validation(self):
         with pytest.raises(InvalidConfig):
             Hyperparams(patience=10, epochs=5).validate()
@@ -434,6 +470,16 @@ class TestTrainFold:
                                 hp, seed=0)
         assert history.val_loss == val_losses[:epochs_run]
         assert history.stopped_early == (epochs_run < len(val_losses))
+
+    def test_conv_biases_keep_their_initial_bits(self):
+        """Exact-zero bias gradients leave Adam nothing to scale up: after
+        three epochs every conv bias has the bits build gave it."""
+        split = separable_split(80)
+        cfg = ModelConfig(width=8)
+        hp = Hyperparams(epochs=3, patience=3, batch_size=16)
+        trained, _ = train_fold(split, cfg, hp, seed=3)
+        for got, want in zip(trained.convs, build(cfg, seed=3).convs):
+            assert got.b.tobytes() == want.b.tobytes()
 
     def test_seed_determinism(self):
         split = separable_split(80)
