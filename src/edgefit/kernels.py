@@ -32,6 +32,22 @@ window is still its own GEMM, so a window's result does not depend on the
 batch or the block it runs in, and a batch of at most BLOCK windows runs
 as one block with no loop.
 
+BLOCK is also the block of model.forward_batch, which runs each block of
+windows through the whole network, and of the integer plan
+(quantize.QuantPlan). There each block pays one call of every step, so
+fewer, larger blocks cost less per window, though a 52-channel conv's
+int64 accumulators for 16 windows take 266 KB: at width 52, 835 windows
+ran in 0.914 of the time in blocks of 16 as in blocks of 8, and no faster
+in blocks of 32 (2-vCPU Xeon, numpy 2.4.6, OpenBLAS 0.3.31).
+
+dense_batch, the classifier head, runs one GEMV per row for the same
+reason conv1d runs one GEMM per window: BLAS sums a many-row GEMM in
+another order than a one-row one, so a head over the whole batch gave a
+window logits that changed in their last bits with the batch (at width
+52, up to 1.5e-5 on logits up to 15 in magnitude). Row by row, every
+float output of a window, its logits included, is the same bit for bit
+whatever batch or block it runs in.
+
 conv1d_backward is the trainer's half of the same lowering. Per block it
 unfolds the zero-bordered output gradient once, through im2col, and that
 one patch matrix gives both gradients: the flipped, transposed kernel
@@ -57,7 +73,8 @@ import numpy as np
 
 from .errors import NonFiniteInput, ShapeMismatch
 
-# Windows conv1d unfolds and multiplies at a time (see the module docstring).
+# Windows a conv, the float forward and the integer plan take at a time
+# (see the module docstring).
 BLOCK = 16
 
 
@@ -240,10 +257,12 @@ def add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def dense_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched affine map for x (B, N) -> (B, M)."""
+    """Batched affine map for x (B, N) -> (B, M), one GEMV per row: a
+    stacked one-row matmul gives each row the bits a one-row call does,
+    whatever B (see the module docstring)."""
     _require(x.ndim == 2 and w.shape[1] == x.shape[1],
              "weight %s incompatible with input %s", w.shape, x.shape)
-    return x @ w.T + b[None, :]
+    return (x[:, None, :] @ w.T)[:, 0] + b
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -269,7 +288,7 @@ def float_checked(what: str):
     values, yet finite weights or windows can overflow float32 arithmetic.
 
     It wraps whole stages, once per call: training.train_fold's epoch loop,
-    training._eval_arrays' forward passes, the BN fold and calibration of
+    training._eval_arrays' forward pass, the BN fold and calibration of
     quantize.post_training_quantize, and platform_model.host_bench's runs.
     model.forward_batch carries none: entered and left on every call, the
     guard raised the one-window float latency (perfbench's

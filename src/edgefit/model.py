@@ -183,15 +183,17 @@ class ForwardPlan:
     conv's views into them, bound at the first block of that size.
 
     The buffers: a zero-bordered pad buffer of the input, the skip buffer,
-    which holds a residual block's input and, last, the head input, one
-    pad buffer that every other conv reads, one conv output and one
-    patches buffer; 830 KB at width 52. Conv i reads pads[i] and its ReLU
+    which holds a residual block's input, one pad buffer that every other
+    conv reads, one conv output and one patches buffer; 830 KB at width
+    52. Conv i reads pads[i] and the ReLU of every conv but the last
     writes the interior of pads[i + 1]: the stem reads the input's pad
     buffer, a conv that starts a block reads the skip buffer, which the
-    block's add reads too, and every other conv the one pad buffer; the
-    last entry is the skip buffer. Only the convs' interiors are ever
-    written, so every border stays zero. A plan holds buffers only, never
-    a parameter: forward_batch reads every layer's arrays at call time."""
+    block's add reads too, and every other conv the one pad buffer. The
+    last conv's ReLU runs in place in the contiguous conv output, which
+    the head then reads as its (n, width*seq_len) input, with no copy.
+    Only the convs' interiors are ever written, so every border stays
+    zero. A plan holds buffers only, never a parameter: forward_batch
+    reads every layer's arrays at call time."""
 
     def __init__(self, config: ModelConfig, dtype: np.dtype):
         self.config, self.dtype = config, dtype
@@ -202,8 +204,8 @@ class ForwardPlan:
         skip = np.zeros((nb, width, padded_len), dtype)
         padded = np.zeros((nb, width, padded_len), dtype)
         starts = {conv.skip for conv in convs}
-        self.pads = ([padded_in] + [skip if i in starts else padded
-                                    for i in range(1, len(convs))] + [skip])
+        self.pads = [padded_in] + [skip if i in starts else padded
+                                   for i in range(1, len(convs))]
         self.out = np.empty((nb, width, config.seq_len), dtype)
         self.patches = np.empty(
             nb * max(config.in_channels, width) * k * config.seq_len, dtype)
@@ -212,24 +214,25 @@ class ForwardPlan:
     def bind(self, n: int) -> tuple:
         """The views a block of n windows runs in: the input's interior,
         one tuple per conv (its operand, patches, output, the interior its
-        add reads or None, the interior its ReLU writes, and the names of
-        its output and of the activation after its ReLU) and the skip
-        buffer's interior, the block's rows of the head input."""
+        add reads or None, the array its ReLU writes, and the names of its
+        output and of the activation after its ReLU) and the head input,
+        the conv output flattened to (n, width*seq_len)."""
         bound = self._bound.get(n)
         if bound is None:
             cfg = self.config
             k, length = cfg.kernel, cfg.seq_len
-            pads = [kernels.interior(pad[:n], k) for pad in self.pads]
+            out = self.out[:n]
+            pads = [kernels.interior(pad[:n], k) for pad in self.pads] + [out]
             steps = tuple(
                 (self.pads[i][:n],
                  self.patches[:n * conv.in_channels * k * length].reshape(
                      n, -1, length),
-                 self.out[:n],
+                 out,
                  None if conv.skip is None else pads[conv.skip],
                  pads[i + 1], f"{conv.name}.out",
                  f"{conv.add or conv.name}.out")
                 for i, conv in enumerate(topology(cfg)))
-            bound = self._bound[n] = (pads[0], steps, pads[-1])
+            bound = self._bound[n] = (pads[0], steps, out.reshape(n, -1))
         return bound
 
 
@@ -239,29 +242,28 @@ def forward_batch(m: ModelParams, x: np.ndarray,
     """Inference forward over a batch (B, in_channels, seq_len) -> (B, classes).
 
     The batch runs depth-first: each block of kernels.BLOCK windows goes
-    through the whole conv stack before the next block starts, in the
-    buffers of one block (the fused layers of Alwani et al., 2016), so its
-    feature maps stay in the cache. Those buffers and every conv's views
-    into them are the model's ForwardPlan (m.plan), built at its first
-    call and again only when the model's config or the call's dtype
-    changes, as a microcontroller runtime plans its tensor arena once
-    (TensorFlow Lite Micro): 830 KB at width 52, which the model keeps. A
-    call allocates only the (B, width, seq_len) head input and the logits,
-    and its loop over the convs only calls kernels: each conv is
-    kernels.conv1d_same_batch of its pad buffer into the output buffer,
-    looked up in kernels at call time, where the bias, BN unless folded
-    (in batchnorm_infer's order) and a residual add run in place before
-    the ReLU writes the next conv's operand. Every parameter is read at
-    call time, so an in-place edit or a rebound array reaches the next
-    call. Every activation is batch-invariant: it equals a layer-by-layer
-    run's bit for bit, whatever the batch, since each conv is one GEMM per
-    window and the other layers are elementwise. The logits are not: the
-    head runs once over the whole batch, and BLAS sums a one-row GEMM in
-    another order than a many-row one, so a window's logits may differ in
-    their last bits with the batch it runs in (at width 52, one window's
-    logits differed from its row of a 256-window call by up to 1.5e-5 on
-    logits up to 15 in magnitude). They agree to float32 rounding, so
-    their argmax can differ only at a near tie.
+    through the whole network, head included, before the next block
+    starts, in the buffers of one block (the fused layers of Alwani et
+    al., 2016), so its feature maps stay in the cache. Those buffers and
+    every conv's views into them are the model's ForwardPlan (m.plan),
+    built at its first call and again only when the model's config or the
+    call's dtype changes, as a microcontroller runtime plans its tensor
+    arena once (TensorFlow Lite Micro): 830 KB at width 52, which the
+    model keeps. A call allocates only the (B, classes) logits and a
+    block's small temporaries, and its loop over the convs only calls
+    kernels: each conv is kernels.conv1d_same_batch of its pad buffer into
+    the output buffer, looked up in kernels at call time, where the bias,
+    BN unless folded (in batchnorm_infer's order) and a residual add run
+    in place before the ReLU writes the next conv's operand; the last
+    conv's ReLU runs in place, and kernels.dense_batch reads the block's
+    head input from the output buffer. Every parameter is read at call
+    time, so an in-place edit or a rebound array reaches the next call.
+
+    Every float output of a window, its logits included, is
+    batch-invariant: it equals a layer-by-layer run's bit for bit,
+    whatever batch or block the window runs in, since each conv is one
+    GEMM per window, the head one GEMV per window and the other layers
+    are elementwise.
 
     The plan makes a model's calls share its buffers: one thread at a time
     may run a model, and capture must not call forward_batch on it. A copy
@@ -282,11 +284,12 @@ def forward_batch(m: ModelParams, x: np.ndarray,
     plan = m.plan
     if plan is None or (plan.config, plan.dtype) != (cfg, dtype):
         plan = m.plan = ForwardPlan(cfg, dtype)
-    batch = len(x)
-    flat = np.empty((batch, cfg.width, cfg.seq_len), dtype)
-    for start in range(0, batch, kernels.BLOCK):
-        block = x[start:start + kernels.BLOCK]
-        inputs, steps, last = plan.bind(len(block))
+    logits = np.empty((len(x), cfg.classes),
+                      np.result_type(dtype, m.head_w, m.head_b))
+    for start in range(0, len(x), kernels.BLOCK):
+        rows = slice(start, start + kernels.BLOCK)
+        block = x[rows]
+        inputs, steps, head_in = plan.bind(len(block))
         if capture is not None:
             capture("input", block)
         np.copyto(inputs, block)
@@ -305,17 +308,14 @@ def forward_batch(m: ModelParams, x: np.ndarray,
             np.maximum(y, 0, out=relu_out)
             if capture is not None:
                 capture(relu_name, relu_out)
-        flat[start:start + len(block)] = last
-    return kernels.dense_batch(flat.reshape(batch, cfg.width * cfg.seq_len),
-                               m.head_w, m.head_b)
+        logits[rows] = kernels.dense_batch(head_in, m.head_w, m.head_b)
+    return logits
 
 
 def forward(m: ModelParams, x: np.ndarray) -> np.ndarray:
     """Single-window forward (in_channels, seq_len) -> logits (classes,):
-    a one-window forward_batch, whose activations equal those of any
-    batch bit for bit and whose logits agree with the window's row of a
-    batched call to float32 rounding, not bit for bit (see
-    forward_batch)."""
+    a one-window forward_batch, whose logits and activations equal the
+    window's of any batched call bit for bit."""
     cfg = m.config
     if x.ndim != 2 or x.shape != (cfg.in_channels, cfg.seq_len):
         raise ShapeMismatch(

@@ -65,7 +65,7 @@ quantize or a load that never runs the model pays for none of them.
 
 The plan. qforward_batch runs a QuantPlan, built at the model's first
 qforward_batch and kept on it (QuantModel.plan), over blocks of
-BLOCK_WINDOWS windows, as a microcontroller runtime plans its tensor arena
+kernels.BLOCK windows, as a microcontroller runtime plans its tensor arena
 before the first inference (TensorFlow Lite Micro). Its constants are
 built at its first run, from the model's arrays at that moment; the plan
 then holds:
@@ -85,9 +85,9 @@ then holds:
   65,536 pairs once, and a block looks each output up at (a as uint8) << 8
   | (h as uint8); the head's weights transposed in float64 and its int32
   biases bias_q - zp_in*sum_n w_q[c, n];
-- two float64 work arrays of the input for BLOCK_WINDOWS windows, in
+- two float64 work arrays of the input for kernels.BLOCK windows, in
   which quantize_input divides, clamps and rounds;
-- scratch arrays for BLOCK_WINDOWS windows, one per shape and dtype, that
+- scratch arrays for kernels.BLOCK windows, one per shape and dtype, that
   every step of that shape shares: the GEMM operand with its zero
   borders, the patches, the GEMM output, the int64 accumulators (on a
   64-bit host, the adds' intp table indices share them) and the adds'
@@ -169,7 +169,6 @@ QMIN, QMAX = -128, 127
 RANGE_FLOOR = 1e-3      # minimum activation range width
 WEIGHT_SCALE_FLOOR = 1e-12
 INT32_LIMIT = 2 ** 31
-CALIB_BLOCK = 64        # windows per forward_batch call in calibrate
 
 QUANT_MAGIC = b"EFQ3"
 
@@ -250,18 +249,17 @@ def calibrate(folded: ModelParams, calib: list[Window]) -> CalibStats:
     keyed by its name in activation_names: its min and max over calib,
     widened to include 0 (CalibStats).
 
-    The windows run through forward_batch in chunks of CALIB_BLOCK, whose
-    capture callback ranges each activation of each block of kernels.BLOCK
+    The windows run through one forward_batch call, whose capture
+    callback ranges each activation of each block of kernels.BLOCK
     windows in the view forward_batch passes, which may be a pad buffer's
     strided interior; a reduction reads it in place, whatever its strides.
     The activations that come out of a ReLU, each conv's or add's
     {name}.out in model.topology, are never negative, so their low end is
     the 0 every range is widened to and only their max is taken; the
     others, the input and the block's last convs before the add, take a
-    min and a max. Every activation is batch-invariant (kernels.conv1d
-    runs one GEMM per window and the other layers are elementwise), so
-    every range equals a one-window-at-a-time run's bit for bit and
-    depends on the set of windows alone."""
+    min and a max. Every activation is batch-invariant (see
+    forward_batch), so every range equals a one-window-at-a-time run's bit
+    for bit and depends on the set of windows alone."""
     if not folded.bn_folded:
         raise InvalidConfig("calibrate expects a BN-folded model")
     if not calib:
@@ -276,10 +274,8 @@ def calibrate(folded: ModelParams, calib: list[Window]) -> CalibStats:
         else:
             stats.update(name, arr)
 
-    for i in range(0, len(calib), CALIB_BLOCK):
-        x = np.stack([w.data for w in calib[i:i + CALIB_BLOCK]])
-        forward_batch(folded, x.astype(np.float32, copy=False),
-                      capture=capture)
+    x = np.stack([w.data for w in calib])
+    forward_batch(folded, x.astype(np.float32, copy=False), capture=capture)
     return stats
 
 
@@ -485,14 +481,6 @@ def post_training_quantize(params: ModelParams, pool: list[Window],
 def _note(trace, name, arr):
     if trace is not None:
         trace.append((name, str(arr.dtype)))
-
-
-# Windows per block in qforward_batch. Each block pays one call of every
-# step, so fewer, larger blocks cost less per window, though a 52-channel
-# conv's int64 accumulators for 16 windows take 266 KB: at width 52, 835
-# windows ran in 0.914 of the time in blocks of 16 as in blocks of 8, and
-# no faster in blocks of 32 (2-vCPU Xeon, numpy 2.4.6, OpenBLAS 0.3.31).
-BLOCK_WINDOWS = 16
 
 
 def _gemm_dtype(fan_in: int) -> type:
@@ -789,7 +777,7 @@ def _layout(qm: QuantModel) -> list[tuple]:
 
 class QuantPlan:
     """The integer network laid out once: GEMM-ready constants, scratch
-    arrays for BLOCK_WINDOWS windows shared by every step that takes one of
+    arrays for kernels.BLOCK windows shared by every step that takes one of
     the same shape, and one int8 activation arena of arena_bytes per window
     that holds every activation at a planned offset (see the module
     docstring)."""
@@ -803,9 +791,9 @@ class QuantPlan:
         self.arena_bytes = max(
             offset + math.prod(shape) * np.dtype(dtype).itemsize
             for _, operands in self.layout for offset, shape, dtype in operands)
-        self.arena = np.zeros((BLOCK_WINDOWS, self.arena_bytes), np.int8)
+        self.arena = np.zeros((kernels.BLOCK, self.arena_bytes), np.int8)
         # quantize_input's quotient and rounding term
-        self.work = np.zeros((2, BLOCK_WINDOWS, *self.input[1]), np.float64)
+        self.work = np.zeros((2, kernels.BLOCK, *self.input[1]), np.float64)
         # the k-th array of one (tag, shape, dtype) a step takes is the
         # k-th such array of every other step: the steps run one at a time
         # and none reads what another left in its scratch
@@ -819,7 +807,7 @@ class QuantPlan:
                 taken[key] = taken.get(key, 0) + 1
                 key += (taken[key],)
                 if key not in pool:
-                    pool[key] = np.zeros((BLOCK_WINDOWS, *shape), dtype)
+                    pool[key] = np.zeros((kernels.BLOCK, *shape), dtype)
                 return pool[key]
 
             self.scratch.append(step.scratch(take, qm.config.seq_len))
@@ -847,7 +835,7 @@ class QuantPlan:
 
     def run(self, x: np.ndarray, logits: np.ndarray, trace=None) -> None:
         """Write the logits (b, classes) of the float windows x (b,
-        in_channels, seq_len), b <= BLOCK_WINDOWS, into logits."""
+        in_channels, seq_len), b <= kernels.BLOCK, into logits."""
         q, work, body, (head, args) = (self._bound.get(len(x))
                                        or self._bind(len(x)))
         quantize_input(self.input_spec, x, out=q, work=work)
@@ -869,8 +857,8 @@ def qforward_batch(qm: QuantModel, x: np.ndarray,
     if qm.plan is None:
         qm.plan = QuantPlan(qm)
     logits = np.empty((x.shape[0], cfg.classes), dtype=np.float32)
-    for i in range(0, x.shape[0], BLOCK_WINDOWS):
-        block = slice(i, i + BLOCK_WINDOWS)
+    for i in range(0, x.shape[0], kernels.BLOCK):
+        block = slice(i, i + kernels.BLOCK)
         # every block takes the same path: the first one traces it
         qm.plan.run(x[block], logits[block], trace if i == 0 else None)
     return logits
@@ -894,7 +882,7 @@ def count_float_entries(trace: list) -> int:
 
 def evaluate_quant(qm: QuantModel, windows: list[Window]):
     """Argmax Metrics of the integer path over a window list, in one
-    qforward_batch call (which runs blocks of BLOCK_WINDOWS)."""
+    qforward_batch call (which runs blocks of kernels.BLOCK)."""
     if not windows:
         raise EmptyTestSet("evaluate needs at least one window")
     x, y, wt = _stack(windows)

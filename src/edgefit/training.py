@@ -27,14 +27,13 @@ gradient's running RMS, would blow up into steps of about lr. Every conv
 bias is handed one shared array of exact zeros instead, so Adam leaves it
 at its initial bits.
 
-train_fold builds a workspace per epoch, sized for
-min(batch_size, n) windows; a shorter last batch uses its leading rows.
-It is dropped before the validation pass, so it never coexists with the
-4.3 MB head input that model.forward_batch allocates for each 512-window
-chunk (width 52); the validation pass runs in the model's forward plan,
-one block's 830 KB, which the model keeps from its first validation on
-and the best-epoch copy does not carry. backward builds a workspace per
-call and runs the same code.
+train_fold builds one workspace per fold, sized for min(batch_size, n)
+windows; a shorter last batch uses its leading rows. The validation pass
+is one model.forward_batch call over every validation window, which runs
+in the model's forward plan, one block's 830 KB at width 52, and
+allocates only the logits; the model keeps the plan from its first
+validation on, and the best-epoch copy does not carry it. backward builds
+a workspace per call and runs the same code.
 """
 
 from __future__ import annotations
@@ -81,8 +80,9 @@ class Hyperparams:
             object.__setattr__(self, "patience", min(100, self.epochs))
 
     def validate(self) -> None:
-        if self.lr <= 0:
-            raise InvalidConfig(f"lr must be > 0, got {self.lr}")
+        # a chained comparison, so NaN fails it as well
+        if not 0 < self.lr < math.inf:
+            raise InvalidConfig(f"lr must be finite and > 0, got {self.lr}")
         if self.batch_size < 1 or self.epochs < 1:
             raise InvalidConfig("batch_size and epochs must be positive")
         if not 0 <= self.patience <= self.epochs:
@@ -403,7 +403,11 @@ def _split_validation(train_windows: list[Window]):
 def metrics_from_logits(logits: np.ndarray, targets: np.ndarray,
                         weights: np.ndarray, classes: int) -> Metrics:
     """Confusion matrix, balanced accuracy over classes present, and the
-    weighted mean cross-entropy, from precomputed logits."""
+    weighted mean cross-entropy, from precomputed logits. ShapeMismatch
+    when a label is not one of the model's classes."""
+    if len(targets) and targets.max() >= classes:
+        raise ShapeMismatch(f"model has {classes} classes, but the windows "
+                            f"hold label {targets.max()}")
     probs = kernels.softmax(logits)
     preds = probs.argmax(axis=1)
     confusion = np.zeros((classes, classes), dtype=np.int64)
@@ -418,13 +422,12 @@ def metrics_from_logits(logits: np.ndarray, targets: np.ndarray,
                    loss=loss)
 
 
-def _eval_arrays(m: ModelParams, x, y, wt, batch: int = 512):
-    """Metrics of m on finite windows x, whose forward passes, batch
-    chunks at a time, run inside kernels.float_checked: NonFiniteInput,
-    with no numpy warning, when finite weights overflow them."""
+def _eval_arrays(m: ModelParams, x, y, wt):
+    """Metrics of m on finite windows x, whose one forward_batch call runs
+    inside kernels.float_checked: NonFiniteInput, with no numpy warning,
+    when finite weights overflow it."""
     with kernels.float_checked("forward"):
-        logits = np.concatenate([forward_batch(m, x[i:i + batch])
-                                 for i in range(0, len(x), batch)])
+        logits = forward_batch(m, x)
     return metrics_from_logits(logits, y, wt, m.config.classes)
 
 
@@ -462,11 +465,11 @@ def train_fold(split: DatasetSplit, config: ModelConfig, hp: Hyperparams,
     best_params = None
     since_best = 0
     n = len(x_train)
+    ws = Workspace(params, min(hp.batch_size, n))
     with kernels.float_checked("training"):
         for epoch in range(1, hp.epochs + 1):
             order = rng.permutation(n)
             loss_sum = 0.0
-            ws = Workspace(params, min(hp.batch_size, n))
             start = time.process_time()
             for i in range(0, n, hp.batch_size):
                 idx = order[i:i + hp.batch_size]
@@ -477,7 +480,6 @@ def train_fold(split: DatasetSplit, config: ModelConfig, hp: Hyperparams,
                 loss_sum += loss * len(idx)
             steps = len(range(0, n, hp.batch_size))
             history.step_ms.append(1000.0 * (time.process_time() - start) / steps)
-            del ws   # never alive next to the validation pass's temporaries
             train_loss = loss_sum / n
 
             val = _eval_arrays(params, x_val, y_val, w_val)

@@ -361,6 +361,28 @@ class TestEval:
         assert_one_error_line(err, "CorruptFile")
         assert "window 0 out of range" in err
 
+    def test_fewer_classes_than_labels_is_numeric_error(self, capsys,
+                                                        pipeline, tmp_path):
+        """A 5-class model, float and int8, against windows that hold label
+        11: eval exits 3 with one error line that names the class count
+        and the largest label, as an in-channels mismatch does."""
+        windows = str(pipeline["windows"])
+        top = max(w.label for w in dataset.load_windows(windows))
+        assert top == 11
+        float_path, int8_path = tmp_path / "m.efm", tmp_path / "m.efq"
+        model.save(model.build(model.ModelConfig(width=4, classes=5), seed=0),
+                   float_path)
+        code, _, err = run_cli(capsys, "quantize", "--model", str(float_path),
+                               "--windows", windows, "--calib-size", "16",
+                               "--out", str(int8_path))
+        assert code == cli.EXIT_OK, err
+        for path in (float_path, int8_path):
+            code, stdout, err = run_cli(capsys, "eval", "--model", str(path),
+                                        "--windows", windows)
+            assert code == cli.EXIT_NUMERIC and not stdout, path
+            assert_one_error_line(err, "ShapeMismatch")
+            assert "5 classes" in err and "label 11" in err
+
     @pytest.mark.parametrize("kind", ["model", "qmodel"])
     def test_non_finite_window_is_data_error(self, capsys, pipeline, tmp_path,
                                              kind):

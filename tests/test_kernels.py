@@ -302,9 +302,8 @@ class TestConvBuffers:
 
 def test_every_conv_lowers_through_im2col(monkeypatch):
     """The float forward, a training step and the int8 forward call
-    kernels.im2col once per conv and block of windows (kernels.BLOCK for
-    the float convs, quantize.BLOCK_WINDOWS for the integer plan), and the
-    training backward once more, since every conv, the stem too, unfolds
+    kernels.im2col once per conv and block of kernels.BLOCK windows, and
+    the training backward once more, since every conv, the stem too, unfolds
     its output gradient for the weight gradient: the benchmark taps and
     traces that one name."""
     cfg = model.ModelConfig(width=4)
@@ -333,8 +332,7 @@ def test_every_conv_lowers_through_im2col(monkeypatch):
         assert count(lambda: model.forward_batch(m, x)) == blocks * convs
         assert count(lambda: training.backward(
             m, x, np.arange(n) % 12, np.ones(n))) == blocks * 2 * convs
-        assert count(lambda: quantize.qforward_batch(qm, x)) == (
-            -(-n // quantize.BLOCK_WINDOWS) * convs)
+        assert count(lambda: quantize.qforward_batch(qm, x)) == blocks * convs
 
 
 class TestBatchnormInfer:

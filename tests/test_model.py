@@ -171,7 +171,7 @@ class TestDepthFirst:
         """Logits and every captured activation equal the layer-by-layer
         oracle's, dtype included, for batches inside one block, of exactly
         one block, over several blocks with a partial last one, and of
-        the 512 windows training._eval_arrays passes."""
+        512 windows."""
         self.check_against_layerwise(
             ModelConfig(width=width, convs_per_block=convs_per_block),
             folded, dtype)
@@ -208,24 +208,35 @@ class TestDepthFirst:
                 assert acts[name].dtype == arr.dtype == dtype, name
                 np.testing.assert_array_equal(acts[name], arr, err_msg=name)
 
-    def test_activations_batch_invariant_logits_to_rounding(self):
-        """Width 52: each window's activations in a one-window call equal
-        its rows of a 256-window call bit for bit; its logits, from a head
-        GEMM of another row count, agree to float32 rounding and in their
-        argmax, which is all the batched and streamed paths may assume."""
-        m = fold_batchnorm(randomize_bn(build(ModelConfig(width=52), seed=6)))
-        x = np.stack([w.data for w in make_random_windows(256, seed=7)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("folded", [False, True])
+    @pytest.mark.parametrize("width", [4, 52])
+    def test_activations_and_logits_batch_invariant(self, width, folded,
+                                                    dtype):
+        """Each window's logits and activations equal its rows of a
+        300-window call bit for bit: in a one-window call, through forward
+        and through forward_batch, and in a split of the batch into calls
+        of 37 windows, whose blocks start at other windows."""
+        m = randomize_bn(build(ModelConfig(width=width), seed=6))
+        if folded:
+            m = fold_batchnorm(m)
+        x = np.stack([w.data for w in make_random_windows(300, seed=7)]
+                     ).astype(dtype)
         logits, acts = captured(m, x)
-        scale = np.abs(logits).max()
-        for i in range(0, 256, 17):
+        for i in range(0, 300, 17):
             one, one_acts = captured(m, x[i:i + 1])
             for name, arr in one_acts.items():
                 np.testing.assert_array_equal(arr[0], acts[name][i],
                                               err_msg=name)
             for single in (one[0], forward(m, x[i])):
-                np.testing.assert_allclose(single, logits[i], rtol=0,
-                                           atol=1e-5 * scale)
-                assert single.argmax() == logits[i].argmax()
+                assert single.dtype == logits.dtype
+                assert single.tobytes() == logits[i].tobytes()
+        for i in range(0, 300, 37):
+            part, part_acts = captured(m, x[i:i + 37])
+            assert part.tobytes() == logits[i:i + 37].tobytes()
+            for name, arr in part_acts.items():
+                np.testing.assert_array_equal(arr, acts[name][i:i + 37],
+                                              err_msg=name)
 
     def test_capture_once_per_block(self, rng):
         m = build(ModelConfig(width=4), seed=0)
@@ -245,17 +256,16 @@ class TestDepthFirst:
 
     @pytest.mark.parametrize("batch", [1, 16, 512])
     def test_allocations_bounded(self, rng, batch):
-        """At width 52 a steady call allocates the (B, 2080) head input, the
-        logits and the BN factors' small temporaries: the block buffers are
-        the model's plan, laid out by its first call. One window fits in
-        32 KB and 16 in 256 KB, where a call that allocated one block's
-        buffers took 70 KB and 976 KB; 512 windows fit in their head input
-        and 96 KB."""
-        cfg = ModelConfig(width=52)
-        m = randomize_bn(build(cfg, seed=0))
+        """At width 52 a steady call allocates the logits and a block's
+        small temporaries, the BN factors' and the head's: the block
+        buffers are the model's plan, laid out by its first call, and the
+        head reads each block's input from them. One window fits in 32 KB
+        and 16 in 256 KB, where a call that allocated one block's buffers
+        took 70 KB and 976 KB; 512 windows fit in 128 KB, where a call
+        that allocated their (512, 2080) head input took 4.2 MB."""
+        m = randomize_bn(build(ModelConfig(width=52), seed=0))
         x = rng.standard_normal((batch, 7, 40)).astype(np.float32)
-        bound = {1: 32 * 1024, 16: 256 * 1024}.get(
-            batch, batch * cfg.width * cfg.seq_len * 4 + 96 * 1024)
+        bound = {1: 32 * 1024, 16: 256 * 1024, 512: 128 * 1024}[batch]
         model.forward_batch(m, x)
         tracemalloc.start()
         try:

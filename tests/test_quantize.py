@@ -677,11 +677,11 @@ class TestQForward:
             assert padded.any()
             assert_zero_borders(padded, step.w.shape[2])
 
-    def test_evaluate_quant_is_one_batch_call(self):
-        """37 windows, not a multiple of BLOCK_WINDOWS: evaluate_quant gives
+    def test_evaluate_quant_is_one_batch_call(self, monkeypatch):
+        """37 windows, not a multiple of kernels.BLOCK: evaluate_quant gives
         the confusion matrix and loss of metrics_from_logits over one
-        qforward_batch call, whose logits are those of any split into
-        smaller calls."""
+        call of quantize.qforward_batch, the module global the benchmark
+        taps, whose logits are those of any split into smaller calls."""
         _, qm = quantized_fixture(width=8)
         windows = make_random_windows(37, seed=5)
         x = np.stack([w.data for w in windows])
@@ -693,7 +693,15 @@ class TestQForward:
             logits, np.array([w.label for w in windows]),
             np.array([w.weight for w in windows], np.float32),
             qm.config.classes)
+        calls = []
+
+        def counted(qmodel, x):
+            calls.append(len(x))
+            return qforward_batch(qmodel, x)
+
+        monkeypatch.setattr(quantize, "qforward_batch", counted)
         got = quantize.evaluate_quant(qm, windows)
+        assert calls == [37]
         np.testing.assert_array_equal(got.confusion, want.confusion)
         assert got.loss == want.loss
 
@@ -795,10 +803,10 @@ def unplanned_qadd(name, a_spec, h_spec, out_spec, q_a, q_h, trace):
 
 
 def unplanned_qforward_batch(qm, x, trace=None):
-    """Float32 logits of the batch x, one block of BLOCK_WINDOWS at a time."""
+    """Float32 logits of the batch x, one block of kernels.BLOCK at a time."""
     logits = np.empty((x.shape[0], qm.config.classes), dtype=np.float32)
-    for i in range(0, x.shape[0], quantize.BLOCK_WINDOWS):
-        block = slice(i, i + quantize.BLOCK_WINDOWS)
+    for i in range(0, x.shape[0], kernels.BLOCK):
+        block = slice(i, i + kernels.BLOCK)
         logits[block] = unplanned_block(qm, x[block], trace if i == 0 else None)
     return logits
 
@@ -907,7 +915,7 @@ class TestExactFloatGemm:
     def test_partial_last_block(self):
         # 2 full blocks and a partial one; each window equals its single call
         _, qm = quantized_fixture(width=52, n_calib=64)
-        n = 2 * quantize.BLOCK_WINDOWS + 3
+        n = 2 * kernels.BLOCK + 3
         x = np.stack([w.data for w in make_random_windows(n, seed=13)])
         self.check_against_oracle(qm, x)
         batched = qforward_batch(qm, x)
@@ -1075,7 +1083,7 @@ class TestQuantPlan:
         qforward(qm, make_random_windows(1, seed=0)[0].data)
         plan = qm.plan
         assert plan.arena.dtype == np.int8
-        assert plan.arena.shape == (quantize.BLOCK_WINDOWS, plan.arena_bytes)
+        assert plan.arena.shape == (kernels.BLOCK, plan.arena_bytes)
         assert plan.arena_bytes == model.count_macs(cfg).peak_activation_bytes
         act = width * cfg.seq_len
         if width == 4:
@@ -1171,9 +1179,9 @@ class TestQuantPlan:
         np.testing.assert_array_equal(qforward_batch(loaded, x), before)
 
     def test_steady_call_allocates_under_128kb(self):
-        """A full block of BLOCK_WINDOWS windows, and a block of 8."""
+        """A full block of kernels.BLOCK windows, and a block of 8."""
         _, qm = quantized_fixture(width=52, n_calib=16)
-        for n in (quantize.BLOCK_WINDOWS, 8):
+        for n in (kernels.BLOCK, 8):
             x = np.stack([w.data for w in make_random_windows(n, seed=2)])
             qforward_batch(qm, x)
             tracemalloc.start()
@@ -1185,11 +1193,11 @@ class TestQuantPlan:
             assert peak < 128 * 1024, n
 
     def test_steady_full_block_allocates_under_64kb(self):
-        """A block of BLOCK_WINDOWS windows quantizes its input in the
+        """A block of kernels.BLOCK windows quantizes its input in the
         plan's work arrays; what is left is _rescale's row buffer."""
         _, qm = quantized_fixture(width=52, n_calib=16)
         x = np.stack([w.data for w in make_random_windows(
-            quantize.BLOCK_WINDOWS, seed=2)])
+            kernels.BLOCK, seed=2)])
         qforward_batch(qm, x)
         tracemalloc.start()
         try:

@@ -431,8 +431,9 @@ class TestAdamStep:
             Hyperparams(patience=10, epochs=5).validate()
         with pytest.raises(InvalidConfig, match="patience -1"):
             Hyperparams(patience=-1, epochs=5).validate()
-        with pytest.raises(InvalidConfig):
-            Hyperparams(lr=0).validate()
+        for lr in (0, float("nan"), float("inf")):
+            with pytest.raises(InvalidConfig, match="lr"):
+                Hyperparams(lr=lr).validate()
 
 
 def separable_split(n=200, seed=0):
@@ -572,6 +573,21 @@ class TestEvaluate:
         truth_counts = np.bincount([w.label for w in windows], minlength=12)
         np.testing.assert_array_equal(metrics.confusion.sum(axis=1),
                                       truth_counts)
+
+    def test_one_forward_batch_call(self, monkeypatch):
+        """600 windows reach training.forward_batch, the module global the
+        benchmark taps, in one call."""
+        m = build(ModelConfig(width=2), seed=0)
+        windows = make_random_windows(600, seed=2)
+        calls = []
+
+        def counted(params, x):
+            calls.append(len(x))
+            return model.forward_batch(params, x)
+
+        monkeypatch.setattr(training, "forward_batch", counted)
+        evaluate(m, windows)
+        assert calls == [600]
 
     def test_empty(self):
         m = build(ModelConfig(width=2), seed=0)
