@@ -52,12 +52,13 @@ class _Parser(argparse.ArgumentParser):
 def _sniff_model(path: str):
     """Load an int8 model file of any version (magic EFQ*) as one, so that
     an old version is named as such, and any other file as a float model."""
-    p = Path(path)
-    if p.is_file():
-        with open(p, "rb") as f:
-            if f.read(3) == quantize.QUANT_MAGIC[:3]:
-                return quantize.load(p)
-    return model.load(p)
+    try:
+        with open(path, "rb") as f:
+            magic = f.read(3)
+    except OSError as e:
+        raise CorruptFile(f"{path}: cannot read ({e.strerror})") from None
+    return (quantize.load if magic == quantize.QUANT_MAGIC[:3]
+            else model.load)(path)
 
 
 def _output_file(flag: str, path: str, inputs: dict[str, str]) -> str:

@@ -81,9 +81,10 @@ def read(path: str | Path, magic: bytes) -> Contents:
     """Check and parse a container of the kind magic names; each tensor is
     a fresh, writable array."""
     path = Path(path)
-    if not path.is_file():
-        raise CorruptFile(f"{path}: no such file")
-    blob = path.read_bytes()
+    try:
+        blob = path.read_bytes()
+    except OSError as e:     # missing, a directory or unreadable
+        raise CorruptFile(f"{path}: cannot read ({e.strerror})") from None
     if len(blob) < 12:
         raise CorruptFile(f"{path}: truncated at {len(blob)} bytes")
     if blob[:4] != magic:

@@ -150,14 +150,16 @@ def _parse_row(row: list[str], idx: dict[str, int]) -> None:
 
 @contextmanager
 def open_csv(path: Path):
-    """A csv.reader over path read as UTF-8. A byte that does not decode
+    """A csv.reader over path read as UTF-8, less a leading byte-order
+    mark. A file that cannot be opened or a byte that does not decode
     raises CorruptFile naming the file; csv.Error is the caller's."""
-    with open(path, newline="", encoding="utf-8") as f:
-        try:
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             yield csv.reader(f)
-        except UnicodeDecodeError as e:
-            raise CorruptFile(
-                f"{path}: not {e.encoding} text ({e.reason})") from None
+    except UnicodeDecodeError as e:
+        raise CorruptFile(f"{path}: not {e.encoding} text ({e.reason})") from None
+    except OSError as e:
+        raise CorruptFile(f"{path}: cannot read ({e.strerror})") from None
 
 
 def _numbered_rows(f: Path) -> list[tuple[int, list[str]]]:

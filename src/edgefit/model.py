@@ -126,17 +126,19 @@ class ModelParams:
         return zip((conv.name for conv in topology(self.config)), self.convs)
 
     def param_items(self):
-        """Yield (name, array) for every trainable tensor, fixed order.
+        """Yield (name, array) for every trainable tensor, fixed order:
+        each conv's w, gamma and beta, then head.w and head.b.
 
-        Running BN statistics are excluded; they are updated by momentum,
-        not by gradient descent.
+        A conv's bias b is left out: batch-statistics BN subtracts the
+        batch mean of w*x + b, so b cancels from the loss, and it matters
+        only through the bias fold_batchnorm writes. Running BN statistics
+        are left out too; they are updated by momentum, not by gradient
+        descent.
         """
         for name, layer in self.conv_layers():
             yield f"{name}.w", layer.w
-            yield f"{name}.b", layer.b
-            if not self.bn_folded:
-                yield f"{name}.gamma", layer.gamma
-                yield f"{name}.beta", layer.beta
+            yield f"{name}.gamma", layer.gamma
+            yield f"{name}.beta", layer.beta
         yield "head.w", self.head_w
         yield "head.b", self.head_b
 

@@ -208,11 +208,10 @@ def host_bench(m, n_runs: int = 50, seed: int = 0) -> BenchResult:
 def load_profiles(path: str | Path) -> list[PlatformProfile]:
     """Read profiles from delimited text: name, clock_hz, power_mw, time_ms,
     mac_count. The first non-blank row is a header, and skipped, when its
-    clock field is not a number. Names must be unique and non-empty, and
-    each MAC count integral."""
+    clock field is not a number. Names must be unique and non-empty, each
+    MAC count integral, and every number finite and positive; a row that
+    breaks a rule is CorruptFile naming its line."""
     path = Path(path)
-    if not path.is_file():
-        raise CorruptFile(f"profile file not found: {path}")
     try:
         with open_csv(path) as reader:
             rows = [(lineno, row) for lineno, row in enumerate(reader, start=1)
@@ -238,10 +237,11 @@ def load_profiles(path: str | Path) -> list[PlatformProfile]:
             if macs != int(macs):   # int(inf) overflows, int(nan) raises
                 raise ValueError(f"mac_count {row[4].strip()} is not an "
                                  f"integer")
-            profiles.append(PlatformProfile(name, *map(float, row[1:4]),
-                                            int(macs)))
-        except (ValueError, OverflowError) as e:
+            profile = PlatformProfile(name, *map(float, row[1:4]), int(macs))
+            profile.validate()
+        except (ValueError, OverflowError, InvalidConfig) as e:
             raise CorruptFile(f"{path}:{lineno}: {e}") from None
+        profiles.append(profile)
         first_line[name] = lineno
     if not profiles:
         raise CorruptFile(f"no profiles in {path}")

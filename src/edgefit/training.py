@@ -19,13 +19,8 @@ masks, 1.3 MB at width 52 and batch 64), and one kernels.conv1d_backward
 call unfolds the output gradient once for both the weight and the input
 gradient.
 
-No conv forms a bias gradient. BN subtracts the batch mean of z = w*x +
-b, so b cancels from the loss, and its gradient, dL/dz summed over the
-batch and length, is exactly zero; computed, it is rounding noise (7.5e-8
-at width 52, against 0.27 for gamma's) that Adam, which divides by the
-gradient's running RMS, would blow up into steps of about lr. Every conv
-bias is handed one shared array of exact zeros instead, so Adam leaves it
-at its initial bits.
+Batch-statistics BN cancels a conv's bias, so the trainer does not train
+it (ModelParams.param_items leaves it out).
 
 train_fold builds one workspace per fold, sized for min(batch_size, n)
 windows; a shorter last batch uses its leading rows. The validation pass
@@ -147,12 +142,11 @@ class Workspace:
     reads no strided operand (1.3 MB for the 10 convs at width 52 and
     batch 64); `out` holds the last ReLU output, the head's input. Shared
     buffers take the BN output before the ReLU, the flowing gradients, the
-    padded output gradient, each weight gradient, the zeros that stand
-    for every conv's bias gradient (see the module docstring) and, for one
-    block of kernels.BLOCK windows, the im2col patches and the weight
-    gradient's per-window products. A step writes everything with out=,
-    and a shorter batch of b windows uses the leading rows buf[:b], so a
-    step allocates nothing of the batch's size.
+    padded output gradient, each weight gradient and, for one block of
+    kernels.BLOCK windows, the im2col patches and the weight gradient's
+    per-window products. A step writes everything with out=, and a
+    shorter batch of b windows uses the leading rows buf[:b], so a step
+    allocates nothing of the batch's size.
     """
 
     def __init__(self, m: ModelParams, batch: int):
@@ -178,7 +172,6 @@ class Workspace:
         self.g_padded = np.zeros((batch, c, length + k - 1), dtype)
         self.dw = [np.empty_like(layer.w) for layer in m.convs]
         self.head_w = np.empty_like(m.head_w)
-        self.bias_grad = np.zeros(c, dtype)  # every conv's, read-only
 
     def operands(self, b: int) -> list[np.ndarray]:
         """The leading b rows of each conv's input, the interior of its pad
@@ -266,20 +259,19 @@ def _loss_and_dlogits(logits, targets, weights):
 
 def _step(ws: Workspace, m: ModelParams, x, targets, weights):
     """Gradients of the mean weighted CE loss for the len(x) windows of x,
-    computed in ws: (grads keyed like param_items, loss, _forward's
-    stats). The conv weight gradients are ws's own arrays, valid until
-    the next step, and every conv bias's gradient is ws's one array of
-    zeros. Conv i's ReLU mask is the one _forward kept, and one
-    kernels.conv1d_backward call gives its weight and input gradients;
-    the stem asks for no input gradient, since nothing reads it. An add
-    sends its gradient to both branches, so the one kept at a block's
-    last conv joins the input gradient of its first, conv.skip."""
+    computed in ws: (grads keyed by param_items in its order, loss,
+    _forward's stats). The conv weight gradients are ws's own arrays,
+    valid until the next step. Conv i's ReLU mask is the one _forward
+    kept, and one kernels.conv1d_backward call gives its weight and input
+    gradients; the stem asks for no input gradient, since nothing reads
+    it. An add sends its gradient to both branches, so the one kept at a
+    block's last conv joins the input gradient of its first, conv.skip."""
     b = x.shape[0]
     logits, stats = _forward(ws, m, x)
     operands = ws.operands(b)
     loss, dlogits = _loss_and_dlogits(logits, targets, weights)
 
-    grads: dict[str, np.ndarray] = {}
+    grads = dict.fromkeys(name for name, _ in m.param_items())
     grads["head.w"] = np.matmul(dlogits.T, operands[-1].reshape(b, -1),
                                 out=ws.head_w)
     grads["head.b"] = dlogits.sum(axis=0)
@@ -301,7 +293,6 @@ def _step(ws: Workspace, m: ModelParams, x, targets, weights):
             ws.g_padded[:b], layer.w, ws.padded[i][:b], da if i else None,
             ws.dw[i], patches=ws.patches[:b, :c_out * k],
             products=ws.products[:b, :c_out * k, :c_in])
-        grads[f"{name}.b"] = ws.bias_grad
         grads[f"{name}.gamma"] = dgamma
         grads[f"{name}.beta"] = dbeta
         if i == first:
@@ -331,10 +322,9 @@ def backward(m: ModelParams, x: np.ndarray, targets: np.ndarray,
 
 
 def init_adam(m: ModelParams) -> AdamState:
-    zeros = {name: np.zeros_like(p) for name, p in m.param_items()}
     return AdamState(t=0,
-                     m={k: v.copy() for k, v in zeros.items()},
-                     v={k: v.copy() for k, v in zeros.items()})
+                     m={name: np.zeros_like(p) for name, p in m.param_items()},
+                     v={name: np.zeros_like(p) for name, p in m.param_items()})
 
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
@@ -378,7 +368,7 @@ def _update_running_stats(m: ModelParams, stats) -> None:
 
 
 def _stack(windows: list[Window]):
-    x = np.stack([w.data for w in windows]).astype(np.float32)
+    x = np.stack([w.data for w in windows]).astype(np.float32, copy=False)
     y = np.array([w.label for w in windows], dtype=np.int64)
     wt = np.array([w.weight for w in windows], dtype=np.float32)
     return x, y, wt

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -137,6 +138,32 @@ class TestPrepare:
         assert_one_error_line(err, error)
         assert f"{data}{named}" in err
         assert not out.exists()
+
+    def test_directory_named_csv_is_data_error(self, capsys, pipeline,
+                                               tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        first = sorted(pipeline["data"].glob("*.csv"))[0]
+        (data / first.name).write_bytes(first.read_bytes())
+        (data / "zz.csv").mkdir()
+        out = tmp_path / "o"
+        code, stdout, err = run_cli(capsys, "prepare", "--dataset", str(data),
+                                    "--out", str(out))
+        assert code == cli.EXIT_DATA and not stdout
+        assert_one_error_line(err, "CorruptFile")
+        assert f"{data / 'zz.csv'}: cannot read" in err
+        assert not out.exists()
+
+    def test_byte_order_mark_prepares_same_windows(self, pipeline, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in pipeline["data"].glob("*.csv"):
+            (data / f.name).write_bytes(b"\xef\xbb\xbf" + f.read_bytes())
+        out = tmp_path / "prep"
+        assert cli.main(["prepare", "--dataset", str(data), "--out", str(out),
+                         "--fold", "1"]) == 0
+        assert ((out / "windows_fold1.efw").read_bytes()
+                == (pipeline["prep"] / "windows_fold1.efw").read_bytes())
 
     @pytest.mark.parametrize("flag, value", [("--stride", "0"),
                                              ("--fold", "x")])
@@ -624,9 +651,14 @@ class TestReport:
         assert "a" in out and "b" in out
 
     @pytest.mark.parametrize("row, code, error, named", [
-        ("b,nan,1.0,500,1000000", cli.EXIT_USAGE, "InvalidConfig", "'b'"),
-        ("b,1e6,inf,500,1000000", cli.EXIT_USAGE, "InvalidConfig", "'b'"),
-        ("b,1e6,1.0,nan,1000000", cli.EXIT_USAGE, "InvalidConfig", "'b'"),
+        ("b,nan,1.0,500,1000000", cli.EXIT_DATA, "CorruptFile",
+         "p.csv:2: profile 'b'"),
+        ("b,1e6,inf,500,1000000", cli.EXIT_DATA, "CorruptFile",
+         "p.csv:2: profile 'b'"),
+        ("b,1e6,1.0,nan,1000000", cli.EXIT_DATA, "CorruptFile",
+         "p.csv:2: profile 'b'"),
+        ("b,1e6,-5,500,1000000", cli.EXIT_DATA, "CorruptFile",
+         "p.csv:2: profile 'b'"),
         ("b,1e6,1.0,500,1e400", cli.EXIT_DATA, "CorruptFile", "p.csv:2:"),
         ("a,2e6,2.0,500,1000000", cli.EXIT_DATA, "CorruptFile",
          "p.csv:2: profile 'a' repeats line 1"),
@@ -679,6 +711,41 @@ class TestReport:
         assert code == cli.EXIT_USAGE and not out
         assert_one_error_line(err, "InvalidConfig")
         assert named in err
+
+
+class TestUnreadableInput:
+    """An input that exists but cannot be opened, here through a patched
+    open or Path.read_bytes (permissions do not bind a root user), is
+    CorruptFile naming it."""
+
+    @staticmethod
+    def deny(*args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    @pytest.mark.parametrize("module", ["cli", "container"])
+    def test_model(self, capsys, monkeypatch, pipeline, module):
+        if module == "cli":      # the magic peek of _sniff_model
+            monkeypatch.setattr(cli, "open", self.deny, raising=False)
+        else:
+            monkeypatch.setattr(Path, "read_bytes", self.deny)
+        code, out, err = run_cli(capsys, "eval", "--model",
+                                 str(pipeline["model"]), "--windows",
+                                 str(pipeline["windows"]))
+        assert code == cli.EXIT_DATA and not out
+        assert_one_error_line(err, "CorruptFile")
+        assert f"{pipeline['model']}: cannot read (Permission denied)" in err
+
+    @pytest.mark.parametrize("command", ["prepare", "report"])
+    def test_csv(self, capsys, monkeypatch, tmp_path, command):
+        path = tmp_path / "p.csv"
+        path.write_text("a,1e6,1.0,1000,1000000\n")
+        monkeypatch.setattr(dataset, "open", self.deny, raising=False)
+        flag = "--dataset" if command == "prepare" else "--profiles"
+        argv = ["--out", str(tmp_path / "o")] if command == "prepare" else []
+        code, out, err = run_cli(capsys, command, flag, str(path), *argv)
+        assert code == cli.EXIT_DATA and not out
+        assert_one_error_line(err, "CorruptFile")
+        assert f"{path}: cannot read (Permission denied)" in err
 
 
 class TestUsage:

@@ -122,6 +122,14 @@ class TestLoadRecordings:
         with pytest.raises(EmptyDataset):
             load_recordings(tmp_path / "nope")
 
+    def test_byte_order_mark_is_skipped(self, synth_dataset_dir, tmp_path):
+        """Files that start with a UTF-8 byte-order mark, as Excel's "CSV
+        UTF-8" export writes them, load to the unmarked files' recordings."""
+        for f in synth_dataset_dir.glob("*.csv"):
+            (tmp_path / f.name).write_bytes(b"\xef\xbb\xbf" + f.read_bytes())
+        assert_same_recordings(load_recordings(tmp_path),
+                               load_recordings(synth_dataset_dir))
+
     def test_duplicate_timestamp(self, tmp_path):
         path = tmp_path / "a.csv"
         write_csv(path, [row(0.0), row(0.0)])

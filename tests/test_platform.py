@@ -187,6 +187,13 @@ class TestProfileFile:
         with pytest.raises(CorruptFile, match=r"p\.csv:2: "):
             load_profiles(path)
 
+    def test_byte_order_mark(self, tmp_path):
+        rows = "x,1e6,1.0,1000,1000000\n"
+        path, marked = tmp_path / "p.csv", tmp_path / "marked.csv"
+        path.write_text(rows)
+        marked.write_bytes(b"\xef\xbb\xbf" + rows.encode())
+        assert load_profiles(marked) == load_profiles(path)
+
     def test_header_after_blank_lines(self, tmp_path):
         rows = ("name,clock_hz,power_mw,time_ms,mac_count\n"
                 "x,1e6,1.0,1000,1000000\ny,2e6,2.0,500,3.051812e6\n")
@@ -201,6 +208,7 @@ class TestProfileFile:
         ("x,2e6,2.0,500,1000000", r"p\.csv:2: profile 'x' repeats line 1"),
         (" ,2e6,2.0,500,1000000", r"p\.csv:2: empty profile name"),
         ("y,2e6,2.0,500,1.5", r"p\.csv:2: mac_count 1\.5 is not an integer"),
+        ("y,2e6,2.0,500,0", r"p\.csv:2: profile 'y' has non-positive"),
     ])
     def test_ambiguous_row_rejected(self, tmp_path, row, message):
         path = tmp_path / "p.csv"

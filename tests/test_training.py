@@ -84,8 +84,10 @@ def oracle_forward_train(m, x):
 
 def oracle_backward_train(m, x, targets, weights):
     """(grads, loss, [(mean + conv bias, var)] per conv) as training._step
-    returns them; dw is one tensordot of g with the forward's patches over
-    batch and length."""
+    returns them, grads also holding each conv's bias gradient {name}.b,
+    dL/dz summed over batch and length, which the trainer does not form;
+    dw is one tensordot of g with the forward's patches over batch and
+    length."""
     logits, tape = oracle_forward_train(m, x)
     loss, dlogits = training._loss_and_dlogits(logits, targets, weights)
 
@@ -205,23 +207,25 @@ class TestBackward:
         assert kink_fraction == 0.0
         assert max(per_tensor.values()) < 1e-3, per_tensor
 
-    def test_conv_bias_gradient_is_zero_under_bn(self, rng):
-        """BN subtracts the batch mean, so a per-channel conv bias cancels:
-        backward gives every conv bias exact zeros, in float32 and float64,
-        where the allocating oracle's bias gradient, dL/dz summed over batch
-        and length, is zero only up to rounding of the gamma gradient."""
+    def test_conv_bias_is_not_trained(self, rng):
+        """BN subtracts the batch mean, so a per-channel conv bias cancels
+        from the loss: backward returns the gradients of exactly the
+        tensors param_items names, no conv bias among them, in float32 and
+        float64, where the allocating oracle's bias gradient, dL/dz summed
+        over batch and length, is zero only up to rounding of the gamma
+        gradient."""
         for dtype in (np.float32, np.float64):
             m = astype(build(ModelConfig(width=4), seed=1), dtype)
             x, y, w = random_batch(rng, 3, dtype)
             grads, _ = backward(m, x, y, w)
             want, _, _ = oracle_backward_train(m, x, y, w)
-            for name, g in grads.items():
-                if name.endswith(".b") and name != "head.b":
-                    assert g.dtype == dtype and not g.any(), name
-                    gamma = want[name[:-1] + "gamma"]
-                    assert (np.abs(want[name]).max()
-                            <= 1e3 * np.finfo(dtype).eps
-                            * np.abs(gamma).max()), name
+            assert grads.keys() == {n for n, _ in m.param_items()}
+            assert all(g.dtype == dtype for g in grads.values())
+            for name, _, _ in named_convs(m):
+                assert f"{name}.b" not in grads, name
+                assert (np.abs(want[f"{name}.b"]).max()
+                        <= 1e3 * np.finfo(dtype).eps
+                        * np.abs(want[f"{name}.gamma"]).max()), name
 
     def test_duplicated_batch_leaves_gradients_unchanged(self, rng):
         m = astype(build(ModelConfig(width=4), seed=2), np.float64)
@@ -282,10 +286,9 @@ class TestWorkspaceTrainer:
         """Full and shorter-than-workspace batches, one and three im2col
         blocks (kernels.BLOCK windows each), one to three residual blocks
         of one to three convs (a one-conv block both starts and ends at
-        the same conv), float64: gradients within 1e-12 of the allocating
-        trainer's largest gradient (the conv-bias gradients are zero up to
-        rounding, so a per-tensor scale would be noise), loss and BN
-        statistics within 1e-12 relative."""
+        the same conv), float64: the gradient of every tensor param_items
+        names within 1e-12 of the allocating trainer's largest such
+        gradient, loss and BN statistics within 1e-12 relative."""
         config = ModelConfig(width=width, blocks=blocks, convs_per_block=convs)
         m = astype(build(config, seed=4), np.float64)
         x, y, w = random_batch(rng, b, np.float64)
@@ -293,14 +296,25 @@ class TestWorkspaceTrainer:
                                             m, x, y, w)
         want, want_loss, want_stats = oracle_backward_train(m, x, y, w)
         assert loss == pytest.approx(want_loss, rel=1e-12)
-        assert grads.keys() == want.keys()
-        scale = max(np.abs(g).max() for g in want.values())
-        for name, g in want.items():
-            assert np.abs(grads[name] - g).max() <= 1e-12 * scale, name
+        names = [n for n, _ in m.param_items()]
+        assert grads.keys() == set(names)
+        scale = max(np.abs(want[name]).max() for name in names)
+        for name in names:
+            assert np.abs(grads[name] - want[name]).max() <= 1e-12 * scale, name
         assert len(stats) == len(want_stats)
         for (mu, var, _), (want_mu, want_var) in zip(stats, want_stats):
             np.testing.assert_allclose(mu, want_mu, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(var, want_var, rtol=1e-12)
+
+    @pytest.mark.parametrize("blocks, convs", [(1, 1), (3, 1), (3, 3)])
+    def test_gradients_keyed_in_param_items_order(self, rng, blocks, convs):
+        """A step's gradients are keyed by the names param_items yields, in
+        its order, which is the order adam_step walks."""
+        m = build(ModelConfig(width=4, blocks=blocks, convs_per_block=convs),
+                  seed=4)
+        grads, _, _ = training._step(training.Workspace(m, 3), m,
+                                     *random_batch(rng, 3, np.float32))
+        assert list(grads) == [n for n, _ in m.param_items()]
 
     def test_leading_rows_bit_identical_to_sized_workspace(self, rng):
         """A 5-window batch through the first rows of an 8-window workspace
