@@ -261,7 +261,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("eval", help="evaluate a float or quantized model")
-    p.add_argument("--model", required=True, help="EFM2 or EFQ3 file")
+    p.add_argument("--model", required=True, help="EFM3 or EFQ3 file")
     p.add_argument("--windows", required=True)
     p.add_argument("--fold", type=int, default=None,
                    help="evaluate only this subject's windows")

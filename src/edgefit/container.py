@@ -1,9 +1,9 @@
 """The one binary container behind every file edgefit writes: windows
-(EFW2), float models (EFM2) and int8 models (EFQ3).
+(EFW2), float models (EFM3) and int8 models (EFQ3).
 
 Layout, integers little-endian:
 
-    magic        4 bytes naming the kind and its version, e.g. b"EFM2"
+    magic        4 bytes naming the kind and its version, e.g. b"EFM3"
     header_len   u32
     header       header_len bytes of JSON with sorted keys:
                  {"meta": {...}, "tensors": [[name, dtype, shape], ...]}

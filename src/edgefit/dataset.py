@@ -18,6 +18,7 @@ import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -162,19 +163,24 @@ def open_csv(path: Path):
         raise CorruptFile(f"{path}: cannot read ({e.strerror})") from None
 
 
+def numbered_records(reader) -> Iterator[tuple[int, list[str]]]:
+    """Each non-blank record left in the csv.reader, with the physical line
+    it starts on: a quoted field may span lines, so a record's number is
+    not its ordinal."""
+    start = reader.line_num + 1
+    for row in reader:
+        if any(map(str.strip, row)):
+            yield start, row
+        start = reader.line_num + 1
+
+
 def _numbered_rows(f: Path) -> list[tuple[int, list[str]]]:
     """f's non-blank data records, each with the physical line it starts on
-    (the header is line 1; a quoted field may span lines). Only an error
-    that names a line reads a file this way."""
+    (the header is line 1). Only an error that names a line reads a file
+    this way."""
     with open_csv(f) as reader:
         next(reader, None)
-        numbered = []
-        start = reader.line_num + 1
-        for row in reader:
-            if any(map(str.strip, row)):
-                numbered.append((start, row))
-            start = reader.line_num + 1
-    return numbered
+        return list(numbered_records(reader))
 
 
 def _read_csv(f: Path, number: int) -> tuple | None:

@@ -56,11 +56,11 @@ so the bits are conv1d's), and the patches times the block's input
 interior, transposed, are the weight gradient's per-window products, in
 which tap t is patch row K-1-t. A vector of ones times a block's
 products, one GEMV, sums them over the block, in half the time of a sum
-over numpy's axis 0 (7 against 14 us a 16-window block at width 52). It
-forms the weight gradient only: the trainer's convs feed batch-statistics
-BN, which makes a conv bias's gradient exactly zero. Both conv kernels
-take optional output buffers in numpy's out= idiom; without them every
-result is allocated, with the same bits.
+over numpy's axis 0 (7 against 14 us a 16-window block at width 52). The
+convs have no bias: each feeds BN, whose beta is its one per-channel
+offset (model.ConvLayer), so no kernel adds or differentiates one. Both
+conv kernels take optional output buffers in numpy's out= idiom; without
+them every result is allocated, with the same bits.
 
 float_checked is the package's one float32 overflow guard (below).
 """
@@ -148,8 +148,7 @@ def conv1d_backward(g_padded: np.ndarray, w: np.ndarray, padded: np.ndarray,
     """The weight gradient dw (C_out, C_in, K) of conv1d(padded, w), given
     dL/dy zero-bordered as g_padded (B, C_out, L+K-1); dx (B, C_in, L), if
     given, receives the input gradient, and without it none is formed.
-    No bias gradient is formed: the trainer's convs feed batch-statistics
-    BN, under which it is exactly zero.
+    The convs have no bias, so there is no bias gradient.
 
     Each block of BLOCK windows is unfolded once by im2col into patches
     (min(B, BLOCK), C_out*K, L). The (C_in, C_out*K) flipped kernel times
@@ -208,14 +207,14 @@ def interior(padded: np.ndarray, kernel: int) -> np.ndarray:
     return padded[..., pad:padded.shape[-1] - pad]
 
 
-def conv1d_same_batch(padded: np.ndarray, w: np.ndarray, b: np.ndarray,
+def conv1d_same_batch(padded: np.ndarray, w: np.ndarray,
                       out: np.ndarray | None = None, *,
                       patches: np.ndarray | None = None) -> np.ndarray:
-    """conv1d of the padded batch (B, C_in, L+K-1) plus a bias b (C_out,),
-    with its operands' shapes checked; out and patches as for conv1d."""
+    """conv1d of the padded batch (B, C_in, L+K-1), with its operands'
+    shapes checked; out and patches as for conv1d."""
     # one test when the shapes fit; each is checked by name only if not
     if not (padded.ndim == w.ndim == 3 and w.shape[2] % 2 == 1
-            and padded.shape[1] == w.shape[1] and b.shape == w.shape[:1]):
+            and padded.shape[1] == w.shape[1]):
         _require(padded.ndim == 3,
                  "conv input must be (B, C, L+K-1), got shape %s",
                  padded.shape)
@@ -226,11 +225,7 @@ def conv1d_same_batch(padded: np.ndarray, w: np.ndarray, b: np.ndarray,
         _require(padded.shape[1] == w.shape[1],
                  "input channels %d != weight C_in %d", padded.shape[1],
                  w.shape[1])
-        _require(b.shape == w.shape[:1], "bias shape %s != (%d,)", b.shape,
-                 w.shape[0])
-    y = conv1d(padded, w, out, patches=patches)
-    y += b[:, None]
-    return y
+    return conv1d(padded, w, out, patches=patches)
 
 
 def batchnorm_infer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,

@@ -29,7 +29,7 @@ import numpy as np
 from . import container, kernels
 from .errors import CorruptFile, InvalidConfig, ShapeMismatch
 
-MODEL_MAGIC = b"EFM2"
+MODEL_MAGIC = b"EFM3"
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,12 @@ def topology(config: ModelConfig) -> tuple[Conv, ...]:
 
 @dataclass
 class ConvLayer:
-    """One convolution with its batch-normalization parameters."""
+    """One convolution with its batch-normalization parameters. The conv
+    has no bias: BN subtracts its batch mean, so beta is the conv's one
+    per-channel offset, BN's shift while the model is unfolded and the
+    conv's bias once fold_batchnorm has folded it."""
 
     w: np.ndarray       # (C_out, C_in, K)
-    b: np.ndarray       # (C_out,)
     gamma: np.ndarray   # (C_out,)
     beta: np.ndarray
     mean: np.ndarray    # running mean
@@ -127,13 +129,9 @@ class ModelParams:
 
     def param_items(self):
         """Yield (name, array) for every trainable tensor, fixed order:
-        each conv's w, gamma and beta, then head.w and head.b.
-
-        A conv's bias b is left out: batch-statistics BN subtracts the
-        batch mean of w*x + b, so b cancels from the loss, and it matters
-        only through the bias fold_batchnorm writes. Running BN statistics
-        are left out too; they are updated by momentum, not by gradient
-        descent.
+        each conv's w, gamma and beta, then head.w and head.b. Running BN
+        statistics are left out; they are updated by momentum, not by
+        gradient descent.
         """
         for name, layer in self.conv_layers():
             yield f"{name}.w", layer.w
@@ -164,7 +162,6 @@ def build(config: ModelConfig, seed: int) -> ModelParams:
         k = config.kernel
         return ConvLayer(
             w=he_uniform((c_out, c_in, k), c_in * k),
-            b=np.zeros(c_out, dtype=np.float32),
             gamma=np.ones(c_out, dtype=np.float32),
             beta=np.zeros(c_out, dtype=np.float32),
             mean=np.zeros(c_out, dtype=np.float32),
@@ -254,12 +251,13 @@ def forward_batch(m: ModelParams, x: np.ndarray,
     model keeps. A call allocates only the (B, classes) logits and a
     block's small temporaries, and its loop over the convs only calls
     kernels: each conv is kernels.conv1d_same_batch of its pad buffer into
-    the output buffer, looked up in kernels at call time, where the bias,
-    BN unless folded (in batchnorm_infer's order) and a residual add run
-    in place before the ReLU writes the next conv's operand; the last
-    conv's ReLU runs in place, and kernels.dense_batch reads the block's
-    head input from the output buffer. Every parameter is read at call
-    time, so an in-place edit or a rebound array reaches the next call.
+    the output buffer, looked up in kernels at call time, where BN's mean
+    and scale unless folded (in batchnorm_infer's order), then beta and a
+    residual add run in place before the ReLU writes the next conv's
+    operand; the last conv's ReLU runs in place, and kernels.dense_batch
+    reads the block's head input from the output buffer. Every parameter
+    is read at call time, so an in-place edit or a rebound array reaches
+    the next call.
 
     Every float output of a window, its logits included, is
     batch-invariant: it equals a layer-by-layer run's bit for bit,
@@ -297,12 +295,12 @@ def forward_batch(m: ModelParams, x: np.ndarray,
         np.copyto(inputs, block)
         for layer, (operand, patches, out, skip, relu_out, name,
                     relu_name) in zip(m.convs, steps):
-            y = kernels.conv1d_same_batch(operand, layer.w, layer.b, out,
+            y = kernels.conv1d_same_batch(operand, layer.w, out,
                                           patches=patches)
             if not m.bn_folded:     # in batchnorm_infer's order
                 y -= layer.mean[:, None]
                 y *= (layer.gamma / np.sqrt(layer.var + cfg.bn_eps))[:, None]
-                y += layer.beta[:, None]
+            y += layer.beta[:, None]
             if skip is not None:
                 if capture is not None:
                     capture(name, y)
@@ -413,18 +411,18 @@ def count_macs(config: ModelConfig) -> MacReport:
 
 def fold_batchnorm(m: ModelParams) -> ModelParams:
     """Absorb every BN into its convolution: w' = w*g/sqrt(v+eps) per output
-    channel, b' = (b-mean)*g/sqrt(v+eps)+beta. The result skips BN entirely
-    (its BN parameters are identity and bn_eps is zeroed, so folding again
-    is a no-op)."""
+    channel, and beta' = beta - mean*g/sqrt(v+eps) becomes the conv's bias.
+    The result skips BN's mean and scale (gamma 1, mean 0, var 1 and
+    bn_eps 0, which load requires of a folded file), so folding again is
+    a no-op."""
     out = copy.deepcopy(m)
     eps = m.config.bn_eps if not m.bn_folded else 0.0
     for layer in out.convs:
         scale = (layer.gamma / np.sqrt(layer.var + eps)).astype(np.float32)
         layer.w = (layer.w * scale[:, None, None]).astype(np.float32)
-        layer.b = ((layer.b - layer.mean) * scale + layer.beta).astype(np.float32)
-        c = layer.b.shape[0]
+        layer.beta = (layer.beta - layer.mean * scale).astype(np.float32)
+        c = layer.beta.shape[0]
         layer.gamma = np.ones(c, dtype=np.float32)
-        layer.beta = np.zeros(c, dtype=np.float32)
         layer.mean = np.zeros(c, dtype=np.float32)
         layer.var = np.ones(c, dtype=np.float32)
     out.config = dataclasses.replace(m.config, bn_eps=0.0)
@@ -454,7 +452,7 @@ def config_from_meta(contents: container.Contents) -> ModelConfig:
 
 
 def save(m: ModelParams, path: str | Path) -> None:
-    """Write an EFM2 container (layout in edgefit.container): config and
+    """Write an EFM3 container (layout in edgefit.container): config and
     bn_folded as metadata, and every tensor of all_tensors() by name."""
     container.write(path, MODEL_MAGIC,
                     {"config": dataclasses.asdict(m.config),
@@ -463,24 +461,32 @@ def save(m: ModelParams, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> ModelParams:
-    """Read an EFM2 file: every tensor must have the dtype and shape of the
-    one build gives for the file's config, and be finite, and no running
-    variance may be negative, nor zero where the BN eps fold_batchnorm
-    adds to it (bn_eps, or 0 once folded) is 0. The model holds the
-    file's arrays themselves, each fresh and writable (container.read),
-    so nothing is drawn or copied for it."""
+    """Read an EFM3 file: every tensor must have the dtype and shape of the
+    one build gives for the file's config, and be finite. A folded file
+    must hold fold_batchnorm's identity statistics, every gamma and var 1
+    and every mean 0: forward_batch skips them, so any other value would
+    make forward_batch and a second fold_batchnorm run different
+    networks. In an unfolded file no running variance may be negative,
+    nor zero where bn_eps, which fold_batchnorm adds to it, is 0. The
+    model holds the file's arrays themselves, each fresh and writable
+    (container.read), so nothing is drawn or copied for it."""
     contents = container.read(path, MODEL_MAGIC)
     config = config_from_meta(contents)
     bn_folded = contents.meta.get("bn_folded")
     if not isinstance(bn_folded, bool):
         raise CorruptFile(f"{contents.path}: bn_folded is {bn_folded!r}")
-    eps = 0.0 if bn_folded else config.bn_eps
+    identity = {"gamma": 1, "mean": 0, "var": 1} if bn_folded else {}
 
     def take(name, shape):
         arr = contents.take(name, "<f4", shape)
         if not np.isfinite(arr).all():
             raise CorruptFile(f"{contents.path}: tensor {name} is not finite")
-        if name.endswith(".var") and (arr <= 0 if eps == 0 else arr < 0).any():
+        want = identity.get(name.rpartition(".")[2])
+        if want is not None and (arr != want).any():
+            raise CorruptFile(f"{contents.path}: tensor {name} of a BN-folded "
+                              f"model is not {want} throughout")
+        if name.endswith(".var") and (
+                arr <= 0 if config.bn_eps == 0 else arr < 0).any():
             raise CorruptFile(f"{contents.path}: tensor {name} holds a "
                               f"negative variance, or a zero one with eps 0")
         return arr

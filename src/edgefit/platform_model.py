@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import RATE_HZ, open_csv
+from .dataset import RATE_HZ, numbered_records, open_csv
 from .errors import CorruptFile, FewerThanTwoProfiles, InvalidConfig
 from . import kernels
 from . import model as model_mod
@@ -214,8 +214,7 @@ def load_profiles(path: str | Path) -> list[PlatformProfile]:
     path = Path(path)
     try:
         with open_csv(path) as reader:
-            rows = [(lineno, row) for lineno, row in enumerate(reader, start=1)
-                    if any(map(str.strip, row))]
+            rows = list(numbered_records(reader))
     except csv.Error as e:   # e.g. a field longer than csv's limit
         raise CorruptFile(f"{path}: {e}") from None
     if rows and not _is_number([*rows[0][1], ""][1]):

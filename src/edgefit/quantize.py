@@ -438,13 +438,13 @@ def _quantize_conv(name: str, w: np.ndarray, b: np.ndarray,
 def quantize_model(folded: ModelParams, stats: CalibStats) -> QuantModel:
     """Build the int8 model from a folded float model and the range of
     every activation in activation_names; it passes check_quant_invariants,
-    so its plan can be laid out."""
+    so its plan can be laid out. A folded conv's beta is its bias."""
     if not folded.bn_folded:
         raise InvalidConfig("quantize_model expects a BN-folded model")
     names = activation_names(folded.config)
     specs = {name: activation_spec(*stats.range_of(name)) for name in names}
-    convs = [_quantize_conv(conv.name, layer.w, layer.b, specs[conv.reads],
-                            specs[f"{conv.name}.out"])
+    convs = [_quantize_conv(conv.name, layer.w, layer.beta,
+                            specs[conv.reads], specs[f"{conv.name}.out"])
              for conv, layer in zip(topology(folded.config), folded.convs)]
     head = QLayer(*_quantize_weights("head", folded.head_w, folded.head_b,
                                      specs[names[-1]].scale, 0.0))

@@ -19,9 +19,6 @@ masks, 1.3 MB at width 52 and batch 64), and one kernels.conv1d_backward
 call unfolds the output gradient once for both the weight and the input
 gradient.
 
-Batch-statistics BN cancels a conv's bias, so the trainer does not train
-it (ModelParams.param_items leaves it out).
-
 train_fold builds one workspace per fold, sized for min(batch_size, n)
 windows; a shorter last batch uses its leading rows. The validation pass
 is one model.forward_batch call over every validation window, which runs
@@ -217,10 +214,10 @@ def _forward(ws: Workspace, m: ModelParams, x: np.ndarray):
     """Forward pass with batch-statistics BN through ws's leading len(x)
     rows, leaving every operand and centred activation zc in ws; the BN
     output is h = zc*(gamma*inv) + beta, with both per-channel factors
-    applied as (C, L) rows. Returns the logits and
-    one (mean + conv bias, var, 1/sqrt(var+eps)) per conv, in topology
-    order. A conv with an add, a block's last, adds the block's input,
-    operand conv.skip, before its ReLU."""
+    applied as (C, L) rows. Returns the logits and one (mean, var,
+    1/sqrt(var+eps)) per conv, in topology order. A conv with an add, a
+    block's last, adds the block's input, operand conv.skip, before its
+    ReLU."""
     b = x.shape[0]
     operands = ws.operands(b)
     operands[0][...] = x
@@ -231,7 +228,6 @@ def _forward(ws: Workspace, m: ModelParams, x: np.ndarray):
         zc = ws.zc[i][:b]
         kernels.conv1d(ws.padded[i][:b], layer.w, zc,
                        patches=ws.patches[:b, :c_in * k])
-        # the conv bias only shifts the batch mean, which BN subtracts
         mu, var, inv = _bn_normalize(zc, m.config.bn_eps)
         h = ws.h[:b]
         np.multiply(zc, kernels.channel_rows(layer.gamma * inv, length), out=h)
@@ -240,7 +236,7 @@ def _forward(ws: Workspace, m: ModelParams, x: np.ndarray):
             h += operands[conv.skip]
         np.greater(h, 0, out=ws.masks[i][:b])
         np.maximum(h, 0, out=operands[i + 1])
-        stats.append((mu + layer.b, var, inv))
+        stats.append((mu, var, inv))
     logits = kernels.dense_batch(operands[-1].reshape(b, -1), m.head_w,
                                  m.head_b)
     return logits, stats

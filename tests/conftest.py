@@ -47,18 +47,25 @@ def astype(m, dtype):
     float64 gradient oracles of test_training.py and criterion 4."""
     out = copy.deepcopy(m)
     for _, layer in out.conv_layers():
-        for a in ("w", "b", "gamma", "beta", "mean", "var"):
+        for a in ("w", "gamma", "beta", "mean", "var"):
             setattr(layer, a, getattr(layer, a).astype(dtype))
     out.head_w = out.head_w.astype(dtype)
     out.head_b = out.head_b.astype(dtype)
     return out
 
 
-def conv1d_same(x, w, b):
-    """Cross-correlation of a single window (C_in, L) -> (C_out, L)."""
+def conv1d_same(x, w, b=None):
+    """Cross-correlation of a single window (C_in, L) -> (C_out, L), plus
+    the bias b (C_out,), if given, added after the kernel call: the
+    model's convs have none, the kernel tests' oracle cases do."""
     if x.ndim != 2:
         raise ShapeMismatch(f"conv input must be (C, L), got shape {x.shape}")
-    return kernels.conv1d_same_batch(same_padded(x[None], w), w, b)[0]
+    y = kernels.conv1d_same_batch(same_padded(x[None], w), w)[0]
+    if b is None:
+        return y
+    if b.shape != w.shape[:1]:
+        raise ShapeMismatch(f"bias shape {b.shape} != ({w.shape[0]},)")
+    return y + b[:, None]
 
 
 def same_padded(x, w):
@@ -109,13 +116,12 @@ def layerwise_forward(m, x, capture=None):
 
     def bn(layer, t):
         if m.bn_folded:
-            return t
+            return t + layer.beta[:, None]
         return kernels.batchnorm_infer(t, layer.gamma, layer.beta,
                                        layer.mean, layer.var, cfg.bn_eps)
 
     def conv(layer, t):
-        return kernels.conv1d_same_batch(same_padded(t, layer.w), layer.w,
-                                         layer.b)
+        return kernels.conv1d_same_batch(same_padded(t, layer.w), layer.w)
 
     def record(name, arr):
         if capture is not None:

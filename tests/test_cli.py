@@ -515,6 +515,33 @@ class TestEval:
             assert_one_error_line(err, "VersionMismatch")
             assert f"magic {magic!r}, expected b'EFQ3'" in err
 
+    def test_efm2_model_is_data_error(self, capsys, pipeline, tmp_path):
+        # EFM2 files held an all-zero bias per conv
+        old = tmp_path / "old.efm"
+        old.write_bytes(b"EFM2" + pipeline["model"].read_bytes()[4:])
+        code, stdout, err = run_cli(capsys, "eval", "--model", str(old),
+                                    "--windows", str(pipeline["windows"]))
+        assert code == cli.EXIT_DATA and not stdout
+        assert_one_error_line(err, "VersionMismatch")
+        assert "magic b'EFM2', expected b'EFM3'" in err
+
+    def test_folded_model_with_bn_statistics_is_data_error(
+            self, capsys, pipeline, tmp_path):
+        """A folded file whose gamma is not 1: eval would skip it and
+        quantize's fold apply it, so neither runs."""
+        folded = tmp_path / "folded.efm"
+        model.save(model.fold_batchnorm(model.load(pipeline["model"])),
+                   folded)
+        contents = container.read(folded, model.MODEL_MAGIC)
+        contents.tensors["b0.c0.gamma"][1] = 2.0
+        container.write(folded, model.MODEL_MAGIC, contents.meta,
+                        contents.tensors)
+        code, stdout, err = run_cli(capsys, "eval", "--model", str(folded),
+                                    "--windows", str(pipeline["windows"]))
+        assert code == cli.EXIT_DATA and not stdout
+        assert_one_error_line(err, "CorruptFile")
+        assert "tensor b0.c0.gamma of a BN-folded model" in err
+
 
 ELEMENT_VALUES = (float("nan"), float("inf"), -float("inf"), 1e38, -1e38, 0.0)
 META_VALUES = (-1, 2 ** 31, 0.5, "x")
@@ -666,6 +693,9 @@ class TestReport:
          "p.csv:2: empty profile name"),
         ("b,2e6,2.0,500,1.5", cli.EXIT_DATA, "CorruptFile",
          "p.csv:2: mac_count 1.5 is not an integer"),
+        # a quoted name over lines 2-3 is one record; errors name lines
+        ('"b\nc",1e6,1.0,500,1000000\nd,0,1.0,500,1000000', cli.EXIT_DATA,
+         "CorruptFile", "p.csv:4: profile 'd'"),
     ])
     def test_non_finite_profile_field(self, capsys, tmp_path, row, code,
                                       error, named):

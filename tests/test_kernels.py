@@ -107,7 +107,7 @@ class TestConv1dSame:
         x = rng.standard_normal((5, 3, 12)).astype(np.float32)
         w = rng.standard_normal((4, 3, 3)).astype(np.float32)
         b = rng.standard_normal(4).astype(np.float32)
-        batched = kernels.conv1d_same_batch(same_padded(x, w), w, b)
+        batched = kernels.conv1d_same_batch(same_padded(x, w), w) + b[:, None]
         for i in range(5):
             np.testing.assert_array_equal(batched[i],
                                           conv1d_same(x[i], w, b))
@@ -117,11 +117,10 @@ class TestConv1dSame:
         written into out."""
         x = rng.standard_normal((5, 4, 12)).astype(np.float32)
         w = rng.standard_normal((4, 4, 3)).astype(np.float32)
-        b = rng.standard_normal(4).astype(np.float32)
         padded = same_padded(x, w)
-        expected = kernels.conv1d_same_batch(padded, w, b)
+        expected = kernels.conv1d_same_batch(padded, w)
         out = np.empty_like(x)
-        y = kernels.conv1d_same_batch(padded, w, b, out,
+        y = kernels.conv1d_same_batch(padded, w, out,
                                       patches=np.empty((5, 12, 12), np.float32))
         assert y is out
         np.testing.assert_array_equal(y, expected)
@@ -455,9 +454,9 @@ class TestSoftmax:
 def test_kernels_are_pure(rng):
     x = rng.standard_normal((3, 10)).astype(np.float32)
     w = rng.standard_normal((4, 3, 3)).astype(np.float32)
-    b = rng.standard_normal(4).astype(np.float32)
-    first = conv1d_same(x, w, b)
-    second = conv1d_same(x.copy(), w.copy(), b.copy())
+    padded = same_padded(x[None], w)
+    first = kernels.conv1d_same_batch(padded, w)[0]
+    second = kernels.conv1d_same_batch(padded.copy(), w.copy())[0]
     assert np.array_equal(first, second)
     np.testing.assert_array_equal(kernels.softmax(first[:, 0]),
                                   kernels.softmax(first[:, 0]))

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -126,12 +127,12 @@ class TestForward:
                                            layer.mean, layer.var, cfg.bn_eps)
 
         stem, blocks = regrouped(m.convs, cfg)
-        a = kernels.relu(bn(stem, conv1d_same(x, stem.w, stem.b)))
+        a = kernels.relu(bn(stem, conv1d_same(x, stem.w)))
         for blk in blocks:
             skip = a
-            h = kernels.relu(bn(blk[0], conv1d_same(a, blk[0].w, blk[0].b)))
-            h = kernels.relu(bn(blk[1], conv1d_same(h, blk[1].w, blk[1].b)))
-            h = bn(blk[2], conv1d_same(h, blk[2].w, blk[2].b))
+            h = kernels.relu(bn(blk[0], conv1d_same(a, blk[0].w)))
+            h = kernels.relu(bn(blk[1], conv1d_same(h, blk[1].w)))
+            h = bn(blk[2], conv1d_same(h, blk[2].w))
             a = kernels.relu(kernels.add(h, skip))
         expected = dense(a.reshape(-1), m.head_w, m.head_b)
         np.testing.assert_allclose(forward(m, x), expected, atol=1e-6)
@@ -148,7 +149,6 @@ class TestForward:
         m = build(ModelConfig(width=4, bn_eps=0.0), seed=0)
         for layer in m.convs[1:]:
             layer.w[:] = 0
-            layer.b[:] = 0
         x = rng.standard_normal((1, 7, 40)).astype(np.float32)
         _, capture = captured(m, x)
         stem_out = capture["stem.out"]
@@ -353,7 +353,7 @@ class TestForwardPlan:
         before = model.forward_batch(m, x)
         if edit == "weight":
             m.convs[4].w *= 1.5
-            m.convs[4].b += 0.25
+            m.convs[4].beta += 0.25
         elif edit == "running_stats":
             layer = m.convs[3]
             layer.mean = layer.mean + 0.5
@@ -440,7 +440,7 @@ class TestFoldBatchnorm:
         m = build(ModelConfig(width=4, bn_eps=0.0), seed=0)
         folded = fold_batchnorm(m)
         np.testing.assert_array_equal(folded.convs[0].w, m.convs[0].w)
-        np.testing.assert_array_equal(folded.convs[0].b, m.convs[0].b)
+        np.testing.assert_array_equal(folded.convs[0].beta, m.convs[0].beta)
         assert folded.bn_folded
 
     def test_equivalence_on_random_model(self, rng):
@@ -537,10 +537,10 @@ class TestModelFile:
 
     @staticmethod
     def forged(tmp_path, kind, edit):
-        """A checksummed width-4 EFM2 or EFQ3 file after edit(contents)."""
+        """A checksummed width-4 EFM3 or EFQ3 file after edit(contents)."""
         m = fold_batchnorm(randomize_bn(build(ModelConfig(width=4), seed=0)))
         path = tmp_path / kind
-        if kind == "EFM2":
+        if kind == "EFM3":
             model.save(m, path)
         else:
             quantize.save(quantize.quantize_model(m, quantize.calibrate(
@@ -548,9 +548,9 @@ class TestModelFile:
         contents = container.read(path, kind.encode())
         edit(contents)
         container.write(path, kind.encode(), contents.meta, contents.tensors)
-        return path, {"EFM2": model.load, "EFQ3": quantize.load}[kind]
+        return path, {"EFM3": model.load, "EFQ3": quantize.load}[kind]
 
-    @pytest.mark.parametrize("kind", ["EFM2", "EFQ3"])
+    @pytest.mark.parametrize("kind", ["EFM3", "EFQ3"])
     @pytest.mark.parametrize("field, value", [
         ("blocks", 2 ** 31), ("convs_per_block", 2 ** 31),
         ("bn_eps", 1e308), ("bn_eps", 10 ** 400)])
@@ -573,17 +573,48 @@ class TestModelFile:
             load(path)
 
     @pytest.mark.parametrize("name, value", [
-        ("stem.w", float("nan")), ("b0.c1.b", float("inf")),
+        ("stem.w", float("nan")), ("b0.c1.beta", float("inf")),
         ("head.w", -float("inf")), ("b1.c0.var", float("nan")),
         ("b2.c2.var", -1.0),
-        # the forged file is folded, so fold_batchnorm would divide by
-        # sqrt(0 + 0)
-        ("stem.var", 0.0)])
+        # the forged file is folded, so its variances must be 1
+        ("stem.var", 0.0),
+        # and every gamma 1 and mean 0: forward_batch skips them, and
+        # fold_batchnorm would apply them
+        ("b0.c0.gamma", 2.0), ("b0.c0.mean", 0.5), ("b0.c0.var", 4.0)])
     def test_non_finite_tensor_or_negative_variance_is_corrupt(
             self, tmp_path, name, value):
         def edit(contents):
             contents.tensors[name].flat[1] = value
 
-        path, load = self.forged(tmp_path, "EFM2", edit)
+        path, load = self.forged(tmp_path, "EFM3", edit)
         with pytest.raises(CorruptFile, match=f"tensor {name} "):
             load(path)
+
+    @pytest.mark.parametrize("folded, digest", [
+        (False,
+         "fdf011d65dfac532c4569093fc64587e0954358331fa66343d598ef3af07e565"),
+        (True,
+         "4902eee55749e36882a58f0458c725ff1012bf82a70f7d9fa3dbf563e9b2aa0f"),
+    ])
+    def test_efm3_bytes_pinned(self, tmp_path, folded, digest):
+        """The SHA-256 of the EFM3 bytes of build(width 8, seed 0) and of
+        its BN-folded randomize_bn copy: a pin of the file format, of
+        build's draws and of fold_batchnorm's float32 arithmetic, each
+        step of which is one correctly rounded IEEE operation."""
+        m = build(ModelConfig(width=8), seed=0)
+        if folded:
+            m = fold_batchnorm(randomize_bn(m))
+        path = tmp_path / "m.efm"
+        model.save(m, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_efm3_tensors(self, tmp_path):
+        """The default topology's EFM3 file holds five tensors per conv,
+        with no conv bias, then the head's two: 52 in all."""
+        path = tmp_path / "m.efm"
+        model.save(build(ModelConfig(), seed=0), path)
+        convs = ["stem"] + [f"b{i}.c{j}" for i in range(3) for j in range(3)]
+        assert list(container.read(path, b"EFM3").tensors) == [
+            f"{conv}.{field}" for conv in convs
+            for field in ("w", "gamma", "beta", "mean", "var")
+        ] + ["head.w", "head.b"]

@@ -326,13 +326,13 @@ class TestCalibrate:
 
     def test_all_zero_relu_site(self, tmp_path):
         """A conv whose ReLU output is 0 on every window (zero weights, a
-        negative bias) ranges to (0, 0), as the two-sided rule gives, and
+        negative folded beta, its bias) ranges to (0, 0), as the two-sided rule gives, and
         quantizes with the range floor."""
         folded = fold_batchnorm(randomize_bn(build(ModelConfig(width=8),
                                                    seed=6)))
         layer = folded.convs[2]                       # b0.c1
         layer.w[...] = 0
-        layer.b[...] = -0.5
+        layer.beta[...] = -0.5
         ranges = self.check_one_window_at_a_time(
             folded, make_random_windows(40, seed=7), tmp_path)
         assert ranges["b0.c1.out"] == (0.0, 0.0)
@@ -951,7 +951,7 @@ class TestExactFloatGemm:
         """An all-zero weight channel gets a weight scale floored so its
         bias fits int32 and its shift n stays <= 30."""
         folded = fold_batchnorm(build(ModelConfig(width=8), seed=3))
-        w, b = ((folded.convs[1].w, folded.convs[1].b) if site == "conv"
+        w, b = ((folded.convs[1].w, folded.convs[1].beta) if site == "conv"
                 else (folded.head_w, folded.head_b))
         w[3] = 0
         b[3] = bias

@@ -69,7 +69,6 @@ def oracle_forward_train(m, x):
         z = kernels.conv1d(padded, layer.w)
         entry["patches"] = kernels.im2col(padded, layer.w.shape[2],
                                           a.shape[2])
-        z += layer.b[:, None]
         h, entry["bn"] = oracle_bn_train_forward(z, layer.gamma, layer.beta, eps)
         if pos == last:
             h = h + skip
@@ -83,11 +82,11 @@ def oracle_forward_train(m, x):
 
 
 def oracle_backward_train(m, x, targets, weights):
-    """(grads, loss, [(mean + conv bias, var)] per conv) as training._step
-    returns them, grads also holding each conv's bias gradient {name}.b,
-    dL/dz summed over batch and length, which the trainer does not form;
-    dw is one tensordot of g with the forward's patches over batch and
-    length."""
+    """(grads, loss, [(mean, var)] per conv) as training._step returns
+    them, grads also holding under {name}.b the gradient a conv bias would
+    have, dL/dz summed over batch and length, which the model has no
+    tensor for; dw is one tensordot of g with the forward's patches over
+    batch and length."""
     logits, tape = oracle_forward_train(m, x)
     loss, dlogits = training._loss_and_dlogits(logits, targets, weights)
 
@@ -207,13 +206,13 @@ class TestBackward:
         assert kink_fraction == 0.0
         assert max(per_tensor.values()) < 1e-3, per_tensor
 
-    def test_conv_bias_is_not_trained(self, rng):
-        """BN subtracts the batch mean, so a per-channel conv bias cancels
-        from the loss: backward returns the gradients of exactly the
-        tensors param_items names, no conv bias among them, in float32 and
-        float64, where the allocating oracle's bias gradient, dL/dz summed
-        over batch and length, is zero only up to rounding of the gamma
-        gradient."""
+    def test_bn_cancels_a_conv_bias(self, rng):
+        """BN subtracts the batch mean, so a per-channel conv bias would
+        cancel from the loss, which is why the convs have none: backward
+        returns the gradients of exactly the tensors param_items names, in
+        float32 and float64, and the allocating oracle's gradient of a
+        conv bias, dL/dz summed over batch and length, is zero up to
+        rounding of the gamma gradient."""
         for dtype in (np.float32, np.float64):
             m = astype(build(ModelConfig(width=4), seed=1), dtype)
             x, y, w = random_batch(rng, 3, dtype)
@@ -485,16 +484,6 @@ class TestTrainFold:
                                 hp, seed=0)
         assert history.val_loss == val_losses[:epochs_run]
         assert history.stopped_early == (epochs_run < len(val_losses))
-
-    def test_conv_biases_keep_their_initial_bits(self):
-        """Exact-zero bias gradients leave Adam nothing to scale up: after
-        three epochs every conv bias has the bits build gave it."""
-        split = separable_split(80)
-        cfg = ModelConfig(width=8)
-        hp = Hyperparams(epochs=3, patience=3, batch_size=16)
-        trained, _ = train_fold(split, cfg, hp, seed=3)
-        for got, want in zip(trained.convs, build(cfg, seed=3).convs):
-            assert got.b.tobytes() == want.b.tobytes()
 
     def test_seed_determinism(self):
         split = separable_split(80)
