@@ -17,6 +17,25 @@ buffers and write every input into interior(padded, K), the (B, C_in, L)
 view between the borders. interior is the one place that knows the
 border width (K-1)/2.
 
+The forward entry points, conv1d_same_batch, conv1d and im2col, also
+take the operand as its unfold, the (B, C_in, K, L) strided view of the
+pad buffer, which aliases the buffer and so reads every input written
+into its interior. A plan (model.ForwardPlan.bind and the integer plan's
+conv steps) builds it once per conv and block size and passes it in the
+buffer's place, and im2col copies the patches straight from it; given
+the padded batch, as by the trainer and most tests, im2col unfolds it on
+every call. Either way every conv still calls im2col once per block
+through this module's namespace.
+
+At one window a numpy pass over a conv's output costs about a
+microsecond, so the plans hand every pass operands of its own shape
+where they can: numpy runs any broadcast, even one over a leading axis
+of 1, through its buffered iterator, which at width 52 took 1.08 us for
+a one-window int64 multiply by a (C, L) row against 0.74 us by a
+(1, C, L) one, and at 16 windows allocates a 50 KB buffer and takes
+1.5-2x the time of a same-shape pass (multiply 12.0 against 7.6 us, add
+10.4 against 5.2 us, right shift 13.6 against 9.0 us).
+
 batchnorm_infer, relu and add are the layer-by-layer forms of what
 model.forward_batch does in place on a conv's output: the tests compose
 them into its oracle, and perfbench's tracer wraps them by name.
@@ -85,27 +104,46 @@ def _require(cond: bool, msg: str, *args) -> None:
         raise ShapeMismatch(msg % args)
 
 
+def unfold(padded: np.ndarray, kernel: int) -> np.ndarray:
+    """The (B, C, K, L) view of the C-contiguous padded batch (B, C,
+    L+K-1) whose element (b, c, k, l) is padded[b, c, k + l].
+
+    It aliases padded, so it reads whatever is written into padded later:
+    a plan builds it once per pad buffer and block size, and every call
+    then reads the input the plan has just written into the buffer's
+    interior. It is built with the ndarray constructor, which costs less
+    than as_strided or sliding_window_view and raises ValueError for a
+    padded that is not C-contiguous instead of copying it, so the view is
+    never one of a copy that later writes would miss.
+    """
+    b, c, padded_len = padded.shape
+    s0, s1, s2 = padded.strides
+    return np.ndarray((b, c, kernel, padded_len - kernel + 1), padded.dtype,
+                      padded, 0, (s0, s1, s2, s2))
+
+
 def im2col(x_padded: np.ndarray, kernel: int, out_len: int,
            out: np.ndarray | None = None) -> np.ndarray:
-    """Unfold a padded batch (B, C, L+K-1) into patches (B, C*K, out_len).
+    """Unfold a padded batch (B, C, L+K-1) into patches (B, C*K, out_len),
+    out_len = L.
 
     Patch index (c, k) flattens to c*K + k, matching w.reshape(C_out, C_in*K).
     out, if given, is the (B, C*K, out_len) array the patches are written to.
 
-    One strided copy: windows is the (B, C, K, out_len) view of x_padded
-    whose element (b, c, k, l) is x_padded[b, c, k + l], and splitting
-    out's axis 1 into (C, K) is always a view of out. The view is built
-    with the ndarray constructor, which costs less per call than
-    as_strided or sliding_window_view at one window.
+    One strided copy from unfold's (B, C, K, out_len) view of x_padded
+    into out, whose axis 1 split into (C, K) is always a view of out: the
+    two have one shape, so the copy runs without numpy's buffered
+    broadcast iterator, which any broadcast, even one over a leading axis
+    of 1, would take. x_padded may be that view itself, built once by a
+    plan; a padded batch is unfolded here, a contiguous copy of it if it
+    is not C-contiguous.
     """
-    b, c, _ = x_padded.shape
+    if x_padded.ndim == 3:
+        x_padded = unfold(np.ascontiguousarray(x_padded), kernel)
+    b, c, _, _ = x_padded.shape
     if out is None:
         out = np.empty((b, c * kernel, out_len), dtype=x_padded.dtype)
-    x = np.ascontiguousarray(x_padded)
-    s0, s1, s2 = x.strides
-    windows = np.ndarray((b, c, kernel, out_len), x.dtype, x, 0,
-                         (s0, s1, s2, s2))
-    np.copyto(out.reshape(b, c, kernel, out_len), windows)
+    np.copyto(out.reshape(b, c, kernel, out_len), x_padded)
     return out
 
 
@@ -114,17 +152,21 @@ def conv1d(padded: np.ndarray, w: np.ndarray, out: np.ndarray | None = None,
     """Cross-correlation with zero 'same' padding, stride 1, no bias.
 
     padded: (B, C_in, L+K-1), the input with (K-1)/2 zero columns on each
-    side; w: (C_out, C_in, K) with K odd. Returns y (B, C_out, L). Each
-    block of BLOCK windows is unfolded by im2col and multiplied by the
-    (C_out, C_in*K) weights, one GEMM per window, into its rows of y.
+    side, or its unfold view (B, C_in, K, L); w: (C_out, C_in, K) with K
+    odd. Returns y (B, C_out, L). Each block of BLOCK windows is unfolded
+    by im2col and multiplied by the (C_out, C_in*K) weights, one GEMM per
+    window, into its rows of y.
 
     out and patches are optional output buffers in numpy's out= idiom, for
     a caller that runs many steps without allocating: out receives y, and
     patches (min(B, BLOCK), C_in*K, L) the patches of one block at a time.
     """
-    batch, c_in, padded_len = padded.shape
-    c_out, _, k = w.shape
-    length = padded_len - k + 1
+    c_out, c_in, k = w.shape
+    if padded.ndim == 3:
+        batch, _, padded_len = padded.shape
+        length = padded_len - k + 1
+    else:
+        batch, _, _, length = padded.shape
     w2 = w.reshape(c_out, c_in * k)
     if batch <= BLOCK:
         return np.matmul(w2, im2col(padded, k, length, patches), out=out)
@@ -196,7 +238,12 @@ def conv1d_backward(g_padded: np.ndarray, w: np.ndarray, padded: np.ndarray,
 def channel_rows(v: np.ndarray, length: int) -> np.ndarray:
     """The (C, L) array of the per-channel values v (C,), each repeated
     over L. Broadcast against (B, C, L), a row makes numpy's inner loop run
-    over C*L elements, where a (C, 1) column makes it run over L."""
+    over C*L elements, where a (C, 1) column makes it run over L. Any
+    broadcast, even one over a leading axis of 1, still runs through
+    numpy's buffered iterator: at 16 windows of width 52 that is a 50 KB
+    buffer and 1.5-2x the time of a same-shape pass. A row given a
+    leading axis, (1, C, L), meets a one-window batch in its own shape and
+    so takes no iterator buffer (quantize._ConvStep)."""
     return np.repeat(v[:, None], length, axis=1)
 
 
@@ -210,17 +257,23 @@ def interior(padded: np.ndarray, kernel: int) -> np.ndarray:
 def conv1d_same_batch(padded: np.ndarray, w: np.ndarray,
                       out: np.ndarray | None = None, *,
                       patches: np.ndarray | None = None) -> np.ndarray:
-    """conv1d of the padded batch (B, C_in, L+K-1), with its operands'
-    shapes checked; out and patches as for conv1d."""
+    """conv1d of the padded batch (B, C_in, L+K-1) or its unfold view
+    (B, C_in, K, L), with its operands' shapes checked; out and patches as
+    for conv1d."""
     # one test when the shapes fit; each is checked by name only if not
-    if not (padded.ndim == w.ndim == 3 and w.shape[2] % 2 == 1
+    if not (w.ndim == 3 and w.shape[2] % 2 == 1
+            and (padded.ndim == 3
+                 or padded.ndim == 4 and padded.shape[2] == w.shape[2])
             and padded.shape[1] == w.shape[1]):
-        _require(padded.ndim == 3,
-                 "conv input must be (B, C, L+K-1), got shape %s",
-                 padded.shape)
+        _require(padded.ndim in (3, 4),
+                 "conv input must be (B, C, L+K-1) or its unfold view "
+                 "(B, C, K, L), got shape %s", padded.shape)
         _require(w.ndim == 3,
                  "conv weight must be (C_out, C_in, K), got shape %s", w.shape)
         _require(w.shape[2] % 2 == 1, "kernel size must be odd, got %d",
+                 w.shape[2])
+        _require(padded.ndim == 3 or padded.shape[2] == w.shape[2],
+                 "unfold view of kernel %d != weight K %d", padded.shape[2],
                  w.shape[2])
         _require(padded.shape[1] == w.shape[1],
                  "input channels %d != weight C_in %d", padded.shape[1],

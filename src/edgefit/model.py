@@ -212,10 +212,16 @@ class ForwardPlan:
 
     def bind(self, n: int) -> tuple:
         """The views a block of n windows runs in: the input's interior,
-        one tuple per conv (its operand, patches, output, the interior its
-        add reads or None, the array its ReLU writes, and the names of its
-        output and of the activation after its ReLU) and the head input,
-        the conv output flattened to (n, width*seq_len)."""
+        one tuple per conv (its operand, the kernels.unfold view of its
+        pad buffer; its patches and output; the interior its add reads or
+        None; the array its ReLU writes; and the names of its output and
+        of the activation after its ReLU) and the head input, the conv
+        output flattened to (n, width*seq_len).
+
+        An unfold view reads the pad buffer it was built from, so it must
+        alias the buffer whose interior forward_batch writes: it is built
+        from the leading n rows of that C-contiguous buffer, themselves
+        C-contiguous, and kernels.unfold raises rather than view a copy."""
         bound = self._bound.get(n)
         if bound is None:
             cfg = self.config
@@ -223,7 +229,7 @@ class ForwardPlan:
             out = self.out[:n]
             pads = [kernels.interior(pad[:n], k) for pad in self.pads] + [out]
             steps = tuple(
-                (self.pads[i][:n],
+                (kernels.unfold(self.pads[i][:n], k),
                  self.patches[:n * conv.in_channels * k * length].reshape(
                      n, -1, length),
                  out,
@@ -250,9 +256,10 @@ def forward_batch(m: ModelParams, x: np.ndarray,
     arena once (TensorFlow Lite Micro): 830 KB at width 52, which the
     model keeps. A call allocates only the (B, classes) logits and a
     block's small temporaries, and its loop over the convs only calls
-    kernels: each conv is kernels.conv1d_same_batch of its pad buffer into
-    the output buffer, looked up in kernels at call time, where BN's mean
-    and scale unless folded (in batchnorm_infer's order), then beta and a
+    kernels: each conv is kernels.conv1d_same_batch of its pad buffer, as
+    the unfold view the plan bound, into the output buffer, looked up in
+    kernels at call time, where BN's mean and scale unless folded (in
+    batchnorm_infer's order), then beta and a
     residual add run in place before the ReLU writes the next conv's
     operand; the last conv's ReLU runs in place, and kernels.dense_batch
     reads the block's head input from the output buffer. Every parameter

@@ -71,27 +71,31 @@ built at its first run, from the model's arrays at that moment; the plan
 then holds:
 
 - each conv's weights in its GEMM dtype and three contiguous int64
-  (C_out, L) rows: M0 and the total shift 31 + n, each channel's value
+  (1, C_out, L) rows: M0 and the total shift 31 + n, each channel's value
   repeated over the window, and the offset
   (bias_q - zp_in*sum_{t: 0 <= l+t-pad < L} sum_c w_q[o, c, t])*M0
   + 2^(30+n), which adds the bias, the input zero point's term and the
   rounding term in one step (CMSIS-NN's fused output stage). Every
-  requantization pass then runs as one C_out*L loop per window. The
-  accumulator bound keeps the offset below 2^62 + 2^61, and acc*M0 plus
-  it, within int64;
+  requantization pass then runs as one C_out*L loop per window; at one
+  window it meets accumulators of its rows' own shape, with no numpy
+  broadcast (see kernels), and a block of several windows broadcasts
+  the rows over its leading axis. The accumulator bound keeps the offset
+  below 2^62 + 2^61, and acc*M0 plus it, within int64;
 - each residual add's multipliers, with the input zero points folded into
   the rounding terms, and its table: the add's output depends on its two
   int8 operands alone, so the plan rescales, sums and saturates all
   65,536 pairs once, and a block looks each output up at (a as uint8) << 8
-  | (h as uint8); the head's weights transposed in float64 and its int32
-  biases bias_q - zp_in*sum_n w_q[c, n];
+  | (h as uint8); the head's weights transposed in float64 and its
+  (1, classes) int32 biases bias_q - zp_in*sum_n w_q[c, n];
 - two float64 work arrays of the input for kernels.BLOCK windows, in
   which quantize_input divides, clamps and rounds;
 - scratch arrays for kernels.BLOCK windows, one per shape and dtype, that
   every step of that shape shares: the GEMM operand with its zero
   borders, the patches, the GEMM output, the int64 accumulators (on a
   64-bit host, the adds' intp table indices share them) and the adds'
-  two uint16 index arrays;
+  two uint16 index arrays; a conv takes its GEMM operand as the
+  operand's kernels.unfold view, which its im2col copies the patches
+  from instead of unfolding the operand on every call;
 - one int8 arena of arena_bytes per window. The input, each block's skip
   and every conv's input and output are views into it at planned offsets:
   slot 0 holds the stem output and every block's input and output, the
@@ -104,23 +108,26 @@ then holds:
 
 At width 52 a plan holds 2.78 MB: 0.50 MB of conv rows, 192 KB of add
 tables, 0.49 MB of GEMM-ready weights, 1.41 MB of scratch, 70 KB of
-input work arrays and a 98 KB arena.
+input work arrays and a 98 KB arena; the unfold views take no memory of
+their own.
 
 A conv copies q into its GEMM operand's interior, a plain cast to the
-operand's dtype, runs kernels.conv1d on the operand, zero borders
-included, into its scratch arrays, and requantizes the accumulators in
-place into its output slot with _rescale and _saturate: (acc*M0 +
-offset) >> (31+n), which is (acc + bias_q)*M0 / 2^(31+n) of the shifted
-operand rounded half up, plus the output zero point. An add makes five
-passes over its operands: a's byte into a uint16 array, the shift, h's
-byte into the second, the OR and one copy into the intp index; then
-np.take writes the lookup in place into its contiguous output. A block
-allocates only the input's finiteness mask and the iterator buffer of
-_rescale's (C_out, L)-row passes: under tracemalloc, at width 52, a
-steady call of 16 windows peaks at 51 KB, one of 8 windows at 51 KB and
-one window at 2 KB; a conv step allocates 50 KB, _rescale's buffer, and
-an add nothing: a uint8 operand of a uint16 or intp ufunc would be cast
-through a buffer.
+operand's dtype, runs kernels.conv1d on the operand's unfold view, zero
+borders included, into its scratch arrays, and requantizes the
+accumulators in place into its output slot with _rescale and _saturate:
+(acc*M0 + offset) >> (31+n), which is (acc + bias_q)*M0 / 2^(31+n) of
+the shifted operand rounded half up, plus the output zero point. An add
+makes five passes over its operands: a's byte into a uint16 array, the
+shift, h's byte into the second, the OR and one copy into the intp
+index; then np.take writes the lookup in place into its contiguous
+output. A block allocates only the input's finiteness mask and, when it
+holds several windows, the iterator buffer of _rescale's passes, which
+broadcast the (1, C_out, L) rows over its leading axis: under
+tracemalloc, at width 52, a steady call of 16 windows peaks at 51 KB,
+one of 8 windows at 51 KB and one window at 2 KB; at 16 windows a conv
+step allocates 50 KB, _rescale's buffer, at one window 0.7 KB and no
+buffer, and an add nothing: a uint8 operand of a uint16 or intp ufunc
+would be cast through a buffer.
 
 The plan is laid out by _layout and builds its constants at its first
 run, in the same qforward_batch call, so it checks the model and derives
@@ -571,16 +578,19 @@ class _ConvStep:
         """(C_out, C_in, K) in the layer's GEMM dtype."""
         return self.layer.w_q.astype(self.dtype)
 
-    # per-element (C_out, L) int64 rows, so that every requantization pass
-    # runs as one C_out*L loop per window: M0 and 31 + n repeat each
-    # channel's value over L; the offset varies at the borders
+    # per-element (1, C_out, L) int64 rows, so that every requantization
+    # pass runs as one C_out*L loop per window and meets a one-window
+    # block's accumulators in their own shape, with no broadcast: M0 and
+    # 31 + n repeat each channel's value over L; the offset varies at the
+    # borders
     @functools.cached_property
     def m0(self) -> np.ndarray:
-        return kernels.channel_rows(self.multiplier[0], self.length)
+        return kernels.channel_rows(self.multiplier[0], self.length)[None]
 
     @functools.cached_property
     def shift(self) -> np.ndarray:
-        return kernels.channel_rows(self.multiplier[1] + 31, self.length)
+        return kernels.channel_rows(self.multiplier[1] + 31,
+                                    self.length)[None]
 
     @functools.cached_property
     def offset(self) -> np.ndarray:
@@ -602,24 +612,27 @@ class _ConvStep:
         # (acc + bias_q)*M0 + 2^(30+n) of the zero-point-shifted operand
         return ((self.layer.bias_q.astype(np.int64)[:, None]
                  - self.in_zp * taps) * m0[:, None]
-                + np.left_shift(np.int64(1), shift_n + 30)[:, None])
+                + np.left_shift(np.int64(1), shift_n + 30)[:, None])[None]
 
     def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
-        """(padded, its interior, patches, GEMM output, int64 accumulators),
-        each from take(shape, dtype, tag) as in QuantPlan. The padded
-        buffer, zero-filled, is shared only with convs of its shape, which
-        all write its interior alone, so its borders stay zero."""
+        """(padded, its interior, its kernels.unfold view, patches, GEMM
+        output, int64 accumulators), each from take(shape, dtype, tag) as
+        in QuantPlan or a view of such an array. The padded buffer,
+        zero-filled, is shared only with convs of its shape, which all
+        write its interior alone, so its borders stay zero; a run reads
+        it only through the unfold view."""
         c_out, c_in, k = self.layer.w_q.shape
         padded = take((c_in, length + k - 1), self.dtype, "padded")
-        return (padded, kernels.interior(padded, k),
+        return (padded, kernels.interior(padded, k), kernels.unfold(padded, k),
                 take((c_in * k, length), self.dtype),
                 take((c_out, length), self.dtype),
                 take((c_out, length), np.int64))
 
-    def run(self, x, y, padded, interior, patches, gemm, acc, trace) -> None:
+    def run(self, x, y, _padded, interior, unfolded, patches, gemm, acc,
+            trace) -> None:
         # a plain cast of q: the offset carries the input zero point
         np.copyto(interior, x)
-        kernels.conv1d(padded, self.w, gemm, patches=patches)
+        kernels.conv1d(unfolded, self.w, gemm, patches=patches)
         acc[...] = gemm
         _note(trace, self.acc_name, acc)
         # (acc + bias_q)*M0 / 2^(31+n) rounded half up, as offset folds it
@@ -716,11 +729,12 @@ class _HeadStep:
 
     @functools.cached_property
     def bias(self) -> np.ndarray:
-        """(classes,) int32: bias_q - zp_in * sum_n w_q, as the GEMM
-        multiplies q, not q - zp; |bias| <= |bias_q| + fan_in*128*128 <
-        2^31."""
+        """(1, classes) int32, the shape of a one-window block's
+        accumulators: bias_q - zp_in * sum_n w_q, as the GEMM multiplies
+        q, not q - zp; |bias| <= |bias_q| + fan_in*128*128 < 2^31."""
         return (self.layer.bias_q.astype(np.int64) - self.in_zp
-                * self.layer.w_q.sum(axis=1, dtype=np.int64)).astype(np.int32)
+                * self.layer.w_q.sum(axis=1, dtype=np.int64)
+                ).astype(np.int32)[None]
 
     def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
         classes, n = self.layer.w_q.shape
@@ -815,9 +829,10 @@ class QuantPlan:
 
     def _bind(self, batch: int) -> tuple:
         """The arena views and scratch arrays every step takes for a block
-        of batch windows: the leading rows of each scratch array, and each
-        operand at its offset times batch in the flattened arena, so that
-        every operand is one contiguous (batch, *shape) array."""
+        of batch windows: the leading rows of each scratch array, or of
+        a view of one, and each operand at its offset times batch in the
+        flattened arena, so that every operand is one contiguous (batch,
+        *shape) array."""
         arena = self.arena.reshape(-1)
 
         def view(offset, shape, dtype):

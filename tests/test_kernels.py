@@ -97,6 +97,18 @@ class TestConv1dSame:
         with pytest.raises(ShapeMismatch):
             conv1d_same(x, w, np.zeros(4, dtype=np.float32))
 
+    def test_unfold_view_of_another_kernel_rejected(self, rng):
+        """An unfold view is checked against the weights' kernel, as a
+        padded batch is against their input channels."""
+        x = rng.standard_normal((2, 3, 10)).astype(np.float32)
+        w = rng.standard_normal((4, 3, 3)).astype(np.float32)
+        view = kernels.unfold(same_padded(x, w), 1)
+        with pytest.raises(ShapeMismatch, match="unfold view of kernel 1"):
+            kernels.conv1d_same_batch(view, w)
+        np.testing.assert_array_equal(
+            kernels.conv1d_same_batch(kernels.unfold(same_padded(x, w), 3), w),
+            kernels.conv1d_same_batch(same_padded(x, w), w))
+
     def test_even_kernel_rejected(self, rng):
         x = rng.standard_normal((3, 10)).astype(np.float32)
         w = rng.standard_normal((4, 3, 2)).astype(np.float32)
@@ -134,6 +146,21 @@ def test_interior_is_the_view_between_the_borders(rng, k):
     assert inner.shape == (2, 3, 10)
     assert np.shares_memory(inner, padded)
     np.testing.assert_array_equal(inner, padded[:, :, pad:pad + 10])
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_unfold_is_a_view_of_the_buffer_itself(rng, k):
+    """unfold's element (b, c, t, l) is padded[b, c, t + l], it reads what
+    is written into padded after it was built, and it raises for a padded
+    that is not C-contiguous instead of viewing a copy."""
+    padded = np.zeros((2, 3, 10 + k - 1), np.float32)
+    view = kernels.unfold(padded, k)
+    padded[...] = rng.standard_normal(padded.shape)
+    assert view.shape == (2, 3, k, 10) and np.shares_memory(view, padded)
+    for t in range(k):
+        np.testing.assert_array_equal(view[:, :, t], padded[:, :, t:t + 10])
+    with pytest.raises(ValueError):
+        kernels.unfold(padded[:, ::2], k)
 
 
 def flip(w):
@@ -220,7 +247,8 @@ class TestConv1dBackward:
 class TestConvBuffers:
     """conv1d and conv1d_backward write into caller-owned buffers with the
     same bits as when they allocate, also through leading-row views of
-    buffers sized for a larger batch, as the trainer passes them."""
+    buffers sized for a larger batch, as the trainer passes them; conv1d
+    gives them also for its operand as the unfold view a plan binds."""
 
     @pytest.mark.parametrize("c_in,c_out,length,k", CONV_CASES)
     def test_buffers_match_allocating_call(self, rng, c_in, c_out, length, k):
@@ -241,16 +269,21 @@ class TestConvBuffers:
         dx_buf = np.empty((rows, c_in, length), np.float32)
         products = np.empty((rows, c_out * k, wide), np.float32)
         dw_buf = np.empty(w.shape, np.float32)
+        # a plan binds the unfold view before any input is written
+        unfolded = kernels.unfold(pad_buf[:batch], k)
 
         # the caller writes each input into its pad buffer's interior
         pad_buf[:batch, :, pad:pad + length] = x
         g_pad_buf[:batch, :, pad:pad + length] = g
-        y2 = kernels.conv1d(pad_buf[:batch], w, out[:batch],
-                            patches=patch_buf[:batch, :c_in * k])
-        assert np.shares_memory(y2, out)
-        np.testing.assert_array_equal(y2, y)
-        np.testing.assert_array_equal(patch_buf[:batch, :c_in * k],
-                                      kernels.im2col(padded, k, length))
+        for operand in (pad_buf[:batch], unfolded):
+            out.fill(np.nan)
+            patch_buf.fill(np.nan)
+            y2 = kernels.conv1d(operand, w, out[:batch],
+                                patches=patch_buf[:batch, :c_in * k])
+            assert np.shares_memory(y2, out)
+            np.testing.assert_array_equal(y2, y)
+            np.testing.assert_array_equal(patch_buf[:batch, :c_in * k],
+                                          kernels.im2col(padded, k, length))
         dw2 = kernels.conv1d_backward(
             g_pad_buf[:batch], w, pad_buf[:batch], dx_buf[:batch], dw_buf,
             patches=patch_buf[:batch, :c_out * k],
@@ -265,7 +298,8 @@ class TestConvBuffers:
                                            k, buffers):
         """2*BLOCK + 3 windows, three blocks the last of them short, give
         the bits of one-window calls; the caller's patches and products
-        buffers hold one block."""
+        buffers hold one block, and conv1d's operand, the padded batch or
+        its unfold view, the whole batch."""
         batch = 2 * kernels.BLOCK + 3
         x = rng.standard_normal((batch, c_in, length)).astype(np.float32)
         w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
@@ -277,12 +311,18 @@ class TestConvBuffers:
         want_dx = np.concatenate([dx for dx, _ in one])
         want_dw = np.stack([dw for _, dw in one]).sum(axis=0)
 
+        patches = np.empty((kernels.BLOCK, max(c_in, c_out) * k, length),
+                           np.float32)
+        for operand in (padded, kernels.unfold(padded, k)):
+            if buffers:
+                y = kernels.conv1d(
+                    operand, w, np.empty((batch, c_out, length), np.float32),
+                    patches=patches[:, :c_in * k])
+            else:
+                y = kernels.conv1d(operand, w)
+            assert y.dtype == want_y.dtype and y.shape == want_y.shape
+            assert y.tobytes() == want_y.tobytes()
         if buffers:
-            patches = np.empty((kernels.BLOCK, max(c_in, c_out) * k, length),
-                               np.float32)
-            y = kernels.conv1d(
-                padded, w, np.empty((batch, c_out, length), np.float32),
-                patches=patches[:, :c_in * k])
             dx = np.empty_like(x)
             dw = kernels.conv1d_backward(
                 same_padded(g, flip(w)), w, padded, dx, np.empty_like(w),
@@ -290,11 +330,9 @@ class TestConvBuffers:
                 products=np.empty((kernels.BLOCK, c_out * k, c_in),
                                   np.float32))
         else:
-            y = kernels.conv1d(padded, w)
             dx, dw = backward(g, w, padded)
-        for got, want in ((y, want_y), (dx, want_dx)):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        assert dx.dtype == want_dx.dtype and dx.shape == want_dx.shape
+        assert dx.tobytes() == want_dx.tobytes()
         # the weight gradient sums over the whole batch, not window by window
         np.testing.assert_allclose(dw, want_dw, rtol=1e-5, atol=1e-5)
 
@@ -325,7 +363,7 @@ def test_every_conv_lowers_through_im2col(monkeypatch):
         run()
         return len(calls)
 
-    for n in (3, 2 * kernels.BLOCK + 3):
+    for n in (1, 3, 2 * kernels.BLOCK + 3):
         x = np.stack([w.data for w in make_random_windows(n, seed=1)])
         blocks = -(-n // kernels.BLOCK)
         assert count(lambda: model.forward_batch(m, x)) == blocks * convs

@@ -1003,8 +1003,10 @@ class TestQuantPlan:
         walking the network here: s_in*s_w/s_out, s_a/s_out, s_h/s_out.
         A conv holds M0 and n in every column of its channel's row, and at
         column l the offset (bias_q - zp_in * the sum of the weights on the
-        taps that fall inside the window at l)*M0 + 2^(30+n); the head's
-        bias is bias_q - zp_in times the sum of its channel's weights."""
+        taps that fall inside the window at l)*M0 + 2^(30+n), each row
+        shaped (1, C_out, L) like a one-window block's accumulators; the
+        head's bias is bias_q - zp_in times the sum of its channel's
+        weights."""
         _, qm = quantized_fixture(width=8)
         qforward(qm, make_random_windows(1, seed=0)[0].data)
         steps = iter(step for step, _ in qm.plan.layout)
@@ -1017,7 +1019,7 @@ class TestQuantPlan:
             rows = (step.m0, step.shift, step.offset)
             for row in rows:
                 assert row.dtype == np.int64 and row.flags.c_contiguous
-                assert row.shape == (len(layer.w_scale), length)
+                assert row.shape == (1, len(layer.w_scale), length)
             _, c_in, k = layer.w_q.shape
             pad = (k - 1) // 2
             for o, s_w in enumerate(layer.w_scale):
@@ -1027,7 +1029,7 @@ class TestQuantPlan:
                     int(layer.w_q[o, c, t]) for c in range(c_in)
                     for t in range(k) if 0 <= l + t - pad < length))
                     * m0 + 2 ** (30 + n) for l in range(length)]
-                assert [row[o].tolist() for row in rows] == [
+                assert [row[0, o].tolist() for row in rows] == [
                     [m0] * length, [31 + n] * length, offset]
 
         def add(name, a_spec, h_spec, out_spec, q_a, q_h):
@@ -1040,7 +1042,8 @@ class TestQuantPlan:
 
         _, spec = walk_network(qm, None, conv, add)
         head = next(steps)
-        assert head.bias.tolist() == [
+        assert head.bias.shape == (1, qm.config.classes)
+        assert head.bias[0].tolist() == [
             int(b) - spec.zero_point * sum(map(int, w))
             for b, w in zip(qm.head.bias_q, qm.head.w_q)]
         np.testing.assert_array_equal(
@@ -1138,7 +1141,7 @@ class TestQuantPlan:
 
     def test_walk_builds_no_plan_constant(self, tmp_path, monkeypatch):
         """check_quant_invariants, quantize_model and load walk the network
-        without building a conv's GEMM-dtype weights, its (C_out, L) rows
+        without building a conv's GEMM-dtype weights, its (1, C_out, L) rows
         or offsets, an add's table or the head's operands; the first
         qforward_batch builds each once."""
         folded = fold_batchnorm(build(ModelConfig(width=8), seed=3))
