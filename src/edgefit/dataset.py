@@ -4,17 +4,19 @@ Input files are comma-separated text with one header row and the canonical
 columns timestamp, acc_x, acc_y, acc_z, gyro_x, gyro_y, gyro_z, hbc, label,
 subject, session, in any order. Labels may be integers 0..11 or canonical
 class names.
-A file's records are taken whole from the csv reader and converted one
-column at a time, with no Python code per record. Physical line numbers
-are found only when an error names one: a file is then read again record
-by record, to parse each row on its own up to the first malformed one or
-to find where a stalled timestamp's record starts.
+The header is read by the csv reader, and every record after it by one
+np.loadtxt pass, numpy's C tokenizer, with no Python code per record. A
+file that pass cannot vouch for (a record it rejects, a value that fails
+a check, a spelling only Python reads, a field csv would refuse) is read
+again record by record by the csv reader, the per-record walk, which
+names the first malformed record's physical line or else converts the
+file. Otherwise a physical line is found only when a stalled timestamp
+names one, by reading that file again record by record.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -123,8 +125,11 @@ def _parse_label(raw: str) -> int:
     return value
 
 
-def _parse_row(row: list[str], idx: dict[str, int]) -> None:
-    """Raise ValueError with the reason row is not a valid data row."""
+def _parse_row(row: list[str], idx: dict[str, int]
+               ) -> tuple[float, np.ndarray, int, int, int]:
+    """Parse one data record: its timestamp, (7,) float32 channels, label,
+    subject and session. Raise ValueError with the reason row is not a
+    valid data row."""
     try:
         ts = float(row[idx["timestamp"]])
         channels = [float(row[idx[name]]) for name in CHANNEL_NAMES]
@@ -137,7 +142,7 @@ def _parse_row(row: list[str], idx: dict[str, int]) -> None:
     for name in ("label", "subject", "session"):
         if len(row) <= idx[name]:
             raise ValueError(f"{name} field missing")
-    _parse_label(row[idx["label"]])
+    label = _parse_label(row[idx["label"]])
     try:
         subject = int(row[idx["subject"]])
         session = int(row[idx["session"]])
@@ -147,16 +152,18 @@ def _parse_row(row: list[str], idx: dict[str, int]) -> None:
         raise ValueError(f"subject {subject} outside {SUBJECT_RANGE}")
     if not SESSION_RANGE[0] <= session <= SESSION_RANGE[1]:
         raise ValueError(f"session {session} outside {SESSION_RANGE}")
+    return ts, channels, label, subject, session
 
 
 @contextmanager
-def open_csv(path: Path):
-    """A csv.reader over path read as UTF-8, less a leading byte-order
-    mark. A file that cannot be opened or a byte that does not decode
-    raises CorruptFile naming the file; csv.Error is the caller's."""
+def open_text(path: Path):
+    """path opened as UTF-8 text with the csv module's newline handling
+    (lines end at \\n, \\r or \\r\\n and keep their endings), less a leading
+    byte-order mark. A file that cannot be opened or a byte that does not
+    decode raises CorruptFile naming the file."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as f:
-            yield csv.reader(f)
+            yield f
     except UnicodeDecodeError as e:
         raise CorruptFile(f"{path}: not {e.encoding} text ({e.reason})") from None
     except OSError as e:
@@ -176,71 +183,133 @@ def numbered_records(reader) -> Iterator[tuple[int, list[str]]]:
 
 def _numbered_rows(f: Path) -> list[tuple[int, list[str]]]:
     """f's non-blank data records, each with the physical line it starts on
-    (the header is line 1). Only an error that names a line reads a file
-    this way."""
-    with open_csv(f) as reader:
-        next(reader, None)
-        return list(numbered_records(reader))
+    (the header is line 1). A record csv cannot read, such as one with a
+    field longer than csv's limit, raises MalformedRow at the line csv
+    stopped on. Only the per-record walk and an error that names a line
+    read a file this way."""
+    with open_text(f) as text:
+        reader = csv.reader(text)
+        try:
+            next(reader, None)
+            return list(numbered_records(reader))
+        except csv.Error as e:
+            raise MalformedRow(reader.line_num, str(e), str(f)) from None
+
+
+# One data record as np.loadtxt converts it, fields in COLUMNS order. A
+# label that fills its field may have been cut short.
+_LABEL_CHARS = 16
+_RECORD = np.dtype([("numeric", np.float64, (1 + NUM_CHANNELS,)),
+                    ("label", f"U{_LABEL_CHARS}"),
+                    ("subject", np.int64), ("session", np.int64)])
+
+
+def _convert(lines: list[str], records: int, idx: dict[str, int]
+             ) -> tuple | None:
+    """Columns of the data records in lines (timestamps, (N, 7) float32
+    channels, labels, subjects and sessions), converted by one np.loadtxt
+    pass, or None when that pass cannot vouch for them: loadtxt rejects a
+    record, a value fails a check _parse_row makes, or csv might read the
+    lines otherwise. records is the number of lines that hold more than a
+    line ending. csv bounds every field by its limit, which holds here
+    only when no line is longer than the limit and each record is one
+    line; csv keeps a trailing NUL, which loadtxt's text field drops."""
+    if (max(map(len, lines)) > csv.field_size_limit()
+            or "\0" in "".join(lines)):
+        return None
+    try:
+        rec = np.loadtxt(lines, _RECORD, delimiter=",", quotechar='"',
+                         comments=None, ndmin=1,
+                         usecols=[idx[name] for name in COLUMNS])
+    except ValueError:
+        return None
+    numeric = rec["numeric"]
+    # stored as float32, where _parse_row checks them too
+    with np.errstate(over="ignore"):
+        channels = numeric[:, 1:].astype(np.float32)
+    # a label string per run of equal ones, each distinct one parsed once
+    label = rec["label"]
+    starts = np.flatnonzero(np.concatenate(([True], label[1:] != label[:-1])))
+    names = label[starts].tolist()
+    try:
+        parsed = {name: _parse_label(name) for name in dict.fromkeys(names)}
+    except ValueError:
+        return None
+    ids = [rec[name] for name in ("subject", "session")]
+    if not (len(rec) == records
+            and np.isfinite(numeric[:, 0]).all() and np.isfinite(channels).all()
+            and max(map(len, parsed)) < _LABEL_CHARS
+            and all(low <= column.min() and column.max() <= high
+                    for column, (low, high) in zip(ids, (SUBJECT_RANGE,
+                                                         SESSION_RANGE)))):
+        return None
+    labels = np.repeat(np.array([parsed[name] for name in names], np.int16),
+                       np.diff(starts, append=len(label)))
+    return (numeric[:, 0], channels, labels,
+            *(column.astype(np.int16) for column in ids))
+
+
+def _walk(f: Path, idx: dict[str, int]) -> tuple | None:
+    """The per-record walk: f's data records through _numbered_rows and
+    _parse_row, as columns like _convert's, or None if it has none. The
+    first malformed record raises MalformedRow with the physical line it
+    starts on and the reason _parse_row gives."""
+    parsed = []
+    for lineno, row in _numbered_rows(f):
+        try:
+            parsed.append(_parse_row(row, idx))
+        except ValueError as e:
+            raise MalformedRow(lineno, str(e), str(f)) from None
+    if not parsed:
+        return None
+    ts, channels, *ids = zip(*parsed)
+    return (np.array(ts), np.array(channels),
+            *(np.array(column, np.int16) for column in ids))
 
 
 def _read_csv(f: Path, number: int) -> tuple | None:
-    """Columns of f's data rows, or None if it has none: timestamps, (N, 7)
-    float32 channels, labels, subjects and sessions (each distinct string
-    parsed once), each row's ordinal among f's non-blank records and number.
-    Errors as in load_recordings; a failed conversion finds the line of the
-    first malformed row through _numbered_rows."""
+    """Columns of f's data records, or None if it has none: timestamps,
+    (N, 7) float32 channels, labels, subjects and sessions, each record's
+    ordinal among f's non-blank records and number. One np.loadtxt pass
+    converts the file (_convert); only a file that pass cannot vouch for
+    takes the per-record walk (_walk), which raises MalformedRow at the
+    first malformed record or else converts the file record by record.
+    Other errors as in load_recordings."""
+    with open_text(f) as text:
+        lines = text.readlines()
+    reader = csv.reader(lines)
     try:
-        with open_csv(f) as reader:
-            header = next(reader, None)
-            idx = None if header is None else resolve_columns(header, str(f))
-            rows = list(reader)
+        header = next(reader, None)
     except csv.Error as e:   # e.g. a field longer than csv's limit
         raise MalformedRow(reader.line_num, str(e), str(f)) from None
-    # a record is blank when all its fields are whitespace
-    rows = list(itertools.compress(rows, map(str.strip, map("".join, rows))))
-    if not rows:   # also when f is empty, without a header
+    if header is None:   # f is empty
         return None
-    n = len(rows)
-    try:
-        columns = list(zip(*rows))   # a short row leaves a column out
-        numeric = np.array([np.fromiter(map(float, columns[idx[name]]),
-                                        np.float64, n)
-                            for name in ("timestamp", *CHANNEL_NAMES)])
-        # stored as float32, where _parse_row checks them too
-        with np.errstate(over="ignore"):
-            channels = numeric[1:].T.astype(np.float32)
-        if not (np.isfinite(numeric[0]).all() and np.isfinite(channels).all()):
-            raise ValueError("non-finite value")
-        ids = []
-        for name, parse, (low, high) in (
-                ("label", _parse_label, (0, NUM_CLASSES - 1)),
-                ("subject", int, SUBJECT_RANGE), ("session", int, SESSION_RANGE)):
-            column = columns[idx[name]]
-            values = {raw: parse(raw) for raw in dict.fromkeys(column)}
-            if not all(low <= v <= high for v in values.values()):
-                raise ValueError(f"{name} out of range")
-            ids.append(np.fromiter(map(values.__getitem__, column), np.int16, n))
-    except (ValueError, IndexError):
-        for lineno, row in _numbered_rows(f):
-            try:
-                _parse_row(row, idx)
-            except ValueError as e:
-                raise MalformedRow(lineno, str(e), str(f)) from None
-        raise
-    return (numeric[0], channels, *ids,
-            np.arange(n), np.full(n, number))
+    idx = resolve_columns(header, str(f))
+    lines = lines[reader.line_num:]
+    # every line but those that only end a line holds a record or its part
+    records = len(lines) - sum(map(lines.count, ("\n", "\r\n", "\r")))
+    if not records:   # np.loadtxt would warn that it found no data
+        return None
+    columns = _convert(lines, records, idx) or _walk(f, idx)
+    if columns is None:
+        return None
+    n = len(columns[0])
+    return (*columns, np.arange(n), np.full(n, number))
 
 
 def load_recordings(path: str | Path) -> list[Recording]:
     """Load every CSV under path (file or directory) into Recordings.
 
     One Recording per (subject, session) pair, merged across files in name
-    order and stably sorted by timestamp. A file that fails conversion raises
-    MalformedRow with the file, the physical line its first malformed row
-    starts on (the header is line 1) and the reason _parse_row gives; a
-    timestamp not after its predecessor raises MalformedRow with that row's
-    file and line. Rows are tracked by their ordinal in their file, and only
-    such an error reads a file again to find a physical line.
+    order and stably sorted by timestamp. Each file is converted by one
+    np.loadtxt pass; a file that pass cannot vouch for takes the per-record
+    walk (see _read_csv). A malformed record raises MalformedRow with the
+    file, the physical line the record starts on (the header is line 1) and
+    the reason _parse_row gives, and a record csv cannot read raises it
+    with the line csv stopped on; a timestamp not after its predecessor
+    raises MalformedRow with that record's file and line. Records are
+    tracked by their ordinal in their file, and only the walk or such an
+    error reads a file again to find a physical line.
     """
     path = Path(path)
     if not path.exists():
@@ -259,7 +328,7 @@ def load_recordings(path: str | Path) -> list[Recording]:
     ts, data, labels, subject, session = (
         column[order] for column in (ts, data, labels, subject, session))
     same = (np.diff(subject) == 0) & (np.diff(session) == 0)
-    stalled = same & (np.diff(ts) <= 0)
+    stalled = same & (ts[1:] <= ts[:-1])   # a difference can overflow
     if stalled.any():
         i = stalled.argmax() + 1
         f = files[sources[order[i]]]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import RATE_HZ, numbered_records, open_csv
+from .dataset import RATE_HZ, numbered_records, open_text
 from .errors import CorruptFile, FewerThanTwoProfiles, InvalidConfig
 from . import kernels
 from . import model as model_mod
@@ -213,8 +213,8 @@ def load_profiles(path: str | Path) -> list[PlatformProfile]:
     breaks a rule is CorruptFile naming its line."""
     path = Path(path)
     try:
-        with open_csv(path) as reader:
-            rows = list(numbered_records(reader))
+        with open_text(path) as text:
+            rows = list(numbered_records(csv.reader(text)))
     except csv.Error as e:   # e.g. a field longer than csv's limit
         raise CorruptFile(f"{path}: {e}") from None
     if rows and not _is_number([*rows[0][1], ""][1]):

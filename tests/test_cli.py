@@ -123,12 +123,22 @@ class TestPrepare:
     @pytest.mark.parametrize("field, error, named", [
         (b"\xff", "CorruptFile", ": not utf-8 text"),
         (b"1" * 131_073, "MalformedRow", ":3: field larger than field limit"),
+        # acc_z ends line 3's record, whose note, a column no record is
+        # converted from, exceeds csv's limit on line 3 or, quoted, across
+        # lines 3 and 4; the next line holds a valid record
+        pytest.param(b"3,4,5,6,7,0,1,1," + b"n" * 131_073 + b"\n0.10,1,2,3",
+                     "MalformedRow", ":3: field larger than field limit",
+                     id="oversized-note"),
+        pytest.param(b'3,4,5,6,7,0,1,1,"' + b"n" * 70_000 + b"\n"
+                     + b"n" * 70_000 + b'"\n0.10,1,2,3',
+                     "MalformedRow", ":4: field larger than field limit",
+                     id="oversized-note-on-two-lines"),
     ])
     def test_undecodable_or_oversized_field_is_data_error(
             self, capsys, tmp_path, field, error, named):
         data = tmp_path / "bad.csv"
         data.write_bytes(b"timestamp,acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,"
-                         b"hbc,label,subject,session\n"
+                         b"hbc,label,subject,session,note\n"
                          b"0.0,1,2,3,4,5,6,7,0,1,1\n0.05,1,2,"
                          + field + b",4,5,6,7,0,1,1\n")
         out = tmp_path / "o"

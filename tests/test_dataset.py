@@ -1,8 +1,12 @@
 import csv
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgefit import dataset
 from edgefit.dataset import (
@@ -192,6 +196,25 @@ class TestLoadRecordings:
             with pytest.raises(MalformedRow) as exc:
                 load_recordings(path)
             assert (exc.value.index, exc.value.reason) == (7, reason)
+
+    def test_stalled_line_after_empty_lines(self, tmp_path, monkeypatch):
+        # only empty lines 3 and 4 lie between the first record and its
+        # duplicate, so the file needs no per-record walk, and the line of
+        # the duplicate comes from its ordinal among the converted records
+        def no_walk(f, idx):
+            raise AssertionError(f"{f} took the per-record walk")
+
+        monkeypatch.setattr(dataset, "_walk", no_walk)
+        text = HEADER + "0.0,1,2,3,4,5,6,7,0,1,1\n\n\n0.0,1,2,3,4,5,6,7,0,1,1\n"
+        for name, eol in (("lf", "\n"), ("crlf", "\r\n")):
+            path = tmp_path / f"{name}.csv"
+            with open(path, "w", newline="") as f:
+                f.write(text.replace("\n", eol))
+            with pytest.raises(MalformedRow) as exc:
+                load_recordings(path)
+            assert (exc.value.index, exc.value.reason) == (
+                5, "timestamps not strictly increasing for subject 1 "
+                   "session 1")
 
     def test_directory_merges_files(self, tmp_path):
         write_csv(tmp_path / "a.csv", [row(0.0)])
@@ -681,7 +704,7 @@ def oracle_load_recordings(path) -> list[Recording]:
     files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
     groups = {}
     for f in files:
-        with open(f, newline="") as fh:
+        with open(f, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -704,8 +727,8 @@ def oracle_load_recordings(path) -> list[Recording]:
     for (subject, session), records in sorted(groups.items()):
         records.sort(key=lambda r: r.timestamp)
         ts = np.array([r.timestamp for r in records], dtype=np.float64)
-        if np.any(np.diff(ts) <= 0):
-            dup = int(np.argmax(np.diff(ts) <= 0)) + 1
+        if np.any(ts[1:] <= ts[:-1]):
+            dup = int(np.argmax(ts[1:] <= ts[:-1])) + 1
             raise MalformedRow(
                 dup, f"timestamps not strictly increasing for subject "
                 f"{subject} session {session}")
@@ -808,3 +831,237 @@ class TestOracleParity:
                 errors.append((type(e), e.index, e.reason, e.path))
             assert errors[0] == errors[1]
             assert (errors[0][1], errors[0][3]) == (4, str(path))
+
+
+# ---------------------------------------------------------------------------
+# load_recordings against the oracle on spellings, quoting and layouts that
+# np.loadtxt reads, rejects or would read otherwise than csv
+# ---------------------------------------------------------------------------
+
+def loaded(loader, path):
+    """loader's Recordings for path, or its error's type and message with
+    path written as <file>."""
+    try:
+        return loader(path)
+    except (EmptyDataset, MalformedRow, MissingColumn) as e:
+        return type(e), str(e).replace(str(path), "<file>")
+
+
+def assert_same_as_oracle(directory, text, eol="\n"):
+    """Write text with eol line endings as a.csv, and again after a UTF-8
+    byte-order mark as bom.csv (the oracle reads no mark); load_recordings
+    must give the oracle's Recordings for both, or the same error."""
+    plain, marked = directory / "a.csv", directory / "bom.csv"
+    data = text.replace("\n", eol).encode()
+    plain.write_bytes(data)
+    marked.write_bytes(b"\xef\xbb\xbf" + data)
+    expected = loaded(oracle_load_recordings, plain)
+    for path in (plain, marked):
+        got = loaded(load_recordings, path)
+        if isinstance(expected, tuple) and "not strictly" in expected[1]:
+            # the oracle names no file and no line for a stalled timestamp
+            assert got[0] is MalformedRow
+            assert got[1].split(": ", 1)[1] == expected[1].split(": ", 1)[1]
+        elif isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert not isinstance(got, tuple), got
+            assert_same_recordings(got, expected)
+
+
+def quoted(field):
+    return '"' + field.replace('"', '""') + '"'
+
+
+def record(ts, channels="1,2,3,4,5,6,7", label="0", subject="1",
+           session="1"):
+    return f"{ts},{channels},{label},{subject},{session}"
+
+
+# Each case is the records of a file after HEADER, and whether
+# load_recordings must take the per-record walk for it.
+SPELLINGS = {
+    "padded_and_signed": (
+        record(" 0.0", "+1 , 2 ,\t3,+4.5,-0,6 ,7", " 3 ", "+1", " 01") + "\n"
+        + record("+0.05", label=" sQuAt ", subject=" +2", session="05 "),
+        False),
+    "exponents": (
+        record("0e0", "1e0,2E+0,3.0e-0,4.5E1,-6e-310,1e38,7") + "\n"
+        + record("5E-2", "1e-400,2,3,4,5,6,3.4028235e38"), False),
+    "inf_spellings_in_channel": (
+        record(0.0) + "\n" + record(0.05, "1,2,3,Infinity,5,6,7"), True),
+    "inf_timestamp": (record(0.0) + "\n" + record("-INF"), True),
+    "nan_spellings": (record(0.0) + "\n" + record(0.05, "1,2,3,4,+NaN,6,7"),
+                      True),
+    "float32_overflow": (
+        record(0.0) + "\n" + record(0.05, "1,2,3,4,5,6,3.4028236e38"), True),
+    "underscores": (
+        record("1_0.5", "1_0,2,3,4,5,6,7") + "\n" + record(12, label="1_1"),
+        True),
+    "unicode_digits": (
+        record("０", "١,2,3,4,5,6,7") + "\n"
+        + record(0.5, label="１", subject="٢"), True),
+    "hex_float": (record(0.0) + "\n" + record(0.05, "0x10,2,3,4,5,6,7"),
+                  True),
+    "quoted_numbers_and_names": (
+        record(quoted("0.0"), label=quoted("Squat")) + "\n"
+        + record(0.05, subject=quoted(" 2 ")), False),
+    "quoted_comma_in_name": (
+        record(0.0) + "\n" + record(0.05, label=quoted("Squat,Null")), True),
+    "quote_mid_field": (
+        record(0.0) + "\n" + record(0.05, '1,2,3"",4,5,6,7'), True),
+    "label_longer_than_field": (
+        record(0.0, label="Squat" + " " * 16) + "\n" + record(0.05), True),
+    "label_prefix_is_a_name": (
+        record(0.0) + "\n" + record(0.05, label="Squat" + " " * 11 + "x"),
+        True),
+    "label_ends_in_nul": (record(0.0) + "\n" + record(0.05, label="Squat\0"),
+                          True),
+    "label_13": (record(0.0) + "\n" + record(0.05, label="13"), True),
+    "subject_not_integral": (record(0.0) + "\n" + record(0.05, subject="1.0"),
+                             True),
+    "subject_beyond_int64": (
+        record(0.0) + "\n" + record(0.05, subject="9" * 20), True),
+    "whitespace_record": (record(0.0) + "\n , ,\n" + record(0.05), True),
+}
+
+
+class TestOracleDifferential:
+    """load_recordings gives the oracle's Recordings, bit for bit, or the
+    oracle's error, on a file whichever path converts it."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        walks = []
+        walk = dataset._walk
+
+        def counting(f, idx):
+            walks.append(f)
+            return walk(f, idx)
+
+        monkeypatch.setattr(dataset, "_walk", counting)
+        return walks
+
+    @pytest.mark.parametrize("case", sorted(SPELLINGS))
+    def test_spellings(self, tmp_path, walks, case):
+        records, walked = SPELLINGS[case]
+        text = HEADER + records + "\n"
+        for eol in ("\n", "\r\n"):
+            walks.clear()
+            assert_same_as_oracle(tmp_path, text, eol)
+            assert bool(walks) == walked
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_columns_extra_and_shuffled(self, tmp_path, walks, eol):
+        # notes before and after the canonical columns hold commas,
+        # doubled quotes, a line break and quotes inside a field
+        names = ["note", *reversed(dataset.COLUMNS), "spare"]
+        rows = [["a,b", *reversed(record(0.05, label="Squat").split(",")),
+                 'x"y'],
+                ['say ""hi""', *reversed(record(0.0).split(",")), "z"],
+                ["two\nlines", *reversed(record(0.1, subject=2).split(",")),
+                 ""]]
+        text = ",".join(names) + "\n" + "".join(
+            ",".join([quoted(note), *fields, spare]) + "\n"
+            for note, *fields, spare in rows)
+        assert_same_as_oracle(tmp_path, text, eol)
+        assert walks   # the note on two lines
+        walks.clear()
+        assert_same_as_oracle(tmp_path, text.replace("two\nlines", "one"),
+                              eol)
+        assert not walks
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_random_files(self, data):
+        with tempfile.TemporaryDirectory() as directory:
+            assert_same_as_oracle(Path(directory), data.draw(csv_texts()),
+                                  data.draw(st.sampled_from(["\n", "\r\n"])))
+
+
+# Spellings that float() reads back as the value exactly; FULLWIDTH makes
+# one of them in digits that only float() reads.
+EXACT = (repr, "{:+}".format, "{:.17g}".format, "{:.17E}".format,
+         "{:+.20e}".format)
+FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+# decimal text of up to 40 significant digits, inside float32's range
+DECIMALS = st.builds("{}{:03d}.{}e{}".format, st.sampled_from(["", "+", "-"]),
+                     st.integers(0, 10**20), st.integers(0, 10**20),
+                     st.integers(-30, 15))
+CHANNELS = st.one_of(st.floats(-1e30, 1e30).map(repr), DECIMALS)
+
+
+def integers(low, high):
+    return st.builds(lambda value, form: form.format(value),
+                     st.integers(low, high),
+                     st.sampled_from(["{}", "+{}", "{:03d}"]))
+
+
+LABELS = st.one_of(
+    integers(0, 11),
+    st.builds(lambda name, mask: "".join(
+        c.upper() if mask >> i & 1 else c.lower() for i, c in enumerate(name)),
+        st.sampled_from(dataset.CLASS_NAMES), st.integers(0, 2**13 - 1)))
+# padding and quoting of a column's non-note fields
+WRAPS = st.sampled_from(["{}", "{}", "{}", " {} ", "\t{}", '"{}"',
+                         '" {}\t"'])
+NOTES = st.text(st.sampled_from(["a", " ", ",", '"']), max_size=6)
+# a quoted note with line breaks and NULs, or an unquoted one with quotes
+# inside it (a quote that starts a field would open a quoted field)
+ODD_NOTES = st.one_of(
+    st.text(st.sampled_from(["a", ",", '"', "\n", "\r", "\0"]),
+            max_size=6).map(quoted),
+    st.text(st.sampled_from(["a", " ", '"']), max_size=6).map("a{}".format))
+ODD = {
+    "float": st.sampled_from([
+        "inf", "Infinity", "-INF", "nan", "NaN", "1e39", "3.4028236e38",
+        "3.4028235e38", "1e-400", "-0", "1_0", "１２", "٣.5", "0x10", "",
+        " ", "1.5j", "1 2", "1e", ".", "+"]),
+    "label": st.sampled_from([
+        "12", "-1", "Yoga", "", "1_1", "١", "Squat\0", "\0",
+        "Squat" + " " * 16, "Squat" + " " * 11 + "x", "sQUAT "]),
+    "id": st.sampled_from(["0", "11", "1.0", "", "x", "1_0", "١", "１",
+                           "9" * 20, "-1", "3\0", " 2 "]),
+}
+
+
+@st.composite
+def csv_texts(draw):
+    """A file of the canonical columns in any order, with extra note
+    columns, of records spelled in many ways. Some files hold one odd or
+    invalid value, unquoted notes, empty lines or whitespace-only
+    records."""
+    extras = draw(st.sampled_from([(), ("note",), ("spare",),
+                                   ("note", "spare")]))
+    names = draw(st.permutations([*dataset.COLUMNS, *extras]))
+    wraps = {name: draw(WRAPS) for name in dataset.COLUMNS}
+    odd = draw(st.booleans())
+    stamps = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=8, unique=True))
+    rows = []
+    for ts in stamps:
+        text = draw(st.sampled_from(EXACT))(ts)
+        if odd and draw(st.integers(0, 4)) == 0:
+            text = text.translate(FULLWIDTH)
+        rows.append({"timestamp": text,
+                     **dict(zip(dataset.CHANNEL_NAMES, draw(
+                         st.lists(CHANNELS, min_size=7, max_size=7)))),
+                     "label": draw(LABELS),
+                     "subject": draw(integers(1, 3)),
+                     "session": draw(integers(1, 2)),
+                     **{name: quoted(draw(NOTES)) for name in extras}})
+    if odd:
+        name = draw(st.sampled_from(dataset.COLUMNS + extras))
+        kind = {"label": "label", "subject": "id", "session": "id"}.get(
+            name, "float")
+        rows[draw(st.integers(0, len(rows) - 1))][name] = draw(
+            ODD_NOTES if name in extras else ODD[kind])
+    lines = [",".join(names)] + [
+        ",".join(row[name] if name in extras else wraps[name].format(row[name])
+                 for name in names) for row in rows]
+    if odd:
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(1, len(lines))),
+                         draw(st.sampled_from(["", " , ,", "  "])))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
