@@ -10,22 +10,18 @@ conv1d_backward are the only code that runs it, each calling im2col
 through this module's namespace: the float forward (model.forward_batch,
 through conv1d_same_batch), the trainer's forward and the integer path
 (the conv step of quantize.QuantPlan) call conv1d, and the trainer's
-backward conv1d_backward. Every conv entry point takes one operand, the
-padded batch (B, C_in, L+K-1), and the caller owns its zero borders: the
-float forward, the trainer and the integer plan each keep zero-filled pad
-buffers and write every input into interior(padded, K), the (B, C_in, L)
-view between the borders. interior is the one place that knows the
-border width (K-1)/2.
-
-The forward entry points, conv1d_same_batch, conv1d and im2col, also
-take the operand as its unfold, the (B, C_in, K, L) strided view of the
-pad buffer, which aliases the buffer and so reads every input written
-into its interior. A plan (model.ForwardPlan.bind and the integer plan's
-conv steps) builds it once per conv and block size and passes it in the
-buffer's place, and im2col copies the patches straight from it; given
-the padded batch, as by the trainer and most tests, im2col unfolds it on
-every call. Either way every conv still calls im2col once per block
-through this module's namespace.
+backward conv1d_backward. Every conv kernel takes one operand, the unfold
+view (B, C_in, K, L) of a zero-bordered pad buffer (B, C_in, L+K-1),
+whose element (b, c, k, l) is the buffer's (b, c, k + l), and the caller
+owns the buffer and its zero borders. The float forward
+(model.ForwardPlan), the trainer (training.Workspace) and the integer
+plan each build their views once, from pad buffers they allocate once,
+and write every input into interior(view), the view's centre tap, which
+is the (B, C_in, L) run of the buffer between its borders: the view
+aliases the buffer, so it reads every input written there. interior is
+the one place that knows the border width (K-1)/2, and im2col copies the
+patches straight from the view: no kernel branches on its operand's
+shape or copies the operand whole.
 
 At one window a numpy pass over a conv's output costs about a
 microsecond, so the plans hand every pass operands of its own shape
@@ -67,19 +63,21 @@ window logits that changed in their last bits with the batch (at width
 float output of a window, its logits included, is the same bit for bit
 whatever batch or block it runs in.
 
-conv1d_backward is the trainer's half of the same lowering. Per block it
-unfolds the zero-bordered output gradient once, through im2col, and that
-one patch matrix gives both gradients: the flipped, transposed kernel
-times the patches is the input gradient (the GEMM conv1d would run on it,
-so the bits are conv1d's), and the patches times the block's input
-interior, transposed, are the weight gradient's per-window products, in
-which tap t is patch row K-1-t. A vector of ones times a block's
-products, one GEMV, sums them over the block, in half the time of a sum
-over numpy's axis 0 (7 against 14 us a 16-window block at width 52). The
-convs have no bias: each feeds BN, whose beta is its one per-channel
-offset (model.ConvLayer), so no kernel adds or differentiates one. Both
-conv kernels take optional output buffers in numpy's out= idiom; without
-them every result is allocated, with the same bits.
+conv1d_backward is the trainer's half of the same lowering. Its output
+gradient is an operand too, the unfold view of a zero-bordered pad
+buffer, and per block im2col copies its patches once; that one patch
+matrix gives both gradients: the flipped, transposed kernel times the
+patches is the input gradient (the GEMM conv1d would run on it, so the
+bits are conv1d's), and the patches times the block's input, the
+interior of its operand, transposed, are the weight gradient's
+per-window products, in which tap t is patch row K-1-t. A vector of ones
+times a block's products, one GEMV, sums them over the block, in half the
+time of a sum over numpy's axis 0 (7 against 14 us a 16-window block at
+width 52). The convs have no bias: each feeds BN, whose beta is its one
+per-channel offset (model.ConvLayer), so no kernel adds or
+differentiates one. Both conv kernels take optional output buffers in
+numpy's out= idiom; without them every result is allocated, with the
+same bits.
 
 float_checked is the package's one float32 overflow guard (below).
 """
@@ -109,12 +107,13 @@ def unfold(padded: np.ndarray, kernel: int) -> np.ndarray:
     L+K-1) whose element (b, c, k, l) is padded[b, c, k + l].
 
     It aliases padded, so it reads whatever is written into padded later:
-    a plan builds it once per pad buffer and block size, and every call
-    then reads the input the plan has just written into the buffer's
-    interior. It is built with the ndarray constructor, which costs less
-    than as_strided or sliding_window_view and raises ValueError for a
-    padded that is not C-contiguous instead of copying it, so the view is
-    never one of a copy that later writes would miss.
+    a caller builds it once per pad buffer (a plan per block size, the
+    trainer per workspace, taking a batch's leading rows), and every call
+    then reads the input just written into interior(view). It is built
+    with the ndarray constructor, which costs less than as_strided or
+    sliding_window_view and raises ValueError for a padded that is not
+    C-contiguous instead of copying it, so the view is never one of a copy
+    that later writes would miss.
     """
     b, c, padded_len = padded.shape
     s0, s1, s2 = padded.strides
@@ -122,95 +121,86 @@ def unfold(padded: np.ndarray, kernel: int) -> np.ndarray:
                       padded, 0, (s0, s1, s2, s2))
 
 
-def im2col(x_padded: np.ndarray, kernel: int, out_len: int,
-           out: np.ndarray | None = None) -> np.ndarray:
-    """Unfold a padded batch (B, C, L+K-1) into patches (B, C*K, out_len),
-    out_len = L.
+def im2col(unfolded: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The patches (B, C*K, L) of a conv operand, its unfold view (B, C,
+    K, L).
 
     Patch index (c, k) flattens to c*K + k, matching w.reshape(C_out, C_in*K).
-    out, if given, is the (B, C*K, out_len) array the patches are written to.
+    out, if given, is the (B, C*K, L) array the patches are written to.
 
-    One strided copy from unfold's (B, C, K, out_len) view of x_padded
-    into out, whose axis 1 split into (C, K) is always a view of out: the
-    two have one shape, so the copy runs without numpy's buffered
-    broadcast iterator, which any broadcast, even one over a leading axis
-    of 1, would take. x_padded may be that view itself, built once by a
-    plan; a padded batch is unfolded here, a contiguous copy of it if it
-    is not C-contiguous.
+    One strided copy from the view into out, whose axis 1 split into (C,
+    K) is always a view of out: the two have one shape, so the copy runs
+    without numpy's buffered broadcast iterator, which any broadcast, even
+    one over a leading axis of 1, would take.
     """
-    if x_padded.ndim == 3:
-        x_padded = unfold(np.ascontiguousarray(x_padded), kernel)
-    b, c, _, _ = x_padded.shape
+    b, c, kernel, length = unfolded.shape
     if out is None:
-        out = np.empty((b, c * kernel, out_len), dtype=x_padded.dtype)
-    np.copyto(out.reshape(b, c, kernel, out_len), x_padded)
+        out = np.empty((b, c * kernel, length), dtype=unfolded.dtype)
+    np.copyto(out.reshape(b, c, kernel, length), unfolded)
     return out
 
 
-def conv1d(padded: np.ndarray, w: np.ndarray, out: np.ndarray | None = None,
+def conv1d(unfolded: np.ndarray, w: np.ndarray, out: np.ndarray | None = None,
            *, patches: np.ndarray | None = None) -> np.ndarray:
     """Cross-correlation with zero 'same' padding, stride 1, no bias.
 
-    padded: (B, C_in, L+K-1), the input with (K-1)/2 zero columns on each
-    side, or its unfold view (B, C_in, K, L); w: (C_out, C_in, K) with K
-    odd. Returns y (B, C_out, L). Each block of BLOCK windows is unfolded
-    by im2col and multiplied by the (C_out, C_in*K) weights, one GEMM per
-    window, into its rows of y.
+    unfolded: (B, C_in, K, L), the unfold view of the input's pad buffer;
+    w: (C_out, C_in, K) with K odd. Returns y (B, C_out, L). im2col copies
+    the patches of each block of BLOCK windows from the view, and the
+    (C_out, C_in*K) weights multiply them, one GEMM per window, into the
+    block's rows of y.
 
     out and patches are optional output buffers in numpy's out= idiom, for
     a caller that runs many steps without allocating: out receives y, and
     patches (min(B, BLOCK), C_in*K, L) the patches of one block at a time.
     """
     c_out, c_in, k = w.shape
-    if padded.ndim == 3:
-        batch, _, padded_len = padded.shape
-        length = padded_len - k + 1
-    else:
-        batch, _, _, length = padded.shape
+    batch, _, _, length = unfolded.shape
     w2 = w.reshape(c_out, c_in * k)
     if batch <= BLOCK:
-        return np.matmul(w2, im2col(padded, k, length, patches), out=out)
+        return np.matmul(w2, im2col(unfolded, patches), out=out)
     if out is None:
-        out = np.empty((batch, c_out, length), np.result_type(w, padded))
+        out = np.empty((batch, c_out, length), np.result_type(w, unfolded))
     if patches is None:
-        patches = np.empty((BLOCK, c_in * k, length), padded.dtype)
+        patches = np.empty((BLOCK, c_in * k, length), unfolded.dtype)
     for i in range(0, batch, BLOCK):
         rows = slice(i, i + BLOCK)
-        block = padded[rows]
-        np.matmul(w2, im2col(block, k, length, patches[:len(block)]),
-                  out=out[rows])
+        block = unfolded[rows]
+        np.matmul(w2, im2col(block, patches[:len(block)]), out=out[rows])
     return out
 
 
-def conv1d_backward(g_padded: np.ndarray, w: np.ndarray, padded: np.ndarray,
-                    dx: np.ndarray | None = None,
+def conv1d_backward(g_unfolded: np.ndarray, w: np.ndarray,
+                    unfolded: np.ndarray, dx: np.ndarray | None = None,
                     dw: np.ndarray | None = None, *,
                     patches: np.ndarray | None = None,
                     products: np.ndarray | None = None) -> np.ndarray:
-    """The weight gradient dw (C_out, C_in, K) of conv1d(padded, w), given
-    dL/dy zero-bordered as g_padded (B, C_out, L+K-1); dx (B, C_in, L), if
-    given, receives the input gradient, and without it none is formed.
-    The convs have no bias, so there is no bias gradient.
+    """The weight gradient dw (C_out, C_in, K) of conv1d(unfolded, w),
+    given dL/dy as g_unfolded (B, C_out, K, L), the unfold view of its
+    zero-bordered pad buffer; dx (B, C_in, L), if given, receives the
+    input gradient, and without it none is formed. The convs have no
+    bias, so there is no bias gradient.
 
-    Each block of BLOCK windows is unfolded once by im2col into patches
-    (min(B, BLOCK), C_out*K, L). The (C_in, C_out*K) flipped kernel times
-    them gives the block's dx, one GEMM per window as in conv1d; the
-    patches times the block's input interior, transposed, give products
-    (min(B, BLOCK), C_out*K, C_in). One GEMV, a vector of ones times the
-    products flattened to (n, C_out*K*C_in), sums them over the block's n
-    windows, and the block sums add up to dw, tap t at patch row K-1-t.
-    dw, patches and products are optional output buffers; a products
-    buffer contiguous in its last two axes is summed without a copy.
+    im2col copies the patches of each block of BLOCK windows from the
+    gradient's view once, into patches (min(B, BLOCK), C_out*K, L). The
+    (C_in, C_out*K) flipped kernel times them gives the block's dx, one
+    GEMM per window as in conv1d; the patches times the block's input,
+    interior(unfolded), transposed, give products (min(B, BLOCK),
+    C_out*K, C_in). One GEMV, a vector of ones
+    times the products flattened to (n, C_out*K*C_in), sums them over the
+    block's n windows, and the block sums add up to dw, tap t at patch row
+    K-1-t. dw, patches and products are optional output buffers; a
+    products buffer contiguous in its last two axes is summed without a
+    copy.
     """
-    batch, c_out, padded_len = g_padded.shape
-    _, c_in, k = w.shape
-    length = padded_len - k + 1
-    x = interior(padded, k).transpose(0, 2, 1)
+    batch, c_out, k, length = g_unfolded.shape
+    c_in = w.shape[1]
+    x = interior(unfolded).transpose(0, 2, 1)
     rows = min(batch, BLOCK)
     if dw is None:
-        dw = np.empty(w.shape, np.result_type(g_padded, padded))
+        dw = np.empty(w.shape, np.result_type(g_unfolded, unfolded))
     if patches is None:
-        patches = np.empty((rows, c_out * k, length), g_padded.dtype)
+        patches = np.empty((rows, c_out * k, length), g_unfolded.dtype)
     if products is None:
         products = np.empty((rows, c_out * k, c_in), dw.dtype)
     w_flipped = w.transpose(1, 0, 2)[:, :, ::-1].reshape(c_in, c_out * k)
@@ -220,11 +210,11 @@ def conv1d_backward(g_padded: np.ndarray, w: np.ndarray, padded: np.ndarray,
     total, block_sum = np.empty((2, c_out * k * c_in), dw.dtype)
     for i in range(0, batch, BLOCK):
         block = slice(i, i + BLOCK)
-        n = len(g_padded[block])
-        unfolded = im2col(g_padded[block], k, length, patches[:n])
+        n = len(g_unfolded[block])
+        cols = im2col(g_unfolded[block], patches[:n])
         if dx is not None:
-            np.matmul(w_flipped, unfolded, out=dx[block])
-        np.matmul(unfolded, x[block], out=products[:n])
+            np.matmul(w_flipped, cols, out=dx[block])
+        np.matmul(cols, x[block], out=products[:n])
         np.matmul(ones[:n], products[:n].reshape(n, -1),
                   out=block_sum if i else total)
         if i:
@@ -247,38 +237,37 @@ def channel_rows(v: np.ndarray, length: int) -> np.ndarray:
     return np.repeat(v[:, None], length, axis=1)
 
 
-def interior(padded: np.ndarray, kernel: int) -> np.ndarray:
-    """The (..., L) view of an operand padded (..., L+K-1) for the odd
-    kernel size K: every column but the (K-1)/2 borders on each side."""
-    pad = (kernel - 1) // 2
-    return padded[..., pad:padded.shape[-1] - pad]
+def interior(unfolded: np.ndarray) -> np.ndarray:
+    """The (B, C, L) input of a conv operand, its unfold view (B, C, K, L)
+    of a pad buffer (B, C, L+K-1) with (K-1)/2 zero columns on each side:
+    the view's centre tap (K-1)/2, which is every column of the buffer but
+    the borders. It aliases the buffer, so an input written into it is
+    what the operand reads."""
+    return unfolded[:, :, (unfolded.shape[2] - 1) // 2]
 
 
-def conv1d_same_batch(padded: np.ndarray, w: np.ndarray,
+def conv1d_same_batch(unfolded: np.ndarray, w: np.ndarray,
                       out: np.ndarray | None = None, *,
                       patches: np.ndarray | None = None) -> np.ndarray:
-    """conv1d of the padded batch (B, C_in, L+K-1) or its unfold view
-    (B, C_in, K, L), with its operands' shapes checked; out and patches as
-    for conv1d."""
+    """conv1d of the unfold view (B, C_in, K, L), with its operands'
+    shapes checked; out and patches as for conv1d."""
     # one test when the shapes fit; each is checked by name only if not
-    if not (w.ndim == 3 and w.shape[2] % 2 == 1
-            and (padded.ndim == 3
-                 or padded.ndim == 4 and padded.shape[2] == w.shape[2])
-            and padded.shape[1] == w.shape[1]):
-        _require(padded.ndim in (3, 4),
-                 "conv input must be (B, C, L+K-1) or its unfold view "
-                 "(B, C, K, L), got shape %s", padded.shape)
+    if not (w.ndim == 3 and w.shape[2] % 2 == 1 and unfolded.ndim == 4
+            and unfolded.shape[1:3] == w.shape[1:]):
+        _require(unfolded.ndim == 4,
+                 "conv input must be the unfold view (B, C, K, L) of its pad "
+                 "buffer, got shape %s", unfolded.shape)
         _require(w.ndim == 3,
                  "conv weight must be (C_out, C_in, K), got shape %s", w.shape)
         _require(w.shape[2] % 2 == 1, "kernel size must be odd, got %d",
                  w.shape[2])
-        _require(padded.ndim == 3 or padded.shape[2] == w.shape[2],
-                 "unfold view of kernel %d != weight K %d", padded.shape[2],
+        _require(unfolded.shape[2] == w.shape[2],
+                 "unfold view of kernel %d != weight K %d", unfolded.shape[2],
                  w.shape[2])
-        _require(padded.shape[1] == w.shape[1],
-                 "input channels %d != weight C_in %d", padded.shape[1],
+        _require(unfolded.shape[1] == w.shape[1],
+                 "input channels %d != weight C_in %d", unfolded.shape[1],
                  w.shape[1])
-    return conv1d(padded, w, out, patches=patches)
+    return conv1d(unfolded, w, out, patches=patches)
 
 
 def batchnorm_infer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,

@@ -218,18 +218,20 @@ class ForwardPlan:
         of the activation after its ReLU) and the head input, the conv
         output flattened to (n, width*seq_len).
 
-        An unfold view reads the pad buffer it was built from, so it must
-        alias the buffer whose interior forward_batch writes: it is built
-        from the leading n rows of that C-contiguous buffer, themselves
-        C-contiguous, and kernels.unfold raises rather than view a copy."""
+        Each view is built from the leading n rows of its C-contiguous pad
+        buffer, themselves C-contiguous, so it aliases the buffer
+        (kernels.unfold raises rather than view a copy), and every
+        interior is kernels.interior of a view: what forward_batch writes
+        there is what the next conv reads."""
         bound = self._bound.get(n)
         if bound is None:
             cfg = self.config
             k, length = cfg.kernel, cfg.seq_len
             out = self.out[:n]
-            pads = [kernels.interior(pad[:n], k) for pad in self.pads] + [out]
+            views = [kernels.unfold(pad[:n], k) for pad in self.pads]
+            pads = [kernels.interior(view) for view in views] + [out]
             steps = tuple(
-                (kernels.unfold(self.pads[i][:n], k),
+                (views[i],
                  self.patches[:n * conv.in_channels * k * length].reshape(
                      n, -1, length),
                  out,
@@ -256,12 +258,12 @@ def forward_batch(m: ModelParams, x: np.ndarray,
     arena once (TensorFlow Lite Micro): 830 KB at width 52, which the
     model keeps. A call allocates only the (B, classes) logits and a
     block's small temporaries, and its loop over the convs only calls
-    kernels: each conv is kernels.conv1d_same_batch of its pad buffer, as
-    the unfold view the plan bound, into the output buffer, looked up in
-    kernels at call time, where BN's mean and scale unless folded (in
-    batchnorm_infer's order), then beta and a
-    residual add run in place before the ReLU writes the next conv's
-    operand; the last conv's ReLU runs in place, and kernels.dense_batch
+    kernels: each conv is kernels.conv1d_same_batch of its one operand,
+    the unfold view of its pad buffer that the plan bound, into the output
+    buffer, looked up in kernels at call time, where BN's mean and scale
+    unless folded (in batchnorm_infer's order), then beta and a residual
+    add run in place before the ReLU writes the interior of the next
+    conv's operand; the last conv's ReLU runs in place, and kernels.dense_batch
     reads the block's head input from the output buffer. Every parameter
     is read at call time, so an in-place edit or a rebound array reaches
     the next call.
@@ -279,8 +281,9 @@ def forward_batch(m: ModelParams, x: np.ndarray,
     With capture given, capture(name, activation) is called for every
     activation of activation_names(m.config), in that order, once per
     block. The activation is an (n, C, seq_len) view of that block's
-    windows, valid only during the call: the slice of x, a pad buffer's
-    (non-contiguous) interior or the output buffer.
+    windows, valid only during the call: the slice of x, the
+    (non-contiguous) interior of a conv's unfold view or the output
+    buffer.
     """
     cfg = m.config
     if x.ndim != 3 or x.shape[1:] != (cfg.in_channels, cfg.seq_len):

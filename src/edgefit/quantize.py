@@ -90,12 +90,12 @@ then holds:
 - two float64 work arrays of the input for kernels.BLOCK windows, in
   which quantize_input divides, clamps and rounds;
 - scratch arrays for kernels.BLOCK windows, one per shape and dtype, that
-  every step of that shape shares: the GEMM operand with its zero
-  borders, the patches, the GEMM output, the int64 accumulators (on a
-  64-bit host, the adds' intp table indices share them) and the adds'
-  two uint16 index arrays; a conv takes its GEMM operand as the
-  operand's kernels.unfold view, which its im2col copies the patches
-  from instead of unfolding the operand on every call;
+  every step of that shape shares: the GEMM operand's pad buffer with
+  its zero borders, the patches, the GEMM output, the int64 accumulators
+  (on a 64-bit host, the adds' intp table indices share them) and the
+  adds' two uint16 index arrays; a conv holds its pad buffer only as the
+  buffer's kernels.unfold view, the one operand kernels.conv1d takes,
+  whose im2col copies the patches straight from it;
 - one int8 arena of arena_bytes per window. The input, each block's skip
   and every conv's input and output are views into it at planned offsets:
   slot 0 holds the stem output and every block's input and output, the
@@ -111,8 +111,8 @@ tables, 0.49 MB of GEMM-ready weights, 1.41 MB of scratch, 70 KB of
 input work arrays and a 98 KB arena; the unfold views take no memory of
 their own.
 
-A conv copies q into its GEMM operand's interior, a plain cast to the
-operand's dtype, runs kernels.conv1d on the operand's unfold view, zero
+A conv copies q into kernels.interior of its operand's unfold view, a
+plain cast to the operand's dtype, runs kernels.conv1d on the view, zero
 borders included, into its scratch arrays, and requantizes the
 accumulators in place into its output slot with _rescale and _saturate:
 (acc*M0 + offset) >> (31+n), which is (acc + bias_q)*M0 / 2^(31+n) of
@@ -615,20 +615,21 @@ class _ConvStep:
                 + np.left_shift(np.int64(1), shift_n + 30)[:, None])[None]
 
     def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
-        """(padded, its interior, its kernels.unfold view, patches, GEMM
-        output, int64 accumulators), each from take(shape, dtype, tag) as
-        in QuantPlan or a view of such an array. The padded buffer,
-        zero-filled, is shared only with convs of its shape, which all
-        write its interior alone, so its borders stay zero; a run reads
-        it only through the unfold view."""
+        """(the interior of the operand, the operand, patches, GEMM output,
+        int64 accumulators), each from take(shape, dtype, tag) as in
+        QuantPlan or a view of such an array. The operand is the
+        kernels.unfold view of a zero-filled pad buffer, shared only with
+        convs of its shape, which all write its interior alone, so its
+        borders stay zero."""
         c_out, c_in, k = self.layer.w_q.shape
-        padded = take((c_in, length + k - 1), self.dtype, "padded")
-        return (padded, kernels.interior(padded, k), kernels.unfold(padded, k),
+        view = kernels.unfold(take((c_in, length + k - 1), self.dtype,
+                                   "padded"), k)
+        return (kernels.interior(view), view,
                 take((c_in * k, length), self.dtype),
                 take((c_out, length), self.dtype),
                 take((c_out, length), np.int64))
 
-    def run(self, x, y, _padded, interior, unfolded, patches, gemm, acc,
+    def run(self, x, y, interior, unfolded, patches, gemm, acc,
             trace) -> None:
         # a plain cast of q: the offset carries the input zero point
         np.copyto(interior, x)

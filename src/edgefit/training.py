@@ -9,15 +9,17 @@ never touched.
 A step runs in a Workspace: every activation, gradient and scratch array
 the step writes, allocated once and written with out=. Both passes walk
 the convs of model.topology by their index: conv i reads operand i of
-the workspace, its ReLU writes operand i + 1 (the next conv's pad buffer
-interior), and a block's last conv adds operand conv.skip, the block
-input, before its ReLU. Per conv, BN keeps only the centred activation
-zc and applies its per-channel factors as (C, L) rows
-(kernels.channel_rows), the forward keeps the ReLU's mask h > 0, taken
-from the contiguous BN output h, for the backward to multiply by (10
-masks, 1.3 MB at width 52 and batch 64), and one kernels.conv1d_backward
-call unfolds the output gradient once for both the weight and the input
-gradient.
+the workspace, the interior of its pad buffer's unfold view, and its
+ReLU writes operand i + 1, the next conv's; a block's last conv adds
+operand conv.skip, the block input, before its ReLU. Every conv kernel
+takes the unfold view, which the workspace builds once per pad buffer,
+and a batch of b windows passes its leading rows, view[:b]. Per conv,
+BN keeps only the centred activation zc and applies its per-channel
+factors as (C, L) rows (kernels.channel_rows), the forward keeps the
+ReLU's mask h > 0, taken from the contiguous BN output h, for the
+backward to multiply by (10 masks, 1.3 MB at width 52 and batch 64), and
+one kernels.conv1d_backward call copies the patches of the output
+gradient's unfold view once for both the weight and the input gradient.
 
 train_fold builds one workspace per fold, sized for min(batch_size, n)
 windows; a shorter last batch uses its leading rows. The validation pass
@@ -132,18 +134,20 @@ class Workspace:
     """Every array a training step writes, for batches of up to `batch`
     windows, in the parameters' dtype.
 
-    Per conv layer it holds the zero-padded input (batch, C_in, L+K-1),
+    Per conv layer it holds the zero-bordered pad buffer (batch, C_in,
+    L+K-1) of its input and, built once, the buffer's kernels.unfold view
+    (batch, C_in, K, L), the conv's operand, whose interior is the input;
     the centred activations zc, the conv output less its batch mean, which
     is all the BN backward needs, and the boolean mask of its ReLU, which
     the forward writes from the contiguous BN output so that the backward
     reads no strided operand (1.3 MB for the 10 convs at width 52 and
     batch 64); `out` holds the last ReLU output, the head's input. Shared
     buffers take the BN output before the ReLU, the flowing gradients, the
-    padded output gradient, each weight gradient and, for one block of
-    kernels.BLOCK windows, the im2col patches and the weight gradient's
-    per-window products. A step writes everything with out=, and a
-    shorter batch of b windows uses the leading rows buf[:b], so a step
-    allocates nothing of the batch's size.
+    output gradient's pad buffer and its unfold view, each weight gradient
+    and, for one block of kernels.BLOCK windows, the im2col patches and
+    the weight gradient's per-window products. A step writes everything
+    with out=, and a shorter batch of b windows uses the leading rows
+    buf[:b], so a step allocates nothing of the batch's size.
     """
 
     def __init__(self, m: ModelParams, batch: int):
@@ -155,9 +159,9 @@ class Workspace:
         def act(channels=c):
             return np.empty((batch, channels, length), dtype)
 
-        self.kernel = k
         self.padded = [np.zeros((batch, layer.w.shape[1], length + k - 1), dtype)
                        for layer in m.convs]
+        self.unfolded = [kernels.unfold(p, k) for p in self.padded]
         self.zc = [act() for _ in self.padded]
         self.out = act()
         self.h = act()                     # BN output before the ReLU
@@ -167,14 +171,15 @@ class Workspace:
         self.products = np.empty((rows, c * k, widest), dtype)
         self.grad = (act(), act())
         self.g_padded = np.zeros((batch, c, length + k - 1), dtype)
+        self.g_unfolded = kernels.unfold(self.g_padded, k)
         self.dw = [np.empty_like(layer.w) for layer in m.convs]
         self.head_w = np.empty_like(m.head_w)
 
     def operands(self, b: int) -> list[np.ndarray]:
-        """The leading b rows of each conv's input, the interior of its pad
-        buffer, then of `out`: conv i reads operand i, its ReLU writes
+        """The leading b rows of each conv's input, the interior of its
+        unfold view, then of `out`: conv i reads operand i, its ReLU writes
         operand i + 1, and the head reads the last."""
-        return ([kernels.interior(p[:b], self.kernel) for p in self.padded]
+        return ([kernels.interior(u[:b]) for u in self.unfolded]
                 + [self.out[:b]])
 
 
@@ -226,7 +231,7 @@ def _forward(ws: Workspace, m: ModelParams, x: np.ndarray):
     for i, (conv, layer) in enumerate(zip(topology(m.config), m.convs)):
         _, c_in, k = layer.w.shape
         zc = ws.zc[i][:b]
-        kernels.conv1d(ws.padded[i][:b], layer.w, zc,
+        kernels.conv1d(ws.unfolded[i][:b], layer.w, zc,
                        patches=ws.patches[:b, :c_in * k])
         mu, var, inv = _bn_normalize(zc, m.config.bn_eps)
         h = ws.h[:b]
@@ -275,7 +280,7 @@ def _step(ws: Workspace, m: ModelParams, x, targets, weights):
     np.matmul(dlogits, m.head_w, out=da.reshape(b, -1))
 
     convs = topology(m.config)
-    dz = kernels.interior(ws.g_padded[:b], m.config.kernel)
+    dz = kernels.interior(ws.g_unfolded[:b])
     skip_grad, first = None, None
     for i in range(len(convs) - 1, -1, -1):
         name, layer = convs[i].name, m.convs[i]
@@ -286,7 +291,7 @@ def _step(ws: Workspace, m: ModelParams, x, targets, weights):
             skip_grad, da, first = da, spare, convs[i].skip
         c_out, c_in, k = layer.w.shape
         grads[f"{name}.w"] = kernels.conv1d_backward(
-            ws.g_padded[:b], layer.w, ws.padded[i][:b], da if i else None,
+            ws.g_unfolded[:b], layer.w, ws.unfolded[i][:b], da if i else None,
             ws.dw[i], patches=ws.patches[:b, :c_out * k],
             products=ws.products[:b, :c_out * k, :c_in])
         grads[f"{name}.gamma"] = dgamma

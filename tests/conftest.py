@@ -60,7 +60,7 @@ def conv1d_same(x, w, b=None):
     model's convs have none, the kernel tests' oracle cases do."""
     if x.ndim != 2:
         raise ShapeMismatch(f"conv input must be (C, L), got shape {x.shape}")
-    y = kernels.conv1d_same_batch(same_padded(x[None], w), w)[0]
+    y = kernels.conv1d_same_batch(same_unfolded(x[None], w), w)[0]
     if b is None:
         return y
     if b.shape != w.shape[:1]:
@@ -70,12 +70,19 @@ def conv1d_same(x, w, b=None):
 
 def same_padded(x, w):
     """The batch x (B, C_in, L) with (K-1)/2 zero columns on each side for
-    the kernel w (C_out, C_in, K), in np.result_type(x, w): the operand
-    kernels.conv1d takes."""
+    the kernel w (C_out, C_in, K), in np.result_type(x, w): a pad buffer,
+    whose unfold view is the operand every conv kernel takes."""
     pad = (w.shape[2] - 1) // 2
     out = np.zeros((*x.shape[:2], x.shape[2] + 2 * pad), np.result_type(x, w))
     out[:, :, pad:pad + x.shape[2]] = x
     return out
+
+
+def same_unfolded(x, w):
+    """The conv operand of the batch x (B, C_in, L) for the kernel w
+    (C_out, C_in, K): the (B, C_in, K, L) kernels.unfold view of
+    same_padded(x, w)."""
+    return kernels.unfold(same_padded(x, w), w.shape[2])
 
 
 def assert_zero_borders(padded, k):
@@ -121,7 +128,7 @@ def layerwise_forward(m, x, capture=None):
                                        layer.mean, layer.var, cfg.bn_eps)
 
     def conv(layer, t):
-        return kernels.conv1d_same_batch(same_padded(t, layer.w), layer.w)
+        return kernels.conv1d_same_batch(same_unfolded(t, layer.w), layer.w)
 
     def record(name, arr):
         if capture is not None:

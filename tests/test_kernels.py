@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import conv1d_same, dense, make_random_windows, same_padded
+from conftest import (conv1d_same, dense, make_random_windows, same_padded,
+                      same_unfolded)
 from edgefit import kernels, model, quantize, training
 from edgefit.errors import NonFiniteInput, ShapeMismatch
 
@@ -98,16 +99,21 @@ class TestConv1dSame:
             conv1d_same(x, w, np.zeros(4, dtype=np.float32))
 
     def test_unfold_view_of_another_kernel_rejected(self, rng):
-        """An unfold view is checked against the weights' kernel, as a
-        padded batch is against their input channels."""
+        """An unfold view is checked against the weights' kernel, as it is
+        against their input channels."""
         x = rng.standard_normal((2, 3, 10)).astype(np.float32)
         w = rng.standard_normal((4, 3, 3)).astype(np.float32)
         view = kernels.unfold(same_padded(x, w), 1)
         with pytest.raises(ShapeMismatch, match="unfold view of kernel 1"):
             kernels.conv1d_same_batch(view, w)
-        np.testing.assert_array_equal(
-            kernels.conv1d_same_batch(kernels.unfold(same_padded(x, w), 3), w),
-            kernels.conv1d_same_batch(same_padded(x, w), w))
+
+    def test_padded_batch_rejected(self, rng):
+        """The pad buffer itself, (B, C_in, L+K-1), is not an operand: the
+        one a conv takes is its unfold view, which the error names."""
+        x = rng.standard_normal((2, 3, 10)).astype(np.float32)
+        w = rng.standard_normal((4, 3, 3)).astype(np.float32)
+        with pytest.raises(ShapeMismatch, match=r"unfold view \(B, C, K, L\)"):
+            kernels.conv1d_same_batch(same_padded(x, w), w)
 
     def test_even_kernel_rejected(self, rng):
         x = rng.standard_normal((3, 10)).astype(np.float32)
@@ -119,7 +125,8 @@ class TestConv1dSame:
         x = rng.standard_normal((5, 3, 12)).astype(np.float32)
         w = rng.standard_normal((4, 3, 3)).astype(np.float32)
         b = rng.standard_normal(4).astype(np.float32)
-        batched = kernels.conv1d_same_batch(same_padded(x, w), w) + b[:, None]
+        batched = kernels.conv1d_same_batch(same_unfolded(x, w), w)
+        batched += b[:, None]
         for i in range(5):
             np.testing.assert_array_equal(batched[i],
                                           conv1d_same(x[i], w, b))
@@ -129,10 +136,10 @@ class TestConv1dSame:
         written into out."""
         x = rng.standard_normal((5, 4, 12)).astype(np.float32)
         w = rng.standard_normal((4, 4, 3)).astype(np.float32)
-        padded = same_padded(x, w)
-        expected = kernels.conv1d_same_batch(padded, w)
+        unfolded = same_unfolded(x, w)
+        expected = kernels.conv1d_same_batch(unfolded, w)
         out = np.empty_like(x)
-        y = kernels.conv1d_same_batch(padded, w, out,
+        y = kernels.conv1d_same_batch(unfolded, w, out,
                                       patches=np.empty((5, 12, 12), np.float32))
         assert y is out
         np.testing.assert_array_equal(y, expected)
@@ -140,12 +147,16 @@ class TestConv1dSame:
 
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_interior_is_the_view_between_the_borders(rng, k):
+    """The interior of an unfold view is its pad buffer's run between the
+    (K-1)/2 border columns on each side, and writes to it reach the
+    buffer."""
     padded = rng.standard_normal((2, 3, 10 + k - 1))
-    inner = kernels.interior(padded, k)
+    inner = kernels.interior(kernels.unfold(padded, k))
     pad = (k - 1) // 2
     assert inner.shape == (2, 3, 10)
-    assert np.shares_memory(inner, padded)
     np.testing.assert_array_equal(inner, padded[:, :, pad:pad + 10])
+    inner[...] = 7.0
+    assert (padded[:, :, pad:pad + 10] == 7.0).all()
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
@@ -169,23 +180,21 @@ def flip(w):
     return w.transpose(1, 0, 2)[:, :, ::-1]
 
 
-def conv1d_weight_grad(g, padded):
+def conv1d_weight_grad(g, unfolded):
     """The weight-gradient oracle: dw of conv1d's weights, given dL/dy g
-    (B, C_out, L) and the padded input (B, C_in, L+K-1), one batched GEMM
-    per tap of g against a strided view of the padded input, summed over
-    the batch."""
-    length = g.shape[2]
-    k = padded.shape[2] - length + 1
+    (B, C_out, L) and the input's unfold view (B, C_in, K, L), one batched
+    GEMM per tap of g against that tap of the view, summed over the
+    batch."""
     return np.stack([
-        np.matmul(g, padded[:, :, t:t + length].transpose(0, 2, 1)).sum(axis=0)
-        for t in range(k)], axis=2)
+        np.matmul(g, unfolded[:, :, t].transpose(0, 2, 1)).sum(axis=0)
+        for t in range(unfolded.shape[2])], axis=2)
 
 
-def backward(g, w, padded):
+def backward(g, w, unfolded):
     """(dx, dw) of kernels.conv1d_backward for the output gradient g
     (B, C_out, L), each in a fresh array."""
-    dx = np.empty(padded.shape[:2] + g.shape[2:], g.dtype)
-    dw = kernels.conv1d_backward(same_padded(g, flip(w)), w, padded, dx)
+    dx = np.empty(unfolded.shape[:2] + g.shape[2:], g.dtype)
+    dw = kernels.conv1d_backward(same_unfolded(g, flip(w)), w, unfolded, dx)
     return dx, dw
 
 
@@ -195,7 +204,7 @@ class TestConv1dBackward:
         x = rng.standard_normal((2, c_in, length))
         w = rng.standard_normal((c_out, c_in, k))
         g = rng.standard_normal((2, c_out, length))
-        dx, dw = backward(g, w, same_padded(x, w))
+        dx, dw = backward(g, w, same_unfolded(x, w))
         grads = [naive_conv1d_same_grads(x[i], w, g[i]) for i in range(2)]
         for i in range(2):
             np.testing.assert_allclose(dx[i], grads[i][0], rtol=1e-12,
@@ -211,16 +220,16 @@ class TestConv1dBackward:
                                        2 * kernels.BLOCK + 3])
     def test_matches_conv1d_and_weight_grad_oracle(self, rng, batch, c_in,
                                                    c_out, dtype, buffers):
-        """dx has the bits of conv1d on the padded gradient with the flipped
-        kernel; dw agrees with the per-tap oracle within rounding of dtype;
-        without dx the weight gradient keeps its bits. With
+        """dx has the bits of conv1d on the gradient's unfold view with the
+        flipped kernel; dw agrees with the per-tap oracle within rounding
+        of dtype; without dx the weight gradient keeps its bits. With
         buffers, every output goes to a caller-owned array, sliced from one
         sized for a wider layer as the trainer's workspace slices them."""
         length, k = 40, 3
         x = rng.standard_normal((batch, c_in, length)).astype(dtype)
         w = rng.standard_normal((c_out, c_in, k)).astype(dtype)
         g = rng.standard_normal((batch, c_out, length)).astype(dtype)
-        padded, g_padded = same_padded(x, w), same_padded(g, flip(w))
+        unfolded, g_unfolded = same_unfolded(x, w), same_unfolded(g, flip(w))
         kwargs = {}
         if buffers:
             rows, wide = min(batch, kernels.BLOCK), max(c_in, c_out)
@@ -230,35 +239,36 @@ class TestConv1dBackward:
             dw_buf = np.empty(w.shape, dtype)
         dx = np.empty_like(x)
         dw = kernels.conv1d_backward(
-            g_padded, w, padded, dx, dw_buf if buffers else None, **kwargs)
+            g_unfolded, w, unfolded, dx, dw_buf if buffers else None, **kwargs)
         assert not buffers or dw is dw_buf
-        want_dx = kernels.conv1d(g_padded, flip(w))
+        want_dx = kernels.conv1d(g_unfolded, flip(w))
         assert dx.dtype == want_dx.dtype == dw.dtype == dtype
         assert dx.tobytes() == want_dx.tobytes()
         want_dw = conv1d_weight_grad(g.astype(np.float64),
-                                     padded.astype(np.float64))
+                                     unfolded.astype(np.float64))
         tol = 1e-5 if dtype == np.float32 else 1e-12
         np.testing.assert_allclose(dw, want_dw, rtol=tol,
                                    atol=tol * np.abs(want_dw).max())
-        dw2 = kernels.conv1d_backward(g_padded, w, padded, **kwargs)
+        dw2 = kernels.conv1d_backward(g_unfolded, w, unfolded, **kwargs)
         assert dw2.tobytes() == dw.tobytes()
 
 
 class TestConvBuffers:
     """conv1d and conv1d_backward write into caller-owned buffers with the
     same bits as when they allocate, also through leading-row views of
-    buffers sized for a larger batch, as the trainer passes them; conv1d
-    gives them also for its operand as the unfold view a plan binds."""
+    buffers sized for a larger batch and operands that are the unfold
+    views of pad buffers bound before any input is written, as the
+    trainer and the plans pass them."""
 
     @pytest.mark.parametrize("c_in,c_out,length,k", CONV_CASES)
     def test_buffers_match_allocating_call(self, rng, c_in, c_out, length, k):
-        batch, pad = 3, (k - 1) // 2
+        batch = 3
         x = rng.standard_normal((batch, c_in, length)).astype(np.float32)
         w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
         g = rng.standard_normal((batch, c_out, length)).astype(np.float32)
-        padded = same_padded(x, w)
-        y = kernels.conv1d(padded, w)
-        dx, dw = backward(g, w, padded)
+        unfolded = same_unfolded(x, w)
+        y = kernels.conv1d(unfolded, w)
+        dx, dw = backward(g, w, unfolded)
 
         rows = batch + 2          # buffers sized for a larger batch
         wide = max(c_in, c_out)
@@ -269,23 +279,23 @@ class TestConvBuffers:
         dx_buf = np.empty((rows, c_in, length), np.float32)
         products = np.empty((rows, c_out * k, wide), np.float32)
         dw_buf = np.empty(w.shape, np.float32)
-        # a plan binds the unfold view before any input is written
-        unfolded = kernels.unfold(pad_buf[:batch], k)
+        # the views are bound before any input is written
+        view = kernels.unfold(pad_buf, k)[:batch]
+        g_view = kernels.unfold(g_pad_buf, k)[:batch]
 
-        # the caller writes each input into its pad buffer's interior
-        pad_buf[:batch, :, pad:pad + length] = x
-        g_pad_buf[:batch, :, pad:pad + length] = g
-        for operand in (pad_buf[:batch], unfolded):
-            out.fill(np.nan)
-            patch_buf.fill(np.nan)
-            y2 = kernels.conv1d(operand, w, out[:batch],
-                                patches=patch_buf[:batch, :c_in * k])
-            assert np.shares_memory(y2, out)
-            np.testing.assert_array_equal(y2, y)
-            np.testing.assert_array_equal(patch_buf[:batch, :c_in * k],
-                                          kernels.im2col(padded, k, length))
+        # the caller writes each input into its view's interior
+        kernels.interior(view)[...] = x
+        kernels.interior(g_view)[...] = g
+        out.fill(np.nan)
+        patch_buf.fill(np.nan)
+        y2 = kernels.conv1d(view, w, out[:batch],
+                            patches=patch_buf[:batch, :c_in * k])
+        assert np.shares_memory(y2, out)
+        np.testing.assert_array_equal(y2, y)
+        np.testing.assert_array_equal(patch_buf[:batch, :c_in * k],
+                                      kernels.im2col(unfolded))
         dw2 = kernels.conv1d_backward(
-            g_pad_buf[:batch], w, pad_buf[:batch], dx_buf[:batch], dw_buf,
+            g_view, w, view, dx_buf[:batch], dw_buf,
             patches=patch_buf[:batch, :c_out * k],
             products=products[:batch, :, :c_in])
         assert dw2 is dw_buf
@@ -298,39 +308,39 @@ class TestConvBuffers:
                                            k, buffers):
         """2*BLOCK + 3 windows, three blocks the last of them short, give
         the bits of one-window calls; the caller's patches and products
-        buffers hold one block, and conv1d's operand, the padded batch or
-        its unfold view, the whole batch."""
+        buffers hold one block, and conv1d's operand, the unfold view, the
+        whole batch."""
         batch = 2 * kernels.BLOCK + 3
         x = rng.standard_normal((batch, c_in, length)).astype(np.float32)
         w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
         g = rng.standard_normal((batch, c_out, length)).astype(np.float32)
-        padded = same_padded(x, w)
-        one = [backward(g[i:i + 1], w, padded[i:i + 1]) for i in range(batch)]
-        want_y = np.concatenate([kernels.conv1d(padded[i:i + 1], w)
+        unfolded = same_unfolded(x, w)
+        one = [backward(g[i:i + 1], w, unfolded[i:i + 1])
+               for i in range(batch)]
+        want_y = np.concatenate([kernels.conv1d(unfolded[i:i + 1], w)
                                  for i in range(batch)])
         want_dx = np.concatenate([dx for dx, _ in one])
         want_dw = np.stack([dw for _, dw in one]).sum(axis=0)
 
         patches = np.empty((kernels.BLOCK, max(c_in, c_out) * k, length),
                            np.float32)
-        for operand in (padded, kernels.unfold(padded, k)):
-            if buffers:
-                y = kernels.conv1d(
-                    operand, w, np.empty((batch, c_out, length), np.float32),
-                    patches=patches[:, :c_in * k])
-            else:
-                y = kernels.conv1d(operand, w)
-            assert y.dtype == want_y.dtype and y.shape == want_y.shape
-            assert y.tobytes() == want_y.tobytes()
+        if buffers:
+            y = kernels.conv1d(
+                unfolded, w, np.empty((batch, c_out, length), np.float32),
+                patches=patches[:, :c_in * k])
+        else:
+            y = kernels.conv1d(unfolded, w)
+        assert y.dtype == want_y.dtype and y.shape == want_y.shape
+        assert y.tobytes() == want_y.tobytes()
         if buffers:
             dx = np.empty_like(x)
             dw = kernels.conv1d_backward(
-                same_padded(g, flip(w)), w, padded, dx, np.empty_like(w),
+                same_unfolded(g, flip(w)), w, unfolded, dx, np.empty_like(w),
                 patches=patches[:, :c_out * k],
                 products=np.empty((kernels.BLOCK, c_out * k, c_in),
                                   np.float32))
         else:
-            dx, dw = backward(g, w, padded)
+            dx, dw = backward(g, w, unfolded)
         assert dx.dtype == want_dx.dtype and dx.shape == want_dx.shape
         assert dx.tobytes() == want_dx.tobytes()
         # the weight gradient sums over the whole batch, not window by window
@@ -492,9 +502,9 @@ class TestSoftmax:
 def test_kernels_are_pure(rng):
     x = rng.standard_normal((3, 10)).astype(np.float32)
     w = rng.standard_normal((4, 3, 3)).astype(np.float32)
-    padded = same_padded(x[None], w)
-    first = kernels.conv1d_same_batch(padded, w)[0]
-    second = kernels.conv1d_same_batch(padded.copy(), w.copy())[0]
+    unfolded = same_unfolded(x[None], w)
+    first = kernels.conv1d_same_batch(unfolded, w)[0]
+    second = kernels.conv1d_same_batch(unfolded.copy(), w.copy())[0]
     assert np.array_equal(first, second)
     np.testing.assert_array_equal(kernels.softmax(first[:, 0]),
                                   kernels.softmax(first[:, 0]))

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import (assert_zero_borders, captured, make_random_windows,
-                      randomize_bn, regrouped, requantize_array, same_padded)
+                      randomize_bn, regrouped, requantize_array,
+                      same_unfolded)
 from edgefit import container, kernels, model, quantize, training
 from edgefit.errors import (
     AccumulatorOverflow,
@@ -664,7 +665,8 @@ class TestQForward:
 
     def test_plan_pad_borders_stay_zero(self):
         """Blocks of 8, 3 and 1 windows write only the interiors of the
-        conv steps' padded scratch arrays."""
+        conv steps' pad buffers, each reached as the base of its step's
+        unfold view, the array the view was built on."""
         _, qm = quantized_fixture(width=4)
         for n in (8, 3, 1):
             qforward_batch(qm, np.stack(
@@ -673,8 +675,9 @@ class TestQForward:
                  in zip(qm.plan.layout, qm.plan.scratch)
                  if isinstance(step, quantize._ConvStep)]
         assert len(convs) == 10
-        for step, (padded, *_) in convs:
-            assert padded.any()
+        for step, (_, unfolded, *_) in convs:
+            padded = unfolded.base
+            assert padded.ndim == 3 and padded.any()
             assert_zero_borders(padded, step.w.shape[2])
 
     def test_evaluate_quant_is_one_batch_call(self, monkeypatch):
@@ -773,7 +776,7 @@ def unplanned_qconv(name, layer, in_spec, out_spec, relu, x_q, trace):
     _, c_in, k = layer.w_q.shape
     shifted = np.subtract(x_q, in_spec.zero_point, dtype=np.int16)
     w = layer.w_q.astype(quantize._gemm_dtype(c_in * k))
-    acc = kernels.conv1d(same_padded(shifted, w), w)
+    acc = kernels.conv1d(same_unfolded(shifted, w), w)
     acc = acc.astype(np.int64)
     acc += layer.bias_q[:, None]
     quantize._note(trace, f"{name}.acc", acc)
@@ -839,7 +842,7 @@ def int32_qconv_run(name, layer, in_spec, out_spec, relu, x_q):
     pad = (k - 1) // 2
     shifted = x_q.astype(np.int32) - in_spec.zero_point
     xp = np.pad(shifted, ((0, 0), (0, 0), (pad, pad)))
-    cols = kernels.im2col(xp, k, length)
+    cols = kernels.im2col(kernels.unfold(xp, k))
     flat = cols.transpose(1, 0, 2).reshape(c_in * k, batch * length)
     acc = layer.w_q.reshape(c_out, -1).astype(np.int32) @ flat
     acc = acc.reshape(c_out, batch, length).transpose(1, 0, 2)
