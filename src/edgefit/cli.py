@@ -5,9 +5,9 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical-contract
 violation, 141 output pipe closed before the command finished printing
 (128 + SIGPIPE, the status a shell reports for a program that signal
 ends), with nothing on stderr. The loaders admit only finite values, yet
-finite weights or windows can overflow float32 arithmetic: such an
-overflow is a data error, exit 2, whose one error line names the files
-the command read (--model, --windows).
+finite weights, windows or recordings can overflow float32 arithmetic:
+such an overflow is a data error, exit 2, whose one error line names the
+files the command read (--model, --windows, --dataset).
 
 Each command parses its options, calls the library and prints; the rules
 of a fold's stages live in the library (quantize.post_training_quantize
@@ -320,8 +320,9 @@ def main(argv=None) -> int:
         os.close(devnull)
         return EXIT_PIPE
     except EdgefitError as e:
-        read = [path for path in (getattr(args, "model", None),
-                                  getattr(args, "windows", None)) if path]
+        read = [getattr(args, name)
+                for name in ("model", "windows", "dataset")
+                if getattr(args, name, None)]
         if isinstance(e, NonFiniteInput) and read:
             e = CorruptFile(f"{', '.join(read)}: {e}")
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import container
+from . import container, kernels
 from .errors import (
     CorruptFile,
     EmptyDataset,
@@ -396,13 +396,19 @@ def segment_windows(rec: Recording, stats: NormStats,
     """Cut rec into z-normalized windows of WINDOW_SIZE samples every
     `stride`: data (n, 7, WINDOW_SIZE) float32 and each window's per-sample
     labels (n, WINDOW_SIZE), with n = window_count(len(rec), WINDOW_SIZE,
-    stride). Both are views, the data of one normalized copy of rec."""
+    stride). Both are views, the data of one normalized copy of rec.
+    The normalization runs inside kernels.float_checked: finite data that
+    overflows float32 raises NonFiniteInput naming rec's subject and
+    session, with no numpy warning."""
     if stride < 1:
         raise InvalidConfig(f"stride must be >= 1, got {stride}")
     if len(rec) < WINDOW_SIZE:
         return (np.empty((0, NUM_CHANNELS, WINDOW_SIZE), np.float32),
                 np.empty((0, WINDOW_SIZE), rec.labels.dtype))
-    normalized = ((rec.data.astype(np.float64) - stats.mean) / stats.std).astype(np.float32)
+    with kernels.float_checked(f"normalization of subject {rec.subject} "
+                               f"session {rec.session}"):
+        normalized = ((rec.data.astype(np.float64) - stats.mean)
+                      / stats.std).astype(np.float32)
     return (sliding_window_view(normalized, WINDOW_SIZE, axis=0)[::stride],
             sliding_window_view(rec.labels, WINDOW_SIZE)[::stride])
 
@@ -416,6 +422,16 @@ def fold_split(windows: list[Window], held_out_subject: int) -> DatasetSplit:
     train = [w for w in windows if w.subject != held_out_subject]
     return DatasetSplit(train=train, test=test,
                         held_out_subject=held_out_subject)
+
+
+def stack_windows(windows: list[Window]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The windows as arrays: data (n, 7, WINDOW_SIZE) float32, labels (n,)
+    int64 and weights (n,) float32."""
+    x = np.stack([w.data for w in windows]).astype(np.float32, copy=False)
+    y = np.array([w.label for w in windows], dtype=np.int64)
+    wt = np.array([w.weight for w in windows], dtype=np.float32)
+    return x, y, wt
 
 
 def _cut(recordings: list[Recording], stats: NormStats, stride: int

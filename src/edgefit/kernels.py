@@ -324,7 +324,8 @@ def float_checked(what: str):
     {what}: ..."), with no numpy warning. The loaders admit only finite
     values, yet finite weights or windows can overflow float32 arithmetic.
 
-    It wraps whole stages, once per call: training.train_fold's epoch loop,
+    It wraps whole stages, once per call: prepare's normalization of each
+    recording (dataset.segment_windows), training.train_fold's epoch loop,
     training._eval_arrays' forward pass, the BN fold and calibration of
     quantize.post_training_quantize, and platform_model.host_bench's runs.
     model.forward_batch carries none: entered and left on every call, the

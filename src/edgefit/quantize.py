@@ -43,16 +43,19 @@ what a microcontroller runtime stores (TensorFlow Lite Micro): one QLayer
 per conv and for the head, with the int8 weights, their per-channel scales
 and the int32 biases, and one table, specs, of a (scale, zero point) per
 activation: the input, each conv's output and each residual add's output.
-The table is keyed and ordered by model.activation_names: calibrate ranges
-each activation under its name, quantize_model reads that range, the EFQ3
-file stores its spec and the int8 trace records it under that name. A
-conv reads the activation its model.topology record names and fuses a
-ReLU unless the record names an add; the head reads the last activation.
-quantize_model, load and _layout each walk that table. The fixed-point
-multipliers are not stored: like each TFLM kernel's Prepare, the walk
-derives every M0 and n with quantize_multiplier, in one call over each
-conv's channel vector s_in*s_w/s_out and one over each add's s_a/s_out,
-s_h/s_out.
+The table is keyed and ordered by model.activation_names: calibrate
+returns each activation's observed range under its name, quantize_model
+maps that range to a spec with activation_spec, the one place a range is
+widened to include 0, the EFQ3 file stores the spec and the int8 trace
+records it under that name. A conv reads the activation its
+model.topology record names and fuses a ReLU unless the record names an
+add; the head reads the last activation. quantize_model, load and _layout
+each walk that table. The fixed-point multipliers are not stored: like
+each TFLM kernel's Prepare, the walk derives every M0 and n with
+quantize_multiplier, in one call over each conv's channel vector
+s_in*s_w/s_out and one over each add's s_a/s_out, s_h/s_out. It is the
+one place these ratios are computed and range-checked; quantize_model
+only floors each weight scale so that the ratio's shift stays at most 30.
 
 The walk. _layout, which check_quant_invariants, quantize_model (through
 it) and load run, checks every invariant check_quant_invariants lists:
@@ -151,7 +154,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container, kernels
-from .dataset import Window
+from .dataset import Window, stack_windows
 from .errors import (
     AccumulatorOverflow,
     EmptyCalibrationSet,
@@ -170,7 +173,7 @@ from .model import (
     forward_batch,
     topology,
 )
-from .training import _stack, metrics_from_logits
+from .training import metrics_from_logits
 
 QMIN, QMAX = -128, 127
 RANGE_FLOOR = 1e-3      # minimum activation range width
@@ -216,7 +219,9 @@ def quantize_tensor(w: np.ndarray, floor: np.ndarray | float = 0.0
 
 
 def activation_spec(lo: float, hi: float) -> QuantSpec:
-    """Affine spec over [lo, hi], widened to include 0 and floored in width."""
+    """Affine spec over the observed range [lo, hi], widened to include 0,
+    so that zero (a conv's zero border, a ReLU's floor) is exact, and
+    floored in width. This is the one place a range is widened."""
     lo = min(lo, 0.0)
     hi = max(hi, 0.0)
     if hi - lo < RANGE_FLOOR:
@@ -226,35 +231,11 @@ def activation_spec(lo: float, hi: float) -> QuantSpec:
     return QuantSpec(scale=scale, zero_point=int(np.clip(zp, QMIN, QMAX)))
 
 
-@dataclass
-class CalibStats:
-    """Observed activation ranges (lo, hi) by name, each widened to include
-    0, so that zero is always representable: lo <= 0 <= hi."""
-
-    ranges: dict[str, tuple[float, float]]
-
-    def update(self, name: str, arr: np.ndarray) -> None:
-        """Widen name's range to arr's min and max."""
-        self.widen(name, float(arr.min()), float(arr.max()))
-
-    def widen(self, name: str, lo: float, hi: float) -> None:
-        """Widen name's range to [lo, hi] and to 0."""
-        lo, hi = min(lo, 0.0), max(hi, 0.0)
-        if name in self.ranges:
-            old_lo, old_hi = self.ranges[name]
-            lo, hi = min(lo, old_lo), max(hi, old_hi)
-        self.ranges[name] = (lo, hi)
-
-    def range_of(self, name: str) -> tuple[float, float]:
-        if name not in self.ranges:
-            raise MissingCalibration(name)
-        return self.ranges[name]
-
-
-def calibrate(folded: ModelParams, calib: list[Window]) -> CalibStats:
-    """Record the range of every activation of the folded float model,
-    keyed by its name in activation_names: its min and max over calib,
-    widened to include 0 (CalibStats).
+def calibrate(folded: ModelParams, calib: list[Window]
+              ) -> dict[str, tuple[float, float]]:
+    """The observed range (lo, hi) of every activation of the folded float
+    model over calib, keyed and ordered by activation_names: its min and
+    max, as observed (activation_spec widens it to include 0).
 
     The windows run through one forward_batch call, whose capture
     callback ranges each activation of each block of kernels.BLOCK
@@ -262,28 +243,28 @@ def calibrate(folded: ModelParams, calib: list[Window]) -> CalibStats:
     strided interior; a reduction reads it in place, whatever its strides.
     The activations that come out of a ReLU, each conv's or add's
     {name}.out in model.topology, are never negative, so their low end is
-    the 0 every range is widened to and only their max is taken; the
-    others, the input and the block's last convs before the add, take a
-    min and a max. Every activation is batch-invariant (see
-    forward_batch), so every range equals a one-window-at-a-time run's bit
-    for bit and depends on the set of windows alone."""
+    0 and only their max is taken; the others, the input and the block's
+    last convs before the add, take a min and a max. Every activation is
+    batch-invariant (see forward_batch), so every range equals a
+    one-window-at-a-time run's bit for bit and depends on the set of
+    windows alone."""
     if not folded.bn_folded:
         raise InvalidConfig("calibrate expects a BN-folded model")
     if not calib:
         raise EmptyCalibrationSet("calibration set is empty")
-    stats = CalibStats(ranges={})
+    ranges: dict[str, tuple[float, float]] = {}
     relu_outputs = {f"{conv.add or conv.name}.out"
                     for conv in topology(folded.config)}
 
     def capture(name: str, arr: np.ndarray) -> None:
-        if name in relu_outputs:
-            stats.widen(name, 0.0, float(arr.max()))
-        else:
-            stats.update(name, arr)
+        lo = 0.0 if name in relu_outputs else float(arr.min())
+        hi = float(arr.max())
+        if name in ranges:
+            lo, hi = min(lo, ranges[name][0]), max(hi, ranges[name][1])
+        ranges[name] = (lo, hi)
 
-    x = np.stack([w.data for w in calib])
-    forward_batch(folded, x.astype(np.float32, copy=False), capture=capture)
-    return stats
+    forward_batch(folded, stack_windows(calib)[0], capture=capture)
+    return ranges
 
 
 # ---------------------------------------------------------------------------
@@ -406,55 +387,51 @@ def _checked(name: str, spec: QuantSpec) -> QuantSpec:
 
 
 def _quantize_weights(name: str, w: np.ndarray, b: np.ndarray, s_in: float,
-                      floor: float
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The int8 weights, their per-channel scales and the int32 biases at
-    s_in*s_w of a conv or the head reading an activation of scale s_in.
+                      s_out: float) -> QLayer:
+    """The QLayer of a conv or the head reading an activation of scale
+    s_in into one of scale s_out: the int8 weights, their per-channel
+    scales s_w and the int32 biases at s_in*s_w.
 
-    Each channel's weight scale is raised to floor and to the least one
-    that keeps its quantized bias b / (s_in*s_w) within 2^30. That matters
-    only for a channel whose weights are (nearly) all zero."""
+    Each channel's weight scale is raised to s_out / (s_in*2^31), which
+    keeps the multiplier's ratio s_in*s_w/s_out at or above 2^-31, so its
+    shift n <= 30 (the head, which has no multiplier, passes s_out 0), and
+    to the least one that keeps its quantized bias b / (s_in*s_w) within
+    2^30. That matters only for a channel whose weights are (nearly) all
+    zero. Every finite bias then fits int32, but once |b| reaches
+    s_out*2^60 its scale needs a shift n < -30, which _layout rejects."""
     b = b.astype(np.float64)
     w_q, w_scale = quantize_tensor(
-        w, floor=np.maximum(np.abs(b) / (s_in * 2.0 ** 30), floor))
+        w, floor=np.maximum(np.abs(b) / (s_in * 2.0 ** 30),
+                            s_out / (s_in * 2.0 ** 31)))
     bias_real = b / (s_in * w_scale.astype(np.float64))
     if not np.all(np.isfinite(bias_real)):
         raise AccumulatorOverflow(f"{name}: quantized bias exceeds int32")
     bias_q = round_half_away(bias_real)
     _check_accumulator(name, w[0].size, bias_q)
-    return w_q, w_scale, bias_q.astype(np.int32)
+    return QLayer(w_q, w_scale, bias_q.astype(np.int32))
 
 
-def _quantize_conv(name: str, w: np.ndarray, b: np.ndarray,
-                   in_spec: QuantSpec, out_spec: QuantSpec) -> QLayer:
-    # the floor keeps the multiplier's scale ratio s_in * s_w / s_out at
-    # or above 2^-31, so its shift n <= 30
-    w_q, w_scale, bias_q = _quantize_weights(
-        name, w, b, in_spec.scale,
-        floor=out_spec.scale / (in_spec.scale * 2.0 ** 31))
-    # the bias floor fits every finite bias into int32, but once |b|
-    # reaches s_out * 2^60 the scale it takes needs a multiplier shift
-    # n < -30
-    if np.any(in_spec.scale * w_scale.astype(np.float64) / out_spec.scale
-              >= 2.0 ** 30):
-        raise AccumulatorOverflow(f"{name}: quantized bias exceeds int32 at "
-                                  f"every scale the multiplier can express")
-    return QLayer(w_q, w_scale, bias_q)
-
-
-def quantize_model(folded: ModelParams, stats: CalibStats) -> QuantModel:
-    """Build the int8 model from a folded float model and the range of
-    every activation in activation_names; it passes check_quant_invariants,
-    so its plan can be laid out. A folded conv's beta is its bias."""
+def quantize_model(folded: ModelParams,
+                   ranges: dict[str, tuple[float, float]]) -> QuantModel:
+    """Build the int8 model from a folded float model and the observed
+    range of every activation in activation_names, as calibrate returns
+    them; each spec is activation_spec of its range. Raises
+    MissingCalibration for the first name without a range. The model
+    passes check_quant_invariants, so its plan can be laid out. A folded
+    conv's beta is its bias."""
     if not folded.bn_folded:
         raise InvalidConfig("quantize_model expects a BN-folded model")
     names = activation_names(folded.config)
-    specs = {name: activation_spec(*stats.range_of(name)) for name in names}
-    convs = [_quantize_conv(conv.name, layer.w, layer.beta,
-                            specs[conv.reads], specs[f"{conv.name}.out"])
+    for name in names:
+        if name not in ranges:
+            raise MissingCalibration(name)
+    specs = {name: activation_spec(*ranges[name]) for name in names}
+    convs = [_quantize_weights(conv.name, layer.w, layer.beta,
+                               specs[conv.reads].scale,
+                               specs[f"{conv.name}.out"].scale)
              for conv, layer in zip(topology(folded.config), folded.convs)]
-    head = QLayer(*_quantize_weights("head", folded.head_w, folded.head_b,
-                                     specs[names[-1]].scale, 0.0))
+    head = _quantize_weights("head", folded.head_w, folded.head_b,
+                             specs[names[-1]].scale, 0.0)
     qm = QuantModel(folded.config, specs, convs, head)
     check_quant_invariants(qm)
     return qm
@@ -477,8 +454,8 @@ def post_training_quantize(params: ModelParams, pool: list[Window],
     idx = np.random.default_rng(seed).choice(len(pool), n, replace=False)
     with kernels.float_checked("BN fold and calibration"):
         folded = fold_batchnorm(params)
-        stats = calibrate(folded, [pool[i] for i in sorted(idx)])
-    return quantize_model(folded, stats), n
+        ranges = calibrate(folded, [pool[i] for i in sorted(idx)])
+    return quantize_model(folded, ranges), n
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +878,7 @@ def evaluate_quant(qm: QuantModel, windows: list[Window]):
     qforward_batch call (which runs blocks of kernels.BLOCK)."""
     if not windows:
         raise EmptyTestSet("evaluate needs at least one window")
-    x, y, wt = _stack(windows)
+    x, y, wt = stack_windows(windows)
     return metrics_from_logits(qforward_batch(qm, x), y, wt,
                                qm.config.classes)
 

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .dataset import DatasetSplit, Window
+from .dataset import DatasetSplit, Window, stack_windows
 from .errors import (
     EmptyTestSet,
     EmptyTrainSet,
@@ -134,20 +134,21 @@ class Workspace:
     """Every array a training step writes, for batches of up to `batch`
     windows, in the parameters' dtype.
 
-    Per conv layer it holds the zero-bordered pad buffer (batch, C_in,
-    L+K-1) of its input and, built once, the buffer's kernels.unfold view
-    (batch, C_in, K, L), the conv's operand, whose interior is the input;
-    the centred activations zc, the conv output less its batch mean, which
-    is all the BN backward needs, and the boolean mask of its ReLU, which
-    the forward writes from the contiguous BN output so that the backward
-    reads no strided operand (1.3 MB for the 10 convs at width 52 and
-    batch 64); `out` holds the last ReLU output, the head's input. Shared
-    buffers take the BN output before the ReLU, the flowing gradients, the
-    output gradient's pad buffer and its unfold view, each weight gradient
-    and, for one block of kernels.BLOCK windows, the im2col patches and
-    the weight gradient's per-window products. A step writes everything
-    with out=, and a shorter batch of b windows uses the leading rows
-    buf[:b], so a step allocates nothing of the batch's size.
+    Per conv layer it holds the kernels.unfold view (batch, C_in, K, L),
+    built once, of a zero-bordered pad buffer (batch, C_in, L+K-1) that it
+    keeps no other reference to (the view's base), the conv's operand,
+    whose interior is the input; the centred activations zc, the conv
+    output less its batch mean, which is all the BN backward needs, and
+    the boolean mask of its ReLU, which the forward writes from the
+    contiguous BN output so that the backward reads no strided operand
+    (1.3 MB for the 10 convs at width 52 and batch 64); `out` holds the
+    last ReLU output, the head's input. Shared buffers take the BN output
+    before the ReLU, the flowing gradients, the unfold view of the output
+    gradient's pad buffer, each weight gradient and, for one block of
+    kernels.BLOCK windows, the im2col patches and the weight gradient's
+    per-window products. A step writes everything with out=, and a
+    shorter batch of b windows uses the leading rows buf[:b], so a step
+    allocates nothing of the batch's size.
     """
 
     def __init__(self, m: ModelParams, batch: int):
@@ -159,10 +160,12 @@ class Workspace:
         def act(channels=c):
             return np.empty((batch, channels, length), dtype)
 
-        self.padded = [np.zeros((batch, layer.w.shape[1], length + k - 1), dtype)
-                       for layer in m.convs]
-        self.unfolded = [kernels.unfold(p, k) for p in self.padded]
-        self.zc = [act() for _ in self.padded]
+        def unfolded(channels):
+            return kernels.unfold(
+                np.zeros((batch, channels, length + k - 1), dtype), k)
+
+        self.unfolded = [unfolded(layer.w.shape[1]) for layer in m.convs]
+        self.zc = [act() for _ in m.convs]
         self.out = act()
         self.h = act()                     # BN output before the ReLU
         self.masks = [np.empty((batch, c, length), bool) for _ in m.convs]
@@ -170,8 +173,7 @@ class Workspace:
         self.patches = np.empty((rows, widest * k, length), dtype)
         self.products = np.empty((rows, c * k, widest), dtype)
         self.grad = (act(), act())
-        self.g_padded = np.zeros((batch, c, length + k - 1), dtype)
-        self.g_unfolded = kernels.unfold(self.g_padded, k)
+        self.g_unfolded = unfolded(c)
         self.dw = [np.empty_like(layer.w) for layer in m.convs]
         self.head_w = np.empty_like(m.head_w)
 
@@ -368,13 +370,6 @@ def _update_running_stats(m: ModelParams, stats) -> None:
                      + (1.0 - BN_MOMENTUM) * var).astype(np.float32)
 
 
-def _stack(windows: list[Window]):
-    x = np.stack([w.data for w in windows]).astype(np.float32, copy=False)
-    y = np.array([w.label for w in windows], dtype=np.int64)
-    wt = np.array([w.weight for w in windows], dtype=np.float32)
-    return x, y, wt
-
-
 def _split_validation(train_windows: list[Window]):
     """Hold out one session per training subject (session 5, or that
     subject's highest session when 5 is absent)."""
@@ -426,7 +421,7 @@ def evaluate(m: ModelParams, windows: list[Window]) -> Metrics:
     """Argmax evaluation: confusion matrix, balanced accuracy, weighted loss."""
     if not windows:
         raise EmptyTestSet("evaluate needs at least one window")
-    return _eval_arrays(m, *_stack(windows))
+    return _eval_arrays(m, *stack_windows(windows))
 
 
 def train_fold(split: DatasetSplit, config: ModelConfig, hp: Hyperparams,
@@ -444,8 +439,8 @@ def train_fold(split: DatasetSplit, config: ModelConfig, hp: Hyperparams,
     if not split.train:
         raise EmptyTrainSet(f"fold {split.held_out_subject} has no training windows")
     train_windows, val_windows = _split_validation(split.train)
-    x_train, y_train, w_train = _stack(train_windows)
-    x_val, y_val, w_val = _stack(val_windows)
+    x_train, y_train, w_train = stack_windows(train_windows)
+    x_val, y_val, w_val = stack_windows(val_windows)
 
     params = build(config, seed)
     state = init_adam(params)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgefit import cli, container, dataset, model, quantize
+from edgefit import cli, container, dataset, model, quantize, synth
 
 
 def run_cli(capsys, *argv):
@@ -163,6 +163,30 @@ class TestPrepare:
         assert_one_error_line(err, "CorruptFile")
         assert f"{data / 'zz.csv'}: cannot read" in err
         assert not out.exists()
+
+    def test_normalization_overflow_is_data_error(self, capsys, tmp_path):
+        """Subject 1's constant hbc takes the std floor, so subject 2's
+        finite hbc of 1e33 normalizes beyond float32: one error line naming
+        --dataset and the recording, no numpy warning, no manifest."""
+        data = tmp_path / "data"
+        for path in synth.make_synthetic_dataset(data, subjects=2, sessions=1,
+                                                 class_seconds=3.0):
+            header, *rows = path.read_text().splitlines()
+            hbc = header.split(",").index("hbc")
+            fields = [row.split(",") for row in rows]
+            for f in fields:
+                f[hbc] = "0.5" if f[-2] == "1" else "1e33"
+            path.write_text("\n".join([header] + [",".join(f) for f in fields])
+                            + "\n")
+        out = tmp_path / "o"
+        code, stdout, err = run_cli(capsys, "prepare", "--dataset", str(data),
+                                    "--out", str(out), "--fold", "2")
+        assert code == cli.EXIT_DATA and not stdout
+        assert_one_error_line(err, "CorruptFile")
+        assert (f"{data}: float32 normalization of subject 2 session 1: "
+                f"overflow" in err)
+        assert "Warning" not in err
+        assert not (out / "manifest.json").exists()
 
     def test_byte_order_mark_prepares_same_windows(self, pipeline, tmp_path):
         data = tmp_path / "data"

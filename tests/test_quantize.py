@@ -26,7 +26,6 @@ from edgefit.errors import (
 )
 from edgefit.model import ModelConfig, build, fold_batchnorm
 from edgefit.quantize import (
-    CalibStats,
     QuantSpec,
     calibrate,
     activation_spec,
@@ -92,8 +91,7 @@ def requantize(acc, m0, n, zero_point_out):
 def quantized_fixture(width=8, model_seed=3, calib_seed=1, n_calib=256):
     folded = fold_batchnorm(build(ModelConfig(width=width), seed=model_seed))
     calib = make_random_windows(n_calib, seed=calib_seed)
-    stats = calibrate(folded, calib)
-    return folded, quantize_model(folded, stats)
+    return folded, quantize_model(folded, calibrate(folded, calib))
 
 
 class TestQuantizeTensor:
@@ -254,20 +252,48 @@ class TestRequantize:
 
 
 class TestCalibrate:
-    def test_zero_window_ranges_contain_zero(self):
+    def test_zero_window_quantizes_to_zero_point(self):
+        """An all-zero window ranges the input to (0, 0) and each ReLU
+        output to a low end of 0; the input's spec, widened to include 0,
+        maps the window to its zero point, the real value 0 exactly."""
         folded = fold_batchnorm(build(ModelConfig(width=4), seed=0))
         zero = make_random_windows(1, seed=0, scale=0.0)
-        stats = calibrate(folded, zero)
-        for lo, hi in stats.ranges.values():
-            assert lo <= 0.0 <= hi
+        ranges = calibrate(folded, zero)
+        assert ranges["input"] == (0.0, 0.0)
+        for conv in model.topology(folded.config):
+            assert ranges[f"{conv.add or conv.name}.out"][0] == 0.0
+        spec = activation_spec(*ranges["input"])
+        assert (quantize_input(spec, zero[0].data) == spec.zero_point).all()
+
+    def test_positive_input_range_is_not_widened(self, tmp_path):
+        """Windows whose every value is positive range the input to a low
+        end above 0: calibrate returns what it observed, and quantize_model
+        widens each range to include 0 (activation_spec), so the EFQ3 bytes
+        equal those of the ranges widened by hand."""
+        folded = fold_batchnorm(randomize_bn(build(ModelConfig(width=8),
+                                                   seed=6)))
+        windows = make_random_windows(20, seed=7)
+        for w in windows:
+            w.data = np.abs(w.data) + np.float32(0.25)
+        ranges = calibrate(folded, windows)
+        lo, hi = ranges["input"]
+        assert 0.25 <= lo < hi
+        widened = {name: (min(r[0], 0.0), max(r[1], 0.0))
+                   for name, r in ranges.items()}
+        assert widened["input"] == (0.0, hi)
+        paths = []
+        for tag, r in (("observed", ranges), ("widened", widened)):
+            paths.append(tmp_path / f"{tag}.efq")
+            quantize.save(quantize_model(folded, r), paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_monotone_ranges(self):
         folded = fold_batchnorm(build(ModelConfig(width=4), seed=0))
         few = calibrate(folded, make_random_windows(8, seed=1))
         more = calibrate(folded, make_random_windows(8, seed=1)
                          + make_random_windows(8, seed=2))
-        for name, (lo, hi) in few.ranges.items():
-            lo2, hi2 = more.ranges[name]
+        for name, (lo, hi) in few.items():
+            lo2, hi2 = more[name]
             assert lo2 <= lo and hi2 >= hi
 
     def test_duplicate_windows_do_not_change_stats(self):
@@ -275,28 +301,36 @@ class TestCalibrate:
         w = make_random_windows(1, seed=3)
         once = calibrate(folded, w)
         twice = calibrate(folded, w + w)
-        assert once.ranges == twice.ranges
+        assert once == twice
 
     @staticmethod
     def check_one_window_at_a_time(folded, windows, tmp_path):
         """calibrate's ranges and the EFQ3 bytes they give equal those of
-        the two-sided min/max rule (CalibStats.update) over every
-        activation of the windows run through forward_batch one at a time.
-        Returns the ranges."""
-        single = CalibStats(ranges={})
+        the rule stated here over every activation of the windows run
+        through forward_batch one at a time: each activation's min and
+        max, except that a ReLU output, each conv's or add's {name}.out in
+        model.topology, takes 0 as its low end. Returns the ranges."""
+        relu_outputs = {f"{conv.add or conv.name}.out"
+                        for conv in model.topology(folded.config)}
+        seen = {}
         for w in windows:
             _, capture = captured(folded, w.data.astype(np.float32)[None])
             for name, arr in capture.items():
-                single.update(name, arr)
+                seen.setdefault(name, []).append((float(arr.min()),
+                                                  float(arr.max())))
+        single = {name: (0.0 if name in relu_outputs
+                         else min(lo for lo, _ in extremes),
+                         max(hi for _, hi in extremes))
+                  for name, extremes in seen.items()}
         batched = calibrate(folded, windows)
-        assert list(batched.ranges) == model.activation_names(folded.config)
-        assert batched.ranges == single.ranges
+        assert list(batched) == model.activation_names(folded.config)
+        assert batched == single
         paths = []
-        for tag, stats in (("single", single), ("batched", batched)):
+        for tag, ranges in (("single", single), ("batched", batched)):
             paths.append(tmp_path / f"{tag}.efq")
-            quantize.save(quantize_model(folded, stats), paths[-1])
+            quantize.save(quantize_model(folded, ranges), paths[-1])
         assert paths[0].read_bytes() == paths[1].read_bytes()
-        return batched.ranges
+        return batched
 
     def test_blocks_match_one_window_at_a_time(self, tmp_path):
         """Width 52, 512 windows (8 blocks): every activation's range and
@@ -362,9 +396,9 @@ class TestQuantizeModel:
         windows = make_random_windows(4, seed=0)
         _, capture = captured(folded, windows[0].data[None])
         assert list(capture) == names
-        stats = calibrate(folded, windows)
-        assert list(stats.ranges) == names
-        qm = quantize_model(folded, stats)
+        ranges = calibrate(folded, windows)
+        assert list(ranges) == names
+        qm = quantize_model(folded, ranges)
         quantize.save(qm, tmp_path / "q.efq")
         stored = container.read(tmp_path / "q.efq", quantize.QUANT_MAGIC)
         for field in ("scale", "zero_point"):
@@ -395,29 +429,36 @@ class TestQuantizeModel:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_missing_calibration(self):
+        """The first name of activation_names without a range is the one
+        MissingCalibration names."""
         folded = fold_batchnorm(build(ModelConfig(width=4), seed=0))
-        stats = CalibStats(ranges={"input": (-1.0, 1.0)})
-        with pytest.raises(MissingCalibration):
-            quantize_model(folded, stats)
+        ranges = calibrate(folded, make_random_windows(2, seed=0))
+        del ranges["b0.c1.out"], ranges["b1.c0.out"]
+        with pytest.raises(MissingCalibration, match="'b0.c1.out'") as info:
+            quantize_model(folded, ranges)
+        assert info.value.site == "b0.c1.out"
 
     def test_unfolded_rejected(self):
         m = build(ModelConfig(width=4), seed=0)
         with pytest.raises(InvalidConfig):
-            quantize_model(m, CalibStats(ranges={}))
+            quantize_model(m, {})
 
     def test_accumulator_bound_violation(self):
         w = np.ones((1, 70_000, 3), dtype=np.float32)
         b = np.zeros(1, dtype=np.float32)
-        spec = QuantSpec(scale=0.1, zero_point=0)
-        with pytest.raises(AccumulatorOverflow):
-            quantize._quantize_conv("huge", w, b, spec, spec)
+        with pytest.raises(AccumulatorOverflow, match="huge"):
+            quantize._quantize_weights("huge", w, b, 0.1, 0.1)
 
     def test_bias_overflow(self):
-        w = np.ones((1, 2, 3), dtype=np.float32)
-        b = np.array([1e30], dtype=np.float32)
-        spec = QuantSpec(scale=0.1, zero_point=0)
-        with pytest.raises(AccumulatorOverflow):
-            quantize._quantize_conv("big-bias", w, b, spec, spec)
+        """A finite bias so large that the weight scale it takes needs a
+        multiplier shift below -30: quantize_model's check, _layout's,
+        names the conv."""
+        folded = fold_batchnorm(build(ModelConfig(width=4), seed=0))
+        ranges = calibrate(folded, make_random_windows(2, seed=0))
+        folded.convs[2].beta[0] = 1e30                # b0.c1
+        with pytest.raises(RequantRangeError,
+                           match=r"^b0\.c1: scale ratio .* needs shift"):
+            quantize_model(folded, ranges)
 
 
 def conv_multipliers(layer, in_spec, out_spec):
@@ -592,8 +633,8 @@ class TestQForward:
         c = 4
         spec = QuantSpec(scale=0.05, zero_point=3)
         w = np.eye(c, dtype=np.float32)[:, :, None]
-        layer = quantize._quantize_conv("id", w, np.zeros(c, np.float32),
-                                        spec, spec)
+        layer = quantize._quantize_weights("id", w, np.zeros(c, np.float32),
+                                           spec.scale, spec.scale)
         rng = np.random.default_rng(0)
         x_q = rng.integers(-128, 128, size=(1, c, 10)).astype(np.int8)
         out = plan_qconv(layer, spec, spec, False, x_q)[0]
@@ -604,7 +645,8 @@ class TestQForward:
         b = rng.standard_normal(3).astype(np.float32) * 0.1
         in_spec = QuantSpec(scale=0.04, zero_point=-5)
         out_spec = QuantSpec(scale=0.11, zero_point=12)
-        layer = quantize._quantize_conv("t", w, b, in_spec, out_spec)
+        layer = quantize._quantize_weights("t", w, b, in_spec.scale,
+                                           out_spec.scale)
         for relu in (False, True):
             x_q = rng.integers(-128, 128, size=(1, 2, 9)).astype(np.int8)
             got = plan_qconv(layer, in_spec, out_spec, relu, x_q)[0]
@@ -1148,7 +1190,7 @@ class TestQuantPlan:
         or offsets, an add's table or the head's operands; the first
         qforward_batch builds each once."""
         folded = fold_batchnorm(build(ModelConfig(width=8), seed=3))
-        stats = calibrate(folded, make_random_windows(16, seed=1))
+        ranges = calibrate(folded, make_random_windows(16, seed=1))
         rows = []
         original = kernels.channel_rows
 
@@ -1157,7 +1199,7 @@ class TestQuantPlan:
             return original(v, length)
 
         monkeypatch.setattr(kernels, "channel_rows", counted)
-        qm = quantize_model(folded, stats)
+        qm = quantize_model(folded, ranges)
         check_quant_invariants(qm)
         quantize.save(qm, tmp_path / "q.efq")
         loaded = quantize.load(tmp_path / "q.efq")

@@ -1,6 +1,7 @@
 """Every module-level function and class of src/edgefit serves the package
 or the benchmark: a name that no src module references and no perfbench
-file names is code that only tests run."""
+file names is code that only tests run. And no src module reaches into
+another one's private names: what two modules share is public."""
 
 import ast
 import re
@@ -10,12 +11,47 @@ ROOT = Path(__file__).resolve().parent.parent
 TEST_ONLY = set()
 
 
+def src_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted((ROOT / "src" / "edgefit").glob("*.py"))}
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_imports() -> set[str]:
+    """"module: source.name" for each underscore name that a src module
+    takes from another src module, by `from .source import _name` or as
+    `source._name` of a src module it imports."""
+    found = set()
+    for module, tree in src_trees().items():
+        modules = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            package, _, source = ("edgefit." * node.level
+                                  + (node.module or "")).partition(".")
+            if package != "edgefit":
+                continue
+            for alias in node.names:
+                if not source:
+                    modules.add(alias.asname or alias.name)
+                elif is_private(alias.name):
+                    found.add(f"{module}: {source}.{alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and is_private(node.attr)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                found.add(f"{module}: {node.value.id}.{node.attr}")
+    return found
+
+
 def unreferenced_definitions() -> set[str]:
     """module.name of each module-level def or class of src/edgefit that no
     src module uses as a Name or an Attribute and no perfbench/*.py file
     names."""
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted((ROOT / "src" / "edgefit").glob("*.py"))}
+    trees = src_trees()
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -35,3 +71,7 @@ def unreferenced_definitions() -> set[str]:
 
 def test_src_holds_no_test_only_code():
     assert unreferenced_definitions() == TEST_ONLY
+
+
+def test_src_modules_import_no_private_name():
+    assert private_imports() == set()

@@ -336,13 +336,16 @@ class TestWorkspaceTrainer:
     def test_pad_borders_stay_zero(self, rng, k):
         """Steps of 8 windows and a shorter last one write only the
         interiors of the workspace's pad buffers, through the unfold views
-        the conv kernels read."""
+        the conv kernels read; each buffer is reached as the base of its
+        view, the array the view was built on."""
         m = build(ModelConfig(width=8, kernel=k), seed=5)
         ws = training.Workspace(m, 8)
         for n in (8, 8, 3):
             training._step(ws, m, *random_batch(rng, n, np.float32))
         pad = (k - 1) // 2
-        for buf in [*ws.padded, ws.g_padded]:
+        for view in [*ws.unfolded, ws.g_unfolded]:
+            buf = view.base
+            assert buf.ndim == 3
             assert buf[:, :, pad:buf.shape[2] - pad].any()
             assert_zero_borders(buf, k)
 
