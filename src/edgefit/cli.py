@@ -216,7 +216,8 @@ def cmd_report(args) -> int:
 def cmd_synth(args) -> int:
     paths = synth.make_synthetic_dataset(
         args.out, subjects=args.subjects, sessions=args.sessions,
-        class_seconds=args.class_seconds, seed=args.seed)
+        class_seconds=args.class_seconds, null_seconds=args.null_seconds,
+        noise=args.noise, seed=args.seed)
     print(f"wrote {len(paths)} session files under {args.out}")
     return EXIT_OK
 
@@ -295,6 +296,12 @@ def build_parser() -> _Parser:
     p.add_argument("--class-seconds", type=float, default=12.0,
                    help="seconds per exercise segment, 0 to 3600 "
                         "(default 12)")
+    p.add_argument("--null-seconds", type=float, default=3.0,
+                   help="seconds of Null before, between and after the "
+                        "exercises, 0 to 3600 (default 3)")
+    p.add_argument("--noise", type=float, default=0.3,
+                   help="standard deviation of the white noise on every "
+                        f"channel, 0 to {synth.MAX_NOISE:g} (default 0.3)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
     return parser

@@ -1,8 +1,11 @@
+import hashlib
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgefit import cli, synth
 from edgefit.dataset import (
@@ -102,6 +105,12 @@ PARITY_CASES = {
                        noise=0.0, seed=5),
     "seed_0": dict(subjects=2, sessions=3, class_seconds=3.0, seed=0),
     "seed_7": dict(subjects=2, sessions=3, class_seconds=3.0, seed=7),
+    # channels near 1e10, beyond the grid's exact range: the %-template
+    "huge_noise": dict(subjects=1, sessions=1, class_seconds=1.0,
+                       noise=1e10, seed=2),
+    # 1,136 s of rows: timestamps with four integer digits
+    "four_digit_timestamps": dict(subjects=1, sessions=1,
+                                  class_seconds=100.0),
 }
 
 
@@ -116,6 +125,130 @@ class TestOracleParity:
         assert got == files_under(tmp_path / "new")
         for a, b in zip(got, expected):
             assert a.read_bytes() == b.read_bytes(), a.name
+
+    def test_huge_noise_takes_template_path(self, tmp_path, monkeypatch):
+        calls = spy_template_rows(monkeypatch)
+        synth.make_synthetic_dataset(tmp_path, **PARITY_CASES["huge_noise"])
+        assert calls == [1]
+
+    def test_default_set_takes_grid_path(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a block of the default set left the grid")
+        monkeypatch.setattr(synth, "_template_rows", refuse)
+        assert len(synth.make_synthetic_dataset(tmp_path)) == 50
+
+    def test_blocks_mix_grid_and_template(self, tmp_path, monkeypatch):
+        """Blocks of 60 rows, and a bound low enough that blocks holding a
+        channel at or above 1.5 fall back: the file is still the oracle's.
+        The first block is the first Null segment."""
+        kwargs = dict(subjects=1, sessions=1, class_seconds=2.0,
+                      null_seconds=3.0, seed=11)
+        expected = oracle_make_synthetic_dataset(tmp_path / "old", **kwargs)
+        monkeypatch.setattr(synth, "MAX_SEGMENT_ROWS", 60)
+        monkeypatch.setattr(synth, "_EXACT_BOUND", 1.5e6)
+        calls = spy_template_rows(monkeypatch)
+        got = synth.make_synthetic_dataset(tmp_path / "new", **kwargs)
+        blocks = -(-(11 * 40 + 12 * 60) // 60)
+        assert 0 < len(calls) < blocks
+        assert got[0].read_bytes() == expected[0].read_bytes()
+
+
+def spy_template_rows(monkeypatch) -> list[int]:
+    """Count calls of synth._template_rows, one entry per call."""
+    calls = []
+    template_rows = synth._template_rows
+
+    def spy(*args):
+        calls.append(1)
+        return template_rows(*args)
+    monkeypatch.setattr(synth, "_template_rows", spy)
+    return calls
+
+
+# SHA-256 over name, NUL and bytes of each file of the default set, in the
+# order make_synthetic_dataset returns them; taken from the writer that
+# applied one %-template per segment
+DEFAULT_SET_DIGESTS = {
+    0: "0e8a5d408a1e9f47ad2689278523fbc8d2ef1a6a2455d7f57dd5ef1accff24cf",
+    4242: "160843e9ccf2496fa083d5781cb65244865ddb853729438efc057f009959318a",
+}
+
+
+@pytest.mark.parametrize("seed", DEFAULT_SET_DIGESTS)
+def test_default_set_is_pinned(tmp_path, seed):
+    paths = synth.make_synthetic_dataset(tmp_path, seed=seed)
+    assert len(paths) == 50
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == DEFAULT_SET_DIGESTS[seed]
+
+
+def grid_text(values, decimals, prefix=b""):
+    words = synth._fixed_point_words(np.asarray(values, dtype=np.float64),
+                                     decimals, prefix)
+    text = np.moveaxis(words, 0, -1).tobytes()    # each value's words in turn
+    return text.translate(None, b"\0").decode()
+
+
+def percent_text(values, decimals, prefix=""):
+    return "".join(prefix + "%.*f" % (decimals, v) for v in values)
+
+
+def largest_exact(decimals):
+    """The largest double x with x·10^decimals below the grid's bound."""
+    x = synth._EXACT_BOUND / 10 ** decimals
+    while x * 10.0 ** decimals >= synth._EXACT_BOUND:
+        x = np.nextafter(x, 0.0)
+    return float(x)
+
+
+class TestFixedPointWords:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_random_doubles_match_percent(self, data):
+        decimals = data.draw(st.sampled_from([3, 6]))
+        bound = largest_exact(decimals)
+        values = data.draw(st.lists(st.floats(-bound, bound), min_size=1,
+                                    max_size=40))
+        prefix = data.draw(st.sampled_from(["", ","]))
+        assert grid_text(values, decimals, prefix.encode()) == \
+            percent_text(values, decimals, prefix)
+
+    @pytest.mark.parametrize("decimals, denominator", [(3, 16), (6, 128)])
+    def test_ties_and_their_neighbours(self, decimals, denominator):
+        # odd / denominator has one more decimal than decimals, a 5: a tie
+        # that '%f' rounds half to even
+        ties = (2 * np.arange(-2000, 2000) + 1) / denominator
+        exact = ["%.*f" % (decimals + 1, t) for t in ties.tolist()]
+        assert {text[-1] for text in exact} == {"5"}
+        assert [float(text) for text in exact] == ties.tolist()
+        for values in (ties, np.nextafter(ties, np.inf),
+                       np.nextafter(ties, -np.inf)):
+            assert grid_text(values, decimals) == \
+                percent_text(values.tolist(), decimals)
+
+    @pytest.mark.parametrize("value, decimals, text", [
+        (-0.0, 6, "-0.000000"), (0.0, 6, "0.000000"),
+        (-4e-7, 6, "-0.000000"), (-4e-4, 3, "-0.000"),
+        (9.9999996, 6, "10.000000"), (-9.9999996, 6, "-10.000000"),
+        (999.9999996, 6, "1000.000000"), (9.9996, 3, "10.000"),
+        (999999.9996, 3, "1000000.000"), (1000.0, 3, "1000.000"),
+        (0.0005, 3, "0.001"), (0.0025, 3, "0.003"), (2.5e-7, 6, "0.000000"),
+    ])
+    def test_hand_picked(self, value, decimals, text):
+        assert "%.*f" % (decimals, value) == text
+        assert grid_text([value], decimals) == text
+
+    @pytest.mark.parametrize("decimals", [3, 6])
+    def test_bound(self, decimals):
+        below = largest_exact(decimals)
+        values = [below, -below, np.nextafter(below, 0.0), below / 3]
+        assert grid_text(values, decimals) == percent_text(values, decimals)
+        for beyond in (np.nextafter(below, np.inf), -1e300, np.inf, np.nan):
+            assert synth._fixed_point_words(np.array([1.0, beyond]),
+                                            decimals) is None
 
 
 class TestArgumentRanges:
@@ -136,7 +269,8 @@ class TestArgumentRanges:
         dict(class_seconds=-1.0), dict(class_seconds=math.nan),
         dict(null_seconds=-0.5), dict(null_seconds=math.inf),
         dict(null_seconds=1e300), dict(null_seconds=3600.05),
-        dict(noise=-0.1), dict(noise=math.nan),
+        dict(noise=-0.1), dict(noise=math.nan), dict(noise=1e31),
+        dict(noise=1e308),
     ], ids=repr)
     def test_rejected_before_writing(self, tmp_path, kwargs):
         out = tmp_path / "data"
@@ -152,6 +286,10 @@ class TestCli:
         ("--class-seconds", "-1"), ("--class-seconds", "nan"),
         ("--class-seconds", "inf"), ("--class-seconds", "1e300"),
         ("--class-seconds", "3600.05"),
+        ("--null-seconds", "-1"), ("--null-seconds", "nan"),
+        ("--null-seconds", "3600.05"),
+        ("--noise", "-0.1"), ("--noise", "nan"), ("--noise", "inf"),
+        ("--noise", "1e38"),
     ])
     def test_bad_synth_argument_is_usage_error(self, capsys, tmp_path,
                                                flag, value):
@@ -168,6 +306,24 @@ class TestCli:
         text = " ".join(capsys.readouterr().out.split())
         assert f"{SUBJECT_RANGE[0]}-{SUBJECT_RANGE[1]}" in text
         assert f"{SESSION_RANGE[0]}-{SESSION_RANGE[1]}" in text
+        assert text.count("0 to 3600") == 2
+        assert f"--noise NOISE standard deviation of the white noise on " \
+            f"every channel, 0 to {synth.MAX_NOISE:g}" in text
+
+    def test_noise_and_null_seconds_reach_the_writer(self, capsys,
+                                                     tmp_path):
+        kwargs = dict(subjects=1, sessions=2, class_seconds=0.5,
+                      null_seconds=0.25, noise=0.0, seed=3)
+        code, out, _ = run_cli(
+            capsys, "synth", "--out", str(tmp_path / "cli"),
+            "--subjects", "1", "--sessions", "2", "--class-seconds", "0.5",
+            "--null-seconds", "0.25", "--noise", "0", "--seed", "3")
+        assert code == cli.EXIT_OK and "wrote 2 session files" in out
+        expected = synth.make_synthetic_dataset(tmp_path / "api", **kwargs)
+        got = files_under(tmp_path / "cli")
+        assert [p.name for p in got] == [p.name for p in expected]
+        for a, b in zip(got, expected):
+            assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("command", ["synth", "prepare"])
     @pytest.mark.parametrize("under", [False, True],
