@@ -63,12 +63,16 @@ class ModelConfig:
 
 class Conv(NamedTuple):
     """One conv of the network as topology lists it: its name, its input
-    channels and the activation it reads. A block's last conv also names
-    skip, the index of the block's first conv, whose operand (the block
-    input) it adds to its output before its ReLU, and that add."""
+    and output channels and the activation it reads. These records are
+    the one source of every conv's channel counts: the weights, buffers,
+    arena slots and head input of every executor are sized from them. A
+    block's last conv also names skip, the index of the block's first
+    conv, whose operand (the block input) it adds to its output before
+    its ReLU, and that add."""
 
     name: str
     in_channels: int
+    out_channels: int
     reads: str
     skip: int | None = None
     add: str | None = None
@@ -79,16 +83,21 @@ def topology(config: ModelConfig) -> tuple[Conv, ...]:
     """The convs of config in execution order: the stem, then each block's
     convs b{i}.c{j}, the last adding the block input as b{i}.add. Each
     conv writes {name}.out and each add {add}.out; every conv fuses a ReLU
-    but a block's last, whose add does. The table is cached per config,
-    so the executors walk it on every call without rebuilding it; its
-    size grows with config.blocks * config.convs_per_block, so a file's
-    config must be bounded (config_from_meta) before it is built."""
-    convs = [Conv("stem", config.in_channels, "input")]
+    but a block's last, whose add does. The stem reads config.in_channels
+    and every conv writes config.width channels, which every conv after
+    the stem reads: this is the one place that reads config.width for a
+    conv's channels, and every executor sizes its weights and buffers
+    from the records. The head reads the last conv's out_channels *
+    seq_len. The table is cached per config, so the executors walk it on
+    every call without rebuilding it; its size grows with config.blocks *
+    config.convs_per_block, so a file's config must be bounded
+    (config_from_meta) before it is built."""
+    convs = [Conv("stem", config.in_channels, config.width, "input")]
     for i in range(config.blocks):
         first = len(convs)
         for j in range(config.convs_per_block):
             reads = f"{convs[-1].add or convs[-1].name}.out"
-            convs.append(Conv(f"b{i}.c{j}", config.width, reads))
+            convs.append(Conv(f"b{i}.c{j}", config.width, config.width, reads))
         convs[-1] = convs[-1]._replace(skip=first, add=f"b{i}.add")
     return tuple(convs)
 
@@ -111,7 +120,7 @@ class ConvLayer:
 class ModelParams:
     config: ModelConfig
     convs: list[ConvLayer]   # one per record of topology(config), in order
-    head_w: np.ndarray   # (classes, seq_len*width)
+    head_w: np.ndarray   # (classes, seq_len * the last conv's out_channels)
     head_b: np.ndarray   # (classes,)
     bn_folded: bool = False
     # built by the first forward_batch (see ForwardPlan)
@@ -168,9 +177,9 @@ def build(config: ModelConfig, seed: int) -> ModelParams:
             var=np.ones(c_out, dtype=np.float32),
         )
 
-    convs = [conv_layer(config.width, conv.in_channels)
-             for conv in topology(config)]
-    flat = config.seq_len * config.width
+    table = topology(config)
+    convs = [conv_layer(conv.out_channels, conv.in_channels) for conv in table]
+    flat = config.seq_len * table[-1].out_channels
     head_w = he_uniform((config.classes, flat), flat)
     head_b = np.zeros(config.classes, dtype=np.float32)
     return ModelParams(config, convs, head_w, head_b)
@@ -191,23 +200,23 @@ class ForwardPlan:
     last conv's ReLU runs in place in the contiguous conv output, which
     the head then reads as its (n, width*seq_len) input, with no copy.
     Only the convs' interiors are ever written, so every border stays
-    zero. A plan holds buffers only, never a parameter: forward_batch
+    zero. Every size comes from topology's records, a buffer that
+    several convs share sized for the widest of them. A plan holds buffers only, never a parameter: forward_batch
     reads every layer's arrays at call time."""
 
     def __init__(self, config: ModelConfig, dtype: np.dtype):
         self.config, self.dtype = config, dtype
         convs = topology(config)
-        nb, width, k = kernels.BLOCK, config.width, config.kernel
-        padded_len = config.seq_len + k - 1
-        padded_in = np.zeros((nb, config.in_channels, padded_len), dtype)
-        skip = np.zeros((nb, width, padded_len), dtype)
-        padded = np.zeros((nb, width, padded_len), dtype)
+        nb, k, length = kernels.BLOCK, config.kernel, config.seq_len
+        width = max(conv.out_channels for conv in convs)
+        padded_in, skip, padded = (np.zeros((nb, c, length + k - 1), dtype)
+                                   for c in (config.in_channels, width, width))
         starts = {conv.skip for conv in convs}
         self.pads = [padded_in] + [skip if i in starts else padded
                                    for i in range(1, len(convs))]
-        self.out = np.empty((nb, width, config.seq_len), dtype)
+        self.out = np.empty((nb, width, length), dtype)
         self.patches = np.empty(
-            nb * max(config.in_channels, width) * k * config.seq_len, dtype)
+            nb * max(conv.in_channels for conv in convs) * k * length, dtype)
         self._bound: dict[int, tuple] = {}
 
     def bind(self, n: int) -> tuple:
@@ -325,11 +334,8 @@ def forward_batch(m: ModelParams, x: np.ndarray,
 def forward(m: ModelParams, x: np.ndarray) -> np.ndarray:
     """Single-window forward (in_channels, seq_len) -> logits (classes,):
     a one-window forward_batch, whose logits and activations equal the
-    window's of any batched call bit for bit."""
-    cfg = m.config
-    if x.ndim != 2 or x.shape != (cfg.in_channels, cfg.seq_len):
-        raise ShapeMismatch(
-            f"expected ({cfg.in_channels}, {cfg.seq_len}), got {x.shape}")
+    window's of any batched call bit for bit. A window of another shape
+    raises forward_batch's ShapeMismatch, which names x[None]'s shape."""
     logits = forward_batch(m, x[None])[0]
     return kernels.check_finite(logits, "logits")
 
@@ -398,17 +404,18 @@ def count_macs(config: ModelConfig) -> MacReport:
     the skip itself. quantize.QuantPlan lays out its arena to this figure.
     """
     config.validate()
-    c, l, k = config.width, config.seq_len, config.kernel
-    per_layer = {conv.name: l * k * conv.in_channels * c
-                 for conv in topology(config)}
-    per_layer["head"] = l * c * config.classes
+    convs, l, k = topology(config), config.seq_len, config.kernel
+    per_layer = {conv.name: l * k * conv.in_channels * conv.out_channels
+                 for conv in convs}
+    per_layer["head"] = l * convs[-1].out_channels * config.classes
     total = sum(per_layer.values())
 
     weights, biases = _weights_and_biases(config)
     out_channels = biases
     flash = weights * 1 + biases * 4 + out_channels * 4
 
-    act = c * l   # int8 bytes of one full-width activation
+    # int8 bytes of the widest activation
+    act = l * max(conv.out_channels for conv in convs)
     in_block = 1 + min(config.convs_per_block, 2)   # skip + in + out
     peak = max(config.in_channels * l + act,   # stem
                in_block * act,                 # inside a block
@@ -501,15 +508,16 @@ def load(path: str | Path) -> ModelParams:
                               f"negative variance, or a zero one with eps 0")
         return arr
 
-    c, k = config.width, config.kernel
-    # in all_tensors' order
-    convs = [ConvLayer(*(take(f"{conv.name}.{f.name}",
-                              (c, conv.in_channels, k) if f.name == "w"
-                              else (c,))
-                         for f in dataclasses.fields(ConvLayer)))
-             for conv in topology(config)]
-    m = ModelParams(config, convs,
-                    take("head.w", (config.classes, config.seq_len * c)),
+    def conv_layer(name, shape):      # its tensors in all_tensors' order
+        return ConvLayer(*(take(f"{name}.{f.name}",
+                                shape if f.name == "w" else shape[:1])
+                           for f in dataclasses.fields(ConvLayer)))
+
+    table = topology(config)
+    convs = [conv_layer(conv.name, (conv.out_channels, conv.in_channels,
+                                    config.kernel)) for conv in table]
+    flat = config.seq_len * table[-1].out_channels
+    m = ModelParams(config, convs, take("head.w", (config.classes, flat)),
                     take("head.b", (config.classes,)), bn_folded)
     contents.finish()
     return m

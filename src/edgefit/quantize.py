@@ -735,19 +735,18 @@ def _layout(qm: QuantModel) -> list[tuple]:
     cfg = qm.config
     specs = qm.specs
     length = cfg.seq_len
-    act = (cfg.width, length)
-    slot = [0, cfg.width * length, 2 * cfg.width * length]
     convs = topology(cfg)
     starts = {conv.skip for conv in convs}
     # slot 0 holds every block's input, which its add reads, and the
     # head's: every add writes there, as does a conv without an add whose
     # output the next conv starts a block from. The other convs alternate
     # between slots 1 and 2; the input sits above slot 0 and dies once
-    # the stem has run.
+    # the stem has run. Each slot holds the widest conv output.
+    slot = [i * length * max(c.out_channels for c in convs) for i in range(3)]
     _checked("input", specs["input"])
     src, layout = slot[1], []
     for i, (conv, layer) in enumerate(zip(convs, qm.convs)):
-        out = f"{conv.name}.out"
+        out, act = f"{conv.name}.out", (conv.out_channels, length)
         dst = (0 if conv.add is None and i + 1 in starts
                else slot[2] if src == slot[1] else slot[1])
         layout.append((_ConvStep.of(conv.name, layer, specs[conv.reads],
@@ -757,12 +756,12 @@ def _layout(qm: QuantModel) -> list[tuple]:
         if conv.add is not None:
             layout.append((_AddStep.of(
                 conv.add, specs[convs[conv.skip].reads], specs[out],
-                specs[f"{conv.add}.out"], cfg.width),
+                specs[f"{conv.add}.out"], conv.out_channels),
                 [(0, act, np.int8), (dst, act, np.int8), (0, act, np.int8)]))
         src = dst if conv.add is None else 0
     # the head reads slot 0 and keeps its int32 accumulators above it
     layout.append((_HeadStep.of(qm.head, specs[activation_names(cfg)[-1]]), [
-        (0, (cfg.width * length,), np.int8),
+        (0, (length * convs[-1].out_channels,), np.int8),
         (slot[1], (cfg.classes,), np.int32)]))
     return layout
 
@@ -859,11 +858,9 @@ def qforward_batch(qm: QuantModel, x: np.ndarray,
 
 def qforward(qm: QuantModel, x: np.ndarray,
              trace: list | None = None) -> np.ndarray:
-    """Single-window integer inference -> float logits (classes,)."""
-    cfg = qm.config
-    if x.shape != (cfg.in_channels, cfg.seq_len):
-        raise ShapeMismatch(
-            f"expected ({cfg.in_channels}, {cfg.seq_len}), got {x.shape}")
+    """Single-window integer inference -> float logits (classes,). A
+    window of another shape raises qforward_batch's ShapeMismatch, which
+    names x[None]'s shape."""
     return qforward_batch(qm, x[None], trace=trace)[0]
 
 
@@ -924,7 +921,7 @@ def load(path: str | Path) -> QuantModel:
     contents = container.read(path, QUANT_MAGIC)
     cfg = config_from_meta(contents)
     take = contents.take
-    c = cfg.width
+    convs = topology(cfg)
 
     def layer(name, shape):
         return QLayer(*(take(f"{name}.{attr}", dtype, shape if attr == "w_q"
@@ -935,9 +932,9 @@ def load(path: str | Path) -> QuantModel:
         {name: QuantSpec(float(take(f"{name}.scale", "<f4", ())),
                          int(take(f"{name}.zero_point", "<i4", ())))
          for name in activation_names(cfg)},
-        [layer(conv.name, (c, conv.in_channels, cfg.kernel))
-         for conv in topology(cfg)],
-        layer("head", (cfg.classes, cfg.seq_len * c)))
+        [layer(conv.name, (conv.out_channels, conv.in_channels, cfg.kernel))
+         for conv in convs],
+        layer("head", (cfg.classes, cfg.seq_len * convs[-1].out_channels)))
     contents.finish()
     check_quant_invariants(qm)
     return qm

@@ -132,7 +132,8 @@ class TrainHistory:
 
 class Workspace:
     """Every array a training step writes, for batches of up to `batch`
-    windows, in the parameters' dtype.
+    windows, in the parameters' dtype, sized from topology's records: a
+    per-conv array by its conv's channels, a shared one for the widest.
 
     Per conv layer it holds the kernels.unfold view (batch, C_in, K, L),
     built once, of a zero-bordered pad buffer (batch, C_in, L+K-1) that it
@@ -154,7 +155,8 @@ class Workspace:
     def __init__(self, m: ModelParams, batch: int):
         cfg = m.config
         dtype = m.convs[0].w.dtype
-        c, length, k = cfg.width, cfg.seq_len, cfg.kernel
+        convs, length, k = topology(cfg), cfg.seq_len, cfg.kernel
+        c = max(conv.out_channels for conv in convs)
         widest = max(c, cfg.in_channels)
 
         def act(channels=c):
@@ -164,11 +166,11 @@ class Workspace:
             return kernels.unfold(
                 np.zeros((batch, channels, length + k - 1), dtype), k)
 
-        self.unfolded = [unfolded(layer.w.shape[1]) for layer in m.convs]
-        self.zc = [act() for _ in m.convs]
-        self.out = act()
+        self.unfolded = [unfolded(conv.in_channels) for conv in convs]
+        self.zc = [act(conv.out_channels) for conv in convs]
+        self.out = act(convs[-1].out_channels)
         self.h = act()                     # BN output before the ReLU
-        self.masks = [np.empty((batch, c, length), bool) for _ in m.convs]
+        self.masks = [np.empty(zc.shape, bool) for zc in self.zc]
         rows = min(batch, kernels.BLOCK)
         self.patches = np.empty((rows, widest * k, length), dtype)
         self.products = np.empty((rows, c * k, widest), dtype)

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -72,20 +73,37 @@ class TestTopology:
     def test_records_spelled_out(self):
         Conv = model.Conv
         assert model.topology(ModelConfig(blocks=2, convs_per_block=1)) == (
-            Conv("stem", 7, "input"),
-            Conv("b0.c0", 52, "stem.out", 1, "b0.add"),
-            Conv("b1.c0", 52, "b0.add.out", 2, "b1.add"))
+            Conv("stem", 7, 52, "input"),
+            Conv("b0.c0", 52, 52, "stem.out", 1, "b0.add"),
+            Conv("b1.c0", 52, 52, "b0.add.out", 2, "b1.add"))
         assert model.topology(ModelConfig()) == (
-            Conv("stem", 7, "input"),
-            Conv("b0.c0", 52, "stem.out"),
-            Conv("b0.c1", 52, "b0.c0.out"),
-            Conv("b0.c2", 52, "b0.c1.out", 1, "b0.add"),
-            Conv("b1.c0", 52, "b0.add.out"),
-            Conv("b1.c1", 52, "b1.c0.out"),
-            Conv("b1.c2", 52, "b1.c1.out", 4, "b1.add"),
-            Conv("b2.c0", 52, "b1.add.out"),
-            Conv("b2.c1", 52, "b2.c0.out"),
-            Conv("b2.c2", 52, "b2.c1.out", 7, "b2.add"))
+            Conv("stem", 7, 52, "input"),
+            Conv("b0.c0", 52, 52, "stem.out"),
+            Conv("b0.c1", 52, 52, "b0.c0.out"),
+            Conv("b0.c2", 52, 52, "b0.c1.out", 1, "b0.add"),
+            Conv("b1.c0", 52, 52, "b0.add.out"),
+            Conv("b1.c1", 52, 52, "b1.c0.out"),
+            Conv("b1.c2", 52, 52, "b1.c1.out", 4, "b1.add"),
+            Conv("b2.c0", 52, 52, "b1.add.out"),
+            Conv("b2.c1", 52, 52, "b2.c0.out"),
+            Conv("b2.c2", 52, 52, "b2.c1.out", 7, "b2.add"))
+
+    @pytest.mark.parametrize("blocks, convs_per_block",
+                             itertools.product([1, 2, 3], repeat=2))
+    @pytest.mark.parametrize("width", [4, 52])
+    @pytest.mark.parametrize("kernel", [3, 5])
+    def test_closed_form_counts_match_records(self, blocks, convs_per_block,
+                                              width, kernel):
+        """_weights_and_biases, which bounds a file's config before any
+        table is built, counts the weights and biases the records size."""
+        cfg = ModelConfig(width=width, kernel=kernel, blocks=blocks,
+                          convs_per_block=convs_per_block)
+        convs = model.topology(cfg)
+        head_in = cfg.seq_len * convs[-1].out_channels
+        weights = sum(conv.out_channels * conv.in_channels * kernel
+                      for conv in convs) + cfg.classes * head_in
+        biases = sum(conv.out_channels for conv in convs) + cfg.classes
+        assert model._weights_and_biases(cfg) == (weights, biases)
 
     def test_built_once_per_config(self):
         table = model.topology(ModelConfig(width=6, blocks=2))
@@ -110,10 +128,20 @@ class TestForward:
         x = rng.standard_normal((7, 40)).astype(np.float32)
         assert np.array_equal(forward(m, x), forward(m, x))
 
-    def test_shape_check(self):
+    @pytest.mark.parametrize("shape", [(7, 39), (6, 40), (7,), (1, 7, 40)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    @pytest.mark.parametrize("executor", ["float", "int8"])
+    def test_shape_check(self, executor, shape):
+        """One check per executor, forward_batch's or qforward_batch's, on
+        the window as a batch of one, rejects every other shape."""
         m = build(ModelConfig(width=4), seed=0)
-        with pytest.raises(ShapeMismatch):
-            forward(m, np.zeros((7, 39), np.float32))
+        if executor == "int8":
+            folded = fold_batchnorm(m)
+            m = quantize.quantize_model(folded, quantize.calibrate(
+                folded, make_random_windows(8)))
+        run = {"float": forward, "int8": quantize.qforward}[executor]
+        with pytest.raises(ShapeMismatch, match=r"got \(1, "):
+            run(m, np.zeros(shape, np.float32))
 
     def test_compositional_oracle_tiny_variant(self, rng):
         """A hand-composed chain of tensor-core calls must reproduce

@@ -1,7 +1,9 @@
 """Every module-level function and class of src/edgefit serves the package
 or the benchmark: a name that no src module references and no perfbench
-file names is code that only tests run. And no src module reaches into
-another one's private names: what two modules share is public."""
+file names is code that only tests run. No src module reaches into
+another one's private names: what two modules share is public. And a
+conv's channel counts come from model.topology's records alone: no other
+walker reads a config's width."""
 
 import ast
 import re
@@ -9,6 +11,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TEST_ONLY = set()
+# model.topology sizes every conv; validate checks the width and
+# _weights_and_biases bounds a file's config before any table is built;
+# cmd_train reads argparse's --width, not a config's
+WIDTH_READERS = {"model.validate", "model.topology",
+                 "model._weights_and_biases", "cli.cmd_train"}
 
 
 def src_trees() -> dict[str, ast.Module]:
@@ -69,9 +76,32 @@ def unreferenced_definitions() -> set[str]:
             and node.name not in used | named}
 
 
+def width_readers() -> set[str]:
+    """module.function for each function of src/edgefit that reads a
+    .width attribute, named by its innermost enclosing def (module.None
+    at module level)."""
+    found = set()
+
+    def visit(module, node, function):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "width"
+                    and isinstance(child.ctx, ast.Load)):
+                found.add(f"{module}.{function}")
+            visit(module, child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    for module, tree in src_trees().items():
+        visit(module, tree, None)
+    return found
+
+
 def test_src_holds_no_test_only_code():
     assert unreferenced_definitions() == TEST_ONLY
 
 
 def test_src_modules_import_no_private_name():
     assert private_imports() == set()
+
+
+def test_only_topology_reads_a_config_width():
+    assert width_readers() == WIDTH_READERS
