@@ -231,7 +231,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("prepare", help="ingest CSVs, window, and split")
     p.add_argument("--dataset", required=True, help="CSV file or directory")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--stride", type=int, default=20)
+    p.add_argument("--stride", type=int, default=dataset.RATE_HZ)
     p.add_argument("--fold", default="all",
                    help="held-out subject id, or 'all' for every fold")
     p.set_defaults(func=cmd_prepare)
@@ -240,10 +240,11 @@ def build_parser() -> _Parser:
     p.add_argument("--windows", required=True, help="window container file")
     p.add_argument("--fold", type=int, required=True)
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--width", type=int, default=52)
-    p.add_argument("--epochs", type=int, default=1000)
+    p.add_argument("--width", type=int, default=model.ModelConfig.width)
+    p.add_argument("--epochs", type=int, default=training.Hyperparams.epochs)
     p.add_argument("--patience", type=int, help="default min(100, --epochs)")
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--batch-size", type=int,
+                   default=training.Hyperparams.batch_size)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--history", default=None, help="history CSV path")
     p.set_defaults(func=cmd_train)
@@ -282,7 +283,7 @@ def build_parser() -> _Parser:
                    help="CSV of name,clock_hz,power_mw,time_ms,mac_count "
                         "(default: built-in reference profiles)")
     p.add_argument("--baseline", default=None)
-    p.add_argument("--stride", type=int, default=20)
+    p.add_argument("--stride", type=int, default=dataset.RATE_HZ)
     p.add_argument("--format", choices=("text", "kv"), default="text")
     p.set_defaults(func=cmd_report)
 

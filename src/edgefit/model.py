@@ -90,8 +90,8 @@ def topology(config: ModelConfig) -> tuple[Conv, ...]:
     from the records. The head reads the last conv's out_channels *
     seq_len. The table is cached per config, so the executors walk it on
     every call without rebuilding it; its size grows with config.blocks *
-    config.convs_per_block, so a file's config must be bounded
-    (config_from_meta) before it is built."""
+    config.convs_per_block, so config_from_meta bounds a file's config by
+    the file's tensor count before it is built."""
     convs = [Conv("stem", config.in_channels, config.width, "input")]
     for i in range(config.blocks):
         first = len(convs)
@@ -381,49 +381,58 @@ class MacReport:
         return "\n".join(lines)
 
 
-def _weights_and_biases(config: ModelConfig) -> tuple[int, int]:
-    """The weight and bias counts of config's convs and head, in closed
-    form: no table of its layers is built, so a file's config can be
-    bounded by them before anything is allocated for it."""
-    c, k = config.width, config.kernel
-    convs = config.blocks * config.convs_per_block      # besides the stem
-    weights = (c * config.in_channels * k + convs * c * c * k
-               + config.classes * config.seq_len * c)
-    return weights, c * (1 + convs) + config.classes
+def arena_plan(config: ModelConfig) -> tuple[dict[str, int], int]:
+    """The int8 activation arena of one window, as quantize.QuantPlan lays
+    it out: the byte offset of every activation of activation_names(config)
+    and of the head's int32 accumulators, head.acc, and the arena's size,
+    the end of the furthest of them. Each of three slots holds the widest
+    conv output. Slot 0 holds every block's input, which its add reads,
+    and the head's: every add writes there, as does a conv without an add
+    whose output the next conv starts a block from (the stem). The other
+    convs alternate between slots 1 and 2. The input and the head's
+    accumulators sit at slot 1, above slot 0, where no conv output lives
+    while they do: the input dies once the stem has run."""
+    convs, length = topology(config), config.seq_len
+    starts = {conv.skip for conv in convs}
+    slot = [i * length * max(conv.out_channels for conv in convs)
+            for i in range(3)]
+    placed = {"input": (slot[1], config.in_channels * length)}  # offset, size
+    for i, conv in enumerate(convs):
+        src, size = placed[conv.reads][0], conv.out_channels * length
+        dst = (0 if conv.add is None and i + 1 in starts
+               else slot[2] if src == slot[1] else slot[1])
+        placed[f"{conv.name}.out"] = dst, size
+        if conv.add is not None:
+            placed[f"{conv.add}.out"] = 0, size
+    placed["head.acc"] = slot[1], config.classes * 4
+    return ({name: offset for name, (offset, _) in placed.items()},
+            max(map(sum, placed.values())))
 
 
 def count_macs(config: ModelConfig) -> MacReport:
-    """Per-layer multiply-accumulate counts and memory footprint estimates.
+    """Per-layer multiply-accumulate counts and memory footprint estimates,
+    read off topology(config)'s records.
 
     Counting convention: one MAC per multiply-accumulate in convolutions and
     the dense head; BN, ReLU, and the residual add are excluded. Flash
-    assumes int8 weights, int32 biases, and one float32 scale per output
-    channel. Peak activations assume int8 buffers with the block input kept
-    alive for the skip connection: inside a block the skip, a conv's input
-    and its output, which is two buffers when the block's one conv reads
-    the skip itself. quantize.QuantPlan lays out its arena to this figure.
+    assumes int8 weights, and an int32 bias and one float32 scale per
+    output channel. Peak activations are the int8 arena arena_plan lays
+    out, which keeps the block input alive for the skip connection: inside
+    a block the skip, a conv's input and its output, which is two buffers
+    when the block's one conv reads the skip itself.
     """
     config.validate()
     convs, l, k = topology(config), config.seq_len, config.kernel
     per_layer = {conv.name: l * k * conv.in_channels * conv.out_channels
                  for conv in convs}
     per_layer["head"] = l * convs[-1].out_channels * config.classes
-    total = sum(per_layer.values())
-
-    weights, biases = _weights_and_biases(config)
-    out_channels = biases
-    flash = weights * 1 + biases * 4 + out_channels * 4
-
-    # int8 bytes of the widest activation
-    act = l * max(conv.out_channels for conv in convs)
-    in_block = 1 + min(config.convs_per_block, 2)   # skip + in + out
-    peak = max(config.in_channels * l + act,   # stem
-               in_block * act,                 # inside a block
-               act + config.classes * 4)       # head (int32 logits)
-    return MacReport(per_layer=per_layer, total=total,
+    weights = sum(k * conv.in_channels * conv.out_channels
+                  for conv in convs) + per_layer["head"]
+    biases = sum(conv.out_channels for conv in convs) + config.classes
+    return MacReport(per_layer=per_layer, total=sum(per_layer.values()),
                      param_count=weights + biases,
-                     flash_bytes_int8=flash,
-                     peak_activation_bytes=peak)
+                     flash_bytes_int8=weights + biases * (4 + 4),
+                     peak_activation_bytes=arena_plan(config)[1])
 
 
 def fold_batchnorm(m: ModelParams) -> ModelParams:
@@ -449,9 +458,11 @@ def fold_batchnorm(m: ModelParams) -> ModelParams:
 
 def config_from_meta(contents: container.Contents) -> ModelConfig:
     """The ModelConfig in a model container's metadata. CorruptFile unless
-    it is valid, every dimension is an int and the file holds at least as
-    many tensor elements as the config has weights and biases, which
-    bounds what a loader allocates for it."""
+    it is valid, every dimension is an int, the file holds at least as
+    many tensors as the config has convs (each stores three or more),
+    checked first, as it bounds the table topology and count_macs build
+    for the config, and at least as many tensor elements as count_macs
+    counts parameters, which bounds what a loader allocates for it."""
     try:
         config = ModelConfig(**contents.meta["config"])
         dims = dataclasses.astuple(config)[:-1]      # every field but bn_eps
@@ -461,10 +472,11 @@ def config_from_meta(contents: container.Contents) -> ModelConfig:
     except (KeyError, TypeError, ValueError, OverflowError,
             InvalidConfig) as e:
         raise CorruptFile(f"{contents.path}: bad model config ({e})") from None
-    if sum(_weights_and_biases(config)) > sum(
-            arr.size for arr in contents.tensors.values()):
+    if (1 + config.blocks * config.convs_per_block > len(contents.tensors)
+            or count_macs(config).param_count > sum(
+                arr.size for arr in contents.tensors.values())):
         raise CorruptFile(f"{contents.path}: bad model config ({config} "
-                          f"has more parameters than the file holds)")
+                          f"has more convs or parameters than the file holds)")
     return config
 
 

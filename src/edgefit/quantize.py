@@ -100,14 +100,16 @@ then holds:
   buffer's kernels.unfold view, the one operand kernels.conv1d takes,
   whose im2col copies the patches straight from it;
 - one int8 arena of arena_bytes per window. The input, each block's skip
-  and every conv's input and output are views into it at planned offsets:
-  slot 0 holds the stem output and every block's input and output, the
-  convs of a block alternate between slots 1 and 2, and the input and the
-  head's int32 accumulators sit above slot 0, where slots 1 and 2 are dead
-  while they live. arena_bytes is count_macs().peak_activation_bytes,
-  6,240 B at width 52, the RAM figure the paper reports. A block of b
-  windows places each operand at its offset times b in the flattened
-  arena, so every operand is one contiguous (b, C, L) array.
+  and every conv's input and output are views into it at the offsets
+  model.arena_plan gives each activation by name: slot 0 holds the stem
+  output and every block's input and output, the convs of a block
+  alternate between slots 1 and 2, and the input and the head's int32
+  accumulators sit above slot 0, where slots 1 and 2 are dead while they
+  live. arena_bytes is arena_plan's size, which count_macs reports as
+  peak_activation_bytes: 6,240 B at width 52, the RAM figure the paper
+  reports. A block of b windows places each operand at its offset times
+  b in the flattened arena, so every operand is one contiguous (b, C, L)
+  array.
 
 At width 52 a plan holds 2.78 MB: 0.50 MB of conv rows, 192 KB of add
 tables, 0.49 MB of GEMM-ready weights, 1.41 MB of scratch, 70 KB of
@@ -168,6 +170,7 @@ from .model import (
     ModelConfig,
     ModelParams,
     activation_names,
+    arena_plan,
     config_from_meta,
     fold_batchnorm,
     forward_batch,
@@ -407,7 +410,6 @@ def _quantize_weights(name: str, w: np.ndarray, b: np.ndarray, s_in: float,
     if not np.all(np.isfinite(bias_real)):
         raise AccumulatorOverflow(f"{name}: quantized bias exceeds int32")
     bias_q = round_half_away(bias_real)
-    _check_accumulator(name, w[0].size, bias_q)
     return QLayer(w_q, w_scale, bias_q.astype(np.int32))
 
 
@@ -730,39 +732,32 @@ class _HeadStep:
 def _layout(qm: QuantModel) -> list[tuple]:
     """Walk topology(qm.config) once: pass each step the specs of the
     activations it reads and writes, which checks the layer and derives its
-    multipliers, and place its arena operands. Returns (step, its operands
-    as (offset, shape, dtype)) in run order."""
+    multipliers, and place its arena operands at model.arena_plan's
+    offsets. Returns (step, its operands as (offset, shape, dtype)) in run
+    order."""
     cfg = qm.config
     specs = qm.specs
     length = cfg.seq_len
     convs = topology(cfg)
-    starts = {conv.skip for conv in convs}
-    # slot 0 holds every block's input, which its add reads, and the
-    # head's: every add writes there, as does a conv without an add whose
-    # output the next conv starts a block from. The other convs alternate
-    # between slots 1 and 2; the input sits above slot 0 and dies once
-    # the stem has run. Each slot holds the widest conv output.
-    slot = [i * length * max(c.out_channels for c in convs) for i in range(3)]
+    offsets, _ = arena_plan(cfg)
     _checked("input", specs["input"])
-    src, layout = slot[1], []
-    for i, (conv, layer) in enumerate(zip(convs, qm.convs)):
+    layout = []
+    for conv, layer in zip(convs, qm.convs):
         out, act = f"{conv.name}.out", (conv.out_channels, length)
-        dst = (0 if conv.add is None and i + 1 in starts
-               else slot[2] if src == slot[1] else slot[1])
         layout.append((_ConvStep.of(conv.name, layer, specs[conv.reads],
                                     specs[out], conv.add is None, length),
-                       [(src, (conv.in_channels, length), np.int8),
-                        (dst, act, np.int8)]))
+                       [(offsets[conv.reads], (conv.in_channels, length),
+                         np.int8), (offsets[out], act, np.int8)]))
         if conv.add is not None:
-            layout.append((_AddStep.of(
-                conv.add, specs[convs[conv.skip].reads], specs[out],
-                specs[f"{conv.add}.out"], conv.out_channels),
-                [(0, act, np.int8), (dst, act, np.int8), (0, act, np.int8)]))
-        src = dst if conv.add is None else 0
-    # the head reads slot 0 and keeps its int32 accumulators above it
-    layout.append((_HeadStep.of(qm.head, specs[activation_names(cfg)[-1]]), [
-        (0, (length * convs[-1].out_channels,), np.int8),
-        (slot[1], (cfg.classes,), np.int32)]))
+            # the block input, the last conv's output and the add's
+            names = (convs[conv.skip].reads, out, f"{conv.add}.out")
+            layout.append((_AddStep.of(conv.add, *(specs[n] for n in names),
+                                       conv.out_channels),
+                           [(offsets[n], act, np.int8) for n in names]))
+    last = activation_names(cfg)[-1]
+    layout.append((_HeadStep.of(qm.head, specs[last]), [
+        (offsets[last], (length * convs[-1].out_channels,), np.int8),
+        (offsets["head.acc"], (cfg.classes,), np.int32)]))
     return layout
 
 
@@ -779,9 +774,7 @@ class QuantPlan:
         self.layout = _layout(qm)
         # the stem's first operand
         self.input = self.layout[0][1][0]
-        self.arena_bytes = max(
-            offset + math.prod(shape) * np.dtype(dtype).itemsize
-            for _, operands in self.layout for offset, shape, dtype in operands)
+        self.arena_bytes = arena_plan(qm.config)[1]
         self.arena = np.zeros((kernels.BLOCK, self.arena_bytes), np.int8)
         # quantize_input's quotient and rounding term
         self.work = np.zeros((2, kernels.BLOCK, *self.input[1]), np.float64)
@@ -887,13 +880,14 @@ def check_quant_invariants(qm: QuantModel) -> None:
     (see the module docstring) assumes |q - zero_point| <= 255. Every
     scale, of a spec or a weight channel, must be finite and positive, and
     every scale ratio a multiplier encodes must take a shift n in [-30, 31]
-    (quantize_multiplier). Every conv and the head must keep the
-    worst-case accumulator that quantize_model checks within int32, which
-    also keeps the plan's folded biases bias_q - zp_in*sum w within int32
-    and its offsets (bias_q - zp_in*sum w)*M0 + 2^(30+n) within int64,
-    and the head's s_in*s_w*2^31 must stay below float32's maximum,
-    which keeps every logit finite. This is the walk that lays out the
-    plan (_layout); it builds none of the plan's constants."""
+    (quantize_multiplier). Every conv and the head must keep its
+    worst-case accumulator, fan_in*128*255 + max|bias_q|, within int32
+    (quantize_model checks it here alone), which also keeps the plan's
+    folded biases bias_q - zp_in*sum w within int32 and its offsets
+    (bias_q - zp_in*sum w)*M0 + 2^(30+n) within int64, and the head's
+    s_in*s_w*2^31 must stay below float32's maximum, which keeps every
+    logit finite. This is the walk that lays out the plan (_layout); it
+    builds none of the plan's constants."""
     _layout(qm)
 
 

@@ -53,18 +53,18 @@ from .model import ModelConfig, ModelParams, build, forward_batch, topology
 PROB_FLOOR = 1e-12
 BN_MOMENTUM = 0.9
 VAL_SESSION = 5
-# Adam's moment decays and denominator floor (Kingma & Ba's defaults)
-BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Adam's step size, moment decays and denominator floor (Kingma & Ba's
+# defaults)
+LR, BETA1, BETA2, ADAM_EPS = 1e-3, 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """The training options: Adam's step size, the epoch budget, the early
-    stopping patience and the batch size. Without a patience given it is
-    min(100, epochs), so a short run still trains. Adam's other constants
-    are BETA1, BETA2 and ADAM_EPS."""
+    """The training options: the epoch budget, the early stopping patience
+    and the batch size. Without a patience given it is min(100, epochs),
+    so a short run still trains. Adam's constants are LR, BETA1, BETA2 and
+    ADAM_EPS."""
 
-    lr: float = 1e-3
     epochs: int = 1000
     patience: int | None = None
     batch_size: int = 64
@@ -74,9 +74,6 @@ class Hyperparams:
             object.__setattr__(self, "patience", min(100, self.epochs))
 
     def validate(self) -> None:
-        # a chained comparison, so NaN fails it as well
-        if not 0 < self.lr < math.inf:
-            raise InvalidConfig(f"lr must be finite and > 0, got {self.lr}")
         if self.batch_size < 1 or self.epochs < 1:
             raise InvalidConfig("batch_size and epochs must be positive")
         if not 0 <= self.patience <= self.epochs:
@@ -344,11 +341,12 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
     arithmetic the update is the textbook's. eps is scaled by sqrt(bc2) to
     stay the floor of sqrt(v_hat), not of sqrt(v), which early on is
     smaller by that factor. The bias corrections become two scalars: no
-    m_hat or v_hat array is formed, and the update keeps p's dtype."""
+    m_hat or v_hat array is formed, and the update keeps p's dtype. The
+    step size lr is LR: hp sets none of Adam's constants."""
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
-    step = hp.lr * math.sqrt(bc2) / bc1
+    step = LR * math.sqrt(bc2) / bc1
     eps = ADAM_EPS * math.sqrt(bc2)
     for name, p in params.param_items():
         g = grads[name]

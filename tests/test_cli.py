@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgefit import cli, container, dataset, model, quantize, synth
+from edgefit import (cli, container, dataset, model, quantize, synth,
+                     training)
 
 
 def run_cli(capsys, *argv):
@@ -813,6 +814,18 @@ class TestUnreadableInput:
 
 
 class TestUsage:
+    def test_defaults_are_the_library_values(self):
+        parser = cli.build_parser()
+        prepare = parser.parse_args(["prepare", "--dataset", "d", "--out",
+                                     "o"])
+        train = parser.parse_args(["train", "--windows", "w", "--fold", "1",
+                                   "--out", "o"])
+        report = parser.parse_args(["report"])
+        assert prepare.stride == report.stride == dataset.RATE_HZ
+        assert train.width == model.ModelConfig.width
+        assert train.epochs == training.Hyperparams.epochs
+        assert train.batch_size == training.Hyperparams.batch_size
+
     @pytest.mark.parametrize("command", ["synth", "train", "quantize",
                                          "bench"])
     def test_negative_seed_is_usage_error(self, capsys, pipeline, tmp_path,

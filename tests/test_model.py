@@ -94,16 +94,20 @@ class TestTopology:
     @pytest.mark.parametrize("kernel", [3, 5])
     def test_closed_form_counts_match_records(self, blocks, convs_per_block,
                                               width, kernel):
-        """_weights_and_biases, which bounds a file's config before any
-        table is built, counts the weights and biases the records size."""
+        """count_macs, which sums topology's records, counts the arrays
+        build sizes from them: a conv's MACs are its weights times
+        seq_len, the head's its weights, and flash holds a byte per weight
+        and an int32 bias and a float32 scale per output channel."""
         cfg = ModelConfig(width=width, kernel=kernel, blocks=blocks,
                           convs_per_block=convs_per_block)
-        convs = model.topology(cfg)
-        head_in = cfg.seq_len * convs[-1].out_channels
-        weights = sum(conv.out_channels * conv.in_channels * kernel
-                      for conv in convs) + cfg.classes * head_in
-        biases = sum(conv.out_channels for conv in convs) + cfg.classes
-        assert model._weights_and_biases(cfg) == (weights, biases)
+        m, report = build(cfg, seed=0), count_macs(cfg)
+        weights = sum(layer.w.size for layer in m.convs) + m.head_w.size
+        biases = sum(layer.beta.size for layer in m.convs) + m.head_b.size
+        assert report.param_count == weights + biases
+        assert report.flash_bytes_int8 == weights + 8 * biases
+        assert report.per_layer == {
+            **{name: layer.w.size * cfg.seq_len
+               for name, layer in m.conv_layers()}, "head": m.head_w.size}
 
     def test_built_once_per_config(self):
         table = model.topology(ModelConfig(width=6, blocks=2))
@@ -579,21 +583,26 @@ class TestModelFile:
         return path, {"EFM3": model.load, "EFQ3": quantize.load}[kind]
 
     @pytest.mark.parametrize("kind", ["EFM3", "EFQ3"])
-    @pytest.mark.parametrize("field, value", [
-        ("blocks", 2 ** 31), ("convs_per_block", 2 ** 31),
-        ("bn_eps", 1e308), ("bn_eps", 10 ** 400)])
+    @pytest.mark.parametrize("update", [
+        {"blocks": 2 ** 31}, {"convs_per_block": 2 ** 31},
+        {"bn_eps": 1e308}, {"bn_eps": 10 ** 400},
+        # few enough parameters for the file's elements, too many convs
+        # for its tensors
+        {"width": 1, "blocks": 30}],
+        ids=lambda update: "-".join(f"{k}-{v}" for k, v in update.items()))
     def test_config_out_of_range_is_corrupt(self, tmp_path, monkeypatch,
-                                            kind, field, value):
-        """2^31 blocks or convs are bounded by the closed-form parameter
-        count before count_macs or topology could build a per-layer
-        table, and a bn_eps beyond float32 is rejected without a
-        warning."""
+                                            kind, update):
+        """2^31 blocks or convs, and 30 blocks of width 1, more convs than
+        the file's 52 (EFM3) or 61 (EFQ3) tensors, are bounded by the
+        file's tensor count before count_macs or topology could build a
+        per-layer table, and a bn_eps beyond float32 is rejected without
+        a warning."""
         def refused(config):
             raise AssertionError("a loader built a per-layer table")
 
         path, load = self.forged(
             tmp_path, kind,
-            lambda contents: contents.meta["config"].update({field: value}))
+            lambda contents: contents.meta["config"].update(update))
         monkeypatch.setattr(model, "count_macs", refused)
         for module in (model, quantize):
             monkeypatch.setattr(module, "topology", refused)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 import re
@@ -444,10 +445,18 @@ class TestQuantizeModel:
             quantize_model(m, {})
 
     def test_accumulator_bound_violation(self):
-        w = np.ones((1, 70_000, 3), dtype=np.float32)
-        b = np.zeros(1, dtype=np.float32)
-        with pytest.raises(AccumulatorOverflow, match="huge"):
-            quantize._quantize_weights("huge", w, b, 0.1, 0.1)
+        """A stem of fan-in 70,000 x 3 can overflow int32:
+        check_quant_invariants, which quantize_model and load run, names
+        it."""
+        _, qm = quantized_fixture(width=4)
+        stem = quantize.QLayer(np.ones((4, 70_000, 3), np.int8),
+                               np.ones(4, np.float32), np.zeros(4, np.int32))
+        qm = dataclasses.replace(
+            qm, config=dataclasses.replace(qm.config, in_channels=70_000),
+            convs=[stem] + qm.convs[1:])
+        with pytest.raises(AccumulatorOverflow,
+                           match="^stem: worst-case accumulator"):
+            check_quant_invariants(qm)
 
     def test_bias_overflow(self):
         """A finite bias so large that the weight scale it takes needs a
@@ -1150,6 +1159,18 @@ class TestQuantPlan:
         TestExactFloatGemm.check_against_oracle(qm, x)
         assert qm.plan.arena_bytes == model.count_macs(cfg).peak_activation_bytes
         assert qm.plan.arena_bytes == max(7 * 40 + 320, 2 * 320)
+
+    def test_head_accumulators_can_end_the_arena(self):
+        """With 100 classes the head's int32 accumulators, at slot 1, reach
+        past the three slots and the input: they set arena_bytes."""
+        cfg = ModelConfig(width=4, classes=100)
+        folded = fold_batchnorm(build(cfg, seed=3))
+        qm = quantize_model(folded, calibrate(
+            folded, make_random_windows(16, seed=1)))
+        x = np.stack([w.data for w in make_random_windows(9, seed=2)])
+        TestExactFloatGemm.check_against_oracle(qm, x)
+        assert qm.plan.arena_bytes == model.count_macs(cfg).peak_activation_bytes
+        assert qm.plan.arena_bytes == 4 * 40 + 4 * 100
 
     @pytest.mark.parametrize("blocks, convs_per_block", [(1, 1), (1, 3),
                                                          (3, 2)])

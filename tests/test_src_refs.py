@@ -11,11 +11,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TEST_ONLY = set()
-# model.topology sizes every conv; validate checks the width and
-# _weights_and_biases bounds a file's config before any table is built;
-# cmd_train reads argparse's --width, not a config's
-WIDTH_READERS = {"model.validate", "model.topology",
-                 "model._weights_and_biases", "cli.cmd_train"}
+# model.topology sizes every conv and validate checks the width;
+# cmd_train reads argparse's --width, not a config's, and build_parser
+# takes ModelConfig's default width as --width's
+WIDTH_READERS = {"model.validate", "model.topology", "cli.cmd_train",
+                 "cli.build_parser"}
 
 
 def src_trees() -> dict[str, ast.Module]:
