@@ -30,7 +30,21 @@ of 1, through its buffered iterator, which at width 52 took 1.08 us for
 a one-window int64 multiply by a (C, L) row against 0.74 us by a
 (1, C, L) one, and at 16 windows allocates a 50 KB buffer and takes
 1.5-2x the time of a same-shape pass (multiply 12.0 against 7.6 us, add
-10.4 against 5.2 us, right shift 13.6 against 9.0 us).
+10.4 against 5.2 us, right shift 13.6 against 9.0 us). Two more slow
+paths cost as much. np.maximum and np.minimum take a slower loop when
+an operand is a scalar: an int64 clamp of a (52, 40) window took 1.42
+against 0.66 us with a bound array of its own shape, and 13.3 against
+8.8 us at 16 windows; a float32 ReLU into a pad buffer's interior 2.3
+against 1.6 us, and 18.6 against 15.2 us. And numpy's wrappers that
+dispatch through the array-function protocol cost more than the method
+or assignment that does their work: np.copyto took 0.58 us against
+0.32 us for dst[...] = src, np.take 2.51 against 1.70 us for the
+array's take, np.all(np.isfinite(x)) 2.50 against 1.48 us for
+np.isfinite(x).all() (timeit minima, numpy 2.4.6, one BLAS thread). So
+every clamp and ReLU of the plans takes a constant block of its
+operand's shape as its bound (quantize.QuantPlan, model.ForwardPlan),
+and the package copies by assignment and calls take and all as
+methods.
 
 batchnorm_infer, relu and add are the layer-by-layer forms of what
 model.forward_batch does in place on a conv's output: the tests compose
@@ -136,7 +150,7 @@ def im2col(unfolded: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     b, c, kernel, length = unfolded.shape
     if out is None:
         out = np.empty((b, c * kernel, length), dtype=unfolded.dtype)
-    np.copyto(out.reshape(b, c, kernel, length), unfolded)
+    out.reshape(b, c, kernel, length)[...] = unfolded
     return out
 
 
@@ -221,7 +235,7 @@ def conv1d_backward(g_unfolded: np.ndarray, w: np.ndarray,
             total += block_sum
     # total[(o*K + j)*C_in + c] is dw[o, c, K-1-j], the row order of the
     # patches
-    np.copyto(dw.transpose(0, 2, 1)[:, ::-1], total.reshape(c_out, k, c_in))
+    dw.transpose(0, 2, 1)[:, ::-1] = total.reshape(c_out, k, c_in)
     return dw
 
 
@@ -304,7 +318,7 @@ def dense_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis."""
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise NonFiniteInput("softmax input contains NaN or Inf")
     shifted = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -312,7 +326,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def check_finite(x: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteInput(f"{what} contains NaN or Inf")
     return x
 

@@ -7,7 +7,7 @@ conv-BN, adds the unmodified block input, and applies a final ReLU.
 
 The float executor, forward_batch, runs in a ForwardPlan kept on the
 model, as quantize.QuantPlan runs the int8 one: one block of
-kernels.BLOCK windows' buffers (830 KB at width 52) and every conv's
+kernels.BLOCK windows' buffers (964 KB at width 52) and every conv's
 views into them, laid out at the model's first call. The plan holds no
 parameter, so training's in-place updates reach the next call; it makes
 the calls on one model share its buffers, so one thread at a time runs
@@ -192,16 +192,18 @@ class ForwardPlan:
 
     The buffers: a zero-bordered pad buffer of the input, the skip buffer,
     which holds a residual block's input, one pad buffer that every other
-    conv reads, one conv output and one patches buffer; 830 KB at width
-    52. Conv i reads pads[i] and the ReLU of every conv but the last
-    writes the interior of pads[i + 1]: the stem reads the input's pad
-    buffer, a conv that starts a block reads the skip buffer, which the
-    block's add reads too, and every other conv the one pad buffer. The
-    last conv's ReLU runs in place in the contiguous conv output, which
-    the head then reads as its (n, width*seq_len) input, with no copy.
-    Only the convs' interiors are ever written, so every border stays
-    zero. Every size comes from topology's records, a buffer that
-    several convs share sized for the widest of them. A plan holds buffers only, never a parameter: forward_batch
+    conv reads, one conv output, one patches buffer and a block of zeros
+    of the conv output's shape, the ReLU's floor, which no call writes;
+    964 KB at width 52. Conv i reads pads[i] and the ReLU of every conv
+    but the last writes the interior of pads[i + 1]: the stem reads the
+    input's pad buffer, a conv that starts a block reads the skip buffer,
+    which the block's add reads too, and every other conv the one pad
+    buffer. The last conv's ReLU runs in place in the contiguous conv
+    output, which the head then reads as its (n, width*seq_len) input,
+    with no copy. Only the convs' interiors are ever written, so every
+    border stays zero. Every size comes from topology's records, a buffer
+    that several convs share sized for the widest of them. A plan holds
+    buffers only, never a parameter: forward_batch
     reads every layer's arrays at call time."""
 
     def __init__(self, config: ModelConfig, dtype: np.dtype):
@@ -215,6 +217,9 @@ class ForwardPlan:
         self.pads = [padded_in] + [skip if i in starts else padded
                                    for i in range(1, len(convs))]
         self.out = np.empty((nb, width, length), dtype)
+        # the ReLU's floor as an operand of the conv output's own shape:
+        # against a scalar 0, np.maximum takes a slower loop
+        self.zero = np.zeros((nb, width, length), dtype)
         self.patches = np.empty(
             nb * max(conv.in_channels for conv in convs) * k * length, dtype)
         self._bound: dict[int, tuple] = {}
@@ -224,8 +229,9 @@ class ForwardPlan:
         one tuple per conv (its operand, the kernels.unfold view of its
         pad buffer; its patches and output; the interior its add reads or
         None; the array its ReLU writes; and the names of its output and
-        of the activation after its ReLU) and the head input, the conv
-        output flattened to (n, width*seq_len).
+        of the activation after its ReLU), the head input, the conv
+        output flattened to (n, width*seq_len), and the ReLU's floor, the
+        leading n rows of the zero block.
 
         Each view is built from the leading n rows of its C-contiguous pad
         buffer, themselves C-contiguous, so it aliases the buffer
@@ -248,7 +254,8 @@ class ForwardPlan:
                  pads[i + 1], f"{conv.name}.out",
                  f"{conv.add or conv.name}.out")
                 for i, conv in enumerate(topology(cfg)))
-            bound = self._bound[n] = (pads[0], steps, out.reshape(n, -1))
+            bound = self._bound[n] = (pads[0], steps, out.reshape(n, -1),
+                                      self.zero[:n])
         return bound
 
 
@@ -264,7 +271,7 @@ def forward_batch(m: ModelParams, x: np.ndarray,
     every conv's views into them are the model's ForwardPlan (m.plan),
     built at its first call and again only when the model's config or the
     call's dtype changes, as a microcontroller runtime plans its tensor
-    arena once (TensorFlow Lite Micro): 830 KB at width 52, which the
+    arena once (TensorFlow Lite Micro): 964 KB at width 52, which the
     model keeps. A call allocates only the (B, classes) logits and a
     block's small temporaries, and its loop over the convs only calls
     kernels: each conv is kernels.conv1d_same_batch of its one operand,
@@ -308,10 +315,10 @@ def forward_batch(m: ModelParams, x: np.ndarray,
     for start in range(0, len(x), kernels.BLOCK):
         rows = slice(start, start + kernels.BLOCK)
         block = x[rows]
-        inputs, steps, head_in = plan.bind(len(block))
+        inputs, steps, head_in, zero = plan.bind(len(block))
         if capture is not None:
             capture("input", block)
-        np.copyto(inputs, block)
+        inputs[...] = block
         for layer, (operand, patches, out, skip, relu_out, name,
                     relu_name) in zip(m.convs, steps):
             y = kernels.conv1d_same_batch(operand, layer.w, out,
@@ -324,7 +331,7 @@ def forward_batch(m: ModelParams, x: np.ndarray,
                 if capture is not None:
                     capture(name, y)
                 y += skip
-            np.maximum(y, 0, out=relu_out)
+            np.maximum(y, zero, out=relu_out)
             if capture is not None:
                 capture(relu_name, relu_out)
         logits[rows] = kernels.dense_batch(head_in, m.head_w, m.head_b)

@@ -91,7 +91,9 @@ then holds:
   | (h as uint8); the head's weights transposed in float64 and its
   (1, classes) int32 biases bias_q - zp_in*sum_n w_q[c, n];
 - two float64 work arrays of the input for kernels.BLOCK windows, in
-  which quantize_input divides, clamps and rounds;
+  which quantize_input divides, clamps and rounds, and two float64
+  blocks of the same shape holding the clamp's bounds, -128 - zp and
+  127 - zp of the input zero point;
 - scratch arrays for kernels.BLOCK windows, one per shape and dtype, that
   every step of that shape shares: the GEMM operand's pad buffer with
   its zero borders, the patches, the GEMM output, the int64 accumulators
@@ -99,6 +101,14 @@ then holds:
   adds' two uint16 index arrays; a conv holds its pad buffer only as the
   buffer's kernels.unfold view, the one operand kernels.conv1d takes,
   whose im2col copies the patches straight from it;
+- the saturation's constant blocks, (kernels.BLOCK, C_out, L) int64
+  arrays keyed by value, one of each conv's floor (its output zero point
+  under a fused ReLU, else -128) and one of 127, shared by every conv of
+  that shape, floor and dtype. A block of b windows reads their leading
+  b rows, so _saturate's clamp meets operands of the accumulators' own
+  shape at every block size: against a scalar bound, np.maximum and
+  np.minimum take a slower loop (see kernels). A calibrated model at
+  width 52 needs two, as every floor there is -128;
 - one int8 arena of arena_bytes per window. The input, each block's skip
   and every conv's input and output are views into it at the offsets
   model.arena_plan gives each activation by name: slot 0 holds the stem
@@ -111,9 +121,10 @@ then holds:
   b in the flattened arena, so every operand is one contiguous (b, C, L)
   array.
 
-At width 52 a plan holds 2.78 MB: 0.50 MB of conv rows, 192 KB of add
-tables, 0.49 MB of GEMM-ready weights, 1.41 MB of scratch, 70 KB of
-input work arrays and a 98 KB arena; the unfold views take no memory of
+At width 52 a plan holds 3.38 MB: 0.50 MB of conv rows, 192 KB of add
+tables, 0.49 MB of GEMM-ready weights, 1.41 MB of scratch, 0.53 MB of
+saturation blocks (two of 266,240 B), 70 KB of input work arrays, 70 KB
+of input bounds and a 98 KB arena; the unfold views take no memory of
 their own.
 
 A conv copies q into kernels.interior of its operand's unfold view, a
@@ -121,14 +132,17 @@ plain cast to the operand's dtype, runs kernels.conv1d on the view, zero
 borders included, into its scratch arrays, and requantizes the
 accumulators in place into its output slot with _rescale and _saturate:
 (acc*M0 + offset) >> (31+n), which is (acc + bias_q)*M0 / 2^(31+n) of
-the shifted operand rounded half up, plus the output zero point. An add
-makes five passes over its operands: a's byte into a uint16 array, the
-shift, h's byte into the second, the OR and one copy into the intp
-index; then np.take writes the lookup in place into its contiguous
-output. A block allocates only the input's finiteness mask and, when it
-holds several windows, the iterator buffer of _rescale's passes, which
-broadcast the (1, C_out, L) rows over its leading axis: under
-tracemalloc, at width 52, a steady call of 16 windows peaks at 51 KB,
+the shifted operand rounded half up, plus the output zero point,
+clamped against the floor and ceiling blocks. An add makes five passes
+over its operands: a's byte into a uint16 array, the shift, h's byte
+into the second, the OR and one copy into the intp index; then the
+table's take writes the lookup in place into its contiguous output
+(copies are assignments dst[...] = src: np.copyto and np.take would
+dispatch first, see kernels). A block allocates only the input's
+finiteness mask and, when it holds several windows, the iterator
+buffer of _rescale's passes, which broadcast the (1, C_out, L) rows
+over its leading axis: under tracemalloc, at width 52, a steady call of
+16 windows peaks at 51 KB,
 one of 8 windows at 51 KB and one window at 2 KB; at 16 windows a conv
 step allocates 50 KB, _rescale's buffer, at one window 0.7 KB and no
 buffer, and an add nothing: a uint8 operand of a uint16 or intp ufunc
@@ -211,7 +225,7 @@ def quantize_tensor(w: np.ndarray, floor: np.ndarray | float = 0.0
     Returns the int8 values and the (C_out,) float32 scales.
     """
     w = np.asarray(w, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise InvalidConfig("cannot quantize non-finite tensor")
     scale = np.abs(w).max(axis=tuple(range(1, w.ndim)))
     scale = np.maximum(np.maximum(scale / QMAX, floor),
@@ -317,16 +331,19 @@ def _rescale(x: np.ndarray, m0, offset, shift, out: np.ndarray | None = None
     return t
 
 
-def _saturate(value: np.ndarray, low: int,
+def _saturate(value: np.ndarray, low, high,
               out: np.ndarray | None = None) -> np.ndarray:
-    """Clamp the int64 array value to [low, 127] in place and return it as
-    int8, written into out when given."""
+    """Clamp the int64 array value to [low, high] in place and return it as
+    int8, written into out when given. A conv step passes low and high
+    as int64 arrays of value's shape, since against a scalar bound
+    np.maximum and np.minimum take a slower loop (see kernels); an add's
+    table, built once, passes scalars."""
     np.maximum(value, low, out=value)
-    np.minimum(value, QMAX, out=value)
+    np.minimum(value, high, out=value)
     if out is None:
         return value.astype(np.int8)
     # a plain cast, faster than a minimum that casts into out
-    np.copyto(out, value, casting="unsafe")
+    out[...] = value
     return out
 
 
@@ -407,7 +424,7 @@ def _quantize_weights(name: str, w: np.ndarray, b: np.ndarray, s_in: float,
         w, floor=np.maximum(np.abs(b) / (s_in * 2.0 ** 30),
                             s_out / (s_in * 2.0 ** 31)))
     bias_real = b / (s_in * w_scale.astype(np.float64))
-    if not np.all(np.isfinite(bias_real)):
+    if not np.isfinite(bias_real).all():
         raise AccumulatorOverflow(f"{name}: quantized bias exceeds int32")
     bias_q = round_half_away(bias_real)
     return QLayer(w_q, w_scale, bias_q.astype(np.int32))
@@ -465,6 +482,8 @@ def post_training_quantize(params: ModelParams, pool: list[Window],
 # ---------------------------------------------------------------------------
 
 def _note(trace, name, arr):
+    # the plan's steps call it only when trace is given, so that an
+    # untraced call pays no call for it
     if trace is not None:
         trace.append((name, str(arr.dtype)))
 
@@ -480,14 +499,17 @@ def _gemm_dtype(fan_in: int) -> type:
 
 def quantize_input(spec: QuantSpec, x: np.ndarray,
                    out: np.ndarray | None = None,
-                   work: tuple[np.ndarray, np.ndarray] | None = None
+                   work: tuple[np.ndarray, np.ndarray] | None = None,
+                   bounds: tuple[np.ndarray, np.ndarray] | None = None
                    ) -> np.ndarray:
     """Float windows to int8 on spec's grid, rounding half away from zero;
     written into out when given. Raises NonFiniteInput for NaN or Inf.
     work, when given, is two float64 arrays of x's shape that the quotient
     and its rounding term are computed in, so that the call allocates
     nothing but the finiteness check's mask; without it they are
-    allocated.
+    allocated. bounds, when given, is two float64 arrays of x's shape
+    holding -128 - zp and 127 - zp, the clamp's operands (a scalar bound
+    takes a slower loop); without it the clamp takes the two scalars.
 
     x/scale is clamped in float64 to [-128 - zp, 127 - zp] before the
     integer cast: rounding keeps a value between two integers between
@@ -499,20 +521,21 @@ def quantize_input(spec: QuantSpec, x: np.ndarray,
     kernels.check_finite(x, "int8 input")
     zp = spec.zero_point
     v, half = (np.empty(x.shape), np.empty(x.shape)) if work is None else work
+    low, high = (QMIN - zp, QMAX - zp) if bounds is None else bounds
     # a plain cast, then the quotient in place: a float32 x divided into
     # float64 would be cast through a buffer
-    np.copyto(v, x)
+    v[...] = x
     with np.errstate(over="ignore"):
         np.divide(v, spec.scale, out=v)
-    np.maximum(v, QMIN - zp, out=v)
-    np.minimum(v, QMAX - zp, out=v)
+    np.maximum(v, low, out=v)
+    np.minimum(v, high, out=v)
     v += np.copysign(0.5, v, out=half)
     np.trunc(v, out=v)
     # every value is now an integer in [-128, 127] less zp
     v += zp
     if out is None:
         return v.astype(np.int8)
-    np.copyto(out, v, casting="unsafe")
+    out[...] = v
     return out
 
 
@@ -595,31 +618,38 @@ class _ConvStep:
 
     def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
         """(the interior of the operand, the operand, patches, GEMM output,
-        int64 accumulators), each from take(shape, dtype, tag) as in
-        QuantPlan or a view of such an array. The operand is the
-        kernels.unfold view of a zero-filled pad buffer, shared only with
-        convs of its shape, which all write its interior alone, so its
-        borders stay zero."""
+        int64 accumulators, and the saturation's floor and ceiling), each
+        from take(shape, dtype, tag, fill) as in QuantPlan or a view of
+        such an array. The operand is the kernels.unfold view of a
+        zero-filled pad buffer, shared only with convs of its shape, which
+        all write its interior alone, so its borders stay zero. The floor
+        and the ceiling are constant int64 arrays of the accumulators'
+        shape, filled with the step's low and with QMAX, which no step
+        writes."""
         c_out, c_in, k = self.layer.w_q.shape
         view = kernels.unfold(take((c_in, length + k - 1), self.dtype,
                                    "padded"), k)
         return (kernels.interior(view), view,
                 take((c_in * k, length), self.dtype),
                 take((c_out, length), self.dtype),
-                take((c_out, length), np.int64))
+                take((c_out, length), np.int64),
+                take((c_out, length), np.int64, fill=self.low),
+                take((c_out, length), np.int64, fill=QMAX))
 
-    def run(self, x, y, interior, unfolded, patches, gemm, acc,
-            trace) -> None:
+    def run(self, x, y, interior, unfolded, patches, gemm, acc, floor,
+            ceiling, trace) -> None:
         # a plain cast of q: the offset carries the input zero point
-        np.copyto(interior, x)
+        interior[...] = x
         kernels.conv1d(unfolded, self.w, gemm, patches=patches)
         acc[...] = gemm
-        _note(trace, self.acc_name, acc)
+        if trace is not None:
+            _note(trace, self.acc_name, acc)
         # (acc + bias_q)*M0 / 2^(31+n) rounded half up, as offset folds it
         _rescale(acc, self.m0, self.offset, self.shift, out=acc)
         acc += self.out_zp
-        _saturate(acc, self.low, out=y)
-        _note(trace, self.out_name, y)
+        _saturate(acc, floor, ceiling, out=y)
+        if trace is not None:
+            _note(trace, self.out_name, y)
 
 
 @dataclass(frozen=True)
@@ -630,7 +660,7 @@ class _AddStep:
     output depends on the two int8 operands alone, so the plan runs it as
     a lookup in table, at an index built in uint16 scratch from the two
     operands' bytes by plain casts and same-type passes and copied once
-    into the intp array np.take reads."""
+    into the intp array the table's take reads."""
 
     out_name: str             # {add}.out
     a: tuple[np.int64, np.int64, np.int64]     # block input: M0, offset, s
@@ -659,11 +689,11 @@ class _AddStep:
         byte = np.arange(256, dtype=np.uint8).view(np.int8).astype(np.int64)
         total = _rescale(byte, *self.a)[:, None] + _rescale(byte, *self.h)
         total += self.out_zp
-        return _saturate(total, self.out_zp).ravel()
+        return _saturate(total, self.out_zp, QMAX).ravel()
 
     def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
-        # two uint16 arrays for the index and the intp one np.take wants:
-        # any other index type makes it copy
+        # two uint16 arrays for the index and the intp one the table's
+        # take wants: any other index type makes it copy
         shape = (self.channels, length)
         return (take(shape, np.uint16), take(shape, np.uint16),
                 take(shape, np.intp))
@@ -671,14 +701,15 @@ class _AddStep:
     def run(self, a, h, y, pair, low, index, trace) -> None:
         # plain casts and passes over one type: a uint8 operand of a
         # uint16 ufunc would be cast through a buffer
-        np.copyto(pair, a.view(np.uint8))
+        pair[...] = a.view(np.uint8)
         pair <<= 8
-        np.copyto(low, h.view(np.uint8))
+        low[...] = h.view(np.uint8)
         pair |= low
-        np.copyto(index, pair)
+        index[...] = pair
         # mode="raise" would buffer y
-        np.take(self.table, index, out=y, mode="clip")
-        _note(trace, self.out_name, y)
+        self.table.take(index, out=y, mode="clip")
+        if trace is not None:
+            _note(trace, self.out_name, y)
 
 
 @dataclass(frozen=True)
@@ -696,8 +727,8 @@ class _HeadStep:
         _check_accumulator("head", head.w_q.shape[1], head.bias_q)
         scale = in_spec.scale * head.w_scale.astype(np.float64)
         # |acc| < 2^31, so every logit is then a finite float32
-        if not np.all((head.w_scale > 0)
-                      & (scale * 2.0 ** 31 < np.finfo(np.float32).max)):
+        if not ((head.w_scale > 0)
+                & (scale * 2.0 ** 31 < np.finfo(np.float32).max)).all():
             raise RequantRangeError("head: weight scales must be positive and "
                                     "keep s_in*s_w*2^31 below float32's max")
         return cls(head, in_spec.zero_point, scale)
@@ -721,11 +752,12 @@ class _HeadStep:
         return take((n,), np.float64), take((classes,), np.float64)
 
     def run(self, x, acc, operand, gemm, logits, trace) -> None:
-        np.copyto(operand, x)
+        operand[...] = x
         np.matmul(operand, self.w_t, out=gemm)
         acc[...] = gemm
         acc += self.bias
-        _note(trace, "head.acc", acc)
+        if trace is not None:
+            _note(trace, "head.acc", acc)
         np.multiply(acc, self.scale, out=logits)
 
 
@@ -776,22 +808,34 @@ class QuantPlan:
         self.input = self.layout[0][1][0]
         self.arena_bytes = arena_plan(qm.config)[1]
         self.arena = np.zeros((kernels.BLOCK, self.arena_bytes), np.int8)
-        # quantize_input's quotient and rounding term
-        self.work = np.zeros((2, kernels.BLOCK, *self.input[1]), np.float64)
+        # quantize_input's quotient and rounding term, and its clamp's
+        # bounds
+        block = (kernels.BLOCK, *self.input[1])
+        self.work = np.zeros((2, *block), np.float64)
+        zp = self.input_spec.zero_point
+        self.bounds = np.stack([np.full(block, bound, np.float64)
+                                for bound in (QMIN - zp, QMAX - zp)])
         # the k-th array of one (tag, shape, dtype) a step takes is the
         # k-th such array of every other step: the steps run one at a time
-        # and none reads what another left in its scratch
+        # and none reads what another left in its scratch. A constant
+        # array, filled with fill, is keyed by its value instead: every
+        # step that takes one of that shape, dtype and value shares it
         pool: dict[tuple, np.ndarray] = {}
         self.scratch = []
         for step, _ in self.layout:
             taken: dict[tuple, int] = {}
 
-            def take(shape, dtype, tag=""):
+            def take(shape, dtype, tag="", fill=None):
                 key = (tag, shape, np.dtype(dtype))
-                taken[key] = taken.get(key, 0) + 1
-                key += (taken[key],)
+                if fill is None:
+                    taken[key] = taken.get(key, 0) + 1
+                    key += (taken[key],)
+                else:
+                    key += ("fill", fill)
                 if key not in pool:
-                    pool[key] = np.zeros((kernels.BLOCK, *shape), dtype)
+                    shape = (kernels.BLOCK, *shape)
+                    pool[key] = (np.zeros(shape, dtype) if fill is None
+                                 else np.full(shape, fill, dtype))
                 return pool[key]
 
             self.scratch.append(step.scratch(take, qm.config.seq_len))
@@ -813,18 +857,19 @@ class QuantPlan:
         calls = [(step.run, [view(*operand) for operand in operands]
                   + [a[:batch] for a in scratch])
                  for (step, operands), scratch in zip(self.layout, self.scratch)]
-        bound = (view(*self.input), tuple(self.work[:, :batch]), calls[:-1],
-                 calls[-1])
+        bound = (view(*self.input), tuple(self.work[:, :batch]),
+                 tuple(self.bounds[:, :batch]), calls[:-1], calls[-1])
         self._bound[batch] = bound
         return bound
 
     def run(self, x: np.ndarray, logits: np.ndarray, trace=None) -> None:
         """Write the logits (b, classes) of the float windows x (b,
         in_channels, seq_len), b <= kernels.BLOCK, into logits."""
-        q, work, body, (head, args) = (self._bound.get(len(x))
-                                       or self._bind(len(x)))
-        quantize_input(self.input_spec, x, out=q, work=work)
-        _note(trace, "input", q)
+        q, work, bounds, body, (head, args) = (self._bound.get(len(x))
+                                               or self._bind(len(x)))
+        quantize_input(self.input_spec, x, out=q, work=work, bounds=bounds)
+        if trace is not None:
+            _note(trace, "input", q)
         for run, operands in body:
             run(*operands, trace)
         head(*args, logits, trace)

@@ -24,7 +24,7 @@ gradient's unfold view once for both the weight and the input gradient.
 train_fold builds one workspace per fold, sized for min(batch_size, n)
 windows; a shorter last batch uses its leading rows. The validation pass
 is one model.forward_batch call over every validation window, which runs
-in the model's forward plan, one block's 830 KB at width 52, and
+in the model's forward plan, one block's 964 KB at width 52, and
 allocates only the logits; the model keeps the plan from its first
 validation on, and the best-epoch copy does not carry it. backward builds
 a workspace per call and runs the same code.
@@ -212,7 +212,7 @@ def _bn_backward(dh: np.ndarray, zc: np.ndarray, gamma: np.ndarray,
     # scaled contiguous, then copied: a multiply straight into the strided
     # out takes longer than both
     zc *= kernels.channel_rows(gamma * inv, length)
-    np.copyto(out, zc)
+    out[...] = zc
     return dgamma, dbeta
 
 

@@ -39,7 +39,7 @@ def requantize_array(acc, m0, shift_n, zero_point_out):
     offset = np.left_shift(np.int64(1), shift_n + 30)
     value = quantize._rescale(acc, m0, offset, shift_n + 31)
     value += zero_point_out
-    return quantize._saturate(value, quantize.QMIN)
+    return quantize._saturate(value, quantize.QMIN, quantize.QMAX)
 
 
 def astype(m, dtype):

@@ -401,6 +401,29 @@ class TestForwardPlan:
         np.testing.assert_array_equal(after, layerwise_forward(m, x))
         assert not np.array_equal(after, before)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_floor_is_a_zero_block_never_written(self, rng, dtype):
+        """Blocks of 1, 5 and 16 windows bind the leading rows of the
+        plan's one zero block, of the conv output's shape, as the ReLU's
+        floor, and after batches of 1, 5, 16 and 35 random windows, with
+        capture on, the block is still zero byte for byte."""
+        m = randomize_bn(build(ModelConfig(width=8), seed=0))
+        x = rng.standard_normal((35, 7, 40)).astype(dtype)
+        for n in (1, 5, kernels.BLOCK):
+            model.forward_batch(m, x[:n])
+            *_, zero = m.plan.bind(n)
+            assert zero.base is m.plan.zero
+            assert zero.shape == m.plan.out[:n].shape == (n, 8, 40)
+        seen = []
+        for n in (1, 5, kernels.BLOCK, 35):
+            for scale in (1.0, 1e3):
+                model.forward_batch(
+                    m, scale * x[:n],
+                    capture=lambda name, a: seen.append(float(a.min())))
+        assert min(seen) < 0
+        assert m.plan.zero.dtype == dtype
+        assert m.plan.zero.tobytes() == bytes(m.plan.zero.nbytes)
+
     def test_planned_forward_calls_kernels_at_call_time(self, monkeypatch):
         """Counters installed on kernels.conv1d_same_batch and
         kernels.im2col after the plan exists see one call per conv and

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
 import re
@@ -13,6 +14,7 @@ import pytest
 from conftest import (assert_zero_borders, captured, make_random_windows,
                       randomize_bn, regrouped, requantize_array,
                       same_unfolded)
+from test_quant_pin import write_seeded_model
 from edgefit import container, kernels, model, quantize, training
 from edgefit.errors import (
     AccumulatorOverflow,
@@ -517,7 +519,8 @@ def plan_qconv(layer, in_spec, out_spec, relu, x_q):
     step = quantize._ConvStep.of("t", layer, in_spec, out_spec, relu, length)
     y = np.empty((batch, layer.w_q.shape[0], length), np.int8)
     scratch = step.scratch(
-        lambda shape, dtype, tag="": np.zeros((batch, *shape), dtype), length)
+        lambda shape, dtype, tag="", fill=0: np.full((batch, *shape), fill,
+                                                     dtype), length)
     step.run(x_q, y, *scratch, None)
     return y
 
@@ -1294,6 +1297,79 @@ class TestQuantPlan:
         with pytest.raises(AccumulatorOverflow, match="b0.c0"):
             qforward(qm, make_random_windows(1, seed=0)[0].data)
         assert qm.plan is None
+
+    @staticmethod
+    def conv_bounds(plan, n):
+        """(step, accumulators, floor, ceiling) of every conv step as a
+        block of n windows binds them."""
+        body = plan._bound[n][-2]
+        return [(step, *args[-3:]) for (step, _), (_, args)
+                in zip(plan.layout, body)
+                if isinstance(step, quantize._ConvStep)]
+
+    @pytest.mark.parametrize("n", [1, 5, kernels.BLOCK])
+    def test_saturation_bounds_have_the_accumulators_shape(self, tmp_path,
+                                                           n):
+        """At every block size each conv step clamps its accumulators
+        against a floor and a ceiling of their own shape, holding the
+        step's floor and 127. The seeded file's convs have distinct
+        output zero points, so several floors occur: convs of one floor
+        share its array, and no two floors, nor a floor and the
+        ceiling, share one."""
+        path = tmp_path / "q.efq"
+        write_seeded_model(path, ModelConfig(width=8), seed=2)
+        qm = quantize.load(path)
+        x = np.stack([w.data for w in make_random_windows(n, seed=n)])
+        qforward_batch(qm, x)
+        bounds = self.conv_bounds(qm.plan, n)
+        assert len(bounds) == 10
+        assert len({step.low for step, *_ in bounds}) > 3
+        for step, acc, floor, ceiling in bounds:
+            assert acc.shape == floor.shape == ceiling.shape == (n, 8, 40)
+            assert floor.dtype == ceiling.dtype == np.int64
+            assert (floor == step.low).all() and (ceiling == 127).all()
+        for (a, _, floor_a, ceiling), (b, _, floor_b, _) in (
+                itertools.combinations(bounds, 2)):
+            assert np.shares_memory(floor_a, floor_b) == (a.low == b.low)
+            assert not np.shares_memory(floor_a, ceiling)
+
+    def test_constant_blocks_are_never_written(self, rng):
+        """The saturation blocks and quantize_input's bound blocks hold
+        their values byte for byte after blocks of 1, 5, 16 and 35
+        random windows and of +-1 windows, traced, on a calibrated model
+        and on extreme_model's, whose zero points of 127 make a floor
+        equal to the ceiling."""
+        _, calibrated = quantized_fixture(width=8)
+        for qm, extreme in ((calibrated, False),
+                            (extreme_model(calibrated, rng), True)):
+            qforward_batch(qm, make_random_windows(1, seed=0)[0].data[None])
+            plan = qm.plan
+            assert extreme == any(
+                floor.base is ceiling.base
+                for *_, floor, ceiling in self.conv_bounds(plan, 1))
+            zp = qm.specs["input"].zero_point
+            expected = [(plan.bounds[0], np.full(plan.bounds[0].shape,
+                                                 -128.0 - zp)),
+                        (plan.bounds[1], np.full(plan.bounds[1].shape,
+                                                 127.0 - zp))]
+            for step, _, floor, ceiling in self.conv_bounds(plan, 1):
+                for block, value in ((floor.base, step.low),
+                                     (ceiling.base, 127)):
+                    assert block.shape == (kernels.BLOCK, 8, 40)
+                    expected.append((block, np.full(block.shape, value,
+                                                    np.int64)))
+            assert len({id(block) for block, _ in expected}) > 3
+            batches = [np.stack([w.data for w in make_random_windows(
+                n, seed=n, scale=scale)]) for n in (1, 5, kernels.BLOCK, 35)
+                for scale in (1.0, 100.0)]
+            batches.append(np.where(rng.random((35, 7, 40)) < 0.5, -1.0,
+                                    1.0).astype(np.float32))
+            for x in batches:
+                trace = []
+                qforward_batch(qm, x, trace=trace)
+                assert trace
+            for block, want in expected:
+                assert block.tobytes() == want.tobytes()
 
 
 class TestQuantFile:

@@ -3,7 +3,10 @@ or the benchmark: a name that no src module references and no perfbench
 file names is code that only tests run. No src module reaches into
 another one's private names: what two modules share is public. And a
 conv's channel counts come from model.topology's records alone: no other
-walker reads a config's width."""
+walker reads a config's width. And no src module calls the numpy
+wrappers np.copyto, np.take or np.all, whose array-function dispatch
+costs more than the one-window work they do: dst[...] = src, an array's
+take method and an array's all method do the same work for less."""
 
 import ast
 import re
@@ -16,6 +19,10 @@ TEST_ONLY = set()
 # takes ModelConfig's default width as --width's
 WIDTH_READERS = {"model.validate", "model.topology", "cli.cmd_train",
                  "cli.build_parser"}
+# numpy functions that dispatch through the array-function protocol
+# before the method or assignment that does their work (timings in the
+# kernels module docstring)
+DISPATCHED = {"copyto", "take", "all"}
 
 
 def src_trees() -> dict[str, ast.Module]:
@@ -95,6 +102,27 @@ def width_readers() -> set[str]:
     return found
 
 
+def dispatched_calls(trees: dict[str, ast.Module]) -> set[str]:
+    """"module:line numpy.name" for each use in trees of a DISPATCHED
+    numpy function: an attribute of a name the module imports numpy as,
+    or a name taken from numpy by `from numpy import`."""
+    found = set()
+    for module, tree in trees.items():
+        aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "numpy"}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in DISPATCHED
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                found.add(f"{module}:{node.lineno} numpy.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                found |= {f"{module}:{node.lineno} numpy.{alias.name}"
+                          for alias in node.names
+                          if alias.name in DISPATCHED}
+    return found
+
+
 def test_src_holds_no_test_only_code():
     assert unreferenced_definitions() == TEST_ONLY
 
@@ -105,3 +133,22 @@ def test_src_modules_import_no_private_name():
 
 def test_only_topology_reads_a_config_width():
     assert width_readers() == WIDTH_READERS
+
+
+def test_src_calls_no_dispatched_numpy_wrapper():
+    assert dispatched_calls(src_trees()) == set()
+
+
+def test_dispatched_wrapper_check_sees_every_spelling():
+    source = """
+import numpy
+import numpy as np
+from numpy import take, all as every
+np.copyto(a, b)
+f = numpy.all
+a.take(i)
+a[...] = b
+"""
+    assert dispatched_calls({"m": ast.parse(source)}) == {
+        "m:4 numpy.take", "m:4 numpy.all", "m:5 numpy.copyto",
+        "m:6 numpy.all"}
