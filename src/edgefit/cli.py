@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataset, model, platform_model, quantize, synth, training
+from . import (dataset, kernels, model, platform_model, quantize, synth,
+               training)
 from .errors import (
     CorruptFile,
     EdgefitError,
@@ -170,6 +171,11 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     m = _sniff_model(args.model)
+    if isinstance(m, model.ModelParams):
+        # time the float model a deployment runs, with BN folded into its
+        # convs: finite weights the fold overflows are a data error
+        with kernels.float_checked("BN fold"):
+            m = model.fold_batchnorm(m)
     result = platform_model.host_bench(m, n_runs=args.runs, seed=args.seed)
     report = model.count_macs(m.config)
     if args.format == "kv":

@@ -345,7 +345,7 @@ def compute_norm_stats(recordings: list[Recording]) -> NormStats:
     """Per-channel mean and population std over all samples of the input."""
     if not recordings or sum(len(r) for r in recordings) == 0:
         raise EmptyDataset("cannot compute normalization statistics of nothing")
-    stacked = np.concatenate([r.data.astype(np.float64) for r in recordings], axis=0)
+    stacked = np.concatenate([r.data for r in recordings], dtype=np.float64)
     mean = stacked.mean(axis=0)
     std = stacked.std(axis=0)   # population convention
     return NormStats(mean=mean, std=np.maximum(std, STD_FLOOR))

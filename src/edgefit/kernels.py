@@ -43,8 +43,12 @@ array's take, np.all(np.isfinite(x)) 2.50 against 1.48 us for
 np.isfinite(x).all() (timeit minima, numpy 2.4.6, one BLAS thread). So
 every clamp and ReLU of the plans takes a constant block of its
 operand's shape as its bound (quantize.QuantPlan, model.ForwardPlan),
-and the package copies by assignment and calls take and all as
-methods.
+every per-channel constant a plan adds or multiplies is a (1, C, L) row
+(channel_rows) built with the plan, the int8 requantization's and a
+BN-folded float model's biases alike, and the package copies by
+assignment and calls take and all as methods. The plan of an unfolded
+float model holds no parameter, since training edits it between calls,
+and still adds BN's (C, 1) columns.
 
 batchnorm_infer, relu and add are the layer-by-layer forms of what
 model.forward_batch does in place on a conv's output: the tests compose

@@ -8,11 +8,18 @@ conv-BN, adds the unmodified block input, and applies a final ReLU.
 The float executor, forward_batch, runs in a ForwardPlan kept on the
 model, as quantize.QuantPlan runs the int8 one: one block of
 kernels.BLOCK windows' buffers (964 KB at width 52) and every conv's
-views into them, laid out at the model's first call. The plan holds no
-parameter, so training's in-place updates reach the next call; it makes
-the calls on one model share its buffers, so one thread at a time runs
-a model and a capture callback must not call forward_batch on it; and a
-copy or a pickle of a model carries no plan, but builds its own.
+views into them, laid out at the model's first call. Two contracts
+follow from what the plan holds:
+- an unfolded model is the one training updates in place, so its plan
+  holds no parameter and every edit reaches the next call;
+- a BN-folded model is a deployed model, as a QuantModel is: its plan
+  also holds each conv's bias as a (1, C_out, L) row (83,200 B more at
+  width 52), so no array of a folded model may be edited after its
+  first call; fold it again, or save and load it, for a new plan.
+The plan makes the calls on one model share its buffers, so one thread
+at a time runs a model and a capture callback must not call
+forward_batch on it; and a copy or a pickle of a model carries no plan,
+but builds its own.
 """
 
 from __future__ import annotations
@@ -187,24 +194,36 @@ def build(config: ModelConfig, seed: int) -> ModelParams:
 
 class ForwardPlan:
     """The float network's buffers for one block of kernels.BLOCK windows,
-    laid out once per (config, dtype), and for each block size n every
-    conv's views into them, bound at the first block of that size.
+    laid out once per (config, dtype), with a folded model's bias rows,
+    and for each block size n every conv's views into them, bound at the
+    first block of that size.
 
     The buffers: a zero-bordered pad buffer of the input, the skip buffer,
     which holds a residual block's input, one pad buffer that every other
     conv reads, one conv output, one patches buffer and a block of zeros
     of the conv output's shape, the ReLU's floor, which no call writes;
-    964 KB at width 52. Conv i reads pads[i] and the ReLU of every conv
-    but the last writes the interior of pads[i + 1]: the stem reads the
-    input's pad buffer, a conv that starts a block reads the skip buffer,
-    which the block's add reads too, and every other conv the one pad
-    buffer. The last conv's ReLU runs in place in the contiguous conv
-    output, which the head then reads as its (n, width*seq_len) input,
-    with no copy. Only the convs' interiors are ever written, so every
-    border stays zero. Every size comes from topology's records, a buffer
-    that several convs share sized for the widest of them. A plan holds
-    buffers only, never a parameter: forward_batch
-    reads every layer's arrays at call time."""
+    964 KB at width 52. Conv i reads pads[i]; every ReLU runs in place in
+    the contiguous conv output, and one copy moves the activation of
+    every conv but the last into the interior of pads[i + 1]: the stem
+    reads the input's pad buffer, a conv that starts a block reads the
+    skip buffer, which the block's add reads too, and every other conv
+    the one pad buffer. The head reads the last conv's activation from
+    the conv output as its (n, width*seq_len) input, with no copy. Only
+    the convs' interiors are ever written, so every border stays zero.
+    A ReLU in place and a copy cost no more than a ReLU into a strided
+    interior, and every capture then reduces a contiguous array (on
+    perfbench's pipeline, quantize_s fell 5 %). Every size comes from
+    topology's records, a buffer that several convs share sized for the
+    widest of them.
+
+    The plan of an unfolded model holds no parameter (bias is None):
+    forward_batch reads every layer's arrays at call time. The plan of a
+    BN-folded model, built by ForwardPlan.of, also holds bias, each
+    conv's folded beta as a (1, C_out, L) row in the plan's dtype,
+    83,200 B at width 52 in float32. A row meets a one-window conv output
+    in its own shape (kernels.channel_rows): at width 52 a float32 add of
+    a (C_out, 1) column of beta took 1.65 us against 0.57 us for the row,
+    and 11.1 against 6.3 us at 16 windows (timeit minima, numpy 2.4.6)."""
 
     def __init__(self, config: ModelConfig, dtype: np.dtype):
         self.config, self.dtype = config, dtype
@@ -222,16 +241,30 @@ class ForwardPlan:
         self.zero = np.zeros((nb, width, length), dtype)
         self.patches = np.empty(
             nb * max(conv.in_channels for conv in convs) * k * length, dtype)
+        self.bias: list[np.ndarray] | None = None   # a folded model's (of)
         self._bound: dict[int, tuple] = {}
+
+    @classmethod
+    def of(cls, m: ModelParams, dtype: np.dtype) -> ForwardPlan:
+        """The plan of m's calls in dtype, with the bias rows if m is
+        folded, built from m's arrays as they are now."""
+        plan = cls(m.config, dtype)
+        if m.bn_folded:
+            plan.bias = [kernels.channel_rows(layer.beta.astype(dtype),
+                                              m.config.seq_len)[None]
+                         for layer in m.convs]
+        return plan
 
     def bind(self, n: int) -> tuple:
         """The views a block of n windows runs in: the input's interior,
         one tuple per conv (its operand, the kernels.unfold view of its
-        pad buffer; its patches and output; the interior its add reads or
-        None; the array its ReLU writes; and the names of its output and
-        of the activation after its ReLU), the head input, the conv
-        output flattened to (n, width*seq_len), and the ReLU's floor, the
-        leading n rows of the zero block.
+        pad buffer; its patches and output; its bias row or None; the
+        interior its add reads or None; the interior its activation is
+        copied into, or None for the last conv, whose activation the head
+        reads in place; and the names of its output and of the activation
+        after its ReLU), the head input, the conv output flattened to
+        (n, width*seq_len), and the ReLU's floor, the leading n rows of
+        the zero block.
 
         Each view is built from the leading n rows of its C-contiguous pad
         buffer, themselves C-contiguous, so it aliases the buffer
@@ -244,14 +277,16 @@ class ForwardPlan:
             k, length = cfg.kernel, cfg.seq_len
             out = self.out[:n]
             views = [kernels.unfold(pad[:n], k) for pad in self.pads]
-            pads = [kernels.interior(view) for view in views] + [out]
+            pads = [kernels.interior(view) for view in views]
             steps = tuple(
                 (views[i],
                  self.patches[:n * conv.in_channels * k * length].reshape(
                      n, -1, length),
                  out,
+                 None if self.bias is None else self.bias[i],
                  None if conv.skip is None else pads[conv.skip],
-                 pads[i + 1], f"{conv.name}.out",
+                 pads[i + 1] if i + 1 < len(pads) else None,
+                 f"{conv.name}.out",
                  f"{conv.add or conv.name}.out")
                 for i, conv in enumerate(topology(cfg)))
             bound = self._bound[n] = (pads[0], steps, out.reshape(n, -1),
@@ -269,20 +304,28 @@ def forward_batch(m: ModelParams, x: np.ndarray,
     starts, in the buffers of one block (the fused layers of Alwani et
     al., 2016), so its feature maps stay in the cache. Those buffers and
     every conv's views into them are the model's ForwardPlan (m.plan),
-    built at its first call and again only when the model's config or the
-    call's dtype changes, as a microcontroller runtime plans its tensor
-    arena once (TensorFlow Lite Micro): 964 KB at width 52, which the
+    built at its first call and again only when the model's config, its
+    bn_folded or the call's dtype changes, as a microcontroller runtime
+    plans its tensor arena once (TensorFlow Lite Micro): 964 KB at width
+    52, and 83,200 B more of bias rows for a folded model, which the
     model keeps. A call allocates only the (B, classes) logits and a
     block's small temporaries, and its loop over the convs only calls
     kernels: each conv is kernels.conv1d_same_batch of its one operand,
     the unfold view of its pad buffer that the plan bound, into the output
-    buffer, looked up in kernels at call time, where BN's mean and scale
-    unless folded (in batchnorm_infer's order), then beta and a residual
-    add run in place before the ReLU writes the interior of the next
-    conv's operand; the last conv's ReLU runs in place, and kernels.dense_batch
-    reads the block's head input from the output buffer. Every parameter
-    is read at call time, so an in-place edit or a rebound array reaches
-    the next call.
+    buffer, looked up in kernels at call time. Then its bias, a residual
+    add and the ReLU run in place there, and one copy moves the
+    activation into the interior of the next conv's operand; the last
+    conv's stays, and kernels.dense_batch reads the block's head input
+    from the output buffer.
+
+    The two kinds of model keep two contracts. An unfolded model's conv
+    applies BN's mean and scale, then beta (in batchnorm_infer's order),
+    and every parameter is read at call time, so an in-place edit or a
+    rebound array, as training makes, reaches the next call. A folded
+    model's conv adds the plan's (1, C_out, L) row of its beta, built
+    when the plan was, as quantize.QuantPlan holds an int8 model's: edit
+    no array of a folded model after its first call (fold_batchnorm or
+    load give a model with a fresh plan).
 
     Every float output of a window, its logits included, is
     batch-invariant: it equals a layer-by-layer run's bit for bit,
@@ -297,9 +340,8 @@ def forward_batch(m: ModelParams, x: np.ndarray,
     With capture given, capture(name, activation) is called for every
     activation of activation_names(m.config), in that order, once per
     block. The activation is an (n, C, seq_len) view of that block's
-    windows, valid only during the call: the slice of x, the
-    (non-contiguous) interior of a conv's unfold view or the output
-    buffer.
+    windows, valid only during the call: the slice of x, or the
+    contiguous output buffer.
     """
     cfg = m.config
     if x.ndim != 3 or x.shape[1:] != (cfg.in_channels, cfg.seq_len):
@@ -308,8 +350,9 @@ def forward_batch(m: ModelParams, x: np.ndarray,
     # a model's tensors share one dtype
     dtype = np.result_type(x, m.convs[0].w)
     plan = m.plan
-    if plan is None or (plan.config, plan.dtype) != (cfg, dtype):
-        plan = m.plan = ForwardPlan(cfg, dtype)
+    if plan is None or ((plan.config, plan.dtype, plan.bias is not None)
+                        != (cfg, dtype, m.bn_folded)):
+        plan = m.plan = ForwardPlan.of(m, dtype)
     logits = np.empty((len(x), cfg.classes),
                       np.result_type(dtype, m.head_w, m.head_b))
     for start in range(0, len(x), kernels.BLOCK):
@@ -319,21 +362,25 @@ def forward_batch(m: ModelParams, x: np.ndarray,
         if capture is not None:
             capture("input", block)
         inputs[...] = block
-        for layer, (operand, patches, out, skip, relu_out, name,
+        for layer, (operand, patches, out, bias, skip, next_in, name,
                     relu_name) in zip(m.convs, steps):
             y = kernels.conv1d_same_batch(operand, layer.w, out,
                                           patches=patches)
-            if not m.bn_folded:     # in batchnorm_infer's order
+            if bias is not None:    # folded: the plan's row of beta
+                y += bias
+            else:                   # in batchnorm_infer's order
                 y -= layer.mean[:, None]
                 y *= (layer.gamma / np.sqrt(layer.var + cfg.bn_eps))[:, None]
-            y += layer.beta[:, None]
+                y += layer.beta[:, None]
             if skip is not None:
                 if capture is not None:
                     capture(name, y)
                 y += skip
-            np.maximum(y, zero, out=relu_out)
+            np.maximum(y, zero, out=y)
             if capture is not None:
-                capture(relu_name, relu_out)
+                capture(relu_name, y)
+            if next_in is not None:
+                next_in[...] = y
         logits[rows] = kernels.dense_batch(head_in, m.head_w, m.head_b)
     return logits
 

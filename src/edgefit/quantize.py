@@ -256,8 +256,8 @@ def calibrate(folded: ModelParams, calib: list[Window]
 
     The windows run through one forward_batch call, whose capture
     callback ranges each activation of each block of kernels.BLOCK
-    windows in the view forward_batch passes, which may be a pad buffer's
-    strided interior; a reduction reads it in place, whatever its strides.
+    windows in the view forward_batch passes, a slice of the input or its
+    contiguous conv output, in place.
     The activations that come out of a ReLU, each conv's or add's
     {name}.out in model.topology, are never negative, so their low end is
     0 and only their max is taken; the others, the input and the block's

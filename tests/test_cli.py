@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgefit import (cli, container, dataset, model, quantize, synth,
-                     training)
+from edgefit import (cli, container, dataset, model, platform_model, quantize,
+                     synth, training)
 
 
 def run_cli(capsys, *argv):
@@ -650,6 +650,34 @@ def test_seeded_loader_fuzz(capsys, pipeline, tmp_path):
 
 
 class TestBench:
+    @pytest.mark.parametrize("kind", ["model", "qmodel"])
+    def test_times_the_deployed_model(self, capsys, pipeline, monkeypatch,
+                                      kind):
+        """A float file is timed BN-folded, as a deployment runs it, and
+        an int8 file as it loads; the MAC rows stay count_macs'."""
+        timed = []
+
+        def host_bench(m, n_runs, seed):
+            timed.append(m)
+            return platform_model.BenchResult(1.0, 0.1, 3.0, 3, n_runs)
+
+        monkeypatch.setattr(platform_model, "host_bench", host_bench)
+        code, out, _ = run_cli(capsys, "bench", "--model",
+                               str(pipeline[kind]), "--runs", "10",
+                               "--format", "kv")
+        assert code == 0 and len(timed) == 1
+        if kind == "model":
+            loaded = model.load(pipeline["model"])
+            assert not loaded.bn_folded and timed[0].bn_folded
+            expected = model.fold_batchnorm(loaded)
+            assert timed[0].config == expected.config
+            for (name, got), (_, want) in zip(timed[0].all_tensors(),
+                                              expected.all_tensors()):
+                np.testing.assert_array_equal(got, want, err_msg=name)
+        else:
+            assert isinstance(timed[0], quantize.QuantModel)
+        assert model.count_macs(timed[0].config).as_kv() in out
+
     def test_bench_quant(self, capsys, pipeline):
         code, out, _ = run_cli(capsys, "bench", "--model",
                                str(pipeline["qmodel"]), "--runs", "10",

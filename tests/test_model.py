@@ -427,17 +427,22 @@ class TestForwardPlan:
     def test_planned_forward_calls_kernels_at_call_time(self, monkeypatch):
         """Counters installed on kernels.conv1d_same_batch and
         kernels.im2col after the plan exists see one call per conv and
-        block: the plan keeps no reference to either function, so the
-        benchmark's tracer and its canary tap, installed after a model's
-        first call, still see every conv."""
+        block, for an unfolded model and for a folded one, whose plan
+        holds bias rows: the plan keeps no reference to either function
+        and no row stands in for a call, so the benchmark's tracer and its
+        canary tap, installed after a model's first call, still see every
+        conv."""
         cfg = ModelConfig(width=4)
-        m = build(cfg, seed=0)
+        models = [build(cfg, seed=0),
+                  fold_batchnorm(randomize_bn(build(cfg, seed=0)))]
         convs = len(model.topology(cfg))
         x = np.random.default_rng(0).standard_normal((64, 7, 40)).astype(
             np.float32)
-        for batch in self.BATCHES:
-            model.forward_batch(m, x[:batch])
-        assert m.plan is not None
+        for m in models:
+            for batch in self.BATCHES:
+                model.forward_batch(m, x[:batch])
+            assert m.plan is not None
+        assert [m.plan.bias is None for m in models] == [True, False]
         calls = {"conv1d_same_batch": 0, "im2col": 0}
         for name in calls:
             def counted(*args, _original=getattr(kernels, name), _name=name,
@@ -445,15 +450,66 @@ class TestForwardPlan:
                 calls[_name] += 1
                 return _original(*args, **kwargs)
             monkeypatch.setattr(kernels, name, counted)
-        for batch in self.BATCHES:
-            for name in calls:
-                calls[name] = 0
-            expected = model.forward_batch(m, x[:batch])
-            blocks = -(-batch // kernels.BLOCK)
-            assert calls == {"conv1d_same_batch": blocks * convs,
-                             "im2col": blocks * convs}
-            np.testing.assert_array_equal(expected, layerwise_forward(
-                m, x[:batch]))
+        for m in models:
+            for batch in self.BATCHES:
+                for name in calls:
+                    calls[name] = 0
+                expected = model.forward_batch(m, x[:batch])
+                blocks = -(-batch // kernels.BLOCK)
+                assert calls == {"conv1d_same_batch": blocks * convs,
+                                 "im2col": blocks * convs}
+                np.testing.assert_array_equal(expected, layerwise_forward(
+                    m, x[:batch]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_folded_plan_holds_bias_rows(self, rng, dtype):
+        """A folded model's plan holds one (1, C_out, L) row per conv in
+        the call's dtype, its beta repeated over L, and binds it into that
+        conv's step; an unfolded model's plan holds none."""
+        m = randomize_bn(build(ModelConfig(width=8), seed=0))
+        folded = fold_batchnorm(m)
+        x = rng.standard_normal((5, 7, 40)).astype(dtype)
+        model.forward_batch(m, x)
+        assert m.plan.bias is None
+        assert all(step[3] is None for step in m.plan.bind(5)[1])
+        model.forward_batch(folded, x)
+        bias, table = folded.plan.bias, model.topology(folded.config)
+        assert len(bias) == len(table) == len(folded.convs)
+        for row, conv, layer, step in zip(bias, table, folded.convs,
+                                          folded.plan.bind(5)[1]):
+            assert row.shape == (1, conv.out_channels, 40)
+            assert row.dtype == dtype
+            np.testing.assert_array_equal(
+                row[0], np.repeat(layer.beta.astype(dtype)[:, None], 40, 1))
+            assert step[3] is row
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_folded_forward_bit_identical_rows_never_written(self, rng,
+                                                             dtype):
+        """Blocks of 1, 5, 16 and 35 windows of a folded model, with
+        capture on: the logits equal the layer-by-layer oracle's and each
+        window's one-window forward bit for bit, every captured conv
+        activation is the contiguous conv output, and the plan's bias rows
+        are unchanged byte for byte."""
+        folded = fold_batchnorm(randomize_bn(build(ModelConfig(width=8),
+                                                   seed=0), seed=3))
+        x = rng.standard_normal((35, 7, 40)).astype(dtype)
+        model.forward_batch(folded, x[:1])
+        before = [row.tobytes() for row in folded.plan.bias]
+        for n in (1, 5, kernels.BLOCK, 35):
+            views = []
+            logits = model.forward_batch(
+                folded, x[:n], capture=lambda name, a: views.append(
+                    name == "input" or (a.flags.c_contiguous
+                                        and a.base is folded.plan.out)))
+            assert len(views) == len(model.activation_names(
+                folded.config)) * -(-n // kernels.BLOCK) and all(views)
+            np.testing.assert_array_equal(logits,
+                                          layerwise_forward(folded, x[:n]))
+            for window, row in zip(x[:n], logits):
+                np.testing.assert_array_equal(model.forward(folded, window),
+                                              row)
+        assert [row.tobytes() for row in folded.plan.bias] == before
 
 
 class TestMacReport:
