@@ -10,18 +10,33 @@ conv1d_backward are the only code that runs it, each calling im2col
 through this module's namespace: the float forward (model.forward_batch,
 through conv1d_same_batch), the trainer's forward and the integer path
 (the conv step of quantize.QuantPlan) call conv1d, and the trainer's
-backward conv1d_backward. Every conv kernel takes one operand, the unfold
-view (B, C_in, K, L) of a zero-bordered pad buffer (B, C_in, L+K-1),
-whose element (b, c, k, l) is the buffer's (b, c, k + l), and the caller
-owns the buffer and its zero borders. The float forward
-(model.ForwardPlan), the trainer (training.Workspace) and the integer
-plan each build their views once, from pad buffers they allocate once,
-and write every input into interior(view), the view's centre tap, which
-is the (B, C_in, L) run of the buffer between its borders: the view
-aliases the buffer, so it reads every input written there. interior is
-the one place that knows the border width (K-1)/2, and im2col copies the
-patches straight from the view: no kernel branches on its operand's
-shape or copies the operand whole.
+backward conv1d_backward. Every conv kernel takes its operands in one
+form each. The input is the unfold view (B, C_in, K, L) of a
+zero-bordered pad buffer (B, C_in, L+K-1), whose element (b, c, k, l) is
+the buffer's (b, c, k + l), and the caller owns the buffer and its zero
+borders. The forward's weights are the (C_out, C_in*K) GEMM matrix,
+weight_matrix(w, K), which checks w against the views' kernel K; the
+backward, which only the trainer runs, takes the (C_out, C_in, K)
+weights it flips. A patches buffer (B, C_in*K, L) comes as its two
+patch_views, the (B, C_in, K, L) split that im2col writes and the buffer
+the GEMM reads. The float forward (model.ForwardPlan), the trainer
+(training.Workspace) and the integer plan each build their views once,
+from buffers they allocate once, and write every input into
+interior(view), the view's centre tap, which is the (B, C_in, L) run of
+the buffer between its borders: the view aliases the buffer, so it
+reads every input written there. interior is the one place that knows
+the border width (K-1)/2, and im2col copies the patches straight from
+the view: no kernel branches on its operands' shapes or copies an
+operand whole.
+
+A one-window conv is then one copy and one GEMM, with no view built
+and no shape unpacked, since each view is a sizeable share of the
+call: with the weights reshaped to the matrix and the patches buffer
+split into (C, K) inside the call, a one-window conv1d_same_batch of a
+52-channel conv takes 9.4-9.6 us; with both views bound by the caller
+8.8-9.0 us, against 8.0-8.4 us for the bare copy and GEMM (timeit
+minima, three alternating processes each, 2-vCPU Xeon, numpy 2.4.6, one
+BLAS thread).
 
 At one window a numpy pass over a conv's output costs about a
 microsecond, so the plans hand every pass operands of its own shape
@@ -139,75 +154,117 @@ def unfold(padded: np.ndarray, kernel: int) -> np.ndarray:
                       padded, 0, (s0, s1, s2, s2))
 
 
-def im2col(unfolded: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def weight_matrix(w: np.ndarray, kernel: int) -> np.ndarray:
+    """The (C_out, C_in*K) GEMM matrix of the conv weights w (C_out, C_in,
+    K), the one form of a weight operand conv1d takes: row o holds w[o]
+    flattened, tap (c, k) at column c*K + k, the row of that tap in
+    im2col's patches. A view of w when w is C-contiguous, so an in-place
+    edit of w reaches it.
+
+    kernel is the K of the unfold views the matrix multiplies, and
+    weights that are not (C_out, C_in, kernel) raise ShapeMismatch naming
+    them: the matrix keeps only C_in*K, which conv1d_same_batch checks
+    against the view's channels."""
+    if not (w.ndim == 3 and w.shape[2] == kernel):
+        _require(w.ndim == 3, "conv weight must be (C_out, C_in, K), got "
+                 "shape %s", w.shape)
+        raise ShapeMismatch(f"conv weight K {w.shape[2]} != unfold view's "
+                            f"kernel {kernel}")
+    return w.reshape(len(w), -1)
+
+
+def patch_views(patches: np.ndarray, kernel: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The two bound views of a patches buffer (B, C*K, L) of a conv of
+    kernel K: (its (B, C, K, L) split, which im2col writes, and the buffer
+    itself, which the GEMM reads), the one form of the patches operand of
+    im2col, conv1d and conv1d_backward. The split is built with explicit
+    strides, so it is a view even of a buffer sliced from a wider one
+    along axis 1, as the trainer's are, and never of a copy."""
+    b, rows, length = patches.shape
+    s0, s1, s2 = patches.strides
+    split = np.lib.stride_tricks.as_strided(
+        patches, (b, rows // kernel, kernel, length), (s0, s1 * kernel, s1, s2))
+    return split, patches
+
+
+def im2col(unfolded: np.ndarray,
+           out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """The patches (B, C*K, L) of a conv operand, its unfold view (B, C,
-    K, L).
+    K, L); patch row (c, k) is c*K + k, matching weight_matrix's columns.
+    out, if given, is the patch_views pair (split, patches) of the buffer
+    the patches are written to, and the buffer is returned.
 
-    Patch index (c, k) flattens to c*K + k, matching w.reshape(C_out, C_in*K).
-    out, if given, is the (B, C*K, L) array the patches are written to.
-
-    One strided copy from the view into out, whose axis 1 split into (C,
-    K) is always a view of out: the two have one shape, so the copy runs
-    without numpy's buffered broadcast iterator, which any broadcast, even
-    one over a leading axis of 1, would take.
+    One strided copy from the view into the split view of the buffer: the
+    two have one shape, so the copy runs without numpy's buffered
+    broadcast iterator, which any broadcast, even one over a leading axis
+    of 1, would take, and with both views bound by the caller the call
+    builds none.
     """
-    b, c, kernel, length = unfolded.shape
     if out is None:
-        out = np.empty((b, c * kernel, length), dtype=unfolded.dtype)
-    out.reshape(b, c, kernel, length)[...] = unfolded
-    return out
+        b, c, kernel, length = unfolded.shape
+        out = patch_views(np.empty((b, c * kernel, length), unfolded.dtype),
+                          kernel)
+    split, patches = out
+    split[...] = unfolded
+    return patches
 
 
 def conv1d(unfolded: np.ndarray, w: np.ndarray, out: np.ndarray | None = None,
-           *, patches: np.ndarray | None = None) -> np.ndarray:
+           *, patches: tuple[np.ndarray, np.ndarray] | None = None
+           ) -> np.ndarray:
     """Cross-correlation with zero 'same' padding, stride 1, no bias.
 
     unfolded: (B, C_in, K, L), the unfold view of the input's pad buffer;
-    w: (C_out, C_in, K) with K odd. Returns y (B, C_out, L). im2col copies
-    the patches of each block of BLOCK windows from the view, and the
-    (C_out, C_in*K) weights multiply them, one GEMM per window, into the
-    block's rows of y.
+    w: (C_out, C_in*K), the weight_matrix of (C_out, C_in, K) weights with
+    K odd. Returns y (B, C_out, L). im2col copies the patches of each
+    block of BLOCK windows from the view, and w multiplies them, one GEMM
+    per window, into the block's rows of y.
 
     out and patches are optional output buffers in numpy's out= idiom, for
     a caller that runs many steps without allocating: out receives y, and
-    patches (min(B, BLOCK), C_in*K, L) the patches of one block at a time.
+    patches, the patch_views pair of a (min(B, BLOCK), C_in*K, L) buffer,
+    the patches of one block at a time. A batch of at most BLOCK windows
+    is one im2col and one GEMM, and builds no view.
     """
-    c_out, c_in, k = w.shape
-    batch, _, _, length = unfolded.shape
-    w2 = w.reshape(c_out, c_in * k)
+    batch = len(unfolded)
     if batch <= BLOCK:
-        return np.matmul(w2, im2col(unfolded, patches), out=out)
+        return np.matmul(w, im2col(unfolded, patches), out=out)
     if out is None:
-        out = np.empty((batch, c_out, length), np.result_type(w, unfolded))
+        out = np.empty((batch, len(w), unfolded.shape[3]),
+                       np.result_type(w, unfolded))
     if patches is None:
-        patches = np.empty((BLOCK, c_in * k, length), unfolded.dtype)
+        patches = patch_views(np.empty((BLOCK, w.shape[1], unfolded.shape[3]),
+                                       unfolded.dtype), unfolded.shape[2])
+    split, cols = patches
     for i in range(0, batch, BLOCK):
         rows = slice(i, i + BLOCK)
         block = unfolded[rows]
-        np.matmul(w2, im2col(block, patches[:len(block)]), out=out[rows])
+        n = len(block)
+        np.matmul(w, im2col(block, (split[:n], cols[:n])), out=out[rows])
     return out
 
 
 def conv1d_backward(g_unfolded: np.ndarray, w: np.ndarray,
                     unfolded: np.ndarray, dx: np.ndarray | None = None,
                     dw: np.ndarray | None = None, *,
-                    patches: np.ndarray | None = None,
+                    patches: tuple[np.ndarray, np.ndarray] | None = None,
                     products: np.ndarray | None = None) -> np.ndarray:
-    """The weight gradient dw (C_out, C_in, K) of conv1d(unfolded, w),
-    given dL/dy as g_unfolded (B, C_out, K, L), the unfold view of its
-    zero-bordered pad buffer; dx (B, C_in, L), if given, receives the
-    input gradient, and without it none is formed. The convs have no
-    bias, so there is no bias gradient.
+    """The weight gradient dw (C_out, C_in, K) of conv1d(unfolded,
+    weight_matrix(w, K)), given dL/dy as g_unfolded (B, C_out, K, L), the
+    unfold view of its zero-bordered pad buffer; dx (B, C_in, L), if
+    given, receives the input gradient, and without it none is formed.
+    The convs have no bias, so there is no bias gradient.
 
     im2col copies the patches of each block of BLOCK windows from the
-    gradient's view once, into patches (min(B, BLOCK), C_out*K, L). The
-    (C_in, C_out*K) flipped kernel times them gives the block's dx, one
-    GEMM per window as in conv1d; the patches times the block's input,
-    interior(unfolded), transposed, give products (min(B, BLOCK),
-    C_out*K, C_in). One GEMV, a vector of ones
-    times the products flattened to (n, C_out*K*C_in), sums them over the
-    block's n windows, and the block sums add up to dw, tap t at patch row
-    K-1-t. dw, patches and products are optional output buffers; a
+    gradient's view once, into patches, the patch_views pair of a
+    (min(B, BLOCK), C_out*K, L) buffer. The (C_in, C_out*K) flipped kernel
+    times them gives the block's dx, one GEMM per window as in conv1d;
+    the patches times the block's input, interior(unfolded), transposed,
+    give products (min(B, BLOCK), C_out*K, C_in). One GEMV, a vector of
+    ones times the products flattened to (n, C_out*K*C_in), sums them over
+    the block's n windows, and the block sums add up to dw, tap t at patch
+    row K-1-t. dw, patches and products are optional output buffers; a
     products buffer contiguous in its last two axes is summed without a
     copy.
     """
@@ -218,10 +275,12 @@ def conv1d_backward(g_unfolded: np.ndarray, w: np.ndarray,
     if dw is None:
         dw = np.empty(w.shape, np.result_type(g_unfolded, unfolded))
     if patches is None:
-        patches = np.empty((rows, c_out * k, length), g_unfolded.dtype)
+        patches = patch_views(
+            np.empty((rows, c_out * k, length), g_unfolded.dtype), k)
     if products is None:
         products = np.empty((rows, c_out * k, c_in), dw.dtype)
     w_flipped = w.transpose(1, 0, 2)[:, :, ::-1].reshape(c_in, c_out * k)
+    split, cols = patches
     ones = np.ones(rows, dw.dtype)
     # summed contiguous, then copied: a sum straight into dw's strided taps
     # view runs 4x slower
@@ -229,10 +288,10 @@ def conv1d_backward(g_unfolded: np.ndarray, w: np.ndarray,
     for i in range(0, batch, BLOCK):
         block = slice(i, i + BLOCK)
         n = len(g_unfolded[block])
-        cols = im2col(g_unfolded[block], patches[:n])
+        im2col(g_unfolded[block], (split[:n], cols[:n]))
         if dx is not None:
-            np.matmul(w_flipped, cols, out=dx[block])
-        np.matmul(cols, x[block], out=products[:n])
+            np.matmul(w_flipped, cols[:n], out=dx[block])
+        np.matmul(cols[:n], x[block], out=products[:n])
         np.matmul(ones[:n], products[:n].reshape(n, -1),
                   out=block_sum if i else total)
         if i:
@@ -266,25 +325,28 @@ def interior(unfolded: np.ndarray) -> np.ndarray:
 
 def conv1d_same_batch(unfolded: np.ndarray, w: np.ndarray,
                       out: np.ndarray | None = None, *,
-                      patches: np.ndarray | None = None) -> np.ndarray:
-    """conv1d of the unfold view (B, C_in, K, L), with its operands'
-    shapes checked; out and patches as for conv1d."""
+                      patches: tuple[np.ndarray, np.ndarray] | None = None
+                      ) -> np.ndarray:
+    """conv1d of the unfold view (B, C_in, K, L) and the weight matrix
+    (C_out, C_in*K), with their shapes checked; out and patches as for
+    conv1d. weight_matrix checked the weights' K against the view's, so
+    every operand whose shape misses another's raises ShapeMismatch
+    naming it."""
     # one test when the shapes fit; each is checked by name only if not
-    if not (w.ndim == 3 and w.shape[2] % 2 == 1 and unfolded.ndim == 4
-            and unfolded.shape[1:3] == w.shape[1:]):
+    if not (unfolded.ndim == 4 and w.ndim == 2 and unfolded.shape[2] % 2
+            and unfolded.shape[1] * unfolded.shape[2] == w.shape[1]):
         _require(unfolded.ndim == 4,
                  "conv input must be the unfold view (B, C, K, L) of its pad "
                  "buffer, got shape %s", unfolded.shape)
-        _require(w.ndim == 3,
-                 "conv weight must be (C_out, C_in, K), got shape %s", w.shape)
-        _require(w.shape[2] % 2 == 1, "kernel size must be odd, got %d",
-                 w.shape[2])
-        _require(unfolded.shape[2] == w.shape[2],
-                 "unfold view of kernel %d != weight K %d", unfolded.shape[2],
-                 w.shape[2])
-        _require(unfolded.shape[1] == w.shape[1],
-                 "input channels %d != weight C_in %d", unfolded.shape[1],
-                 w.shape[1])
+        _require(w.ndim == 2,
+                 "conv weight must be the (C_out, C_in*K) weight_matrix, got "
+                 "shape %s", w.shape)
+        _require(unfolded.shape[2] % 2 == 1, "kernel size must be odd, got %d",
+                 unfolded.shape[2])
+        raise ShapeMismatch(
+            f"unfold view of kernel {unfolded.shape[2]} over "
+            f"{unfolded.shape[1]} input channels != weight matrix's "
+            f"{w.shape[1]} columns (C_in*K)")
     return conv1d(unfolded, w, out, patches=patches)
 
 

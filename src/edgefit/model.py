@@ -7,15 +7,18 @@ conv-BN, adds the unmodified block input, and applies a final ReLU.
 
 The float executor, forward_batch, runs in a ForwardPlan kept on the
 model, as quantize.QuantPlan runs the int8 one: one block of
-kernels.BLOCK windows' buffers (964 KB at width 52) and every conv's
-views into them, laid out at the model's first call. Two contracts
-follow from what the plan holds:
+kernels.BLOCK windows' buffers (964 KB at width 52 in float32, 1.93 MB in
+float64) and every conv's views into them, laid out at the model's first
+call. Two contracts follow from what the plan holds:
 - an unfolded model is the one training updates in place, so its plan
-  holds no parameter and every edit reaches the next call;
+  holds no parameter and every edit or rebinding reaches the next call;
 - a BN-folded model is a deployed model, as a QuantModel is: its plan
-  also holds each conv's bias as a (1, C_out, L) row (83,200 B more at
-  width 52), so no array of a folded model may be edited after its
-  first call; fold it again, or save and load it, for a new plan.
+  also holds each conv's weights as the (C_out, C_in*K) GEMM matrix, a
+  view of the model's own weights (296,400 B at width 52 that the plan
+  does not own), and each conv's bias as a (1, C_out, L) row in the
+  call's dtype (83,200 B at width 52 in float32, 166,400 B in float64).
+  So no array of a folded model may be edited after its first call;
+  fold it again, or save and load it, for a new plan.
 The plan makes the calls on one model share its buffers, so one thread
 at a time runs a model and a capture callback must not call
 forward_batch on it; and a copy or a pickle of a model carries no plan,
@@ -194,7 +197,7 @@ def build(config: ModelConfig, seed: int) -> ModelParams:
 
 class ForwardPlan:
     """The float network's buffers for one block of kernels.BLOCK windows,
-    laid out once per (config, dtype), with a folded model's bias rows,
+    laid out once per (config, dtype), with a folded model's parameters,
     and for each block size n every conv's views into them, bound at the
     first block of that size.
 
@@ -202,7 +205,8 @@ class ForwardPlan:
     which holds a residual block's input, one pad buffer that every other
     conv reads, one conv output, one patches buffer and a block of zeros
     of the conv output's shape, the ReLU's floor, which no call writes;
-    964 KB at width 52. Conv i reads pads[i]; every ReLU runs in place in
+    963,968 B at width 52 in float32, twice that in float64. Conv i reads
+    pads[i]; every ReLU runs in place in
     the contiguous conv output, and one copy moves the activation of
     every conv but the last into the interior of pads[i + 1]: the stem
     reads the input's pad buffer, a conv that starts a block reads the
@@ -216,14 +220,22 @@ class ForwardPlan:
     topology's records, a buffer that several convs share sized for the
     widest of them.
 
-    The plan of an unfolded model holds no parameter (bias is None):
-    forward_batch reads every layer's arrays at call time. The plan of a
-    BN-folded model, built by ForwardPlan.of, also holds bias, each
-    conv's folded beta as a (1, C_out, L) row in the plan's dtype,
-    83,200 B at width 52 in float32. A row meets a one-window conv output
-    in its own shape (kernels.channel_rows): at width 52 a float32 add of
-    a (C_out, 1) column of beta took 1.65 us against 0.57 us for the row,
-    and 11.1 against 6.3 us at 16 windows (timeit minima, numpy 2.4.6)."""
+    Each conv's step also binds the kernels.patch_views of its leading
+    n*C_in*K*L patches, so that a call hands kernels.conv1d_same_batch
+    both views of its patches and builds none.
+
+    The plan of an unfolded model holds no parameter (weights and bias
+    are None): forward_batch reads every layer's arrays at call time, and
+    takes each conv's kernels.weight_matrix there, a view. The plan of a
+    BN-folded model, built by ForwardPlan.of, also holds weights, each
+    conv's kernels.weight_matrix, a view of its folded weights that takes
+    no memory of its own, and bias, each conv's folded beta as a
+    (1, C_out, L) row in the plan's dtype, 83,200 B at width 52 in
+    float32 and 166,400 B in float64. A row meets a one-window conv
+    output in its own shape (kernels.channel_rows): at width 52 a float32
+    add of a (C_out, 1) column of beta took 1.65 us against 0.57 us for
+    the row, and 11.1 against 6.3 us at 16 windows (timeit minima, numpy
+    2.4.6)."""
 
     def __init__(self, config: ModelConfig, dtype: np.dtype):
         self.config, self.dtype = config, dtype
@@ -241,15 +253,20 @@ class ForwardPlan:
         self.zero = np.zeros((nb, width, length), dtype)
         self.patches = np.empty(
             nb * max(conv.in_channels for conv in convs) * k * length, dtype)
-        self.bias: list[np.ndarray] | None = None   # a folded model's (of)
+        # a folded model's parameters (of)
+        self.weights: list[np.ndarray] | None = None
+        self.bias: list[np.ndarray] | None = None
         self._bound: dict[int, tuple] = {}
 
     @classmethod
     def of(cls, m: ModelParams, dtype: np.dtype) -> ForwardPlan:
-        """The plan of m's calls in dtype, with the bias rows if m is
-        folded, built from m's arrays as they are now."""
+        """The plan of m's calls in dtype, with the weight matrices and
+        the bias rows if m is folded, built from m's arrays as they are
+        now."""
         plan = cls(m.config, dtype)
         if m.bn_folded:
+            plan.weights = [kernels.weight_matrix(layer.w, m.config.kernel)
+                            for layer in m.convs]
             plan.bias = [kernels.channel_rows(layer.beta.astype(dtype),
                                               m.config.seq_len)[None]
                          for layer in m.convs]
@@ -258,7 +275,8 @@ class ForwardPlan:
     def bind(self, n: int) -> tuple:
         """The views a block of n windows runs in: the input's interior,
         one tuple per conv (its operand, the kernels.unfold view of its
-        pad buffer; its patches and output; its bias row or None; the
+        pad buffer; its weight matrix or None; its patch views and output;
+        its bias row or None; the
         interior its add reads or None; the interior its activation is
         copied into, or None for the last conv, whose activation the head
         reads in place; and the names of its output and of the activation
@@ -280,8 +298,10 @@ class ForwardPlan:
             pads = [kernels.interior(view) for view in views]
             steps = tuple(
                 (views[i],
-                 self.patches[:n * conv.in_channels * k * length].reshape(
-                     n, -1, length),
+                 None if self.weights is None else self.weights[i],
+                 kernels.patch_views(
+                     self.patches[:n * conv.in_channels * k * length].reshape(
+                         n, -1, length), k),
                  out,
                  None if self.bias is None else self.bias[i],
                  None if conv.skip is None else pads[conv.skip],
@@ -307,12 +327,15 @@ def forward_batch(m: ModelParams, x: np.ndarray,
     built at its first call and again only when the model's config, its
     bn_folded or the call's dtype changes, as a microcontroller runtime
     plans its tensor arena once (TensorFlow Lite Micro): 964 KB at width
-    52, and 83,200 B more of bias rows for a folded model, which the
-    model keeps. A call allocates only the (B, classes) logits and a
-    block's small temporaries, and its loop over the convs only calls
-    kernels: each conv is kernels.conv1d_same_batch of its one operand,
-    the unfold view of its pad buffer that the plan bound, into the output
-    buffer, looked up in kernels at call time. Then its bias, a residual
+    52 in float32 (1.93 MB in float64), and for a folded model views of
+    its weight matrices and 83,200 B of bias rows in float32 (166,400 B
+    in float64), which the model keeps. A call allocates
+    only the (B, classes) logits and a block's small temporaries, and its
+    loop over the convs only calls kernels: each conv is
+    kernels.conv1d_same_batch of the operands the plan bound, the unfold
+    view of its pad buffer and the two views of its patches, and of its
+    weight matrix, the plan's for a folded model, into the output buffer,
+    looked up in kernels at call time. Then its bias, a residual
     add and the ReLU run in place there, and one copy moves the
     activation into the interior of the next conv's operand; the last
     conv's stays, and kernels.dense_batch reads the block's head input
@@ -320,12 +343,15 @@ def forward_batch(m: ModelParams, x: np.ndarray,
 
     The two kinds of model keep two contracts. An unfolded model's conv
     applies BN's mean and scale, then beta (in batchnorm_infer's order),
-    and every parameter is read at call time, so an in-place edit or a
-    rebound array, as training makes, reaches the next call. A folded
-    model's conv adds the plan's (1, C_out, L) row of its beta, built
-    when the plan was, as quantize.QuantPlan holds an int8 model's: edit
-    no array of a folded model after its first call (fold_batchnorm or
-    load give a model with a fresh plan).
+    and every parameter is read at call time, each conv's weights taken
+    as their kernels.weight_matrix there, so an in-place edit or a
+    rebound array, as training makes, reaches the next call, and weights
+    whose shape misses the conv's raise ShapeMismatch. A folded model's
+    conv multiplies the plan's weight matrix and adds the plan's
+    (1, C_out, L) row of its beta, both built when the plan was, as
+    quantize.QuantPlan holds an int8 model's: edit no array of a folded
+    model after its first call (fold_batchnorm or load give a model with
+    a fresh plan).
 
     Every float output of a window, its logits included, is
     batch-invariant: it equals a layer-by-layer run's bit for bit,
@@ -362,10 +388,11 @@ def forward_batch(m: ModelParams, x: np.ndarray,
         if capture is not None:
             capture("input", block)
         inputs[...] = block
-        for layer, (operand, patches, out, bias, skip, next_in, name,
+        for layer, (operand, w, patches, out, bias, skip, next_in, name,
                     relu_name) in zip(m.convs, steps):
-            y = kernels.conv1d_same_batch(operand, layer.w, out,
-                                          patches=patches)
+            if w is None:           # unfolded: the layer's weights now
+                w = kernels.weight_matrix(layer.w, cfg.kernel)
+            y = kernels.conv1d_same_batch(operand, w, out, patches=patches)
             if bias is not None:    # folded: the plan's row of beta
                 y += bias
             else:                   # in batchnorm_infer's order

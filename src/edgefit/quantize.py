@@ -73,7 +73,9 @@ before the first inference (TensorFlow Lite Micro). Its constants are
 built at its first run, from the model's arrays at that moment; the plan
 then holds:
 
-- each conv's weights in its GEMM dtype and three contiguous int64
+- each conv's weights as their (C_out, C_in*K) kernels.weight_matrix in
+  its GEMM dtype, the operand kernels.conv1d multiplies and the offset's
+  sums of taps read, and three contiguous int64
   (1, C_out, L) rows: M0 and the total shift 31 + n, each channel's value
   repeated over the window, and the offset
   (bias_q - zp_in*sum_{t: 0 <= l+t-pad < L} sum_c w_q[o, c, t])*M0
@@ -100,7 +102,11 @@ then holds:
   (on a 64-bit host, the adds' intp table indices share them) and the
   adds' two uint16 index arrays; a conv holds its pad buffer only as the
   buffer's kernels.unfold view, the one operand kernels.conv1d takes,
-  whose im2col copies the patches straight from it;
+  whose im2col copies the patches straight from it, and its patches as
+  their kernels.patch_views, the split im2col writes and the buffer the
+  GEMM reads. _bind takes the leading rows of each for a block size
+  once, so a conv call hands kernels.conv1d views the plan bound and
+  builds none;
 - the saturation's constant blocks, (kernels.BLOCK, C_out, L) int64
   arrays keyed by value, one of each conv's floor (its output zero point
   under a fused ReLU, else -128) and one of 127, shared by every conv of
@@ -124,8 +130,8 @@ then holds:
 At width 52 a plan holds 3.38 MB: 0.50 MB of conv rows, 192 KB of add
 tables, 0.49 MB of GEMM-ready weights, 1.41 MB of scratch, 0.53 MB of
 saturation blocks (two of 266,240 B), 70 KB of input work arrays, 70 KB
-of input bounds and a 98 KB arena; the unfold views take no memory of
-their own.
+of input bounds and a 98 KB arena; the unfold and patch views take no
+memory of their own.
 
 A conv copies q into kernels.interior of its operand's unfold view, a
 plain cast to the operand's dtype, runs kernels.conv1d on the view, zero
@@ -577,8 +583,10 @@ class _ConvStep:
 
     @functools.cached_property
     def w(self) -> np.ndarray:
-        """(C_out, C_in, K) in the layer's GEMM dtype."""
-        return self.layer.w_q.astype(self.dtype)
+        """The (C_out, C_in*K) kernels.weight_matrix of the int8 weights in
+        the layer's GEMM dtype."""
+        w_q = self.layer.w_q
+        return kernels.weight_matrix(w_q, w_q.shape[2]).astype(self.dtype)
 
     # per-element (1, C_out, L) int64 rows, so that every requantization
     # pass runs as one C_out*L loop per window and meets a one-window
@@ -599,7 +607,7 @@ class _ConvStep:
         """(bias_q - zp_in * the weights on the taps inside the window at
         l)*M0 + 2^(30+n)."""
         w, length = self.w, self.length
-        c_out, c_in, k = w.shape
+        _, c_in, k = self.layer.w_q.shape
         m0, shift_n = self.multiplier
         # the GEMM multiplies q, not q - zp, so the offset subtracts zp
         # times the sum of the weights on the taps inside the window at l:
@@ -607,7 +615,7 @@ class _ConvStep:
         # exact as the GEMM of any int8 window is
         tap = np.arange(k)[:, None] + np.arange(length) - (k - 1) // 2
         ones = np.tile((tap >= 0) & (tap < length), (c_in, 1)).astype(w.dtype)
-        taps = (w.reshape(c_out, -1) @ ones).astype(np.int64)
+        taps = (w @ ones).astype(np.int64)
         # |bias_q - zp*taps| <= |bias_q| + fan_in*128*128 < 2^31 and M0 <
         # 2^31 bound its product by 2^62, and n <= 31 the rounding term by
         # 2^61: the offset stays within int64, and acc*M0 plus it equals
@@ -617,30 +625,31 @@ class _ConvStep:
                 + np.left_shift(np.int64(1), shift_n + 30)[:, None])[None]
 
     def scratch(self, take, length: int) -> tuple[np.ndarray, ...]:
-        """(the interior of the operand, the operand, patches, GEMM output,
-        int64 accumulators, and the saturation's floor and ceiling), each
-        from take(shape, dtype, tag, fill) as in QuantPlan or a view of
-        such an array. The operand is the kernels.unfold view of a
-        zero-filled pad buffer, shared only with convs of its shape, which
-        all write its interior alone, so its borders stay zero. The floor
-        and the ceiling are constant int64 arrays of the accumulators'
-        shape, filled with the step's low and with QMAX, which no step
-        writes."""
+        """(the interior of the operand, the operand, the patches' split
+        view and the patches, GEMM output, int64 accumulators, and the
+        saturation's floor and ceiling), each from take(shape, dtype, tag,
+        fill) as in QuantPlan or a view of such an array. The operand is
+        the kernels.unfold view of a zero-filled pad buffer, shared only
+        with convs of its shape, which all write its interior alone, so
+        its borders stay zero; the patches are the kernels.patch_views
+        pair of their buffer. The floor and the ceiling are constant int64
+        arrays of the accumulators' shape, filled with the step's low and
+        with QMAX, which no step writes."""
         c_out, c_in, k = self.layer.w_q.shape
         view = kernels.unfold(take((c_in, length + k - 1), self.dtype,
                                    "padded"), k)
         return (kernels.interior(view), view,
-                take((c_in * k, length), self.dtype),
+                *kernels.patch_views(take((c_in * k, length), self.dtype), k),
                 take((c_out, length), self.dtype),
                 take((c_out, length), np.int64),
                 take((c_out, length), np.int64, fill=self.low),
                 take((c_out, length), np.int64, fill=QMAX))
 
-    def run(self, x, y, interior, unfolded, patches, gemm, acc, floor,
-            ceiling, trace) -> None:
+    def run(self, x, y, interior, unfolded, split, patches, gemm, acc,
+            floor, ceiling, trace) -> None:
         # a plain cast of q: the offset carries the input zero point
         interior[...] = x
-        kernels.conv1d(unfolded, self.w, gemm, patches=patches)
+        kernels.conv1d(unfolded, self.w, gemm, patches=(split, patches))
         acc[...] = gemm
         if trace is not None:
             _note(trace, self.acc_name, acc)

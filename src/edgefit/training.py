@@ -13,7 +13,11 @@ the workspace, the interior of its pad buffer's unfold view, and its
 ReLU writes operand i + 1, the next conv's; a block's last conv adds
 operand conv.skip, the block input, before its ReLU. Every conv kernel
 takes the unfold view, which the workspace builds once per pad buffer,
-and a batch of b windows passes its leading rows, view[:b]. Per conv,
+the patches as their kernels.patch_views, which the workspace binds once
+per conv for its input and for its output gradient, and the forward's
+weights as their kernels.weight_matrix, a view of the layer's array at
+call time, so Adam's edits reach the next step; a batch of b windows
+passes the leading rows of each view, view[:b]. Per conv,
 BN keeps only the centred activation zc and applies its per-channel
 factors as (C, L) rows (kernels.channel_rows), the forward keeps the
 ReLU's mask h > 0, taken from the contiguous BN output h, for the
@@ -143,7 +147,9 @@ class Workspace:
     last ReLU output, the head's input. Shared buffers take the BN output
     before the ReLU, the flowing gradients, the unfold view of the output
     gradient's pad buffer, each weight gradient and, for one block of
-    kernels.BLOCK windows, the im2col patches and the weight gradient's
+    kernels.BLOCK windows, the im2col patches, bound per conv as the
+    kernels.patch_views of the first C_in*K and C_out*K patch rows, its
+    input's and its output gradient's, and the weight gradient's
     per-window products. A step writes everything with out=, and a
     shorter batch of b windows uses the leading rows buf[:b], so a step
     allocates nothing of the batch's size.
@@ -169,7 +175,14 @@ class Workspace:
         self.h = act()                     # BN output before the ReLU
         self.masks = [np.empty(zc.shape, bool) for zc in self.zc]
         rows = min(batch, kernels.BLOCK)
-        self.patches = np.empty((rows, widest * k, length), dtype)
+        patches = np.empty((rows, widest * k, length), dtype)
+
+        def patch_views(channels):
+            return kernels.patch_views(patches[:, :channels * k], k)
+
+        # per conv, the patches of its input and of its output gradient
+        self.patches = [patch_views(conv.in_channels) for conv in convs]
+        self.g_patches = [patch_views(conv.out_channels) for conv in convs]
         self.products = np.empty((rows, c * k, widest), dtype)
         self.grad = (act(), act())
         self.g_unfolded = unfolded(c)
@@ -228,12 +241,12 @@ def _forward(ws: Workspace, m: ModelParams, x: np.ndarray):
     operands = ws.operands(b)
     operands[0][...] = x
     stats = []
-    length = m.config.seq_len
+    length, k = m.config.seq_len, m.config.kernel
     for i, (conv, layer) in enumerate(zip(topology(m.config), m.convs)):
-        _, c_in, k = layer.w.shape
         zc = ws.zc[i][:b]
-        kernels.conv1d(ws.unfolded[i][:b], layer.w, zc,
-                       patches=ws.patches[:b, :c_in * k])
+        split, patches = ws.patches[i]
+        kernels.conv1d(ws.unfolded[i][:b], kernels.weight_matrix(layer.w, k),
+                       zc, patches=(split[:b], patches[:b]))
         mu, var, inv = _bn_normalize(zc, m.config.bn_eps)
         h = ws.h[:b]
         np.multiply(zc, kernels.channel_rows(layer.gamma * inv, length), out=h)
@@ -291,9 +304,10 @@ def _step(ws: Workspace, m: ModelParams, x, targets, weights):
         if convs[i].add is not None:        # the add routes dh to the skip too
             skip_grad, da, first = da, spare, convs[i].skip
         c_out, c_in, k = layer.w.shape
+        split, patches = ws.g_patches[i]
         grads[f"{name}.w"] = kernels.conv1d_backward(
             ws.g_unfolded[:b], layer.w, ws.unfolded[i][:b], da if i else None,
-            ws.dw[i], patches=ws.patches[:b, :c_out * k],
+            ws.dw[i], patches=(split[:b], patches[:b]),
             products=ws.products[:b, :c_out * k, :c_in])
         grads[f"{name}.gamma"] = dgamma
         grads[f"{name}.beta"] = dbeta

@@ -60,7 +60,8 @@ def conv1d_same(x, w, b=None):
     model's convs have none, the kernel tests' oracle cases do."""
     if x.ndim != 2:
         raise ShapeMismatch(f"conv input must be (C, L), got shape {x.shape}")
-    y = kernels.conv1d_same_batch(same_unfolded(x[None], w), w)[0]
+    y = kernels.conv1d_same_batch(same_unfolded(x[None], w),
+                                  kernels.weight_matrix(w, w.shape[2]))[0]
     if b is None:
         return y
     if b.shape != w.shape[:1]:
@@ -128,7 +129,9 @@ def layerwise_forward(m, x, capture=None):
                                        layer.mean, layer.var, cfg.bn_eps)
 
     def conv(layer, t):
-        return kernels.conv1d_same_batch(same_unfolded(t, layer.w), layer.w)
+        return kernels.conv1d_same_batch(
+            same_unfolded(t, layer.w), kernels.weight_matrix(layer.w,
+                                                             cfg.kernel))
 
     def record(name, arr):
         if capture is not None:

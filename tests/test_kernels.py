@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (conv1d_same, dense, make_random_windows, same_padded,
                       same_unfolded)
+from edgefit.kernels import patch_views, weight_matrix
 from edgefit import kernels, model, quantize, training
 from edgefit.errors import NonFiniteInput, ShapeMismatch
 
@@ -99,13 +100,14 @@ class TestConv1dSame:
             conv1d_same(x, w, np.zeros(4, dtype=np.float32))
 
     def test_unfold_view_of_another_kernel_rejected(self, rng):
-        """An unfold view is checked against the weights' kernel, as it is
-        against their input channels."""
+        """An unfold view is checked against the weight matrix's columns,
+        C_in*K: one of another kernel fails, as one of other input
+        channels does."""
         x = rng.standard_normal((2, 3, 10)).astype(np.float32)
         w = rng.standard_normal((4, 3, 3)).astype(np.float32)
         view = kernels.unfold(same_padded(x, w), 1)
         with pytest.raises(ShapeMismatch, match="unfold view of kernel 1"):
-            kernels.conv1d_same_batch(view, w)
+            kernels.conv1d_same_batch(view, weight_matrix(w, 3))
 
     def test_padded_batch_rejected(self, rng):
         """The pad buffer itself, (B, C_in, L+K-1), is not an operand: the
@@ -113,7 +115,50 @@ class TestConv1dSame:
         x = rng.standard_normal((2, 3, 10)).astype(np.float32)
         w = rng.standard_normal((4, 3, 3)).astype(np.float32)
         with pytest.raises(ShapeMismatch, match=r"unfold view \(B, C, K, L\)"):
-            kernels.conv1d_same_batch(same_padded(x, w), w)
+            kernels.conv1d_same_batch(same_padded(x, w),
+                                      weight_matrix(w, 3))
+
+    @pytest.mark.parametrize("case,match", [
+        ("weights_3d", r"conv weight must be the \(C_out, C_in\*K\)"),
+        ("matrix_as_weights", r"conv weight must be \(C_out, C_in, K\)"),
+        ("even_kernel", "kernel size must be odd, got 2"),
+        ("channels", "unfold view of kernel 3 over 2 input channels != "
+                     r"weight matrix's 9 columns \(C_in\*K\)"),
+        ("taps_as_channels", "conv weight K 1 != unfold view's kernel 3"),
+        ("even_weights", "conv weight K 2 != unfold view's kernel 1"),
+    ])
+    def test_rejected_shape_names_its_operand(self, rng, case, match):
+        """Weights that are not the (C_out, C_in*K) matrix, a matrix made
+        of weights that are not (C_out, C_in, K) or not of the view's
+        kernel, an even kernel and a view whose channels miss the
+        matrix's columns are each a ShapeMismatch naming the operand at
+        fault, as an input that is not an unfold view and a view of
+        another kernel are (above). Taps that count as channels, (C_out,
+        C_in*K, 1) weights against a kernel-K view, and even (4, 3, 2)
+        weights against a (B, 6, 1, L) view give matrices of the view's
+        columns, so weight_matrix, which still sees the weights' K,
+        rejects them."""
+        x = rng.standard_normal((2, 3, 10)).astype(np.float32)
+        w = rng.standard_normal((4, 3, 3)).astype(np.float32)
+        w2 = rng.standard_normal((4, 3, 2)).astype(np.float32)
+        unfolded = same_unfolded(x, w)
+        with pytest.raises(ShapeMismatch, match=match):
+            if case == "weights_3d":
+                kernels.conv1d_same_batch(unfolded, w)
+            elif case == "matrix_as_weights":
+                weight_matrix(w.reshape(4, 9), 3)
+            elif case == "even_kernel":
+                kernels.conv1d_same_batch(same_unfolded(x, w2),
+                                          weight_matrix(w2, 2))
+            elif case == "channels":
+                kernels.conv1d_same_batch(same_unfolded(x[:, :2], w),
+                                          weight_matrix(w, 3))
+            elif case == "taps_as_channels":
+                kernels.conv1d_same_batch(unfolded,
+                                          weight_matrix(w.reshape(4, 9, 1), 3))
+            else:
+                view = kernels.unfold(np.concatenate([x, x], axis=1), 1)
+                kernels.conv1d_same_batch(view, weight_matrix(w2, 1))
 
     def test_even_kernel_rejected(self, rng):
         x = rng.standard_normal((3, 10)).astype(np.float32)
@@ -125,24 +170,29 @@ class TestConv1dSame:
         x = rng.standard_normal((5, 3, 12)).astype(np.float32)
         w = rng.standard_normal((4, 3, 3)).astype(np.float32)
         b = rng.standard_normal(4).astype(np.float32)
-        batched = kernels.conv1d_same_batch(same_unfolded(x, w), w)
+        batched = kernels.conv1d_same_batch(same_unfolded(x, w),
+                                            weight_matrix(w, 3))
         batched += b[:, None]
         for i in range(5):
             np.testing.assert_array_equal(batched[i],
                                           conv1d_same(x[i], w, b))
 
     def test_buffers_match_allocating_call(self, rng):
-        """With out and patches given, the result is the allocating call's,
-        written into out."""
-        x = rng.standard_normal((5, 4, 12)).astype(np.float32)
-        w = rng.standard_normal((4, 4, 3)).astype(np.float32)
-        unfolded = same_unfolded(x, w)
-        expected = kernels.conv1d_same_batch(unfolded, w)
-        out = np.empty_like(x)
-        y = kernels.conv1d_same_batch(unfolded, w, out,
-                                      patches=np.empty((5, 12, 12), np.float32))
-        assert y is out
-        np.testing.assert_array_equal(y, expected)
+        """At 1, BLOCK and 2*BLOCK + 3 windows, with out and the bound patch
+        views of one block given, the result is the allocating call's bit
+        for bit, written into out."""
+        w3 = rng.standard_normal((4, 4, 3)).astype(np.float32)
+        w = weight_matrix(w3, 3)
+        for batch in (1, kernels.BLOCK, 2 * kernels.BLOCK + 3):
+            x = rng.standard_normal((batch, 4, 12)).astype(np.float32)
+            unfolded = same_unfolded(x, w3)
+            expected = kernels.conv1d_same_batch(unfolded, w)
+            out = np.empty_like(x)
+            patches = patch_views(np.empty(
+                (min(batch, kernels.BLOCK), 12, 12), np.float32), 3)
+            y = kernels.conv1d_same_batch(unfolded, w, out, patches=patches)
+            assert y is out
+            assert y.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
@@ -198,6 +248,30 @@ def backward(g, w, unfolded):
     return dx, dw
 
 
+def bound_rows(views, b):
+    """The leading b rows of each of a conv's bound patch views, as the
+    plans bind them per block size and the trainer per batch."""
+    return tuple(v[:b] for v in views)
+
+
+def test_patch_views_alias_their_buffer(rng):
+    """The split view's element (b, c, t, l) is the buffer's (b, c*K + t,
+    l), for a contiguous buffer and for one sliced along axis 1 from a
+    wider one, as the trainer's are: it is a view of the buffer, never of
+    a copy, and a write through it reaches the patches the GEMM reads."""
+    wide = np.zeros((4, 6 * 3, 10), np.float32)
+    for buf in (wide, wide[:3, :4 * 3]):
+        split, patches = patch_views(buf, 3)
+        assert patches is buf and split.shape == (len(buf), 4 if buf is not
+                                                  wide else 6, 3, 10)
+        assert np.shares_memory(split, wide)
+        split[...] = rng.standard_normal(split.shape)
+        c = split.shape[1]
+        for t in range(3):
+            np.testing.assert_array_equal(split[:, :, t],
+                                          buf[:, t:c * 3:3])
+
+
 class TestConv1dBackward:
     @pytest.mark.parametrize("c_in,c_out,length,k", CONV_CASES)
     def test_matches_naive_adjoint(self, rng, c_in, c_out, length, k):
@@ -224,7 +298,8 @@ class TestConv1dBackward:
         flipped kernel; dw agrees with the per-tap oracle within rounding
         of dtype; without dx the weight gradient keeps its bits. With
         buffers, every output goes to a caller-owned array, sliced from one
-        sized for a wider layer as the trainer's workspace slices them."""
+        sized for a wider layer as the trainer's workspace slices them,
+        and the patches are the bound views of such a slice."""
         length, k = 40, 3
         x = rng.standard_normal((batch, c_in, length)).astype(dtype)
         w = rng.standard_normal((c_out, c_in, k)).astype(dtype)
@@ -234,14 +309,15 @@ class TestConv1dBackward:
         if buffers:
             rows, wide = min(batch, kernels.BLOCK), max(c_in, c_out)
             kwargs = dict(
-                patches=np.empty((rows, wide * k, length), dtype)[:, :c_out * k],
+                patches=patch_views(np.empty((rows, wide * k, length), dtype)
+                                    [:, :c_out * k], k),
                 products=np.empty((rows, c_out * k, wide), dtype)[:, :, :c_in])
             dw_buf = np.empty(w.shape, dtype)
         dx = np.empty_like(x)
-        dw = kernels.conv1d_backward(
-            g_unfolded, w, unfolded, dx, dw_buf if buffers else None, **kwargs)
+        dw = kernels.conv1d_backward(g_unfolded, w, unfolded, dx,
+                                     dw_buf if buffers else None, **kwargs)
         assert not buffers or dw is dw_buf
-        want_dx = kernels.conv1d(g_unfolded, flip(w))
+        want_dx = kernels.conv1d(g_unfolded, weight_matrix(flip(w), k))
         assert dx.dtype == want_dx.dtype == dw.dtype == dtype
         assert dx.tobytes() == want_dx.tobytes()
         want_dw = conv1d_weight_grad(g.astype(np.float64),
@@ -256,66 +332,81 @@ class TestConv1dBackward:
 class TestConvBuffers:
     """conv1d and conv1d_backward write into caller-owned buffers with the
     same bits as when they allocate, also through leading-row views of
-    buffers sized for a larger batch and operands that are the unfold
-    views of pad buffers bound before any input is written, as the
-    trainer and the plans pass them."""
+    buffers sized for a larger batch, operands that are the unfold views
+    of pad buffers, and patch views of a buffer, all bound before any
+    input is written, as the trainer and the plans pass them."""
 
     @pytest.mark.parametrize("c_in,c_out,length,k", CONV_CASES)
     def test_buffers_match_allocating_call(self, rng, c_in, c_out, length, k):
-        batch = 3
+        """At 1, BLOCK and 2*BLOCK + 3 windows, conv1d and conv1d_backward
+        into caller-owned buffers and bound patch views give the bits of
+        the allocating calls, and the patches of the last block are in the
+        buffer the views were bound to."""
+        for batch in (1, kernels.BLOCK, 2 * kernels.BLOCK + 3):
+            self.check_buffers_match_allocating_call(rng, batch, c_in, c_out,
+                                                     length, k)
+
+    @staticmethod
+    def check_buffers_match_allocating_call(rng, batch, c_in, c_out, length,
+                                            k):
         x = rng.standard_normal((batch, c_in, length)).astype(np.float32)
-        w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
+        w3 = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
         g = rng.standard_normal((batch, c_out, length)).astype(np.float32)
-        unfolded = same_unfolded(x, w)
+        w = weight_matrix(w3, k)
+        unfolded = same_unfolded(x, w3)
         y = kernels.conv1d(unfolded, w)
-        dx, dw = backward(g, w, unfolded)
+        dx, dw = backward(g, w3, unfolded)
 
         rows = batch + 2          # buffers sized for a larger batch
+        block = min(batch, kernels.BLOCK)
         wide = max(c_in, c_out)
         pad_buf = np.zeros((rows, c_in, length + k - 1), np.float32)
         g_pad_buf = np.zeros((rows, c_out, length + k - 1), np.float32)
-        patch_buf = np.empty((rows, wide * k, length), np.float32)
+        patch_buf = np.empty((block + 2, wide * k, length), np.float32)
         out = np.empty((rows, c_out, length), np.float32)
         dx_buf = np.empty((rows, c_in, length), np.float32)
-        products = np.empty((rows, c_out * k, wide), np.float32)
-        dw_buf = np.empty(w.shape, np.float32)
+        products = np.empty((block, c_out * k, wide), np.float32)
+        dw_buf = np.empty(w3.shape, np.float32)
         # the views are bound before any input is written
         view = kernels.unfold(pad_buf, k)[:batch]
         g_view = kernels.unfold(g_pad_buf, k)[:batch]
+        patches = bound_rows(patch_views(patch_buf[:, :c_in * k], k), block)
+        g_patches = bound_rows(patch_views(patch_buf[:, :c_out * k], k), block)
 
         # the caller writes each input into its view's interior
         kernels.interior(view)[...] = x
         kernels.interior(g_view)[...] = g
         out.fill(np.nan)
         patch_buf.fill(np.nan)
-        y2 = kernels.conv1d(view, w, out[:batch],
-                            patches=patch_buf[:batch, :c_in * k])
+        y2 = kernels.conv1d(view, w, out[:batch], patches=patches)
         assert np.shares_memory(y2, out)
-        np.testing.assert_array_equal(y2, y)
-        np.testing.assert_array_equal(patch_buf[:batch, :c_in * k],
-                                      kernels.im2col(unfolded))
+        assert y2.tobytes() == y.tobytes()
+        # the last block's patches, written through the split view
+        last = unfolded[(batch - 1) // kernels.BLOCK * kernels.BLOCK:]
+        np.testing.assert_array_equal(patch_buf[:len(last), :c_in * k],
+                                      kernels.im2col(last))
         dw2 = kernels.conv1d_backward(
-            g_view, w, view, dx_buf[:batch], dw_buf,
-            patches=patch_buf[:batch, :c_out * k],
-            products=products[:batch, :, :c_in])
+            g_view, w3, view, dx_buf[:batch], dw_buf, patches=g_patches,
+            products=products[:, :, :c_in])
         assert dw2 is dw_buf
-        np.testing.assert_array_equal(dx_buf[:batch], dx)
-        np.testing.assert_array_equal(dw2, dw)
+        assert dx_buf[:batch].tobytes() == dx.tobytes()
+        assert dw2.tobytes() == dw.tobytes()
 
     @pytest.mark.parametrize("buffers", [False, True])
     @pytest.mark.parametrize("c_in,c_out,length,k", CONV_CASES)
     def test_blocks_match_one_window_calls(self, rng, c_in, c_out, length,
                                            k, buffers):
         """2*BLOCK + 3 windows, three blocks the last of them short, give
-        the bits of one-window calls; the caller's patches and products
-        buffers hold one block, and conv1d's operand, the unfold view, the
+        the bits of one-window calls; the caller's patch views and products
+        buffer hold one block, and conv1d's operand, the unfold view, the
         whole batch."""
         batch = 2 * kernels.BLOCK + 3
         x = rng.standard_normal((batch, c_in, length)).astype(np.float32)
-        w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
+        w3 = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
         g = rng.standard_normal((batch, c_out, length)).astype(np.float32)
-        unfolded = same_unfolded(x, w)
-        one = [backward(g[i:i + 1], w, unfolded[i:i + 1])
+        w = weight_matrix(w3, k)
+        unfolded = same_unfolded(x, w3)
+        one = [backward(g[i:i + 1], w3, unfolded[i:i + 1])
                for i in range(batch)]
         want_y = np.concatenate([kernels.conv1d(unfolded[i:i + 1], w)
                                  for i in range(batch)])
@@ -327,7 +418,7 @@ class TestConvBuffers:
         if buffers:
             y = kernels.conv1d(
                 unfolded, w, np.empty((batch, c_out, length), np.float32),
-                patches=patches[:, :c_in * k])
+                patches=patch_views(patches[:, :c_in * k], k))
         else:
             y = kernels.conv1d(unfolded, w)
         assert y.dtype == want_y.dtype and y.shape == want_y.shape
@@ -335,12 +426,13 @@ class TestConvBuffers:
         if buffers:
             dx = np.empty_like(x)
             dw = kernels.conv1d_backward(
-                same_unfolded(g, flip(w)), w, unfolded, dx, np.empty_like(w),
-                patches=patches[:, :c_out * k],
+                same_unfolded(g, flip(w3)), w3, unfolded, dx,
+                np.empty_like(w3),
+                patches=patch_views(patches[:, :c_out * k], k),
                 products=np.empty((kernels.BLOCK, c_out * k, c_in),
                                   np.float32))
         else:
-            dx, dw = backward(g, w, unfolded)
+            dx, dw = backward(g, w3, unfolded)
         assert dx.dtype == want_dx.dtype and dx.shape == want_dx.shape
         assert dx.tobytes() == want_dx.tobytes()
         # the weight gradient sums over the whole batch, not window by window
@@ -503,8 +595,9 @@ def test_kernels_are_pure(rng):
     x = rng.standard_normal((3, 10)).astype(np.float32)
     w = rng.standard_normal((4, 3, 3)).astype(np.float32)
     unfolded = same_unfolded(x[None], w)
-    first = kernels.conv1d_same_batch(unfolded, w)[0]
-    second = kernels.conv1d_same_batch(unfolded.copy(), w.copy())[0]
+    first = kernels.conv1d_same_batch(unfolded, weight_matrix(w, 3))[0]
+    second = kernels.conv1d_same_batch(unfolded.copy(),
+                                       weight_matrix(w.copy(), 3))[0]
     assert np.array_equal(first, second)
     np.testing.assert_array_equal(kernels.softmax(first[:, 0]),
                                   kernels.softmax(first[:, 0]))

@@ -374,11 +374,13 @@ class TestForwardPlan:
         plan = {f.name: f for f in dataclasses.fields(m)}["plan"]
         assert not (plan.compare or plan.repr or plan.init)
 
-    @pytest.mark.parametrize("edit", ["weight", "running_stats", "head"])
+    @pytest.mark.parametrize("edit", ["weight", "rebound_weight",
+                                      "running_stats", "head"])
     def test_parameter_edits_reach_next_call(self, rng, edit):
-        """The plan holds no parameter: after an in-place edit, as Adam
-        makes, or a rebinding of a layer's mean and var, as the running
-        statistics' update makes, the next logits equal a fresh model's."""
+        """The plan of an unfolded model holds no parameter: after an
+        in-place edit, as Adam makes, or a rebinding of a layer's weights
+        or of its mean and var, as the running statistics' update makes,
+        the next logits equal a fresh model's."""
         m = randomize_bn(build(ModelConfig(width=8), seed=0))
         x = rng.standard_normal((2 * kernels.BLOCK + 3, 7, 40)).astype(
             np.float32)
@@ -386,6 +388,8 @@ class TestForwardPlan:
         if edit == "weight":
             m.convs[4].w *= 1.5
             m.convs[4].beta += 0.25
+        elif edit == "rebound_weight":
+            m.convs[4].w = m.convs[4].w * 1.5
         elif edit == "running_stats":
             layer = m.convs[3]
             layer.mean = layer.mean + 0.5
@@ -471,7 +475,7 @@ class TestForwardPlan:
         x = rng.standard_normal((5, 7, 40)).astype(dtype)
         model.forward_batch(m, x)
         assert m.plan.bias is None
-        assert all(step[3] is None for step in m.plan.bind(5)[1])
+        assert all(step[4] is None for step in m.plan.bind(5)[1])
         model.forward_batch(folded, x)
         bias, table = folded.plan.bias, model.topology(folded.config)
         assert len(bias) == len(table) == len(folded.convs)
@@ -481,7 +485,50 @@ class TestForwardPlan:
             assert row.dtype == dtype
             np.testing.assert_array_equal(
                 row[0], np.repeat(layer.beta.astype(dtype)[:, None], 40, 1))
-            assert step[3] is row
+            assert step[4] is row
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_folded_plan_holds_weight_matrices(self, rng, dtype):
+        """A folded model's plan holds one (C_out, C_in*K) matrix per conv,
+        a view of its folded weights in any call's dtype, and binds it
+        into that conv's step. Calls of 1, 5, 16 and 35 windows write none
+        of them, and an unfolded model's plan holds no matrix."""
+        m = randomize_bn(build(ModelConfig(width=8), seed=0))
+        folded = fold_batchnorm(m)
+        x = rng.standard_normal((35, 7, 40)).astype(dtype)
+        model.forward_batch(m, x[:5])
+        assert m.plan.weights is None
+        assert all(step[1] is None for step in m.plan.bind(5)[1])
+        model.forward_batch(folded, x[:5])
+        plan, table = folded.plan, model.topology(folded.config)
+        assert len(plan.weights) == len(table) == len(folded.convs)
+        for matrix, conv, layer, step in zip(plan.weights, table,
+                                             folded.convs, plan.bind(5)[1]):
+            assert matrix.shape == (conv.out_channels,
+                                    conv.in_channels * folded.config.kernel)
+            assert matrix.base is layer.w and step[1] is matrix
+            np.testing.assert_array_equal(
+                matrix, layer.w.reshape(len(layer.w), -1))
+        before = [layer.w.tobytes() for layer in folded.convs]
+        for n in (1, 5, kernels.BLOCK, 35):
+            model.forward_batch(folded, x[:n])
+        assert [layer.w.tobytes() for layer in folded.convs] == before
+
+    @pytest.mark.parametrize("shape", [(8, 24, 1), (8, 8, 1), (8, 4, 3),
+                                       (8, 24)])
+    def test_rebound_weights_of_another_shape_rejected(self, rng, shape):
+        """Rebound weights whose shape misses their conv's raise
+        ShapeMismatch naming the weights or their matrix at the next call
+        of an unfolded model, and in a folded model's plan, also those of
+        a (C_out, C_in*K, 1) array, whose matrix has the conv's columns."""
+        m = build(ModelConfig(width=8), seed=0)
+        x = rng.standard_normal((3, 7, 40)).astype(np.float32)
+        model.forward_batch(m, x)
+        m.convs[2].w = rng.standard_normal(shape).astype(np.float32)
+        with pytest.raises(ShapeMismatch, match="conv weight|weight matrix"):
+            model.forward_batch(m, x)
+        with pytest.raises(ShapeMismatch, match="conv weight|weight matrix"):
+            model.forward_batch(fold_batchnorm(m), x)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_folded_forward_bit_identical_rows_never_written(self, rng,

@@ -732,7 +732,7 @@ class TestQForward:
         for step, (_, unfolded, *_) in convs:
             padded = unfolded.base
             assert padded.ndim == 3 and padded.any()
-            assert_zero_borders(padded, step.w.shape[2])
+            assert_zero_borders(padded, step.layer.w_q.shape[2])
 
     def test_evaluate_quant_is_one_batch_call(self, monkeypatch):
         """37 windows, not a multiple of kernels.BLOCK: evaluate_quant gives
@@ -830,7 +830,8 @@ def unplanned_qconv(name, layer, in_spec, out_spec, relu, x_q, trace):
     _, c_in, k = layer.w_q.shape
     shifted = np.subtract(x_q, in_spec.zero_point, dtype=np.int16)
     w = layer.w_q.astype(quantize._gemm_dtype(c_in * k))
-    acc = kernels.conv1d(same_unfolded(shifted, w), w)
+    acc = kernels.conv1d(same_unfolded(shifted, w),
+                         kernels.weight_matrix(w, k))
     acc = acc.astype(np.int64)
     acc += layer.bias_q[:, None]
     quantize._note(trace, f"{name}.acc", acc)

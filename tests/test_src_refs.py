@@ -6,7 +6,9 @@ conv's channel counts come from model.topology's records alone: no other
 walker reads a config's width. And no src module calls the numpy
 wrappers np.copyto, np.take or np.all, whose array-function dispatch
 costs more than the one-window work they do: dst[...] = src, an array's
-take method and an array's all method do the same work for less."""
+take method and an array's all method do the same work for less. And the
+functions a one-window call runs through build no view: every reshape,
+transpose and .T of their operands is bound at plan time."""
 
 import ast
 import re
@@ -23,6 +25,14 @@ WIDTH_READERS = {"model.validate", "model.topology", "cli.cmd_train",
 # before the method or assignment that does their work (timings in the
 # kernels module docstring)
 DISPATCHED = {"copyto", "take", "all"}
+# what a one-window float or int8 call runs: each of these calls kernels
+# on operands its plan bound, and builds no view of them, but in an
+# `if ... is None:` branch, which allocates a buffer the caller did not
+# give
+VIEW_FREE = {"model.forward_batch", "quantize.QuantPlan.run",
+             "quantize._ConvStep.run", "quantize._AddStep.run",
+             "quantize._HeadStep.run", "kernels.conv1d", "kernels.im2col"}
+VIEW_BUILDERS = {"reshape", "transpose", "T"}
 
 
 def src_trees() -> dict[str, ast.Module]:
@@ -123,6 +133,42 @@ def dispatched_calls(trees: dict[str, ast.Module]) -> set[str]:
     return found
 
 
+def is_none_test(test: ast.expr) -> bool:
+    """Whether test is `name is None`."""
+    return (isinstance(test, ast.Compare) and len(test.ops) == 1
+            and isinstance(test.ops[0], ast.Is)
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value is None)
+
+
+def view_builds(trees: dict[str, ast.Module], functions: set[str]
+                ) -> tuple[set[str], set[str]]:
+    """("module.qualname:line .name" for each reshape, transpose or .T in
+    the bodies of functions, given as module.qualname, outside the body of
+    an `if ... is None:`, whose else is searched; and the functions
+    found)."""
+    found, seen = set(), set()
+
+    def walk(module, node, qual):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            qual = f"{qual}.{node.name}" if qual else node.name
+            seen.add(f"{module}.{qual}")
+        elif isinstance(node, ast.If) and is_none_test(node.test):
+            for stmt in node.orelse:
+                walk(module, stmt, qual)
+            return
+        elif (isinstance(node, ast.Attribute) and node.attr in VIEW_BUILDERS
+              and f"{module}.{qual}" in functions):
+            found.add(f"{module}.{qual}:{node.lineno} .{node.attr}")
+        for child in ast.iter_child_nodes(node):
+            walk(module, child, qual)
+
+    for module, tree in trees.items():
+        walk(module, tree, "")
+    return found, seen & functions
+
+
 def test_src_holds_no_test_only_code():
     assert unreferenced_definitions() == TEST_ONLY
 
@@ -152,3 +198,33 @@ a[...] = b
     assert dispatched_calls({"m": ast.parse(source)}) == {
         "m:4 numpy.take", "m:4 numpy.all", "m:5 numpy.copyto",
         "m:6 numpy.all"}
+
+
+def test_one_window_path_builds_no_view():
+    assert view_builds(src_trees(), VIEW_FREE) == (set(), VIEW_FREE)
+
+
+def test_view_check_sees_every_spelling():
+    source = """
+def run(x, w, out=None):
+    if out is None:
+        out = x.reshape(2, -1)
+    else:
+        w = w.T
+    y = np.transpose(x)
+    if out is not None:
+        x = x.reshape(-1)
+    return x.transpose(1, 0) @ w
+
+class Step:
+    def run(self, w):
+        return w.T
+
+def other(x):
+    return x.reshape(-1)
+"""
+    assert view_builds({"m": ast.parse(source)},
+                       {"m.run", "m.Step.run", "m.absent"}) == (
+        {"m.run:6 .T", "m.run:7 .transpose", "m.run:9 .reshape",
+         "m.run:10 .transpose", "m.Step.run:14 .T"},
+        {"m.run", "m.Step.run"})

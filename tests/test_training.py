@@ -66,7 +66,8 @@ def oracle_forward_train(m, x):
         if pos == 0:
             skip = a
         unfolded = same_unfolded(a, layer.w)
-        z = kernels.conv1d(unfolded, layer.w)
+        z = kernels.conv1d(unfolded,
+                           kernels.weight_matrix(layer.w, m.config.kernel))
         entry["patches"] = kernels.im2col(unfolded)
         h, entry["bn"] = oracle_bn_train_forward(z, layer.gamma, layer.beta, eps)
         if pos == last:
@@ -107,7 +108,8 @@ def oracle_backward_train(m, x, targets, weights):
         dz, dgamma, dbeta = oracle_bn_train_backward(dh, layer.gamma, entry["bn"])
         c_out, c_in, k = layer.w.shape
         flipped = layer.w.transpose(1, 0, 2)[:, :, ::-1]
-        dx = kernels.conv1d(same_unfolded(dz, flipped), flipped)
+        dx = kernels.conv1d(same_unfolded(dz, flipped),
+                            kernels.weight_matrix(flipped, k))
         dw = np.tensordot(dz, entry["patches"], axes=([0, 2], [0, 2]))
         grads[f"{name}.w"] = dw.reshape(c_out, c_in, k)
         grads[f"{name}.b"] = dz.sum(axis=(0, 2))
@@ -331,6 +333,24 @@ class TestWorkspaceTrainer:
         for i, (got_s, want_s) in enumerate(zip(stats, want_stats)):
             for a, b in zip(got_s, want_s):
                 assert a.tobytes() == b.tobytes(), i
+
+    def test_patch_views_bound_on_one_block_buffer(self):
+        """Every conv's patch views, of its input and of its output
+        gradient, are bound at construction on one buffer of one block of
+        kernels.BLOCK windows, each split a view of its patches."""
+        cfg = ModelConfig(width=8)
+        ws = training.Workspace(build(cfg, seed=5), 2 * kernels.BLOCK)
+        convs = model.topology(cfg)
+        base = ws.patches[0][1].base
+        for views, channels in ((ws.patches, "in_channels"),
+                                (ws.g_patches, "out_channels")):
+            assert len(views) == len(convs)
+            for (split, patches), conv in zip(views, convs):
+                c = getattr(conv, channels)
+                assert split.shape == (kernels.BLOCK, c, cfg.kernel, 40)
+                assert patches.shape == (kernels.BLOCK, c * cfg.kernel, 40)
+                assert patches.base is base and np.shares_memory(split,
+                                                                 patches)
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_pad_borders_stay_zero(self, rng, k):
